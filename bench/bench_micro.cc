@@ -1048,15 +1048,22 @@ void run_migrate_suite() {
 }  // namespace migrate_bench
 
 // ---- cross-process wire transports (converse/transport) ----
-// Prices the machine layer's wire paths in loopback mode (nprocs == 1,
-// every cross-PE message through the codec — same process so the numbers
-// isolate the transport, not fork/scheduling noise):
+// Prices the machine layer's wire paths. stream64 runs in loopback mode
+// (nprocs == 1, every cross-PE message through the codec — same process so
+// the numbers isolate the transport, not fork/scheduling noise):
 //
 //   stream64     64-byte message flood PE0 -> PE1, one row per backend.
 //                The acceptance bar (gated by scripts/ci_transport.sh via
 //                bench_compare.py --max-ratio) is shm <= 3x the in-process
 //                ns/msg: the ring adds a copy into the segment, a copy out,
-//                and a wake — but no syscall per message.
+//                and a wake — but no syscall per message. The flood keeps
+//                the consumer's comm thread awake, so it never prices a
+//                wake-up.
+//   pingpong64   one 64-byte message bouncing between PE 0 (parent) and
+//                PE 1 (forked child), one row per wire backend, ns per hop.
+//                Strictly alternating: every hop finds the receiving comm
+//                thread asleep, so the row prices the per-hop wake-up that
+//                the cross-process FT and QD protocols pay.
 //   image_*      scatter-gather thread-image-shaped sends (send_spans over
 //                an uneven span list) at 64 KiB / 256 KiB / 1 MiB over the
 //                socket wire, eager (gather + write) vs rendezvous
@@ -1070,7 +1077,8 @@ namespace transport_bench {
 
 namespace cv = mfc::converse;
 
-cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack;
+cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack, h_ping64,
+    h_pong64;
 mfc::ult::Thread* g_sender = nullptr;
 int g_expect = 0;
 double g_t0 = 0.0, g_t1 = 0.0;
@@ -1095,6 +1103,16 @@ void ensure_handlers() {
         [](cv::Message&&) { cv::send_value(0, h_image_ack, 0); });
     h_image_ack = cv::register_handler(
         [](cv::Message&&) { cv::ready_thread(g_sender); });
+    // Ping-pong: PE 1 echoes, PE 0 serves the next ping until done.
+    h_ping64 = cv::register_handler(
+        [](cv::Message&&) { cv::send_value(0, h_pong64, Cell64{}); });
+    h_pong64 = cv::register_handler([](cv::Message&&) {
+      if (--g_expect == 0) {
+        cv::ready_thread(g_sender);
+      } else {
+        cv::send_value(1, h_ping64, Cell64{});
+      }
+    });
   });
 }
 
@@ -1143,6 +1161,25 @@ mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
   });
   return {"stream64", backend_mode(t), 2, static_cast<std::uint64_t>(msgs),
           g_t1 - g_t0};
+}
+
+mfc::bench::MsgBenchRow run_pingpong64(cv::Machine::Config::Transport t,
+                                       int trips) {
+  ensure_handlers();
+  cv::Machine::run(wire_config(t, 256 * 1024, /*nprocs=*/2), [&](int pe) {
+    cv::barrier();  // both processes up before the clock starts
+    if (pe == 0) {
+      g_sender = cv::pe_scheduler().running();
+      g_expect = trips;
+      g_t0 = mfc::wall_time();
+      cv::send_value(1, h_ping64, Cell64{});
+      cv::pe_scheduler().suspend();
+      g_t1 = mfc::wall_time();
+    }
+    cv::barrier();
+  });
+  return {"pingpong64", backend_mode(t), 2,
+          2 * static_cast<std::uint64_t>(trips), g_t1 - g_t0};
 }
 
 mfc::bench::MsgBenchRow run_image_ships(const char* name, bool rendezvous,
@@ -1202,10 +1239,12 @@ mfc::bench::MsgBenchRow run_image_ships(const char* name, bool rendezvous,
 void run_transport_suite() {
   constexpr int kReps = 3;
   constexpr int kStreamMsgs = 20000;
+  constexpr int kPingPongTrips = 2000;
   constexpr int kImageReps = 40;
 
-  std::printf("# machine-layer wire transports, loopback mode (npes=2, "
-              "median of %d)\n", kReps);
+  std::printf("# machine-layer wire transports (npes=2, median of %d; "
+              "stream64 in loopback, pingpong64 and image rows across 2 "
+              "processes)\n", kReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const auto t : {cv::Machine::Config::Transport::kInProc,
                        cv::Machine::Config::Transport::kShm,
@@ -1217,6 +1256,13 @@ void run_transport_suite() {
   std::printf("# shm/inproc ns-per-msg ratio: %.2fx (acceptance bar: <= 3x, "
               "gated by ci_transport.sh)\n",
               rows[1].ns_per_msg() / rows[0].ns_per_msg());
+
+  for (const auto t : {cv::Machine::Config::Transport::kShm,
+                       cv::Machine::Config::Transport::kSocket}) {
+    rows.push_back(conv_bench::median_of(
+        kReps, [&] { return run_pingpong64(t, kPingPongTrips); }));
+    conv_bench::print_row(rows.back());
+  }
 
   struct { const char* name; std::size_t bytes; } sizes[] = {
       {"image_64k", 64 * 1024},

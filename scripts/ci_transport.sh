@@ -14,11 +14,14 @@
 # an FT kill storm over the shm wire.
 #
 # Phase 2 reruns the transport bench suite (64-byte flood per backend,
-# eager vs rendezvous scatter-gather image ships at 64 KiB–1 MiB) and
-# gates two ways with bench_compare.py: the fresh rows must be within
+# 64-byte two-process ping-pong per wire backend, eager vs rendezvous
+# scatter-gather image ships at 64 KiB–1 MiB) and gates two ways with
+# bench_compare.py: the fresh stream64 and pingpong64 rows must be within
 # tolerance of the checked-in BENCH_transport.json, and — the absolute
 # acceptance bar — the shm ring must cost no more than 3x the in-process
-# path per 64-byte message. The rendezvous leg's zero-intermediate-copy
+# path per 64-byte message. stream64 keeps the receiving comm thread
+# awake; pingpong64 makes it sleep before every hop, so its row prices
+# the wake-up path. The rendezvous leg's zero-intermediate-copy
 # property is asserted by the conformance tests (kWireRendezvous counter);
 # the bench prints the same verdict for the log.
 #
@@ -40,6 +43,10 @@ python3 scripts/bench_compare.py \
   build-release/BENCH_transport.baseline.json \
   build-release/BENCH_transport.json \
   --metric ns_per_msg --tolerance 50 --filter stream64
+python3 scripts/bench_compare.py \
+  build-release/BENCH_transport.baseline.json \
+  build-release/BENCH_transport.json \
+  --metric ns_per_msg --tolerance 50 --filter pingpong64
 # Absolute gate: shm ring <= 3x in-process ns/msg at 64 bytes.
 python3 scripts/bench_compare.py \
   build-release/BENCH_transport.baseline.json \

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -157,9 +158,9 @@ struct MachineState {
   std::uint64_t qd_prev_sent = ~0ull;
   std::uint64_t qd_prev_delivered = ~0ull;
   // Per-PE FT flags (allocated only when ft_on). `dead`: the PE's loop
-  // stops dispatching and spin-sleeps; messages queue up for the revival
-  // drain. `wipe_pending`: revive_pe was called — run the on_revive hook
-  // on the PE's own thread before touching the backlog.
+  // stops dispatching and parks until revived; messages queue up for the
+  // revival drain. `wipe_pending`: revive_pe was called — run the
+  // on_revive hook on the PE's own thread before touching the backlog.
   std::unique_ptr<std::atomic<bool>[]> dead;
   std::unique_ptr<std::atomic<bool>[]> wipe_pending;
   // PE0-only barrier bookkeeping (touched exclusively from PE0's loop).
@@ -174,9 +175,12 @@ struct MachineState {
   int ctl_fd = -1;       ///< this process's end of its zygote channel
   pid_t zygote_pid = 0;  ///< process 0 only
   std::vector<pid_t> kids;  ///< process 0 only: the original children
-  /// Parallel to `kids`; written by the comm thread's liveness poll, read
-  /// by the final reap and by kill_proc (atomic: PE 0's escalation races
-  /// the comm thread).
+  /// Parallel to `kids`: the pidfd the comm thread waits on (-1 once that
+  /// thread reaped the child and closed it).
+  std::vector<int> kid_pidfds;
+  /// Parallel to `kids`; written by the comm thread's reap, read by the
+  /// final reap and by kill_proc (atomic: PE 0's escalation races the comm
+  /// thread).
   std::unique_ptr<std::atomic<bool>[]> kids_reaped;
   /// Process 0, PE-0-thread only: which procs now run as respawned
   /// incarnations — kill routing (original children get a direct SIGKILL;
@@ -250,9 +254,19 @@ void ctl_send(int fd, const CtlRec& rec, int ship_fd = -1) {
   }
 }
 
-/// Nonblocking receive of one ctl record; false when none is ready (or the
-/// peer closed). *ship_fd gets the SCM_RIGHTS fd when one rode along.
-bool ctl_recv(int fd, CtlRec* rec, int* ship_fd) {
+/// A pollable handle on process `pid`: readable once it has exited. Through
+/// syscall(): glibc 2.36's <sys/pidfd.h> declares pidfd_open without C
+/// linkage.
+int open_pidfd(pid_t pid) {
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+}
+
+enum class CtlRead { kRecord, kEmpty, kClosed };
+
+/// Nonblocking receive of one ctl record: kRecord fills *rec (and *ship_fd
+/// with the SCM_RIGHTS fd when one rode along), kEmpty means none is ready,
+/// kClosed that the peer end is gone.
+CtlRead ctl_recv(int fd, CtlRec* rec, int* ship_fd) {
   msghdr mh{};
   iovec iov{rec, sizeof *rec};
   mh.msg_iov = &iov;
@@ -264,8 +278,10 @@ bool ctl_recv(int fd, CtlRec* rec, int* ship_fd) {
   for (;;) {
     const ssize_t r = ::recvmsg(fd, &mh, MSG_DONTWAIT | MSG_CMSG_CLOEXEC);
     if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return false;
-    if (r == 0) return false;  // peer closed
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return CtlRead::kEmpty;
+    }
+    if (r == 0) return CtlRead::kClosed;
     MFC_CHECK_MSG(r == static_cast<ssize_t>(sizeof *rec),
                   "machine ctl channel: short read");
     break;
@@ -281,7 +297,7 @@ bool ctl_recv(int fd, CtlRec* rec, int* ship_fd) {
       ::close(got);
     }
   }
-  return true;
+  return CtlRead::kRecord;
 }
 
 struct BarrierMsg {
@@ -582,10 +598,12 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
     while (!g_machine->stop.load(std::memory_order_acquire)) {
       if (ft_on) {
         // Dead PE: stop dispatching and running threads; messages keep
-        // queueing and drain after revival. Spin-sleep (no park) so the
-        // revival flag is observed without a wake protocol.
-        if (g_machine->dead[pe->id].load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        // queueing and drain after revival. Park until the revive wakes
+        // the queue (an arrival for the dead PE only re-parks it).
+        std::atomic<bool>& dead = g_machine->dead[pe->id];
+        if (dead.load(std::memory_order_acquire)) {
+          pe->queue.park_until(
+              [&dead] { return !dead.load(std::memory_order_seq_cst); });
           continue;
         }
         // Just revived: wipe stale state on this PE's own thread BEFORE
@@ -799,6 +817,72 @@ void register_builtin_handlers() {
   });
 }
 
+// ---- Comm-thread control fds ----
+
+/// Records process `proc` as dead for the FT tick on PE 0 (process 0's own
+/// PE) and wakes PE 0 in case it is parked between ticks.
+void post_dead_proc(MachineState* st, int proc) {
+  metrics::bump(Counter::kProcKills);
+  trace::emit_flight(trace::Ev::kFtProcDown, 0,
+                     static_cast<std::uint32_t>(proc), 0,
+                     static_cast<std::int16_t>(proc * st->ppn));
+  st->dead_proc_event.store(proc, std::memory_order_release);
+  st->pes[0]->queue.wake();
+}
+
+/// Process 0, comm thread: child k's pidfd fired. Without the process tier
+/// a dead child is an immediate crash (it would hang the stop protocol);
+/// with it the death becomes a detection event for the FT tick. Returns
+/// false (retire the fd) once the child is reaped.
+bool reap_kid(std::size_t k) {
+  MachineState* st = g_machine;
+  int status = 0;
+  if (waitpid(st->kids[k], &status, WNOHANG) != st->kids[k]) return true;
+  ::close(st->kid_pidfds[k]);
+  st->kid_pidfds[k] = -1;
+  st->kids_reaped[k].store(true, std::memory_order_release);
+  if (WIFEXITED(status) && WEXITSTATUS(status) == 0) return false;
+  MFC_CHECK_MSG(st->ft_respawn, "machine child process died");
+  post_dead_proc(st, static_cast<int>(k) + 1);
+  return false;
+}
+
+/// Comm thread: the zygote channel is readable. Survivors install
+/// respawned peers' fresh streams here (attach_peer must run on the comm
+/// thread); process 0 also learns of respawns and of deaths only the
+/// zygote can reap. Returns false (retire the fd) if the zygote is gone.
+bool serve_ctl_channel() {
+  MachineState* st = g_machine;
+  CtlRec rec;
+  int fd = -1;
+  CtlRead r;
+  while ((r = ctl_recv(st->ctl_fd, &rec, &fd)) == CtlRead::kRecord) {
+    switch (rec.type) {
+      case kCtlPeerSwap:
+        // A dead peer was respawned: swap to its fresh stream and ack so
+        // the zygote can report the respawn complete.
+        st->transport->attach_peer(rec.proc, fd, rec.arg);
+        ctl_send(st->ctl_fd, CtlRec{kCtlSwapDone, rec.proc, rec.arg});
+        break;
+      case kCtlRespawnDone:
+        metrics::bump(Counter::kProcRespawns);
+        trace::emit_flight(trace::Ev::kFtProcRespawn, rec.arg,
+                           static_cast<std::uint32_t>(rec.proc));
+        st->respawn_done_event.store(rec.proc, std::memory_order_release);
+        break;
+      case kCtlProcDeath:
+        // A respawned incarnation died (only the zygote, its parent, can
+        // waitpid it). Same detection event as a child death.
+        post_dead_proc(st, rec.proc);
+        break;
+      default:
+        MFC_CHECK_MSG(false, "unexpected record on the machine ctl channel");
+    }
+    fd = -1;
+  }
+  return r != CtlRead::kClosed;
+}
+
 // ---- Per-process machine body ----
 //
 // Machine::run's post-fork half, split out so the respawn zygote can run
@@ -869,8 +953,8 @@ void run_machine_process(ProcRun ctx) {
         std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(config.npes));
     if (g_machine->respawn_gen > 0) {
       // A respawned incarnation boots with every local PE dead: the mains
-      // park (the application's rebirth branch) and the loops spin-sleep
-      // until recovery revives and refills them from the remote buddies.
+      // park (the application's rebirth branch) and so do the loops, until
+      // recovery revives and refills them from the remote buddies.
       for (int i = g_machine->local_first; i < g_machine->local_first + ppn;
            ++i) {
         g_machine->dead[i].store(true, std::memory_order_relaxed);
@@ -937,69 +1021,21 @@ void run_machine_process(ProcRun ctx) {
         } else {
           g_machine->wipe_pending[pe].store(true, std::memory_order_release);
           g_machine->dead[pe].store(false, std::memory_order_release);
+          g_machine->pes[static_cast<std::size_t>(pe)]->queue.wake();
         }
       };
     }
-    if (!g_machine->kids.empty() || g_machine->ctl_fd >= 0) {
-      // Comm-thread policing. Process 0 reaps dead children: without the
-      // process tier armed a dead child is an immediate crash (it would
-      // hang the stop protocol); with it the death becomes a detection
-      // event for the FT tick. Every process additionally drains its
-      // zygote channel — survivors install respawned peers' fresh streams
-      // here (attach_peer must run on the comm thread).
-      hooks.idle = [] {
-        MachineState* st = g_machine;
-        for (std::size_t k = 0; k < st->kids.size(); ++k) {
-          if (st->kids_reaped[k].load(std::memory_order_relaxed)) continue;
-          int status = 0;
-          const pid_t r = waitpid(st->kids[k], &status, WNOHANG);
-          if (r != st->kids[k]) continue;
-          st->kids_reaped[k].store(true, std::memory_order_release);
-          if (WIFEXITED(status) && WEXITSTATUS(status) == 0) continue;
-          MFC_CHECK_MSG(st->ft_respawn, "machine child process died");
-          const int proc = static_cast<int>(k) + 1;
-          metrics::bump(Counter::kProcKills);
-          trace::emit_flight(trace::Ev::kFtProcDown, 0,
-                             static_cast<std::uint32_t>(proc), 0,
-                             static_cast<std::int16_t>(proc * st->ppn));
-          st->dead_proc_event.store(proc, std::memory_order_release);
-        }
-        if (st->ctl_fd < 0) return;
-        CtlRec rec;
-        int fd = -1;
-        while (ctl_recv(st->ctl_fd, &rec, &fd)) {
-          switch (rec.type) {
-            case kCtlPeerSwap:
-              // A dead peer was respawned: swap to its fresh stream and
-              // ack so the zygote can report the respawn complete.
-              st->transport->attach_peer(rec.proc, fd, rec.arg);
-              ctl_send(st->ctl_fd,
-                       CtlRec{kCtlSwapDone, rec.proc, rec.arg});
-              break;
-            case kCtlRespawnDone:
-              metrics::bump(Counter::kProcRespawns);
-              trace::emit_flight(trace::Ev::kFtProcRespawn, rec.arg,
-                                 static_cast<std::uint32_t>(rec.proc));
-              st->respawn_done_event.store(rec.proc,
-                                           std::memory_order_release);
-              break;
-            case kCtlProcDeath:
-              // A respawned incarnation died (only the zygote, its parent,
-              // can waitpid it). Same detection event as a child death.
-              metrics::bump(Counter::kProcKills);
-              trace::emit_flight(
-                  trace::Ev::kFtProcDown, 0,
-                  static_cast<std::uint32_t>(rec.proc), 0,
-                  static_cast<std::int16_t>(rec.proc * st->ppn));
-              st->dead_proc_event.store(rec.proc, std::memory_order_release);
-              break;
-            default:
-              MFC_CHECK_MSG(false,
-                            "unexpected record on the machine ctl channel");
-          }
-          fd = -1;
-        }
-      };
+    // Comm-thread policing, on events: process 0 waits on a pidfd per
+    // child, and every process on its zygote channel (see reap_kid and
+    // serve_ctl_channel).
+    for (std::size_t k = 0; k < g_machine->kids.size(); ++k) {
+      const int fd = open_pidfd(g_machine->kids[k]);
+      MFC_CHECK_MSG(fd >= 0, "pidfd_open on a machine child failed");
+      g_machine->kid_pidfds.push_back(fd);
+      hooks.control.push_back({fd, [k] { return reap_kid(k); }});
+    }
+    if (g_machine->ctl_fd >= 0) {
+      hooks.control.push_back({g_machine->ctl_fd, serve_ctl_channel});
     }
     transport->start(my_proc, std::move(hooks));
   }
@@ -1112,7 +1148,8 @@ void zygote_respawn(const Machine::Config& config,
                     const std::vector<int>& ctl_zyg,
                     const std::vector<int>& ctl_proc, bool owns_chaos,
                     bool owns_trace, bool owns_hist, const CtlRec& req,
-                    std::vector<pid_t>& grandkid) {
+                    std::vector<pid_t>& grandkid,
+                    std::vector<int>& grandkid_fd) {
   const int nprocs = config.nprocs;
   const int k = req.proc;
   MFC_CHECK(k > 0 && k < nprocs);
@@ -1145,6 +1182,9 @@ void zygote_respawn(const Machine::Config& config,
     for (int q = 0; q < nprocs; ++q) {
       ::close(ctl_zyg[static_cast<std::size_t>(q)]);
       if (q != k) ::close(ctl_proc[static_cast<std::size_t>(q)]);
+      if (grandkid_fd[static_cast<std::size_t>(q)] >= 0) {
+        ::close(grandkid_fd[static_cast<std::size_t>(q)]);
+      }
     }
     ProcRun ctx;
     ctx.config = &config;
@@ -1160,31 +1200,39 @@ void zygote_respawn(const Machine::Config& config,
     std::_Exit(0);  // not reached: non-zero procs exit inside
   }
   grandkid[static_cast<std::size_t>(k)] = pid;
+  grandkid_fd[static_cast<std::size_t>(k)] = open_pidfd(pid);
+  MFC_CHECK_MSG(grandkid_fd[static_cast<std::size_t>(k)] >= 0,
+                "pidfd_open on a respawned process failed");
   // Survivors swap to the fresh streams before process 0 learns the
   // respawn completed, so recovery's first revive frame already rides the
   // new wire. Collect every ack before reporting.
+  std::vector<pollfd> pfds;
   for (int j = 0; j < nprocs; ++j) {
     if (j == k) continue;
     ctl_send(ctl_zyg[static_cast<std::size_t>(j)],
              CtlRec{kCtlPeerSwap, k, req.arg},
              peer_fds[static_cast<std::size_t>(j)]);
+    pfds.push_back({ctl_zyg[static_cast<std::size_t>(j)], POLLIN, 0});
   }
   int acks = 0;
   while (acks < nprocs - 1) {
-    bool any = false;
-    for (int j = 0; j < nprocs; ++j) {
-      if (j == k) continue;
+    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
+      continue;
+    }
+    for (const pollfd& p : pfds) {
+      if (p.revents == 0) continue;
       CtlRec ack;
       int afd = -1;
-      if (ctl_recv(ctl_zyg[static_cast<std::size_t>(j)], &ack, &afd)) {
-        if (afd >= 0) ::close(afd);
-        MFC_CHECK_MSG(ack.type == kCtlSwapDone,
-                      "expected a swap ack on the zygote channel");
-        ++acks;
-        any = true;
-      }
+      const CtlRead r = ctl_recv(p.fd, &ack, &afd);
+      // Only process 0's channel can hang up (this process holds the
+      // others' peer ends): the run is gone, so is the zygote.
+      if (r == CtlRead::kClosed) std::_Exit(0);
+      if (r != CtlRead::kRecord) continue;
+      if (afd >= 0) ::close(afd);
+      MFC_CHECK_MSG(ack.type == kCtlSwapDone,
+                    "expected a swap ack on the zygote channel");
+      ++acks;
     }
-    if (!any) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ctl_send(ctl_zyg[0], CtlRec{kCtlRespawnDone, k, req.arg});
 }
@@ -1196,37 +1244,48 @@ void zygote_respawn(const Machine::Config& config,
                               std::vector<int> ctl_proc, bool owns_chaos,
                               bool owns_trace, bool owns_hist) {
   const int nprocs = config.nprocs;
+  // Process 0 is never respawned, so its channel end is not the zygote's
+  // to keep; without it a hang-up on ctl_zyg[0] means process 0 is gone.
+  ::close(ctl_proc[0]);
+  ctl_proc[0] = -1;
   std::vector<pid_t> grandkid(static_cast<std::size_t>(nprocs), 0);
-  std::vector<pollfd> pfds(static_cast<std::size_t>(nprocs));
+  /// pidfd per live respawned incarnation (-1 = none).
+  std::vector<int> grandkid_fd(static_cast<std::size_t>(nprocs), -1);
+  // Poll set: every machine process's channel, then the grandkid pidfds.
+  std::vector<pollfd> pfds(2 * static_cast<std::size_t>(nprocs));
   for (;;) {
-    for (int p = 0; p < nprocs; ++p) {
-      pfds[static_cast<std::size_t>(p)] =
-          pollfd{ctl_zyg[static_cast<std::size_t>(p)], POLLIN, 0};
+    for (std::size_t p = 0; p < static_cast<std::size_t>(nprocs); ++p) {
+      pfds[p] = pollfd{ctl_zyg[p], POLLIN, 0};
+      pfds[nprocs + p] = pollfd{grandkid_fd[p], POLLIN, 0};
     }
-    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
-    // Reap respawned incarnations; report abnormal deaths to process 0 —
-    // only this process, their parent, can waitpid them.
-    for (;;) {
+    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
+      continue;
+    }
+    // Reap respawned incarnations as they exit; report abnormal deaths to
+    // process 0 — only this process, their parent, can waitpid them.
+    for (std::size_t p = 0; p < static_cast<std::size_t>(nprocs); ++p) {
+      if (pfds[nprocs + p].revents == 0) continue;
       int status = 0;
-      const pid_t r = waitpid(-1, &status, WNOHANG);
-      if (r <= 0) break;
-      for (int p = 0; p < nprocs; ++p) {
-        if (grandkid[static_cast<std::size_t>(p)] != r) continue;
-        grandkid[static_cast<std::size_t>(p)] = 0;
-        if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-          ctl_send(ctl_zyg[0], CtlRec{kCtlProcDeath, p, 0});
-        }
+      if (waitpid(grandkid[p], &status, WNOHANG) != grandkid[p]) continue;
+      ::close(grandkid_fd[p]);
+      grandkid_fd[p] = -1;
+      grandkid[p] = 0;
+      if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+        ctl_send(ctl_zyg[0], CtlRec{kCtlProcDeath, static_cast<int>(p), 0});
       }
     }
     for (int src = 0; src < nprocs; ++src) {
+      if (pfds[static_cast<std::size_t>(src)].revents == 0) continue;
       CtlRec rec;
       int fd = -1;
-      while (ctl_recv(ctl_zyg[static_cast<std::size_t>(src)], &rec, &fd)) {
+      while (ctl_recv(ctl_zyg[static_cast<std::size_t>(src)], &rec, &fd) ==
+             CtlRead::kRecord) {
         if (fd >= 0) ::close(fd);  // no inbound record ships an fd
         switch (rec.type) {
           case kCtlReqRespawn:
             zygote_respawn(config, entry, transport, ctl_zyg, ctl_proc,
-                           owns_chaos, owns_trace, owns_hist, rec, grandkid);
+                           owns_chaos, owns_trace, owns_hist, rec, grandkid,
+                           grandkid_fd);
             break;
           case kCtlReqKill:
             if (grandkid[static_cast<std::size_t>(rec.proc)] > 0) {
@@ -1403,14 +1462,15 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   const int my_ctl = ctx.ctl_fd;
   run_machine_process(std::move(ctx));  // children _Exit(0) inside
 
-  // Parent (process 0): collect any children the idle hook hadn't reaped
-  // yet. With the process tier armed an abnormal exit was a recovered (or
-  // being-recovered) failure, not a protocol violation.
+  // Parent (process 0): collect any children the comm thread hadn't
+  // reaped yet. With the process tier armed an abnormal exit was a
+  // recovered (or being-recovered) failure, not a protocol violation.
   for (std::size_t k = 0; k < g_machine->kids.size(); ++k) {
     if (g_machine->kids_reaped != nullptr &&
         g_machine->kids_reaped[k].load(std::memory_order_acquire)) {
       continue;
     }
+    ::close(g_machine->kid_pidfds[k]);
     int status = 0;
     const pid_t r = waitpid(g_machine->kids[k], &status, 0);
     if (r == g_machine->kids[k]) {
@@ -1723,10 +1783,11 @@ void revive_pe(int pe) {
     send_ft_ctl(pe, 1);
     return;
   }
-  // Order matters: the wipe flag must be visible before the loop escapes
-  // its dead spin, so the on_revive hook always precedes the backlog drain.
+  // Order matters: the wipe flag must be visible before the loop leaves
+  // its dead park, so the on_revive hook always precedes the backlog drain.
   g_machine->wipe_pending[pe].store(true, std::memory_order_release);
   g_machine->dead[pe].store(false, std::memory_order_release);
+  g_machine->pes[static_cast<std::size_t>(pe)]->queue.wake();
 }
 
 bool pe_dead(int pe) {

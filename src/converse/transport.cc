@@ -20,6 +20,7 @@
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "util/check.h"
+#include "util/queue.h"
 
 namespace mfc::converse::transport {
 
@@ -57,6 +58,19 @@ std::vector<wire::Span> slice_spans(const wire::Span* spans, std::size_t n,
   return out;
 }
 
+/// Runs the ready callback of every control fd whose pollfd fired (pfds[i]
+/// watches control[i]) and retires the ones it returns false for; poll()
+/// skips a negative fd.
+void service_control(std::vector<ControlFd>& control, pollfd* pfds) {
+  for (std::size_t i = 0; i < control.size(); ++i) {
+    if (pfds[i].fd < 0 || pfds[i].revents == 0) continue;
+    if (!control[i].ready()) {
+      control[i].fd = -1;
+      pfds[i].fd = -1;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shared-memory ring transport.
 // ---------------------------------------------------------------------------
@@ -87,6 +101,7 @@ class ShmTransport final : public Transport {
         views_[static_cast<std::size_t>(lp) * opt_.nprocs + d] =
             seg_.ring(d, my_proc * ppn_ + lp);
     assembly_.resize(static_cast<std::size_t>(opt_.npes) + 1);
+    for (int d = 0; d < opt_.nprocs; ++d) bells_.push_back(seg_.bell(d));
     comm_ = std::thread([this] { comm_loop(); });
   }
 
@@ -105,14 +120,15 @@ class ShmTransport final : public Transport {
       // Delayed publish: the frame's bytes are in the ring but invisible
       // until after on_consumed — the pack epilogue can evacuate the pages
       // the spans pointed into before the message can be delivered.
-      if (!push_wait(rv, h, spans, n, /*publish=*/on_consumed == nullptr)) {
+      if (!push_wait(rv, dproc, h, spans, n,
+                     /*publish=*/on_consumed == nullptr)) {
         if (on_consumed) on_consumed();
         trace::emit(trace::Ev::kWireSendEnd);
         return;  // dropped post-stop
       }
       if (on_consumed) {
         on_consumed();
-        rv.publish();
+        publish(rv, dproc);
       }
       trace::emit(trace::Ev::kWireSendEnd, 0, 0,
                   static_cast<std::uint32_t>(h.payload_len +
@@ -138,7 +154,7 @@ class ShmTransport final : public Transport {
       metrics::bump(Counter::kWireSentFrames);
       metrics::bump(Counter::kWireChunks);
       ++frames;
-      if (!push_wait(rv, h, sub.data(), sub.size(),
+      if (!push_wait(rv, dproc, h, sub.data(), sub.size(),
                      /*publish=*/!(last && on_consumed != nullptr))) {
         if (on_consumed) on_consumed();
         trace::emit(trace::Ev::kWireSendEnd);
@@ -146,7 +162,7 @@ class ShmTransport final : public Transport {
       }
       if (last && on_consumed) {
         on_consumed();
-        rv.publish();
+        publish(rv, dproc);
       }
       off += len;
     }
@@ -164,8 +180,7 @@ class ShmTransport final : public Transport {
     h.kind = static_cast<std::uint32_t>(Kind::kProcDone);
     h.src_pe = src_pe;
     h.dest_pe = 0;
-    shm::RingView& rv = producer_view(src_pe, /*dproc=*/0);
-    push_wait(rv, h, nullptr, 0, true);
+    push_wait(producer_view(src_pe, /*dproc=*/0), 0, h, nullptr, 0, true);
   }
 
   void broadcast_stop() override {
@@ -178,12 +193,14 @@ class ShmTransport final : public Transport {
       shm::RingView rv = seg_.ring(d, opt_.npes);
       while (!rv.try_push(h, nullptr, 0))
         std::this_thread::sleep_for(std::chrono::microseconds(20));
+      bells_[static_cast<std::size_t>(d)].ring();
     }
     hooks_.on_stop();
   }
 
   void stop_local() override {
     stop_.store(true, std::memory_order_release);
+    if (!bells_.empty()) bells_[static_cast<std::size_t>(my_proc_)].wake();
   }
 
   void join() override {
@@ -200,7 +217,7 @@ class ShmTransport final : public Transport {
       if (hooks_.ft_ctl) hooks_.ft_ctl(h);
       return;
     }
-    push_wait(producer_view(h.src_pe, dproc), h, nullptr, 0, true);
+    push_wait(producer_view(h.src_pe, dproc), dproc, h, nullptr, 0, true);
   }
 
   bool quiescent() override {
@@ -330,7 +347,9 @@ class ShmTransport final : public Transport {
     return opt_.shm_ring_bytes / 2 - sizeof(wire::Header);
   }
 
-  bool push_wait(shm::RingView& rv, const wire::Header& h,
+  /// Pushes one frame toward `dproc`, waiting out a full ring, and rings
+  /// the destination's doorbell once the frame is published.
+  bool push_wait(shm::RingView& rv, int dproc, const wire::Header& h,
                  const wire::Span* s, std::size_t n, bool publish) {
     int waits = 0;
     while (!rv.try_push(h, s, n, publish)) {
@@ -340,7 +359,40 @@ class ShmTransport final : public Transport {
       if (stop_.load(std::memory_order_relaxed) && waits > 2500) return false;
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
+    if (publish) bells_[static_cast<std::size_t>(dproc)].ring();
     return true;
+  }
+
+  /// Publishes a frame pushed with publish=false and wakes its consumer.
+  void publish(shm::RingView& rv, int dproc) {
+    rv.publish();
+    bells_[static_cast<std::size_t>(dproc)].ring();
+  }
+
+  /// Pops every frame now visible in the rings toward this process.
+  bool drain_rings(std::vector<Sink>& sinks) {
+    bool any = false;
+    for (std::size_t s = 0; s < sinks.size(); ++s) {
+      shm::RingView rv = seg_.ring(my_proc_, static_cast<int>(s));
+      while (rv.try_pop(sinks[s])) any = true;
+    }
+    return any;
+  }
+
+  bool rings_empty() {
+    for (int s = 0; s <= opt_.npes; ++s)
+      if (!seg_.ring(my_proc_, s).empty()) return false;
+    return true;
+  }
+
+  /// poll() on the doorbell (pfds[0]) and the control fds; timeout 0 only
+  /// checks. Services whatever fired.
+  void wait(std::vector<pollfd>& pfds, int timeout_ms) {
+    if (::poll(pfds.data(), pfds.size(), timeout_ms) <= 0) return;
+    if (pfds[0].revents != 0) {
+      bells_[static_cast<std::size_t>(my_proc_)].drain();
+    }
+    service_control(hooks_.control, pfds.data() + 1);
   }
 
   void comm_loop() {
@@ -351,38 +403,39 @@ class ShmTransport final : public Transport {
     std::vector<Sink> sinks(static_cast<std::size_t>(nslots));
     for (int s = 0; s < nslots; ++s)
       sinks[static_cast<std::size_t>(s)] = {this, s};
-    std::uint64_t idle_rounds = 0;
-    std::uint64_t rounds = 0;
+    shm::Doorbell& bell = bells_[static_cast<std::size_t>(my_proc_)];
+    std::vector<pollfd> pfds{{bell.fd(), POLLIN, 0}};
+    for (const ControlFd& c : hooks_.control) pfds.push_back({c.fd, POLLIN, 0});
+    int sweeps = 0;  // since the control fds were last polled
     for (;;) {
-      bool any = false;
-      for (int s = 0; s < nslots; ++s) {
-        shm::RingView rv = seg_.ring(my_proc_, s);
-        while (rv.try_pop(sinks[static_cast<std::size_t>(s)])) any = true;
+      if (!drain_rings(sinks)) {
+        if (stop_.load(std::memory_order_acquire)) break;
+        // The PE queues' pre-park spin first: a producer that is still
+        // streaming refills the rings within it, so a flood never pays the
+        // sleep/wake round trip.
+        if (!mfc::detail::spin_before_park([this] { return !rings_empty(); })) {
+          // Sleep until a producer rings, a control fd fires, or
+          // stop_local() wakes us. The re-check after arm() closes the
+          // lost-wake-up window.
+          bell.arm();
+          wait(pfds, rings_empty() ? -1 : 0);
+          bell.disarm();
+          sweeps = 0;
+          continue;
+        }
       }
-      ++rounds;
-      if (any) {
-        idle_rounds = 0;
-        // A busy comm thread must still service the machine's idle hook:
-        // the respawn control channel (peer-swap orders) rides it, and a
-        // recovery storm keeps the rings hot for its whole duration.
-        if (hooks_.idle && (rounds & 63) == 0) hooks_.idle();
-        continue;
+      // A comm thread that never sleeps (rings that never run dry, or that
+      // refill within the pre-park spin — a recovery storm can do either)
+      // would starve the control fds: poll them without blocking every
+      // kSweepsPerControlPoll sweeps.
+      if (++sweeps == kSweepsPerControlPoll) {
+        sweeps = 0;
+        wait(pfds, 0);
       }
-      if (stop_.load(std::memory_order_acquire)) break;
-      ++idle_rounds;
-      if (hooks_.idle && (idle_rounds & 63) == 0) hooks_.idle();
-      // Single-CPU-friendly: sleep immediately, bounded so stop and fresh
-      // traffic are observed promptly.
-      const std::uint64_t us = idle_rounds < 10 ? 50 * idle_rounds : 500;
-      std::this_thread::sleep_for(std::chrono::microseconds(us));
     }
     // Writers that completed concurrently with stop: one last sweep, then
     // free anything still half-assembled.
-    for (int s = 0; s < nslots; ++s) {
-      shm::RingView rv = seg_.ring(my_proc_, s);
-      while (rv.try_pop(sinks[static_cast<std::size_t>(s)])) {
-      }
-    }
+    drain_rings(sinks);
     for (Assembly& a : assembly_) {
       if (a.m != nullptr) {
         hooks_.drop(a.m);
@@ -390,6 +443,8 @@ class ShmTransport final : public Transport {
       }
     }
   }
+
+  static constexpr int kSweepsPerControlPoll = 64;
 
   Options opt_;
   int ppn_ = 1;
@@ -399,6 +454,7 @@ class ShmTransport final : public Transport {
   std::atomic<bool> stop_{false};
   std::thread comm_;
   std::vector<shm::RingView> views_;
+  std::vector<shm::Doorbell> bells_;  ///< indexed by destination process
   std::vector<Assembly> assembly_;
 };
 
@@ -624,7 +680,11 @@ class SocketTransport final : public Transport {
   }
 
   void stop_local() override {
-    stop_.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> glk(gen_mu_);
+      stop_.store(true, std::memory_order_release);
+    }
+    gen_cv_.notify_all();
     if (wake_pipe_[1] >= 0) {
       char b = 1;
       [[maybe_unused]] ssize_t r = ::write(wake_pipe_[1], &b, 1);
@@ -712,11 +772,14 @@ class SocketTransport final : public Transport {
       send_fd_[static_cast<std::size_t>(proc)] = fd;
       // Publish last: a sender parked on the dead stream re-reads the fd
       // under send_mu_ once it observes the generation move.
+      std::lock_guard<std::mutex> glk(gen_mu_);
       peer_gen_[static_cast<std::size_t>(proc)].store(
           gen, std::memory_order_release);
     }
+    gen_cv_.notify_all();
     // Receive-side surgery is comm-thread-local state; attach_peer runs on
-    // the comm thread (machine idle hook), so plain accesses are safe.
+    // the comm thread (the zygote channel's control fd), so plain accesses
+    // are safe.
     for (std::size_t i = 0; i < recv_.size(); ++i) {
       if (recv_[i].second != proc) continue;
       recv_[i].first = fd;
@@ -786,14 +849,14 @@ class SocketTransport final : public Transport {
       }
       metrics::bump(Counter::kWireRetries);
       if (!can_wait || stop_.load(std::memory_order_acquire)) return false;
-      int waited_ms = 0;
-      while (peer_gen_[static_cast<std::size_t>(dproc)].load(
-                 std::memory_order_acquire) == seen) {
-        if (stop_.load(std::memory_order_acquire)) return false;
-        MFC_CHECK_MSG(++waited_ms < 120000,
-                      "socket: peer stream never replaced after loss");
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      std::unique_lock<std::mutex> lk(gen_mu_);
+      const bool moved = gen_cv_.wait_for(lk, std::chrono::minutes(2), [&] {
+        return stop_.load(std::memory_order_acquire) ||
+               peer_gen_[static_cast<std::size_t>(dproc)].load(
+                   std::memory_order_acquire) != seen;
+      });
+      if (stop_.load(std::memory_order_acquire)) return false;
+      MFC_CHECK_MSG(moved, "socket: peer stream never replaced after loss");
     }
   }
 
@@ -894,8 +957,8 @@ class SocketTransport final : public Transport {
   void comm_loop() {
     trace::bind_comm();
     const std::size_t nfd = recv_.size();
-    // Receive state lives in members so attach_peer (same thread, via the
-    // idle hook) can swap a respawned peer's reader/io in place.
+    // Receive state lives in members so attach_peer (same thread, via a
+    // control fd) can swap a respawned peer's reader/io in place.
     readers_.assign(nfd, wire::Reader());
     sinks_.assign(nfd, FdSink());
     ios_.assign(nfd, wire::FdIo());
@@ -904,12 +967,16 @@ class SocketTransport final : public Transport {
       ios_[i] = wire::FdIo(recv_[i].first);
       if (hooks_.tolerate_peer_loss) readers_[i].set_tolerate_eof(true);
     }
-    std::vector<pollfd> pfds(nfd + 1);
+    // Poll set: the peer streams, the stop pipe, then the control fds.
+    const std::size_t nctl = hooks_.control.size();
+    std::vector<pollfd> pfds(nfd + 1 + nctl);
     for (;;) {
       for (std::size_t i = 0; i < nfd; ++i)
         pfds[i] = {recv_[i].first, POLLIN, 0};
       pfds[nfd] = {wake_pipe_[0], POLLIN, 0};
-      ::poll(pfds.data(), pfds.size(), 100);
+      for (std::size_t i = 0; i < nctl; ++i)
+        pfds[nfd + 1 + i] = {hooks_.control[i].fd, POLLIN, 0};
+      if (::poll(pfds.data(), pfds.size(), -1) < 0) continue;
       if (pfds[nfd].revents & POLLIN) {
         char buf[64];
         while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {
@@ -922,7 +989,7 @@ class SocketTransport final : public Transport {
         if (r == wire::PumpResult::kEof) {
           // Peer exited. Under FT a truncated frame is dropped here and
           // attach_peer later installs the respawn's stream; otherwise the
-          // parent's idle hook polices abnormal exits.
+          // parent's child pidfds police abnormal exits.
           if (!readers_[i].idle()) {
             readers_[i].reset();
             if (sinks_[i].cur != nullptr) {
@@ -943,7 +1010,9 @@ class SocketTransport final : public Transport {
         }
         if (drained || eof_all) break;
       }
-      if (hooks_.idle) hooks_.idle();
+      // After the pumps: a peer swap (attach_peer) replaces a stream the
+      // loop above must not be reading mid-iteration.
+      service_control(hooks_.control, pfds.data() + nfd + 1);
     }
     // Envelopes pre-sized for rendezvous data that never arrived.
     for (auto& [id, m] : pending_recvs_) {
@@ -979,6 +1048,9 @@ class SocketTransport final : public Transport {
   /// peer's fresh socket replaces a dead one. Senders parked on a failed
   /// write resume when they observe it move.
   std::unique_ptr<std::atomic<std::uint64_t>[]> peer_gen_;
+  /// Parks senders waiting for a peer_gen_ move (or stop).
+  std::mutex gen_mu_;
+  std::condition_variable gen_cv_;
   std::vector<std::pair<int, int>> recv_;  ///< (fd, peer proc)
   int wake_pipe_[2] = {-1, -1};
   Hooks hooks_;

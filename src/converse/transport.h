@@ -39,6 +39,16 @@ struct Message;
 
 namespace mfc::converse::transport {
 
+/// A machine control fd the comm thread waits on beside its wire: the
+/// zygote channel, or on process 0 one pidfd per child. `ready` runs on the
+/// comm thread as soon as the fd polls readable or hung up; returning false
+/// retires the fd (a reaped child's pidfd stays readable forever). The
+/// machine owns the fd.
+struct ControlFd {
+  int fd = -1;
+  std::function<bool()> ready;
+};
+
 /// Machine-side callbacks, installed post-fork via start(). alloc/enqueue/
 /// drop manage receive envelopes and run on the comm thread; the shutdown
 /// hooks implement the ProcDone/Stop handshake.
@@ -55,8 +65,9 @@ struct Hooks {
   std::function<void()> on_proc_done;
   /// Stop order received (every process; may fire on the comm thread).
   std::function<void()> on_stop;
-  /// Comm-thread idle tick (the parent polls child liveness here).
-  std::function<void()> idle;
+  /// Control fds the comm thread polls in the same wait as its wire, so a
+  /// child death or a zygote record is serviced as soon as it happens.
+  std::vector<ControlFd> control;
   /// An FT control frame (kind == kFtCtl) arrived for a local PE: the
   /// machine flips that PE's dead/wipe flags. Comm-thread context.
   std::function<void(const wire::Header&)> ft_ctl;

@@ -54,9 +54,11 @@ struct PeStore {
   std::uint64_t stage_epoch = 0;
   std::vector<char> stage;          ///< reconstructed buddy blob, staged
 
-  // Attempt stamp: set at capture, carried by async chunks. A chunk whose
-  // stamp differs from the receiver's current one is a straggler from an
-  // aborted attempt and is dropped.
+  // Attempt stamp: set at capture, carried by async chunks. A chunk stamped
+  // below the receiver's current one is a straggler from an attempt that
+  // was aborted (an abort raises the stamp past the aborted attempt) and is
+  // dropped. A chunk stamped above it is live: the sender captured first,
+  // and its chunks can overtake PE 0's capture order to this receiver.
   std::uint64_t cur_attempt = 0;
 
   // Async outbound stream (serialized StoreMsg toward the buddy).
@@ -129,6 +131,12 @@ struct CaptureMsg {
   std::uint8_t mode = 0;  ///< CkptMode
   std::uint64_t attempt = 0;
   void pup(pup::Er& p) { p | epoch | mode | attempt; }
+};
+
+struct AbortMsg {
+  std::uint64_t epoch = 0;
+  std::uint64_t attempt = 0;  ///< the aborted attempt
+  void pup(pup::Er& p) { p | epoch | attempt; }
 };
 
 /// A buddy store: either the full blob (kind 0) or a page-granular delta
@@ -375,7 +383,7 @@ void handle_chunk(converse::Message&& m) {
   FtState* s = g_state;
   auto cm = m.as<ChunkMsg>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
-  if (cm.attempt != st.cur_attempt) return;  // straggler, attempt aborted
+  if (cm.attempt < st.cur_attempt) return;  // straggler, attempt aborted
   if (st.inbox_src != cm.src || st.inbox_epoch != cm.epoch) {
     st.inbox.assign(static_cast<std::size_t>(cm.total), 0);
     st.inbox_got = 0;
@@ -476,7 +484,8 @@ void handle_ckpt_ack(converse::Message&& m) {
 void handle_ckpt_abort(converse::Message&& m) {
   count_delivery();
   FtState* s = g_state;
-  const auto epoch = m.as<std::uint64_t>();
+  const auto am = m.as<AbortMsg>();
+  const std::uint64_t epoch = am.epoch;
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
   st.pending_epoch = 0;
   st.pending.clear();
@@ -492,9 +501,9 @@ void handle_ckpt_abort(converse::Message&& m) {
   st.inbox_got = 0;
   st.inbox_src = -1;
   st.inbox_epoch = 0;
-  // Straggler chunks of the aborted attempt carry a nonzero stamp and will
-  // mismatch; the replayed epoch gets a fresh stamp at its capture.
-  st.cur_attempt = 0;
+  // Straggler chunks of the aborted attempt now fall below the stamp; the
+  // replayed epoch gets a fresh, higher stamp at its capture.
+  st.cur_attempt = am.attempt + 1;
   ft_send(0, h_rec_ack, AckMsg{});
 }
 
@@ -707,7 +716,9 @@ void abort_async_epoch() {
   const std::uint64_t e = s->pending_epoch;
   s->pending_epoch = 0;
   s->async_inflight = false;
-  for (int pe = 0; pe < s->npes; ++pe) ft_send(pe, h_ckpt_abort, e);
+  for (int pe = 0; pe < s->npes; ++pe) {
+    ft_send(pe, h_ckpt_abort, AbortMsg{e, s->ckpt_attempt});
+  }
   rec_wait(s->npes);
   if (s->sync_waiter != nullptr) {
     ult::Thread* t = s->sync_waiter;

@@ -51,6 +51,21 @@ inline int spin_iters_before_park() {
 /// data appear without paying the futex sleep/wake round trip.
 constexpr int kYieldRoundsBeforePark = 4;
 
+/// A consumer's last look before it parks: a bounded spin, then the yield
+/// rounds, polling `ready`. True as soon as `ready()` holds.
+template <typename Ready>
+bool spin_before_park(Ready&& ready) {
+  for (int i = spin_iters_before_park(); i > 0; --i) {
+    cpu_relax();
+    if (ready()) return true;
+  }
+  for (int i = 0; i < kYieldRoundsBeforePark; ++i) {
+    std::this_thread::yield();
+    if (ready()) return true;
+  }
+  return false;
+}
+
 /// Consumer parking shared by the MPSC queues. The handshake is
 /// Dekker-style: the consumer publishes `parked_` (seq_cst) and then
 /// re-checks the queue; a producer publishes its item (seq_cst RMW) and then
@@ -169,15 +184,9 @@ class MpscQueue {
   /// is called. May return an empty optional on a wake() or a spurious
   /// unpark with no data; callers loop. Consumer thread only.
   std::optional<T> pop_wait() {
-    if (auto v = try_pop()) return v;
-    for (int i = detail::spin_iters_before_park(); i > 0; --i) {
-      detail::cpu_relax();
-      if (auto v = try_pop()) return v;
-    }
-    for (int i = 0; i < detail::kYieldRoundsBeforePark; ++i) {
-      std::this_thread::yield();
-      if (auto v = try_pop()) return v;
-    }
+    std::optional<T> v;
+    const auto got = [&] { return (v = try_pop()).has_value(); };
+    if (got() || detail::spin_before_park(got)) return v;
     parker_.park([this] {
       return inbox_.load(std::memory_order_seq_cst) != nullptr;
     });
@@ -282,15 +291,9 @@ class IntrusiveMpscChannel {
   /// Blocking pop with bounded spin + parking; nullptr after a wake() or
   /// spurious unpark with no data. Consumer thread only.
   T* pop_wait() {
-    if (T* item = try_pop()) return item;
-    for (int i = detail::spin_iters_before_park(); i > 0; --i) {
-      detail::cpu_relax();
-      if (T* item = try_pop()) return item;
-    }
-    for (int i = 0; i < detail::kYieldRoundsBeforePark; ++i) {
-      std::this_thread::yield();
-      if (T* item = try_pop()) return item;
-    }
+    T* item = nullptr;
+    const auto got = [&] { return (item = try_pop()) != nullptr; };
+    if (got() || detail::spin_before_park(got)) return item;
     parker_.park([this] {
       return inbox_.load(std::memory_order_seq_cst) != nullptr;
     });
@@ -313,6 +316,14 @@ class IntrusiveMpscChannel {
   }
 
   void wake() { parker_.wake(); }
+
+  /// Parks the consumer without popping until `ready()` holds, a wake()
+  /// lands, or a push unparks it (the caller re-checks). A PE marked dead
+  /// sleeps here: its backlog must stay queued until it is revived.
+  template <typename Ready>
+  void park_until(Ready&& ready) {
+    parker_.park(std::forward<Ready>(ready));
+  }
 
   /// True when the consumer has nothing pending (private batch and inbox
   /// both empty). Consumer thread only; used to gate the self-send

@@ -80,12 +80,15 @@ TEST_P(ChareChaos, SumsSurviveRandomMigrationStorm) {
         }
       }
     }
-    for (int i = 0; i < 8; ++i) cv::barrier();  // drain the storm
+    // Quiescence, not barriers: adds, moves and their forwards are all
+    // delivered before the reduction is asked for, and the reduction (and
+    // every late forward) lands before any PE destroys its array.
+    cv::wait_quiescence();
     if (pe == 0) {
       int red_id = 7;
       arr.broadcast(Accum::kContribute, mfc::pup::to_bytes(red_id));
     }
-    for (int i = 0; i < 8; ++i) cv::barrier();
+    cv::wait_quiescence();
   });
   EXPECT_EQ(static_cast<long>(reduced.load()), expected.load());
 }

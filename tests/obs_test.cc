@@ -33,6 +33,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chaos/storm.h"
@@ -465,6 +466,9 @@ struct ObState {
   std::mutex mu;
   std::unordered_map<int, mfc::migrate::MigratableThread*> threads;
   std::unordered_map<int, mfc::ult::Thread*> parked_mains;
+  /// PEs whose h_ob_finish arrived before their main parked: a PE thread that
+  /// starts late can dispatch it before its main first runs.
+  std::unordered_set<int> finished;
 
   // PE 0 (parent process) coordinator state.
   int dones = 0;
@@ -581,6 +585,8 @@ void ensure_ob_handlers() {
         if (it != s->parked_mains.end()) {
           main = it->second;
           s->parked_mains.erase(it);
+        } else {
+          s->finished.insert(cv::my_pe());
         }
       }
       if (main != nullptr) cv::ready_thread(main);
@@ -603,6 +609,7 @@ void ob_entry(int pe) {
   if (pe != 0) {
     {
       std::lock_guard<std::mutex> lock(s->mu);
+      if (s->finished.count(pe) != 0) return;
       s->parked_mains[pe] = cv::pe_scheduler().running();
     }
     mfc::ult::suspend();  // until h_ob_finish

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chaos/storm.h"
@@ -332,6 +333,87 @@ TEST(TransportConformance, BigPayloadRendezvousMultiProcess) {
 }
 #endif
 
+// ---- Lost wake-up: strictly alternating ping-pong ---------------------------
+//
+// PE 0 and PE 1 bounce one 64-byte message back and forth. Only one message
+// is ever in flight, so every hop lands on a comm thread that has just
+// drained its wire and gone to sleep in poll(): the shm doorbell's Dekker
+// handshake (or the socket loop's wait) runs once per hop. The comm threads
+// sleep with no timeout, so a lost wake-up shows up as a hang at the test
+// deadline rather than as added latency.
+
+constexpr int kPingPongTrips = 20000;
+
+struct Ping64 {
+  std::uint64_t seq = 0;
+  char pad[56] = {};  // 64 payload bytes on the wire
+  void pup(mfc::pup::Er& p) {
+    p | seq;
+    p.bytes(pad, sizeof pad);
+  }
+};
+
+struct PingState {
+  std::uint64_t next = 0;  ///< PE 0: the sequence number it expects back
+  std::uint64_t out_of_order = 0;
+  mfc::ult::Thread* main = nullptr;
+};
+PingState* g_ping = nullptr;
+
+cv::HandlerId h_ping, h_pong;
+
+void ensure_ping_handlers() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    h_ping = cv::register_handler([](cv::Message&& m) {
+      cv::send_value(0, h_pong, m.as<Ping64>());  // PE 1: echo
+    });
+    h_pong = cv::register_handler([](cv::Message&& m) {
+      PingState* s = g_ping;
+      if (m.as<Ping64>().seq != s->next) ++s->out_of_order;
+      if (++s->next < kPingPongTrips) {
+        Ping64 ping;
+        ping.seq = s->next;
+        cv::send_value(1, h_ping, ping);
+      } else {
+        cv::ready_thread(s->main);
+      }
+    });
+  });
+}
+
+void run_pingpong(Transport t, int nprocs) {
+  ensure_ping_handlers();
+  auto s = std::make_unique<PingState>();
+  g_ping = s.get();
+  cv::Machine::run(base_config(t, 2, nprocs), [](int pe) {
+    if (pe != 0) return;
+    g_ping->main = cv::pe_scheduler().running();
+    cv::send_value(1, h_ping, Ping64{});
+    cv::pe_scheduler().suspend();
+  });
+  EXPECT_EQ(s->next, static_cast<std::uint64_t>(kPingPongTrips))
+      << backend_name(t) << " nprocs=" << nprocs;
+  EXPECT_EQ(s->out_of_order, 0u);
+  g_ping = nullptr;
+}
+
+TEST(TransportConformance, PingPongLosesNoWakeUpLoopback) {
+  for (Transport t : {Transport::kShm, Transport::kSocket}) {
+    SCOPED_TRACE(backend_name(t));
+    run_pingpong(t, 1);
+  }
+}
+
+#ifndef MFC_TSAN
+TEST(TransportConformance, PingPongLosesNoWakeUpMultiProcess) {
+  for (Transport t : {Transport::kShm, Transport::kSocket}) {
+    SCOPED_TRACE(backend_name(t));
+    run_pingpong(t, 2);
+  }
+}
+#endif
+
 // ---- Migration mini-storm ---------------------------------------------------
 //
 // A compact cross-process migration storm: workers on all three techniques
@@ -379,6 +461,9 @@ struct MsState {
   };
   std::unordered_map<int, std::vector<Arrival>> arrived;  // per local PE
   std::unordered_map<int, mfc::ult::Thread*> parked_mains;
+  /// PEs whose h_ms_finish arrived before their main parked: a PE thread that
+  /// starts late can dispatch it before its main first runs.
+  std::unordered_set<int> finished;
 
   // PE 0 (parent) coordinator state.
   int arrivals = 0;
@@ -555,6 +640,8 @@ void ensure_ms_handlers() {
         if (it != s->parked_mains.end()) {
           main = it->second;
           s->parked_mains.erase(it);
+        } else {
+          s->finished.insert(cv::my_pe());
         }
       }
       if (main != nullptr) cv::ready_thread(main);
@@ -577,6 +664,7 @@ void ms_entry(int pe) {
   if (pe != 0) {
     {
       std::lock_guard<std::mutex> lock(s->mu);
+      if (s->finished.count(pe) != 0) return;
       s->parked_mains[pe] = cv::pe_scheduler().running();
     }
     mfc::ult::suspend();  // until h_ms_finish
