@@ -9,11 +9,13 @@
 # truncation and single-byte flip), and the dirty-page tracker units.
 #
 # Phase 2 reruns the migrate bench suite (codec bytes/s blob vs iovec,
-# checkpoint encode, per-mode checkpoint overhead storms) and diffs the
-# fresh rows against the checked-in BENCH_migrate.json with
-# bench_compare.py: >10% drop in codec byte rate fails the job. Only the
-# deterministic codec rows gate — the storm rows are wall-clock noise on a
-# shared host and are reported, not enforced.
+# checkpoint encode, per-mode checkpoint overhead storms, the end-to-end
+# migrate_storm shape) and diffs the fresh rows against the checked-in
+# BENCH_migrate.json with bench_compare.py: a >10% drop in codec byte rate
+# fails the job, and so does a >25% rise in the storm_migrate row's CPU
+# time per thread migration (CPU, not wall: the storm runs in this
+# process, and CPU time ignores the host's scheduling waits). The
+# per-mode checkpoint storm rows are reported, not enforced.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,6 +29,10 @@ python3 scripts/bench_compare.py \
   build-release/BENCH_migrate.baseline.json \
   build-release/BENCH_migrate.json \
   --metric msgs_per_sec --tolerance 10 --filter iso_codec
+python3 scripts/bench_compare.py \
+  build-release/BENCH_migrate.baseline.json \
+  build-release/BENCH_migrate.json \
+  --metric cpu_ns_per_msg --tolerance 25 --filter storm_migrate
 
 # ThreadSanitizer pass over the same label: the codec suite races-free
 # (the write-barrier fault tests are compiled out; see tests/CMakeLists).

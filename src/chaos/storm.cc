@@ -29,6 +29,7 @@
 #include "trace/trace.h"
 #include "ult/scheduler.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/digest.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -110,14 +111,14 @@ struct DockMsg {
 struct ShipMsg {
   std::int32_t wid = 0;
   std::int32_t round = 0;
-  std::uint64_t digest = 0;  ///< FNV-1a of `wire` at pack time
+  std::uint64_t crc = 0;  ///< CRC-32C of `wire` at pack time, zero-extended
   /// Pack-start rdtsc for the end-to-end migration latency histogram
   /// (0 = histograms off; forked processes share the tsc domain, so the
   /// receiver may subtract it directly). Constant-size, so same-seed
   /// replays stay byte-count identical.
   std::uint64_t stamp = 0;
   std::vector<char> wire;    ///< serialized ThreadImage
-  void pup(pup::Er& p) { p | wid | round | digest | stamp | wire; }
+  void pup(pup::Er& p) { p | wid | round | crc | stamp | wire; }
 };
 
 struct WorkerSlot {
@@ -216,6 +217,7 @@ struct StormGlobal {
 };
 
 StormGlobal* g_storm = nullptr;
+std::atomic<ShipTamper> g_ship_tamper{nullptr};
 
 converse::HandlerId h_dock, h_ship, h_arrived, h_release, h_worker_done,
     h_alldone;
@@ -472,7 +474,7 @@ void handle_dock(converse::Message&& m) {
     ship.round = d.round;
     ship.stamp = e2e0;
     ship.wire = pup::to_bytes(image);
-    ship.digest = fnv1a(ship.wire.data(), ship.wire.size());
+    ship.crc = crc32(ship.wire.data(), ship.wire.size());
     g->wire_bytes.fetch_add(ship.wire.size(), std::memory_order_relaxed);
 
     const std::uint64_t key =
@@ -481,10 +483,10 @@ void handle_dock(converse::Message&& m) {
                  static_cast<std::uint64_t>(d.round));
     std::lock_guard<std::mutex> lock(g->transport_mu);
     std::vector<char> echoed = g->transport->roundtrip(ship.wire, key);
-    if (echoed.size() != ship.wire.size() ||
-        fnv1a(echoed.data(), echoed.size()) != ship.digest) {
+    // The sent bytes are still here, so the echo check is exact.
+    if (echoed != ship.wire) {
       g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-      trace::flight::dump("storm-relay-digest-mismatch");
+      trace::flight::dump("storm-relay-echo-mismatch");
     } else {
       ship.wire = std::move(echoed);
     }
@@ -505,24 +507,25 @@ void handle_dock(converse::Message&& m) {
   migrate::ImageManifest man = t->pack_manifest(/*count=*/true);
   std::vector<char> scratch;
   const std::vector<migrate::IoRun> img_spans = man.wire_spans(&scratch);
-  std::uint64_t digest = kFnvOffset;
+  std::uint32_t wire_crc = 0;  // chained span by span: equals crc32(wire)
   std::size_t wire_len = 0;
   for (const migrate::IoRun& r : img_spans) {
-    digest = fnv1a(r.data, r.len, digest);
+    wire_crc = crc32(r.data, r.len, wire_crc);
     wire_len += r.len;
   }
   g->wire_bytes.fetch_add(wire_len, std::memory_order_relaxed);
 
-  // ShipMsg prefix {wid, round, digest, wire length}, encoded with the same
-  // pup operators ShipMsg::pup uses.
+  // ShipMsg prefix {wid, round, crc, stamp, wire length}, encoded with the
+  // same pup operators ShipMsg::pup uses.
   std::int32_t wid = d.wid;
   std::int32_t round = d.round;
+  std::uint64_t crc = wire_crc;
   std::uint64_t stamp = e2e0;
   pup::Sizer sz;
-  sz | wid | round | digest | stamp;
+  sz | wid | round | crc | stamp;
   std::vector<char> prefix(sz.size() + sizeof(std::size_t));
   pup::MemPacker p(prefix.data(), prefix.size());
-  p | wid | round | digest | stamp;
+  p | wid | round | crc | stamp;
   std::size_t len_word = wire_len;
   p.bytes(&len_word, sizeof len_word);
   MFC_CHECK(p.written(prefix.data()) == prefix.size());
@@ -542,19 +545,22 @@ void handle_dock(converse::Message&& m) {
 void handle_ship(converse::Message&& m) {
   StormGlobal* g = g_storm;
   auto ship = m.as<ShipMsg>();
+  if (ShipTamper tamper = g_ship_tamper.load(std::memory_order_relaxed)) {
+    tamper(ship.wire, ship.crc);
+  }
   // Transit integrity: the bytes that left the source arrived unchanged.
-  if (fnv1a(ship.wire.data(), ship.wire.size()) != ship.digest) {
+  if (crc32(ship.wire.data(), ship.wire.size()) != ship.crc) {
     g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-    trace::flight::dump("storm-transit-digest-mismatch");
+    trace::flight::dump("storm-transit-crc-mismatch");
   }
   migrate::ThreadImage image;
   pup::from_bytes(ship.wire, image);
-  // PUP round-trip bit-identity: unpack → repack reproduces the wire.
+  // PUP round-trip bit-identity: unpack → repack reproduces the wire. Both
+  // buffers are in hand, so compare them exactly (size, then memcmp).
   const std::vector<char> rewire = pup::to_bytes(image);
-  if (rewire.size() != ship.wire.size() ||
-      fnv1a(rewire.data(), rewire.size()) != ship.digest) {
+  if (rewire != ship.wire) {
     g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-    trace::flight::dump("storm-pup-digest-mismatch");
+    trace::flight::dump("storm-pup-roundtrip-mismatch");
   }
 
   auto* t = migrate::MigratableThread::unpack(std::move(image),
@@ -1253,6 +1259,10 @@ StormReport run_storm(const StormOptions& options) {
   }
   g_storm = nullptr;
   return rep;
+}
+
+void set_ship_tamper_for_testing(ShipTamper tamper) {
+  g_ship_tamper.store(tamper, std::memory_order_relaxed);
 }
 
 }  // namespace mfc::chaos

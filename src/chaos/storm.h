@@ -10,15 +10,19 @@
 //
 // After every round the driver quiesces the machine and runs invariant
 // checkers: stack/heap canaries and stack-address stability (verified by
-// each worker on arrival), PUP round-trip digests on every shipped thread
-// image, ping send/deliver counter balance under quiescence, and isomalloc
-// slot-count stability. The workload digest folds only seed-derived values,
-// so two runs with the same StormOptions are bit-identical — the replay
-// contract behind MFC_CHAOS_SEED.
+// each worker on arrival), ping send/deliver counter balance under
+// quiescence, and isomalloc slot-count stability. Every shipped thread
+// image is checked twice on arrival: its CRC-32C must equal the one the
+// sender folded over the gather spans (transit), and unpack → repack must
+// reproduce the arrived bytes exactly (PUP round trip, size + memcmp). The
+// workload digest folds only seed-derived values, so two runs with the same
+// StormOptions are bit-identical — the replay contract behind
+// MFC_CHAOS_SEED.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "chaos/chaos.h"
 
@@ -116,7 +120,9 @@ struct StormReport {
 
   // Invariant-checker verdicts (all must be zero / true for a clean storm).
   std::uint64_t canary_failures = 0;   ///< stack/heap canary or address drift
-  std::uint64_t digest_mismatches = 0; ///< wire or PUP re-serialize digest
+  /// Shipped images that failed a check: transit CRC-32C, the exact PUP
+  /// round-trip compare, or the relay's exact echo compare.
+  std::uint64_t digest_mismatches = 0;
   std::uint64_t misroutes = 0;         ///< worker woke on the wrong PE
   std::uint64_t counter_failures = 0;  ///< ping counters unbalanced under QD
   bool slots_balanced = false;  ///< iso slots returned to pre-storm baseline
@@ -169,5 +175,13 @@ struct StormReport {
 
 /// Boots a machine and runs the storm to completion. Not reentrant.
 StormReport run_storm(const StormOptions& options);
+
+/// Test seam: when set, every arriving thread image's wire bytes and
+/// transit CRC pass through `tamper` before the arrival checks run, so a
+/// test can damage shipments in flight and watch digest_mismatches count
+/// them. Null (the default) leaves shipments untouched. Set it before
+/// run_storm and clear it after.
+using ShipTamper = void (*)(std::vector<char>& wire, std::uint64_t& crc);
+void set_ship_tamper_for_testing(ShipTamper tamper);
 
 }  // namespace mfc::chaos

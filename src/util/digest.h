@@ -1,7 +1,9 @@
-// FNV-1a 64-bit digests — the byte-level fingerprint used by the PUP
-// round-trip checkers and the chaos/storm invariant layer. Not
-// cryptographic; chosen for speed, zero dependencies, and stable output
-// across platforms (the replay story compares digests across runs).
+// FNV-1a 64-bit digests — the fingerprint the replay story compares across
+// runs (workload and trace-count digests fold ids and counters with
+// fnv1a_mix), stable across platforms and dependency-free. Not
+// cryptographic. The byte-range form walks one byte at a time (~1.5
+// ns/B), so it is for tests and small folds; hot byte streams, such as
+// shipped thread images and checkpoint frames, use crc32 (util/crc32.h).
 #pragma once
 
 #include <cstddef>

@@ -4,9 +4,12 @@
 // packed, serialized, and resumed in between.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "iso/heap.h"
@@ -209,7 +212,11 @@ class ManifestEquiv : public ::testing::TestWithParam<int> {
 
 /// Parks with IEEE specials and a patterned array live in the frame, then
 /// verifies all of it (including the NaN payload bits) after resumption.
+/// The array spans two 4 KiB pages, so every image carries whole pages of
+/// live stack, like the storm's ~11 KB images.
 struct SpecialsWorkload {
+  static constexpr int kPatternLongs = 1024;
+
   Scheduler* sched;
   bool with_heap = false;
   bool finished = false;
@@ -217,8 +224,8 @@ struct SpecialsWorkload {
 
   void run() {
     double specials[4] = {std::nan("0x7ff"), HUGE_VAL, -HUGE_VAL, -0.0};
-    long pattern[32];
-    for (int i = 0; i < 32; ++i) pattern[i] = 0x5EED0000L + i;
+    long pattern[kPatternLongs];
+    for (int i = 0; i < kPatternLongs; ++i) pattern[i] = 0x5EED0000L + i;
     char* heap_data = nullptr;
     if (with_heap) {
       heap_data = static_cast<char*>(mfc::iso::routed_malloc(3000));
@@ -228,7 +235,9 @@ struct SpecialsWorkload {
     bool ok = std::isnan(specials[0]) && std::isinf(specials[1]) &&
               specials[1] > 0 && std::isinf(specials[2]) && specials[2] < 0 &&
               std::signbit(specials[3]);
-    for (int i = 0; i < 32; ++i) ok = ok && pattern[i] == 0x5EED0000L + i;
+    for (int i = 0; i < kPatternLongs; ++i) {
+      ok = ok && pattern[i] == 0x5EED0000L + i;
+    }
     if (heap_data != nullptr) {
       for (int i = 0; i < 3000; ++i) {
         ok = ok && heap_data[i] == static_cast<char>(0xA5);
@@ -239,6 +248,50 @@ struct SpecialsWorkload {
     finished = true;
   }
 };
+
+/// Corruption corpus over a shipped image wire: every case is a damage
+/// shape a migration can suffer in transit or in a racing gather, and each
+/// must change the CRC-32C the storm's receiver checks.
+void expect_corruptions_move_crc(const std::vector<char>& wire) {
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kBlock = 64;
+  // Iso and memalias images carry long runs of unused, zero stack; aim the
+  // multi-byte cases at the live frames, which end at the last non-zero
+  // byte.
+  std::size_t live_end = wire.size();
+  while (live_end > 0 && wire[live_end - 1] == 0) --live_end;
+  ASSERT_GE(live_end, kPage) << "image holds less than a page of live bytes";
+
+  std::vector<std::pair<std::string, std::vector<char>>> corpus;
+  for (const std::size_t off : {std::size_t{0}, wire.size() / 2,
+                                wire.size() - 1}) {
+    std::vector<char> c = wire;
+    c[off] = static_cast<char>(c[off] ^ 0x01);
+    corpus.emplace_back("flip byte " + std::to_string(off), std::move(c));
+  }
+  corpus.emplace_back("drop last byte",
+                      std::vector<char>(wire.begin(), wire.end() - 1));
+  {
+    // A page that reads back as zeros: what a gather that raced the
+    // source's evacuation (a MAP_FIXED remap) would put on the wire.
+    std::vector<char> c = wire;
+    std::memset(c.data() + live_end - kPage, 0, kPage);
+    corpus.emplace_back("zero 4 KiB page", std::move(c));
+  }
+  {
+    std::vector<char> c = wire;
+    std::swap_ranges(c.begin(), c.begin() + kBlock,
+                     c.begin() + static_cast<std::ptrdiff_t>(live_end - kBlock));
+    corpus.emplace_back("swap two 64 B blocks", std::move(c));
+  }
+
+  const std::uint32_t good = mfc::crc32(wire.data(), wire.size());
+  for (const auto& [name, bad] : corpus) {
+    ASSERT_NE(bad, wire) << name << " left the wire unchanged";
+    EXPECT_NE(mfc::crc32(bad.data(), bad.size()), good)
+        << name << " (wire " << wire.size() << " B) kept the CRC";
+  }
+}
 
 TEST_P(ManifestEquiv, IovecWireMatchesBlobWireExactly) {
   const int technique = GetParam() % 3;
@@ -264,6 +317,13 @@ TEST_P(ManifestEquiv, IovecWireMatchesBlobWireExactly) {
   std::uint32_t gather_crc = 0;
   const std::vector<char> iovec_wire = m.to_wire(&gather_crc);
   EXPECT_EQ(iovec_wire.size(), m.wire_size());
+  // The storm's sender CRCs the zero-copy span list span by span, while the
+  // spans still borrow the parked thread's memory.
+  std::vector<char> scratch;
+  std::uint32_t span_crc = 0;
+  for (const mfc::migrate::IoRun& r : m.wire_spans(&scratch)) {
+    span_crc = mfc::crc32(r.data, r.len, span_crc);
+  }
 
   // Legacy blob path on the very same suspend point.
   mfc::migrate::ThreadImage image = t->pack();
@@ -273,7 +333,11 @@ TEST_P(ManifestEquiv, IovecWireMatchesBlobWireExactly) {
   EXPECT_TRUE(std::memcmp(iovec_wire.data(), blob_wire.data(),
                           blob_wire.size()) == 0)
       << "technique " << technique << " manifest gather diverged from blob";
-  EXPECT_EQ(gather_crc, mfc::crc32(blob_wire.data(), blob_wire.size()));
+  const std::uint32_t wire_crc = mfc::crc32(blob_wire.data(), blob_wire.size());
+  EXPECT_EQ(gather_crc, wire_crc);
+  // ...and its receiver checks one crc32 over the arrived blob wire.
+  EXPECT_EQ(span_crc, wire_crc);
+  expect_corruptions_move_crc(blob_wire);
 
   // The iovec bytes are the shipping format: arrive, unpack, resume.
   delete t;

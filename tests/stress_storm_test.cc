@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace {
 
 namespace chaos = mfc::chaos;
@@ -67,6 +70,37 @@ TEST(Storm, CleanRunWithoutChaos) {
   expect_clean(r, opt);
   EXPECT_EQ(r.transport_respawns, 0u);
   for (int p = 0; p < chaos::kPointCount; ++p) EXPECT_EQ(r.injections[p], 0u);
+}
+
+/// The arrival checks must count damage, not only stay quiet without it.
+/// One appended byte leaves the thread intact (unpack ignores trailing
+/// bytes) but fails both checks: the transit CRC no longer matches, and the
+/// repacked image is a byte shorter than the arrived one. One flipped bit
+/// in the sent CRC fails the transit check alone.
+TEST(Storm, ArrivalChecksCountDamagedShipments) {
+  const StormOptions opt = quiet_options(3);
+  const std::uint64_t migrations = static_cast<std::uint64_t>(opt.workers) *
+                                   static_cast<std::uint64_t>(opt.rounds);
+
+  chaos::set_ship_tamper_for_testing(
+      [](std::vector<char>& wire, std::uint64_t&) { wire.push_back('\0'); });
+  const StormReport grown = chaos::run_storm(opt);
+  chaos::set_ship_tamper_for_testing(
+      [](std::vector<char>&, std::uint64_t& crc) { crc ^= 1; });
+  const StormReport flipped = chaos::run_storm(opt);
+  chaos::set_ship_tamper_for_testing(nullptr);
+
+  EXPECT_EQ(grown.thread_migrations, migrations);
+  EXPECT_EQ(grown.digest_mismatches, 2 * migrations);
+  EXPECT_EQ(flipped.thread_migrations, migrations);
+  EXPECT_EQ(flipped.digest_mismatches, migrations);
+  for (const StormReport* r : {&grown, &flipped}) {
+    EXPECT_FALSE(r->clean());
+    EXPECT_EQ(r->canary_failures, 0u);
+    EXPECT_EQ(r->misroutes, 0u);
+    EXPECT_EQ(r->counter_failures, 0u);
+    EXPECT_TRUE(r->slots_balanced);
+  }
 }
 
 TEST(Storm, WorkloadDigestReplaysBitIdentically) {
