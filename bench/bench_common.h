@@ -22,7 +22,7 @@ inline void print_header(const char* what, const char* paper_ref) {
 /// One measured configuration of a messaging benchmark.
 struct MsgBenchRow {
   std::string name;  ///< e.g. "pingpong"
-  std::string mode;  ///< "mutex_baseline" or "lockfree"
+  std::string mode;  ///< variant, e.g. "lockfree", "trace_on", "iovec"
   int npes = 0;
   std::uint64_t messages = 0;
   double seconds = 0.0;

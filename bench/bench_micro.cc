@@ -33,7 +33,6 @@
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "ult/scheduler.h"
-#include "util/crc32.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
@@ -196,11 +195,9 @@ void BM_DispatchUltYield(benchmark::State& state) {
 BENCHMARK(BM_DispatchUltYield);
 
 // ---- converse messaging fast path ----
-// Whole-machine throughput/latency of the send→enqueue→dispatch path, run
-// twice: once through the pre-rewrite mutex-per-message baseline
-// (Config::mutex_baseline) and once through the lock-free fast path. The
-// before/after rows are recorded in BENCH_converse.json so the messaging
-// perf trajectory is tracked across PRs.
+// Whole-machine throughput/latency of the lock-free send→enqueue→dispatch
+// path. The rows are recorded in BENCH_converse.json so the messaging perf
+// trajectory is tracked across PRs.
 
 namespace conv_bench {
 
@@ -249,7 +246,7 @@ void ensure_handlers() {
   });
 }
 
-cv::Machine::Config bench_config(int npes, bool baseline) {
+cv::Machine::Config bench_config(int npes) {
   cv::Machine::Config cfg;
   cfg.npes = npes;
   cfg.iso_slots_per_pe = 0;  // no migratable heaps needed; boot faster
@@ -257,7 +254,6 @@ cv::Machine::Config bench_config(int npes, bool baseline) {
   // thread runs; size the freelist to the storm's in-flight peak so the
   // steady state stays allocation-free.
   cfg.pool_cap = 1 << 16;
-  cfg.mutex_baseline = baseline;
   return cfg;
 }
 
@@ -265,11 +261,10 @@ cv::Machine::Config bench_config(int npes, bool baseline) {
 /// each for `msgs_per_ball` messages. window=1 is the classic 1-deep
 /// latency pingpong; a deeper window measures per-message cost with the
 /// batched drain amortizing wakeups.
-mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes,
-                                     bool baseline, int window,
+mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes, int window,
                                      int msgs_per_ball) {
   ensure_handlers();
-  cv::Machine::run(bench_config(npes, baseline), [&](int pe) {
+  cv::Machine::run(bench_config(npes), [&](int pe) {
     cv::barrier();
     if (pe == 0) g_t0 = mfc::wall_time();
     if (pe % 2 == 0) {
@@ -283,7 +278,7 @@ mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes,
     cv::barrier();
     if (pe == 0) g_t1 = mfc::wall_time();
   });
-  return {name, baseline ? "mutex_baseline" : "lockfree", npes,
+  return {name, "lockfree", npes,
           static_cast<std::uint64_t>(window) *
               static_cast<std::uint64_t>(msgs_per_ball) *
               static_cast<std::uint64_t>(npes / 2),
@@ -294,10 +289,9 @@ mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes,
 /// suspends until it has received all npes*per_pe deliveries (its own
 /// broadcasts included, so the count cannot hit zero before the main thread
 /// has issued them all and suspended); npes*npes*per_pe messages total.
-mfc::bench::MsgBenchRow run_broadcast_storm(int npes, bool baseline,
-                                            int per_pe) {
+mfc::bench::MsgBenchRow run_broadcast_storm(int npes, int per_pe) {
   ensure_handlers();
-  cv::Machine::run(bench_config(npes, baseline), [&](int pe) {
+  cv::Machine::run(bench_config(npes), [&](int pe) {
     g_waiter[pe] = cv::pe_scheduler().running();
     g_balls_left[pe].store(npes * per_pe);
     cv::barrier();
@@ -325,7 +319,7 @@ mfc::bench::MsgBenchRow run_broadcast_storm(int npes, bool baseline,
     cv::barrier();
     if (pe == 0) g_t1 = mfc::wall_time();
   });
-  return {"broadcast_storm", baseline ? "mutex_baseline" : "lockfree", npes,
+  return {"broadcast_storm", "lockfree", npes,
           static_cast<std::uint64_t>(npes) * static_cast<std::uint64_t>(npes) *
               static_cast<std::uint64_t>(per_pe),
           g_t1 - g_t0};
@@ -333,9 +327,9 @@ mfc::bench::MsgBenchRow run_broadcast_storm(int npes, bool baseline,
 
 /// Self-send throughput: every PE runs a chain of `chain` handler-issued
 /// sends to itself (the inline local-delivery path).
-mfc::bench::MsgBenchRow run_selfsend(int npes, bool baseline, int chain) {
+mfc::bench::MsgBenchRow run_selfsend(int npes, int chain) {
   ensure_handlers();
-  cv::Machine::run(bench_config(npes, baseline), [&](int pe) {
+  cv::Machine::run(bench_config(npes), [&](int pe) {
     cv::barrier();
     if (pe == 0) g_t0 = mfc::wall_time();
     g_waiter[pe] = cv::pe_scheduler().running();
@@ -344,7 +338,7 @@ mfc::bench::MsgBenchRow run_selfsend(int npes, bool baseline, int chain) {
     cv::barrier();
     if (pe == 0) g_t1 = mfc::wall_time();
   });
-  return {"selfsend", baseline ? "mutex_baseline" : "lockfree", npes,
+  return {"selfsend", "lockfree", npes,
           static_cast<std::uint64_t>(chain + 1) *
               static_cast<std::uint64_t>(npes),
           g_t1 - g_t0};
@@ -383,34 +377,25 @@ void run_converse_suite() {
   constexpr int kBcastPerPe = 20000;
   constexpr int kSelfChain = 100000;
 
-  std::printf("# converse messaging fast path: lock-free vs mutex baseline "
-              "(npes=%d, median of %d)\n",
+  std::printf("# converse messaging fast path (npes=%d, median of %d)\n",
               kNpes, kReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
-  for (const bool baseline : {true, false}) {
-    rows.push_back(median_of(kReps, [&] {
-      return run_pingpong("pingpong", kNpes, baseline, kWindow, kMsgsPerBall);
-    }));
-    print_row(rows.back());
-    rows.push_back(median_of(kReps, [&] {
-      return run_pingpong("pingpong_1deep", kNpes, baseline, 1, kOneDeepMsgs);
-    }));
-    print_row(rows.back());
-    rows.push_back(median_of(kReps, [&] {
-      return run_broadcast_storm(kStormNpes, baseline, kBcastPerPe);
-    }));
-    print_row(rows.back());
-    rows.push_back(median_of(kReps, [&] {
-      return run_selfsend(kNpes, baseline, kSelfChain);
-    }));
-    print_row(rows.back());
-  }
-  for (std::size_t i = 0; i < rows.size() / 2; ++i) {
-    const auto& before = rows[i];
-    const auto& after = rows[i + rows.size() / 2];
-    std::printf("# %-16s speedup: %.2fx\n", before.name.c_str(),
-                after.msgs_per_sec() / before.msgs_per_sec());
-  }
+  rows.push_back(median_of(kReps, [&] {
+    return run_pingpong("pingpong", kNpes, kWindow, kMsgsPerBall);
+  }));
+  print_row(rows.back());
+  rows.push_back(median_of(kReps, [&] {
+    return run_pingpong("pingpong_1deep", kNpes, 1, kOneDeepMsgs);
+  }));
+  print_row(rows.back());
+  rows.push_back(median_of(kReps, [&] {
+    return run_broadcast_storm(kStormNpes, kBcastPerPe);
+  }));
+  print_row(rows.back());
+  rows.push_back(median_of(kReps, [&] {
+    return run_selfsend(kNpes, kSelfChain);
+  }));
+  print_row(rows.back());
   if (!mfc::bench::write_msg_bench_json("BENCH_converse.json",
                                         "converse_messaging", rows)) {
     std::fprintf(stderr, "warning: could not write BENCH_converse.json\n");
@@ -504,14 +489,13 @@ void run_trace_suite() {
   // below is the worst case — the ~70 ns/msg inline fast path where three
   // timestamped events cost a visible fraction by construction.
   const double pingpong_pct = paired_overhead_pct(kReps, 2, [&] {
-    return run_pingpong("pingpong", 2, false, 1, kOneDeepMsgs);
+    return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
   }, rows);
   const double windowed_pct = paired_overhead_pct(kReps, kNpes, [&] {
-    return run_pingpong("pingpong_windowed", kNpes, false, kWindow,
-                        kMsgsPerBall);
+    return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
   }, rows);
   const double bcast_pct = paired_overhead_pct(kReps, kNpes, [&] {
-    return run_broadcast_storm(kNpes, false, kBcastPerPe);
+    return run_broadcast_storm(kNpes, kBcastPerPe);
   }, rows);
   std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "pingpong",
               mfc::format_double(pingpong_pct, 1).c_str());
@@ -588,14 +572,13 @@ void run_obs_suite() {
       kReps, kNpes);
   std::vector<mfc::bench::MsgBenchRow> rows;
   const double pingpong_pct = paired_hist_overhead_pct(kReps, 2, [&] {
-    return run_pingpong("pingpong", 2, false, 1, kOneDeepMsgs);
+    return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
   }, rows);
   const double windowed_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
-    return run_pingpong("pingpong_windowed", kNpes, false, kWindow,
-                        kMsgsPerBall);
+    return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
   }, rows);
   const double bcast_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
-    return run_broadcast_storm(kNpes, false, kBcastPerPe);
+    return run_broadcast_storm(kNpes, kBcastPerPe);
   }, rows);
   std::printf("# %-16s histograms-on overhead (cpu): %s%%\n", "pingpong",
               mfc::format_double(pingpong_pct, 1).c_str());
@@ -799,29 +782,24 @@ void run_ftx_suite() {
 
 }  // namespace ftx_bench
 
-// ---- zero-copy migration + incremental/async checkpointing (PR 6) ----
+// ---- zero-copy migration + incremental/async checkpointing ----
 // Four sub-suites, all recorded in BENCH_migrate.json:
 //
-//  1. Thread-image codec byte rate, blob vs iovec. The legacy shipping
-//     path serializes a parked thread in three passes over the payload —
-//     pack() memcpy's each run into the ThreadImage, pup::to_bytes copies
-//     the image onto the wire, and the checkpoint/relay layer CRCs the
-//     result. The manifest path gathers the live runs straight onto the
-//     wire, folding the CRC-32C per run as it copies: one pass. The rows
-//     measure end-to-end "parked thread -> CRC'd wire bytes" throughput
-//     for isomalloc images of 64 KiB / 256 KiB / 1 MiB (acceptance:
-//     iovec >= 2x blob at these sizes).
+//  1. Thread-image codec byte rate ("iovec" rows). The manifest path
+//     gathers a parked thread's live runs straight onto the wire, folding
+//     the CRC-32C per run as it copies: one pass over the payload. The
+//     rows measure end-to-end "parked thread -> CRC'd wire bytes"
+//     throughput for isomalloc images of 64 KiB / 256 KiB / 1 MiB.
 //
-//  2. Whole-checkpoint encode: Checkpoint::add_image(copy) + encode()
-//     versus GatherCheckpoint borrowing the same manifests (the ft
-//     capture paths for mode 0 vs modes 1/2).
+//  2. Whole-checkpoint encode: a Checkpoint borrowing the manifests of 8
+//     parked threads (the ft capture path).
 //
 //  3. Checkpoint CPU overhead per shipping mode, measured exactly like
-//     the PR-4 ft suite above (paired off/on storms, median per-rep
-//     cpu-time ratio, work_spin rounds): full destructive capture vs
-//     incremental zero-copy vs async streamed. The bar the tentpole aims
-//     at is <= 2% for the incremental/async modes against the 4-6% the
-//     full path measured when it landed.
+//     the ft suite above (paired off/on storms, median per-rep cpu-time
+//     ratio, work_spin rounds): full vs incremental vs async streamed,
+//     all captured from zero-copy manifests. The bar is <= 2% for the
+//     incremental/async modes against the 4-6% the full path measured
+//     when it landed.
 //
 //  4. The benchmark's migrate_storm shape end to end: run_storm with 4
 //     PEs, 12 workers over all three techniques, 800 rounds and element
@@ -855,11 +833,10 @@ void with_parked_thread(std::size_t heap_bytes, Fn park) {
   delete t;
 }
 
-mfc::bench::MsgBenchRow codec_row(const char* name, const char* mode,
-                                  std::size_t heap_bytes, bool iovec) {
+mfc::bench::MsgBenchRow codec_row(const char* name, std::size_t heap_bytes) {
   mfc::bench::MsgBenchRow row;
   row.name = name;
-  row.mode = mode;
+  row.mode = "iovec";
   row.npes = 1;
   with_parked_thread(heap_bytes, [&](mig::MigratableThread* t) {
     const std::size_t wire = t->pack_manifest().wire_size();
@@ -867,21 +844,15 @@ mfc::bench::MsgBenchRow codec_row(const char* name, const char* mode,
     // of scheduler quanta on any machine.
     const int reps =
         static_cast<int>(std::max<std::size_t>(8, (128u << 20) / wire));
-    // Warm both paths once (first-touch, CRC table build).
+    // Warm the path once (first-touch, CRC table build).
     (void)t->pack_manifest().to_wire(nullptr);
     const double cpu0 = mfc::process_cpu_time();
     const double t0 = mfc::wall_time();
     std::uint32_t sink = 0;
     for (int i = 0; i < reps; ++i) {
-      if (iovec) {
-        std::uint32_t crc = 0;
-        const std::vector<char> bytes = t->pack_manifest().to_wire(&crc);
-        sink ^= crc ^ static_cast<std::uint32_t>(bytes.size());
-      } else {
-        mig::ThreadImage img = mig::image_from_manifest(t->pack_manifest());
-        const std::vector<char> bytes = mfc::pup::to_bytes(img);
-        sink ^= mfc::crc32(bytes.data(), bytes.size());
-      }
+      std::uint32_t crc = 0;
+      const std::vector<char> bytes = t->pack_manifest().to_wire(&crc);
+      sink ^= crc ^ static_cast<std::uint32_t>(bytes.size());
     }
     row.seconds = mfc::wall_time() - t0;
     row.cpu_seconds = mfc::process_cpu_time() - cpu0;
@@ -892,12 +863,12 @@ mfc::bench::MsgBenchRow codec_row(const char* name, const char* mode,
   return row;
 }
 
-mfc::bench::MsgBenchRow ckpt_encode_row(const char* mode, bool gather) {
+mfc::bench::MsgBenchRow ckpt_encode_row() {
   constexpr int kThreads = 8;
   constexpr std::size_t kHeapBytes = 64 * 1024;
   mfc::bench::MsgBenchRow row;
   row.name = "ckpt_encode_8x64KiB";
-  row.mode = mode;
+  row.mode = "zero_copy_gather";
   row.npes = 1;
 
   mfc::ult::Scheduler sched;
@@ -920,20 +891,12 @@ mfc::bench::MsgBenchRow ckpt_encode_row(const char* mode, bool gather) {
   const double cpu0 = mfc::process_cpu_time();
   const double t0 = mfc::wall_time();
   for (int rep = 0; rep < kReps; ++rep) {
-    if (gather) {
-      std::vector<mig::ImageManifest> manifests;
-      manifests.reserve(kThreads);
-      mig::GatherCheckpoint ckpt;
-      for (auto* t : threads) manifests.push_back(t->pack_manifest());
-      for (const auto& m : manifests) ckpt.add_manifest(m);
-      frame_bytes = ckpt.encode().size();
-    } else {
-      mig::Checkpoint ckpt;
-      for (auto* t : threads) {
-        ckpt.add_image(mig::image_from_manifest(t->pack_manifest()));
-      }
-      frame_bytes = ckpt.encode().size();
-    }
+    std::vector<mig::ImageManifest> manifests;
+    manifests.reserve(kThreads);
+    mig::Checkpoint ckpt;
+    for (auto* t : threads) manifests.push_back(t->pack_manifest());
+    for (const auto& m : manifests) ckpt.add_manifest(m);
+    frame_bytes = ckpt.encode().size();
   }
   row.seconds = mfc::wall_time() - t0;
   row.cpu_seconds = mfc::process_cpu_time() - cpu0;
@@ -1023,18 +986,10 @@ void run_migrate_suite() {
                           {"iso_codec_256KiB", 256u << 10},
                           {"iso_codec_1MiB", 1u << 20}};
     for (const Size& s : sizes) {
-      rows.push_back(codec_row(s.name, "blob", s.bytes, false));
+      rows.push_back(codec_row(s.name, s.bytes));
       conv_bench::print_row(rows.back());
-      rows.push_back(codec_row(s.name, "iovec", s.bytes, true));
-      conv_bench::print_row(rows.back());
-      const double speedup = rows.back().msgs_per_sec() /
-                             rows[rows.size() - 2].msgs_per_sec();
-      std::printf("# %-20s iovec/blob bytes-rate: %sx (bar: >= 2x)\n", s.name,
-                  mfc::format_double(speedup, 2).c_str());
     }
-    rows.push_back(ckpt_encode_row("legacy_copy", false));
-    conv_bench::print_row(rows.back());
-    rows.push_back(ckpt_encode_row("zero_copy_gather", true));
+    rows.push_back(ckpt_encode_row());
     conv_bench::print_row(rows.back());
     mfc::iso::Region::shutdown();
   }

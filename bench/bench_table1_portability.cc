@@ -33,8 +33,7 @@ bool technique_works(MakeThread make) {
   sched.ready(t);
   sched.run_until_idle();
   if (t->state() != mfc::ult::State::kSuspended) return false;
-  auto image = t->pack();
-  auto wire = mfc::pup::to_bytes(image);
+  auto wire = t->pack();
   delete t;
   mfc::migrate::ThreadImage arrived;
   mfc::pup::from_bytes(wire, arrived);

@@ -73,8 +73,7 @@ int main() {
   pe0.ready(worker);
   pe0.run_until_idle();  // runs until the thread suspends
 
-  migrate::ThreadImage image = worker->pack();       // serialize
-  std::vector<char> wire = mfc::pup::to_bytes(image);  // "network" bytes
+  std::vector<char> wire = worker->pack();  // serialize: "network" bytes
   delete worker;
   std::printf("  [main] thread packed into %zu bytes, shipping to PE1\n",
               wire.size());

@@ -3,15 +3,16 @@
 # bench, regression diff.
 #
 # Phase 1 runs the tests carrying the `migrate-perf` CTest label: the
-# manifest/blob byte-for-byte wire equivalence suite (all three techniques,
-# NaN/inf payloads, zero-heap-run images), the CRC-32C implementation
-# agreement corpus (reference vs slice-by-8 vs hardware over every
-# truncation and single-byte flip), and the dirty-page tracker units.
+# golden wire vectors (image wire, decoded re-encode, checkpoint frame),
+# the pack()/gather/span-list byte-for-byte equivalence suite (all three
+# techniques, NaN/inf payloads, zero-heap-run images), the CRC-32C
+# implementation agreement corpus (reference vs slice-by-8 vs hardware over
+# every truncation and single-byte flip), and the dirty-page tracker units.
 #
-# Phase 2 reruns the migrate bench suite (codec bytes/s blob vs iovec,
-# checkpoint encode, per-mode checkpoint overhead storms, the end-to-end
-# migrate_storm shape) and diffs the fresh rows against the checked-in
-# BENCH_migrate.json with bench_compare.py: a >10% drop in codec byte rate
+# Phase 2 reruns the migrate bench suite (manifest codec bytes/s, checkpoint
+# encode, per-mode checkpoint overhead storms, the end-to-end migrate_storm
+# shape) and diffs the fresh rows against the checked-in BENCH_migrate.json
+# with bench_compare.py: a >10% drop in an iovec codec row's byte rate
 # fails the job, and so does a >25% rise in the storm_migrate row's CPU
 # time per thread migration (CPU, not wall: the storm runs in this
 # process, and CPU time ignores the host's scheduling waits). The

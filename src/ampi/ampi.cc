@@ -41,7 +41,7 @@ struct RankImage {
   std::uint64_t coll_seq = 0;  ///< collective tag counter must keep counting
   std::vector<int> mapping;
   std::vector<Unexpected> unexpected;
-  migrate::ThreadImage thread;
+  std::vector<char> thread;  ///< MigratableThread::pack() bytes
   void pup(pup::Er& p) { p | rank | coll_seq | mapping | unexpected | thread; }
 };
 
@@ -188,8 +188,10 @@ void handle_rank_arrive(converse::Message&& m) {
   PeState& ps = *t_state;
   auto image = m.as<RankImage>();
 
+  migrate::ThreadImage thread_image;
+  pup::from_bytes(image.thread, thread_image);
   auto* thread = static_cast<migrate::IsoThread*>(
-      migrate::MigratableThread::unpack(std::move(image.thread),
+      migrate::MigratableThread::unpack(std::move(thread_image),
                                         converse::my_pe()));
   auto rs = std::make_unique<RankState>();
   rs->rank = image.rank;

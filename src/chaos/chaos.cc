@@ -82,7 +82,6 @@ double probability(const Config& c, Point p) {
     case Point::kPoolAcquire: return c.pool_fail;
     case Point::kDelivery: return c.delivery_delay;
     case Point::kPreempt: return c.preempt;
-    case Point::kTransportKill: return c.transport_kill;
     case Point::kPeKill: return c.pe_kill;
     case Point::kProcKill: return c.proc_kill;
   }
@@ -101,7 +100,6 @@ const char* to_string(Point p) {
     case Point::kPoolAcquire: return "pool-acquire";
     case Point::kDelivery: return "delivery";
     case Point::kPreempt: return "preempt";
-    case Point::kTransportKill: return "transport-kill";
     case Point::kPeKill: return "pe-kill";
     case Point::kProcKill: return "proc-kill";
   }

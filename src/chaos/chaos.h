@@ -8,16 +8,16 @@
 // isomalloc slot allocator and the converse message pool, bounded
 // delay/reorder of inter-PE message delivery, forced context-switch yields
 // at instrumented preemption points, randomized (but seeded) per-PE
-// scheduler decisions, and a kill-and-respawn fault mode for the
-// forked-process migration transport (proc_transport.h).
+// scheduler decisions, and keyed PE and whole-process kill schedules for
+// the fault-tolerance layer.
 //
 // Determinism model (see DESIGN.md "Chaos & determinism"):
 //   * Every decision derives from one 64-bit seed, printed at install time
 //     as `MFC_CHAOS_SEED=...` and overridable via that environment variable.
 //   * KEYED decisions (`keyed_inject`/`keyed_draw`) are pure functions of
 //     (seed, point, key) — they replay bit-identically regardless of thread
-//     timing. The storm driver keys its itineraries, workloads, and
-//     transport kills this way.
+//     timing. The storm drivers key their PE and process kill schedules
+//     this way.
 //   * STREAM decisions (`should_inject`/`draw`) come from per-PE SplitMix64
 //     streams derived from (seed, pe). Each PE's draw sequence is
 //     deterministic; which runtime event consumes which draw depends on
@@ -38,11 +38,10 @@ enum class Point : std::uint8_t {
   kPoolAcquire = 1,   ///< converse message pool misses (fresh non-recycled alloc)
   kDelivery = 2,      ///< inter-PE message delivery delayed/reordered
   kPreempt = 3,       ///< forced yield at an instrumented preemption point
-  kTransportKill = 4, ///< proc transport relay process killed mid-shipment
-  kPeKill = 5,        ///< emulated PE failure (ft layer kill/recover testing)
-  kProcKill = 6,      ///< whole-process SIGKILL (cross-process FT testing)
+  kPeKill = 4,        ///< emulated PE failure (ft layer kill/recover testing)
+  kProcKill = 5,      ///< whole-process SIGKILL (cross-process FT testing)
 };
-constexpr int kPointCount = 7;
+constexpr int kPointCount = 6;
 const char* to_string(Point p);
 
 /// Chaos knobs, installable standalone or via converse::Machine::Config.
@@ -62,10 +61,6 @@ struct Config {
   /// [1, max_delay_ticks] per stashed message.
   std::uint32_t max_delay_ticks = 8;
   double preempt = 0.0;
-  double transport_kill = 0.0;
-  /// Consecutive kill injections tolerated per shipment before the
-  /// transport forces a clean attempt (bounds the respawn loop).
-  int max_transport_kills = 4;
   /// Emulated PE-failure probability; consumed keyed (per kill ordinal) by
   /// the storm driver's deterministic kill schedule, not as a free stream.
   double pe_kill = 0.0;

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "chaos/proc_transport.h"
 #include "charm/array.h"
 #include "converse/machine.h"
 #include "ft/ft.h"
@@ -59,7 +58,6 @@ constexpr std::size_t kCanaryBytes = 192;
 constexpr std::uint64_t kItinSalt = 0x61f3a2c8d94be071ULL;
 constexpr std::uint64_t kStackSalt = 0x8d1a9f30c27e5b44ULL;
 constexpr std::uint64_t kHeapSalt = 0x2be4c6d8f0a19375ULL;
-constexpr std::uint64_t kShipSalt = 0xa7c41d92e85f3b06ULL;
 constexpr std::uint64_t kTrafficSalt = 0x54e8b16f9d03ca27ULL;
 
 bool trace_on() {
@@ -117,7 +115,7 @@ struct ShipMsg {
   /// receiver may subtract it directly). Constant-size, so same-seed
   /// replays stay byte-count identical.
   std::uint64_t stamp = 0;
-  std::vector<char> wire;    ///< serialized ThreadImage
+  std::vector<char> wire;    ///< the thread image's wire bytes
   void pup(pup::Er& p) { p | wid | round | crc | stamp | wire; }
 };
 
@@ -163,9 +161,6 @@ struct StormGlobal {
   };
   std::unordered_map<int, std::vector<Arrival>> arrived;  // per PE
   std::vector<ult::Thread*> mains;  // non-PE0 mains parked until alldone
-
-  ProcTransport* transport = nullptr;
-  std::mutex transport_mu;  // the relay handles one shipment at a time
 
   // PE0-only protocol state (PE0 kernel thread: its handlers + main ULT).
   int arrivals = 0;
@@ -461,48 +456,14 @@ void handle_dock(converse::Message&& m) {
   const int dest = g->itinerary[static_cast<std::size_t>(d.wid)]
                                [static_cast<std::size_t>(d.round)];
 
-  if (g->transport != nullptr) {
-    // Relay round-trip needs the image as one contiguous buffer anyway, so
-    // this path keeps the gathering pack (and can survive injected relay
-    // deaths, keyed by (worker, round) so the kill pattern replays).
-    const std::uint64_t e2e0 = hist::on() ? rdtsc() : 0;
-    migrate::ThreadImage image = t->pack();
-    delete t;  // pack() consumed it; only the image represents the worker now
-
-    ShipMsg ship;
-    ship.wid = d.wid;
-    ship.round = d.round;
-    ship.stamp = e2e0;
-    ship.wire = pup::to_bytes(image);
-    ship.crc = crc32(ship.wire.data(), ship.wire.size());
-    g->wire_bytes.fetch_add(ship.wire.size(), std::memory_order_relaxed);
-
-    const std::uint64_t key =
-        mix2(g->opt.seed ^ kShipSalt,
-             static_cast<std::uint64_t>(d.wid) * 1000003ULL +
-                 static_cast<std::uint64_t>(d.round));
-    std::lock_guard<std::mutex> lock(g->transport_mu);
-    std::vector<char> echoed = g->transport->roundtrip(ship.wire, key);
-    // The sent bytes are still here, so the echo check is exact.
-    if (echoed != ship.wire) {
-      g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-      trace::flight::dump("storm-relay-echo-mismatch");
-    } else {
-      ship.wire = std::move(echoed);
-    }
-    g->thread_migrations.fetch_add(1, std::memory_order_relaxed);
-    converse::send_value(dest, h_ship, ship);
-    return;
-  }
-
   // Scatter-gather ship: serialize the manifest's span list straight into
   // the wire (in-process: one gather into the delivery envelope; shm/socket:
   // ring frames / writev) — no intermediate contiguous image is ever built.
-  // The byte stream is identical to the ShipMsg encoding above, so
-  // handle_ship cannot tell the paths apart. The destructive pack epilogue
-  // runs in on_consumed, which the send contract orders strictly before the
-  // message can be delivered — even a same-process unpack at the same
-  // isomalloc addresses cannot race the evacuation.
+  // The byte stream is ShipMsg's own encoding, so handle_ship decodes it
+  // with ShipMsg::pup. The destructive pack epilogue runs in on_consumed,
+  // which the send contract orders strictly before the message can be
+  // delivered — even a same-process unpack at the same isomalloc addresses
+  // cannot race the evacuation.
   const std::uint64_t e2e0 = hist::on() ? rdtsc() : 0;
   migrate::ImageManifest man = t->pack_manifest(/*count=*/true);
   std::vector<char> scratch;
@@ -678,8 +639,9 @@ void set_storm_meta(const StormOptions& opt) {
 
 // ---- FT hooks ---------------------------------------------------------------
 
-/// Pack-and-discard every arrival parked on `pe` (their images are dropped
-/// — the checkpoint already holds the authoritative copies). Never touches
+/// Discard every arrival parked on `pe`: drop its local memory as a
+/// migration's epilogue would (the checkpoint already holds the
+/// authoritative copies) and delete the husk. Never touches
 /// workers[]: during a rollback the restore hook is the sole writer of the
 /// thread pointers, so each worker is re-installed exactly once.
 void discard_parked(int pe) {
@@ -692,7 +654,7 @@ void discard_parked(int pe) {
   auto& parked = g->arrived[pe];
   for (auto& a : parked) {
     auto* t = static_cast<migrate::MigratableThread*>(a.thread);
-    t->pack();  // evacuates slots / frees buffers; the image is dropped
+    t->complete_pack();  // evacuates slots / closes the backing file
     delete t;
   }
   parked.clear();
@@ -716,17 +678,12 @@ void capture_meta(int pe, StormPeCkpt* meta) {
 /// processed in wid order to make the blob bytes deterministic regardless
 /// of arrival timing.
 ///
-/// Mode 0 (legacy, full): each parked worker is checkpointed by a
-/// destructive self-migration — pack (which consumes the live thread), copy
-/// the image into the checkpoint, unpack it right back at the same
-/// addresses — so the storm keeps running after the epoch commits.
-///
-/// Modes 1/2 (incremental/async): zero-copy capture. pack_manifest() hands
-/// back an iovec view of each suspended worker's slots, and a
-/// GatherCheckpoint encodes the frame in one pass straight from those
-/// addresses — no intermediate images, no slot evacuate/remap churn, and
-/// the workers never notice. The manifests only stay valid while the
-/// workers stay parked, which the quiescent capture window guarantees.
+/// Zero-copy capture in every mode: pack_manifest() hands back an iovec
+/// view of each suspended worker's memory, and the Checkpoint encodes the
+/// frame in one pass straight from those addresses — no intermediate
+/// images, no slot evacuate/remap churn, and the workers never notice. The
+/// manifests only stay valid while the workers stay parked, which the
+/// quiescent capture window guarantees.
 std::vector<char> ft_capture(std::uint64_t epoch) {
   (void)epoch;
   StormGlobal* g = g_storm;
@@ -745,73 +702,38 @@ std::vector<char> ft_capture(std::uint64_t epoch) {
     tracker->untrack_all();
   }
 
-  std::vector<char> blob;
-  if (g->opt.ft_mode == 0) {
-    migrate::Checkpoint ckpt;
-    {
-      std::lock_guard<std::mutex> lock(g->mu);
-      auto& parked = g->arrived[pe];
-      std::sort(parked.begin(), parked.end(),
-                [g](const StormGlobal::Arrival& x,
-                    const StormGlobal::Arrival& y) {
-                  return g->by_thread_id.at(x.thread->id()) <
-                         g->by_thread_id.at(y.thread->id());
-                });
-      for (auto& a : parked) {
-        auto* t = static_cast<migrate::MigratableThread*>(a.thread);
-        const int wid = g->by_thread_id.at(t->id());
-        MFC_CHECK_MSG(a.round == g->ft_ckpt_round,
-                      "storm: checkpoint found a worker parked at the wrong "
-                      "round (quiescence hole?)");
-        migrate::ThreadImage image = t->pack();
-        delete t;
-        ckpt.add_image(image);  // copy; the original re-animates below
-        auto* fresh =
-            migrate::MigratableThread::unpack(std::move(image), pe);
-        fresh->set_delete_on_exit(true);
-        g->workers[static_cast<std::size_t>(wid)].thread = fresh;
-        a.thread = fresh;
-        meta.wids.push_back(wid);
-      }
-    }
-    capture_meta(pe, &meta);
-    ckpt.set_user_data(pup::to_bytes(meta));
-    blob = ckpt.encode();
-  } else {
-    migrate::GatherCheckpoint ckpt;
-    std::vector<migrate::ImageManifest> manifests;
-    std::lock_guard<std::mutex> lock(g->mu);
-    auto& parked = g->arrived[pe];
-    std::sort(parked.begin(), parked.end(),
-              [g](const StormGlobal::Arrival& x,
-                  const StormGlobal::Arrival& y) {
-                return g->by_thread_id.at(x.thread->id()) <
-                       g->by_thread_id.at(y.thread->id());
-              });
-    manifests.reserve(parked.size());
+  migrate::Checkpoint ckpt;
+  std::vector<migrate::ImageManifest> manifests;
+  std::lock_guard<std::mutex> lock(g->mu);
+  auto& parked = g->arrived[pe];
+  std::sort(parked.begin(), parked.end(),
+            [g](const StormGlobal::Arrival& x, const StormGlobal::Arrival& y) {
+              return g->by_thread_id.at(x.thread->id()) <
+                     g->by_thread_id.at(y.thread->id());
+            });
+  manifests.reserve(parked.size());
+  for (auto& a : parked) {
+    auto* t = static_cast<migrate::MigratableThread*>(a.thread);
+    MFC_CHECK_MSG(a.round == g->ft_ckpt_round,
+                  "storm: checkpoint found a worker parked at the wrong "
+                  "round (quiescence hole?)");
+    manifests.push_back(t->pack_manifest(false));
+    meta.wids.push_back(g->by_thread_id.at(t->id()));
+  }
+  for (const migrate::ImageManifest& m : manifests) ckpt.add_manifest(m);
+  capture_meta(pe, &meta);
+  ckpt.set_user_data(pup::to_bytes(meta));
+  std::vector<char> blob = ckpt.encode();
+  // Open the next write-barrier window over the parked isomalloc stacks.
+  if (ft::DirtyTracker* tracker = pe_tracker(pe)) {
     for (auto& a : parked) {
       auto* t = static_cast<migrate::MigratableThread*>(a.thread);
-      MFC_CHECK_MSG(a.round == g->ft_ckpt_round,
-                    "storm: checkpoint found a worker parked at the wrong "
-                    "round (quiescence hole?)");
-      manifests.push_back(t->pack_manifest(false));
-      meta.wids.push_back(g->by_thread_id.at(t->id()));
+      if (t->technique() != migrate::Technique::kIsomalloc) continue;
+      auto* it = static_cast<migrate::IsoThread*>(t);
+      void* base = iso::Region::instance().slot_base(it->stack_slot());
+      tracker->track(base, iso::Region::instance().slot_span(it->stack_slot()));
     }
-    for (const migrate::ImageManifest& m : manifests) ckpt.add_manifest(m);
-    capture_meta(pe, &meta);
-    ckpt.set_user_data(pup::to_bytes(meta));
-    blob = ckpt.encode();
-    // Open the next write-barrier window over the parked isomalloc stacks.
-    if (ft::DirtyTracker* tracker = pe_tracker(pe)) {
-      for (auto& a : parked) {
-        auto* t = static_cast<migrate::MigratableThread*>(a.thread);
-        if (t->technique() != migrate::Technique::kIsomalloc) continue;
-        auto* it = static_cast<migrate::IsoThread*>(t);
-        void* base = iso::Region::instance().slot_base(it->stack_slot());
-        tracker->track(base, iso::Region::instance().slot_span(it->stack_slot()));
-      }
-      tracker->arm();
-    }
+    tracker->arm();
   }
   return blob;
 }
@@ -1162,10 +1084,6 @@ StormReport run_storm(const StormOptions& options) {
       ++ckpt_ordinal;
     }
   }
-  // Fork the relay before the PE threads exist (single-threaded fork is
-  // clean; chaos-driven respawns later fork from a multithreaded parent,
-  // which the relay child is written to tolerate).
-  if (options.use_proc_transport) g->transport = new ProcTransport();
   g_storm = g.get();
 
   // Own a trace session unless the caller already holds one. Starting it
@@ -1252,10 +1170,6 @@ StormReport run_storm(const StormOptions& options) {
     rep.ft_async_chunks = metrics::total(metrics::Counter::kFtAsyncChunks);
     rep.ft_dirty_pages = metrics::total(metrics::Counter::kFtDirtyPages);
     ft::uninstall();
-  }
-  if (g->transport != nullptr) {
-    rep.transport_respawns = g->transport->respawns();
-    delete g->transport;
   }
   g_storm = nullptr;
   return rep;

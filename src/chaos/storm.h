@@ -4,9 +4,8 @@
 // across all three migration techniques (stack-copy, isomalloc, memalias) —
 // migrates every round along seed-derived itineraries while a chare array
 // delivers ttl-forwarded pings (and storms its own elements between PEs),
-// all optionally under chaos fault injection and with each thread image
-// optionally round-tripped through a forked relay process that chaos can
-// kill mid-shipment.
+// all optionally under chaos fault injection, on any of the machine's wires
+// (in-process queues, shm rings, sockets).
 //
 // After every round the driver quiesces the machine and runs invariant
 // checkers: stack/heap canaries and stack-address stability (verified by
@@ -53,9 +52,6 @@ struct StormOptions {
   int array_pings = 4;
   int ping_ttl = 3;
   bool element_migration = true;  ///< storm the array elements too
-  /// Round-trip every packed thread image through the forked relay
-  /// (Point::kTransportKill becomes live).
-  bool use_proc_transport = false;
   /// Machine wire transport for the storm (loopback mode, nprocs == 1):
   /// 0 = in-process queues, 1 = shm rings, 2 = sockets. With 1/2 every
   /// cross-PE message — including the scatter-gather thread-image ships —
@@ -88,14 +84,13 @@ struct StormOptions {
   /// tests that kill PEs pass tighter values to keep detection latency low.
   std::uint64_t ft_ping_interval_us = 2000;
   std::uint64_t ft_timeout_us = 250000;
-  /// Checkpoint shipping mode (maps onto ft::CkptMode): 0 = full blobs
-  /// captured by destructive pack/unpack self-migration (the legacy path),
-  /// 1 = incremental (non-destructive zero-copy manifest capture, page-
-  /// granular deltas against the previous committed epoch), 2 = async
-  /// (incremental capture, buddy ships streamed in chunks while the
-  /// application runs, commit completes in the background). Modes 1/2 also
-  /// arm the mprotect write barrier over parked isomalloc stacks between
-  /// epochs for dirty-page telemetry (release builds only).
+  /// Checkpoint shipping mode (maps onto ft::CkptMode): 0 = full blobs,
+  /// 1 = incremental (page-granular deltas against the previous committed
+  /// epoch), 2 = async (incremental, buddy ships streamed in chunks while
+  /// the application runs, commit completes in the background). Every mode
+  /// captures with non-destructive zero-copy manifests. Modes 1/2 also arm
+  /// the mprotect write barrier over parked isomalloc stacks between epochs
+  /// for dirty-page telemetry (release builds only).
   int ft_mode = 0;
   /// Restrict all workers to one technique (0=stackcopy, 1=iso, 2=memalias;
   /// -1 = the default w % 3 mix). The FT bench uses this to price
@@ -115,13 +110,12 @@ struct StormReport {
   std::uint64_t element_migrations = 0;
   std::uint64_t pings_delivered = 0;
   std::uint64_t wire_bytes = 0;  ///< serialized thread-image bytes shipped
-  std::uint64_t transport_respawns = 0;
   std::uint64_t injections[kPointCount] = {};
 
   // Invariant-checker verdicts (all must be zero / true for a clean storm).
   std::uint64_t canary_failures = 0;   ///< stack/heap canary or address drift
-  /// Shipped images that failed a check: transit CRC-32C, the exact PUP
-  /// round-trip compare, or the relay's exact echo compare.
+  /// Shipped images that failed a check: transit CRC-32C or the exact PUP
+  /// round-trip compare.
   std::uint64_t digest_mismatches = 0;
   std::uint64_t misroutes = 0;         ///< worker woke on the wrong PE
   std::uint64_t counter_failures = 0;  ///< ping counters unbalanced under QD

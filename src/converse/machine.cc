@@ -87,8 +87,8 @@ void destroy_message(Message* m) {
   delete m;
 }
 
-/// Teardown-drain destruction: a message reclaimed from a queue, delay
-/// stash, or legacy inbox after the machine stopped.
+/// Teardown-drain destruction: a message reclaimed from a queue or the
+/// delay stash after the machine stopped.
 void drain_message(Message* m) {
   metrics::bump(Counter::kMsgsDrained);
   destroy_message(m);
@@ -105,7 +105,6 @@ struct Delayed {
 struct Pe {
   int id = -1;
   IntrusiveMpscChannel<Message> queue;
-  MutexMpscQueue<Message> legacy_queue;  // Config::mutex_baseline only
   ult::Scheduler sched;
   ult::Thread* barrier_waiter = nullptr;
   std::uint64_t barrier_gen = 0;
@@ -119,8 +118,6 @@ struct Pe {
   /// Machine::run asserts the books balance right after the PEs are gone.
   ~Pe() {
     while (Message* m = queue.try_pop()) drain_message(m);
-    while (legacy_queue.try_pop()) {
-    }
     for (const Delayed& d : delayed) drain_message(d.m);
     for (Message* m : pool.cache) destroy_message(m);
   }
@@ -128,7 +125,6 @@ struct Pe {
 
 struct MachineState {
   int npes = 0;
-  bool mutex_baseline = false;
   /// Chaos delivery-delay active: consumer loops stash injected messages
   /// and the self-send inline bypass is off (inline delivery would let a
   /// self-send overtake a delayed earlier message).
@@ -478,23 +474,6 @@ void dispatch(Message* m) {
   release_message(m);
 }
 
-/// mutex_baseline delivery: the seed's behavior — handler looked up under
-/// a global mutex, message passed by value.
-void dispatch_value(Message&& m) {
-  HandlerFn* fn;
-  {
-    std::lock_guard<std::mutex> lock(g_register_mutex);
-    fn = handler_lookup(m.handler);
-  }
-  metrics::bump(Counter::kMsgsDelivered);
-  const HandlerId h = m.handler;
-  trace::emit(trace::Ev::kHandlerBegin, m.trace_flow, h,
-              static_cast<std::uint32_t>(m.payload.size()),
-              static_cast<std::int16_t>(m.src_pe));
-  (*fn)(std::move(m));
-  trace::emit(trace::Ev::kHandlerEnd, 0, h);
-}
-
 /// Dispatches every stashed message whose due tick has passed, in stash
 /// order among equals — the reorder comes from unequal injected delays.
 bool release_due_delayed(Pe* pe) {
@@ -562,10 +541,7 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
             g_machine->local_npes) {
           if (g_machine->nprocs == 1) {
             g_machine->stop.store(true);
-            for (auto& other : g_machine->pes) {
-              other->queue.wake();
-              other->legacy_queue.wake();
-            }
+            for (auto& other : g_machine->pes) other->queue.wake();
             if (g_machine->transport) g_machine->transport->stop_local();
           } else {
             // Multi-process: every local main is done. Tell process 0; the
@@ -579,88 +555,75 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
   main_thread->set_delete_on_exit(true);
   pe->sched.ready(main_thread);
 
-  if (g_machine->mutex_baseline) {
-    while (!g_machine->stop.load(std::memory_order_acquire)) {
-      bool progress = false;
-      while (auto m = pe->legacy_queue.try_pop()) {
-        dispatch_value(std::move(*m));
-        progress = true;
+  const bool delay_on = g_machine->chaos_delay;
+  const bool ft_on = g_machine->ft_on;
+  const std::uint64_t max_ticks =
+      delay_on ? chaos::config().max_delay_ticks : 0;
+  while (!g_machine->stop.load(std::memory_order_acquire)) {
+    if (ft_on) {
+      // Dead PE: stop dispatching and running threads; messages keep
+      // queueing and drain after revival. Park until the revive wakes
+      // the queue (an arrival for the dead PE only re-parks it).
+      std::atomic<bool>& dead = g_machine->dead[pe->id];
+      if (dead.load(std::memory_order_acquire)) {
+        pe->queue.park_until(
+            [&dead] { return !dead.load(std::memory_order_seq_cst); });
+        continue;
       }
-      if (pe->sched.run_one()) progress = true;
-      if (!progress) {
-        if (auto m = pe->legacy_queue.pop_wait()) dispatch_value(std::move(*m));
+      // Just revived: wipe stale state on this PE's own thread BEFORE
+      // the death-window backlog dispatches into it.
+      if (g_machine->wipe_pending[pe->id].exchange(
+              false, std::memory_order_acq_rel)) {
+        if (g_ft_hooks.on_revive) g_ft_hooks.on_revive(pe->id);
       }
+      // PE 0 is the failure detector: heartbeats + timeout checks.
+      if (pe->id == 0 && g_ft_hooks.pe0_tick) g_ft_hooks.pe0_tick();
     }
-  } else {
-    const bool delay_on = g_machine->chaos_delay;
-    const bool ft_on = g_machine->ft_on;
-    const std::uint64_t max_ticks = delay_on ? chaos::config().max_delay_ticks : 0;
-    while (!g_machine->stop.load(std::memory_order_acquire)) {
-      if (ft_on) {
-        // Dead PE: stop dispatching and running threads; messages keep
-        // queueing and drain after revival. Park until the revive wakes
-        // the queue (an arrival for the dead PE only re-parks it).
-        std::atomic<bool>& dead = g_machine->dead[pe->id];
-        if (dead.load(std::memory_order_acquire)) {
-          pe->queue.park_until(
-              [&dead] { return !dead.load(std::memory_order_seq_cst); });
-          continue;
-        }
-        // Just revived: wipe stale state on this PE's own thread BEFORE
-        // the death-window backlog dispatches into it.
-        if (g_machine->wipe_pending[pe->id].exchange(
-                false, std::memory_order_acq_rel)) {
-          if (g_ft_hooks.on_revive) g_ft_hooks.on_revive(pe->id);
-        }
-        // PE 0 is the failure detector: heartbeats + timeout checks.
-        if (pe->id == 0 && g_ft_hooks.pe0_tick) g_ft_hooks.pe0_tick();
+    bool progress = false;
+    if (delay_on) {
+      ++pe->tick;
+      if (release_due_delayed(pe)) progress = true;
+    }
+    while (Message* m = pe->queue.try_pop()) {
+      if (delay_on && chaos::should_inject(chaos::Point::kDelivery)) {
+        // Stash instead of dispatching; a later arrival with a shorter
+        // injected delay overtakes this one. QD stays honest while the
+        // stash is non-empty: the message counts as sent but not yet
+        // delivered, so the machine cannot report quiescent around it.
+        const std::uint64_t d =
+            1 + chaos::draw(chaos::Point::kDelivery, max_ticks);
+        pe->delayed.push_back({m, pe->tick + d});
+      } else {
+        dispatch(m);
       }
-      bool progress = false;
-      if (delay_on) {
-        ++pe->tick;
-        if (release_due_delayed(pe)) progress = true;
-      }
-      while (Message* m = pe->queue.try_pop()) {
-        if (delay_on && chaos::should_inject(chaos::Point::kDelivery)) {
-          // Stash instead of dispatching; a later arrival with a shorter
-          // injected delay overtakes this one. QD stays honest while the
-          // stash is non-empty: the message counts as sent but not yet
-          // delivered, so the machine cannot report quiescent around it.
-          const std::uint64_t d =
-              1 + chaos::draw(chaos::Point::kDelivery, max_ticks);
-          pe->delayed.push_back({m, pe->tick + d});
-        } else {
-          dispatch(m);
-        }
-        progress = true;
-        // A handler may have killed this very PE (self-kill at a chaos
-        // injection point): stop mid-batch, leaving the rest queued.
-        if (ft_on &&
-            g_machine->dead[pe->id].load(std::memory_order_relaxed)) {
-          break;
-        }
-      }
+      progress = true;
+      // A handler may have killed this very PE (self-kill at a chaos
+      // injection point): stop mid-batch, leaving the rest queued.
       if (ft_on &&
           g_machine->dead[pe->id].load(std::memory_order_relaxed)) {
-        continue;  // no run_one/park for the freshly dead
+        break;
       }
-      if (pe->sched.run_one()) progress = true;
-      if (!progress) {
-        // A non-empty stash forbids parking — only loop ticks age it out.
-        if (!pe->delayed.empty()) continue;
-        // With FT on, PE 0 parks with a deadline so detector ticks keep
-        // firing on an otherwise idle machine.
-        if (ft_on && pe->id == 0) {
-          if (Message* m = pe->queue.pop_wait_for(200)) dispatch(m);
-          continue;
-        }
-        // Idle: bounded spin then park until a message arrives or shutdown
-        // wakes us. On delivery, re-enter the drain loop immediately — the
-        // batch behind this message is typically non-empty.
-        if (Message* m = pe->queue.pop_wait()) {
-          dispatch(m);
-          continue;
-        }
+    }
+    if (ft_on &&
+        g_machine->dead[pe->id].load(std::memory_order_relaxed)) {
+      continue;  // no run_one/park for the freshly dead
+    }
+    if (pe->sched.run_one()) progress = true;
+    if (!progress) {
+      // A non-empty stash forbids parking — only loop ticks age it out.
+      if (!pe->delayed.empty()) continue;
+      // With FT on, PE 0 parks with a deadline so detector ticks keep
+      // firing on an otherwise idle machine.
+      if (ft_on && pe->id == 0) {
+        if (Message* m = pe->queue.pop_wait_for(200)) dispatch(m);
+        continue;
+      }
+      // Idle: bounded spin then park until a message arrives or shutdown
+      // wakes us. On delivery, re-enter the drain loop immediately — the
+      // batch behind this message is typically non-empty.
+      if (Message* m = pe->queue.pop_wait()) {
+        dispatch(m);
+        continue;
       }
     }
   }
@@ -914,7 +877,6 @@ void run_machine_process(ProcRun ctx) {
   const int ppn = config.npes / config.nprocs;
   g_machine = new MachineState();
   g_machine->npes = config.npes;
-  g_machine->mutex_baseline = config.mutex_baseline;
   g_machine->chaos_delay =
       chaos::enabled() && chaos::config().delivery_delay > 0.0;
   g_machine->ft_on = g_ft_hooks_set;
@@ -945,8 +907,6 @@ void run_machine_process(ProcRun ctx) {
                     g_machine->local_npes);
   }
   if (g_machine->ft_on) {
-    MFC_CHECK_MSG(!config.mutex_baseline,
-                  "FT hooks require the lock-free messaging path");
     g_machine->dead =
         std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(config.npes));
     g_machine->wipe_pending =
@@ -1001,10 +961,7 @@ void run_machine_process(ProcRun ctx) {
     hooks.on_stop = [] {
       g_machine->stop.store(true);
       for (auto& pe : g_machine->pes) {
-        if (pe) {
-          pe->queue.wake();
-          pe->legacy_queue.wake();
-        }
+        if (pe) pe->queue.wake();
       }
       g_machine->transport->stop_local();
     };
@@ -1158,8 +1115,8 @@ void zygote_respawn(const Machine::Config& config,
   // transport (its matrix rows), not by this call.
   std::vector<int> peer_fds(static_cast<std::size_t>(nprocs), -1);
   transport->respawn_refresh(k, peer_fds);
-  // Fork the replacement: seeded exponential backoff on transient failure
-  // (the same shape as the proc transport's respawn path).
+  // Fork the replacement: exponential backoff on transient failure, the
+  // waits drawn from keyed chaos when it is installed so they replay.
   pid_t pid = -1;
   for (std::uint64_t tries = 0;; ++tries) {
     pid = fork();
@@ -1328,8 +1285,6 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   MFC_CHECK(config.npes >= 1);
   MFC_CHECK(config.nprocs >= 1);
   const bool wire_on = config.transport != Config::Transport::kInProc;
-  MFC_CHECK_MSG(!wire_on || !config.mutex_baseline,
-                "wire transports require the lock-free messaging path");
   if (config.nprocs > 1) {
     MFC_CHECK_MSG(wire_on, "nprocs > 1 requires a wire transport");
     MFC_CHECK_MSG(config.npes % config.nprocs == 0,
@@ -1549,9 +1504,7 @@ namespace detail {
 
 Message* acquire_message(std::size_t payload_bytes) {
   MFC_CHECK(g_machine != nullptr);
-  Message* m = (t_pe != nullptr && !g_machine->mutex_baseline)
-                   ? pool_acquire(t_pe)
-                   : create_message();
+  Message* m = t_pe != nullptr ? pool_acquire(t_pe) : create_message();
   m->payload.resize(payload_bytes);
   return m;
 }
@@ -1581,13 +1534,6 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
   trace::emit(trace::Ev::kMsgSend, m->trace_flow, handler,
               static_cast<std::uint32_t>(m->payload.size()),
               static_cast<std::int16_t>(dest_pe));
-
-  if (g_machine->mutex_baseline) {
-    Pe& dest = *g_machine->pes[static_cast<std::size_t>(dest_pe)];
-    dest.legacy_queue.push(std::move(*m));
-    release_message(m);
-    return;
-  }
 
   // Wire routing: loopback mode ships every cross-PE send; multi-process
   // ships only cross-process destinations (same-process PEs keep the
@@ -1626,8 +1572,6 @@ void send_spans(int dest_pe, HandlerId handler, const SendSpan* spans,
                 std::size_t nspans, std::function<void()> on_consumed) {
   MFC_CHECK(g_machine != nullptr);
   MFC_CHECK(dest_pe >= 0 && dest_pe < g_machine->npes);
-  MFC_CHECK_MSG(!g_machine->mutex_baseline,
-                "send_spans requires the lock-free messaging path");
   chaos::preempt_point("converse.send");
   const int src = t_pe != nullptr ? t_pe->id : -1;
   const std::size_t total = wire::spans_total(spans, nspans);

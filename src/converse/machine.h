@@ -163,9 +163,8 @@ class Machine {
     /// is required; Machine::run forks nprocs-1 children after the shared
     /// resources (chaos, trace rings, iso region, transport segments) are
     /// created, so every address space inherits them. npes must divide
-    /// evenly; process k hosts PEs [k*ppn, (k+1)*ppn). mutex_baseline is a
-    /// process-local feature and is rejected. FT hooks installed on a
-    /// multi-process machine additionally arm whole-process fault
+    /// evenly; process k hosts PEs [k*ppn, (k+1)*ppn). FT hooks installed
+    /// on a multi-process machine additionally arm whole-process fault
     /// tolerance: a respawn zygote is forked from the pristine pre-fork
     /// image, process 0 polices child liveness, and a SIGKILLed process
     /// can be respawned and rewired mid-run (see the process-tier API at
@@ -187,11 +186,6 @@ class Machine {
     /// message count exceeds the default, so steady-state sends stay
     /// allocation-free.
     std::size_t pool_cap = 4096;
-    /// Benchmark-only: route messaging through the pre-rewrite
-    /// mutex-per-message path (MutexMpscQueue + dispatch under a global
-    /// lock, no pooling, no self-send bypass) so bench_micro can report
-    /// the lock-free speedup from inside one binary.
-    bool mutex_baseline = false;
     /// Fault injection / deterministic scheduling (chaos.enabled = true
     /// installs the chaos engine for the duration of the run; the seed is
     /// printed as MFC_CHAOS_SEED for replay). With delivery_delay active
@@ -252,8 +246,7 @@ using SendSpan = wire::Span;
 /// Migration uses it for the destructive pack epilogue: the spans point
 /// into live isomalloc slots, and the epilogue evacuates them — the
 /// ordering guarantee is what keeps a same-process destination's install()
-/// from colliding with still-resident source pages. Requires the lock-free
-/// messaging path (no mutex_baseline).
+/// from colliding with still-resident source pages.
 void send_spans(int dest_pe, HandlerId handler, const SendSpan* spans,
                 std::size_t nspans, std::function<void()> on_consumed = {});
 

@@ -3,7 +3,7 @@
 // A frame is a fixed 56-byte Header followed by `payload_len` payload bytes.
 // The writer takes a scatter list (`Span`s) and hands it to the kernel (or
 // the ring copy loop) without gathering into an intermediate buffer — this
-// is what lets `ImageManifest::layout()` runs go straight to `writev`. The
+// is what lets `ImageManifest::wire_spans()` go straight to `writev`. The
 // reader is a resumable state machine: feed it a nonblocking byte source and
 // it accumulates headers and payloads across arbitrarily small reads, so the
 // same code path survives 1-byte reads and partial writev returns (tested in

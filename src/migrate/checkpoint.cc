@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "iso/region.h"
-#include "ult/scheduler.h"
 #include "util/check.h"
 #include "util/crc32.h"
 
@@ -50,36 +49,27 @@ Checkpoint::RegionStamp Checkpoint::current_stamp() {
   return stamp;
 }
 
+void Checkpoint::stamp_once() {
+  if (!stamped_) {
+    stamp_ = current_stamp();
+    stamped_ = true;
+  }
+}
+
 void Checkpoint::add(MigratableThread* thread) {
   MFC_CHECK(thread != nullptr);
-  if (!stamped_) {
-    stamp_ = current_stamp();
-    stamped_ = true;
-  }
-  images_.push_back(thread->pack());
-  note_size(images_.back());
+  stamp_once();
+  sources_.push_back({nullptr, thread->pack()});
 }
 
-void Checkpoint::add_image(ThreadImage image) {
-  if (!stamped_) {
-    stamp_ = current_stamp();
-    stamped_ = true;
-  }
-  images_.push_back(std::move(image));
-  note_size(images_.back());
-}
-
-void Checkpoint::note_size(const ThreadImage& image) {
-  // Size phase of the sizing cache: measured once here, consumed by
-  // encode()'s pack phase — valid only while no ULT dispatch intervenes.
-  if (sized_at_dispatch_ != ult::dispatch_count()) image_sizes_.clear();
-  if (image_sizes_.size() + 1 == images_.size()) {
-    image_sizes_.push_back(pup::packed_size(image));
-    sized_at_dispatch_ = ult::dispatch_count();
-  }
+void Checkpoint::add_manifest(const ImageManifest& m) {
+  stamp_once();
+  sources_.push_back({&m, {}});
 }
 
 std::vector<MigratableThread*> Checkpoint::restore_all(int dest_pe) {
+  MFC_CHECK_MSG(sources_.empty(),
+                "checkpoint: restore_all() takes a decoded checkpoint");
   if (stamped_ && stamp_.base != 0) {
     const RegionStamp now = current_stamp();
     MFC_CHECK_MSG(now.base == stamp_.base &&
@@ -98,10 +88,6 @@ std::vector<MigratableThread*> Checkpoint::restore_all(int dest_pe) {
   return threads;
 }
 
-void Checkpoint::pup(pup::Er& p) {
-  p | stamped_ | stamp_ | images_ | user_data_;
-}
-
 namespace {
 
 void write_frame_header(char* frame, std::uint64_t payload_len,
@@ -117,65 +103,13 @@ void write_frame_header(char* frame, std::uint64_t payload_len,
 std::vector<char> Checkpoint::encode() const {
   auto& self = const_cast<Checkpoint&>(*this);
 
-  // Size phase: per-image sizes come from the cache filled at add() time
-  // unless a ULT dispatch invalidated it; the non-image fields are O(1) to
-  // size. This leaves exactly one full traversal — the pack below — where
-  // the old path walked the images for sizing, again for packing, then
-  // scanned the payload for the CRC and memcpy'd it into the frame.
-  if (image_sizes_.size() != images_.size() ||
-      sized_at_dispatch_ != ult::dispatch_count()) {
-    image_sizes_.clear();
-    image_sizes_.reserve(images_.size());
-    for (const ThreadImage& image : images_) {
-      image_sizes_.push_back(pup::packed_size(image));
-    }
-    sized_at_dispatch_ = ult::dispatch_count();
-  }
-  pup::Sizer meta;
-  meta | self.stamped_ | self.stamp_ | self.user_data_;
-  std::size_t payload_len = meta.size() + sizeof(std::size_t);
-  for (std::size_t s : image_sizes_) payload_len += s;
-
-  // Pack phase: one pass writes the payload directly into the frame and
-  // folds the CRC-32C as it copies.
-  std::vector<char> frame(kHeaderBytes + payload_len);
-  pup::CrcMemPacker p(frame.data() + kHeaderBytes, payload_len);
-  p | self.stamped_ | self.stamp_;
-  std::size_t n = images_.size();
-  p.bytes(&n, sizeof n);
-  for (ThreadImage& image : self.images_) image.pup(p);
-  p | self.user_data_;
-  MFC_CHECK(p.written(frame.data() + kHeaderBytes) == payload_len);
-  write_frame_header(frame.data(), payload_len, p.crc());
-  return frame;
-}
-
-void GatherCheckpoint::stamp_once() {
-  if (!stamped_) {
-    stamp_ = Checkpoint::current_stamp();
-    stamped_ = true;
-  }
-}
-
-void GatherCheckpoint::add_manifest(const ImageManifest& m) {
-  stamp_once();
-  sources_.push_back({&m, nullptr, 0});
-}
-
-void GatherCheckpoint::add_image_bytes(const char* data, std::size_t len) {
-  stamp_once();
-  sources_.push_back({nullptr, data, len});
-}
-
-std::vector<char> GatherCheckpoint::encode() const {
-  auto& self = const_cast<GatherCheckpoint&>(*this);
-
-  // Size phase: manifests size in O(#runs), cached byte spans in O(1).
+  // Size phase: manifests size in O(#runs), packed bytes in O(1).
   pup::Sizer meta;
   meta | self.stamped_ | self.stamp_ | self.user_data_;
   std::size_t payload_len = meta.size() + sizeof(std::size_t);
   for (const Source& s : sources_) {
-    payload_len += s.manifest != nullptr ? s.manifest->wire_size() : s.len;
+    payload_len += s.manifest != nullptr ? s.manifest->wire_size()
+                                         : s.bytes.size();
   }
 
   // Pack phase: a single gather pass over the referenced memory, CRC folded
@@ -185,11 +119,11 @@ std::vector<char> GatherCheckpoint::encode() const {
   p | self.stamped_ | self.stamp_;
   std::size_t n = sources_.size();
   p.bytes(&n, sizeof n);
-  for (const Source& s : sources_) {
+  for (Source& s : self.sources_) {
     if (s.manifest != nullptr) {
       s.manifest->pup_into(p);
     } else {
-      p.bytes(const_cast<char*>(s.data), s.len);
+      p.bytes(s.bytes.data(), s.bytes.size());
     }
   }
   p | self.user_data_;
@@ -212,8 +146,8 @@ CodecError Checkpoint::decode(const char* data, std::size_t size,
   if (h.payload_len != size - kHeaderBytes) return CodecError::kTruncated;
   const char* payload = data + kHeaderBytes;
   if (crc32(payload, h.payload_len) != h.crc) return CodecError::kBadCrc;
-  std::vector<char> bytes(payload, payload + h.payload_len);
-  pup::from_bytes(bytes, *out);
+  pup::MemUnpacker p(payload, h.payload_len);
+  p | out->stamped_ | out->stamp_ | out->images_ | out->user_data_;
   return CodecError::kOk;
 }
 

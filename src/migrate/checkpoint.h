@@ -4,11 +4,12 @@
 //    for fault tolerance — under this model, checkpointing is simply
 //    migration to disk or the local memory of a remote processor."
 //
-// A Checkpoint is a container of ThreadImages plus an application-defined
-// PUP-able header; it serializes to a byte buffer or a file. Restoring
-// unpacks every thread at its original (machine-wide-unique) addresses —
-// so a restart is a migration whose "destination processor" is a future
-// run of the program.
+// A Checkpoint frames thread images plus an application-defined PUP-able
+// header into one byte buffer or file. The images are gathered from the
+// same ImageManifests migration ships, so a checkpoint frame holds exactly
+// the wire bytes a migration would have carried. Restoring unpacks every
+// thread at its original (machine-wide-unique) addresses — so a restart is
+// a migration whose "destination processor" is a future run of the program.
 //
 // Requirement inherited from isomalloc: the restoring process must hold the
 // same iso::Region reservation (same base address and geometry). Region
@@ -39,38 +40,34 @@ const char* to_string(CodecError e);
 
 class Checkpoint {
  public:
-  /// Captures a suspended thread into the checkpoint. Like migration, this
-  /// consumes the thread's local memory: delete the husk afterwards and
-  /// restore() to get it back.
+  /// Captures a suspended thread by migrating it into the checkpoint
+  /// ("migration to disk"): the thread is packed, which consumes its local
+  /// memory. Delete the husk afterwards; decode() + restore_all() of the
+  /// encoded frame brings it back.
   void add(MigratableThread* thread);
 
-  /// Adds an already-packed image (non-destructive checkpointing: the ft
-  /// layer packs, copies the image into the checkpoint, then unpacks the
-  /// original image back in place — a self-migration that leaves the
-  /// thread running).
-  void add_image(ThreadImage image);
-
-  const std::vector<ThreadImage>& images() const { return images_; }
+  /// Captures a suspended thread without disturbing it. Borrows `m`: the
+  /// manifest (and the thread it describes) must stay valid — thread
+  /// unmoved, not resumed — until encode() is done.
+  void add_manifest(const ImageManifest& m);
 
   /// Application metadata stored alongside the threads (iteration number,
   /// RNG state, ...).
   void set_user_data(std::vector<char> bytes) { user_data_ = std::move(bytes); }
   const std::vector<char>& user_data() const { return user_data_; }
 
-  std::size_t thread_count() const { return images_.size(); }
+  /// Threads captured so far, or decoded by decode().
+  std::size_t thread_count() const { return sources_.size() + images_.size(); }
 
-  /// Rebuilds every thread (in add() order). The caller owns the results
-  /// and typically ready()s them on the appropriate schedulers.
+  /// Rebuilds every decoded thread (in capture order). The caller owns the
+  /// results and typically ready()s them on the appropriate schedulers.
   std::vector<MigratableThread*> restore_all(int dest_pe = 0);
 
-  /// Byte-level round trip (also usable to ship a whole checkpoint to a
-  /// remote processor's memory).
-  void pup(pup::Er& p);
-
-  /// Framed serialization: a versioned header plus a CRC-32 of the PUP
+  /// Framed serialization: a versioned header plus a CRC-32C of the PUP
   /// payload, so a restore from storage or a buddy PE can reject truncated
   /// or bit-flipped images with a typed error instead of feeding garbage to
-  /// the PUP layer. Frame layout (little-endian):
+  /// the PUP layer. One pass gathers every captured image into the frame
+  /// and folds the CRC as it copies. Frame layout (little-endian):
   ///   [magic u32][version u32][payload_len u64][crc32 u32][payload bytes]
   std::vector<char> encode() const;
   static CodecError decode(const char* data, std::size_t size,
@@ -82,8 +79,6 @@ class Checkpoint {
   static Checkpoint read_file(const std::string& path);
 
  private:
-  friend class GatherCheckpoint;
-
   struct RegionStamp {
     std::uint64_t base = 0;
     std::uint64_t slot_bytes = 0;
@@ -92,60 +87,19 @@ class Checkpoint {
     void pup(pup::Er& p) { p | base | slot_bytes | slots_per_pe | npes; }
   };
 
+  /// One captured image: a borrowed manifest, or a packed thread's bytes.
+  struct Source {
+    const ImageManifest* manifest = nullptr;
+    std::vector<char> bytes;
+  };
+
   static RegionStamp current_stamp();
-  void note_size(const ThreadImage& image);
+  void stamp_once();
 
   RegionStamp stamp_;
   bool stamped_ = false;
-  std::vector<ThreadImage> images_;
-  std::vector<char> user_data_;
-
-  // PUP sizing cache: packed size per image, measured once when the image
-  // is added and reused by encode() so the size and pack phases of one
-  // checkpoint share a single traversal. Invalidated if any ULT dispatch
-  // happened in between (images are stored by value, so the guard is
-  // belt-and-braces — but a dispatch is the only window in which anyone
-  // could hand us a mutated image).
-  mutable std::vector<std::size_t> image_sizes_;
-  mutable std::uint64_t sized_at_dispatch_ = 0;
-};
-
-/// Zero-copy checkpoint encoder: the ft capture path's replacement for
-/// Checkpoint::add_image(copy) + encode(). Sources are either borrowed
-/// image manifests (gathered straight from the threads' live memory) or
-/// pre-serialized image bytes (the dirty-run cache hands these in), and
-/// encode() writes the frame in a single pass that computes the CRC-32C as
-/// it copies. The produced frame is byte-for-byte what a Checkpoint holding
-/// equivalent images would encode, so decode/restore are unchanged.
-class GatherCheckpoint {
- public:
-  /// Borrows `m` — it must stay valid (thread unmoved, not resumed) until
-  /// encode() is done.
-  void add_manifest(const ImageManifest& m);
-
-  /// Adds one image's pre-serialized PUP bytes (exactly what pup::to_bytes
-  /// of the ThreadImage would produce). Borrows the buffer.
-  void add_image_bytes(const char* data, std::size_t len);
-
-  void set_user_data(std::vector<char> bytes) { user_data_ = std::move(bytes); }
-
-  std::size_t thread_count() const { return sources_.size(); }
-
-  /// Framed single-pass encode (same frame layout as Checkpoint::encode).
-  std::vector<char> encode() const;
-
- private:
-  struct Source {
-    const ImageManifest* manifest;  // either this ...
-    const char* data;               // ... or these
-    std::size_t len;
-  };
-
-  void stamp_once();
-
-  Checkpoint::RegionStamp stamp_;
-  bool stamped_ = false;
-  std::vector<Source> sources_;
+  std::vector<Source> sources_;      ///< capture side (add*, encode)
+  std::vector<ThreadImage> images_;  ///< decode side (decode, restore_all)
   std::vector<char> user_data_;
 };
 

@@ -87,22 +87,6 @@ void IsoThread::complete_pack() {
   migrated_away_ = true;
 }
 
-ThreadImage IsoThread::pack() {
-  trace::emit_flight(trace::Ev::kMigratePackBegin, id(), 0, 0, -1,
-                     trace_tag(Technique::kIsomalloc));
-  metrics::bump(pack_counter(Technique::kIsomalloc));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
-  ThreadImage image = image_from_manifest(pack_manifest(false));
-  complete_pack();
-  if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-  std::size_t wire = 0;
-  for (const std::vector<char>& run : image.slot_data) wire += run.size();
-  trace::emit_flight(trace::Ev::kMigratePackEnd, image.thread_id, 0,
-                     static_cast<std::uint32_t>(wire), -1,
-                     trace_tag(Technique::kIsomalloc));
-  return image;
-}
-
 IsoThread* IsoThread::from_image(ThreadImage image, int dest_pe) {
   iso::Region& region = iso::Region::instance();
   auto* t = new IsoThread(dest_pe, image);

@@ -40,18 +40,6 @@ std::size_t ImageManifest::payload_bytes() const {
   return total;
 }
 
-std::size_t ImageManifest::gather(char* dst, std::size_t cap,
-                                  Crc32* crc) const {
-  if (crc != nullptr) {
-    pup::CrcMemPacker packer(dst, cap, crc);
-    pup_into(packer);
-    return packer.written(dst);
-  }
-  pup::MemPacker packer(dst, cap);
-  pup_into(packer);
-  return packer.written(dst);
-}
-
 std::vector<char> ImageManifest::to_wire(std::uint32_t* crc_out) const {
   std::vector<char> wire(wire_size());
   pup::CrcMemPacker packer(wire.data(), wire.size());
@@ -59,28 +47,6 @@ std::vector<char> ImageManifest::to_wire(std::uint32_t* crc_out) const {
   MFC_CHECK(packer.written(wire.data()) == wire.size());
   if (crc_out != nullptr) *crc_out = packer.crc();
   return wire;
-}
-
-ThreadImage image_from_manifest(const ImageManifest& m) {
-  ThreadImage image;
-  image.technique = m.technique;
-  image.thread_id = m.thread_id;
-  image.accumulated_load = m.accumulated_load;
-  image.saved_sp = m.saved_sp;
-  image.stack_slot = m.stack_slot;
-  image.heap_slots = m.heap_slots;
-  image.slot_data.reserve(m.runs.size());
-  for (const IoRun& run : m.runs) {
-    auto& dst = image.slot_data.emplace_back();
-    if (run.len) dst.assign(run.data, run.data + run.len);
-  }
-  if (m.stack_run.len) {
-    image.stack_bytes.assign(m.stack_run.data,
-                             m.stack_run.data + m.stack_run.len);
-  }
-  image.stack_capacity = m.stack_capacity;
-  image.arena_base = m.arena_base;
-  return image;
 }
 
 std::vector<IoRun> ImageManifest::wire_spans(std::vector<char>* scratch) const {
@@ -129,27 +95,6 @@ std::vector<IoRun> ImageManifest::wire_spans(std::vector<char>* scratch) const {
     MFC_CHECK(p.written(s + off) == trailer);
   }
   spans.push_back({s + off, trailer});
-  return spans;
-}
-
-std::vector<ImageManifest::RunSpan> ImageManifest::layout() const {
-  // Size the metadata prefix with a Sizer (so SlotId's encoding is never
-  // duplicated here), then walk the run framing arithmetically: each run is
-  // an 8-byte length followed by its payload.
-  pup::Sizer s;
-  auto& self = const_cast<ImageManifest&>(*this);
-  s | self.technique | self.thread_id | self.accumulated_load |
-      self.saved_sp | self.stack_slot | self.heap_slots;
-  std::size_t off = s.size() + sizeof(std::size_t);  // + runs count
-  std::vector<RunSpan> spans;
-  spans.reserve(runs.size() + 1);
-  for (const IoRun& run : runs) {
-    off += sizeof(std::size_t);
-    spans.push_back({run.data, run.len, off});
-    off += run.len;
-  }
-  off += sizeof(std::size_t);
-  spans.push_back({stack_run.data, stack_run.len, off});
   return spans;
 }
 

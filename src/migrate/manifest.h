@@ -1,21 +1,20 @@
-// Scatter-gather image manifests — the zero-copy pack path.
+// Scatter-gather image manifests — the one way a thread image is produced.
 //
-// A ThreadImage owns every byte it describes: pack() memcpy's each stack and
-// heap run into vectors, and serialization copies them again. For isomalloc
-// threads that middle copy is pure waste — the runs already sit in
-// page-aligned, self-describing slots at machine-wide-unique addresses. An
-// ImageManifest is the iovec view of the same image: the metadata fields by
-// value plus a list of {pointer, length} runs referencing the thread's live
-// memory. Gathering a manifest into a wire buffer produces byte-for-byte
-// the stream ThreadImage::pup would have produced, folds a streaming
-// CRC-32C per run as it copies, and touches the source memory exactly once.
+// An ImageManifest describes a suspended thread's image: the metadata fields
+// by value plus a list of {pointer, length} runs referencing the thread's
+// live memory. Isomalloc runs already sit in page-aligned, self-describing
+// slots at machine-wide-unique addresses, so they are referenced in place.
+// Gathering a manifest into a wire buffer produces the stream that
+// ThreadImage::pup decodes (ThreadImage is the owning type unpack() takes),
+// folds a streaming CRC-32C per run as it copies, and touches the source
+// memory exactly once. MigratableThread::pack(), the checkpoint encoder and
+// the storm's zero-copy ship all gather manifests; the golden-vector test in
+// tests/migrate_property_test.cc freezes the bytes.
 //
-// Stack-copy and memory-alias threads have no stable source to reference
-// (the saved-stack vector moves; the memfd pages are only mapped while
-// running), so their manifests stage the stack bytes in manifest-owned
-// storage — they keep the copy path but share this codec, as do the
-// checkpoint gather and the dirty-run patch path (layout() exposes where
-// each run's payload lands in the wire stream).
+// Memory-alias threads have no stable source to reference (their memfd
+// pages are only mapped while running), so their manifests stage the stack
+// bytes in manifest-owned storage; stack-copy manifests borrow the saved-
+// stack buffer, which is valid until the thread next runs.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +37,7 @@ struct IoRun {
 class ImageManifest {
  public:
   // Image metadata, field-for-field the same as ThreadImage (and emitted in
-  // the same order on the wire).
+  // the order ThreadImage::pup reads it).
   Technique technique{};
   std::uint64_t thread_id = 0;
   double accumulated_load = 0.0;
@@ -57,37 +56,19 @@ class ImageManifest {
   /// preads its backing file here; runs/stack_run may point into it).
   std::vector<char> staged;
 
-  /// Where one run's payload lands in the serialized stream.
-  struct RunSpan {
-    const char* src;
-    std::size_t len;
-    std::size_t wire_off;
-  };
-
   /// Serialized size (identical to pup::packed_size of the equivalent
   /// ThreadImage). O(#fields + #runs) — no data is touched.
   std::size_t wire_size() const;
 
-  /// Sum of run payload bytes (the "wire" figure pack() reports in traces).
+  /// Sum of run payload bytes (the figure the pack trace span reports).
   std::size_t payload_bytes() const;
 
-  /// Drives `p` exactly as ThreadImage::pup would for the equivalent image.
+  /// Drives `p` exactly as ThreadImage::pup would for the decoded image.
   void pup_into(pup::Er& p) const;
-
-  /// Gathers the serialized stream into `dst` (capacity >= wire_size()).
-  /// Returns bytes written; if `crc` is non-null the streaming CRC-32C is
-  /// folded per run as the bytes are copied.
-  std::size_t gather(char* dst, std::size_t cap, Crc32* crc) const;
 
   /// One-call gather into a fresh vector; `crc_out` receives the CRC-32C of
   /// the returned bytes when non-null.
   std::vector<char> to_wire(std::uint32_t* crc_out = nullptr) const;
-
-  /// Wire offsets of every run payload: entry i covers runs[i], the final
-  /// entry covers stack_run. Offsets are stable across gathers as long as
-  /// the metadata and run lengths are unchanged — the dirty-run patch path
-  /// re-copies only touched runs into a cached wire image at these offsets.
-  std::vector<RunSpan> layout() const;
 
   /// Scatter-gather view of the serialized stream: a span list whose
   /// concatenation is byte-identical to to_wire(), with run payloads

@@ -106,24 +106,10 @@ ImageManifest MemAliasThread::pack_manifest(bool count) {
 
 void MemAliasThread::complete_pack() {
   // The shipped bytes are now the only copy that matters: drop the local
-  // backing file and occupancy, leaving a husk exactly like pack() does.
+  // backing file and occupancy, leaving a husk that must be deleted.
   CommonStackArena::instance().clear_occupant_if(this);
   close(backing_fd_);
   backing_fd_ = -1;
-}
-
-ThreadImage MemAliasThread::pack() {
-  trace::emit_flight(trace::Ev::kMigratePackBegin, id(), 0, 0, -1,
-                     trace_tag(Technique::kMemAlias));
-  metrics::bump(pack_counter(Technique::kMemAlias));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
-  ThreadImage image = image_from_manifest(pack_manifest(false));
-  complete_pack();
-  if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-  trace::emit_flight(trace::Ev::kMigratePackEnd, image.thread_id, 0,
-                     static_cast<std::uint32_t>(image.stack_bytes.size()), -1,
-                     trace_tag(Technique::kMemAlias));
-  return image;
 }
 
 MemAliasThread* MemAliasThread::from_image(ThreadImage image) {

@@ -24,7 +24,6 @@ class MemAliasThread final : public MigratableThread {
   static constexpr std::size_t kDefaultStackBytes = 64 * 1024;
 
   Technique technique() const override { return Technique::kMemAlias; }
-  ThreadImage pack() override;
   ImageManifest pack_manifest(bool count = false) override;
   void complete_pack() override;
   static MemAliasThread* from_image(ThreadImage image);

@@ -19,6 +19,12 @@ const char* to_string(Technique t) {
   return "?";
 }
 
+std::vector<char> MigratableThread::pack() {
+  std::vector<char> wire = pack_manifest(/*count=*/true).to_wire();
+  complete_pack();
+  return wire;
+}
+
 MigratableThread* MigratableThread::unpack(ThreadImage image, int dest_pe) {
   const Technique technique = image.technique;
   const std::uint64_t thread_id = image.thread_id;

@@ -1,6 +1,6 @@
 // Migratable threads — the paper's §3.4.
 //
-// A MigratableThread can be packed into a ThreadImage while suspended,
+// A MigratableThread can be packed into image bytes while suspended,
 // shipped to another PE (or another address space), and unpacked there to
 // continue from the exact point it suspended. All three techniques share
 // the same approach: "guarantee that the stack will have exactly the same
@@ -45,9 +45,9 @@ inline metrics::Counter unpack_counter(Technique t) {
       static_cast<int>(t));
 }
 
-/// Serialized form of a suspended migratable thread. PUP-able, so it can be
-/// embedded in a converse message or written to disk (checkpointing is
-/// "migration to disk", paper §3).
+/// Decoded form of a suspended migratable thread: what unpack() takes. The
+/// wire bytes come from an ImageManifest (pack() and every other ship path
+/// gather one); pup::from_bytes turns them into this owning image.
 struct ThreadImage {
   Technique technique = Technique::kIsomalloc;
   std::uint64_t thread_id = 0;
@@ -72,32 +72,28 @@ struct ThreadImage {
   }
 };
 
-/// Materializes a manifest into an owning ThreadImage (copies every run).
-/// pack() is implemented as pack_manifest() + this + complete_pack(), so
-/// the two paths cannot drift apart.
-ThreadImage image_from_manifest(const ImageManifest& m);
-
 class MigratableThread : public ult::Thread {
  public:
   virtual Technique technique() const = 0;
 
-  /// Packs the thread for shipment. Requires state() == kSuspended (a thread
-  /// cannot pack itself while running). Consumes the thread's local memory:
-  /// after pack() the object is a husk that must be deleted, not resumed.
-  virtual ThreadImage pack() = 0;
+  /// Packs the thread for shipment and returns its wire bytes:
+  /// pack_manifest(/*count=*/true).to_wire(), then complete_pack(). Requires
+  /// state() == kSuspended (a thread cannot pack itself while running).
+  /// Consumes the thread's local memory: after pack() the object is a husk
+  /// that must be deleted, not resumed.
+  std::vector<char> pack();
 
   /// Zero-copy pack: returns an iovec manifest referencing the thread's
   /// live memory (isomalloc slots directly; stack-copy/memory-alias stage
   /// into manifest-owned storage). Non-destructive — the thread stays
   /// suspended and resumable, which is what checkpoint captures want. The
   /// manifest is valid only until the thread next runs, migrates, or dies.
-  /// With `count` true the migration pack trace span and per-technique pack
-  /// counter are emitted, matching what pack() reports. Serializing the
-  /// manifest yields byte-for-byte the stream pup would produce for pack().
+  /// With `count` true the migration pack trace span, pack histogram and
+  /// per-technique pack counter are emitted (a migration, not a capture).
   virtual ImageManifest pack_manifest(bool count = false) = 0;
 
-  /// Destructive epilogue of a manifest-based migration: drops the local
-  /// memory exactly as pack() would have (isomalloc evacuates its slots;
+  /// Destructive epilogue of a migration: drops the local memory now that
+  /// the gathered bytes are the only copy (isomalloc evacuates its slots;
   /// memory-alias closes its backing file). After this the object is a husk
   /// that must be deleted. Not called for checkpoint-style captures.
   virtual void complete_pack() = 0;

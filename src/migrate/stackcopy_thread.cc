@@ -85,20 +85,6 @@ ImageManifest StackCopyThread::pack_manifest(bool count) {
   return m;
 }
 
-ThreadImage StackCopyThread::pack() {
-  trace::emit_flight(trace::Ev::kMigratePackBegin, id(), 0, 0, -1,
-                     trace_tag(Technique::kStackCopy));
-  metrics::bump(pack_counter(Technique::kStackCopy));
-  const std::uint64_t t0 = hist::on() ? rdtsc() : 0;
-  ThreadImage image = image_from_manifest(pack_manifest(false));
-  complete_pack();
-  if (t0 != 0) hist::record(hist::Hist::kMigratePack, rdtsc() - t0);
-  trace::emit_flight(trace::Ev::kMigratePackEnd, image.thread_id, 0,
-                     static_cast<std::uint32_t>(image.stack_bytes.size()), -1,
-                     trace_tag(Technique::kStackCopy));
-  return image;
-}
-
 StackCopyThread* StackCopyThread::from_image(ThreadImage image) {
   CommonStackArena& arena = CommonStackArena::instance();
   MFC_CHECK_MSG(image.arena_base ==

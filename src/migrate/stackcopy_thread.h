@@ -25,7 +25,6 @@ class StackCopyThread final : public MigratableThread {
   static constexpr std::size_t kDefaultStackBytes = 64 * 1024;
 
   Technique technique() const override { return Technique::kStackCopy; }
-  ThreadImage pack() override;
   ImageManifest pack_manifest(bool count = false) override;
   void complete_pack() override {}  // nothing local to drop
 

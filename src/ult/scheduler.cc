@@ -9,10 +9,7 @@ namespace mfc::ult {
 namespace {
 thread_local Scheduler* t_current = nullptr;
 thread_local Scheduler* t_default = nullptr;
-thread_local std::uint64_t t_dispatches = 0;
 }  // namespace
-
-std::uint64_t dispatch_count() { return t_dispatches; }
 
 Scheduler& Scheduler::current() {
   if (t_current) return *t_current;
@@ -88,7 +85,6 @@ bool Scheduler::run_one() {
   Scheduler* prev = t_current;
   t_current = this;
   running_ = t;
-  ++t_dispatches;
   t->state_ = State::kRunning;
   // The slice spans the stack-policy hooks too — staging a stack in/out is
   // time attributable to this thread. Capture the id now: a migratable

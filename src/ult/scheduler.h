@@ -95,10 +95,4 @@ Thread* spawn(Thread::Fn fn, std::size_t stack_bytes =
 inline void yield() { Scheduler::current().yield(); }
 inline void suspend() { Scheduler::current().suspend(); }
 
-/// Number of ULT dispatches this kernel thread has performed (bumped once
-/// per run_one() slice). Cheap monotonic stamp for "has anything run in
-/// between?" guards — e.g. the checkpoint sizing cache is only reusable if
-/// no thread was dispatched between the size and pack phases.
-std::uint64_t dispatch_count();
-
 }  // namespace mfc::ult

@@ -9,10 +9,6 @@
 // survives only as an idle/parking backstop: the consumer parks after a
 // bounded spin, and producers skip the notify syscall entirely unless a
 // consumer is actually parked.
-//
-// MutexMpscQueue is the original mutex+CV implementation, kept as the
-// measured baseline for the messaging benchmarks (bench_micro's converse
-// suite runs the machine in both modes and reports the speedup).
 #pragma once
 
 #include <atomic>
@@ -20,7 +16,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -338,62 +333,6 @@ class IntrusiveMpscChannel {
   // Consumer-private drained chain in FIFO order.
   alignas(64) T* batch_ = nullptr;
   detail::Parker parker_;
-};
-
-/// The pre-rewrite mutex+CV MPSC queue, kept as the measured baseline for
-/// the converse messaging benchmarks (Machine::Config::mutex_baseline).
-template <typename T>
-class MutexMpscQueue {
- public:
-  void push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  std::optional<T> pop_wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || woken_; });
-    woken_ = false;
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  void wake() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      woken_ = true;
-    }
-    cv_.notify_one();
-  }
-
-  bool empty() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.empty();
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool woken_ = false;
 };
 
 }  // namespace mfc

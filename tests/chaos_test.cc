@@ -1,5 +1,5 @@
 // Chaos-layer tests: seeded determinism, injection points threaded through
-// iso/converse/ult, the forked-relay transport, and the shutdown pool books.
+// iso/converse/ult, and the shutdown pool books.
 #include "chaos/chaos.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <mutex>
 #include <vector>
 
-#include "chaos/proc_transport.h"
 #include "converse/machine.h"
 #include "iso/region.h"
 #include "ult/scheduler.h"
@@ -47,12 +46,12 @@ TEST(ChaosDeterminism, KeyedDecisionsArePureFunctionsOfSeed) {
   std::vector<std::uint64_t> draw1, draw2;
   auto sample = [](std::vector<bool>* fires, std::vector<std::uint64_t>* draws) {
     for (std::uint64_t key = 0; key < 256; ++key) {
-      fires->push_back(chaos::keyed_inject(Point::kTransportKill, key));
-      draws->push_back(chaos::keyed_draw(Point::kTransportKill, key, 1 << 20));
+      fires->push_back(chaos::keyed_inject(Point::kProcKill, key));
+      draws->push_back(chaos::keyed_draw(Point::kProcKill, key, 1 << 20));
     }
   };
   chaos::Config cfg = base_config(0xfeedULL);
-  cfg.transport_kill = 0.5;
+  cfg.proc_kill = 0.5;
   {
     ScopedChaos c(cfg);
     sample(&fire1, &draw1);
@@ -328,59 +327,6 @@ TEST(ChaosMachine, RecyclingStillWorksWithChaosOff) {
   auto ps = cv::pool_stats();
   EXPECT_EQ(ps.allocated, ps.freed);
   EXPECT_GT(ps.recycled, 0u) << "sequential sends should hit the pool cache";
-}
-
-// ---------------------------------------------------------------------------
-// Forked-relay transport
-
-std::vector<char> pattern_bytes(std::size_t n, std::uint64_t seed) {
-  mfc::SplitMix64 rng(seed);
-  std::vector<char> v(n);
-  for (auto& b : v) b = static_cast<char>(rng.next());
-  return v;
-}
-
-TEST(ProcTransport, CleanRoundtripEchoesExactly) {
-  chaos::ProcTransport t;
-  // Larger than pipe capacity: exercises the poll-interleaved write/read.
-  auto bytes = pattern_bytes(300 * 1024, 8);
-  auto echoed = t.roundtrip(bytes, /*key=*/1);
-  EXPECT_EQ(echoed, bytes);
-  EXPECT_EQ(t.respawns(), 0u);
-  // Empty shipments are legal.
-  EXPECT_TRUE(t.roundtrip({}, 2).empty());
-}
-
-TEST(ProcTransport, InjectedKillsRespawnAndRecover) {
-  chaos::Config cfg = base_config(17);
-  cfg.transport_kill = 1.0;  // kill every attempt until the bound
-  cfg.max_transport_kills = 3;
-  ScopedChaos c(cfg);
-  chaos::ProcTransport t;
-  auto bytes = pattern_bytes(64 * 1024, 9);
-  auto echoed = t.roundtrip(bytes, /*key=*/0xabcd);
-  EXPECT_EQ(echoed, bytes) << "payload must survive relay deaths intact";
-  EXPECT_EQ(t.respawns(), 3u)
-      << "kill=1.0 burns exactly max_transport_kills attempts";
-  EXPECT_GE(chaos::injections(Point::kTransportKill), 3u);
-}
-
-TEST(ProcTransport, KillPatternReplaysFromSeed) {
-  chaos::Config cfg = base_config(23);
-  cfg.transport_kill = 0.5;
-  auto respawn_count = [&] {
-    ScopedChaos c(cfg);
-    chaos::ProcTransport t;
-    for (std::uint64_t key = 0; key < 12; ++key) {
-      auto bytes = pattern_bytes(4096 + key * 512, key);
-      EXPECT_EQ(t.roundtrip(bytes, key), bytes);
-    }
-    return t.respawns();
-  };
-  std::uint64_t a = respawn_count();
-  std::uint64_t b = respawn_count();
-  EXPECT_EQ(a, b) << "keyed kills must replay bit-identically";
-  EXPECT_GT(a, 0u);
 }
 
 }  // namespace

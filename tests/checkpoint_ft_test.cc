@@ -28,7 +28,6 @@ using mfc::migrate::Checkpoint;
 using mfc::migrate::CodecError;
 using mfc::migrate::IsoThread;
 using mfc::migrate::MigratableThread;
-using mfc::migrate::ThreadImage;
 using mfc::ult::Scheduler;
 using mfc::ult::State;
 
@@ -139,11 +138,11 @@ TEST_F(CheckpointFtFixture, DecodeRejectsForeignBytes) {
 }
 
 TEST_F(CheckpointFtFixture, GatherEncodeMatchesLegacyEncodeExactly) {
-  // The zero-copy encoder must be frame-compatible with Checkpoint: same
-  // threads + same user data ⇒ the same bytes, whether the sources are
-  // borrowed manifests or pre-serialized image blobs. This is what lets
-  // the ft capture path swap encoders per mode without versioning the
-  // wire format.
+  // Both capture styles feed one encoder and must frame the same bytes:
+  // borrowed manifests (non-destructive, the ft capture path) and
+  // destructive add() ("migration to disk") of the very same suspend
+  // points. This is what lets a capture pick either style without
+  // versioning the frame.
   Scheduler sched;
   int r1 = 0, r2 = 0;
   auto* a = new IsoThread(
@@ -168,32 +167,23 @@ TEST_F(CheckpointFtFixture, GatherEncodeMatchesLegacyEncodeExactly) {
   // Zero-copy: borrow manifests straight off the parked threads.
   const mfc::migrate::ImageManifest ma = a->pack_manifest();
   const mfc::migrate::ImageManifest mb = b->pack_manifest();
-  mfc::migrate::GatherCheckpoint gather;
+  Checkpoint gather;
   gather.set_user_data(user);
   gather.add_manifest(ma);
   gather.add_manifest(mb);
+  EXPECT_EQ(gather.thread_count(), 2u);
   const std::vector<char> gather_frame = gather.encode();
 
-  // Mixed sources: manifest for a, pre-serialized bytes for b (the shape
-  // the dirty-run cache produces).
-  const std::vector<char> b_bytes = mb.to_wire();
-  mfc::migrate::GatherCheckpoint mixed;
-  mixed.set_user_data(user);
-  mixed.add_manifest(ma);
-  mixed.add_image_bytes(b_bytes.data(), b_bytes.size());
-  const std::vector<char> mixed_frame = mixed.encode();
-  EXPECT_EQ(mixed_frame, gather_frame);
-
-  // Legacy destructive capture of the very same suspend points.
-  Checkpoint legacy;
-  legacy.set_user_data(user);
-  legacy.add(a);
-  legacy.add(b);
+  // Destructive capture of the same threads.
+  Checkpoint packed;
+  packed.set_user_data(user);
+  packed.add(a);
+  packed.add(b);
   delete a;
   delete b;
-  const std::vector<char> legacy_frame = legacy.encode();
-  ASSERT_EQ(gather_frame.size(), legacy_frame.size());
-  EXPECT_EQ(gather_frame, legacy_frame);
+  const std::vector<char> packed_frame = packed.encode();
+  ASSERT_EQ(gather_frame.size(), packed_frame.size());
+  EXPECT_EQ(gather_frame, packed_frame);
 
   // And the gather frame is a real checkpoint: decode, restore, resume.
   Checkpoint back;
@@ -247,24 +237,23 @@ TEST_F(CheckpointFtFixture, RestoreOverLiveThreadDies) {
   sched.run_until_idle();
   ASSERT_EQ(t->state(), State::kSuspended);
 
-  // Non-destructive capture: pack, keep a copy, unpack the original back in
-  // place (the ft layer's checkpoint path). The thread is now live again.
-  ThreadImage image = t->pack();
+  // Non-destructive capture (the ft layer's checkpoint path): the thread
+  // stays live and keeps its slots.
+  const mfc::migrate::ImageManifest m = t->pack_manifest();
+  Checkpoint captured;
+  captured.add_manifest(m);
   Checkpoint ckpt;
-  ckpt.add_image(image);  // copy
-  delete t;
-  MigratableThread* live = MigratableThread::unpack(std::move(image), 0);
-  ASSERT_NE(live, nullptr);
+  ASSERT_EQ(Checkpoint::decode(captured.encode(), &ckpt), CodecError::kOk);
 
-  // Restoring the checkpoint copy while `live` still owns the slots must
+  // Restoring the checkpoint copy while `t` still owns the slots must
   // abort at the residency guard, not corrupt the running thread's stack.
   EXPECT_DEATH(ckpt.restore_all(0), "resident slot");
 
-  sched.ready(live);
+  sched.ready(t);
   sched.run_until_idle();
-  EXPECT_EQ(live->state(), State::kDone);
+  EXPECT_EQ(t->state(), State::kDone);
   EXPECT_TRUE(resumed);
-  delete live;
+  delete t;
 }
 
 #endif  // MFC_TSAN

@@ -159,9 +159,7 @@ TEST(Converse, QuiescenceUnderMessageStorm) {
   // a storm whose in-flight population grows before it dies out, crossing
   // every messaging path (remote sends, self-send fast path, pooled
   // recycling). wait_quiescence() must not fire early: when it returns,
-  // every PE must observe the storm's exact final handler count. Runs in
-  // both machine modes so the lock-free path and the mutex baseline honor
-  // the same QD semantics.
+  // every PE must observe the storm's exact final handler count.
   struct Hop {
     std::int32_t ttl = 0;
     void pup(mfc::pup::Er& p) { p | ttl; }
@@ -183,22 +181,18 @@ TEST(Converse, QuiescenceUnderMessageStorm) {
   // Fan-out 2 per hop: one seed yields 2^(ttl+1) - 1 handler runs.
   constexpr long kExpected =
       static_cast<long>(kNpes) * kSeeds * ((1L << (kTtl + 1)) - 1);
-  for (bool baseline : {false, true}) {
-    storm_hits = 0;
-    cv::Machine::Config cfg;
-    cfg.npes = kNpes;
-    cfg.mutex_baseline = baseline;
-    cv::Machine::run(cfg, [&](int pe) {
-      for (int s = 0; s < kSeeds; ++s) {
-        Hop seed{kTtl};
-        cv::send_value((pe + s) % kNpes, h, seed);
-      }
-      cv::wait_quiescence();
-      EXPECT_EQ(storm_hits.load(), kExpected)
-          << (baseline ? "mutex_baseline" : "lockfree");
-    });
+  storm_hits = 0;
+  cv::Machine::Config cfg;
+  cfg.npes = kNpes;
+  cv::Machine::run(cfg, [&](int pe) {
+    for (int s = 0; s < kSeeds; ++s) {
+      Hop seed{kTtl};
+      cv::send_value((pe + s) % kNpes, h, seed);
+    }
+    cv::wait_quiescence();
     EXPECT_EQ(storm_hits.load(), kExpected);
-  }
+  });
+  EXPECT_EQ(storm_hits.load(), kExpected);
 }
 
 TEST(Converse, MachineRunsBackToBack) {

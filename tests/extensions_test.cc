@@ -71,9 +71,10 @@ TEST_F(IsoEnv, CheckpointRestartViaMemory) {
   EXPECT_EQ(ckpt.thread_count(), 4u);
 
   // Serialize the whole checkpoint (e.g. to a buddy processor's memory).
-  auto bytes = mfc::pup::to_bytes(ckpt);
+  const std::vector<char> bytes = ckpt.encode();
   Checkpoint restored;
-  mfc::pup::from_bytes(bytes, restored);
+  ASSERT_EQ(Checkpoint::decode(bytes, &restored),
+            mfc::migrate::CodecError::kOk);
 
   int it2 = 0;
   mfc::pup::from_bytes(restored.user_data(), it2);
@@ -155,8 +156,7 @@ TEST_F(IsoEnv, MigrationCrossesAddressSpaces) {
       0);
   sched.ready(t);
   sched.run_until_idle();
-  auto image = t->pack();
-  auto wire = mfc::pup::to_bytes(image);
+  auto wire = t->pack();
   delete t;
 
   pid_t pid = fork();

@@ -150,19 +150,19 @@ TEST(FtStorm, CheckpointOnlyStormIsTransparent) {
 // ---- Incremental (mode 1) and async (mode 2) checkpoint shipping ----
 
 TEST(FtStorm, IncrementalCalmRunMatchesLegacyDigest) {
-  // The zero-copy manifest capture must be invisible to the application:
-  // a calm incremental run reproduces the legacy destructive-pack run's
-  // workload bit-for-bit (same seed, same rounds, same migrations).
-  StormOptions legacy = ft_options(41);
-  legacy.ft_kill_every = 0;
-  StormReport a = chaos::run_storm(legacy);
+  // Incremental shipping must be invisible to the application: a calm
+  // incremental run reproduces the full-blob (mode 0) run's workload
+  // bit-for-bit (same seed, same rounds, same migrations, same blobs).
+  StormOptions full = ft_options(41);
+  full.ft_kill_every = 0;
+  StormReport a = chaos::run_storm(full);
 
   StormOptions incr = ft_options(41);
   incr.ft_kill_every = 0;
   incr.ft_mode = 1;
   StormReport b = chaos::run_storm(incr);
 
-  expect_ft_clean(a, legacy);
+  expect_ft_clean(a, full);
   expect_ft_clean(b, incr);
   EXPECT_EQ(a.ft_epochs, 7u);
   EXPECT_EQ(b.ft_epochs, 7u);

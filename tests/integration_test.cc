@@ -186,7 +186,8 @@ TEST(SwapGlobalMigration, PrivatizedGlobalsTravelViaPup) {
     sched.run_until_idle();
 
     // Migrate thread and its global-set together.
-    auto timage = t->pack();
+    mfc::migrate::ThreadImage timage;
+    mfc::pup::from_bytes(t->pack(), timage);
     auto set_bytes = mfc::pup::to_bytes(*set);
     delete t;
     set.reset();

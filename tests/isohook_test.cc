@@ -99,8 +99,7 @@ TEST_F(HookFixture, UnmodifiedCodeMigratesItsHeap) {
       0);
   sched.ready(t);
   sched.run_until_idle();
-  ThreadImage image = t->pack();
-  auto wire = mfc::pup::to_bytes(image);
+  auto wire = t->pack();
   delete t;
 
   ThreadImage arrived;

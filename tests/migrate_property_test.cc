@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "iso/heap.h"
+#include "migrate/checkpoint.h"
 #include "migrate/iso_thread.h"
 #include "migrate/manifest.h"
 #include "migrate/memalias_thread.h"
@@ -115,8 +116,7 @@ TEST_P(MigrateFuzz, RandomDepthsAndPackPoints) {
     for (int s = 0; s < suspends; ++s) {
       ASSERT_EQ(t->state(), State::kSuspended);
       if (rng.next_below(2) == 0) {
-        auto image = t->pack();
-        auto wire = mfc::pup::to_bytes(image);
+        auto wire = t->pack();
         delete t;
         mfc::migrate::ThreadImage arrived;
         mfc::pup::from_bytes(wire, arrived);
@@ -193,10 +193,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InterleaveFuzz, ::testing::Range(1, 9));
 
 // ---- Scatter-gather manifest equivalence (labeled migrate-perf) ----
 //
-// The zero-copy pack path must be a pure representation change: gathering a
-// thread's ImageManifest onto the wire has to produce byte-for-byte the
-// stream pup::to_bytes(pack()) produces, for every technique, including
-// payloads full of NaN/inf bit patterns and images with zero heap runs.
+// Every ship path must put the same bytes on the wire: pack(), the
+// manifest's to_wire() and its zero-copy span list, for every technique,
+// including payloads full of NaN/inf bit patterns and images with zero heap
+// runs. Decoding those bytes into a ThreadImage and re-encoding it must
+// reproduce them exactly.
 
 class ManifestEquiv : public ::testing::TestWithParam<int> {
  protected:
@@ -325,24 +326,26 @@ TEST_P(ManifestEquiv, IovecWireMatchesBlobWireExactly) {
     span_crc = mfc::crc32(r.data, r.len, span_crc);
   }
 
-  // Legacy blob path on the very same suspend point.
-  mfc::migrate::ThreadImage image = t->pack();
-  const std::vector<char> blob_wire = mfc::pup::to_bytes(image);
+  // The migration pack of the very same suspend point.
+  const std::vector<char> packed = t->pack();
 
-  ASSERT_EQ(iovec_wire.size(), blob_wire.size());
-  EXPECT_TRUE(std::memcmp(iovec_wire.data(), blob_wire.data(),
-                          blob_wire.size()) == 0)
-      << "technique " << technique << " manifest gather diverged from blob";
-  const std::uint32_t wire_crc = mfc::crc32(blob_wire.data(), blob_wire.size());
+  ASSERT_EQ(iovec_wire.size(), packed.size());
+  EXPECT_TRUE(std::memcmp(iovec_wire.data(), packed.data(), packed.size()) ==
+              0)
+      << "technique " << technique << " pack() diverged from the gather";
+  const std::uint32_t wire_crc = mfc::crc32(packed.data(), packed.size());
   EXPECT_EQ(gather_crc, wire_crc);
-  // ...and its receiver checks one crc32 over the arrived blob wire.
+  // ...and its receiver checks one crc32 over the arrived wire.
   EXPECT_EQ(span_crc, wire_crc);
-  expect_corruptions_move_crc(blob_wire);
+  expect_corruptions_move_crc(packed);
 
-  // The iovec bytes are the shipping format: arrive, unpack, resume.
+  // The packed bytes are the shipping format: arrive, decode (re-encoding
+  // the decoded image reproduces them exactly), unpack, resume.
   delete t;
   mfc::migrate::ThreadImage arrived;
-  mfc::pup::from_bytes(iovec_wire, arrived);
+  mfc::pup::from_bytes(packed, arrived);
+  EXPECT_TRUE(mfc::pup::to_bytes(arrived) == packed)
+      << "technique " << technique << " decode/re-encode changed the bytes";
   t = MigratableThread::unpack(std::move(arrived), /*dest_pe=*/1);
   sched.ready(t);
   sched.run_until_idle();
@@ -355,5 +358,86 @@ TEST_P(ManifestEquiv, IovecWireMatchesBlobWireExactly) {
 // Params 0..2 = technique with no heap use (iso case has zero heap runs);
 // param 3 = isomalloc with a live heap slot (heap runs on the wire).
 INSTANTIATE_TEST_SUITE_P(Techniques, ManifestEquiv, ::testing::Range(0, 4));
+
+// ---- Golden wire vectors (labeled migrate-perf) ----
+//
+// A thread image's wire bytes and a checkpoint's frame bytes are formats:
+// other processes, buddy memory and files hold them. They are frozen here
+// as hex, taken from the two-encoder code that preceded the single pack
+// path (ThreadImage copies through pup::to_bytes, and a Checkpoint of
+// ThreadImages). The manifest is built by hand over two static runs, with
+// no thread and no isomalloc region, so the frame's region stamp is zero.
+
+// The image wire, field by field (x86-64, little-endian).
+constexpr char kGoldenWire[] =
+    "01"                                          // technique: isomalloc
+    "efcdab8967452301"                            // thread_id
+    "0000000000000440"                            // accumulated_load 2.5
+    "78563412007f0000"                            // saved_sp
+    "010000000700000001000000"                    // stack_slot {1, 7, 1}
+    "0100000000000000010000002a00000002000000"    // heap_slots {{1, 42, 2}}
+    "0200000000000000"                            // run count
+    "1800000000000000"                            // run 0: 24 bytes
+    "737461636b2072756e3a203234206c697665206279746573"
+    "1000000000000000"                            // run 1: 16 bytes
+    "6865617020736c6f742c203136204221"
+    "0000000000000000"                            // stack_bytes: empty
+    "0000000000000000"                            // stack_capacity
+    "0000000000000000";                           // arena_base
+
+// The checkpoint frame: header, zero region stamp, one image, user data.
+constexpr char kGoldenFrameHead[] =
+    "4b43464d"                                    // magic "MFCK"
+    "02000000"                                    // version 2
+    "be00000000000000"                            // payload_len 190
+    "201892c5"                                    // CRC-32C of the payload
+    "01"                                          // stamped
+    "000000000000000000000000000000000000000000000000"  // region stamp
+    "0100000000000000";                           // image count
+constexpr char kGoldenFrameTail[] =
+    "0400000000000000"                            // user data: 4 bytes
+    "6d666321";                                   // "mfc!"
+
+std::string hex(const std::vector<char>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(2 * bytes.size());
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+TEST(GoldenWire, ManifestImageAndCheckpointBytesAreFrozen) {
+  static const char kStackRun[] = "stack run: 24 live bytes";
+  static const char kHeapRun[] = "heap slot, 16 B!";
+  mfc::migrate::ImageManifest m;
+  m.technique = mfc::migrate::Technique::kIsomalloc;
+  m.thread_id = 0x0123456789abcdefULL;
+  m.accumulated_load = 2.5;
+  m.saved_sp = 0x00007f0012345678ULL;
+  m.stack_slot = {1, 7, 1};
+  m.heap_slots = {{1, 42, 2}};
+  m.runs = {{kStackRun, sizeof kStackRun - 1}, {kHeapRun, sizeof kHeapRun - 1}};
+
+  const std::vector<char> wire = m.to_wire();
+  EXPECT_EQ(wire.size(), 145u);
+  EXPECT_EQ(hex(wire), kGoldenWire);
+
+  // The decode type re-encodes to the same bytes.
+  mfc::migrate::ThreadImage image;
+  mfc::pup::from_bytes(wire, image);
+  EXPECT_EQ(hex(mfc::pup::to_bytes(image)), kGoldenWire);
+
+  mfc::migrate::Checkpoint ckpt;
+  ckpt.add_manifest(m);
+  ckpt.set_user_data({'m', 'f', 'c', '!'});
+  const std::vector<char> frame = ckpt.encode();
+  EXPECT_EQ(frame.size(), 210u);
+  EXPECT_EQ(hex(frame), std::string(kGoldenFrameHead) + kGoldenWire +
+                            kGoldenFrameTail);
+}
 
 }  // namespace

@@ -81,8 +81,7 @@ void run_migration_roundtrip(Scheduler& sched, ProbeState& probe,
   ASSERT_TRUE(probe.before_ok);
 
   // Pack and serialize exactly as the converse migration message would.
-  ThreadImage image = t->pack();
-  std::vector<char> wire = mfc::pup::to_bytes(image);
+  std::vector<char> wire = t->pack();
   delete t;
 
   ThreadImage arrived;
@@ -130,7 +129,8 @@ TEST_F(MigrateFixture, IsoThreadIdentityAndLoadSurviveMigration) {
   sched.ready(t);
   sched.run_until_idle();
   const auto id = t->id();
-  ThreadImage image = t->pack();
+  ThreadImage image;
+  mfc::pup::from_bytes(t->pack(), image);
   delete t;
   auto* t2 = MigratableThread::unpack(std::move(image), 2);
   EXPECT_EQ(t2->id(), id);
@@ -156,7 +156,8 @@ TEST_F(MigrateFixture, StackAddressesIdenticalBeforeAndAfter) {
       0);
   sched.ready(t);
   sched.run_until_idle();
-  ThreadImage image = t->pack();
+  ThreadImage image;
+  mfc::pup::from_bytes(t->pack(), image);
   delete t;
   auto* t2 = MigratableThread::unpack(std::move(image), 3);
   sched.ready(t2);
@@ -255,7 +256,8 @@ TEST_F(MigrateFixture, IsoSlotsTravelWithMigration) {
   EXPECT_GT(used_running, used_before);
   sched.ready(t);
   sched.run_until_idle();
-  ThreadImage image = t->pack();
+  ThreadImage image;
+  mfc::pup::from_bytes(t->pack(), image);
   delete t;
   // Slots still reserved (they belong to the in-flight image), pages dropped.
   EXPECT_EQ(region.used_slots(0), used_running);

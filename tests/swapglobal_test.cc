@@ -122,9 +122,8 @@ TEST(SwapGlobalMigrate, MemAliasThreadCarriesPrivateGlobalsAcrossMigration) {
 
   // Source PE: pack the thread and pup its global set separately.
   auto set_bytes = mfc::pup::to_bytes(src);
-  mfc::migrate::ThreadImage image = t->pack();
+  auto wire = t->pack();
   delete t;
-  auto wire = mfc::pup::to_bytes(image);
 
   // Destination PE: rebuild image + set, re-attach, resume on a new
   // scheduler (a different kernel-thread context in the real machine).
