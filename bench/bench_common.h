@@ -53,10 +53,13 @@ inline bool write_msg_bench_json(const char* path, const char* suite,
   if (f == nullptr) return false;
   const auto info = query_sysinfo();
   std::fprintf(f, "{\n  \"suite\": \"%s\",\n", suite);
+  // guard_pages names the isomalloc evacuation branch every row ran on
+  // (guard markers, or the PROT_NONE remap fallback).
   std::fprintf(f,
                "  \"platform\": {\"os\": \"%s\", \"arch\": \"%s\", "
-               "\"ncpus\": %d},\n",
-               info.os.c_str(), info.arch.c_str(), info.ncpus);
+               "\"ncpus\": %d, \"guard_pages\": %s},\n",
+               info.os.c_str(), info.arch.c_str(), info.ncpus,
+               probe_guard_pages() ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const MsgBenchRow& r = rows[i];

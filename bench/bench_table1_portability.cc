@@ -65,6 +65,8 @@ int main() {
   std::printf("  %-42s %s\n", "fork (process flows)", yn(caps.fork_works));
   std::printf("  %-42s %s\n", "agreed stack base via private arena",
               yn(caps.stack_base_fixed));
+  std::printf("  %-42s %s\n", "madvise guard markers (iso evacuation)",
+              yn(caps.guard_pages));
 
   mfc::iso::Region::Config cfg;
   cfg.npes = 1;

@@ -415,10 +415,12 @@ ft::DirtyTracker* pe_tracker(int pe) {
                              : g->trackers[static_cast<std::size_t>(pe)].get();
 }
 
-/// Deregisters `t`'s stack slot from this PE's write barrier, if tracked.
-/// Must run before any pack/evacuate: iso::Region::evacuate remaps the
-/// slot with MAP_FIXED, which silently clears page protection and would
-/// leave a stale registry entry behind for the fault handler to trip over.
+/// Deregisters `t`'s stack slot from this PE's write barrier, if tracked,
+/// which also restores its write access. Must run before any pack/evacuate:
+/// iso::Region::evacuate keeps the slot's protection under its guard
+/// markers, so a still-armed slot would come back read-only when it is
+/// installed in this process again, its writes faulting into a stale
+/// registry entry.
 void untrack_worker(int pe, migrate::MigratableThread* t) {
   ft::DirtyTracker* tracker = pe_tracker(pe);
   if (tracker == nullptr ||

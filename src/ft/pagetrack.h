@@ -19,9 +19,12 @@
 //   - bind_thread() must run once on every kernel thread that may touch a
 //     protected range: faults on a protected ULT *stack* need an alternate
 //     signal stack, or the kernel cannot even push the signal frame.
-//   - untrack() before the underlying pages are unmapped or remapped
-//     (iso::Region::evacuate does a MAP_FIXED mmap, which silently clears
-//     page protection and would leave a stale registry entry).
+//   - untrack() before the underlying pages are unmapped, remapped or
+//     evacuated. This is required for correctness: iso::Region::evacuate
+//     installs guard markers and leaves the protection as it is, so an
+//     armed range would come back read-only on install, its writes
+//     faulting into a stale registry entry. (The remap fallback clears the
+//     protection instead, but still leaves the stale entry.)
 //
 // The fault handler is lock-free: it scans a fixed array of atomically
 // published range slots and touches only atomics and mprotect. Faults that

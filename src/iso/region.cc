@@ -10,6 +10,7 @@
 #include "trace/trace.h"
 #include "util/check.h"
 #include "util/log.h"
+#include "util/sysinfo.h"
 
 namespace mfc::iso {
 
@@ -48,14 +49,17 @@ Region::Region(const Config& config) : config_(config) {
   base_ = mmap(nullptr, total_bytes_, PROT_NONE,
                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   MFC_CHECK_MSG(base_ != MAP_FAILED, "isomalloc reservation failed");
+  guard_markers_ = probe_guard_pages();
   strips_ = std::vector<Strip>(static_cast<std::size_t>(config_.npes));
   for (auto& strip : strips_) {
     strip.used.assign(config_.slots_per_pe, false);
     strip.resident.assign(config_.slots_per_pe, false);
+    strip.mapped.assign(config_.slots_per_pe, false);
   }
-  MFC_LOG_INFO("isomalloc region: base=%p bytes=%zu (%d PEs x %u slots x %zu B)",
+  MFC_LOG_INFO("isomalloc region: base=%p bytes=%zu (%d PEs x %u slots x %zu B, "
+               "evacuate by %s)",
                base_, total_bytes_, config_.npes, config_.slots_per_pe,
-               config_.slot_bytes);
+               config_.slot_bytes, guard_markers_ ? "guard markers" : "remap");
 }
 
 Region::~Region() { munmap(base_, total_bytes_); }
@@ -84,6 +88,7 @@ SlotId Region::try_acquire(int pe, std::uint32_t count) {
     for (std::uint32_t k = 0; k < count; ++k) {
       strip.used[start + k] = true;
       strip.resident[start + k] = true;
+      strip.mapped[start + k] = true;
     }
     strip.used_count += count;
     strip.search_hint = (start + count) % n;
@@ -114,7 +119,9 @@ void Region::release(SlotId id) {
   MFC_CHECK(id.valid());
   trace::emit(trace::Ev::kIsoSlotRelease, 0, id.index, id.count,
               static_cast<std::int16_t>(id.pe));
-  evacuate(id);
+  // A freed slot returns to the PROT_NONE reservation; try_acquire maps it
+  // afresh.
+  drop(id, /*keep_mapping=*/false);
   if (g_lease_owner_local && !g_lease_owner_local(id.pe)) {
     // Leased strip owned by another process: this process's bitmap copy
     // never recorded the acquire, so the free order travels to the birth
@@ -193,7 +200,14 @@ void Region::map_rw(SlotId id) {
   MFC_CHECK_MSG(r == addr, "iso install remap failed");
 }
 
-void Region::evacuate(SlotId id) {
+void Region::advise(SlotId id, int advice) {
+  MFC_CHECK_MSG(madvise(slot_base(id), slot_span(id), advice) == 0,
+                "iso guard-marker madvise failed");
+}
+
+void Region::evacuate(SlotId id) { drop(id, /*keep_mapping=*/guard_markers_); }
+
+void Region::drop(SlotId id, bool keep_mapping) {
   MFC_CHECK(id.valid());
   Strip& strip = strips_[static_cast<std::size_t>(id.pe)];
   {
@@ -203,14 +217,22 @@ void Region::evacuate(SlotId id) {
                     "evacuating an iso slot with no resident pages "
                     "(double pack?)");
       strip.resident[id.index + k] = false;
+      strip.mapped[id.index + k] = keep_mapping;
     }
   }
-  map_none(id);
+  // Guard markers drop the pages as the PROT_NONE remap does, and a touch
+  // still faults, but the VMA tree is left alone.
+  if (keep_mapping) {
+    advise(id, kMadvGuardInstall);
+  } else {
+    map_none(id);
+  }
 }
 
 void Region::install(SlotId id) {
   MFC_CHECK(id.valid());
   Strip& strip = strips_[static_cast<std::size_t>(id.pe)];
+  bool mapped = true;
   {
     std::lock_guard<std::mutex> lock(strip.mutex);
     for (std::uint32_t k = 0; k < id.count; ++k) {
@@ -219,9 +241,18 @@ void Region::install(SlotId id) {
                     "lives at these addresses (restoring a checkpoint over "
                     "a live thread?)");
       strip.resident[id.index + k] = true;
+      mapped = mapped && strip.mapped[id.index + k];
+      strip.mapped[id.index + k] = true;
     }
   }
-  map_rw(id);
+  // A slot this process evacuated is still mapped: lifting its markers
+  // leaves zero-fill pages. A remote arrival (or a respawned process)
+  // finds the PROT_NONE reservation and maps it.
+  if (mapped) {
+    advise(id, kMadvGuardRemove);
+  } else {
+    map_rw(id);
+  }
 }
 
 bool Region::contains(const void* p) const {

@@ -9,9 +9,14 @@
 // the bytes in — no pointer inside the thread's stack or heap ever needs
 // fixing up.
 //
-// Physical memory is only committed for locally-resident slots: everything
-// else stays PROT_NONE, exactly the paper's use of mmap to keep the
-// (potentially enormous) reservation cheap.
+// Physical memory is only committed for locally-resident slots, exactly the
+// paper's use of mmap to keep the (potentially enormous) reservation cheap.
+// A slot this process has not mapped, or has released, stays PROT_NONE. A
+// slot whose thread departed keeps its R/W mapping but loses its pages
+// behind madvise guard markers (Linux >= 6.13), so touching it still raises
+// SIGSEGV. Guard markers take the mmap lock only for reading, where a remap
+// would stall every other PE of the process on it. Where the kernel rejects
+// them, evacuation remaps the slot PROT_NONE instead.
 #pragma once
 
 #include <cstddef>
@@ -69,13 +74,19 @@ class Region {
   void* slot_base(SlotId id) const;
   std::size_t slot_span(SlotId id) const { return id.count * config_.slot_bytes; }
 
-  /// Migration: drop the local pages (after the contents were packed).
-  /// Aborts on a slot that is not locally resident (double evacuate).
+  /// Migration: drop the local pages (after the contents were packed);
+  /// any later touch faults. Aborts on a slot that is not locally resident
+  /// (double evacuate).
   void evacuate(SlotId id);
-  /// Migration: re-map the same addresses read/write (before unpacking).
-  /// Aborts on a slot that is ALREADY resident — the guard that catches a
-  /// checkpoint image restored over a live thread occupying the same slots.
+  /// Migration: make the same addresses read/write again, zero-filled
+  /// (before unpacking). Aborts on a slot that is ALREADY resident — the
+  /// guard that catches a checkpoint image restored over a live thread
+  /// occupying the same slots.
   void install(SlotId id);
+
+  /// True when evacuate()/install() use guard markers, false on the remap
+  /// fallback (probed once per region).
+  bool guard_markers() const { return guard_markers_; }
 
   /// True when `p` points inside the isomalloc reservation — used by the
   /// malloc-interposition layer to route free() correctly.
@@ -127,16 +138,27 @@ class Region {
     /// here. Distinct from `used` — a packed thread's slots stay *used*
     /// (identity reserved machine-wide) but not *resident* (pages dropped).
     std::vector<bool> resident;
+    /// Per-slot VMA state in this process: true while the slot's range is
+    /// mapped R/W here, resident or evacuated behind guard markers. False
+    /// for the PROT_NONE reservation, which is what a remote arrival or a
+    /// zygote-respawned process finds. fork() copies it with the VMAs.
+    std::vector<bool> mapped;
     std::uint32_t used_count = 0;
     std::uint32_t search_hint = 0;  ///< next-fit start for contiguous scans
   };
 
+  /// Clears residency and drops the pages, keeping the R/W mapping behind
+  /// guard markers or remapping the span PROT_NONE.
+  void drop(SlotId id, bool keep_mapping);
+
   /// Raw page-table operations (no residency bookkeeping): mmap the slot
-  /// span R/W or back to PROT_NONE.
+  /// span R/W or back to PROT_NONE, or madvise a guard-marker edit over it.
   void map_rw(SlotId id);
   void map_none(SlotId id);
+  void advise(SlotId id, int advice);
 
   Config config_;
+  bool guard_markers_ = false;
   void* base_ = nullptr;
   std::size_t total_bytes_ = 0;
   std::vector<Strip> strips_;

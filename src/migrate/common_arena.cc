@@ -6,35 +6,37 @@
 
 namespace mfc::migrate {
 
-CommonStackArena& CommonStackArena::instance() {
-  static CommonStackArena arena(kDefaultCapacity);
+CommonStackArena& CommonStackArena::stack_copy() {
+  static CommonStackArena arena;
   return arena;
 }
 
-CommonStackArena::CommonStackArena(std::size_t capacity) : capacity_(capacity) {
-  base_ = mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
+CommonStackArena& CommonStackArena::mem_alias() {
+  static CommonStackArena arena;
+  return arena;
+}
+
+namespace {
+// Reserve both arenas at load time, so every process a machine forks
+// inherits them at the same addresses whichever technique runs first.
+[[maybe_unused]] const bool g_arenas_reserved =
+    (CommonStackArena::stack_copy(), CommonStackArena::mem_alias(), true);
+}  // namespace
+
+CommonStackArena::CommonStackArena() {
+  base_ = mmap(nullptr, kCapacity, PROT_READ | PROT_WRITE,
                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   MFC_CHECK_MSG(base_ != MAP_FAILED, "common stack arena reservation failed");
 }
 
-CommonStackArena::~CommonStackArena() { munmap(base_, capacity_); }
-
-void CommonStackArena::map_fresh(std::size_t bytes) {
-  MFC_CHECK(bytes <= capacity_);
-  void* addr = top() - bytes;
-  void* r = mmap(addr, bytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0);
-  MFC_CHECK_MSG(r == addr, "arena map_fresh failed");
-  fd_extent_ = bytes >= fd_extent_ ? 0 : fd_extent_;
-}
+CommonStackArena::~CommonStackArena() { munmap(base_, kCapacity); }
 
 void CommonStackArena::map_fd(int fd, std::size_t bytes) {
-  MFC_CHECK(bytes <= capacity_);
+  MFC_CHECK(bytes <= kCapacity);
   void* addr = top() - bytes;
   void* r = mmap(addr, bytes, PROT_READ | PROT_WRITE,
                  MAP_SHARED | MAP_FIXED, fd, 0);
   MFC_CHECK_MSG(r == addr, "arena map_fd failed");
-  if (bytes > fd_extent_) fd_extent_ = bytes;
 }
 
 }  // namespace mfc::migrate

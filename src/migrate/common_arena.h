@@ -1,11 +1,15 @@
-// The "one address system-wide" execution arena shared by the stack-copy
-// and memory-alias techniques (paper §3.4.1, §3.4.3).
+// The "one address system-wide" execution arenas of the stack-copy and
+// memory-alias techniques (paper §3.4.1, §3.4.3), one arena per technique.
 //
-// A single region of virtual address space is reserved at an address every
-// processor agrees on (in-process PEs share it trivially; the fork transport
-// inherits it). Exactly one thread may execute on the arena at a time — the
-// paper's stated limitation for both techniques — enforced with a mutex held
-// from switch-in to switch-out.
+// Each arena is a region of virtual address space reserved at an address
+// every processor agrees on (in-process PEs share it trivially; forked
+// processes inherit it). Both are reserved when the library loads, so they
+// exist before any Machine::run forks. Exactly one thread may execute on an
+// arena at a time — the paper's stated limitation for both techniques —
+// enforced with a mutex held from switch-in to switch-out; a stack-copy and
+// a memory-alias thread may therefore run at once on two PEs. A stack-copy
+// arena never holds a memory-alias thread's file pages, so its switch-in is
+// a memcpy and never a remap.
 #pragma once
 
 #include <atomic>
@@ -16,27 +20,23 @@ namespace mfc::migrate {
 
 class CommonStackArena {
  public:
-  /// Process-wide arena, created on first use. `capacity` is the maximum
-  /// stack size any stack-copy/memory-alias thread may request (fixed once
-  /// created; default 16 MB).
-  static CommonStackArena& instance();
-  static constexpr std::size_t kDefaultCapacity = 16 * 1024 * 1024;
+  /// The process-wide arena of each technique. `kCapacity` is the maximum
+  /// stack size a thread of that technique may request.
+  static CommonStackArena& stack_copy();
+  static CommonStackArena& mem_alias();
+  static constexpr std::size_t kCapacity = 16 * 1024 * 1024;
 
   void* base() const { return base_; }
-  std::size_t capacity() const { return capacity_; }
   /// Stacks grow downward from the arena top.
-  char* top() const { return static_cast<char*>(base_) + capacity_; }
+  char* top() const { return static_cast<char*>(base_) + kCapacity; }
 
   /// Serializes arena occupancy ("only one thread active per address
   /// space"). Locked by on_switch_in, released by on_switch_out.
   void lock() { mutex_.lock(); }
   void unlock() { mutex_.unlock(); }
 
-  /// Occupancy bookkeeping (guarded by the lock): which thread's pages are
-  /// currently mapped, and how many bytes of the arena top are backed by a
-  /// memfd instead of anonymous memory. Lets switch-in paths skip remaps
-  /// that are not needed and lets stack-copy threads restore anonymous
-  /// pages before writing over a memory-alias occupant's file pages.
+  /// Which memory-alias thread's pages are currently mapped (guarded by the
+  /// lock), so a thread that was also the previous occupant skips its remap.
   const void* occupant() const {
     return occupant_.load(std::memory_order_acquire);
   }
@@ -52,25 +52,18 @@ class CommonStackArena {
     occupant_.compare_exchange_strong(expected, nullptr,
                                       std::memory_order_acq_rel);
   }
-  std::size_t fd_extent() const { return fd_extent_; }
-
-  /// Replaces the arena pages with fresh anonymous memory (stack-copy
-  /// switch-in paths map-over instead of memset; also used by tests).
-  void map_fresh(std::size_t bytes);
 
   /// Maps `bytes` from `fd` (offset 0) at the arena top — the memory-alias
   /// switch-in (Figure 3).
   void map_fd(int fd, std::size_t bytes);
 
  private:
-  explicit CommonStackArena(std::size_t capacity);
+  CommonStackArena();
   ~CommonStackArena();
 
   void* base_ = nullptr;
-  std::size_t capacity_ = 0;
   std::mutex mutex_;
   std::atomic<const void*> occupant_{nullptr};
-  std::size_t fd_extent_ = 0;
 };
 
 }  // namespace mfc::migrate

@@ -15,7 +15,7 @@ namespace mfc::migrate {
 
 MemAliasThread::MemAliasThread(Fn fn, std::size_t stack_bytes)
     : MigratableThread(std::move(fn)), stack_bytes_(stack_bytes) {
-  MFC_CHECK(stack_bytes_ <= CommonStackArena::instance().capacity());
+  MFC_CHECK(stack_bytes_ <= CommonStackArena::kCapacity);
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   stack_bytes_ = (stack_bytes_ + page - 1) & ~(page - 1);
   create_backing();
@@ -43,12 +43,12 @@ void MemAliasThread::create_backing() {
 MemAliasThread::~MemAliasThread() {
   // Clear stale occupancy: a later thread allocated at this address must
   // not be mistaken for us and skip mapping its own pages.
-  CommonStackArena::instance().clear_occupant_if(this);
+  CommonStackArena::mem_alias().clear_occupant_if(this);
   if (backing_fd_ >= 0) close(backing_fd_);
 }
 
 void MemAliasThread::on_switch_in() {
-  CommonStackArena& arena = CommonStackArena::instance();
+  CommonStackArena& arena = CommonStackArena::mem_alias();
   arena.lock();
   // The switch itself: one mmap aliases this thread's pages over the common
   // stack address. No data is copied — the virtual memory hardware does the
@@ -66,24 +66,22 @@ void MemAliasThread::on_switch_in() {
 
 void MemAliasThread::on_switch_out() {
   // Stack writes went straight to the backing pages (MAP_SHARED); nothing to
-  // copy. The alias stays mapped: the next occupant replaces it (memory-
-  // alias peers map their own fd; stack-copy peers restore anonymous pages
-  // first — see StackCopyThread::on_switch_in).
-  CommonStackArena::instance().unlock();
+  // copy. The alias stays mapped until the next occupant maps its own fd.
+  CommonStackArena::mem_alias().unlock();
 }
 
 ImageManifest MemAliasThread::pack_manifest(bool count) {
   MFC_CHECK_MSG(state() == ult::State::kSuspended,
                 "pack_manifest() requires a suspended thread");
   const std::uint64_t t0 = count && hist::on() ? rdtsc() : 0;
-  CommonStackArena& arena = CommonStackArena::instance();
   ImageManifest m;
   m.technique = Technique::kMemAlias;
   m.thread_id = id();
   m.accumulated_load = accumulated_load();
   m.saved_sp = reinterpret_cast<std::uint64_t>(saved_sp());
   m.stack_capacity = stack_bytes_;
-  m.arena_base = reinterpret_cast<std::uint64_t>(arena.base());
+  m.arena_base =
+      reinterpret_cast<std::uint64_t>(CommonStackArena::mem_alias().base());
   // No stable in-address-space source: the pages live in the backing file
   // and are only mapped while running. Stage them into the manifest (this
   // technique keeps the copy path; it shares only the codec). The fd stays
@@ -107,15 +105,14 @@ ImageManifest MemAliasThread::pack_manifest(bool count) {
 void MemAliasThread::complete_pack() {
   // The shipped bytes are now the only copy that matters: drop the local
   // backing file and occupancy, leaving a husk that must be deleted.
-  CommonStackArena::instance().clear_occupant_if(this);
+  CommonStackArena::mem_alias().clear_occupant_if(this);
   close(backing_fd_);
   backing_fd_ = -1;
 }
 
 MemAliasThread* MemAliasThread::from_image(ThreadImage image) {
-  CommonStackArena& arena = CommonStackArena::instance();
-  MFC_CHECK_MSG(image.arena_base ==
-                    reinterpret_cast<std::uint64_t>(arena.base()),
+  MFC_CHECK_MSG(image.arena_base == reinterpret_cast<std::uint64_t>(
+                                        CommonStackArena::mem_alias().base()),
                 "memory-alias migration requires the same common stack "
                 "address on both processors");
   auto* t = new MemAliasThread(image);

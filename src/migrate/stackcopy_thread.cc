@@ -1,6 +1,5 @@
 #include "migrate/stackcopy_thread.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "trace/flight.h"
@@ -12,11 +11,7 @@ namespace mfc::migrate {
 
 StackCopyThread::StackCopyThread(Fn fn, std::size_t stack_bytes)
     : MigratableThread(std::move(fn)), stack_bytes_(stack_bytes) {
-  MFC_CHECK(stack_bytes_ <= CommonStackArena::instance().capacity());
-}
-
-StackCopyThread::~StackCopyThread() {
-  CommonStackArena::instance().clear_occupant_if(this);
+  MFC_CHECK(stack_bytes_ <= CommonStackArena::kCapacity);
 }
 
 StackCopyThread::StackCopyThread(const ThreadImage& image)
@@ -26,15 +21,8 @@ StackCopyThread::StackCopyThread(const ThreadImage& image)
       saved_(image.stack_bytes) {}
 
 void StackCopyThread::on_switch_in() {
-  CommonStackArena& arena = CommonStackArena::instance();
+  CommonStackArena& arena = CommonStackArena::stack_copy();
   arena.lock();  // "only one thread active in each address space"
-  // If a memory-alias thread's file pages are mapped over the arena,
-  // restore anonymous memory before writing (otherwise the memcpy would
-  // scribble on that thread's backing file).
-  if (arena.fd_extent() > 0) {
-    arena.map_fresh(std::max(arena.fd_extent(), stack_bytes_));
-  }
-  arena.set_occupant(this);
   if (!started_) {
     // First run: build the bootstrap frame directly at the arena address.
     init_context(arena.top() - stack_bytes_, stack_bytes_);
@@ -46,11 +34,11 @@ void StackCopyThread::on_switch_in() {
 }
 
 void StackCopyThread::on_switch_out() {
-  CommonStackArena& arena = CommonStackArena::instance();
+  CommonStackArena& arena = CommonStackArena::stack_copy();
   if (state() != ult::State::kDone) {
     // Everything from the saved stack pointer to the arena top is live.
     auto* sp = static_cast<char*>(saved_sp());
-    MFC_CHECK(sp > arena.top() - arena.capacity() && sp <= arena.top());
+    MFC_CHECK(sp > arena.base() && sp <= arena.top());
     saved_.assign(sp, arena.top());
   } else {
     saved_.clear();
@@ -62,7 +50,6 @@ ImageManifest StackCopyThread::pack_manifest(bool count) {
   MFC_CHECK_MSG(state() == ult::State::kSuspended,
                 "pack_manifest() requires a suspended thread");
   const std::uint64_t t0 = count && hist::on() ? rdtsc() : 0;
-  CommonStackArena& arena = CommonStackArena::instance();
   ImageManifest m;
   m.technique = Technique::kStackCopy;
   m.thread_id = id();
@@ -72,7 +59,8 @@ ImageManifest StackCopyThread::pack_manifest(bool count) {
   // while suspended; the manifest borrows it (valid until the thread runs).
   m.stack_run = {saved_.data(), saved_.size()};
   m.stack_capacity = stack_bytes_;
-  m.arena_base = reinterpret_cast<std::uint64_t>(arena.base());
+  m.arena_base =
+      reinterpret_cast<std::uint64_t>(CommonStackArena::stack_copy().base());
   if (count) {
     trace::emit_flight(trace::Ev::kMigratePackBegin, m.thread_id, 0, 0, -1,
                        trace_tag(Technique::kStackCopy));
@@ -86,9 +74,8 @@ ImageManifest StackCopyThread::pack_manifest(bool count) {
 }
 
 StackCopyThread* StackCopyThread::from_image(ThreadImage image) {
-  CommonStackArena& arena = CommonStackArena::instance();
-  MFC_CHECK_MSG(image.arena_base ==
-                    reinterpret_cast<std::uint64_t>(arena.base()),
+  MFC_CHECK_MSG(image.arena_base == reinterpret_cast<std::uint64_t>(
+                                        CommonStackArena::stack_copy().base()),
                 "stack-copy migration requires the same system-wide stack "
                 "address on both processors (paper §3.4.1)");
   auto* t = new StackCopyThread(image);

@@ -1,6 +1,6 @@
 // Stack-copying threads (paper §3.4.1).
 //
-// Every thread executes at the single system-wide arena address; the
+// Every thread executes at the stack-copy arena's system-wide address; the
 // scheduler copies the thread's live stack bytes into the arena before
 // running it and back out to a private buffer when it stops. Migration is
 // trivial (the buffer ships as-is), but every context switch pays a memcpy
@@ -20,7 +20,6 @@ class StackCopyThread final : public MigratableThread {
  public:
   explicit StackCopyThread(Fn fn,
                            std::size_t stack_bytes = kDefaultStackBytes);
-  ~StackCopyThread() override;
 
   static constexpr std::size_t kDefaultStackBytes = 64 * 1024;
 

@@ -83,6 +83,17 @@ bool probe_fork() {
 
 }  // namespace
 
+bool probe_guard_pages() {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* p = mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) return false;
+  const bool ok = madvise(p, page, kMadvGuardInstall) == 0 &&
+                  madvise(p, page, kMadvGuardRemove) == 0;
+  munmap(p, page);
+  return ok;
+}
+
 Capabilities probe_capabilities() {
   Capabilities caps;
   caps.mmap_fixed = probe_mmap_fixed();
@@ -95,6 +106,7 @@ Capabilities probe_capabilities() {
   // execution address agreed at startup, so we report the capability of the
   // arena approach rather than parsing ASLR state.
   caps.stack_base_fixed = caps.mmap_fixed;
+  caps.guard_pages = probe_guard_pages();
   return caps;
 }
 

@@ -29,8 +29,20 @@ struct Capabilities {
                                 ///< (required by stack-copy on the *system* stack;
                                 ///< our implementation uses its own arena, so this
                                 ///< is informational)
+  bool guard_pages = false;     ///< madvise guard markers (Linux >= 6.13): isomalloc
+                                ///< evacuates without remapping
 };
 
 Capabilities probe_capabilities();
+
+/// madvise advice values of Linux 6.13's guard markers (older libc headers
+/// lack MADV_GUARD_INSTALL / MADV_GUARD_REMOVE).
+inline constexpr int kMadvGuardInstall = 102;
+inline constexpr int kMadvGuardRemove = 103;
+
+/// One-page probe for madvise(MADV_GUARD_INSTALL / MADV_GUARD_REMOVE).
+/// False where the kernel rejects the advice (EINVAL before Linux 6.13);
+/// iso::Region then evacuates slots by remapping them PROT_NONE.
+bool probe_guard_pages();
 
 }  // namespace mfc

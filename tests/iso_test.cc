@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "expect_segv.h"
 #include "iso/heap.h"
 #include "iso/region.h"
 #include "util/rng.h"
@@ -66,6 +67,60 @@ TEST_F(IsoFixture, EvacuateDropsAndInstallRestoresWritability) {
   r.install(id);
   p[0] = 43;  // must not fault
   EXPECT_EQ(p[0], 43);
+  r.release(id);
+}
+
+// The safety property of evacuation: an evacuated slot holds no pages, and
+// any touch of it raises SIGSEGV instead of reading stale or fresh memory.
+volatile char* evacuated_slot(Region& r, SlotId& id) {
+  id = r.acquire(1);
+  auto* p = static_cast<volatile char*>(r.slot_base(id));
+  p[0] = 1;
+  p[r.slot_span(id) - 1] = 2;
+  r.evacuate(id);
+  return p;
+}
+
+TEST_F(IsoFixture, EvacuatedSlotFaultsInProcess) {
+  // Threadsafe death tests re-run this body in a fresh process, so the
+  // evacuation happens in the very process that then touches the slot.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Region& r = Region::instance();
+  SlotId id;
+  volatile char* p = evacuated_slot(r, id);
+  const std::size_t last = r.slot_span(id) - 1;
+  EXPECT_SEGV((void)p[0]);
+  EXPECT_SEGV((void)p[last]);
+  EXPECT_SEGV(p[0] = 3);
+  EXPECT_SEGV(p[last] = 3);
+  r.install(id);
+  r.release(id);
+}
+
+TEST_F(IsoFixture, EvacuatedSlotFaultsInAChildForkedAfterward) {
+  // Fast death tests fork the dying child from this process after the
+  // evacuation: the multi-process machine's view of a departed thread.
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  Region& r = Region::instance();
+  SlotId id;
+  volatile char* p = evacuated_slot(r, id);
+  EXPECT_SEGV((void)p[0]);
+  EXPECT_SEGV(p[0] = 3);
+  r.install(id);
+  r.release(id);
+}
+
+TEST_F(IsoFixture, EvacuatedSlotFaultsAfterAnInstallCycle) {
+  Region& r = Region::instance();
+  SlotId id;
+  volatile char* p = evacuated_slot(r, id);
+  r.install(id);
+  p[0] = 4;  // installed: writable again
+  r.evacuate(id);
+  EXPECT_SEGV((void)p[0]);
+  EXPECT_SEGV(p[0] = 5);
+  r.install(id);
+  EXPECT_EQ(p[0], 0);
   r.release(id);
 }
 

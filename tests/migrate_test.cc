@@ -1,11 +1,20 @@
 // Migratable-thread tests — the paper's §3.4 techniques, exercised through
 // real pack → serialize → unpack → resume cycles.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <thread>
 #include <vector>
 
+#include "expect_segv.h"
+#include "guard_markers_hidden.h"
 #include "iso/heap.h"
+#include "migrate/common_arena.h"
 #include "migrate/iso_thread.h"
 #include "migrate/memalias_thread.h"
 #include "migrate/migratable.h"
@@ -15,6 +24,7 @@
 
 namespace {
 
+using mfc::migrate::CommonStackArena;
 using mfc::migrate::IsoThread;
 using mfc::migrate::MemAliasThread;
 using mfc::migrate::MigratableThread;
@@ -232,6 +242,172 @@ TEST_F(MigrateFixture, MixedTechniquesCoexistOnOneScheduler) {
   }
   sched.run_until_idle();
   EXPECT_EQ(done, 4);
+}
+
+// A ULT body that fills a stack canary, yields `yields` times checking it
+// after each resume, then counts itself done.
+std::function<void()> canary_body(Scheduler& sched, std::atomic<int>& done,
+                                  long tag, int yields) {
+  return [&sched, &done, tag, yields] {
+    long canary[64];
+    for (int k = 0; k < 64; ++k) canary[k] = tag * 1000 + k;
+    for (int y = 0; y < yields; ++y) {
+      sched.yield();
+      for (int k = 0; k < 64; ++k) ASSERT_EQ(canary[k], tag * 1000 + k);
+    }
+    done.fetch_add(1);
+  };
+}
+
+TEST_F(MigrateFixture, StackCopyAndMemAliasInterleaveOnOnePe) {
+  // Each technique runs on its own arena, so a stack-copy switch-in never
+  // lands on pages a memory-alias thread mapped from its backing file.
+  Scheduler sched;
+  std::atomic<int> done{0};
+  std::vector<MigratableThread*> ts;
+  for (long i = 0; i < 4; ++i) {
+    ts.push_back(new StackCopyThread(canary_body(sched, done, 2 * i, 8)));
+    ts.push_back(new MemAliasThread(canary_body(sched, done, 2 * i + 1, 8)));
+  }
+  for (MigratableThread* t : ts) sched.ready(t);
+  sched.run_until_idle();
+  EXPECT_EQ(done.load(), 8);
+  for (MigratableThread* t : ts) delete t;
+}
+
+TEST_F(MigrateFixture, StackCopyAndMemAliasRunAtOnceOnTwoPes) {
+  // "One thread active per address space" holds per technique: while a
+  // stack-copy thread occupies its arena on one PE, a memory-alias thread
+  // switches in on another, and each waits until both are inside.
+  std::atomic<int> inside{0};
+  std::atomic<int> met{0};
+  std::atomic<int> done{0};
+  auto pe = [&](bool stack_copy) {
+    Scheduler sched;
+    std::function<void()> check = canary_body(sched, done, stack_copy, 4);
+    auto body = [&inside, &met, check] {
+      inside.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (inside.load() == 2) met.fetch_add(1);
+      check();
+    };
+    MigratableThread* t = stack_copy
+                              ? static_cast<MigratableThread*>(
+                                    new StackCopyThread(body))
+                              : new MemAliasThread(body);
+    sched.ready(t);
+    sched.run_until_idle();
+    delete t;
+  };
+  std::thread pe0(pe, true);
+  std::thread pe1(pe, false);
+  pe0.join();
+  pe1.join();
+  EXPECT_EQ(met.load(), 2) << "the two techniques shared one arena lock";
+  EXPECT_EQ(done.load(), 2);
+}
+
+TEST_F(MigrateFixture, ImagesCarryTheirOwnTechniquesArenaBase) {
+  Scheduler sched;
+  auto* sc = new StackCopyThread([&sched] { sched.suspend(); });
+  auto* ma = new MemAliasThread([&sched] { sched.suspend(); });
+  sched.ready(sc);
+  sched.ready(ma);
+  sched.run_until_idle();
+  const auto sc_base =
+      reinterpret_cast<std::uint64_t>(CommonStackArena::stack_copy().base());
+  const auto ma_base =
+      reinterpret_cast<std::uint64_t>(CommonStackArena::mem_alias().base());
+  EXPECT_NE(sc_base, ma_base);
+
+  ThreadImage sc_image;
+  ThreadImage ma_image;
+  mfc::pup::from_bytes(sc->pack(), sc_image);
+  mfc::pup::from_bytes(ma->pack(), ma_image);
+  delete sc;
+  delete ma;
+  EXPECT_EQ(sc_image.arena_base, sc_base);
+  EXPECT_EQ(ma_image.arena_base, ma_base);
+
+  // An image naming the other technique's arena is refused.
+  ThreadImage wrong = sc_image;
+  wrong.arena_base = ma_base;
+  EXPECT_DEATH(MigratableThread::unpack(std::move(wrong), 0),
+               "same system-wide stack address");
+  wrong = ma_image;
+  wrong.arena_base = sc_base;
+  EXPECT_DEATH(MigratableThread::unpack(std::move(wrong), 0),
+               "same common stack address");
+
+  for (ThreadImage* image : {&sc_image, &ma_image}) {
+    MigratableThread* t = MigratableThread::unpack(std::move(*image), 1);
+    sched.ready(t);
+    sched.run_until_idle();
+    EXPECT_EQ(t->state(), State::kDone);
+    delete t;
+  }
+}
+
+// Where the kernel rejects guard markers (before Linux 6.13), iso::Region
+// evacuates by remapping. A forked child hides the markers and checks that
+// branch: the evacuate/install properties, the faults on an evacuated slot,
+// and an isomalloc migration round trip. Failures print from the child.
+void check_remap_fallback() {
+  mfc::iso::Region::Config cfg;
+  cfg.npes = 4;
+  cfg.slot_bytes = 64 * 1024;
+  cfg.slots_per_pe = 512;
+  mfc::iso::Region::init(cfg);
+  mfc::iso::Region& r = mfc::iso::Region::instance();
+  EXPECT_FALSE(r.guard_markers());
+
+  const mfc::iso::SlotId id = r.acquire(2);
+  auto* p = static_cast<volatile char*>(r.slot_base(id));
+  std::memset(r.slot_base(id), 0xAB, r.slot_span(id));
+  r.evacuate(id);
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  EXPECT_SEGV((void)p[0]);
+  EXPECT_SEGV(p[0] = 1);
+  r.install(id);
+  EXPECT_EQ(r.slot_base(id), const_cast<char*>(p));
+  EXPECT_EQ(p[0], 0);  // the old pages were dropped
+  p[0] = 43;
+  EXPECT_EQ(p[0], 43);
+  r.evacuate(id);
+  EXPECT_SEGV((void)p[0]);
+  r.install(id);
+  r.release(id);
+
+  Scheduler sched;
+  ProbeState probe;
+  run_migration_roundtrip(
+      sched, probe,
+      [](auto fn) { return new IsoThread(std::move(fn), /*birth_pe=*/0); },
+      /*with_heap=*/true);
+  mfc::iso::Region::shutdown();
+}
+
+TEST(IsoRemapFallback, RegionAndMigrationWorkWithGuardMarkersHidden) {
+  constexpr int kNoSeccomp = 77;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (!mfc::test::hide_guard_markers()) _exit(kNoSeccomp);
+    check_remap_fallback();
+    _exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  if (WEXITSTATUS(status) == kNoSeccomp) {
+    GTEST_SKIP() << "seccomp filters are unavailable here";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the child's failures are above";
 }
 
 TEST_F(MigrateFixture, IsoSlotsFreedOnDestruction) {

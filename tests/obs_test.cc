@@ -38,7 +38,6 @@
 
 #include "chaos/storm.h"
 #include "converse/machine.h"
-#include "migrate/common_arena.h"
 #include "migrate/iso_thread.h"
 #include "migrate/memalias_thread.h"
 #include "migrate/migratable.h"
@@ -626,7 +625,6 @@ void ob_entry(int pe) {
 
 [[maybe_unused]] std::uint64_t run_ob_storm(int npes, int nprocs, int workers,
                                             int hops, std::uint64_t seed) {
-  mfc::migrate::CommonStackArena::instance();  // shared addresses pre-fork
   ensure_ob_handlers();
   auto s = std::make_unique<ObState>();
   s->seed = seed;

@@ -26,7 +26,6 @@
 
 #include "chaos/storm.h"
 #include "converse/machine.h"
-#include "migrate/common_arena.h"
 #include "migrate/iso_thread.h"
 #include "migrate/memalias_thread.h"
 #include "migrate/migratable.h"
@@ -696,9 +695,6 @@ struct MsResult {
 
 MsResult run_mini_storm(Transport t, int npes, int nprocs, int workers,
                         int rounds, std::uint64_t seed) {
-  // Shared execution addresses for stack-copy and memory-alias workers must
-  // exist before Machine::run forks.
-  mfc::migrate::CommonStackArena::instance();
   ensure_ms_handlers();
   auto s = std::make_unique<MsState>();
   s->seed = seed;
