@@ -30,7 +30,6 @@
 #include "sdag/retswitch.h"
 #include "sdag/sdag.h"
 #include "trace/hist.h"
-#include "trace/metrics.h"
 #include "trace/trace.h"
 #include "ult/scheduler.h"
 #include "util/stats.h"
@@ -1079,10 +1078,8 @@ void run_migrate_suite() {
 //                the cross-process FT and QD protocols pay.
 //   image_*      scatter-gather thread-image-shaped sends (send_spans over
 //                an uneven span list) at 64 KiB / 256 KiB / 1 MiB over the
-//                socket wire, eager (gather + write) vs rendezvous
-//                (RTS/CTS, spans straight to writev — zero intermediate
-//                copies; the suite verifies every big send actually took
-//                the rendezvous path via the kWireRendezvous counter).
+//                socket wire across 2 processes: one eager frame per image,
+//                spans straight to writev.
 //
 // Rows land in BENCH_transport.json.
 
@@ -1130,13 +1127,11 @@ void ensure_handlers() {
 }
 
 cv::Machine::Config wire_config(cv::Machine::Config::Transport t,
-                                std::size_t rendezvous_bytes,
                                 int nprocs = 1) {
   cv::Machine::Config cfg;
   cfg.npes = 2;
   cfg.nprocs = nprocs;
   cfg.transport = t;
-  cfg.rendezvous_bytes = rendezvous_bytes;
   cfg.iso_slots_per_pe = 0;
   cfg.pool_cap = 1 << 16;
   return cfg;
@@ -1154,7 +1149,7 @@ const char* backend_mode(cv::Machine::Config::Transport t) {
 mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
                                      int msgs) {
   ensure_handlers();
-  cv::Machine::run(wire_config(t, 256 * 1024), [&](int pe) {
+  cv::Machine::run(wire_config(t), [&](int pe) {
     // Sink state must exist before the first flood message can dispatch,
     // i.e. before this PE enters the barrier, not after it returns.
     if (pe == 0) {
@@ -1179,7 +1174,7 @@ mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
 mfc::bench::MsgBenchRow run_pingpong64(cv::Machine::Config::Transport t,
                                        int trips) {
   ensure_handlers();
-  cv::Machine::run(wire_config(t, 256 * 1024, /*nprocs=*/2), [&](int pe) {
+  cv::Machine::run(wire_config(t, /*nprocs=*/2), [&](int pe) {
     cv::barrier();  // both processes up before the clock starts
     if (pe == 0) {
       g_sender = cv::pe_scheduler().running();
@@ -1195,18 +1190,14 @@ mfc::bench::MsgBenchRow run_pingpong64(cv::Machine::Config::Transport t,
           2 * static_cast<std::uint64_t>(trips), g_t1 - g_t0};
 }
 
-mfc::bench::MsgBenchRow run_image_ships(const char* name, bool rendezvous,
+mfc::bench::MsgBenchRow run_image_ships(const char* name,
                                         std::size_t image_bytes, int reps) {
   ensure_handlers();
-  // Threshold below/above the payload steers every send eager or
-  // rendezvous; the conformance suite covers correctness, this prices it.
-  // Rendezvous only engages across address spaces (a same-process
-  // destination always lands eagerly), so the image rows run a true
-  // two-process machine: PE 0 in the parent ships to PE 1 in the child.
-  const std::size_t threshold = rendezvous ? 32 * 1024 : 64 * 1024 * 1024;
-  std::uint64_t rdzv = 0;
+  // A true two-process machine: PE 0 in the parent ships to PE 1 in the
+  // child, so every image crosses an address space as it would in a
+  // migration; the conformance suite covers correctness, this prices it.
   cv::Machine::run(
-      wire_config(cv::Machine::Config::Transport::kSocket, threshold, 2),
+      wire_config(cv::Machine::Config::Transport::kSocket, 2),
       [&](int pe) {
         cv::barrier();
         if (pe == 0) {
@@ -1231,22 +1222,8 @@ mfc::bench::MsgBenchRow run_image_ships(const char* name, bool rendezvous,
         }
         cv::barrier();
       });
-  rdzv = mfc::metrics::total(mfc::metrics::Counter::kWireRendezvous);
-  if (rendezvous && rdzv != static_cast<std::uint64_t>(reps)) {
-    std::fprintf(stderr,
-                 "warning: %s expected %d rendezvous transfers, saw %llu\n",
-                 name, reps, static_cast<unsigned long long>(rdzv));
-  }
-  if (rendezvous && image_bytes >= 1024 * 1024) {
-    std::printf("# rendezvous 1 MiB: %llu/%d transfers span-direct to "
-                "writev (zero intermediate copies): %s\n",
-                static_cast<unsigned long long>(rdzv), reps,
-                rdzv == static_cast<std::uint64_t>(reps) ? "OK" : "FAIL");
-  }
-  mfc::bench::MsgBenchRow row{name, rendezvous ? "socket_rdzv" : "socket_eager",
-                              2, static_cast<std::uint64_t>(reps),
-                              g_t1 - g_t0};
-  return row;
+  return {name, "socket_eager", 2, static_cast<std::uint64_t>(reps),
+          g_t1 - g_t0};
 }
 
 void run_transport_suite() {
@@ -1283,12 +1260,10 @@ void run_transport_suite() {
       {"image_1m", 1024 * 1024},
   };
   for (const auto& s : sizes) {
-    for (const bool rdzv : {false, true}) {
-      rows.push_back(conv_bench::median_of(kReps, [&] {
-        return run_image_ships(s.name, rdzv, s.bytes, kImageReps);
-      }));
-      conv_bench::print_row(rows.back());
-    }
+    rows.push_back(conv_bench::median_of(kReps, [&] {
+      return run_image_ships(s.name, s.bytes, kImageReps);
+    }));
+    conv_bench::print_row(rows.back());
   }
 
   if (!mfc::bench::write_msg_bench_json("BENCH_transport.json",

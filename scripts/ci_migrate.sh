@@ -7,7 +7,7 @@
 # the pack()/gather/span-list byte-for-byte equivalence suite (all three
 # techniques, NaN/inf payloads, zero-heap-run images), the CRC-32C
 # implementation agreement corpus (reference vs slice-by-8 vs hardware over
-# every truncation and single-byte flip), and the dirty-page tracker units.
+# every truncation and single-byte flip).
 #
 # Phase 2 reruns the migrate bench suite (manifest codec bytes/s, checkpoint
 # encode, per-mode checkpoint overhead storms, the end-to-end migrate_storm
@@ -35,8 +35,7 @@ python3 scripts/bench_compare.py \
   build-release/BENCH_migrate.json \
   --metric cpu_ns_per_msg --tolerance 25 --filter storm_migrate
 
-# ThreadSanitizer pass over the same label: the codec suite races-free
-# (the write-barrier fault tests are compiled out; see tests/CMakeLists).
+# ThreadSanitizer pass over the same label: the codec suite races-free.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan-migrate

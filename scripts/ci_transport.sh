@@ -8,22 +8,20 @@
 # conformance battery that drives an identical checklist against all three
 # backends — in-process queues, shm SPSC rings, AF_UNIX sockets — in both
 # loopback and true multi-process (forked) mode: per-pair ordering,
-# exactly-once under seeded chaos, 1 MiB chunk/rendezvous round trips,
+# exactly-once under seeded chaos, 1 MiB chunk/eager round trips,
 # migration mini-storms with all three techniques and bit-identical
 # same-seed replay (including the 64-PE / 4-process acceptance shape), and
 # an FT kill storm over the shm wire.
 #
 # Phase 2 reruns the transport bench suite (64-byte flood per backend,
-# 64-byte two-process ping-pong per wire backend, eager vs rendezvous
-# scatter-gather image ships at 64 KiB–1 MiB) and gates two ways with
+# 64-byte two-process ping-pong per wire backend, eager scatter-gather
+# image ships over sockets at 64 KiB–1 MiB) and gates two ways with
 # bench_compare.py: the fresh stream64 and pingpong64 rows must be within
 # tolerance of the checked-in BENCH_transport.json, and — the absolute
 # acceptance bar — the shm ring must cost no more than 3x the in-process
 # path per 64-byte message. stream64 keeps the receiving comm thread
 # awake; pingpong64 makes it sleep before every hop, so its row prices
-# the wake-up path. The rendezvous leg's zero-intermediate-copy
-# property is asserted by the conformance tests (kWireRendezvous counter);
-# the bench prints the same verdict for the log.
+# the wake-up path.
 #
 # Phase 3 repeats the conformance label under ThreadSanitizer: the
 # fork-based legs are compiled out (tsan does not follow children), but

@@ -13,7 +13,6 @@
 #include "charm/array.h"
 #include "converse/machine.h"
 #include "ft/ft.h"
-#include "ft/pagetrack.h"
 #include "iso/heap.h"
 #include "iso/region.h"
 #include "lb/strategy.h"
@@ -32,18 +31,6 @@
 #include "util/digest.h"
 #include "util/rng.h"
 #include "util/timer.h"
-
-// The mprotect write barrier takes SIGSEGV on purpose; tsan's signal
-// interception makes that combination fragile, so the telemetry arming is
-// release-only (the incremental/async protocol itself — content deltas
-// against the committed base — runs under tsan unchanged).
-#if defined(__SANITIZE_THREAD__)
-#define MFC_STORM_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MFC_STORM_TSAN 1
-#endif
-#endif
 
 namespace mfc::chaos {
 namespace {
@@ -193,10 +180,6 @@ struct StormGlobal {
   /// can rewind more than one round (an aborted epoch rolls back to the
   /// previous one), so replayed loop iterations must not re-mark.
   int ft_max_marked_round = -1;
-  /// Per-PE dirty-page write barriers (modes 1/2, release builds): armed
-  /// over parked isomalloc stacks after each capture, harvested at the
-  /// next. Each tracker is touched only by its PE's kernel thread.
-  std::vector<std::unique_ptr<ft::DirtyTracker>> trackers;
 
   std::atomic<std::uint64_t> array_sent{0};
   std::atomic<std::uint64_t> array_delivered{0};
@@ -408,38 +391,6 @@ void pe0_wait(StormGlobal::Waiting kind) {
   }
 }
 
-/// This PE's write barrier, or nullptr when dirty tracking is off.
-ft::DirtyTracker* pe_tracker(int pe) {
-  StormGlobal* g = g_storm;
-  return g->trackers.empty() ? nullptr
-                             : g->trackers[static_cast<std::size_t>(pe)].get();
-}
-
-/// Deregisters `t`'s stack slot from this PE's write barrier, if tracked,
-/// which also restores its write access. Must run before any pack/evacuate:
-/// iso::Region::evacuate keeps the slot's protection under its guard
-/// markers, so a still-armed slot would come back read-only when it is
-/// installed in this process again, its writes faulting into a stale
-/// registry entry.
-void untrack_worker(int pe, migrate::MigratableThread* t) {
-  ft::DirtyTracker* tracker = pe_tracker(pe);
-  if (tracker == nullptr ||
-      t->technique() != migrate::Technique::kIsomalloc) {
-    return;
-  }
-  const iso::SlotId slot = static_cast<migrate::IsoThread*>(t)->stack_slot();
-  void* base = iso::Region::instance().slot_base(slot);
-  if (!tracker->tracking(base)) return;
-  // Harvest before the bits are dropped: this worker ran a round on the
-  // protected stack, so its fault count is this epoch's telemetry.
-  if (tracker->armed()) {
-    metrics::bump(metrics::Counter::kFtDirtyPages,
-                  tracker->dirty_pages_in(base,
-                                          iso::Region::instance().slot_span(slot)));
-  }
-  tracker->untrack(base);
-}
-
 void handle_dock(converse::Message&& m) {
   StormGlobal* g = g_storm;
   const auto d = m.as<DockMsg>();
@@ -454,7 +405,6 @@ void handle_dock(converse::Message&& m) {
   MFC_CHECK_MSG(t != nullptr && t->state() == ult::State::kSuspended,
                 "storm: dock for a worker that is not suspended here");
 
-  untrack_worker(converse::my_pe(), t);
   const int dest = g->itinerary[static_cast<std::size_t>(d.wid)]
                                [static_cast<std::size_t>(d.round)];
 
@@ -648,10 +598,6 @@ void set_storm_meta(const StormOptions& opt) {
 /// thread pointers, so each worker is re-installed exactly once.
 void discard_parked(int pe) {
   StormGlobal* g = g_storm;
-  if (ft::DirtyTracker* tracker = pe_tracker(pe)) {
-    tracker->disarm();
-    tracker->untrack_all();  // everything parked here is about to evacuate
-  }
   std::lock_guard<std::mutex> lock(g->mu);
   auto& parked = g->arrived[pe];
   for (auto& a : parked) {
@@ -693,17 +639,6 @@ std::vector<char> ft_capture(std::uint64_t epoch) {
   StormPeCkpt meta;
   meta.round = g->ft_ckpt_round;
 
-  // Harvest and release the previous epoch's write-barrier window first:
-  // the gather below reads protected pages (fine), but the bookkeeping
-  // belongs to the epoch that just ended.
-  if (ft::DirtyTracker* tracker = pe_tracker(pe)) {
-    if (tracker->armed()) {
-      metrics::bump(metrics::Counter::kFtDirtyPages, tracker->dirty_total());
-      tracker->disarm();
-    }
-    tracker->untrack_all();
-  }
-
   migrate::Checkpoint ckpt;
   std::vector<migrate::ImageManifest> manifests;
   std::lock_guard<std::mutex> lock(g->mu);
@@ -725,19 +660,7 @@ std::vector<char> ft_capture(std::uint64_t epoch) {
   for (const migrate::ImageManifest& m : manifests) ckpt.add_manifest(m);
   capture_meta(pe, &meta);
   ckpt.set_user_data(pup::to_bytes(meta));
-  std::vector<char> blob = ckpt.encode();
-  // Open the next write-barrier window over the parked isomalloc stacks.
-  if (ft::DirtyTracker* tracker = pe_tracker(pe)) {
-    for (auto& a : parked) {
-      auto* t = static_cast<migrate::MigratableThread*>(a.thread);
-      if (t->technique() != migrate::Technique::kIsomalloc) continue;
-      auto* it = static_cast<migrate::IsoThread*>(t);
-      void* base = iso::Region::instance().slot_base(it->stack_slot());
-      tracker->track(base, iso::Region::instance().slot_span(it->stack_slot()));
-    }
-    tracker->arm();
-  }
-  return blob;
+  return ckpt.encode();
 }
 
 /// ft wipe hook: runs on a revived PE before its death backlog drains —
@@ -985,10 +908,6 @@ void storm_entry(int pe) {
   StormGlobal* g = g_storm;
   const StormOptions& opt = g->opt;
 
-  // Every kernel thread that can fault on a write-protected worker stack
-  // needs an alternate signal stack before the first arm().
-  if (!g->trackers.empty()) ft::DirtyTracker::bind_thread();
-
   charm::Array<StormElement> array(kArrayId, opt.array_elements);
   converse::barrier();
   if (pe == 0) {
@@ -1046,12 +965,6 @@ StormReport run_storm(const StormOptions& options) {
 
   auto g = std::make_unique<StormGlobal>();
   g->opt = opt;
-#if !defined(MFC_STORM_TSAN)
-  if (ft_on && opt.ft_mode != 0) {
-    g->trackers.resize(static_cast<std::size_t>(opt.npes));
-    for (auto& t : g->trackers) t = std::make_unique<ft::DirtyTracker>();
-  }
-#endif
   g->workers.resize(static_cast<std::size_t>(opt.workers));
   g->mains.assign(static_cast<std::size_t>(opt.npes), nullptr);
   g->traffic = SplitMix64(mix2(opt.seed, kTrafficSalt));
@@ -1170,7 +1083,6 @@ StormReport run_storm(const StormOptions& options) {
     rep.ft_ship_bytes = metrics::total(metrics::Counter::kFtShipBytes);
     rep.ft_delta_ranges = metrics::total(metrics::Counter::kFtDeltaRanges);
     rep.ft_async_chunks = metrics::total(metrics::Counter::kFtAsyncChunks);
-    rep.ft_dirty_pages = metrics::total(metrics::Counter::kFtDirtyPages);
     ft::uninstall();
   }
   g_storm = nullptr;

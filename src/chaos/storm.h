@@ -88,9 +88,7 @@ struct StormOptions {
   /// 1 = incremental (page-granular deltas against the previous committed
   /// epoch), 2 = async (incremental, buddy ships streamed in chunks while
   /// the application runs, commit completes in the background). Every mode
-  /// captures with non-destructive zero-copy manifests. Modes 1/2 also arm
-  /// the mprotect write barrier over parked isomalloc stacks between epochs
-  /// for dirty-page telemetry (release builds only).
+  /// captures with non-destructive zero-copy manifests.
   int ft_mode = 0;
   /// Restrict all workers to one technique (0=stackcopy, 1=iso, 2=memalias;
   /// -1 = the default w % 3 mix). The FT bench uses this to price
@@ -159,7 +157,6 @@ struct StormReport {
   std::uint64_t ft_ship_bytes = 0;    ///< buddy payload bytes (post-delta)
   std::uint64_t ft_delta_ranges = 0;  ///< coalesced ranges in delta stores
   std::uint64_t ft_async_chunks = 0;  ///< streamed chunk messages (mode 2)
-  std::uint64_t ft_dirty_pages = 0;   ///< write-barrier page faults recorded
 
   bool clean() const {
     return canary_failures == 0 && digest_mismatches == 0 && misroutes == 0 &&

@@ -1343,7 +1343,6 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
     topt.npes = config.npes;
     topt.nprocs = config.nprocs;
     topt.shm_ring_bytes = config.shm_ring_bytes;
-    topt.rendezvous_bytes = config.rendezvous_bytes;
     transport = config.transport == Config::Transport::kShm
                     ? transport::make_shm_transport(topt)
                     : transport::make_socket_transport(topt);

@@ -174,9 +174,6 @@ class Machine {
     /// Per-(dest-process, source-PE) SPSC ring capacity for the shm
     /// transport (power of two; messages over half a ring are chunked).
     std::size_t shm_ring_bytes = 64 * 1024;
-    /// Socket payloads beyond this go rendezvous (RTS/CTS/DATA with a
-    /// pre-sized landing buffer) instead of eager.
-    std::size_t rendezvous_bytes = 256 * 1024;
     /// When set, initializes the isomalloc region for `npes` strips
     /// (skipped if the region already exists or iso_slots_per_pe == 0).
     std::uint32_t iso_slots_per_pe = 2048;
@@ -237,9 +234,8 @@ using SendSpan = wire::Span;
 /// Scatter-gather send: ships the concatenation of `spans` as one message
 /// without requiring the caller to gather them first. On the in-process
 /// path the spans are copied once, directly into the pooled delivery
-/// envelope; on a wire transport they go to the ring copy loop or straight
-/// to writev (rendezvous) — `ImageManifest` layouts ship with no
-/// intermediate wire buffer either way.
+/// envelope; on a wire transport they go to the ring copy loop (shm) or to
+/// writev (sockets, which first stage one copy when `on_consumed` is set).
 ///
 /// `on_consumed` (optional) runs exactly once, after the span bytes have
 /// been consumed and strictly before the message can be delivered anywhere.

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "converse/machine.h"
@@ -33,7 +32,6 @@ using wire::Kind;
 // the message. The exporter names the span "wire-send:<code name>".
 constexpr std::uint32_t kTraceEager = 0;
 constexpr std::uint32_t kTraceChunk = 1;
-constexpr std::uint32_t kTraceRdv = 2;
 
 char* payload_ptr(Message* m) { return m->payload.data(); }
 
@@ -510,8 +508,6 @@ class SocketTransport final : public Transport {
     MFC_CHECK(o.npes >= 1 && o.nprocs >= 1 && o.npes % o.nprocs == 0);
     if (o.nprocs == 1) {
       // Loopback: one pair; sends write sv[0], the comm thread reads sv[1].
-      // Everything goes eager (the rendezvous control frames would have to
-      // loop through the single comm thread that is also the data reader).
       int sv[2];
       MFC_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
       loop_send_ = sv[0];
@@ -575,86 +571,30 @@ class SocketTransport final : public Transport {
 
   void send(const wire::Header& hdr, const wire::Span* spans, std::size_t n,
             std::function<void()> on_consumed) override {
+    // One eager frame at every size: the reader is resumable, so a big
+    // payload simply streams through the socket buffer.
     wire::Header h = hdr;
     const int dproc = h.dest_pe / ppn_;
     metrics::bump(Counter::kWireSentBytes, h.payload_len);
-    const bool rendezvous =
-        opt_.nprocs > 1 && h.payload_len > opt_.rendezvous_bytes;
-    if (!rendezvous) {
-      h.kind = static_cast<std::uint32_t>(Kind::kEager);
-      trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceEager, 0,
-                  static_cast<std::int16_t>(h.dest_pe));
-      metrics::bump(Counter::kWireSentFrames);
-      if (on_consumed) {
-        // Stage first so on_consumed runs before any byte can reach the
-        // destination (delivery-before-epilogue would race a same-process
-        // install against the pack epilogue's evacuate).
-        std::vector<char> staged(h.payload_len);
-        wire::spans_gather(staged.data(), spans, n);
-        on_consumed();
-        wire::Span s{staged.data(), staged.size()};
-        robust_write(dproc, h, &s, 1, /*can_wait=*/true);
-      } else {
-        robust_write(dproc, h, spans, n, /*can_wait=*/true);
-      }
-      trace::emit(trace::Ev::kWireSendEnd, 0, 0,
-                  static_cast<std::uint32_t>(h.payload_len +
-                                             sizeof(wire::Header)));
-      return;
-    }
-    // Rendezvous: RTS → (receiver pre-sizes the landing payload) → CTS →
-    // the blocked sender writev's its spans straight to the socket. The
-    // image bytes touch no intermediate buffer on either side: writev
-    // reads the live slots, and the reader lands bytes directly in the
-    // destination envelope's payload.
-    metrics::bump(Counter::kWireRendezvous);
-    const std::uint64_t id =
-        (static_cast<std::uint64_t>(my_proc_) << 48) |
-        rdv_seq_.fetch_add(1, std::memory_order_relaxed);
-    trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceRdv, 0,
-                static_cast<std::int16_t>(h.dest_pe));
-    PendingSend ps;
-    ps.dproc = dproc;
-    {
-      std::lock_guard<std::mutex> lk(rdv_mu_);
-      pending_sends_[id] = &ps;
-    }
-    wire::Header rts = h;
-    rts.kind = static_cast<std::uint32_t>(Kind::kRts);
-    rts.payload_len = 0;
-    rts.total_len = h.payload_len;
-    rts.msg_id = id;
-    robust_write(dproc, rts, nullptr, 0, /*can_wait=*/true);
-    trace::emit(trace::Ev::kWireRts, id, 0,
-                static_cast<std::uint32_t>(h.payload_len),
+    h.kind = static_cast<std::uint32_t>(Kind::kEager);
+    trace::emit(trace::Ev::kWireSendBegin, h.trace_flow, kTraceEager, 0,
                 static_cast<std::int16_t>(h.dest_pe));
     metrics::bump(Counter::kWireSentFrames);
-    {
-      std::unique_lock<std::mutex> lk(ps.mu);
-      while (!ps.go && !ps.aborted) {
-        ps.cv.wait_for(lk, std::chrono::milliseconds(100));
-        if (!ps.go && !ps.aborted && stop_.load(std::memory_order_acquire))
-          break;
-      }
+    if (on_consumed) {
+      // Stage first so on_consumed runs before any byte can reach the
+      // destination (delivery-before-epilogue would race a same-process
+      // install against the pack epilogue's evacuate).
+      std::vector<char> staged(h.payload_len);
+      wire::spans_gather(staged.data(), spans, n);
+      on_consumed();
+      wire::Span s{staged.data(), staged.size()};
+      robust_write(dproc, h, &s, 1);
+    } else {
+      robust_write(dproc, h, spans, n);
     }
-    {
-      std::lock_guard<std::mutex> lk(rdv_mu_);
-      pending_sends_.erase(id);
-    }
-    if (ps.go) {
-      wire::Header data = h;
-      data.kind = static_cast<std::uint32_t>(Kind::kData);
-      data.msg_id = id;
-      data.total_len = h.payload_len;
-      metrics::bump(Counter::kWireSentFrames);
-      robust_write(dproc, data, spans, n, /*can_wait=*/true);
-      trace::emit(trace::Ev::kWireRdvDone, id, 0,
-                  static_cast<std::uint32_t>(h.payload_len));
-    }
-    if (on_consumed) on_consumed();
     trace::emit(trace::Ev::kWireSendEnd, 0, 0,
                 static_cast<std::uint32_t>(h.payload_len +
-                                           3 * sizeof(wire::Header)));
+                                           sizeof(wire::Header)));
   }
 
   void send_proc_done(int src_pe) override {
@@ -666,7 +606,7 @@ class SocketTransport final : public Transport {
     h.kind = static_cast<std::uint32_t>(Kind::kProcDone);
     h.src_pe = src_pe;
     h.dest_pe = 0;
-    robust_write(0, h, nullptr, 0, /*can_wait=*/true);
+    robust_write(0, h, nullptr, 0);
   }
 
   void broadcast_stop() override {
@@ -674,7 +614,7 @@ class SocketTransport final : public Transport {
     h.kind = static_cast<std::uint32_t>(Kind::kStop);
     for (int d = 0; d < opt_.nprocs; ++d) {
       if (d == my_proc_) continue;
-      robust_write(d, h, nullptr, 0, /*can_wait=*/true);
+      robust_write(d, h, nullptr, 0);
     }
     hooks_.on_stop();
   }
@@ -688,13 +628,6 @@ class SocketTransport final : public Transport {
     if (wake_pipe_[1] >= 0) {
       char b = 1;
       [[maybe_unused]] ssize_t r = ::write(wake_pipe_[1], &b, 1);
-    }
-    // Wake any sender still waiting for a CTS that will never come.
-    std::lock_guard<std::mutex> lk(rdv_mu_);
-    for (auto& [id, ps] : pending_sends_) {
-      (void)id;
-      std::lock_guard<std::mutex> plk(ps->mu);
-      ps->cv.notify_all();
     }
   }
 
@@ -712,7 +645,7 @@ class SocketTransport final : public Transport {
       if (hooks_.ft_ctl) hooks_.ft_ctl(h);
       return;
     }
-    robust_write(dproc, h, nullptr, 0, /*can_wait=*/true);
+    robust_write(dproc, h, nullptr, 0);
   }
 
   bool quiescent() override {
@@ -720,17 +653,14 @@ class SocketTransport final : public Transport {
     // local recv fds sees everything written toward this process. A frame
     // mid-read implies its tail is still unwritten (the writer loops until
     // whole-frame completion), which keeps some PE thread busy and the QD
-    // wave unquiet. Rendezvous handshakes park state on both sides; count
-    // them explicitly.
+    // wave unquiet.
     for (const auto& [fd, peer] : recv_) {
       (void)peer;
       if (fd < 0) continue;
       int avail = 0;
       if (::ioctl(fd, FIONREAD, &avail) == 0 && avail > 0) return false;
     }
-    if (rdv_landing_.load(std::memory_order_acquire) != 0) return false;
-    std::lock_guard<std::mutex> lk(rdv_mu_);
-    return pending_sends_.empty();
+    return true;
   }
 
   void respawn_refresh(int proc, std::vector<int>& peer_fds) override {
@@ -790,49 +720,18 @@ class SocketTransport final : public Transport {
       readers_[i].reset();
       ios_[i] = wire::FdIo(fd);
     }
-    // Pre-sized rendezvous landings whose kData died with the sender.
-    for (auto it = pending_recvs_.begin(); it != pending_recvs_.end();) {
-      if (static_cast<int>(it->first >> 48) == proc) {
-        hooks_.drop(it->second);
-        rdv_landing_.fetch_sub(1, std::memory_order_acq_rel);
-        it = pending_recvs_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Senders parked on a CTS from the dead incarnation: abort them — the
-    // message is lost (recovery's drain-mode QD absorbs the loss) but the
-    // sender must still run its on_consumed epilogue and return.
-    std::lock_guard<std::mutex> lk(rdv_mu_);
-    for (auto& [id, ps] : pending_sends_) {
-      (void)id;
-      if (ps->dproc != proc) continue;
-      std::lock_guard<std::mutex> plk(ps->mu);
-      ps->aborted = true;
-      ps->cv.notify_all();
-    }
   }
 
  private:
-  struct PendingSend {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool go = false;
-    bool aborted = false;
-    int dproc = -1;
-  };
-
   /// Writes one frame toward `dproc`. Without peer-loss tolerance this is
   /// the plain blocking write (failures drop silently, matching the
   /// pre-FT contract). With tolerance, a failed write — EPIPE, reset, or
   /// a stalled buffer toward a dead process — parks *outside* the send
   /// lock until attach_peer publishes the replacement stream, then
   /// restarts the whole frame on it (partial bytes only ever reached the
-  /// dead fd, so no survivor observes a torn frame). `can_wait` is false
-  /// on the comm thread, which must stay live to apply the swap itself;
-  /// there the frame is dropped instead.
+  /// dead fd, so no survivor observes a torn frame).
   bool robust_write(int dproc, const wire::Header& h, const wire::Span* spans,
-                    std::size_t n, bool can_wait) {
+                    std::size_t n) {
     if (!hooks_.tolerate_peer_loss) {
       std::lock_guard<std::mutex> lk(send_mu_[dproc]);
       wire::FdIo io(send_fd_[static_cast<std::size_t>(dproc)]);
@@ -848,7 +747,7 @@ class SocketTransport final : public Transport {
         if (wire::write_frame(io, h, spans, n)) return true;
       }
       metrics::bump(Counter::kWireRetries);
-      if (!can_wait || stop_.load(std::memory_order_acquire)) return false;
+      if (stop_.load(std::memory_order_acquire)) return false;
       std::unique_lock<std::mutex> lk(gen_mu_);
       const bool moved = gen_cv_.wait_for(lk, std::chrono::minutes(2), [&] {
         return stop_.load(std::memory_order_acquire) ||
@@ -862,41 +761,17 @@ class SocketTransport final : public Transport {
 
   struct FdSink {
     SocketTransport* t = nullptr;
-    int peer = 0;
     Message* cur = nullptr;
 
     char* on_header(const wire::Header& h) {
-      switch (static_cast<Kind>(h.kind)) {
-        case Kind::kEager:
-          cur = t->hooks_.alloc(h, h.payload_len);
-          return payload_ptr(cur);
-        case Kind::kData: {
-          // Landing buffer was pre-sized at kRts; bytes stream straight in.
-          auto it = t->pending_recvs_.find(h.msg_id);
-          if (it == t->pending_recvs_.end()) {
-            // The kRts went to an incarnation that died before this data
-            // frame; only legal under peer-loss tolerance. Sink the bytes
-            // into reader scratch and drop the frame.
-            MFC_CHECK_MSG(t->hooks_.tolerate_peer_loss,
-                          "kData without a matching kRts");
-            cur = nullptr;
-            return nullptr;
-          }
-          cur = it->second;
-          t->rdv_landing_.fetch_sub(1, std::memory_order_acq_rel);
-          t->pending_recvs_.erase(it);
-          return payload_ptr(cur);
-        }
-        default:
-          return nullptr;
-      }
+      if (static_cast<Kind>(h.kind) != Kind::kEager) return nullptr;
+      cur = t->hooks_.alloc(h, h.payload_len);
+      return payload_ptr(cur);
     }
 
     void on_frame(const wire::Header& h, char*) {
       switch (static_cast<Kind>(h.kind)) {
         case Kind::kEager:
-        case Kind::kData:
-          if (cur == nullptr) break;  // orphan kData sunk to scratch
           metrics::bump(Counter::kWireDelivered);
           trace::emit(trace::Ev::kWireDeliver, h.trace_flow, 0,
                       static_cast<std::uint32_t>(h.payload_len),
@@ -904,41 +779,6 @@ class SocketTransport final : public Transport {
           t->hooks_.enqueue(cur);
           cur = nullptr;
           break;
-        case Kind::kRts: {
-          Message* m = t->hooks_.alloc(h, h.total_len);
-          auto [it, fresh] = t->pending_recvs_.emplace(h.msg_id, m);
-          if (!fresh) {
-            // A respawned sender restarts its rendezvous sequence, so its
-            // ids can collide with a dead incarnation's abandoned entry.
-            MFC_CHECK_MSG(t->hooks_.tolerate_peer_loss,
-                          "duplicate rendezvous id");
-            t->hooks_.drop(it->second);
-            it->second = m;
-          } else {
-            t->rdv_landing_.fetch_add(1, std::memory_order_acq_rel);
-          }
-          wire::Header cts;
-          cts.kind = static_cast<std::uint32_t>(Kind::kCts);
-          cts.msg_id = h.msg_id;
-          const int sproc = h.src_pe / t->ppn_;
-          // can_wait=false: the comm thread must never park on a dead
-          // stream — it is the thread that installs the replacement.
-          t->robust_write(sproc, cts, nullptr, 0, /*can_wait=*/false);
-          trace::emit(trace::Ev::kWireCts, h.msg_id, 0,
-                      static_cast<std::uint32_t>(h.total_len),
-                      static_cast<std::int16_t>(h.src_pe));
-          break;
-        }
-        case Kind::kCts: {
-          std::lock_guard<std::mutex> lk(t->rdv_mu_);
-          auto it = t->pending_sends_.find(h.msg_id);
-          if (it != t->pending_sends_.end()) {
-            std::lock_guard<std::mutex> plk(it->second->mu);
-            it->second->go = true;
-            it->second->cv.notify_all();
-          }
-          break;
-        }
         case Kind::kProcDone:
           t->hooks_.on_proc_done();
           break;
@@ -963,7 +803,7 @@ class SocketTransport final : public Transport {
     sinks_.assign(nfd, FdSink());
     ios_.assign(nfd, wire::FdIo());
     for (std::size_t i = 0; i < nfd; ++i) {
-      sinks_[i] = {this, recv_[i].second, nullptr};
+      sinks_[i] = {this, nullptr};
       ios_[i] = wire::FdIo(recv_[i].first);
       if (hooks_.tolerate_peer_loss) readers_[i].set_tolerate_eof(true);
     }
@@ -1014,12 +854,6 @@ class SocketTransport final : public Transport {
       // loop above must not be reading mid-iteration.
       service_control(hooks_.control, pfds.data() + nfd + 1);
     }
-    // Envelopes pre-sized for rendezvous data that never arrived.
-    for (auto& [id, m] : pending_recvs_) {
-      (void)id;
-      hooks_.drop(m);
-    }
-    pending_recvs_.clear();
   }
 
   void close_all() {
@@ -1056,13 +890,6 @@ class SocketTransport final : public Transport {
   Hooks hooks_;
   std::atomic<bool> stop_{false};
   std::thread comm_;
-  std::mutex rdv_mu_;
-  std::unordered_map<std::uint64_t, PendingSend*> pending_sends_;
-  /// Comm-thread-only (one comm thread handles every peer fd).
-  std::unordered_map<std::uint64_t, Message*> pending_recvs_;
-  /// Mirror of pending_recvs_.size() readable off-thread (quiescent()).
-  std::atomic<int> rdv_landing_{0};
-  std::atomic<std::uint64_t> rdv_seq_{1};
   /// Comm-thread receive state (members so attach_peer can reach them).
   std::vector<wire::Reader> readers_;
   std::vector<FdSink> sinks_;

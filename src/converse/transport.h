@@ -16,7 +16,7 @@
 // consumed (copied into a ring/staging buffer or handed to the kernel) and
 // `on_consumed`, if set, has run. Transports additionally guarantee
 // on_consumed runs before the message can be *delivered* anywhere — the
-// ring delays its final tail publish, the socket paths stage or block —
+// ring delays its final tail publish, the socket path stages a copy —
 // which is what makes a destructive pack epilogue (evacuating the pages the
 // spans point into) safe even when source and destination share a process.
 //
@@ -86,7 +86,7 @@ class Transport {
   virtual void start(int my_proc, Hooks hooks) = 0;
 
   /// Ships one message; see the send contract above. The transport picks
-  /// the wire strategy (eager / chunked / rendezvous) from the size; `h`
+  /// the wire strategy (eager / chunked) from the size; `h`
   /// arrives with kind == kEager and payload_len == total span bytes.
   virtual void send(const wire::Header& h, const wire::Span* spans,
                     std::size_t nspans,
@@ -129,8 +129,8 @@ class Transport {
 
   /// Survivor-side, comm-thread context: installs respawned peer `proc`'s
   /// fresh stream (`fd` < 0 when there is none to install) and discards
-  /// every half-read frame, staged envelope, and parked rendezvous still
-  /// referring to the old incarnation. `gen` is the respawn generation;
+  /// every half-read frame and staged envelope still referring to the old
+  /// incarnation. `gen` is the respawn generation;
   /// senders blocked on the dead stream resume when they observe it move.
   virtual void attach_peer(int proc, int fd, std::uint64_t gen) {
     (void)proc;
@@ -145,10 +145,6 @@ struct Options {
   /// Per-pair SPSC ring capacity (power of two). Messages that don't fit
   /// half a ring are chunked.
   std::size_t shm_ring_bytes = 64 * 1024;
-  /// Socket payloads beyond this go rendezvous (kRts/kCts/kData) so the
-  /// receiver can pre-size the landing buffer and the sender's spans go to
-  /// writev with no staging copy.
-  std::size_t rendezvous_bytes = 256 * 1024;
 };
 
 /// Pre-fork factories: create the shared segment / socketpairs so children

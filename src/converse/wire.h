@@ -41,14 +41,11 @@ namespace mfc::converse::wire {
 
 /// Frame kinds. Eager frames carry a whole message; kChunk splits a message
 /// too large for one shm-ring pass (offset/total_len sequence the pieces);
-/// kRts/kCts/kData implement the socket rendezvous protocol for big images;
 /// kProcDone/kStop are the shutdown handshake (child → PE0-process → all).
+/// A kind never changes its number, so the retired 3–5 stay unused.
 enum class Kind : std::uint32_t {
   kEager = 1,
   kChunk = 2,
-  kRts = 3,
-  kCts = 4,
-  kData = 5,
   kProcDone = 6,
   kStop = 7,
   /// FT control plane: src_pe = requesting PE, dest_pe = target PE,
@@ -65,9 +62,9 @@ struct Header {
   std::int32_t src_pe = -1;
   std::int32_t dest_pe = -1;
   std::uint64_t payload_len = 0;  ///< bytes following this header
-  std::uint64_t total_len = 0;    ///< whole-message bytes (kChunk/kRts)
-  std::uint64_t offset = 0;       ///< this piece's offset (kChunk/kData)
-  std::uint64_t msg_id = 0;       ///< rendezvous match key (kRts/kCts/kData)
+  std::uint64_t total_len = 0;    ///< whole-message bytes (kChunk)
+  std::uint64_t offset = 0;       ///< this piece's offset (kChunk)
+  std::uint64_t msg_id = 0;       ///< control op (kFtCtl)
   std::uint64_t trace_flow = 0;   ///< cross-process send→dispatch arrow
 };
 static_assert(sizeof(Header) == 56, "wire header layout must be fixed");
@@ -149,8 +146,8 @@ enum class PumpResult { kOk, kWouldBlock, kEof };
 ///     void on_frame(const Header& h, char* payload);
 ///   };
 ///
-/// This lets rendezvous kData frames land directly in the receiver's
-/// pre-allocated Payload with no intermediate copy.
+/// This lets every frame land directly in the receiver's pre-allocated
+/// Payload with no intermediate copy.
 class Reader {
  public:
   template <typename Io, typename Sink>

@@ -35,7 +35,6 @@ class IsoThread final : public MigratableThread {
   void on_switch_out() override;
 
   iso::ThreadHeap& heap() { return *heap_; }
-  const iso::SlotId& stack_slot() const { return stack_slot_; }
 
  private:
   IsoThread(int dest_pe, const ThreadImage& image);  // unpack path

@@ -74,9 +74,9 @@ class ImageManifest {
   /// concatenation is byte-identical to to_wire(), with run payloads
   /// referenced in place (no copy) and only the framing — metadata prefix,
   /// per-run length words, trailer — staged into `scratch`. Feeding the
-  /// spans to send_spans()/writev is the fully zero-copy ship path: the
-  /// image's data pages are read exactly once, by the wire itself. The
-  /// spans stay valid while `scratch` and the image's source memory do.
+  /// spans to send_spans() ships the image without gathering it first:
+  /// its data pages are read exactly once, by the wire path. The spans
+  /// stay valid while `scratch` and the image's source memory do.
   std::vector<IoRun> wire_spans(std::vector<char>* scratch) const;
 };
 

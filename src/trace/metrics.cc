@@ -53,7 +53,6 @@ const char* to_string(Counter c) {
     case Counter::kElemMigrations: return "elem-migrations";
     case Counter::kLbMigrations: return "lb-migrations";
     case Counter::kChaosInjections: return "chaos-injections";
-    case Counter::kTransportRespawns: return "transport-respawns";
     case Counter::kFtSent: return "ft-sent";
     case Counter::kFtDelivered: return "ft-delivered";
     case Counter::kFtCheckpoints: return "ft-checkpoints";
@@ -64,7 +63,6 @@ const char* to_string(Counter c) {
     case Counter::kFtShipBytes: return "ft-ship-bytes";
     case Counter::kFtDeltaRanges: return "ft-delta-ranges";
     case Counter::kFtAsyncChunks: return "ft-async-chunks";
-    case Counter::kFtDirtyPages: return "ft-dirty-pages";
     case Counter::kWireSentFrames: return "wire-sent-frames";
     case Counter::kWireSentBytes: return "wire-sent-bytes";
     case Counter::kWireDelivered: return "wire-delivered";

@@ -37,7 +37,6 @@ enum class Counter : int {
   kElemMigrations,  ///< chare-array element departures
   kLbMigrations,    ///< migrations ordered by the LB strategy
   kChaosInjections,
-  kTransportRespawns,  ///< chaos proc-transport child respawns
   // Fault tolerance (ft layer). Sent/delivered mirror the QD pair: FT
   // protocol traffic is subtracted from the app books so checkpoints and
   // recovery never perturb quiescence accounting.
@@ -51,7 +50,6 @@ enum class Counter : int {
   kFtShipBytes,    ///< checkpoint payload bytes shipped to buddies (post-delta)
   kFtDeltaRanges,  ///< coalesced dirty ranges shipped in incremental stores
   kFtAsyncChunks,  ///< bounded stream chunks sent by async checkpointing
-  kFtDirtyPages,   ///< pages caught by the write barrier between epochs
   // Cross-process wire transports (converse/transport). Sent-side counters
   // land in the sending PE's slot; delivered lands in the comm thread's
   // shared slot (it never binds a PE).
@@ -59,7 +57,10 @@ enum class Counter : int {
   kWireSentBytes,   ///< payload bytes shipped over the wire
   kWireDelivered,   ///< messages enqueued from the wire to a local PE
   kWireChunks,      ///< kChunk frames (messages split to fit the shm ring)
-  kWireRendezvous,  ///< rendezvous (RTS/CTS/DATA) transfers initiated
+  /// Always 0: the socket rendezvous protocol is gone, but the benchmark
+  /// runner (mfcbench/run.py) still reads "wire-rendezvous" from every
+  /// stats dump. Drop it together with the runner's `wire.rendezvous`.
+  kWireRendezvous,
   kSpanSends,       ///< send_spans() calls (scatter-gather message sends)
   kWireRetries,     ///< transient socket errors retried (EAGAIN/EPIPE/ECONNRESET)
   // Process-tier fault tolerance (cross-process FT).

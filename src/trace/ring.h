@@ -47,9 +47,6 @@ enum class Ev : std::uint8_t {
   kWireDeliver,         ///< comm thread enqueued an arrival (arg=flow, b=src pe)
   kWireAsmBegin,        ///< chunk reassembly started (arg=msg id, size=total)
   kWireAsmEnd,          ///< last chunk landed; message deliverable
-  kWireRts,             ///< rendezvous RTS issued (arg=rdv id, b=dest pe)
-  kWireCts,             ///< rendezvous CTS sent back (arg=rdv id)
-  kWireRdvDone,         ///< rendezvous payload written span-direct (size=bytes)
   kFtProcDown,          ///< whole process declared dead (a=proc, b=first pe)
   kFtProcRespawn,       ///< dead process respawned (a=proc, arg=generation)
   kCount,

@@ -174,15 +174,9 @@ const char* wire_kind_name(std::uint32_t k) {
   switch (k) {
     case 0: return "eager";
     case 1: return "chunk";
-    case 2: return "rdv";
   }
   return "?";
 }
-
-/// Rendezvous flow ids share the message-flow id space but are namespaced
-/// into their own high-bit prefix so an RTS→CTS→writev chain never
-/// collides with the payload message's own send→deliver→dispatch chain.
-constexpr std::uint64_t kRdvFlowBit = std::uint64_t{1} << 62;
 
 /// Per-track export pass over one ring's retained records. Records are
 /// already chronological (single writer, monotonic per-core rdtsc); a
@@ -493,31 +487,6 @@ void export_records(JsonWriter& w, const Record* recs, std::size_t n,
           w.done();
         }
         break;
-      case Ev::kWireRts:
-      case Ev::kWireCts:
-      case Ev::kWireRdvDone: {
-        const Ev ev = static_cast<Ev>(r.ev);
-        w.event(ev == Ev::kWireRts ? "wire-rts"
-                : ev == Ev::kWireCts ? "wire-cts" : "wire-rdv-done",
-                'i', tid, ns);
-        w.raw("s", "\"t\"");
-        w.args_begin();
-        w.arg_num("rdv", static_cast<long long>(r.arg), true);
-        if (r.size != 0) w.arg_num("bytes", r.size);
-        if (r.b >= 0) w.arg_num("peer", r.b);
-        w.args_end();
-        w.done();
-        // RTS starts the rendezvous flow, CTS is its step on the peer's
-        // wire track, the span-direct writev finishes it back home.
-        w.event("rdv", ev == Ev::kWireRts ? 's'
-                       : ev == Ev::kWireCts ? 't' : 'f',
-                tid, ns);
-        w.raw("cat", "\"rdv\"");
-        if (ev == Ev::kWireRdvDone) w.raw("bp", "\"e\"");
-        w.id(kRdvFlowBit | r.arg);
-        w.done();
-        break;
-      }
       case Ev::kCount:
         break;
     }
@@ -800,9 +769,6 @@ const char* to_string(Ev ev) {
     case Ev::kWireDeliver: return "wire-deliver";
     case Ev::kWireAsmBegin: return "wire-asm-begin";
     case Ev::kWireAsmEnd: return "wire-asm-end";
-    case Ev::kWireRts: return "wire-rts";
-    case Ev::kWireCts: return "wire-cts";
-    case Ev::kWireRdvDone: return "wire-rdv-done";
     case Ev::kFtProcDown: return "ft-proc-down";
     case Ev::kFtProcRespawn: return "ft-proc-respawn";
     case Ev::kCount: break;

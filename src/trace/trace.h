@@ -127,7 +127,7 @@ void unbind_pe();
 
 /// Binds the calling kernel thread to the session's wire ring (track
 /// "wire", tid = npes). The transport comm thread calls this so wire-level
-/// deliver/reassembly/rendezvous events land on their own track.
+/// deliver/reassembly events land on their own track.
 void bind_comm();
 
 /// Declares this process's place in a multi-process machine. Machine::run

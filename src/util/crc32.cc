@@ -14,17 +14,6 @@
 #include <arm_acle.h>
 #endif
 
-#if defined(__linux__)
-#include <fcntl.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#if __has_include(<linux/userfaultfd.h>)
-#include <linux/userfaultfd.h>
-#define MFC_HAVE_UFFD_H 1
-#endif
-#endif
-
 namespace mfc {
 namespace detail {
 namespace {
@@ -169,25 +158,6 @@ std::uint32_t crc32c_update_dispatch(std::uint32_t c, const void* data,
 }
 
 CrcImpl crc32c_impl() { return dispatch().impl; }
-
-bool userfaultfd_wp_available() {
-#if defined(__linux__) && defined(MFC_HAVE_UFFD_H) && defined(UFFD_FEATURE_PAGEFAULT_FLAG_WP)
-  static const bool available = [] {
-    long fd = syscall(SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK);
-    if (fd < 0) return false;
-    struct uffdio_api api = {};
-    api.api = UFFD_API;
-    api.features = UFFD_FEATURE_PAGEFAULT_FLAG_WP;
-    const bool ok = ioctl(static_cast<int>(fd), UFFDIO_API, &api) == 0 &&
-                    (api.features & UFFD_FEATURE_PAGEFAULT_FLAG_WP) != 0;
-    close(static_cast<int>(fd));
-    return ok;
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
 
 }  // namespace detail
 }  // namespace mfc

@@ -39,11 +39,6 @@ std::uint32_t crc32c_update_dispatch(std::uint32_t c, const void* data,
 /// Which implementation the dispatcher resolved to on this machine.
 CrcImpl crc32c_impl();
 
-/// True when the kernel advertises userfaultfd write-protect tracking; the
-/// dirty-page tracker probes this but ships the portable mprotect barrier.
-/// (Lives here with the other capability probes.)
-bool userfaultfd_wp_available();
-
 }  // namespace detail
 
 /// One-shot CRC-32C of `n` bytes. `seed` chains: crc32(b, n2, crc32(a, n1))

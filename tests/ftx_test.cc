@@ -150,25 +150,28 @@ TEST(Ftx, RespawnedProcessSurvivesRepeatedKills) {
 }
 
 /// Async checkpoint shipping across processes with a kill after each
-/// committed async epoch: the coordinator syncs the background commit
-/// before killing, so the books stay exact.
+/// committed async epoch, on both wires: the coordinator syncs the
+/// background commit before killing, so the books stay exact.
 TEST(Ftx, AsyncModeProcKillStorm) {
-  ProcStormOptions calm;
-  calm.seed = 1234;
-  calm.npes = 16;
-  calm.nprocs = 4;
-  calm.transport = 1;
-  calm.rounds = 10;
-  const ProcStormReport base = run_proc_storm(calm);
-  ASSERT_TRUE(base.clean(calm.npes));
+  for (int transport : {1, 2}) {  // shm rings, then sockets
+    SCOPED_TRACE(transport == 1 ? "shm" : "socket");
+    ProcStormOptions calm;
+    calm.seed = 1234;
+    calm.npes = 16;
+    calm.nprocs = 4;
+    calm.transport = transport;
+    calm.rounds = 10;
+    const ProcStormReport base = run_proc_storm(calm);
+    ASSERT_TRUE(base.clean(calm.npes));
 
-  ProcStormOptions storm = calm;
-  storm.checkpoint_every = 2;
-  storm.ft_mode = 2;  // ft::CkptMode::kAsync
-  storm.kill_every = 2;
-  const ProcStormReport r = run_proc_storm(storm);
-  expect_exact_ft_books(r, storm);
-  EXPECT_EQ(r.workload_digest, base.workload_digest);
+    ProcStormOptions storm = calm;
+    storm.checkpoint_every = 2;
+    storm.ft_mode = 2;  // ft::CkptMode::kAsync
+    storm.kill_every = 2;
+    const ProcStormReport r = run_proc_storm(storm);
+    expect_exact_ft_books(r, storm);
+    EXPECT_EQ(r.workload_digest, base.workload_digest);
+  }
 }
 
 #endif  // !MFC_TSAN

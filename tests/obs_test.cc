@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -264,6 +265,77 @@ TEST(HistStats, JsonDumpListsEveryHistogram) {
   EXPECT_NE(json.find("\"p999_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"proc\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// ---- Stats-dump names the benchmark runner reads ---------------------------
+//
+// mfcbench/run.py indexes the MFC_STATS dump by name: counters as c["..."],
+// histogram quantiles as us("...", "..."), top-level keys as st["..."]. A
+// name deleted or renamed here would crash every traced benchmark run, so
+// the test reads run.py itself (path from tests/CMakeLists.txt) and
+// checks that the dump still carries every name it asks for.
+
+/// The `{...}` value of the first `"key":{` in `json`, braces included;
+/// empty when the key is absent.
+std::string json_object(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":{");
+  if (at == std::string::npos) return "";
+  const std::size_t open = at + key.size() + 3;
+  int depth = 0;
+  for (std::size_t i = open; i < json.size(); ++i) {
+    depth += json[i] == '{' ? 1 : json[i] == '}' ? -1 : 0;
+    if (depth == 0) return json.substr(open, i + 1 - open);
+  }
+  return "";
+}
+
+/// Distinct capture-group tuples of every match of `re` in `text`.
+std::set<std::vector<std::string>> captures(const std::string& text,
+                                            const char* re) {
+  std::set<std::vector<std::string>> out;
+  const std::regex rx(re);
+  for (std::sregex_iterator it(text.begin(), text.end(), rx), end;
+       it != end; ++it) {
+    std::vector<std::string> groups;
+    for (std::size_t g = 1; g < it->size(); ++g) groups.push_back((*it)[g]);
+    out.insert(groups);
+  }
+  return out;
+}
+
+TEST(HistStats, JsonDumpHasEveryNameTheBenchmarkReads) {
+  const std::string runner = read_file(MFC_BENCH_RUN_PY);
+  ASSERT_FALSE(runner.empty()) << "cannot read " << MFC_BENCH_RUN_PY;
+  const auto counters = captures(runner, R"re(\bc\["([^"]+)"\])re");
+  const auto quantiles =
+      captures(runner, R"re(\bus\("([^"]+)",\s*"([^"]+)"\))re");
+  auto keys = captures(runner, R"re(\bst\["([^"]+)"\])re");
+  keys.insert({"nprocs"});
+  ASSERT_FALSE(counters.empty()) << "no c[\"...\"] lookups in run.py";
+  ASSERT_FALSE(quantiles.empty()) << "no us(...) lookups in run.py";
+
+  hist::reset(1);
+  const std::string path = "obs_stats_schema.json";
+  std::remove(path.c_str());
+  ASSERT_TRUE(hist::write_stats_json(path));
+  const std::string json = read_file(path);
+  std::remove(path.c_str());
+
+  const std::string counter_obj = json_object(json, "counters");
+  for (const auto& c : counters) {
+    EXPECT_NE(counter_obj.find("\"" + c[0] + "\":"), std::string::npos)
+        << "counter " << c[0];
+  }
+  const std::string hist_obj = json_object(json, "histograms");
+  for (const auto& q : quantiles) {
+    const std::string h = json_object(hist_obj, q[0]);
+    EXPECT_NE(h.find("\"" + q[1] + "\":"), std::string::npos)
+        << "histogram " << q[0] << " key " << q[1];
+  }
+  for (const auto& k : keys) {
+    EXPECT_NE(json.find("\"" + k[0] + "\":"), std::string::npos)
+        << "key " << k[0];
+  }
 }
 
 // ---- Metrics snapshot provenance -------------------------------------------

@@ -7,7 +7,7 @@
 // multi-process mode (Machine::run forks; only cross-process sends hit the
 // wire). The battery checks what a machine layer must never get wrong:
 // per-pair ordering, exactly-once delivery under seeded chaos
-// delay/reorder, big-payload integrity through the chunk and rendezvous
+// delay/reorder, big-payload integrity through the chunk and eager
 // paths, full migration storms (all three techniques, canary + address
 // stability + bit-identical same-seed replay), and balanced quiescence /
 // envelope books at shutdown (Machine::run itself asserts the latter).
@@ -234,8 +234,8 @@ TEST(TransportConformance, OrderingPerPairMultiProcess) {
 //
 // PE 0 ships a 1 MiB patterned payload as a multi-span message to the last
 // PE, which echoes its FNV digest (and length) back. Exercises the shm
-// chunk reassembly (1 MiB through 64 KiB rings) and, cross-process, the
-// socket rendezvous (RTS/CTS + writev straight from the spans).
+// chunk reassembly (1 MiB through 64 KiB rings) and the socket's one
+// staged eager frame (on_consumed is set, so the spans are gathered first).
 
 struct BigState {
   std::size_t len = 0;
@@ -310,11 +310,6 @@ void run_big_battery(Transport t, int nprocs) {
     // 1 MiB through 64 KiB rings must have chunked.
     EXPECT_GT(mfc::metrics::total(mfc::metrics::Counter::kWireChunks), 0u);
   }
-  if (t == Transport::kSocket && nprocs > 1) {
-    // Cross-process over the default 256 KiB threshold → rendezvous.
-    EXPECT_GT(mfc::metrics::total(mfc::metrics::Counter::kWireRendezvous),
-              0u);
-  }
   g_big = nullptr;
 }
 
@@ -326,7 +321,7 @@ TEST(TransportConformance, BigPayloadLoopback) {
 }
 
 #ifndef MFC_TSAN
-TEST(TransportConformance, BigPayloadRendezvousMultiProcess) {
+TEST(TransportConformance, BigPayloadMultiProcess) {
   run_big_battery(Transport::kShm, 2);
   run_big_battery(Transport::kSocket, 2);
 }
