@@ -13,6 +13,8 @@
 #include <mutex>
 #include <vector>
 
+#include <pthread.h>
+#include <sched.h>
 #include <sys/resource.h>
 
 #include "arch/context.h"
@@ -434,8 +436,8 @@ mfc::bench::MsgBenchRow traced_run(bool traced, int npes, Fn&& fn) {
 /// both sides instead of entirely on whichever phase ran last.
 ///
 /// The overhead ratio is computed on process CPU TIME, as the median of
-/// the per-rep paired ratios. This host has ONE core, so the PE threads
-/// are fully oversubscribed and the wall clock of a latency workload
+/// the per-rep paired ratios. On a small shared host (1–4 CPUs) the PE
+/// threads are oversubscribed, so the wall clock of a latency workload
 /// mostly measures kernel scheduling (futex wakes, preemption quanta)
 /// the tracing layer never touches. CPU time counts only work our
 /// process did, but its cost-per-op still drifts minute to minute
@@ -465,7 +467,7 @@ double paired_overhead_pct(int reps, int npes, Fn&& fn,
 
 void run_trace_suite() {
   constexpr int kNpes = 4;
-  // Short reps, many of them: on the one-core host the kernel's
+  // Short reps, many of them: on an oversubscribed host the kernel's
   // preemption quantum is in the same millisecond range as a rep, so a
   // ~1.5 ms rep often lands between preemptions while a long rep always
   // absorbs several — and the median paired ratio then has a majority of
@@ -482,8 +484,8 @@ void run_trace_suite() {
       kReps, kNpes);
   std::vector<mfc::bench::MsgBenchRow> rows;
   // The acceptance row: classic 1-deep latency pingpong, where each
-  // message pays a real cross-PE round trip. Two PEs (one ball): with the
-  // host's single core, every extra PE thread multiplies kernel-scheduler
+  // message pays a real cross-PE round trip. Two PEs (one ball): on a
+  // host with few cores, every extra PE thread multiplies kernel-scheduler
   // churn that swamps the ~35 ns/leg under test. The windowed variant
   // below is the worst case — the ~70 ns/msg inline fast path where three
   // timestamped events cost a visible fraction by construction.
@@ -537,7 +539,7 @@ mfc::bench::MsgBenchRow hist_run(bool armed, int npes, Fn&& fn) {
 }
 
 /// Paired off/on reps with the median-ratio methodology of
-/// paired_overhead_pct above (same one-core host rationale).
+/// paired_overhead_pct above (same small-host rationale).
 template <typename Fn>
 double paired_hist_overhead_pct(int reps, int npes, Fn&& fn,
                                 std::vector<mfc::bench::MsgBenchRow>& rows) {
@@ -623,7 +625,8 @@ mfc::bench::MsgBenchRow run_ft_storm(const char* name, int technique,
   opt.work_spin = 400000;  // ~0.5 ms of compute per worker per round
   // No kills here — the detector runs only so its ping tax lands in both
   // arms. With the default 250 ms timeout a PE starved by the rest of the
-  // bench process (1-CPU host) can be declared dead mid-measurement;
+  // bench process (more PE threads than CPUs) can be declared dead
+  // mid-measurement;
   // recovery noise would pollute the row, so make detection unreachable.
   opt.ft_timeout_us = 10'000'000;
   mfc::bench::MsgBenchRow row;
@@ -741,8 +744,8 @@ mfc::bench::MsgBenchRow run_ftx_storm(const char* name, int checkpoint_every) {
 }
 
 void run_ftx_suite() {
-  // Whole-machine wall-time runs on a shared 1-core host wobble; 9 paired
-  // reps keep the median ratio clear of the 15% gate's noise floor.
+  // Whole-machine wall-time runs on a shared host wobble; 9 paired reps
+  // keep the median ratio clear of the 15% gate's noise floor.
   constexpr int kReps = 9;
   constexpr int kEvery = 10;
   std::printf("# cross-process checkpoint overhead: paired ckpt off/on "
@@ -937,7 +940,7 @@ mfc::bench::MsgBenchRow run_mode_storm(const char* name, int ft_mode,
   opt.work_spin = 400000;  // ~0.5 ms of compute per worker per round
   // Calm storm: detection must stay unreachable. The ckpt_none arm never
   // commits an epoch, so a false-positive detection (a PE starved past the
-  // default 250 ms timeout by bench load on this 1-CPU host) would drive
+  // default 250 ms timeout by bench load on an oversubscribed host) would drive
   // recovery into "predecessor has no checkpoint" and abort the process.
   // Pings still flow at the same rate, so the resident-FT tax is unchanged.
   opt.ft_timeout_us = 10'000'000;
@@ -995,7 +998,7 @@ void run_migrate_suite() {
 
   // Sub-suite 3: per-mode checkpoint overhead. Pairing methodology is
   // PR-4's (paired reps, median per-rep cpu ratio), with two changes that
-  // keep a 2%-class signal measurable on a noisy single-CPU host:
+  // keep a 2%-class signal measurable on a noisy shared host:
   //  - the baseline keeps FT *resident* (detector pinging, no epochs), so
   //    the diff prices checkpointing alone, not detector residency;
   //  - the measured run checkpoints every 2 rounds (14 epochs over 30
@@ -1068,14 +1071,17 @@ void run_migrate_suite() {
 //                The acceptance bar (gated by scripts/ci_transport.sh via
 //                bench_compare.py --max-ratio) is shm <= 3x the in-process
 //                ns/msg: the ring adds a copy into the segment, a copy out,
-//                and a wake — but no syscall per message. The flood keeps
-//                the consumer's comm thread awake, so it never prices a
-//                wake-up.
-//   pingpong64   one 64-byte message bouncing between PE 0 (parent) and
-//                PE 1 (forked child), one row per wire backend, ns per hop.
-//                Strictly alternating: every hop finds the receiving comm
-//                thread asleep, so the row prices the per-hop wake-up that
-//                the cross-process FT and QD protocols pay.
+//                and a drain — but no syscall per message. The flood keeps
+//                the receiving PE awake, so it never prices a wake-up.
+//   pingpong64   one 64-byte message bouncing between PE 0 and PE 1, ns per
+//                hop: the wire rows across 2 processes (parent and forked
+//                child), the inproc row between two PEs of one process.
+//                Strictly alternating, so a hop that outlasts the
+//                receiver's pre-park spin prices the wake-up the
+//                cross-process FT and QD protocols pay; shm/inproc (gated
+//                by ci_transport.sh) is what crossing a process adds. Each
+//                PE is pinned to its own CPU, 500 untimed round trips warm
+//                up each rep, and the reps of the three legs interleave.
 //   image_*      scatter-gather thread-image-shaped sends (send_spans over
 //                an uneven span list) at 64 KiB / 256 KiB / 1 MiB over the
 //                socket wire across 2 processes: one eager frame per image,
@@ -1091,6 +1097,7 @@ cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack, h_ping64,
     h_pong64;
 mfc::ult::Thread* g_sender = nullptr;
 int g_expect = 0;
+int g_timed = 0;  ///< ping-pong: round trips left when the clock starts
 double g_t0 = 0.0, g_t1 = 0.0;
 
 struct Cell64 {
@@ -1119,9 +1126,10 @@ void ensure_handlers() {
     h_pong64 = cv::register_handler([](cv::Message&&) {
       if (--g_expect == 0) {
         cv::ready_thread(g_sender);
-      } else {
-        cv::send_value(1, h_ping64, Cell64{});
+        return;
       }
+      if (g_expect == g_timed) g_t0 = mfc::wall_time();  // warm-up over
+      cv::send_value(1, h_ping64, Cell64{});
     });
   });
 }
@@ -1171,15 +1179,40 @@ mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
           g_t1 - g_t0};
 }
 
+/// Pins the calling PE thread to the pe-th CPU this process may run on.
+/// On an idle host the kernel's wake-affine placement can put a
+/// ping-pong's two PE threads on one CPU, and every hop then prices a
+/// context switch, not the path under test. No-op with fewer than 2 CPUs.
+void pin_pe_thread(int pe) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  const int n = CPU_COUNT(&allowed);
+  if (n < 2) return;
+  for (int cpu = 0, seen = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || seen++ != pe % n) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+    return;
+  }
+}
+
 mfc::bench::MsgBenchRow run_pingpong64(cv::Machine::Config::Transport t,
                                        int trips) {
   ensure_handlers();
-  cv::Machine::run(wire_config(t, /*nprocs=*/2), [&](int pe) {
+  // A wire needs two processes to cross; the in-process machine has one.
+  const int nprocs = t == cv::Machine::Config::Transport::kInProc ? 1 : 2;
+  cv::Machine::run(wire_config(t, nprocs), [&](int pe) {
+    pin_pe_thread(pe);
     cv::barrier();  // both processes up before the clock starts
     if (pe == 0) {
+      // Untimed round trips first: a cold start (CPUs just out of idle)
+      // would otherwise land in the median.
+      constexpr int kWarmupTrips = 500;
       g_sender = cv::pe_scheduler().running();
-      g_expect = trips;
-      g_t0 = mfc::wall_time();
+      g_timed = trips;
+      g_expect = trips + kWarmupTrips;
       cv::send_value(1, h_ping64, Cell64{});
       cv::pe_scheduler().suspend();
       g_t1 = mfc::wall_time();
@@ -1230,10 +1263,11 @@ void run_transport_suite() {
   constexpr int kReps = 3;
   constexpr int kStreamMsgs = 20000;
   constexpr int kPingPongTrips = 2000;
+  constexpr int kPingPongReps = 5;
   constexpr int kImageReps = 40;
 
   std::printf("# machine-layer wire transports (npes=2, median of %d; "
-              "stream64 in loopback, pingpong64 and image rows across 2 "
+              "stream64 in loopback, wire pingpong64 and image rows across 2 "
               "processes)\n", kReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const auto t : {cv::Machine::Config::Transport::kInProc,
@@ -1247,12 +1281,30 @@ void run_transport_suite() {
               "gated by ci_transport.sh)\n",
               rows[1].ns_per_msg() / rows[0].ns_per_msg());
 
-  for (const auto t : {cv::Machine::Config::Transport::kShm,
-                       cv::Machine::Config::Transport::kSocket}) {
-    rows.push_back(conv_bench::median_of(
-        kReps, [&] { return run_pingpong64(t, kPingPongTrips); }));
+  // Ping-pong reps interleave the three legs, so a host that drifts
+  // between fast and slow wake-ups mid-suite skews all legs alike and the
+  // gated shm/inproc ratio stays comparable.
+  const std::size_t pingpong_first = rows.size();
+  constexpr cv::Machine::Config::Transport kPingPongLegs[] = {
+      cv::Machine::Config::Transport::kInProc,
+      cv::Machine::Config::Transport::kShm,
+      cv::Machine::Config::Transport::kSocket};
+  std::vector<mfc::bench::MsgBenchRow> reps[3];
+  for (int r = 0; r < kPingPongReps; ++r) {
+    for (int leg = 0; leg < 3; ++leg) {
+      reps[leg].push_back(run_pingpong64(kPingPongLegs[leg], kPingPongTrips));
+    }
+  }
+  for (auto& leg : reps) {
+    std::sort(leg.begin(), leg.end(),
+              [](const auto& a, const auto& b) { return a.seconds < b.seconds; });
+    rows.push_back(leg[leg.size() / 2]);
     conv_bench::print_row(rows.back());
   }
+  std::printf("# pingpong64 shm/inproc ns-per-hop ratio: %.2fx (gated by "
+              "ci_transport.sh)\n",
+              rows[pingpong_first + 1].ns_per_msg() /
+                  rows[pingpong_first].ns_per_msg());
 
   struct { const char* name; std::size_t bytes; } sizes[] = {
       {"image_64k", 64 * 1024},

@@ -148,9 +148,12 @@ struct MachineState {
   int local_first = 0;
   int local_npes = 0;
   transport::Transport* transport = nullptr;
+  /// The wire has no relay thread (shm): PE loops drain it themselves.
+  bool pe_drain = false;
   std::atomic<int> procs_done{0};
   // Mattern double-wave memory for multi-process quiescence (PE 0 only):
-  // the previous round's accumulated send/deliver counts. ~0 = no round.
+  // the last wave's accumulated send/deliver counts, kept across a quiet
+  // verdict (qd_forget_prev clears them). ~0 = no wave to compare with.
   std::uint64_t qd_prev_sent = ~0ull;
   std::uint64_t qd_prev_delivered = ~0ull;
   // Per-PE FT flags (allocated only when ft_on). `dead`: the PE's loop
@@ -356,6 +359,10 @@ struct QdToken {
   /// token has to collect them in place of PE 0 reading globals).
   std::uint64_t acc_sent = 0;
   std::uint64_t acc_delivered = 0;
+  /// Single-process: the sum of each PE's own app-delivered count, read at
+  /// its visit. Equal to the total at the verdict only if nothing was
+  /// delivered behind the token (see h_qd_token).
+  std::uint64_t visit_delivered = 0;
   std::int32_t hops = 0;
   std::uint8_t all_idle = 1;
   /// Drain mode only: ANDs one transport->quiescent() sample per process —
@@ -367,8 +374,8 @@ struct QdToken {
   /// in PE 0's process only.
   std::uint8_t drain = 0;
   void pup(pup::Er& p) {
-    p | app_sent_at_start | acc_sent | acc_delivered | hops | all_idle |
-        xport_idle | drain;
+    p | app_sent_at_start | acc_sent | acc_delivered | visit_delivered |
+        hops | all_idle | xport_idle | drain;
   }
 };
 
@@ -396,6 +403,23 @@ std::uint64_t app_sent() {
 std::uint64_t app_delivered() {
   return total_delivered() - total_qd_delivered() -
          metrics::total(Counter::kFtDelivered);
+}
+
+/// One PE's own app deliveries (dispatch runs on PE threads only, so the
+/// per-PE slots hold every delivery).
+std::uint64_t pe_app_delivered(int pe) {
+  return metrics::pe_value(Counter::kMsgsDelivered, pe) -
+         metrics::pe_value(Counter::kQdDelivered, pe) -
+         metrics::pe_value(Counter::kFtDelivered, pe);
+}
+
+/// Forgets the last quiet wave's per-process sums (PE 0 thread). Counts
+/// stop being comparable across a process respawn (its counters restart)
+/// and across a drain-mode toggle (the verdict rule changes), so the next
+/// round must take two waves again.
+void qd_forget_prev() {
+  g_machine->qd_prev_sent = ~0ull;
+  g_machine->qd_prev_delivered = ~0ull;
 }
 
 /// QD system send: counted separately so tokens don't disturb the counts
@@ -509,6 +533,16 @@ void enqueue_or_inline(int dest_pe, Message* m) {
   dest.queue.push(m);
 }
 
+/// The shm rings toward this process as a PE queue feed (util/queue.h
+/// NoFeed): with no relay thread, a waiting PE delivers them itself.
+struct WireFeed {
+  transport::Transport* wire = nullptr;  ///< null: nothing to drain
+  void poll() {
+    if (wire != nullptr) wire->drain();
+  }
+  bool ready() { return wire != nullptr && wire->pending(); }
+};
+
 void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
   t_pe = pe;
   ult::Scheduler::set_current(&pe->sched);
@@ -559,15 +593,23 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
   const bool ft_on = g_machine->ft_on;
   const std::uint64_t max_ticks =
       delay_on ? chaos::config().max_delay_ticks : 0;
+  WireFeed feed{g_machine->pe_drain ? g_machine->transport : nullptr};
   while (!g_machine->stop.load(std::memory_order_acquire)) {
+    // Every pass delivers what waits in the rings toward this process —
+    // dead PEs' passes too: a respawned incarnation boots with every PE
+    // dead, and only they can receive its revive frames.
+    feed.poll();
     if (ft_on) {
       // Dead PE: stop dispatching and running threads; messages keep
       // queueing and drain after revival. Park until the revive wakes
-      // the queue (an arrival for the dead PE only re-parks it).
+      // the queue (an arrival for the dead PE only re-parks it) or a
+      // frame waits in the rings.
       std::atomic<bool>& dead = g_machine->dead[pe->id];
       if (dead.load(std::memory_order_acquire)) {
-        pe->queue.park_until(
-            [&dead] { return !dead.load(std::memory_order_seq_cst); });
+        pe->queue.park_until([&dead, &feed] {
+          return !dead.load(std::memory_order_seq_cst) || feed.ready();
+        });
+        trace::clock_stale();
         continue;
       }
       // Just revived: wipe stale state on this PE's own thread BEFORE
@@ -615,13 +657,17 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
       // With FT on, PE 0 parks with a deadline so detector ticks keep
       // firing on an otherwise idle machine.
       if (ft_on && pe->id == 0) {
-        if (Message* m = pe->queue.pop_wait_for(200)) dispatch(m);
+        Message* m = pe->queue.pop_wait_for(200, feed);
+        trace::clock_stale();
+        if (m != nullptr) dispatch(m);
         continue;
       }
       // Idle: bounded spin then park until a message arrives or shutdown
       // wakes us. On delivery, re-enter the drain loop immediately — the
       // batch behind this message is typically non-empty.
-      if (Message* m = pe->queue.pop_wait()) {
+      Message* m = pe->queue.pop_wait(feed);
+      trace::clock_stale();
+      if (m != nullptr) {
         dispatch(m);
         continue;
       }
@@ -705,13 +751,21 @@ void register_builtin_handlers() {
           g_machine->qd_prev_sent = token.acc_sent;
           g_machine->qd_prev_delivered = token.acc_delivered;
         } else {
+          // Balance is not enough: a message counted at the start can be
+          // delivered behind the token (from a chaos delay stash or a
+          // loopback ring) and ready a thread on a PE already visited. The
+          // per-PE readings taken at each visit only sum to the total if
+          // no PE delivered anything after its visit.
+          const std::uint64_t delivered = app_delivered();
           quiet = token.all_idle != 0 &&
                   app_sent() == token.app_sent_at_start &&
-                  app_delivered() == token.app_sent_at_start;
+                  delivered == token.app_sent_at_start &&
+                  token.visit_delivered == delivered;
         }
         if (quiet) {
-          g_machine->qd_prev_sent = ~0ull;
-          g_machine->qd_prev_delivered = ~0ull;
+          // Multi-process: the quiet wave's sums stay in qd_prev_*, so a
+          // back-to-back round that finds them unchanged is quiet after one
+          // wave — Mattern's second wave is the one that just ended.
           g_machine->qd_round_active.store(false);
           for (int p = 0; p < g_machine->npes; ++p) {
             qd_send(p, h_qd_release, {});
@@ -722,6 +776,9 @@ void register_builtin_handlers() {
         return;
       }
       if (pe->sched.ready_count() > 0) token.all_idle = 0;
+      if (g_machine->nprocs == 1) {
+        token.visit_delivered += pe_app_delivered(pe->id);
+      }
       if (g_machine->nprocs > 1 && pe->id % g_machine->ppn == 0) {
         token.acc_sent += app_sent();
         token.acc_delivered += app_delivered();
@@ -812,8 +869,9 @@ bool reap_kid(std::size_t k) {
 
 /// Comm thread: the zygote channel is readable. Survivors install
 /// respawned peers' fresh streams here (attach_peer must run on the comm
-/// thread); process 0 also learns of respawns and of deaths only the
-/// zygote can reap. Returns false (retire the fd) if the zygote is gone.
+/// thread); process 0 also learns of respawns (waking PE 0, where the
+/// recovery ULT waits for them) and of deaths only the zygote can reap.
+/// Returns false (retire the fd) if the zygote is gone.
 bool serve_ctl_channel() {
   MachineState* st = g_machine;
   CtlRec rec;
@@ -832,6 +890,7 @@ bool serve_ctl_channel() {
         trace::emit_flight(trace::Ev::kFtProcRespawn, rec.arg,
                            static_cast<std::uint32_t>(rec.proc));
         st->respawn_done_event.store(rec.proc, std::memory_order_release);
+        st->pes[0]->queue.wake();  // recovery waits parked for this
         break;
       case kCtlProcDeath:
         // A respawned incarnation died (only the zygote, its parent, can
@@ -927,19 +986,37 @@ void run_machine_process(ProcRun ctx) {
        i < g_machine->local_first + g_machine->local_npes; ++i) {
     auto pe = std::make_unique<Pe>();
     pe->id = i;
+    // A wire without a relay thread wakes PEs directly: the queue parks on
+    // the PE's word in the wire's shared segment instead of its own.
+    if (transport) {
+      if (std::atomic<std::uint32_t>* w = transport->wake_word(i)) {
+        pe->queue.bind_wake_word(w);
+        g_machine->pe_drain = true;
+      }
+    }
     g_machine->pes[static_cast<std::size_t>(i)] = std::move(pe);
   }
 
   if (transport) {
     transport::Hooks hooks;
     hooks.alloc = [](const wire::Header& h, std::uint64_t total_len) {
-      Message* m = create_message();
+      // A PE draining the shm rings recycles an envelope from its own pool
+      // (no chaos pool-miss draw: that would shift the PE's decision
+      // stream by how many frames it happened to drain).
+      Message* m = nullptr;
+      if (t_pe != nullptr && !t_pe->pool.cache.empty()) {
+        m = t_pe->pool.cache.back();
+        t_pe->pool.cache.pop_back();
+        metrics::bump(Counter::kMsgsRecycled);
+      } else {
+        m = create_message();
+      }
       m->handler = h.handler;
       m->src_pe = h.src_pe;
       m->dest_pe = h.dest_pe;
       m->trace_flow = h.trace_flow;
-      // Adopted into the destination PE's pool on release (the comm thread
-      // allocates, the destination PE frees).
+      // Adopted into the destination PE's pool on release (the delivering
+      // thread allocates, the destination PE frees).
       m->pool_pe = h.dest_pe;
       m->payload.resize(static_cast<std::size_t>(total_len));
       return m;
@@ -968,7 +1045,8 @@ void run_machine_process(ProcRun ctx) {
     hooks.tolerate_peer_loss = g_machine->ft_respawn;
     if (g_machine->ft_on) {
       // Machine-level FT control frames (kill/revive for a local PE): the
-      // comm thread flips the same flags kill_pe/revive_pe flip locally.
+      // delivering thread flips the same flags kill_pe/revive_pe flip
+      // locally.
       hooks.ft_ctl = [](const wire::Header& h) {
         const int pe = h.dest_pe;
         MFC_CHECK(pe >= 0 && pe < g_machine->npes && pe_local(pe));
@@ -1310,6 +1388,16 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   // caller (storm driver, trace tests) is left for its owner to export.
   const bool owns_trace = trace::env_enabled() && !trace::active();
   if (owns_trace) trace::start(config.npes);
+  if (trace::active()) {
+    // The built-in protocols' handler ids, so trace analysis
+    // (scripts/trace_hops.py) can tell their hops from application traffic.
+    trace::set_meta("qd_handlers", std::to_string(h_qd_start) + "," +
+                                       std::to_string(h_qd_token) + "," +
+                                       std::to_string(h_qd_release));
+    trace::set_meta("barrier_handlers",
+                    std::to_string(h_barrier_arrive) + "," +
+                        std::to_string(h_barrier_release));
+  }
 
   // Env-gated latency histograms (MFC_STATS=1): armed for the run, dumped
   // as JSON at shutdown. Same ownership rule as tracing so benches can arm
@@ -1690,7 +1778,8 @@ void clear_ft_machine_hooks() {
 namespace {
 
 /// Remote-PE tail shared by kill_pe/revive_pe: ships a kFtCtl frame to the
-/// process hosting `pe`; its comm thread flips the flags (hooks.ft_ctl).
+/// process hosting `pe`; the thread that delivers it there flips the flags
+/// (hooks.ft_ctl).
 void send_ft_ctl(int pe, std::uint64_t op) {
   MFC_CHECK_MSG(t_pe != nullptr && g_machine->transport != nullptr,
                 "cross-process kill/revive requires a PE thread and a wire");
@@ -1754,9 +1843,10 @@ int take_dead_proc() {
 
 void request_respawn(int proc) {
   MachineState* st = g_machine;
-  MFC_CHECK(st != nullptr && st->ft_respawn && st->my_proc == 0);
+  MFC_CHECK(st != nullptr && st->ft_respawn && my_pe() == 0);
   MFC_CHECK(proc > 0 && proc < st->nprocs);
   st->proc_respawned[static_cast<std::size_t>(proc)] = true;
+  qd_forget_prev();
   ctl_send(st->ctl_fd, CtlRec{kCtlReqRespawn, proc, ++st->next_respawn_gen});
 }
 
@@ -1786,12 +1876,14 @@ void kill_proc(int proc) {
 }
 
 void begin_qd_drain() {
-  MFC_CHECK(g_machine != nullptr);
+  MFC_CHECK(g_machine != nullptr && my_pe() == 0);
+  qd_forget_prev();
   g_machine->qd_drain.store(true, std::memory_order_release);
 }
 
 void end_qd_drain() {
-  MFC_CHECK(g_machine != nullptr);
+  MFC_CHECK(g_machine != nullptr && my_pe() == 0);
+  qd_forget_prev();
   g_machine->qd_drain.store(false, std::memory_order_release);
 }
 

@@ -315,8 +315,8 @@ void clear_ft_machine_hooks();
 /// recovery protocol, not OS-level process death; see DESIGN.md "Fault
 /// tolerance"). Requires FT hooks installed and pe != 0. Callable from any
 /// PE thread, including the victim itself. A non-local `pe` is reached via
-/// a machine-level control frame (kFtCtl); its process's comm thread flips
-/// the flags.
+/// a machine-level control frame (kFtCtl); the thread that delivers it in
+/// the PE's process flips the flags.
 void kill_pe(int pe);
 
 /// Clears the dead flag and schedules the on_revive hook; the PE's loop
@@ -355,11 +355,12 @@ bool ft_proc_respawn_enabled();
 /// tick polls this.
 int take_dead_proc();
 
-/// Asks the zygote to respawn dead process `proc` (process 0, PE thread).
+/// Asks the zygote to respawn dead process `proc` (PE 0's thread).
 void request_respawn(int proc);
 
 /// True once `proc`'s respawn completed (survivors rewired, replacement
-/// running); consumes the completion event.
+/// running); consumes the completion event. The event wakes PE 0, so a
+/// check from its scheduler loop (the FT tick) sees it without polling.
 bool take_respawn_complete(int proc);
 
 /// SIGKILLs process `proc` (whole-process chaos; process 0 only, proc != 0).
@@ -371,7 +372,7 @@ void kill_proc(int proc);
 /// with the killed process, so send/deliver balance is unreachable. In
 /// drain mode the detector instead requires every PE idle, every transport
 /// quiescent, and counts frozen across two waves — and records the settled
-/// deficit as the baseline later exact rounds compare against.
+/// deficit as the baseline later exact rounds compare against. PE 0 only.
 void begin_qd_drain();
 void end_qd_drain();
 

@@ -3,11 +3,13 @@
 // The segment holds a grid of single-producer single-consumer rings:
 // rings[dest_proc][producer], where `producer` is either a PE id (that PE's
 // kernel thread is the only writer) or the extra per-destination control
-// slot (written only by the one thread that decides shutdown). The single
-// consumer of every ring targeting process k is k's comm thread. Pinning
-// one writer and one reader per ring is what lets the ring reuse the PR 1
-// queue discipline — release/acquire head/tail on separate cache lines, no
-// CAS, no locks — across address spaces.
+// slot (written only by the one thread that decides shutdown). The rings
+// toward process k are consumed by k's own PE threads: whichever of them is
+// awake drains them, and a per-ring hand-off counter in the transport keeps
+// one consumer on a ring at a time. Pinning one writer and one reader per
+// ring is what lets the ring reuse the queue discipline of util/queue.h —
+// release/acquire head/tail on separate cache lines, no CAS, no locks —
+// across address spaces.
 //
 // A ring carries whole wire frames (Header + payload). The producer only
 // publishes `tail` after a complete frame is in place, so the consumer never
@@ -18,19 +20,18 @@
 // destructive migration-pack epilogue) after the bytes are copied out but
 // before the frame becomes visible to the consumer.
 //
-// Each destination process also has a doorbell: an eventfd plus a
-// `sleeping` word in the segment. Its comm thread blocks in poll() on the
-// eventfd once every ring toward it is empty, and a producer writes the
-// eventfd after publishing only when the word says the consumer is asleep
-// — one load and no syscall per frame while the consumer is awake.
+// Each PE also has a wake word in the segment: the futex word its queue
+// parks on (util/queue.h Parker, bound there at start). A producer that
+// publishes a frame wakes the frame's destination PE through that word —
+// one load and no syscall while the PE is awake — and the woken PE drains
+// the rings itself, so a cross-process hop costs one wake-up.
 //
 // The segment is created with shm_open + ftruncate + mmap(MAP_SHARED) before
 // the machine forks, and shm_unlink'd immediately — children inherit the
-// mapping and the eventfds; nothing persists if a process dies.
+// mapping; nothing persists if a process dies.
 #pragma once
 
 #include <fcntl.h>
-#include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -39,7 +40,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
 #include "converse/wire.h"
 #include "util/check.h"
@@ -96,9 +96,9 @@ class RingView {
   }
 
   /// Makes the pending frame(s) visible to the consumer. seq_cst, not just
-  /// release: it is the producer's store half of the doorbell handshake
-  /// (see Doorbell), so it must not pass the producer's later load of the
-  /// consumer's `sleeping` word.
+  /// release: it is the producer's store half of the parking handshake, so
+  /// it must not pass the producer's later load of the destination PE's
+  /// wake word (util/queue.h unpark_word).
   void publish() {
     ctrl_->tail.store(pending_tail_, std::memory_order_seq_cst);
   }
@@ -122,8 +122,8 @@ class RingView {
     return true;
   }
 
-  /// The seq_cst tail load is the consumer's load half of the doorbell
-  /// handshake: its re-check after Doorbell::arm().
+  /// The seq_cst tail load is the consumer's load half of the parking
+  /// handshake: a PE's re-check after it announced its park.
   bool empty() const {
     return ctrl_->tail.load(std::memory_order_seq_cst) ==
            ctrl_->head.load(std::memory_order_relaxed);
@@ -169,62 +169,15 @@ class RingView {
   std::uint64_t pending_tail_ = 0;
 };
 
-/// Shared half of one destination process's doorbell.
-struct BellCtrl {
-  alignas(64) std::atomic<std::uint32_t> sleeping;
+/// One PE's wake word, on its own cache line.
+struct WakeCtrl {
+  alignas(64) std::atomic<std::uint32_t> word;
 };
-static_assert(sizeof(BellCtrl) == 64);
+static_assert(sizeof(WakeCtrl) == 64);
 
-/// View over one destination process's doorbell. The wake-up uses the same
-/// Dekker handshake as util/queue.h's Parker, across address spaces: the
-/// consumer stores `sleeping` then re-checks its rings (RingView::empty),
-/// the producer stores a tail (RingView::publish) then loads `sleeping`,
-/// all four seq_cst — so either the producer sees the consumer asleep and
-/// rings, or the consumer's re-check sees the frame and stays awake.
-class Doorbell {
- public:
-  Doorbell(BellCtrl* ctrl, int fd) : ctrl_(ctrl), fd_(fd) {}
-
-  /// Producer, after publish(): wakes the consumer if it is asleep. The
-  /// exchange claims the wake, so a burst of frames costs one write.
-  void ring() {
-    if (ctrl_->sleeping.load(std::memory_order_seq_cst) == 0) return;
-    if (ctrl_->sleeping.exchange(0, std::memory_order_seq_cst) == 0) return;
-    wake();
-  }
-
-  /// Unconditional wake-up for a stop order: the stop flag is not a frame,
-  /// so the handshake does not cover it.
-  void wake() {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t w = ::write(fd_, &one, sizeof one);
-  }
-
-  /// Consumer: announces the sleep. Re-check every ring afterwards and
-  /// block on fd() only if they are all still empty.
-  void arm() { ctrl_->sleeping.store(1, std::memory_order_seq_cst); }
-
-  /// Consumer, awake again: producers stop ringing.
-  void disarm() { ctrl_->sleeping.store(0, std::memory_order_relaxed); }
-
-  /// Consumer, after fd() polled readable: resets the eventfd count. A
-  /// ring that lands after the consumer already woke only costs one
-  /// spurious wake-up later.
-  void drain() {
-    std::uint64_t n;
-    [[maybe_unused]] ssize_t r = ::read(fd_, &n, sizeof n);
-  }
-
-  int fd() const { return fd_; }
-
- private:
-  BellCtrl* ctrl_;
-  int fd_;
-};
-
-/// The whole segment: nprocs doorbells, then nprocs × (npes + 1) rings.
+/// The whole segment: npes wake words, then nprocs × (npes + 1) rings.
 /// Ring (dest_proc, producer) carries frames from `producer` (a PE, or the
-/// control slot producer == npes) to dest_proc's comm thread.
+/// control slot producer == npes) to dest_proc's PEs.
 class Segment {
  public:
   Segment() = default;
@@ -245,7 +198,7 @@ class Segment {
     nprocs_ = nprocs;
     npes_ = npes;
     ring_bytes_ = ring_bytes;
-    bytes_ = static_cast<std::size_t>(nprocs) * sizeof(BellCtrl) +
+    bytes_ = static_cast<std::size_t>(npes) * sizeof(WakeCtrl) +
              static_cast<std::size_t>(nprocs) * (npes + 1) *
                  ring_footprint(ring_bytes);
     char name[64];
@@ -261,19 +214,17 @@ class Segment {
                                       fd, 0));
     ::close(fd);
     MFC_CHECK_MSG(base_ != MAP_FAILED, "mmap of shm segment failed");
+    for (int pe = 0; pe < npes; ++pe) {
+      wake_word(pe).store(0, std::memory_order_relaxed);
+    }
     for (int d = 0; d < nprocs; ++d) {
-      const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-      MFC_CHECK_MSG(fd >= 0, "eventfd for the shm doorbell failed");
-      bell_fds_.push_back(fd);
-      bell(d).disarm();
       for (int p = 0; p <= npes; ++p) ring(d, p).init(ring_bytes);
     }
   }
 
-  /// Doorbell of process `dest_proc` (its comm thread is the consumer).
-  Doorbell bell(int dest_proc) {
-    return Doorbell(reinterpret_cast<BellCtrl*>(base_) + dest_proc,
-                    bell_fds_[static_cast<std::size_t>(dest_proc)]);
+  /// PE `pe`'s futex word (its queue's parking word; util/queue.h).
+  std::atomic<std::uint32_t>& wake_word(int pe) {
+    return reinterpret_cast<WakeCtrl*>(base_)[pe].word;
   }
 
   /// Ring carrying frames from `producer` to process `dest_proc`.
@@ -281,7 +232,7 @@ class Segment {
   RingView ring(int dest_proc, int producer) {
     std::size_t idx =
         static_cast<std::size_t>(dest_proc) * (npes_ + 1) + producer;
-    char* at = base_ + static_cast<std::size_t>(nprocs_) * sizeof(BellCtrl) +
+    char* at = base_ + static_cast<std::size_t>(npes_) * sizeof(WakeCtrl) +
                idx * ring_footprint(ring_bytes_);
     return RingView(reinterpret_cast<RingCtrl*>(at), at + sizeof(RingCtrl));
   }
@@ -292,13 +243,10 @@ class Segment {
   void unmap() {
     if (base_ != nullptr && base_ != MAP_FAILED) ::munmap(base_, bytes_);
     base_ = nullptr;
-    for (const int fd : bell_fds_) ::close(fd);
-    bell_fds_.clear();
   }
 
  private:
   char* base_ = nullptr;
-  std::vector<int> bell_fds_;  ///< one eventfd per destination process
   std::size_t bytes_ = 0;
   std::size_t ring_bytes_ = 0;
   int nprocs_ = 0;

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -86,6 +87,7 @@ class ShmTransport final : public Transport {
       stop_local();
       comm_.join();
     }
+    if (stop_fd_ >= 0) ::close(stop_fd_);
   }
 
   void start(int my_proc, Hooks hooks) override {
@@ -98,16 +100,24 @@ class ShmTransport final : public Transport {
       for (int d = 0; d < opt_.nprocs; ++d)
         views_[static_cast<std::size_t>(lp) * opt_.nprocs + d] =
             seg_.ring(d, my_proc * ppn_ + lp);
-    assembly_.resize(static_cast<std::size_t>(opt_.npes) + 1);
-    for (int d = 0; d < opt_.nprocs; ++d) bells_.push_back(seg_.bell(d));
-    comm_ = std::thread([this] { comm_loop(); });
+    // Consumer side: one view, hand-off counter and assembly slot per ring
+    // toward this process. Process-local, so a process that dies mid-drain
+    // leaves nothing for its respawn to untangle.
+    const int nslots = opt_.npes + 1;
+    for (int s = 0; s < nslots; ++s) inbound_.push_back(seg_.ring(my_proc, s));
+    claims_ = std::make_unique<Claim[]>(static_cast<std::size_t>(nslots));
+    assembly_.resize(static_cast<std::size_t>(nslots));
+    if (!hooks_.control.empty()) {
+      stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      MFC_CHECK_MSG(stop_fd_ >= 0, "eventfd for the control thread failed");
+      comm_ = std::thread([this] { control_loop(); });
+    }
   }
 
   void send(const wire::Header& hdr, const wire::Span* spans, std::size_t n,
             std::function<void()> on_consumed) override {
     wire::Header h = hdr;
-    const int dproc = h.dest_pe / ppn_;
-    shm::RingView& rv = producer_view(h.src_pe, dproc);
+    shm::RingView& rv = producer_view(h.src_pe, h.dest_pe / ppn_);
     const std::uint64_t limit = max_chunk_payload();
     metrics::bump(Counter::kWireSentBytes, h.payload_len);
     if (h.payload_len <= limit) {
@@ -118,7 +128,7 @@ class ShmTransport final : public Transport {
       // Delayed publish: the frame's bytes are in the ring but invisible
       // until after on_consumed — the pack epilogue can evacuate the pages
       // the spans pointed into before the message can be delivered.
-      if (!push_wait(rv, dproc, h, spans, n,
+      if (!push_wait(rv, h.dest_pe, h, spans, n,
                      /*publish=*/on_consumed == nullptr)) {
         if (on_consumed) on_consumed();
         trace::emit(trace::Ev::kWireSendEnd);
@@ -126,7 +136,7 @@ class ShmTransport final : public Transport {
       }
       if (on_consumed) {
         on_consumed();
-        publish(rv, dproc);
+        publish(rv, h.dest_pe);
       }
       trace::emit(trace::Ev::kWireSendEnd, 0, 0,
                   static_cast<std::uint32_t>(h.payload_len +
@@ -152,7 +162,7 @@ class ShmTransport final : public Transport {
       metrics::bump(Counter::kWireSentFrames);
       metrics::bump(Counter::kWireChunks);
       ++frames;
-      if (!push_wait(rv, dproc, h, sub.data(), sub.size(),
+      if (!push_wait(rv, h.dest_pe, h, sub.data(), sub.size(),
                      /*publish=*/!(last && on_consumed != nullptr))) {
         if (on_consumed) on_consumed();
         trace::emit(trace::Ev::kWireSendEnd);
@@ -160,7 +170,7 @@ class ShmTransport final : public Transport {
       }
       if (last && on_consumed) {
         on_consumed();
-        publish(rv, dproc);
+        publish(rv, h.dest_pe);
       }
       off += len;
     }
@@ -183,7 +193,8 @@ class ShmTransport final : public Transport {
 
   void broadcast_stop() override {
     // Only the one thread that saw the last ProcDone gets here, so the
-    // control slot keeps its single producer.
+    // control slot keeps its single producer. Any PE of a process can
+    // serve its stop order; wake its first.
     wire::Header h;
     h.kind = static_cast<std::uint32_t>(Kind::kStop);
     for (int d = 0; d < opt_.nprocs; ++d) {
@@ -191,19 +202,31 @@ class ShmTransport final : public Transport {
       shm::RingView rv = seg_.ring(d, opt_.npes);
       while (!rv.try_push(h, nullptr, 0))
         std::this_thread::sleep_for(std::chrono::microseconds(20));
-      bells_[static_cast<std::size_t>(d)].ring();
+      wake_pe(d * ppn_);
     }
     hooks_.on_stop();
   }
 
   void stop_local() override {
     stop_.store(true, std::memory_order_release);
-    if (!bells_.empty()) bells_[static_cast<std::size_t>(my_proc_)].wake();
+    if (stop_fd_ >= 0) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] ssize_t w = ::write(stop_fd_, &one, sizeof one);
+    }
   }
 
   void join() override {
     MFC_CHECK(stop_.load(std::memory_order_acquire));
     if (comm_.joinable()) comm_.join();
+    // Frames published concurrently with stop: one last sweep, then free
+    // anything still half-assembled.
+    drain();
+    for (Assembly& a : assembly_) {
+      if (a.m != nullptr) {
+        hooks_.drop(a.m);
+        a.m = nullptr;
+      }
+    }
   }
 
   void send_ctl(const wire::Header& hdr) override {
@@ -215,7 +238,21 @@ class ShmTransport final : public Transport {
       if (hooks_.ft_ctl) hooks_.ft_ctl(h);
       return;
     }
-    push_wait(producer_view(h.src_pe, dproc), dproc, h, nullptr, 0, true);
+    push_wait(producer_view(h.src_pe, dproc), h.dest_pe, h, nullptr, 0, true);
+  }
+
+  void drain() override {
+    for (std::size_t s = 0; s < inbound_.size(); ++s) drain_ring(s);
+  }
+
+  bool pending() override {
+    for (const shm::RingView& rv : inbound_)
+      if (!rv.empty()) return true;
+    return false;
+  }
+
+  std::atomic<std::uint32_t>* wake_word(int pe) override {
+    return &seg_.wake_word(pe);
   }
 
   bool quiescent() override {
@@ -228,24 +265,6 @@ class ShmTransport final : public Transport {
     return true;
   }
 
-  void attach_peer(int proc, int fd, std::uint64_t gen) override {
-    // The rings are crash-consistent (frames become visible only at the
-    // tail publish), so the respawn keeps them: its consumer drains
-    // whatever the old incarnation left unread, and its producers start
-    // from the shared tails. Only receive-side state referring to the old
-    // incarnation needs discarding: messages it half-shipped will never
-    // see their remaining chunks.
-    MFC_CHECK(fd < 0);
-    (void)gen;
-    for (int lp = 0; lp < ppn_; ++lp) {
-      Assembly& a = assembly_[static_cast<std::size_t>(proc * ppn_ + lp)];
-      if (a.m != nullptr) {
-        hooks_.drop(a.m);
-        a.m = nullptr;
-      }
-    }
-  }
-
  private:
   /// One in-progress chunked (or about-to-be-enqueued eager) message per
   /// SPSC ring: the producer finishes one message before starting the next,
@@ -254,11 +273,20 @@ class ShmTransport final : public Transport {
     Message* m = nullptr;
   };
 
+  /// Per-ring hand-off counter (see drain_ring), on its own cache line.
+  struct Claim {
+    alignas(64) std::atomic<std::uint32_t> n{0};
+  };
+
   struct Sink {
     ShmTransport* t = nullptr;
-    int slot = 0;
+    std::size_t slot = 0;
     /// Drops a half-assembled message left by a producer that died between
-    /// chunks; only legal when peer loss is tolerated.
+    /// chunks; only legal when peer loss is tolerated. The rings are
+    /// crash-consistent (a frame becomes visible only at its tail publish),
+    /// so a respawn keeps them and needs no attach_peer: the respawned
+    /// producer's first frame on the ring replaces the stale assembly here,
+    /// and teardown frees one that is never replaced.
     void drop_stale(Assembly& a) {
       MFC_CHECK_MSG(t->hooks_.tolerate_peer_loss,
                     "new message before the previous chunk sequence ended");
@@ -269,13 +297,13 @@ class ShmTransport final : public Transport {
     char* on_header(const wire::Header& h) {
       switch (static_cast<Kind>(h.kind)) {
         case Kind::kEager: {
-          Assembly& a = t->assembly_[static_cast<std::size_t>(slot)];
+          Assembly& a = t->assembly_[slot];
           if (a.m != nullptr) drop_stale(a);
           a.m = t->hooks_.alloc(h, h.payload_len);
           return payload_ptr(a.m);
         }
         case Kind::kChunk: {
-          Assembly& a = t->assembly_[static_cast<std::size_t>(slot)];
+          Assembly& a = t->assembly_[slot];
           if (h.offset == 0) {
             if (a.m != nullptr) drop_stale(a);
             a.m = t->hooks_.alloc(h, h.total_len);
@@ -298,7 +326,7 @@ class ShmTransport final : public Transport {
       }
     }
     void on_frame(const wire::Header& h, char*) {
-      Assembly& a = t->assembly_[static_cast<std::size_t>(slot)];
+      Assembly& a = t->assembly_[slot];
       switch (static_cast<Kind>(h.kind)) {
         case Kind::kEager:
           metrics::bump(Counter::kWireDelivered);
@@ -311,7 +339,9 @@ class ShmTransport final : public Transport {
         case Kind::kChunk:
           if (a.m != nullptr && h.offset + h.payload_len == h.total_len) {
             metrics::bump(Counter::kWireDelivered);
-            trace::emit(trace::Ev::kWireAsmEnd);
+            trace::emit(trace::Ev::kWireAsmEnd, 0, 0,
+                        static_cast<std::uint32_t>(h.total_len),
+                        static_cast<std::int16_t>(h.src_pe));
             trace::emit(trace::Ev::kWireDeliver, h.trace_flow, 0,
                         static_cast<std::uint32_t>(h.total_len),
                         static_cast<std::int16_t>(h.src_pe));
@@ -345,104 +375,77 @@ class ShmTransport final : public Transport {
     return opt_.shm_ring_bytes / 2 - sizeof(wire::Header);
   }
 
-  /// Pushes one frame toward `dproc`, waiting out a full ring, and rings
-  /// the destination's doorbell once the frame is published.
-  bool push_wait(shm::RingView& rv, int dproc, const wire::Header& h,
+  /// Wakes PE `pe` if it is parked (any process: its word is in the
+  /// segment).
+  void wake_pe(int pe) {
+    mfc::detail::unpark_word(seg_.wake_word(pe), /*shared=*/true);
+  }
+
+  /// Pushes one frame, waiting out a full ring, and wakes the destination
+  /// PE once the frame is published.
+  bool push_wait(shm::RingView& rv, int dest_pe, const wire::Header& h,
                  const wire::Span* s, std::size_t n, bool publish) {
     int waits = 0;
     while (!rv.try_push(h, s, n, publish)) {
-      // The consumer always drains, so a full ring clears; after stop the
+      // The destination's PEs drain the full ring. Ours must keep draining
+      // the rings toward this process meanwhile: two processes flooding
+      // each other would otherwise each wait on the other. After stop the
       // consumer may be gone — give up (the drop is benign post-stop).
+      drain();
       ++waits;
       if (stop_.load(std::memory_order_relaxed) && waits > 2500) return false;
       std::this_thread::sleep_for(std::chrono::microseconds(20));
+      trace::clock_stale();
     }
-    if (publish) bells_[static_cast<std::size_t>(dproc)].ring();
+    if (publish) wake_pe(dest_pe);
     return true;
   }
 
   /// Publishes a frame pushed with publish=false and wakes its consumer.
-  void publish(shm::RingView& rv, int dproc) {
+  void publish(shm::RingView& rv, int dest_pe) {
     rv.publish();
-    bells_[static_cast<std::size_t>(dproc)].ring();
+    wake_pe(dest_pe);
   }
 
-  /// Pops every frame now visible in the rings toward this process.
-  bool drain_rings(std::vector<Sink>& sinks) {
-    bool any = false;
-    for (std::size_t s = 0; s < sinks.size(); ++s) {
-      shm::RingView rv = seg_.ring(my_proc_, static_cast<int>(s));
-      while (rv.try_pop(sinks[s])) any = true;
+  /// Pops every frame visible in inbound ring `s` unless another local
+  /// thread is at it. The hand-off counter keeps one consumer per ring: the
+  /// thread that lifts it from 0 drains; a thread that finds it raised only
+  /// adds a request and leaves, and the consumer drains again before it
+  /// lets go, so no frame another thread saw is left behind. The counter's
+  /// acq_rel RMWs order each consumer's ring-head and assembly accesses
+  /// before the next consumer's.
+  void drain_ring(std::size_t s) {
+    shm::RingView& rv = inbound_[s];
+    if (rv.empty()) return;
+    std::atomic<std::uint32_t>& claim = claims_[s].n;
+    if (claim.fetch_add(1, std::memory_order_acq_rel) != 0) return;
+    Sink sink{this, s};
+    for (std::uint32_t served = 1;;) {
+      while (rv.try_pop(sink)) {
+      }
+      const std::uint32_t seen =
+          claim.fetch_sub(served, std::memory_order_acq_rel);
+      if (seen == served) return;
+      served = seen - served;
     }
-    return any;
   }
 
-  bool rings_empty() {
-    for (int s = 0; s <= opt_.npes; ++s)
-      if (!seg_.ring(my_proc_, s).empty()) return false;
-    return true;
-  }
-
-  /// poll() on the doorbell (pfds[0]) and the control fds; timeout 0 only
-  /// checks. Services whatever fired.
-  void wait(std::vector<pollfd>& pfds, int timeout_ms) {
-    if (::poll(pfds.data(), pfds.size(), timeout_ms) <= 0) return;
-    if (pfds[0].revents != 0) {
-      bells_[static_cast<std::size_t>(my_proc_)].drain();
-    }
-    service_control(hooks_.control, pfds.data() + 1);
-  }
-
-  void comm_loop() {
-    // Comm-thread wire events (deliver, chunk assembly) land on the trace
-    // session's dedicated wire ring, not a PE ring.
+  /// The comm thread, when the machine has control fds: it waits on them
+  /// and on the stop eventfd. Wire frames never pass through it.
+  void control_loop() {
     trace::bind_comm();
-    const int nslots = opt_.npes + 1;
-    std::vector<Sink> sinks(static_cast<std::size_t>(nslots));
-    for (int s = 0; s < nslots; ++s)
-      sinks[static_cast<std::size_t>(s)] = {this, s};
-    shm::Doorbell& bell = bells_[static_cast<std::size_t>(my_proc_)];
-    std::vector<pollfd> pfds{{bell.fd(), POLLIN, 0}};
+    std::vector<pollfd> pfds{{stop_fd_, POLLIN, 0}};
     for (const ControlFd& c : hooks_.control) pfds.push_back({c.fd, POLLIN, 0});
-    int sweeps = 0;  // since the control fds were last polled
-    for (;;) {
-      if (!drain_rings(sinks)) {
-        if (stop_.load(std::memory_order_acquire)) break;
-        // The PE queues' pre-park spin first: a producer that is still
-        // streaming refills the rings within it, so a flood never pays the
-        // sleep/wake round trip.
-        if (!mfc::detail::spin_before_park([this] { return !rings_empty(); })) {
-          // Sleep until a producer rings, a control fd fires, or
-          // stop_local() wakes us. The re-check after arm() closes the
-          // lost-wake-up window.
-          bell.arm();
-          wait(pfds, rings_empty() ? -1 : 0);
-          bell.disarm();
-          sweeps = 0;
-          continue;
-        }
+    while (!stop_.load(std::memory_order_acquire)) {
+      if (::poll(pfds.data(), pfds.size(), -1) <= 0) continue;
+      trace::clock_stale();
+      if (pfds[0].revents != 0) {
+        std::uint64_t n;
+        [[maybe_unused]] ssize_t r = ::read(stop_fd_, &n, sizeof n);
       }
-      // A comm thread that never sleeps (rings that never run dry, or that
-      // refill within the pre-park spin — a recovery storm can do either)
-      // would starve the control fds: poll them without blocking every
-      // kSweepsPerControlPoll sweeps.
-      if (++sweeps == kSweepsPerControlPoll) {
-        sweeps = 0;
-        wait(pfds, 0);
-      }
-    }
-    // Writers that completed concurrently with stop: one last sweep, then
-    // free anything still half-assembled.
-    drain_rings(sinks);
-    for (Assembly& a : assembly_) {
-      if (a.m != nullptr) {
-        hooks_.drop(a.m);
-        a.m = nullptr;
-      }
+      service_control(hooks_.control, pfds.data() + 1);
     }
   }
-
-  static constexpr int kSweepsPerControlPoll = 64;
 
   Options opt_;
   int ppn_ = 1;
@@ -450,10 +453,12 @@ class ShmTransport final : public Transport {
   shm::Segment seg_;
   Hooks hooks_;
   std::atomic<bool> stop_{false};
+  int stop_fd_ = -1;  ///< wakes the control thread on stop
   std::thread comm_;
   std::vector<shm::RingView> views_;
-  std::vector<shm::Doorbell> bells_;  ///< indexed by destination process
-  std::vector<Assembly> assembly_;
+  std::vector<shm::RingView> inbound_;  ///< rings toward this process
+  std::unique_ptr<Claim[]> claims_;     ///< parallel to inbound_
+  std::vector<Assembly> assembly_;      ///< parallel to inbound_
 };
 
 // ---------------------------------------------------------------------------
@@ -817,6 +822,7 @@ class SocketTransport final : public Transport {
       for (std::size_t i = 0; i < nctl; ++i)
         pfds[nfd + 1 + i] = {hooks_.control[i].fd, POLLIN, 0};
       if (::poll(pfds.data(), pfds.size(), -1) < 0) continue;
+      trace::clock_stale();
       if (pfds[nfd].revents & POLLIN) {
         char buf[64];
         while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {

@@ -23,8 +23,17 @@
 // Producer discipline: send() may only be called on PE kernel threads (the
 // header's src_pe names the calling PE), which gives the shm rings their
 // single producer per (dest_proc, src_pe) pair.
+//
+// Delivery: the socket wire has a comm thread that reads its streams and
+// hands each message to its destination PE's queue. The shm wire has no
+// relay: a producer wakes the destination PE through that PE's wake word
+// in the segment, and whichever local PE is awake drains every ring toward
+// its process (drain(), called from the PE loops; pending() is their
+// parking re-check). Either wire keeps a comm thread for the machine's
+// control fds (child pidfds, the zygote channel) when it has any.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -50,8 +59,10 @@ struct ControlFd {
 };
 
 /// Machine-side callbacks, installed post-fork via start(). alloc/enqueue/
-/// drop manage receive envelopes and run on the comm thread; the shutdown
-/// hooks implement the ProcDone/Stop handshake.
+/// drop manage receive envelopes and the shutdown hooks implement the
+/// ProcDone/Stop handshake. They run on whichever thread delivers: the
+/// socket comm thread, or a local PE thread draining the shm rings (or the
+/// joining thread's last sweep), so they must be thread-safe.
 struct Hooks {
   /// Allocates a delivery envelope for an incoming message of `total_len`
   /// payload bytes (header fields copied in; payload sized, unfilled).
@@ -63,13 +74,13 @@ struct Hooks {
   std::function<void(Message*)> drop;
   /// A process finished all its mains (invoked on process 0 only).
   std::function<void()> on_proc_done;
-  /// Stop order received (every process; may fire on the comm thread).
+  /// Stop order received (every process; fires on the delivering thread).
   std::function<void()> on_stop;
-  /// Control fds the comm thread polls in the same wait as its wire, so a
-  /// child death or a zygote record is serviced as soon as it happens.
+  /// Control fds the comm thread polls, so a child death or a zygote
+  /// record is serviced as soon as it happens.
   std::vector<ControlFd> control;
   /// An FT control frame (kind == kFtCtl) arrived for a local PE: the
-  /// machine flips that PE's dead/wipe flags. Comm-thread context.
+  /// machine flips that PE's dead/wipe flags. Delivery-thread context.
   std::function<void(const wire::Header&)> ft_ctl;
   /// Cross-process FT respawn is armed: losing a peer is a recoverable
   /// event, not a protocol violation. EOF mid-frame discards the partial
@@ -82,8 +93,27 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Post-fork, per process: installs hooks and spawns the comm thread.
+  /// Post-fork, per process: installs hooks and spawns the comm thread
+  /// (the shm wire spawns one only when hooks.control is non-empty).
   virtual void start(int my_proc, Hooks hooks) = 0;
+
+  /// PE-thread context: delivers every frame now waiting toward this
+  /// process onto the local PE queues (through hooks.enqueue). No-op where
+  /// a comm thread delivers.
+  virtual void drain() {}
+
+  /// True while a frame toward this process waits for drain(): a PE's
+  /// re-check after it announced its park. Always false where a comm
+  /// thread delivers.
+  virtual bool pending() { return false; }
+
+  /// The futex word through which producers in any process wake PE `pe`
+  /// (a local PE's queue parks on it); nullptr where a comm thread
+  /// delivers and PEs park on words of their own.
+  virtual std::atomic<std::uint32_t>* wake_word(int pe) {
+    (void)pe;
+    return nullptr;
+  }
 
   /// Ships one message; see the send contract above. The transport picks
   /// the wire strategy (eager / chunked) from the size; `h`
@@ -100,10 +130,12 @@ class Transport {
   /// process (including this one) to stop.
   virtual void broadcast_stop() = 0;
 
-  /// Sets the local stop flag and wakes the comm thread (idempotent).
+  /// Sets the local stop flag and wakes the comm thread, if any
+  /// (idempotent).
   virtual void stop_local() = 0;
 
-  /// Joins the comm thread. Call stop_local() first.
+  /// Joins the comm thread and delivers what is still in flight toward
+  /// this process. Call stop_local() first, after the PE threads joined.
   virtual void join() = 0;
 
   /// Ships one control frame to the process hosting h.dest_pe (the kind is
@@ -130,8 +162,10 @@ class Transport {
   /// Survivor-side, comm-thread context: installs respawned peer `proc`'s
   /// fresh stream (`fd` < 0 when there is none to install) and discards
   /// every half-read frame and staged envelope still referring to the old
-  /// incarnation. `gen` is the respawn generation;
-  /// senders blocked on the dead stream resume when they observe it move.
+  /// incarnation (the shm rings do so lazily, when the respawn's first
+  /// frame on a ring replaces the stale assembly). `gen` is the respawn
+  /// generation; senders blocked on the dead stream resume when they
+  /// observe it move.
   virtual void attach_peer(int proc, int fd, std::uint64_t gen) {
     (void)proc;
     (void)fd;

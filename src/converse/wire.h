@@ -49,8 +49,8 @@ enum class Kind : std::uint32_t {
   kProcDone = 6,
   kStop = 7,
   /// FT control plane: src_pe = requesting PE, dest_pe = target PE,
-  /// msg_id = op (0 kill, 1 revive). No payload. Machine-level — flips the
-  /// target's dead/wipe flags from the comm thread without a handler.
+  /// msg_id = op (0 kill, 1 revive). No payload. Machine-level — the
+  /// delivering thread flips the target's dead/wipe flags, no handler.
   kFtCtl = 8,
 };
 

@@ -104,6 +104,9 @@ struct FtState {
   int nprocs = 1;
   int ppn = 0;             ///< PEs per process
   int victim_proc = -1;    ///< process-tier recovery in flight
+  /// The process-tier recovery ULT, suspended until the zygote reports the
+  /// respawn complete (the tick readies it).
+  ult::Thread* respawn_waiter = nullptr;
   std::vector<char> escalated;  ///< per-proc: wedge already escalated to kill
 
   std::atomic<std::uint64_t> kills{0};
@@ -550,6 +553,13 @@ void tick() {
     s->escalated.assign(static_cast<std::size_t>(s->nprocs), 0);
     return;
   }
+  // The machine wakes PE 0 when a respawn completes, so this runs at once.
+  if (s->respawn_waiter != nullptr &&
+      converse::take_respawn_complete(s->victim_proc)) {
+    ult::Thread* t = s->respawn_waiter;
+    s->respawn_waiter = nullptr;
+    converse::ready_thread(t);
+  }
   if (s->recovering) return;
   const bool proc_tier = s->nprocs > 1 && converse::ft_proc_respawn_enabled();
   if (proc_tier) {
@@ -798,10 +808,12 @@ void proc_recovery_main() {
 
   // Respawn: the zygote forks a fresh incarnation of process p from its
   // pristine pre-fork image and swaps fresh wire streams into every
-  // survivor. Yield-poll the completion mailbox — PE 0's scheduler keeps
-  // draining handlers (pongs, app traffic) between polls.
+  // survivor. Wait suspended, not polling: PE 0 keeps serving handlers
+  // (pongs, app traffic) or parks, and the tick readies this thread once
+  // the completion event lands.
   converse::request_respawn(p);
-  while (!converse::take_respawn_complete(p)) ult::yield();
+  s->respawn_waiter = converse::pe_scheduler().running();
+  ult::suspend();
 
   // The respawned incarnation boots with all its PEs dead. Revive them:
   // each revive rides the fresh ordered stream, so the machine's wipe runs

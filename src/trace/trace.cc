@@ -472,21 +472,27 @@ void export_records(JsonWriter& w, const Record* recs, std::size_t n,
         }
         break;
       case Ev::kWireAsmBegin:
-        begin("wire-chunk-asm", ns);
+      case Ev::kWireAsmEnd: {
+        // An async slice, not B/E: a PE draining the shm rings can start
+        // an assembly inside one span and finish it inside another. One
+        // assembly per source PE is open per track at a time, so the
+        // source PE names it.
+        const bool open_asm = static_cast<Ev>(r.ev) == Ev::kWireAsmBegin;
+        w.event("wire-chunk-asm", open_asm ? 'b' : 'e', tid, ns);
+        w.raw("cat", "\"wire\"");
+        w.id((std::uint64_t{1} << 62) |
+             static_cast<std::uint16_t>(r.b < 0 ? 0 : r.b));
         w.args_begin();
-        w.arg_num("msg", static_cast<long long>(r.arg), true);
-        w.arg_num("total", r.size);
+        if (open_asm) {
+          w.arg_num("msg", static_cast<long long>(r.arg), true);
+          w.arg_num("total", r.size);
+        } else {
+          w.arg_num("bytes", r.size, true);
+        }
         w.args_end();
         w.done();
         break;
-      case Ev::kWireAsmEnd:
-        if (end("wire-chunk-asm", ns)) {
-          w.args_begin();
-          w.arg_num("bytes", r.size, true);
-          w.args_end();
-          w.done();
-        }
-        break;
+      }
       case Ev::kCount:
         break;
     }

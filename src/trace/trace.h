@@ -57,7 +57,8 @@ extern thread_local TlsState t_tls;
 // duration span read the clock fresh (their edge is what duration math
 // needs exact); instants and span-opens reuse the last read, bounded to
 // kTscRefreshStride records of staleness for streams with no closing
-// edges. Same-thread reuse keeps per-ring timestamps monotonic.
+// edges, and never across a park (clock_stale). Same-thread reuse keeps
+// per-ring timestamps monotonic.
 constexpr unsigned kTscRefreshStride = 8;
 
 inline bool closes_span(Ev ev) {
@@ -107,6 +108,14 @@ inline void emit(Ev ev, std::uint64_t arg = 0, std::uint32_t a = 0,
 }
 
 inline bool enabled() { return detail::g_on; }
+
+/// Drops the calling thread's cached timestamp, so its next event reads the
+/// clock. PE loops and comm threads call it when they return from a park:
+/// a span opened right after a wake-up must not carry a stamp from before
+/// the sleep.
+inline void clock_stale() {
+  if (detail::g_on) detail::t_tls.tsc_age = detail::kTscRefreshStride;
+}
 
 /// True when MFC_TRACE=1 (or any value other than "" / "0") is set.
 bool env_enabled();

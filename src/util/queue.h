@@ -5,18 +5,19 @@
 // scheduler loop. The implementation is lock-free on the hot path: producers
 // CAS onto a LIFO "inbox" list, and the consumer swaps the whole inbox out
 // in one exchange and reverses it into a FIFO batch it then serves privately
-// (the "swap-the-deque" batched MPSC). A mutex + condition variable pair
-// survives only as an idle/parking backstop: the consumer parks after a
-// bounded spin, and producers skip the notify syscall entirely unless a
-// consumer is actually parked.
+// (the "swap-the-deque" batched MPSC). An idle consumer parks on a futex
+// word after a bounded spin, and producers skip the wake syscall entirely
+// unless a consumer is actually parked.
 #pragma once
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <time.h>
+#include <unistd.h>
+
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -61,75 +62,130 @@ bool spin_before_park(Ready&& ready) {
   return false;
 }
 
-/// Consumer parking shared by the MPSC queues. The handshake is
-/// Dekker-style: the consumer publishes `parked_` (seq_cst) and then
-/// re-checks the queue; a producer publishes its item (seq_cst RMW) and then
-/// reads `parked_`. One of the two must observe the other, so a push can
-/// never slip between the consumer's last empty-check and its sleep.
-/// `signal_` is sticky so a wake() that arrives while no consumer is parked
-/// still satisfies the next park() immediately (shutdown safety).
+/// States of a parking word (see Parker).
+enum ParkWord : std::uint32_t {
+  kWordIdle = 0,      ///< consumer awake
+  kWordParked = 1,    ///< consumer asleep (or about to re-check and sleep)
+  kWordNotified = 2,  ///< sticky wake() not yet consumed by a park
+};
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "a parking word must be a plain 32-bit futex word");
+
+/// The futex call on a parking word. `shared` words live in MAP_SHARED
+/// memory that other processes wake through, so they skip
+/// FUTEX_PRIVATE_FLAG; every waiter and waker of one word must agree.
+inline void futex_call(std::atomic<std::uint32_t>* word, int op, bool shared,
+                       std::uint32_t val, const timespec* timeout) {
+  ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word),
+            shared ? op : (op | FUTEX_PRIVATE_FLAG), val, timeout, nullptr,
+            0);
+}
+
+/// Producer side of the parking handshake, called after publishing an
+/// item: one load and no syscall unless the consumer is parked, and the CAS
+/// claims the wake, so a burst of pushes against a parked consumer costs one
+/// futex wake in total. Works on any parking word — a local queue's, or a PE
+/// word in the shm segment that a producer in another process wakes.
+inline void unpark_word(std::atomic<std::uint32_t>& word, bool shared) {
+  if (word.load(std::memory_order_seq_cst) != kWordParked) return;
+  std::uint32_t expect = kWordParked;
+  if (!word.compare_exchange_strong(expect, kWordIdle,
+                                    std::memory_order_seq_cst)) {
+    return;
+  }
+  futex_call(&word, FUTEX_WAKE, shared, 1, nullptr);
+}
+
+/// Consumer parking shared by the MPSC queues: one futex word. The
+/// handshake is Dekker-style: the consumer publishes kWordParked (seq_cst
+/// exchange) and then re-checks its sources; a producer publishes its item
+/// (a seq_cst RMW or store) and then reads the word. One of the two must
+/// observe the other, so an item can never slip between the consumer's last
+/// empty-check and its sleep. wake() leaves kWordNotified behind when
+/// nobody is parked, so it still satisfies the next park() immediately
+/// (shutdown safety).
+///
+/// The word lives in the Parker by default; bind() moves it elsewhere —
+/// the shm wire puts each PE's word in its shared segment, so a producer in
+/// another process wakes the destination PE directly (unpark_word).
 class Parker {
  public:
-  /// Producer side, called after publishing an item. No-op (one atomic
-  /// load, no syscall) unless a consumer is parked — and the exchange
-  /// claims the notify, so a burst of pushes against a parked consumer
-  /// costs one futex wake total instead of one per push.
-  void unpark_if_parked() {
-    if (!parked_.load(std::memory_order_seq_cst)) return;
-    if (!parked_.exchange(false, std::memory_order_seq_cst)) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      signal_ = true;
-    }
-    cv_.notify_one();
+  Parker() = default;
+  Parker(const Parker&) = delete;
+  Parker& operator=(const Parker&) = delete;
+
+  /// Re-homes the word into shared memory. Call before the consumer first
+  /// parks; the word's current value is kept.
+  void bind(std::atomic<std::uint32_t>* word) {
+    word_ = word;
+    shared_ = true;
   }
 
-  /// Forced wake (shutdown / "work appeared locally"). Sticky; skips the
-  /// notify when nobody is parked.
+  /// Producer side, called after publishing an item (see unpark_word).
+  void unpark_if_parked() { unpark_word(*word_, shared_); }
+
+  /// Forced wake (shutdown / "work appeared locally"). Sticky; the wake
+  /// syscall only runs when the consumer is parked.
   void wake() {
-    bool was_parked;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      signal_ = true;
-      was_parked = parked_.load(std::memory_order_relaxed);
+    if (word_->exchange(kWordNotified, std::memory_order_seq_cst) ==
+        kWordParked) {
+      futex_call(word_, FUTEX_WAKE, shared_, 1, nullptr);
     }
-    if (was_parked) cv_.notify_one();
   }
 
   /// Consumer side: blocks until `nonempty()` holds, a producer unparks us,
   /// or a sticky wake is pending. The caller re-checks its queue afterward.
   template <typename NonEmpty>
   void park(NonEmpty&& nonempty) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    parked_.store(true, std::memory_order_seq_cst);
-    if (!nonempty()) {
-      cv_.wait(lock, [&] { return signal_ || nonempty(); });
+    if (announce() && !nonempty()) {
+      while (word_->load(std::memory_order_acquire) == kWordParked) {
+        futex_call(word_, FUTEX_WAIT, shared_, kWordParked, nullptr);
+      }
     }
-    parked_.store(false, std::memory_order_relaxed);
-    signal_ = false;
+    settle();
   }
 
   /// park() with a deadline: returns after `micros` even if nothing
-  /// arrived. The failure detector's heartbeat loop on PE 0 uses this so an
-  /// idle machine still ticks pings/timeouts; the same Dekker handshake
-  /// keeps pushes from slipping past the sleep.
+  /// arrived (or earlier, spuriously; callers loop). The failure detector's
+  /// heartbeat loop on PE 0 uses this so an idle machine still ticks
+  /// pings/timeouts; the same handshake keeps pushes from slipping past the
+  /// sleep.
   template <typename NonEmpty>
   void park_for(std::uint64_t micros, NonEmpty&& nonempty) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    parked_.store(true, std::memory_order_seq_cst);
-    if (!nonempty()) {
-      cv_.wait_for(lock, std::chrono::microseconds(micros),
-                   [&] { return signal_ || nonempty(); });
+    if (announce() && !nonempty()) {
+      const timespec ts{static_cast<time_t>(micros / 1000000),
+                        static_cast<long>((micros % 1000000) * 1000)};
+      futex_call(word_, FUTEX_WAIT, shared_, kWordParked, &ts);
     }
-    parked_.store(false, std::memory_order_relaxed);
-    signal_ = false;
+    settle();
   }
 
  private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::atomic<bool> parked_{false};
-  bool signal_ = false;
+  /// Publishes kWordParked; false when a sticky wake was pending (consumed
+  /// here, so the park returns at once).
+  bool announce() {
+    return word_->exchange(kWordParked, std::memory_order_seq_cst) !=
+           kWordNotified;
+  }
+  /// Back to idle. acq_rel: a wake() that lands while the consumer leaves
+  /// is consumed here, and the acquire makes the waker's prior stores (the
+  /// condition it woke us for) visible to the caller's re-check.
+  void settle() { word_->exchange(kWordIdle, std::memory_order_acq_rel); }
+
+  std::atomic<std::uint32_t> own_{kWordIdle};
+  std::atomic<std::uint32_t>* word_ = &own_;
+  bool shared_ = false;
+};
+
+/// A consumer's extra sources beside its queue, polled while it waits: the
+/// shm wire's rings, which PE threads drain themselves. `poll()` moves what
+/// it finds onto the queue; `ready()` is the parking re-check (true while
+/// something is waiting to be polled). The default has none.
+struct NoFeed {
+  void poll() {}
+  bool ready() { return false; }
 };
 
 }  // namespace detail
@@ -239,7 +295,8 @@ class MpscQueue {
   // Consumer-private drained batch, served in FIFO order.
   alignas(64) std::vector<T> batch_;
   std::size_t batch_pos_ = 0;
-  detail::Parker parker_;
+  // Read by every producer's push: kept off the consumer's batch line.
+  alignas(64) detail::Parker parker_;
 };
 
 /// Intrusive MPSC channel for pointer items that carry their own link
@@ -284,31 +341,40 @@ class IntrusiveMpscChannel {
   }
 
   /// Blocking pop with bounded spin + parking; nullptr after a wake() or
-  /// spurious unpark with no data. Consumer thread only.
-  T* pop_wait() {
+  /// spurious unpark with no data. `feed` is polled before every look at
+  /// the queue and re-checked before sleeping (see NoFeed). Consumer thread
+  /// only.
+  template <typename Feed = detail::NoFeed>
+  T* pop_wait(Feed&& feed = Feed{}) {
     T* item = nullptr;
-    const auto got = [&] { return (item = try_pop()) != nullptr; };
+    const auto got = [&] {
+      feed.poll();
+      return (item = try_pop()) != nullptr;
+    };
     if (got() || detail::spin_before_park(got)) return item;
-    parker_.park([this] {
-      return inbox_.load(std::memory_order_seq_cst) != nullptr;
-    });
+    parker_.park([&] { return inbox_nonempty() || feed.ready(); });
     return try_pop();
   }
 
   /// pop_wait() with a parking deadline: returns nullptr once `micros`
   /// elapse with no data (or on a wake/spurious unpark). Lets an otherwise
   /// idle consumer loop run periodic work (heartbeats) without busy-waiting.
-  T* pop_wait_for(std::uint64_t micros) {
+  template <typename Feed = detail::NoFeed>
+  T* pop_wait_for(std::uint64_t micros, Feed&& feed = Feed{}) {
+    feed.poll();
     if (T* item = try_pop()) return item;
     for (int i = detail::spin_iters_before_park(); i > 0; --i) {
       detail::cpu_relax();
+      feed.poll();
       if (T* item = try_pop()) return item;
     }
-    parker_.park_for(micros, [this] {
-      return inbox_.load(std::memory_order_seq_cst) != nullptr;
-    });
+    parker_.park_for(micros,
+                     [&] { return inbox_nonempty() || feed.ready(); });
     return try_pop();
   }
+
+  /// Moves the consumer's parking word into shared memory (Parker::bind).
+  void bind_wake_word(std::atomic<std::uint32_t>* word) { parker_.bind(word); }
 
   void wake() { parker_.wake(); }
 
@@ -329,10 +395,16 @@ class IntrusiveMpscChannel {
   }
 
  private:
+  /// The parking re-check's half of the handshake (seq_cst load).
+  bool inbox_nonempty() const {
+    return inbox_.load(std::memory_order_seq_cst) != nullptr;
+  }
+
   alignas(64) std::atomic<T*> inbox_{nullptr};
   // Consumer-private drained chain in FIFO order.
   alignas(64) T* batch_ = nullptr;
-  detail::Parker parker_;
+  // Read by every producer's push: kept off the consumer's batch line.
+  alignas(64) detail::Parker parker_;
 };
 
 }  // namespace mfc

@@ -6,8 +6,10 @@
 #include <stdlib.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "converse/machine.h"
@@ -269,6 +271,43 @@ TEST(ChaosMachine, DelayedDeliveryReordersButLosesNothing) {
       << "0.6 delay over 300 messages should reorder at least once";
   auto ps = cv::pool_stats();
   EXPECT_EQ(ps.allocated, ps.freed);
+}
+
+// wait_quiescence() promises no runnable work anywhere. With delivery
+// delay a message sent before the detection round can sit in PE 1's stash
+// while the token visits PE 1 and leave the stash behind it: the counts
+// still balance at the verdict, but the message has just readied a worker
+// there. Each round's worker holds PE 1 for a millisecond before it marks
+// its round done, so a verdict that misses it returns too early.
+TEST(ChaosMachine, QuiescenceWaitsForDeliveriesBehindTheToken) {
+  constexpr int kRounds = 60;
+  static std::atomic<bool> done[kRounds];
+  static std::atomic<int> early{0};
+  static cv::HandlerId h_work = cv::register_handler([](cv::Message&& m) {
+    const int r = m.as<int>();
+    mfc::ult::spawn([r] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      done[r].store(true);
+    });
+  });
+  for (auto& d : done) d.store(false);
+  early = 0;
+
+  cv::Machine::Config cfg;
+  cfg.npes = 2;
+  cfg.chaos = base_config(0xD0E);
+  cfg.chaos.delivery_delay = 0.5;
+  cfg.chaos.max_delay_ticks = 32;
+  cv::Machine::run(cfg, [](int pe) {
+    if (pe != 0) return;
+    for (int r = 0; r < kRounds; ++r) {
+      cv::send_value(1, h_work, r);
+      cv::wait_quiescence();
+      if (!done[r].load()) early.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(early.load(), 0)
+      << "quiescence reported while a delivered message's work was pending";
 }
 
 TEST(ChaosMachine, PoolInjectionForcesFreshAllocationsAndStaysBalanced) {

@@ -740,7 +740,9 @@ TEST(ObsMachine, TwoProcTraceMergesToOneAlignedTimeline) {
   EXPECT_NE(json.find("\"parts\":\"2\""), std::string::npos);
   EXPECT_NE(json.find("\"mfc proc 0\""), std::string::npos);
   EXPECT_NE(json.find("\"mfc proc 1\""), std::string::npos);
-  EXPECT_NE(json.find("\"wire\""), std::string::npos);
+  // Shm frames are delivered by the receiving process's PE threads, so the
+  // wire's deliveries sit on PE tracks.
+  EXPECT_NE(json.find("\"wire-deliver\""), std::string::npos);
 
   const std::vector<EvLine> evs = parse_events(json);
   expect_tracks_monotonic(evs);

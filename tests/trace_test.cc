@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "converse/machine.h"
@@ -510,6 +512,51 @@ TEST(TraceExport, ExplicitSessionSuppressesEnvAutoStart) {
   ExportCheck check;
   validate_export(own_path, 2, &check);
   EXPECT_EQ(check.tids_with_events.size(), 2u);
+}
+
+// Span-opening events reuse a cached clock read; a PE that parked must not
+// open its next span with a stamp from before the sleep. PE 1 parks for
+// several milliseconds while PE 0 sleeps, then dispatches one empty
+// handler: its exported span must be short.
+TEST(TraceExport, HandlerSpanAfterParkStartsAfterTheWakeUp) {
+  const char* path = "trace_park_test.json";
+  std::remove(path);
+  static cv::HandlerId h_probe = cv::register_handler([](cv::Message&&) {});
+  static constexpr int kParkMs = 3;
+
+  ASSERT_TRUE(trace::start(2));
+  cv::Machine::Config cfg;
+  cfg.npes = 2;
+  cv::Machine::run(cfg, [](int pe) {
+    cv::barrier();
+    if (pe != 0) return;  // PE 1 goes idle and parks
+    std::this_thread::sleep_for(std::chrono::milliseconds(kParkMs));
+    cv::send_value(1, h_probe, 0);
+    cv::wait_quiescence();
+  });
+  bool ok = false;
+  trace::stop_and_export(path, &ok);
+  ASSERT_TRUE(ok);
+
+  Jv root;
+  ASSERT_TRUE(JsonParser(slurp(path)).parse(&root));
+  const std::string name = "handler#" + std::to_string(h_probe);
+  double begin_us = -1, end_us = -1;
+  for (const Jv& e : root.get("traceEvents")->arr) {
+    const Jv* n = e.get("name");
+    const Jv* tid = e.get("tid");
+    if (n == nullptr || n->str != name || tid == nullptr || tid->num != 1) {
+      continue;
+    }
+    const std::string& ph = e.get("ph")->str;
+    if (ph == "B") begin_us = e.get("ts")->num;
+    if (ph == "E") end_us = e.get("ts")->num;
+  }
+  ASSERT_GE(begin_us, 0) << "probe handler span missing";
+  ASSERT_GE(end_us, begin_us);
+  EXPECT_LT(end_us - begin_us, 1000.0 * kParkMs / 2)
+      << "the span opened with a timestamp from before the park";
+  std::remove(path);
 }
 
 }  // namespace

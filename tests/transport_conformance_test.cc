@@ -18,8 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -330,11 +332,11 @@ TEST(TransportConformance, BigPayloadMultiProcess) {
 // ---- Lost wake-up: strictly alternating ping-pong ---------------------------
 //
 // PE 0 and PE 1 bounce one 64-byte message back and forth. Only one message
-// is ever in flight, so every hop lands on a comm thread that has just
-// drained its wire and gone to sleep in poll(): the shm doorbell's Dekker
-// handshake (or the socket loop's wait) runs once per hop. The comm threads
-// sleep with no timeout, so a lost wake-up shows up as a hang at the test
-// deadline rather than as added latency.
+// is ever in flight, so a hop often lands on a receiver that has just gone
+// to sleep: a PE parked on its shm wake word (or the socket comm thread in
+// poll(), then the PE on its queue). Nothing sleeps with a timeout, so a
+// lost wake-up shows up as a hang at the test deadline rather than as
+// added latency.
 
 constexpr int kPingPongTrips = 20000;
 
@@ -348,6 +350,10 @@ struct Ping64 {
 };
 
 struct PingState {
+  std::uint64_t trips = kPingPongTrips;
+  /// Each side holds its reply this long, so the peer has parked (not just
+  /// spun) by the time the reply lands: every hop then needs its wake-up.
+  int pause_us = 0;
   std::uint64_t next = 0;  ///< PE 0: the sequence number it expects back
   std::uint64_t out_of_order = 0;
   mfc::ult::Thread* main = nullptr;
@@ -356,16 +362,24 @@ PingState* g_ping = nullptr;
 
 cv::HandlerId h_ping, h_pong;
 
+void hold_reply(int pause_us) {
+  if (pause_us > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
+  }
+}
+
 void ensure_ping_handlers() {
   static std::once_flag once;
   std::call_once(once, [] {
     h_ping = cv::register_handler([](cv::Message&& m) {
+      hold_reply(g_ping->pause_us);
       cv::send_value(0, h_pong, m.as<Ping64>());  // PE 1: echo
     });
     h_pong = cv::register_handler([](cv::Message&& m) {
       PingState* s = g_ping;
       if (m.as<Ping64>().seq != s->next) ++s->out_of_order;
-      if (++s->next < kPingPongTrips) {
+      hold_reply(s->pause_us);
+      if (++s->next < s->trips) {
         Ping64 ping;
         ping.seq = s->next;
         cv::send_value(1, h_ping, ping);
@@ -376,9 +390,12 @@ void ensure_ping_handlers() {
   });
 }
 
-void run_pingpong(Transport t, int nprocs) {
+void run_pingpong(Transport t, int nprocs, int trips = kPingPongTrips,
+                  int pause_us = 0) {
   ensure_ping_handlers();
   auto s = std::make_unique<PingState>();
+  s->trips = trips;
+  s->pause_us = pause_us;
   g_ping = s.get();
   cv::Machine::run(base_config(t, 2, nprocs), [](int pe) {
     if (pe != 0) return;
@@ -386,7 +403,7 @@ void run_pingpong(Transport t, int nprocs) {
     cv::send_value(1, h_ping, Ping64{});
     cv::pe_scheduler().suspend();
   });
-  EXPECT_EQ(s->next, static_cast<std::uint64_t>(kPingPongTrips))
+  EXPECT_EQ(s->next, static_cast<std::uint64_t>(trips))
       << backend_name(t) << " nprocs=" << nprocs;
   EXPECT_EQ(s->out_of_order, 0u);
   g_ping = nullptr;
@@ -405,6 +422,220 @@ TEST(TransportConformance, PingPongLosesNoWakeUpMultiProcess) {
     SCOPED_TRACE(backend_name(t));
     run_pingpong(t, 2);
   }
+}
+#endif
+
+// The same ping-pong with every reply held back past the receiver's
+// pre-park spin, so each hop lands on a parked PE and needs its futex
+// wake: 2 × 6144 parked hops per backend. A wake path that loses one wake
+// in 4096 hangs these tests in all but a few runs in a thousand.
+constexpr int kParkedTrips = 6144;
+constexpr int kParkedPauseUs = 60;
+
+TEST(TransportConformance, ParkedPingPongLosesNoWakeUpLoopback) {
+  for (Transport t : {Transport::kShm, Transport::kSocket}) {
+    SCOPED_TRACE(backend_name(t));
+    run_pingpong(t, 1, kParkedTrips, kParkedPauseUs);
+  }
+}
+
+#ifndef MFC_TSAN
+TEST(TransportConformance, ParkedPingPongLosesNoWakeUpMultiProcess) {
+  for (Transport t : {Transport::kShm, Transport::kSocket}) {
+    SCOPED_TRACE(backend_name(t));
+    run_pingpong(t, 2, kParkedTrips, kParkedPauseUs);
+  }
+}
+#endif
+
+// ---- Two-way backpressure through full rings ---------------------------------
+//
+// Both PEs flood each other with 1 KiB messages through 4 KiB shm rings
+// before either receives anything, so each soon blocks on a full ring
+// toward the other. With one PE per process nobody else can drain: a
+// sender waiting out a full ring must deliver its own process's inbound
+// rings meanwhile, or the two wait on each other forever.
+
+constexpr int kFloodMsgs = 2000;
+
+struct FloodState {
+  std::atomic<int> received{0};      ///< this process's deliveries
+  std::atomic<int> pes_reported{0};  ///< PE 0: reports from process 1
+  std::atomic<int> total{0};         ///< PE 0: process 1's deliveries
+};
+FloodState* g_flood = nullptr;
+
+cv::HandlerId h_flood, h_flood_report;
+
+struct Kib {
+  char bytes[1024] = {};
+  void pup(mfc::pup::Er& p) { p.bytes(bytes, sizeof bytes); }
+};
+
+void ensure_flood_handlers() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    h_flood = cv::register_handler([](cv::Message&&) {
+      g_flood->received.fetch_add(1, std::memory_order_relaxed);
+    });
+    h_flood_report = cv::register_handler([](cv::Message&& m) {
+      g_flood->total.fetch_add(m.as<int>(), std::memory_order_relaxed);
+      g_flood->pes_reported.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+}
+
+void run_two_way_flood(int nprocs) {
+  ensure_flood_handlers();
+  auto s = std::make_unique<FloodState>();
+  g_flood = s.get();
+  cv::Machine::Config mc = base_config(Transport::kShm, 2, nprocs);
+  mc.shm_ring_bytes = 4096;
+  cv::Machine::run(mc, [](int pe) {
+    const Kib cell;
+    for (int i = 0; i < kFloodMsgs; ++i) cv::send_value(1 - pe, h_flood, cell);
+    cv::wait_quiescence();
+    // PE 1's deliveries were counted in its own process: ship them home.
+    if (pe == 1 && cv::num_procs() == 2) {
+      cv::send_value(0, h_flood_report, g_flood->received.load());
+    }
+    cv::wait_quiescence();
+  });
+  EXPECT_EQ(s->pes_reported.load(), nprocs == 2 ? 1 : 0);
+  EXPECT_EQ(s->total.load() + s->received.load(), 2 * kFloodMsgs)
+      << "nprocs=" << nprocs;
+  g_flood = nullptr;
+}
+
+TEST(TransportConformance, TwoWayFullRingsDrainEachOtherLoopback) {
+  run_two_way_flood(1);
+}
+
+#ifndef MFC_TSAN
+TEST(TransportConformance, TwoWayFullRingsDrainEachOtherMultiProcess) {
+  run_two_way_flood(2);
+}
+#endif
+
+// ---- A respawned incarnation boots dead and still hears its revives ---------
+//
+// Process 1 (PEs 2 and 3) is SIGKILLed and respawned through the machine's
+// process tier. The respawn boots with both PEs dead, so nothing there runs
+// a handler until a revive frame lands — and on the shm wire no relay thread
+// exists to receive it: the dead PEs' own loops must drain it. PE 0 then
+// pings both and expects the answers to come from generation 1.
+
+#ifndef MFC_TSAN
+struct RebirthState {
+  std::atomic<int> answers{0};
+  std::atomic<int> reborn{0};  ///< answers sent by a respawned incarnation
+  mfc::ult::Thread* coordinator = nullptr;
+  std::mutex mu;
+  std::unordered_map<int, mfc::ult::Thread*> parked;  ///< local mains
+  std::unordered_set<int> finished;
+};
+RebirthState* g_rb = nullptr;
+
+cv::HandlerId h_rb_ping, h_rb_answer, h_rb_finish;
+
+void ensure_rebirth_handlers() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    h_rb_ping = cv::register_handler([](cv::Message&&) {
+      cv::send_value(0, h_rb_answer, std::int32_t{cv::respawn_generation()});
+    });
+    h_rb_answer = cv::register_handler([](cv::Message&& m) {
+      RebirthState* s = g_rb;
+      if (m.as<std::int32_t>() > 0) s->reborn.fetch_add(1);
+      if (s->answers.fetch_add(1) + 1 == 2) cv::ready_thread(s->coordinator);
+    });
+    h_rb_finish = cv::register_handler([](cv::Message&&) {
+      RebirthState* s = g_rb;
+      mfc::ult::Thread* main = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(s->mu);
+        auto it = s->parked.find(cv::my_pe());
+        if (it != s->parked.end()) {
+          main = it->second;
+          s->parked.erase(it);
+        } else {
+          s->finished.insert(cv::my_pe());
+        }
+      }
+      if (main != nullptr) cv::ready_thread(main);
+    });
+  });
+}
+
+void rebirth_entry(int pe) {
+  RebirthState* s = g_rb;
+  if (pe != 0) {
+    // Every incarnation's mains wait for the finish order.
+    {
+      std::lock_guard<std::mutex> lock(s->mu);
+      if (s->finished.count(pe) != 0) return;
+      s->parked[pe] = cv::pe_scheduler().running();
+    }
+    mfc::ult::suspend();
+    return;
+  }
+  s->coordinator = cv::pe_scheduler().running();
+  cv::kill_proc(1);
+  while (cv::take_dead_proc() != 1) mfc::ult::yield();
+  cv::request_respawn(1);
+  while (!cv::take_respawn_complete(1)) mfc::ult::yield();
+  cv::revive_pe(2);
+  cv::revive_pe(3);
+  cv::send_value(2, h_rb_ping, 0);
+  cv::send_value(3, h_rb_ping, 0);
+  mfc::ult::suspend();  // until both answers are in
+  for (int p = 1; p < cv::num_pes(); ++p) cv::send_value(p, h_rb_finish, 0);
+}
+
+TEST(TransportConformance, RespawnedAllDeadProcessReceivesItsRevives) {
+  for (Transport t : {Transport::kShm, Transport::kSocket}) {
+    SCOPED_TRACE(backend_name(t));
+    ensure_rebirth_handlers();
+    auto s = std::make_unique<RebirthState>();
+    g_rb = s.get();
+    cv::FtMachineHooks hooks;
+    hooks.pe0_tick = [] {};
+    hooks.on_revive = [](int) {};
+    cv::set_ft_machine_hooks(std::move(hooks));
+    cv::Machine::run(base_config(t, 4, 2), rebirth_entry);
+    cv::clear_ft_machine_hooks();
+    EXPECT_EQ(s->answers.load(), 2);
+    EXPECT_EQ(s->reborn.load(), 2);
+    g_rb = nullptr;
+  }
+}
+#endif
+
+// ---- Back-to-back quiescence ---------------------------------------------------
+//
+// Multi-process quiescence needs two identical waves (Mattern). The quiet
+// wave that ended one detection is a valid first wave for the next when
+// nothing moved in between, so a second wait_quiescence() right after the
+// first costs one wave. Process 0's QD sends per detection: the start
+// request, two per wave (the round start and PE 0's token forward), and one
+// release per PE.
+
+#ifndef MFC_TSAN
+TEST(TransportConformance, BackToBackQuiescenceCostsOneWave) {
+  static std::uint64_t qd_sent[3];
+  cv::Machine::run(base_config(Transport::kShm, 2, 2), [](int pe) {
+    if (pe != 0) return;
+    using mfc::metrics::Counter;
+    qd_sent[0] = mfc::metrics::total(Counter::kQdSent);
+    cv::wait_quiescence();
+    qd_sent[1] = mfc::metrics::total(Counter::kQdSent);
+    cv::wait_quiescence();
+    qd_sent[2] = mfc::metrics::total(Counter::kQdSent);
+  });
+  const std::uint64_t first = qd_sent[1] - qd_sent[0];
+  const std::uint64_t second = qd_sent[2] - qd_sent[1];
+  EXPECT_EQ(first, 1u + 2 * 2 + 2) << "a cold detection takes two waves";
+  EXPECT_EQ(second, 1u + 2 + 2) << "a back-to-back detection takes one wave";
 }
 #endif
 
