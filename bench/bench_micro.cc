@@ -784,8 +784,8 @@ void run_ftx_suite() {
 
 }  // namespace ftx_bench
 
-// ---- zero-copy migration + incremental/async checkpointing ----
-// Four sub-suites, all recorded in BENCH_migrate.json:
+// ---- zero-copy migration + checkpoint encode ----
+// Three sub-suites, all recorded in BENCH_migrate.json:
 //
 //  1. Thread-image codec byte rate ("iovec" rows). The manifest path
 //     gathers a parked thread's live runs straight onto the wire, folding
@@ -796,14 +796,7 @@ void run_ftx_suite() {
 //  2. Whole-checkpoint encode: a Checkpoint borrowing the manifests of 8
 //     parked threads (the ft capture path).
 //
-//  3. Checkpoint CPU overhead per shipping mode, measured exactly like
-//     the ft suite above (paired off/on storms, median per-rep cpu-time
-//     ratio, work_spin rounds): full vs incremental vs async streamed,
-//     all captured from zero-copy manifests. The bar is <= 2% for the
-//     incremental/async modes against the 4-6% the full path measured
-//     when it landed.
-//
-//  4. The benchmark's migrate_storm shape end to end: run_storm with 4
+//  3. The benchmark's migrate_storm shape end to end: run_storm with 4
 //     PEs, 12 workers over all three techniques, 800 rounds and element
 //     migration, no chaos, no FT. The row is the median of 5 reps by CPU
 //     time; one "message" is one thread migration. The storm runs in this
@@ -928,32 +921,6 @@ mfc::bench::MsgBenchRow timed_storm(const char* name, std::string mode,
   return row;
 }
 
-mfc::bench::MsgBenchRow run_mode_storm(const char* name, int ft_mode,
-                                       int checkpoint_every) {
-  mfc::chaos::StormOptions opt;
-  opt.seed = 99;
-  opt.npes = 4;
-  opt.workers = 9;
-  opt.rounds = 30;
-  opt.ft_checkpoint_every = checkpoint_every;
-  opt.ft_mode = ft_mode;
-  opt.work_spin = 400000;  // ~0.5 ms of compute per worker per round
-  // Calm storm: detection must stay unreachable. The ckpt_none arm never
-  // commits an epoch, so a false-positive detection (a PE starved past the
-  // default 250 ms timeout by bench load on an oversubscribed host) would drive
-  // recovery into "predecessor has no checkpoint" and abort the process.
-  // Pings still flow at the same rate, so the resident-FT tax is unchanged.
-  opt.ft_timeout_us = 10'000'000;
-  // `checkpoint_every` beyond the round count means FT is resident (the
-  // heartbeat detector runs, its tax identical across modes) but no epoch
-  // ever commits — the baseline that isolates checkpointing itself.
-  return timed_storm(name,
-                     checkpoint_every <= opt.rounds
-                         ? "ckpt_every_" + std::to_string(checkpoint_every)
-                         : "ckpt_none_ft_resident",
-                     opt);
-}
-
 /// The benchmark's migrate_storm options (mfcbench/workload.cc).
 mfc::bench::MsgBenchRow run_storm_row() {
   mfc::chaos::StormOptions opt;
@@ -967,7 +934,7 @@ mfc::bench::MsgBenchRow run_storm_row() {
 
 void run_migrate_suite() {
   mfc::bench::print_header(
-      "zero-copy migration codec + incremental/async checkpoint overhead",
+      "zero-copy migration codec + checkpoint encode + migrate storm",
       "paper SS3.4 (thread image shipping), SS3 checkpoint = migration");
 
   std::vector<mfc::bench::MsgBenchRow> rows;
@@ -996,53 +963,7 @@ void run_migrate_suite() {
     mfc::iso::Region::shutdown();
   }
 
-  // Sub-suite 3: per-mode checkpoint overhead. Pairing methodology is
-  // PR-4's (paired reps, median per-rep cpu ratio), with two changes that
-  // keep a 2%-class signal measurable on a noisy shared host:
-  //  - the baseline keeps FT *resident* (detector pinging, no epochs), so
-  //    the diff prices checkpointing alone, not detector residency;
-  //  - the measured run checkpoints every 2 rounds (14 epochs over 30
-  //    rounds), amplifying the per-epoch cost 7x over the PR-4 every-10
-  //    geometry; the printed figure scales back to 2 epochs per run
-  //    (= PR-4's every-10) before applying the bar.
-  constexpr int kReps = 5;
-  constexpr int kEvery = 2;
-  constexpr double kEpochsMeasured = 14.0;  // every-2 commits over 30 rounds
-  constexpr double kEpochsPr4 = 2.0;        // every-10 commits over 30 rounds
-  struct Mode {
-    const char* name;
-    int ft_mode;
-    double bar_pct;
-  };
-  const Mode modes[] = {{"ft_storm_full", 0, 15.0},
-                        {"ft_storm_incremental", 1, 2.0},
-                        {"ft_storm_async", 2, 2.0}};
-  for (const Mode& m : modes) {
-    std::vector<mfc::bench::MsgBenchRow> offs, ons;
-    std::vector<std::pair<double, int>> ratios;
-    for (int i = 0; i < kReps; ++i) {
-      offs.push_back(run_mode_storm(m.name, m.ft_mode, 10000));
-      ons.push_back(run_mode_storm(m.name, m.ft_mode, kEvery));
-      ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const int mid = ratios[ratios.size() / 2].second;
-    rows.push_back(offs[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    rows.push_back(ons[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    const double raw = (ratios[ratios.size() / 2].first - 1.0) * 100.0;
-    const double scaled = raw * kEpochsPr4 / kEpochsMeasured;
-    std::printf(
-        "# %-20s checkpoint overhead (cpu): %s%% at %d epochs -> %s%% at "
-        "the PR-4 every-10 rate (bar: <= %s%%)\n",
-        m.name, mfc::format_double(raw, 1).c_str(),
-        static_cast<int>(kEpochsMeasured),
-        mfc::format_double(scaled, 2).c_str(),
-        mfc::format_double(m.bar_pct, 0).c_str());
-  }
-
-  // Sub-suite 4: the migrate_storm shape, median of 5 reps by CPU time.
+  // Sub-suite 3: the migrate_storm shape, median of 5 reps by CPU time.
   {
     std::vector<mfc::bench::MsgBenchRow> reps;
     for (int i = 0; i < 5; ++i) reps.push_back(run_storm_row());

@@ -46,14 +46,11 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset tsan-ft
 
-# The incremental and async kill storms once more, standalone and verbose:
-# a data race in the delta build/apply path or the async chunk reassembly
-# would surface here with full output even if the label run's scheduling
-# happened to hide it. (Under tsan the mprotect write barrier stays
-# disarmed — deltas come from the content memcmp, which is the
-# correctness-bearing path in release too.)
+# The full-mode kill storms once more, standalone and verbose: a data race
+# in the capture, buddy-store, commit or rollback path would surface here
+# with full output even if the label run's scheduling happened to hide it.
 (cd build-tsan && ./tests/ft_storm_test \
-  --gtest_filter='FtStorm.Incremental*:FtStorm.Async*:FtStorm.Stationary*')
+  --gtest_filter='FtStorm.SameSeedKillRunsAreBitIdentical:FtStorm.KillRunMatchesFailureFreeRun')
 
 # The loopback wire leg once more under tsan: PE-tier kills with every
 # cross-PE message — span-shipped buddy stores included — on the socket

@@ -10,13 +10,12 @@
 # every truncation and single-byte flip).
 #
 # Phase 2 reruns the migrate bench suite (manifest codec bytes/s, checkpoint
-# encode, per-mode checkpoint overhead storms, the end-to-end migrate_storm
-# shape) and diffs the fresh rows against the checked-in BENCH_migrate.json
-# with bench_compare.py: a >10% drop in an iovec codec row's byte rate
-# fails the job, and so does a >25% rise in the storm_migrate row's CPU
-# time per thread migration (CPU, not wall: the storm runs in this
-# process, and CPU time ignores the host's scheduling waits). The
-# per-mode checkpoint storm rows are reported, not enforced.
+# encode, the end-to-end migrate_storm shape) and diffs the fresh rows
+# against the checked-in BENCH_migrate.json with bench_compare.py: a >10%
+# drop in an iovec codec row's byte rate fails the job, and so does a >25%
+# rise in the storm_migrate row's CPU time per thread migration (CPU, not
+# wall: the storm runs in this process, and CPU time ignores the host's
+# scheduling waits).
 set -eu
 cd "$(dirname "$0")/.."
 

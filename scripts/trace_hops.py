@@ -16,13 +16,13 @@ multi-process run merges its per-process parts into one) and reports:
     to the end of the verdict, and the token dispatches the detection took.
     The verdict is the token dispatch on PE 0 that sends the releases.
 
-Stamps from different processes are aligned by the merge's clock-skew
-estimate, which a noisy handshake can leave off by a few hundred
-microseconds. The script removes that residue per process from the data:
-it takes a QD token hop to cost the same in both directions between two
-processes (the token ring crosses each boundary once each way) and shifts
-every process's stamps by half the difference of the two directions'
-medians against process 0. The offsets applied are printed.
+Stamps from different processes are aligned by each process's monotonic
+anchor (forked processes share CLOCK_MONOTONIC), which leaves a residue of
+about ten microseconds. The script removes that residue per process from
+the data: it takes a QD token hop to cost the same in both directions
+between two processes (the token ring crosses each boundary once each way)
+and shifts every process's stamps by half the difference of the two
+directions' medians against process 0. The offsets applied are printed.
 
 The machine records the handler ids of its QD protocol
 (qd_handlers = start,token,release) and of its barrier (barrier_handlers =

@@ -277,18 +277,13 @@ void coordinator() {
     converse::broadcast(h_ps_round, pup::to_bytes(std::int32_t{r}));
     converse::wait_quiescence();
     if (!is_ckpt_round(r, opt)) continue;
-    ft::checkpoint_now(static_cast<ft::CkptMode>(opt.ft_mode));
+    ft::checkpoint_now();
     ++commits;
     if (opt.kill_every == 0 || commits % opt.kill_every != 0) continue;
     const auto k = static_cast<std::uint64_t>(kills_fired);
     // The kill fires only now — after the epoch committed — so recovery
     // rolls back to exactly the state this coordinator last observed and
-    // the round sequence continues without replay. Async epochs commit in
-    // the background: await the commit, or the kill would land on a
-    // pending epoch, abort it, and roll back to a stale round.
-    if (static_cast<ft::CkptMode>(opt.ft_mode) == ft::CkptMode::kAsync) {
-      ft::checkpoint_sync();
-    }
+    // the round sequence continues without replay.
     if (opt.nprocs > 1) {
       if (!keyed_inject(Point::kProcKill, k)) continue;
       const int victim =
@@ -315,7 +310,6 @@ void coordinator() {
     MFC_CHECK(g->phase == ProcStormGlobal::Phase::kRecovered);
     g->phase = ProcStormGlobal::Phase::kRun;
   }
-  if (ft::active()) ft::checkpoint_sync();
   converse::wait_quiescence();
   g->kills_injected =
       injections(Point::kProcKill) + injections(Point::kPeKill);
@@ -390,6 +384,8 @@ ProcStormReport run_proc_storm(const ProcStormOptions& options) {
                 "procstorm: npes must divide evenly across nprocs");
   MFC_CHECK_MSG(options.kill_every == 0 || options.checkpoint_every > 0,
                 "procstorm: kill_every requires checkpoint_every");
+  MFC_CHECK_MSG(options.ft_mode == 0,
+                "procstorm: ft_mode must be 0 (checkpoints ship whole blobs)");
   MFC_CHECK_MSG(options.kill_every == 0 || options.nprocs > 1 ||
                     options.npes >= 2,
                 "procstorm: PE-tier kills need a PE to spare");

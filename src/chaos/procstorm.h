@@ -42,8 +42,9 @@ struct ProcStormOptions {
   /// Checkpoint after every Kth round (0 = FT off). The final round never
   /// checkpoints — there is nothing left to protect.
   int checkpoint_every = 0;
-  /// Checkpoint shipping mode (ft::CkptMode: 0 full, 1 incremental,
-  /// 2 async).
+  /// Must be 0. Checkpoints always ship whole blobs; the field stays only
+  /// because the benchmark's workload driver (mfcbench/workload.cc) still
+  /// assigns it. Drop it with the next change to the benchmark.
   int ft_mode = 0;
   /// Kill at every Nth checkpoint commit (0 = no kills; requires
   /// checkpoint_every > 0). Multi-process: SIGKILL a seed-chosen victim

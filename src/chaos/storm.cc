@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -46,13 +45,6 @@ constexpr std::uint64_t kItinSalt = 0x61f3a2c8d94be071ULL;
 constexpr std::uint64_t kStackSalt = 0x8d1a9f30c27e5b44ULL;
 constexpr std::uint64_t kHeapSalt = 0x2be4c6d8f0a19375ULL;
 constexpr std::uint64_t kTrafficSalt = 0x54e8b16f9d03ca27ULL;
-
-bool trace_on() {
-  static const bool on = ::getenv("MFC_STORM_TRACE") != nullptr;
-  return on;
-}
-#define STORM_TRACE(...) \
-  do { if (trace_on()) { std::fprintf(stderr, __VA_ARGS__); std::fputc('\n', stderr); } } while (0)
 
 std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
   SplitMix64 r(a ^ (b + 0x9e3779b97f4a7c15ULL));
@@ -176,10 +168,6 @@ struct StormGlobal {
   /// kill_ordinal[r] = ordinal of the kill scheduled at round r's release,
   /// or -1 (empty when FT kills are off).
   std::vector<int> kill_ordinal;
-  /// Highest round whose kStormRound marker was emitted. Async rollbacks
-  /// can rewind more than one round (an aborted epoch rolls back to the
-  /// previous one), so replayed loop iterations must not re-mark.
-  int ft_max_marked_round = -1;
 
   std::atomic<std::uint64_t> array_sent{0};
   std::atomic<std::uint64_t> array_delivered{0};
@@ -394,7 +382,6 @@ void pe0_wait(StormGlobal::Waiting kind) {
 void handle_dock(converse::Message&& m) {
   StormGlobal* g = g_storm;
   const auto d = m.as<DockMsg>();
-  STORM_TRACE("dock: wid %d round %d on pe %d", d.wid, d.round, converse::my_pe());
   migrate::MigratableThread* t;
   {
     std::lock_guard<std::mutex> lock(g->mu);
@@ -492,7 +479,6 @@ void handle_ship(converse::Message&& m) {
   }
   // Not readied yet: the round barrier (h_release) wakes all arrivals at
   // once, after the PE0 checker has run the invariant sweep.
-  STORM_TRACE("ship: wid %d arrived on pe %d", ship.wid, converse::my_pe());
   converse::send_value(0, h_arrived, std::int32_t{ship.wid});
 }
 
@@ -517,8 +503,6 @@ void handle_release(converse::Message&& m) {
       if (g->kills_fired.compare_exchange_strong(expect, k + 1)) {
         chaos::keyed_inject(chaos::Point::kPeKill,
                             static_cast<std::uint64_t>(k));
-        STORM_TRACE("release: round %d kill %d takes pe %d", round, k,
-                    converse::my_pe());
         ft::kill_pe(converse::my_pe());
         return;
       }
@@ -782,7 +766,6 @@ bool ft_check(int* r) {
   MFC_CHECK(g->ft_phase == StormGlobal::FtPhase::kResumePending);
   g->ft_phase = StormGlobal::FtPhase::kNone;
   *r = g->ft_resume_round;
-  STORM_TRACE("checker: recovered, re-releasing round %d", *r);
   converse::broadcast(h_release, pup::to_bytes(std::int32_t{*r}));
   return true;
 }
@@ -796,13 +779,10 @@ void checker_main(charm::ArrayBase* array) {
   std::uint64_t slots_in_flight = 0;  // stable-slot baseline, set at round 0
 
   for (int r = 0; r < opt.rounds; ++r) {
-    STORM_TRACE("checker: round %d wait arrivals (have %d)", r, g->arrivals);
     pe0_wait(StormGlobal::Waiting::kArrivals);
     if (ft_check(&r)) continue;
-    STORM_TRACE("checker: round %d arrivals complete, QD1", r);
     converse::wait_quiescence();
     if (ft_check(&r)) continue;
-    STORM_TRACE("checker: round %d QD1 done", r);
 
     // Invariant: isomalloc slot usage is stable across rounds — workers
     // keep their slots for life; migration moves bytes, never identity.
@@ -810,9 +790,6 @@ void checker_main(charm::ArrayBase* array) {
     if (r == 0) {
       slots_in_flight = used;
     } else if (used != slots_in_flight) {
-      STORM_TRACE("checker: round %d slot drift: used %llu baseline %llu", r,
-                  (unsigned long long)used,
-                  (unsigned long long)slots_in_flight);
       g->counter_failures.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -835,18 +812,12 @@ void checker_main(charm::ArrayBase* array) {
       g->array_sent.fetch_add(1, std::memory_order_relaxed);
       array->send(victim, kTagHop, pup::to_bytes(dest));
     }
-    STORM_TRACE("checker: round %d QD2", r);
     converse::wait_quiescence();
     if (ft_check(&r)) continue;
-    STORM_TRACE("checker: round %d QD2 done", r);
 
     // Invariant: under quiescence every array message sent was delivered.
     if (g->array_sent.load(std::memory_order_relaxed) !=
         g->array_delivered.load(std::memory_order_relaxed)) {
-      STORM_TRACE("checker: round %d ping imbalance: sent %llu delivered %llu",
-                  r,
-                  (unsigned long long)g->array_sent.load(),
-                  (unsigned long long)g->array_delivered.load());
       g->counter_failures.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -855,35 +826,21 @@ void checker_main(charm::ArrayBase* array) {
     // the buddy protocol snapshots. A kill scheduled for this round fires
     // later, at the release below, so the epoch always commits first.
     if (is_ckpt_round(r, opt)) {
-      STORM_TRACE("checker: round %d checkpoint", r);
       g->ft_ckpt_round = r;
-      ft::checkpoint_now(static_cast<ft::CkptMode>(opt.ft_mode));
+      ft::checkpoint_now();
     }
 
     g->arrivals = 0;
-    STORM_TRACE("checker: round %d release", r);
-    // Replayed rounds (an async abort rolls back past already-marked
-    // rounds) must not re-emit their marker: the digest counts every round
-    // exactly once.
-    if (r > g->ft_max_marked_round) {
-      trace::emit_flight(trace::Ev::kStormRound, 0,
-                         static_cast<std::uint32_t>(r));
-      g->ft_max_marked_round = r;
-    }
+    trace::emit_flight(trace::Ev::kStormRound, 0,
+                       static_cast<std::uint32_t>(r));
     converse::broadcast(h_release, pup::to_bytes(std::int32_t{r}));
   }
 
-  STORM_TRACE("checker: wait done (have %d)", g->done_workers);
   pe0_wait(StormGlobal::Waiting::kDone);
   // The kill schedule never reaches the last round, so every recovery has
   // completed before the workers can finish; a failure here is real.
   MFC_CHECK_MSG(g->ft_phase == StormGlobal::FtPhase::kNone,
                 "storm: failure interrupted the final done-wait");
-  // An async epoch may still be streaming to its buddies; wait for the
-  // commit before tearing the machine down (the background handlers need
-  // live PE loops to finish).
-  if (ft::active()) ft::checkpoint_sync();
-  STORM_TRACE("checker: done, final QD");
   // Workers have sent their done messages; quiescence additionally implies
   // each has finished exiting (an exiting worker still in a ready queue
   // keeps the token ring spinning), so their slots are released.
@@ -949,9 +906,6 @@ StormReport run_storm(const StormOptions& options) {
                 "storm: buddy checkpointing needs npes >= 2");
   MFC_CHECK_MSG(options.ft_kill_every == 0 || ft_on,
                 "storm: ft_kill_every requires ft_checkpoint_every");
-  MFC_CHECK_MSG(options.ft_mode >= 0 && options.ft_mode <= 2,
-                "storm: ft_mode must be 0 (full), 1 (incremental), or 2 "
-                "(async)");
   register_storm_handlers();
 
   // Kills draw their victims from keyed chaos, so the kill schedule forces
@@ -974,11 +928,6 @@ StormReport run_storm(const StormOptions& options) {
                         static_cast<std::uint64_t>(w)));
     auto& route = g->itinerary[static_cast<std::size_t>(w)];
     route.resize(static_cast<std::size_t>(opt.rounds));
-    if (w < opt.stationary_workers) {
-      // Pinned: every hop is a self-migration back to the birth PE.
-      std::fill(route.begin(), route.end(), w % opt.npes);
-      continue;
-    }
     for (int r = 0; r < opt.rounds; ++r) {
       route[static_cast<std::size_t>(r)] = static_cast<int>(
           rng.next_below(static_cast<std::uint64_t>(opt.npes)));
@@ -1071,7 +1020,6 @@ StormReport run_storm(const StormOptions& options) {
     rep.ft_trace_digest = sum.digest({trace::Ev::kStormRound,
                                       trace::Ev::kFtCheckpointBegin,
                                       trace::Ev::kFtCheckpointEnd});
-    rep.rounds_digest = sum.digest({trace::Ev::kStormRound});
   }
   if (ft_on) {
     rep.ft_epochs = ft::epochs();
@@ -1080,9 +1028,6 @@ StormReport run_storm(const StormOptions& options) {
     rep.ft_recoveries = ft::recoveries();
     rep.ft_checkpoint_bytes =
         metrics::total(metrics::Counter::kFtCheckpointBytes);
-    rep.ft_ship_bytes = metrics::total(metrics::Counter::kFtShipBytes);
-    rep.ft_delta_ranges = metrics::total(metrics::Counter::kFtDeltaRanges);
-    rep.ft_async_chunks = metrics::total(metrics::Counter::kFtAsyncChunks);
     ft::uninstall();
   }
   g_storm = nullptr;

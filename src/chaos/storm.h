@@ -35,13 +35,6 @@ struct StormOptions {
   int workers = 12;
   /// Migration rounds: every worker migrates once per round.
   int rounds = 10;
-  /// The first N workers get a pinned itinerary (every hop lands back on
-  /// their birth PE). They still pack/ship/unpack each round — the full
-  /// migration machinery runs — but the per-PE parked population is stable
-  /// across rounds, which is the workload shape where incremental
-  /// checkpoints actually shrink (a stable blob layout lets page deltas
-  /// apply). 0 = everyone roams (the default).
-  int stationary_workers = 0;
   std::size_t stack_bytes = 16 * 1024;
   /// Isomalloc sizing for the run (small slots keep image copies cheap).
   std::size_t iso_slot_bytes = 16 * 1024;
@@ -84,12 +77,6 @@ struct StormOptions {
   /// tests that kill PEs pass tighter values to keep detection latency low.
   std::uint64_t ft_ping_interval_us = 2000;
   std::uint64_t ft_timeout_us = 250000;
-  /// Checkpoint shipping mode (maps onto ft::CkptMode): 0 = full blobs,
-  /// 1 = incremental (page-granular deltas against the previous committed
-  /// epoch), 2 = async (incremental, buddy ships streamed in chunks while
-  /// the application runs, commit completes in the background). Every mode
-  /// captures with non-destructive zero-copy manifests.
-  int ft_mode = 0;
   /// Restrict all workers to one technique (0=stackcopy, 1=iso, 2=memalias;
   /// -1 = the default w % 3 mix). The FT bench uses this to price
   /// checkpointing per technique.
@@ -145,18 +132,9 @@ struct StormReport {
   std::uint64_t ft_checkpoint_bytes = 0;  ///< local-copy bytes, all epochs
   /// Count digest over {round markers, checkpoint begin/end}: the FT-mode
   /// determinism probe — equal between a kill run and a same-seed
-  /// failure-free run (rounds replay identically after rollback). Async
-  /// kill runs are excluded: whether the in-flight epoch committed before
-  /// the kill is a benign race, so an aborted epoch's Begin may be emitted
-  /// again on replay — compare rounds_digest instead.
+  /// failure-free run (rounds replay identically after rollback, and a
+  /// replayed round never re-emits its marker).
   std::uint64_t ft_trace_digest = 0;
-  /// Count digest over round markers only: every round exactly once, in
-  /// every mode, kill or calm (replayed rounds never re-emit their marker).
-  std::uint64_t rounds_digest = 0;
-  /// Shipping-path counters (zero when FT is off).
-  std::uint64_t ft_ship_bytes = 0;    ///< buddy payload bytes (post-delta)
-  std::uint64_t ft_delta_ranges = 0;  ///< coalesced ranges in delta stores
-  std::uint64_t ft_async_chunks = 0;  ///< streamed chunk messages (mode 2)
 
   bool clean() const {
     return canary_failures == 0 && digest_mismatches == 0 && misroutes == 0 &&

@@ -311,46 +311,6 @@ HandlerId h_qd_token = 0;
 HandlerId h_qd_release = 0;
 HandlerId h_iso_release = 0;
 HandlerId h_iso_claim = 0;
-HandlerId h_clock_ping = 0;
-HandlerId h_clock_reply = 0;
-HandlerId h_clock_set = 0;
-
-// ---- Trace clock handshake (multi-process runs with tracing on) ----
-//
-// Every process timestamps its trace records against CLOCK_MONOTONIC, which
-// forked same-host processes share — but the merge subtracts a measured
-// per-process skew anyway, so the trace format stays honest if a machine
-// layer ever spans real hosts. PE 0 runs one NTP-style exchange per remote
-// process over the ordinary message path (the shm control slot is strictly
-// SPSC, so the handshake cannot ride a new wire frame kind): ping carries
-// t0, the remote echoes its receive time tr, and PE 0 ships back
-// skew = tr - (t0 + t1)/2, which the remote stores into its trace session
-// for the part header. Best effort: on a shared clock the truth is ~0, so
-// queueing noise only nudges track alignment, never correctness.
-
-struct ClockPing {
-  std::int32_t proc = 0;
-  std::int64_t t0 = 0;
-  void pup(pup::Er& p) { p | proc | t0; }
-};
-
-struct ClockReply {
-  std::int32_t proc = 0;
-  std::int64_t t0 = 0;
-  std::int64_t tr = 0;
-  void pup(pup::Er& p) { p | proc | t0 | tr; }
-};
-
-struct ClockSet {
-  std::int64_t skew = 0;
-  void pup(pup::Er& p) { p | skew; }
-};
-
-std::int64_t mono_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct QdToken {
   std::uint64_t app_sent_at_start = 0;
@@ -559,17 +519,6 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
 
   auto* main_thread = new ult::StandardThread(
       [pe, &entry] {
-        // Before any application traffic: PE 0 measures each remote
-        // process's clock skew so multi-process trace parts merge onto one
-        // timeline (quiet queues give the cleanest RTT estimate).
-        if (pe->id == 0 && g_machine->nprocs > 1 && trace::active()) {
-          for (int p = 1; p < g_machine->nprocs; ++p) {
-            ClockPing ping;
-            ping.proc = p;
-            ping.t0 = mono_now_ns();
-            send_value(p * g_machine->ppn, h_clock_ping, ping);
-          }
-        }
         entry(pe->id);
         if (g_machine->mains_finished.fetch_add(1) + 1 ==
             g_machine->local_npes) {
@@ -814,25 +763,6 @@ void register_builtin_handlers() {
     h_iso_claim = register_handler([](Message&& m) {
       metrics::bump(Counter::kFtDelivered);
       iso::Region::instance().reassert(m.as<iso::SlotId>());
-    });
-    // Trace clock handshake (see the comment block above ClockPing).
-    h_clock_ping = register_handler([](Message&& m) {
-      auto ping = m.as<ClockPing>();
-      ClockReply r;
-      r.proc = ping.proc;
-      r.t0 = ping.t0;
-      r.tr = mono_now_ns();
-      send_value(0, h_clock_reply, r);
-    });
-    h_clock_reply = register_handler([](Message&& m) {
-      auto r = m.as<ClockReply>();
-      const std::int64_t t1 = mono_now_ns();
-      ClockSet set;
-      set.skew = r.tr - (r.t0 + t1) / 2;
-      send_value(r.proc * g_machine->ppn, h_clock_set, set);
-    });
-    h_clock_set = register_handler([](Message&& m) {
-      trace::set_clock_skew(m.as<ClockSet>().skew);
     });
   });
 }
@@ -1540,7 +1470,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   if (owns_trace) {
     if (config.nprocs > 1) {
       // Children already wrote their parts (reaped above). Write ours, then
-      // merge everything onto one skew-corrected timeline.
+      // merge everything onto one timeline.
       const std::string base = trace::env_file();
       trace::stop_and_export_part(base + ".part0");
       std::vector<std::string> parts;

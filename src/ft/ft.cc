@@ -1,6 +1,5 @@
 #include "ft/ft.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -23,15 +22,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Granularity of the incremental diff. A fixed 4 KiB keeps the delta wire
-/// format independent of the host page size (blobs are plain byte vectors,
-/// not mapped memory, so there is nothing to align with anyway).
-constexpr std::size_t kDeltaPage = 4096;
-
-/// Async stream chunk size: big enough to amortize per-message overhead,
-/// small enough that the buddy's handler never stalls its PE loop.
-constexpr std::size_t kChunkBytes = 64 * 1024;
-
 /// One PE's slot in the double in-memory checkpoint store. Touched only by
 /// the owning PE's kernel thread (capture/store/refill handlers and the
 /// revival wipe all run there), so no lock is needed.
@@ -52,25 +42,7 @@ struct PeStore {
   std::vector<char> pending;        ///< this PE's capture awaiting commit
   std::int32_t stage_src = -1;
   std::uint64_t stage_epoch = 0;
-  std::vector<char> stage;          ///< reconstructed buddy blob, staged
-
-  // Attempt stamp: set at capture, carried by async chunks. A chunk stamped
-  // below the receiver's current one is a straggler from an attempt that
-  // was aborted (an abort raises the stamp past the aborted attempt) and is
-  // dropped. A chunk stamped above it is live: the sender captured first,
-  // and its chunks can overtake PE 0's capture order to this receiver.
-  std::uint64_t cur_attempt = 0;
-
-  // Async outbound stream (serialized StoreMsg toward the buddy).
-  std::vector<char> outbox;
-  std::size_t out_off = 0;
-  std::uint64_t out_epoch = 0;      ///< 0 = no stream in progress
-
-  // Async inbound reassembly (serialized StoreMsg from the predecessor).
-  std::vector<char> inbox;
-  std::size_t inbox_got = 0;
-  std::int32_t inbox_src = -1;
-  std::uint64_t inbox_epoch = 0;
+  std::vector<char> stage;          ///< the predecessor's blob, staged
 };
 
 struct FtState {
@@ -82,14 +54,10 @@ struct FtState {
   // recovery coordinator all run on PE0's kernel thread) ----
   std::uint64_t epoch = 0;          ///< last committed checkpoint epoch
   std::uint64_t pending_epoch = 0;  ///< epoch currently being checkpointed
-  CkptMode pending_mode = CkptMode::kFull;
-  std::uint64_t ckpt_attempt = 0;   ///< bumped per checkpoint_now call
   int capture_acks = 0;             ///< outstanding capture acks (npes)
   int store_acks = 0;               ///< outstanding buddy-store acks (npes)
   std::uint64_t ckpt_bytes = 0;     ///< local-copy bytes this epoch
-  bool async_inflight = false;      ///< kAsync epoch awaiting commit
   ult::Thread* ckpt_waiter = nullptr;
-  ult::Thread* sync_waiter = nullptr;
 
   bool clock_init = false;
   Clock::time_point last_ping;
@@ -117,8 +85,8 @@ struct FtState {
 FtState* g_state = nullptr;
 
 converse::HandlerId h_ping, h_pong, h_capture, h_store, h_ckpt_ack, h_commit,
-    h_chunk, h_pump, h_ckpt_abort, h_refill_own, h_refill_buddy, h_take_own,
-    h_take_buddy, h_discard, h_restore, h_rec_ack;
+    h_refill_own, h_refill_buddy, h_take_own, h_take_buddy, h_discard,
+    h_restore, h_rec_ack;
 
 // ---- Wire messages ----------------------------------------------------------
 
@@ -129,37 +97,15 @@ struct BlobMsg {
   void pup(pup::Er& p) { p | src | epoch | blob; }
 };
 
-struct CaptureMsg {
-  std::uint64_t epoch = 0;
-  std::uint8_t mode = 0;  ///< CkptMode
-  std::uint64_t attempt = 0;
-  void pup(pup::Er& p) { p | epoch | mode | attempt; }
-};
-
-struct AbortMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t attempt = 0;  ///< the aborted attempt
-  void pup(pup::Er& p) { p | epoch | attempt; }
-};
-
-/// A buddy store: either the full blob (kind 0) or a page-granular delta
-/// against the previous committed epoch (kind 1: `offs`/`lens` describe the
-/// changed ranges, `blob` is their concatenated bytes). Either way the
-/// receiver reconstructs the full blob and checks it against `full_crc`.
+/// A buddy store: `src`'s whole blob for `epoch`. The receiver checks the
+/// length and the CRC-32C before staging it.
 struct StoreMsg {
   std::int32_t src = -1;
   std::uint64_t epoch = 0;
-  std::uint8_t kind = 0;          ///< 0 full, 1 delta
-  std::uint64_t base_epoch = 0;   ///< delta: epoch the ranges patch
-  std::uint64_t full_len = 0;     ///< reconstructed blob length
-  std::uint32_t full_crc = 0;     ///< CRC-32C of the reconstructed blob
-  std::vector<std::uint64_t> offs;
-  std::vector<std::uint64_t> lens;
+  std::uint64_t full_len = 0;     ///< blob length
+  std::uint32_t full_crc = 0;     ///< CRC-32C of the blob
   std::vector<char> blob;
-  void pup(pup::Er& p) {
-    p | src | epoch | kind | base_epoch | full_len | full_crc | offs | lens |
-        blob;
-  }
+  void pup(pup::Er& p) { p | src | epoch | full_len | full_crc | blob; }
 };
 
 struct AckMsg {
@@ -167,16 +113,6 @@ struct AckMsg {
   std::uint8_t phase = 0;  ///< 0 = capture ack, 1 = buddy-store ack
   std::uint64_t bytes = 0;
   void pup(pup::Er& p) { p | epoch | phase | bytes; }
-};
-
-struct ChunkMsg {
-  std::int32_t src = -1;
-  std::uint64_t epoch = 0;
-  std::uint64_t attempt = 0;
-  std::uint64_t total = 0;  ///< serialized StoreMsg length
-  std::uint64_t off = 0;
-  std::vector<char> bytes;
-  void pup(pup::Er& p) { p | src | epoch | attempt | total | off | bytes; }
 };
 
 /// Every FT protocol send goes through here so the send is counted in the
@@ -204,208 +140,58 @@ int pred_of(int pe) {
   return (pe - buddy_stride() + npes) % npes;
 }
 
-/// Ships a StoreMsg without gathering the blob into the pup buffer: the
-/// fixed fields and range tables pack into a small prefix whose trailing
+// ---- Checkpoint -------------------------------------------------------------
+
+/// Ships `blob` to `pe` as a StoreMsg without copying it into the pup
+/// buffer: the fixed fields pack into a small prefix whose trailing
 /// vector-length word is patched to the real blob size, and the blob bytes
-/// ride as a second scatter span — on a wire transport they go straight to
-/// the ring copy loop or writev. The receiver's plain pup unpack sees the
-/// identical byte stream either way.
-void ft_send_store(int pe, const StoreMsg& sm) {
+/// ride as a second scatter span borrowed from the caller — on a wire
+/// transport they go straight to the ring copy loop or writev. The
+/// receiver's plain pup unpack sees the identical byte stream either way.
+void ft_send_store(int pe, std::int32_t src, std::uint64_t epoch,
+                   const std::vector<char>& blob) {
   metrics::bump(metrics::Counter::kFtSent);
+  metrics::bump(metrics::Counter::kFtShipBytes, blob.size());
   StoreMsg head;
-  head.src = sm.src;
-  head.epoch = sm.epoch;
-  head.kind = sm.kind;
-  head.base_epoch = sm.base_epoch;
-  head.full_len = sm.full_len;
-  head.full_crc = sm.full_crc;
-  head.offs = sm.offs;
-  head.lens = sm.lens;
-  std::vector<char> prefix = pup::to_bytes_onepass(head, 256);
-  const std::size_t blob_len = sm.blob.size();
+  head.src = src;
+  head.epoch = epoch;
+  head.full_len = blob.size();
+  head.full_crc = crc32(blob.data(), blob.size());
+  std::vector<char> prefix = pup::to_bytes_onepass(head, 64);
+  const std::size_t blob_len = blob.size();
   std::memcpy(prefix.data() + prefix.size() - sizeof blob_len, &blob_len,
               sizeof blob_len);
   const converse::SendSpan spans[2] = {{prefix.data(), prefix.size()},
-                                       {sm.blob.data(), blob_len}};
+                                       {blob.data(), blob_len}};
   converse::send_spans(pe, h_store, spans, blob_len != 0 ? 2 : 1);
-}
-
-// ---- Checkpoint -------------------------------------------------------------
-
-/// Builds the buddy store for this PE's fresh capture. `allow_delta` diffs
-/// the capture against the previous committed local blob in kDeltaPage
-/// blocks and ships only the changed ranges — valid iff the committed blob
-/// is exactly one epoch old and the same length; otherwise (and whenever
-/// the delta would not actually be smaller) it degrades to a full ship.
-StoreMsg build_store(int me, std::uint64_t epoch, const std::vector<char>& blob,
-                     const PeStore& st, bool allow_delta) {
-  StoreMsg sm;
-  sm.src = me;
-  sm.epoch = epoch;
-  sm.full_len = blob.size();
-  sm.full_crc = crc32(blob.data(), blob.size());
-  const bool have_base = allow_delta && st.own_epoch + 1 == epoch &&
-                         st.own.size() == blob.size() && !blob.empty();
-  if (have_base) {
-    std::size_t off = 0;
-    std::size_t delta_bytes = 0;
-    while (off < blob.size()) {
-      const std::size_t len = std::min(kDeltaPage, blob.size() - off);
-      if (std::memcmp(blob.data() + off, st.own.data() + off, len) != 0) {
-        if (!sm.offs.empty() && sm.offs.back() + sm.lens.back() == off) {
-          sm.lens.back() += len;
-        } else {
-          sm.offs.push_back(off);
-          sm.lens.push_back(len);
-        }
-        delta_bytes += len;
-      }
-      off += len;
-    }
-    // 16 bytes of range metadata per entry: a delta only wins if it beats
-    // the full ship including that overhead.
-    if (delta_bytes + 16 * sm.offs.size() < blob.size()) {
-      sm.kind = 1;
-      sm.base_epoch = epoch - 1;
-      sm.blob.reserve(delta_bytes);
-      for (std::size_t i = 0; i < sm.offs.size(); ++i) {
-        const char* p = blob.data() + sm.offs[i];
-        sm.blob.insert(sm.blob.end(), p, p + sm.lens[i]);
-      }
-      metrics::bump(metrics::Counter::kFtDeltaRanges, sm.offs.size());
-      metrics::bump(metrics::Counter::kFtShipBytes, sm.blob.size());
-      return sm;
-    }
-    sm.offs.clear();
-    sm.lens.clear();
-  }
-  sm.kind = 0;
-  sm.blob = blob;
-  metrics::bump(metrics::Counter::kFtShipBytes, sm.blob.size());
-  return sm;
-}
-
-/// Reconstructs the full blob a StoreMsg describes and stages it (does NOT
-/// touch the committed buddy slot — that happens at commit). Delta stores
-/// patch a copy of the committed buddy blob, so the base survives an abort.
-void apply_store(StoreMsg&& sm) {
-  FtState* s = g_state;
-  PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
-  if (sm.kind == 0) {
-    MFC_CHECK(sm.blob.size() == sm.full_len);
-    st.stage = std::move(sm.blob);
-  } else {
-    MFC_CHECK_MSG(st.buddy_src == sm.src && st.buddy_epoch == sm.base_epoch &&
-                      st.buddy.size() == sm.full_len,
-                  "ft: delta store without a matching committed base");
-    st.stage = st.buddy;
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < sm.offs.size(); ++i) {
-      MFC_CHECK(sm.offs[i] + sm.lens[i] <= st.stage.size());
-      std::memcpy(st.stage.data() + sm.offs[i], sm.blob.data() + pos,
-                  static_cast<std::size_t>(sm.lens[i]));
-      pos += static_cast<std::size_t>(sm.lens[i]);
-    }
-    MFC_CHECK(pos == sm.blob.size());
-  }
-  MFC_CHECK_MSG(crc32(st.stage.data(), st.stage.size()) == sm.full_crc,
-                "ft: staged checkpoint failed CRC verification");
-  st.stage_src = sm.src;
-  st.stage_epoch = sm.epoch;
 }
 
 void handle_capture(converse::Message&& m) {
   count_delivery();
   FtState* s = g_state;
-  const auto cm = m.as<CaptureMsg>();
-  const auto mode = static_cast<CkptMode>(cm.mode);
-  const int me = converse::my_pe();
-  PeStore& st = s->store[static_cast<std::size_t>(me)];
-  std::vector<char> blob = s->hooks.capture(cm.epoch);
-  const std::uint64_t bytes = blob.size();
-  st.cur_attempt = cm.attempt;
-  StoreMsg sm =
-      build_store(me, cm.epoch, blob, st, mode != CkptMode::kFull);
-  st.pending_epoch = cm.epoch;
-  st.pending = std::move(blob);
-  if (mode != CkptMode::kAsync) {
-    ft_send_store(buddy_of(me), sm);
-    ft_send(0, h_ckpt_ack, AckMsg{cm.epoch, 0, bytes});
-  } else {
-    // Capture is done — ack immediately so PE 0 can lift the exclusive
-    // window; the buddy ship streams in chunks via self-posted pump
-    // messages interleaved with application work.
-    st.outbox = pup::to_bytes_onepass(sm, sm.blob.size() + 256);
-    st.out_off = 0;
-    st.out_epoch = cm.epoch;
-    ft_send(0, h_ckpt_ack, AckMsg{cm.epoch, 0, bytes});
-    ft_send(me, h_pump, cm.epoch);
-  }
-}
-
-void handle_store(converse::Message&& m) {
-  count_delivery();
-  auto sm = m.as<StoreMsg>();
-  const std::uint64_t epoch = sm.epoch;
-  apply_store(std::move(sm));
-  ft_send(0, h_ckpt_ack, AckMsg{epoch, 1, 0});
-}
-
-void handle_pump(converse::Message&& m) {
-  count_delivery();
-  FtState* s = g_state;
   const auto epoch = m.as<std::uint64_t>();
   const int me = converse::my_pe();
   PeStore& st = s->store[static_cast<std::size_t>(me)];
-  if (st.out_epoch != epoch) return;  // stream aborted meanwhile
-  const std::size_t total = st.outbox.size();
-  const std::size_t n = std::min(kChunkBytes, total - st.out_off);
-  ChunkMsg cm;
-  cm.src = me;
-  cm.epoch = epoch;
-  cm.attempt = st.cur_attempt;
-  cm.total = total;
-  cm.off = st.out_off;
-  cm.bytes.assign(st.outbox.begin() + static_cast<std::ptrdiff_t>(st.out_off),
-                  st.outbox.begin() +
-                      static_cast<std::ptrdiff_t>(st.out_off + n));
-  ft_send(buddy_of(me), h_chunk, cm);
-  metrics::bump(metrics::Counter::kFtAsyncChunks);
-  st.out_off += n;
-  if (st.out_off < total) {
-    ft_send(me, h_pump, epoch);
-  } else {
-    st.outbox.clear();
-    st.out_off = 0;
-    st.out_epoch = 0;
-  }
+  st.pending = s->hooks.capture(epoch);
+  st.pending_epoch = epoch;
+  ft_send_store(buddy_of(me), me, epoch, st.pending);
+  ft_send(0, h_ckpt_ack, AckMsg{epoch, 0, st.pending.size()});
 }
 
-void handle_chunk(converse::Message&& m) {
+/// Stages the predecessor's blob (does NOT touch the committed buddy slot —
+/// that happens at commit).
+void handle_store(converse::Message&& m) {
   count_delivery();
   FtState* s = g_state;
-  auto cm = m.as<ChunkMsg>();
+  auto sm = m.as<StoreMsg>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
-  if (cm.attempt < st.cur_attempt) return;  // straggler, attempt aborted
-  if (st.inbox_src != cm.src || st.inbox_epoch != cm.epoch) {
-    st.inbox.assign(static_cast<std::size_t>(cm.total), 0);
-    st.inbox_got = 0;
-    st.inbox_src = cm.src;
-    st.inbox_epoch = cm.epoch;
-  }
-  MFC_CHECK(cm.off + cm.bytes.size() <= st.inbox.size());
-  std::memcpy(st.inbox.data() + cm.off, cm.bytes.data(), cm.bytes.size());
-  st.inbox_got += cm.bytes.size();
-  if (st.inbox_got < st.inbox.size()) return;
-  StoreMsg sm;
-  pup::from_bytes(st.inbox, sm);
-  st.inbox.clear();
-  st.inbox_got = 0;
-  st.inbox_src = -1;
-  st.inbox_epoch = 0;
-  const std::uint64_t epoch = sm.epoch;
-  apply_store(std::move(sm));
-  ft_send(0, h_ckpt_ack, AckMsg{epoch, 1, 0});
+  MFC_CHECK(sm.blob.size() == sm.full_len);
+  MFC_CHECK_MSG(crc32(sm.blob.data(), sm.blob.size()) == sm.full_crc,
+                "ft: staged checkpoint failed CRC verification");
+  st.stage = std::move(sm.blob);
+  st.stage_src = sm.src;
+  st.stage_epoch = sm.epoch;
+  ft_send(0, h_ckpt_ack, AckMsg{sm.epoch, 1, 0});
 }
 
 void handle_commit(converse::Message&& m) {
@@ -438,76 +224,34 @@ void commit_epoch() {
   for (int pe = 0; pe < s->npes; ++pe) ft_send(pe, h_commit, e);
   s->epoch = e;
   s->pending_epoch = 0;
-  s->async_inflight = false;
   metrics::bump(metrics::Counter::kFtCheckpoints);
   metrics::bump(metrics::Counter::kFtCheckpointBytes, s->ckpt_bytes);
   trace::emit_flight(trace::Ev::kFtCheckpointEnd, e, 0,
                      static_cast<std::uint32_t>(s->ckpt_bytes > 0xffffffffu
                                                     ? 0xffffffffu
                                                     : s->ckpt_bytes));
-  if (s->sync_waiter != nullptr) {
-    ult::Thread* t = s->sync_waiter;
-    s->sync_waiter = nullptr;
-    converse::ready_thread(t);
-  }
 }
 
+/// PE0: counts capture and store acks; wakes checkpoint_now once the full
+/// 2·npes barrier drains.
 void handle_ckpt_ack(converse::Message&& m) {
   count_delivery();
   FtState* s = g_state;
   const auto am = m.as<AckMsg>();
-  if (am.epoch != s->pending_epoch) return;  // ack for an aborted epoch
+  MFC_CHECK_MSG(am.epoch == s->pending_epoch,
+                "ft: checkpoint ack for an epoch that is not in flight");
   if (am.phase == 0) {
     s->ckpt_bytes += am.bytes;
     --s->capture_acks;
   } else {
     --s->store_acks;
   }
-  if (s->pending_mode != CkptMode::kAsync) {
-    // Synchronous modes: checkpoint_now owns the commit; wake it once the
-    // full 2·npes barrier drains.
-    if (s->capture_acks == 0 && s->store_acks == 0 &&
-        s->ckpt_waiter != nullptr) {
-      ult::Thread* t = s->ckpt_waiter;
-      s->ckpt_waiter = nullptr;
-      converse::ready_thread(t);
-    }
-    return;
-  }
-  // Async: the capture barrier releases checkpoint_now; the store barrier
-  // completes later in handler context and commits right here.
-  if (s->capture_acks == 0 && s->ckpt_waiter != nullptr) {
+  if (s->capture_acks == 0 && s->store_acks == 0 &&
+      s->ckpt_waiter != nullptr) {
     ult::Thread* t = s->ckpt_waiter;
     s->ckpt_waiter = nullptr;
     converse::ready_thread(t);
   }
-  if (s->capture_acks == 0 && s->store_acks == 0) commit_epoch();
-}
-
-void handle_ckpt_abort(converse::Message&& m) {
-  count_delivery();
-  FtState* s = g_state;
-  const auto am = m.as<AbortMsg>();
-  const std::uint64_t epoch = am.epoch;
-  PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
-  st.pending_epoch = 0;
-  st.pending.clear();
-  if (st.stage_epoch == epoch) {
-    st.stage.clear();
-    st.stage_epoch = 0;
-    st.stage_src = -1;
-  }
-  st.out_epoch = 0;
-  st.out_off = 0;
-  st.outbox.clear();
-  st.inbox.clear();
-  st.inbox_got = 0;
-  st.inbox_src = -1;
-  st.inbox_epoch = 0;
-  // Straggler chunks of the aborted attempt now fall below the stamp; the
-  // replayed epoch gets a fresh, higher stamp at its capture.
-  st.cur_attempt = am.attempt + 1;
-  ft_send(0, h_rec_ack, AckMsg{});
 }
 
 // ---- Detector ---------------------------------------------------------------
@@ -714,29 +458,6 @@ void rec_wait(int n) {
   ult::suspend();
 }
 
-/// An async epoch that had not committed when the failure hit is aborted:
-/// every PE drops its pending capture, staged store, and stream buffers.
-/// The rollback then lands on the previous committed epoch, and the aborted
-/// epoch number is simply reused when the replay reaches its checkpoint
-/// round again. No End event was emitted and no checkpoint counter bumped,
-/// so committed-epoch books match a failure-free run. Recovery-ULT context.
-void abort_async_epoch() {
-  FtState* s = g_state;
-  if (!s->async_inflight) return;
-  const std::uint64_t e = s->pending_epoch;
-  s->pending_epoch = 0;
-  s->async_inflight = false;
-  for (int pe = 0; pe < s->npes; ++pe) {
-    ft_send(pe, h_ckpt_abort, AbortMsg{e, s->ckpt_attempt});
-  }
-  rec_wait(s->npes);
-  if (s->sync_waiter != nullptr) {
-    ult::Thread* t = s->sync_waiter;
-    s->sync_waiter = nullptr;
-    converse::ready_thread(t);
-  }
-}
-
 /// Recovery coordinator: runs as a ULT on PE0, spawned by the detector.
 void recovery_main() {
   FtState* s = g_state;
@@ -757,8 +478,6 @@ void recovery_main() {
   // into the dead window unpack and park here; the rollback below discards
   // them along with everything else.
   converse::wait_quiescence();
-
-  abort_async_epoch();
 
   // Refill the victim's checkpoint store from the two surviving copies.
   ft_send(buddy_of(v), h_refill_own, std::int32_t{v});
@@ -828,8 +547,6 @@ void proc_recovery_main() {
   converse::wait_quiescence();
   converse::end_qd_drain();
 
-  abort_async_epoch();
-
   // Refill every lost PE's store: its own blob from its buddy (process
   // p+1) and the buddy copy it held for its predecessor (process p-1).
   for (int v = lo; v < lo + ppn; ++v) {
@@ -873,9 +590,6 @@ void register_ft_handlers() {
     h_store = converse::register_handler(handle_store);
     h_ckpt_ack = converse::register_handler(handle_ckpt_ack);
     h_commit = converse::register_handler(handle_commit);
-    h_chunk = converse::register_handler(handle_chunk);
-    h_pump = converse::register_handler(handle_pump);
-    h_ckpt_abort = converse::register_handler(handle_ckpt_abort);
     h_refill_own = converse::register_handler(handle_refill_own);
     h_refill_buddy = converse::register_handler(handle_refill_buddy);
     h_take_own = converse::register_handler(handle_take_own);
@@ -937,48 +651,26 @@ void uninstall() {
 
 bool active() { return g_state != nullptr; }
 
-std::uint64_t checkpoint_now(CkptMode mode) {
+std::uint64_t checkpoint_now() {
   FtState* s = g_state;
   MFC_CHECK_MSG(s != nullptr, "ft: checkpoint_now without install");
   MFC_CHECK_MSG(converse::my_pe() == 0 &&
                     converse::pe_scheduler().in_thread(),
                 "ft: checkpoint_now must run in a ULT on PE 0");
   MFC_CHECK_MSG(!s->recovering, "ft: checkpoint during recovery");
-  if (s->async_inflight) checkpoint_sync();  // one epoch in flight at a time
   converse::wait_quiescence();
   trace::emit_flight(trace::Ev::kFtCheckpointBegin, s->epoch + 1);
   const std::uint64_t e = s->epoch + 1;
   s->pending_epoch = e;
-  s->pending_mode = mode;
-  s->ckpt_attempt += 1;
   s->capture_acks = s->npes;
   s->store_acks = s->npes;
   s->ckpt_bytes = 0;
-  s->async_inflight = (mode == CkptMode::kAsync);
   s->ckpt_waiter = converse::pe_scheduler().running();
-  for (int pe = 0; pe < s->npes; ++pe) {
-    ft_send(pe, h_capture,
-            CaptureMsg{e, static_cast<std::uint8_t>(mode), s->ckpt_attempt});
-  }
+  for (int pe = 0; pe < s->npes; ++pe) ft_send(pe, h_capture, e);
   ult::suspend();
-  // kFull/kIncremental resume with all 2·npes acks in: commit now, still
-  // inside the exclusive window. kAsync resumes after the npes capture
-  // acks; its commit runs from the ack handler once the stores drain.
-  if (mode != CkptMode::kAsync) commit_epoch();
+  // All 2·npes acks are in: commit, still inside the exclusive window.
+  commit_epoch();
   return e;
-}
-
-std::uint64_t checkpoint_sync() {
-  FtState* s = g_state;
-  MFC_CHECK_MSG(s != nullptr, "ft: checkpoint_sync without install");
-  if (!s->async_inflight) return s->epoch;
-  MFC_CHECK_MSG(converse::my_pe() == 0 &&
-                    converse::pe_scheduler().in_thread(),
-                "ft: checkpoint_sync must run in a ULT on PE 0");
-  MFC_CHECK_MSG(s->sync_waiter == nullptr, "ft: concurrent checkpoint_sync");
-  s->sync_waiter = converse::pe_scheduler().running();
-  ult::suspend();
-  return s->epoch;
 }
 
 void kill_pe(int pe) {

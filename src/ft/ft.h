@@ -38,6 +38,9 @@
 //   - application (storm driver): the capture/wipe/discard/restore hooks
 //     that know what the PE's state actually *is*.
 //
+// There is one shipping mode, FTC-Charm++'s: every epoch ships each PE's
+// whole blob to its buddy inside the quiescent window (checkpoint_now).
+//
 // All FT protocol messages are quiescence-exempt: sends and deliveries are
 // counted in a dedicated metrics pair that app_sent()/app_delivered()
 // subtract, so heartbeats and checkpoint traffic never perturb the Mattern
@@ -101,46 +104,18 @@ void install(int npes, Hooks hooks);
 void uninstall();
 bool active();
 
-/// How a checkpoint epoch ships its blobs to the buddies.
-///
-/// Every mode uses the same staged two-phase protocol: captures and buddy
-/// stores land in *pending* slots, PE 0 collects the 2·npes acks (one
-/// capture ack + one buddy-store ack per PE, exactly the PR 4 barrier), and
-/// only then broadcasts a commit that atomically promotes pending → stored
-/// on every PE. Per-sender FIFO makes the commit visible everywhere before
-/// any later protocol message from PE 0, so a kill at any point leaves the
-/// machine with a consistent last-committed epoch.
-enum class CkptMode : std::uint8_t {
-  /// Ship the whole blob, wait out all acks under the quiescent window.
-  kFull = 0,
-  /// Diff the new blob against the previous committed epoch (page-granular)
-  /// and ship only the changed ranges; the buddy reconstructs and verifies
-  /// the full blob's CRC-32C. Falls back to a full ship when there is no
-  /// usable base or the delta would not be smaller.
-  kIncremental = 1,
-  /// Incremental, plus: the exclusive window ends as soon as every PE has
-  /// captured (npes acks); the buddy ships stream in bounded chunks while
-  /// the application runs, and the commit barrier completes asynchronously
-  /// once the remaining npes store acks drain. checkpoint_now returns at
-  /// the end of the capture window; checkpoint_sync() awaits the commit.
-  /// A failure before commit aborts the epoch (pending and staged state
-  /// discarded everywhere) and recovery rolls back to the previous
-  /// committed epoch; the epoch number is reused on replay.
-  kAsync = 2,
-};
-
 /// Synchronized checkpoint: brackets quiescence, captures every PE into
-/// local + buddy stores, returns the epoch. Call from a ULT on PE 0 only
-/// (typically the application's driver thread). For kFull/kIncremental the
-/// epoch is committed on return; for kAsync it is committed once the
-/// background stream drains (see checkpoint_sync).
-std::uint64_t checkpoint_now(CkptMode mode);
-inline std::uint64_t checkpoint_now() { return checkpoint_now(CkptMode::kFull); }
-
-/// Waits until no checkpoint commit is in flight (kAsync epochs commit in
-/// the background). Returns the last committed epoch. PE 0 ULT context.
-/// No-op when nothing is pending.
-std::uint64_t checkpoint_sync();
+/// local + buddy stores, returns the epoch, which has committed by then.
+/// Call from a ULT on PE 0 only (typically the application's driver
+/// thread).
+///
+/// Captures and whole-blob buddy stores land in *pending* slots; PE 0
+/// collects the 2·npes acks (one capture ack and one buddy-store ack per
+/// PE) and only then broadcasts a commit that promotes pending → stored on
+/// every PE. Per-sender FIFO makes the commit visible everywhere before any
+/// later protocol message from PE 0, so a kill after checkpoint_now
+/// returns leaves the machine with a consistent last-committed epoch.
+std::uint64_t checkpoint_now();
 
 /// Injected failure: traces/counts the kill, then flips the machine-layer
 /// dead flag. The detector — not the caller — notices and recovers.

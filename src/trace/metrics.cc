@@ -61,7 +61,6 @@ const char* to_string(Counter c) {
     case Counter::kFtDetections: return "ft-detections";
     case Counter::kFtRecoveries: return "ft-recoveries";
     case Counter::kFtShipBytes: return "ft-ship-bytes";
-    case Counter::kFtDeltaRanges: return "ft-delta-ranges";
     case Counter::kFtAsyncChunks: return "ft-async-chunks";
     case Counter::kWireSentFrames: return "wire-sent-frames";
     case Counter::kWireSentBytes: return "wire-sent-bytes";

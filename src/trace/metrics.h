@@ -47,9 +47,11 @@ enum class Counter : int {
   kFtKills,
   kFtDetections,
   kFtRecoveries,
-  kFtShipBytes,    ///< checkpoint payload bytes shipped to buddies (post-delta)
-  kFtDeltaRanges,  ///< coalesced dirty ranges shipped in incremental stores
-  kFtAsyncChunks,  ///< bounded stream chunks sent by async checkpointing
+  kFtShipBytes,    ///< checkpoint blob bytes shipped to buddies
+  /// Always 0: async checkpoint shipping is gone, but the benchmark runner
+  /// (mfcbench/run.py) still reads "ft-async-chunks" from every stats dump.
+  /// Drop it together with the runner's `ft.async_chunks`.
+  kFtAsyncChunks,
   // Cross-process wire transports (converse/transport). Sent-side counters
   // land in the sending PE's slot; delivered lands in the comm thread's
   // shared slot (it never binds a PE).

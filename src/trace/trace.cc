@@ -43,12 +43,11 @@ struct Session {
   std::uint64_t tsc0 = 0;
   std::chrono::steady_clock::time_point wall0;
   std::int64_t mono0_ns = 0;
-  // Multi-process placement (set_proc) + handshake skew (set_clock_skew).
+  // Multi-process placement (set_proc).
   int proc = 0;
   int nprocs = 1;
   int local_first = 0;
   int local_npes = 0;  // 0 ⇒ set_proc never called: all rings are local
-  std::int64_t skew_ns = 0;
   std::map<std::string, std::string> meta;
   std::mutex meta_mu;
 };
@@ -576,8 +575,9 @@ bool export_json(Session& s, const std::string& path, double ns_per_tick,
 //
 // A part is one process's share of a machine run: the raw 32-byte records
 // of its local PE rings + wire ring, plus everything needed to place them
-// on a machine-global time axis — the pre-fork rdtsc/monotonic anchor,
-// this process's tick-rate calibration, and the handshake skew estimate.
+// on a machine-global time axis — the rdtsc/monotonic anchor and this
+// process's tick-rate calibration. The processes of one machine are forked
+// on one host and share CLOCK_MONOTONIC, so the anchors alone align them.
 // Same-host binary (written and read on one machine), so the structs are
 // fwritten directly; magic+version reject foreign or stale files.
 
@@ -595,7 +595,7 @@ struct PartHead {
   std::uint32_t pad1;
   std::uint64_t tsc0;
   std::int64_t mono0_ns;
-  std::int64_t skew_ns;
+  std::int64_t reserved;  ///< written 0; keeps the 88-byte layout
   double ns_per_tick;
   std::uint64_t emitted;
   std::uint64_t dropped;
@@ -634,7 +634,6 @@ bool write_part(Session& s, const std::string& path, double ns_per_tick,
   h.nrings = static_cast<std::int32_t>(rings.size());
   h.tsc0 = s.tsc0;
   h.mono0_ns = s.mono0_ns;
-  h.skew_ns = s.skew_ns;
   h.ns_per_tick = ns_per_tick;
   h.emitted = summary.emitted;
   h.dropped = summary.dropped;
@@ -858,12 +857,6 @@ void set_proc(int proc, int nprocs, int local_first, int local_npes) {
   s->local_npes = local_npes;
 }
 
-void set_clock_skew(std::int64_t skew_ns) {
-  Session* s = g_session;
-  if (s == nullptr) return;
-  s->skew_ns = skew_ns;
-}
-
 void set_meta(const std::string& key, const std::string& value) {
   Session* s = g_session;
   if (s == nullptr) return;
@@ -938,11 +931,11 @@ bool merge_parts(const std::vector<std::string>& part_paths,
       return false;
     }
   }
-  // Common origin: the earliest skew-corrected monotonic anchor. Every
-  // part's track then starts at (its anchor − skew − origin) ≥ 0.
-  std::int64_t origin = parts.front().head.mono0_ns - parts.front().head.skew_ns;
+  // Common origin: the earliest monotonic anchor. Every part's track then
+  // starts at (its anchor − origin) ≥ 0.
+  std::int64_t origin = parts.front().head.mono0_ns;
   for (const LoadedPart& p : parts) {
-    origin = std::min(origin, p.head.mono0_ns - p.head.skew_ns);
+    origin = std::min(origin, p.head.mono0_ns);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -978,7 +971,7 @@ bool merge_parts(const std::vector<std::string>& part_paths,
   for (const LoadedPart& p : parts) {
     w.set_pid(p.head.proc);
     const std::uint64_t base_ns = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, p.head.mono0_ns - p.head.skew_ns - origin));
+        std::max<std::int64_t>(0, p.head.mono0_ns - origin));
     for (const LoadedRing& r : p.rings) {
       export_records(w, r.recs.data(), r.recs.size(), r.pe, p.head.tsc0,
                      p.head.ns_per_tick, base_ns);

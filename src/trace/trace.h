@@ -145,13 +145,6 @@ void bind_comm();
 /// instead of all npes rings.
 void set_proc(int proc, int nprocs, int local_first, int local_npes);
 
-/// Records this process's estimated monotonic-clock skew versus proc 0
-/// (from the boot-time clock handshake over the transport). Stored in the
-/// part header; merge subtracts it when aligning tracks. Forked same-host
-/// processes share CLOCK_MONOTONIC, so the skew is normally ~0 and the
-/// handshake is a cross-host-proofing refinement, not a correctness need.
-void set_clock_skew(std::int64_t skew_ns);
-
 /// Allocates a machine-wide-unique flow id on the bound PE's ring (0 if
 /// tracing is off / unbound). Flow ids tie a send to its remote dispatch.
 inline std::uint64_t next_flow_id() {
@@ -191,16 +184,15 @@ Summary stop();
 Summary stop_and_export(const std::string& path, bool* ok = nullptr);
 
 /// Ends the session and writes a binary trace *part* to `path`: raw ring
-/// records plus this process's rdtsc↔monotonic calibration and clock-skew
-/// estimate. Parts from the processes of one machine run are merged into a
+/// records plus this process's rdtsc↔monotonic calibration. Parts from the processes of one machine run are merged into a
 /// single clock-aligned Perfetto JSON by merge_parts / tools/trace_merge.
 Summary stop_and_export_part(const std::string& path, bool* ok = nullptr);
 
 /// Merges binary trace parts (stop_and_export_part output) into one
 /// Chrome trace-event JSON at `out_path`: one track group (pid) per
 /// process, tracks (tids) per PE plus the wire track, all timestamps
-/// aligned to a common origin via each part's monotonic anchor minus its
-/// handshake skew. Cross-process flow arrows bind automatically because
+/// aligned to a common origin via each part's monotonic anchor (the
+/// processes of one machine share CLOCK_MONOTONIC). Cross-process flow arrows bind automatically because
 /// flow ids are machine-wide unique. Deterministic: merging the same
 /// parts twice yields byte-identical output. Returns false (and fills
 /// `err` if non-null) on unreadable/corrupt parts or write failure.

@@ -147,134 +147,6 @@ TEST(FtStorm, CheckpointOnlyStormIsTransparent) {
   EXPECT_EQ(a.thread_migrations, b.thread_migrations);
 }
 
-// ---- Incremental (mode 1) and async (mode 2) checkpoint shipping ----
-
-TEST(FtStorm, IncrementalCalmRunMatchesLegacyDigest) {
-  // Incremental shipping must be invisible to the application: a calm
-  // incremental run reproduces the full-blob (mode 0) run's workload
-  // bit-for-bit (same seed, same rounds, same migrations, same blobs).
-  StormOptions full = ft_options(41);
-  full.ft_kill_every = 0;
-  StormReport a = chaos::run_storm(full);
-
-  StormOptions incr = ft_options(41);
-  incr.ft_kill_every = 0;
-  incr.ft_mode = 1;
-  StormReport b = chaos::run_storm(incr);
-
-  expect_ft_clean(a, full);
-  expect_ft_clean(b, incr);
-  EXPECT_EQ(a.ft_epochs, 7u);
-  EXPECT_EQ(b.ft_epochs, 7u);
-  EXPECT_EQ(a.workload_digest, b.workload_digest);
-  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
-  EXPECT_EQ(a.ft_checkpoint_bytes, b.ft_checkpoint_bytes);
-  EXPECT_GT(b.ft_ship_bytes, 0u);
-}
-
-TEST(FtStorm, IncrementalKillStormIsBitIdentical) {
-  // Incremental shipping is synchronous (the commit barrier still brackets
-  // the round), so kill runs keep PR-4's full bit-identical contract.
-  StormOptions opt = ft_options(43);
-  opt.ft_mode = 1;
-  opt.trace = true;
-  opt.trace_file = "ft_storm_incr_a.json";
-  StormReport a = chaos::run_storm(opt);
-  opt.trace_file = "ft_storm_incr_b.json";
-  StormReport b = chaos::run_storm(opt);
-  expect_ft_clean(a, opt);
-  expect_ft_clean(b, opt);
-
-  EXPECT_EQ(a.ft_epochs, 7u);
-  EXPECT_EQ(a.ft_kills, 3u);
-  EXPECT_EQ(a.ft_recoveries, 3u);
-  EXPECT_EQ(a.workload_digest, b.workload_digest);
-  EXPECT_EQ(a.trace_digest, b.trace_digest);
-  EXPECT_EQ(a.ft_trace_digest, b.ft_trace_digest);
-  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
-  EXPECT_EQ(a.pings_delivered, b.pings_delivered);
-
-  StormOptions calm = ft_options(43);
-  calm.ft_mode = 1;
-  calm.ft_kill_every = 0;
-  calm.trace = true;
-  calm.trace_file = "ft_storm_incr_calm.json";
-  StormReport c = chaos::run_storm(calm);
-  expect_ft_clean(c, calm);
-  EXPECT_EQ(a.workload_digest, c.workload_digest);
-  EXPECT_EQ(a.ft_trace_digest, c.ft_trace_digest);
-}
-
-TEST(FtStorm, StationaryWorkloadShipsDeltas) {
-  // Pinned itineraries keep every PE's parked population stable across
-  // epochs, so successive checkpoint blobs have identical layout and the
-  // page-granular delta path engages: buddy ship bytes drop below the
-  // full local-copy bytes, and coalesced dirty ranges are reported.
-  StormOptions opt = ft_options(47);
-  opt.ft_kill_every = 0;
-  opt.stationary_workers = opt.workers;
-  opt.ft_mode = 1;
-  StormReport r = chaos::run_storm(opt);
-  expect_ft_clean(r, opt);
-  EXPECT_EQ(r.ft_epochs, 7u);
-  EXPECT_GT(r.ft_delta_ranges, 0u);
-  EXPECT_LT(r.ft_ship_bytes, r.ft_checkpoint_bytes);
-}
-
-TEST(FtStorm, AsyncKillStormRecoversTransparently) {
-  // Async commits race the kill: whether the in-flight epoch committed
-  // before the victim died is benign nondeterminism, so this test asserts
-  // the invariants that survive both outcomes — every epoch number commits
-  // exactly once, every round marker fires exactly once, and the workload
-  // digest matches a same-seed calm async run. (trace/ft_trace digests are
-  // deliberately NOT compared; see StormReport::ft_trace_digest.)
-  StormOptions kill = ft_options(51);
-  kill.ft_mode = 2;
-  kill.trace = true;
-  kill.trace_file = "ft_storm_async_kill.json";
-  StormReport a = chaos::run_storm(kill);
-
-  StormOptions calm = ft_options(51);
-  calm.ft_mode = 2;
-  calm.ft_kill_every = 0;
-  calm.trace = true;
-  calm.trace_file = "ft_storm_async_calm.json";
-  StormReport b = chaos::run_storm(calm);
-
-  expect_ft_clean(a, kill);
-  expect_ft_clean(b, calm);
-  EXPECT_EQ(a.ft_epochs, 7u);
-  EXPECT_EQ(a.ft_kills, 3u);
-  EXPECT_EQ(a.ft_detections, 3u);
-  EXPECT_EQ(a.ft_recoveries, 3u);
-  EXPECT_EQ(b.ft_epochs, 7u);
-  EXPECT_GT(a.ft_async_chunks, 0u);
-  EXPECT_GT(b.ft_async_chunks, 0u);
-  EXPECT_EQ(a.workload_digest, b.workload_digest);
-  EXPECT_EQ(a.rounds_digest, b.rounds_digest);
-}
-
-TEST(FtStorm, AsyncCheckpointOnlyStormIsTransparent) {
-  StormOptions async_opt = ft_options(53);
-  async_opt.ft_kill_every = 0;
-  async_opt.ft_mode = 2;
-  StormReport a = chaos::run_storm(async_opt);
-
-  StormOptions off = ft_options(53);
-  off.ft_checkpoint_every = 0;
-  off.ft_kill_every = 0;
-  StormReport b = chaos::run_storm(off);
-
-  expect_ft_clean(a, async_opt);
-  expect_ft_clean(b, off);
-  EXPECT_EQ(a.ft_epochs, 7u);
-
-  // Async capture never suspends workers and never perturbs the
-  // seed-derived workload: digest matches a run with FT off entirely.
-  EXPECT_EQ(a.workload_digest, b.workload_digest);
-  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
-}
-
 TEST(FtStorm, EveryTechniqueSurvivesAKill) {
   for (int technique = 0; technique < 3; ++technique) {
     StormOptions opt = ft_options(11 + static_cast<std::uint64_t>(technique));

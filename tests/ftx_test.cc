@@ -149,32 +149,25 @@ TEST(Ftx, RespawnedProcessSurvivesRepeatedKills) {
   EXPECT_EQ(r.workload_digest, base.workload_digest);
 }
 
-/// Async checkpoint shipping across processes with a kill after each
-/// committed async epoch, on both wires: the coordinator syncs the
-/// background commit before killing, so the books stay exact.
-TEST(Ftx, AsyncModeProcKillStorm) {
-  for (int transport : {1, 2}) {  // shm rings, then sockets
-    SCOPED_TRACE(transport == 1 ? "shm" : "socket");
-    ProcStormOptions calm;
-    calm.seed = 1234;
-    calm.npes = 16;
-    calm.nprocs = 4;
-    calm.transport = transport;
-    calm.rounds = 10;
-    const ProcStormReport base = run_proc_storm(calm);
-    ASSERT_TRUE(base.clean(calm.npes));
+#endif  // !MFC_TSAN
 
-    ProcStormOptions storm = calm;
-    storm.checkpoint_every = 2;
-    storm.ft_mode = 2;  // ft::CkptMode::kAsync
-    storm.kill_every = 2;
-    const ProcStormReport r = run_proc_storm(storm);
-    expect_exact_ft_books(r, storm);
-    EXPECT_EQ(r.workload_digest, base.workload_digest);
+/// Checkpoints ship whole blobs only: any other ft_mode aborts before the
+/// machine boots.
+TEST(FtxDeath, RunProcStormRejectsNonzeroFtMode) {
+  // Threadsafe style re-runs this body in a fresh process, clear of the
+  // threads earlier machine runs left behind.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int mode : {1, 2}) {
+    ProcStormOptions opt;
+    opt.npes = 4;
+    opt.nprocs = 1;
+    opt.transport = 2;
+    opt.rounds = 2;
+    opt.checkpoint_every = 1;
+    opt.ft_mode = mode;
+    EXPECT_DEATH(run_proc_storm(opt), "ft_mode must be 0") << "mode " << mode;
   }
 }
-
-#endif  // !MFC_TSAN
 
 /// Loopback leg (always compiled, tsan-clean): single process, all cross-PE
 /// traffic over the socket wire, PE-tier kills. Keeps span-shipped buddy

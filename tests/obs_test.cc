@@ -448,11 +448,9 @@ TEST(TraceParts, TwoPartMergeAlignsFlowsAndIsDeterministic) {
   trace::stop_and_export_part(p0, &ok);
   ASSERT_TRUE(ok);
 
-  // "Process 1": PEs 2-3, dispatching the same flow. A deliberate skew
-  // estimate exercises the merge's clock alignment.
+  // "Process 1": PEs 2-3, dispatching the same flow.
   ASSERT_TRUE(trace::start(4));
   trace::set_proc(1, 2, 2, 2);
-  trace::set_clock_skew(1000);
   trace::bind_pe(2);
   trace::emit(trace::Ev::kHandlerBegin, 0x77, 1, 64, 0);
   trace::emit(trace::Ev::kHandlerEnd, 0, 1);
