@@ -623,11 +623,12 @@ mfc::bench::MsgBenchRow run_ft_storm(const char* name, int technique,
   opt.single_technique = technique;
   opt.ft_checkpoint_every = checkpoint_every;
   opt.work_spin = 400000;  // ~0.5 ms of compute per worker per round
-  // No kills here — the detector runs only so its ping tax lands in both
-  // arms. With the default 250 ms timeout a PE starved by the rest of the
-  // bench process (more PE threads than CPUs) can be declared dead
-  // mid-measurement;
-  // recovery noise would pollute the row, so make detection unreachable.
+  // No kills here. run_storm installs FT, and with it the heartbeat
+  // detector, only when it checkpoints, so only the checkpointing arm pays
+  // the detector's pings. With the default 250 ms timeout a PE starved by
+  // the rest of the bench process (more PE threads than CPUs) can be
+  // declared dead mid-measurement; recovery noise would pollute the row,
+  // so make detection unreachable.
   opt.ft_timeout_us = 10'000'000;
   mfc::bench::MsgBenchRow row;
   row.name = name;
@@ -723,8 +724,10 @@ mfc::bench::MsgBenchRow run_ftx_storm(const char* name, int checkpoint_every) {
   opt.workers_per_pe = 2;
   opt.values_per_worker = 512;  // 8 KiB of history per PE -> real blobs
   opt.checkpoint_every = checkpoint_every;
-  // No kills: the detector runs only so its ping tax lands in both arms,
-  // and a bench-starved PE must never be declared dead mid-measurement.
+  // No kills. run_proc_storm installs FT (the zygote, the control
+  // channel and the heartbeat detector) only when it checkpoints, so only
+  // the checkpointing arm pays for them. A bench-starved PE must never be
+  // declared dead mid-measurement.
   opt.timeout_us = 10'000'000;
   mfc::bench::MsgBenchRow row;
   row.name = name;
@@ -983,10 +986,11 @@ void run_migrate_suite() {
 
 }  // namespace migrate_bench
 
-// ---- cross-process wire transports (converse/transport) ----
-// Prices the machine layer's wire paths. stream64 runs in loopback mode
-// (nprocs == 1, every cross-PE message through the codec — same process so
-// the numbers isolate the transport, not fork/scheduling noise):
+// ---- the cross-process shm wire (converse/transport) ----
+// Prices the machine layer's wire against the in-process queues. stream64
+// runs in loopback mode (nprocs == 1, every cross-PE message through the
+// rings — same process so the numbers isolate the transport, not
+// fork/scheduling noise):
 //
 //   stream64     64-byte message flood PE0 -> PE1, one row per backend.
 //                The acceptance bar (gated by scripts/ci_transport.sh via
@@ -1002,11 +1006,11 @@ void run_migrate_suite() {
 //                cross-process FT and QD protocols pay; shm/inproc (gated
 //                by ci_transport.sh) is what crossing a process adds. Each
 //                PE is pinned to its own CPU, 500 untimed round trips warm
-//                up each rep, and the reps of the three legs interleave.
+//                up each rep, and the reps of the two legs interleave.
 //   image_*      scatter-gather thread-image-shaped sends (send_spans over
 //                an uneven span list) at 64 KiB / 256 KiB / 1 MiB over the
-//                socket wire across 2 processes: one eager frame per image,
-//                spans straight to writev.
+//                shm wire across 2 processes: each image goes as kChunk
+//                frames of up to half a ring, spans copied straight in.
 //
 // Rows land in BENCH_transport.json.
 
@@ -1067,12 +1071,7 @@ cv::Machine::Config wire_config(cv::Machine::Config::Transport t,
 }
 
 const char* backend_mode(cv::Machine::Config::Transport t) {
-  switch (t) {
-    case cv::Machine::Config::Transport::kInProc: return "inproc";
-    case cv::Machine::Config::Transport::kShm: return "shm";
-    case cv::Machine::Config::Transport::kSocket: return "socket";
-  }
-  return "?";
+  return t == cv::Machine::Config::Transport::kShm ? "shm" : "inproc";
 }
 
 mfc::bench::MsgBenchRow run_stream64(cv::Machine::Config::Transport t,
@@ -1151,7 +1150,7 @@ mfc::bench::MsgBenchRow run_image_ships(const char* name,
   // child, so every image crosses an address space as it would in a
   // migration; the conformance suite covers correctness, this prices it.
   cv::Machine::run(
-      wire_config(cv::Machine::Config::Transport::kSocket, 2),
+      wire_config(cv::Machine::Config::Transport::kShm, 2),
       [&](int pe) {
         cv::barrier();
         if (pe == 0) {
@@ -1176,7 +1175,7 @@ mfc::bench::MsgBenchRow run_image_ships(const char* name,
         }
         cv::barrier();
       });
-  return {name, "socket_eager", 2, static_cast<std::uint64_t>(reps),
+  return {name, "shm_chunk", 2, static_cast<std::uint64_t>(reps),
           g_t1 - g_t0};
 }
 
@@ -1187,13 +1186,12 @@ void run_transport_suite() {
   constexpr int kPingPongReps = 5;
   constexpr int kImageReps = 40;
 
-  std::printf("# machine-layer wire transports (npes=2, median of %d; "
-              "stream64 in loopback, wire pingpong64 and image rows across 2 "
-              "processes)\n", kReps);
+  std::printf("# machine-layer shm wire vs in-process queues (npes=2, "
+              "median of %d; stream64 in loopback, shm pingpong64 and image "
+              "rows across 2 processes)\n", kReps);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const auto t : {cv::Machine::Config::Transport::kInProc,
-                       cv::Machine::Config::Transport::kShm,
-                       cv::Machine::Config::Transport::kSocket}) {
+                       cv::Machine::Config::Transport::kShm}) {
     rows.push_back(conv_bench::median_of(
         kReps, [&] { return run_stream64(t, kStreamMsgs); }));
     conv_bench::print_row(rows.back());
@@ -1202,17 +1200,16 @@ void run_transport_suite() {
               "gated by ci_transport.sh)\n",
               rows[1].ns_per_msg() / rows[0].ns_per_msg());
 
-  // Ping-pong reps interleave the three legs, so a host that drifts
-  // between fast and slow wake-ups mid-suite skews all legs alike and the
-  // gated shm/inproc ratio stays comparable.
+  // Ping-pong reps interleave the two legs, so a host that drifts between
+  // fast and slow wake-ups mid-suite skews both legs alike and the gated
+  // shm/inproc ratio stays comparable.
   const std::size_t pingpong_first = rows.size();
   constexpr cv::Machine::Config::Transport kPingPongLegs[] = {
       cv::Machine::Config::Transport::kInProc,
-      cv::Machine::Config::Transport::kShm,
-      cv::Machine::Config::Transport::kSocket};
-  std::vector<mfc::bench::MsgBenchRow> reps[3];
+      cv::Machine::Config::Transport::kShm};
+  std::vector<mfc::bench::MsgBenchRow> reps[2];
   for (int r = 0; r < kPingPongReps; ++r) {
-    for (int leg = 0; leg < 3; ++leg) {
+    for (int leg = 0; leg < 2; ++leg) {
       reps[leg].push_back(run_pingpong64(kPingPongLegs[leg], kPingPongTrips));
     }
   }

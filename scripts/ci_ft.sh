@@ -6,10 +6,11 @@
 # PE-kill storms over src/ft (heartbeat detection, buddy rollback, replay
 # to a digest bit-identical with a failure-free run), and the cross-process
 # storms of tests/ftx_test.cc (whole-process SIGKILL, zygote respawn,
-# transport reattach, remote-buddy refill — shm and socket wires). The
-# release pass includes the fork-based legs; under tsan those are compiled
-# out and the same drivers run wire-loopback with PE-tier kills under full
-# race checking. To replay a failing seed, prefix with MFC_CHAOS_SEED=<n>.
+# remote-buddy refill over the shm wire, and no process outliving a
+# SIGKILLed process 0). The release pass includes the fork-based legs;
+# under tsan those are compiled out and the same drivers run wire-loopback
+# with PE-tier kills under full race checking. To replay a failing seed,
+# prefix with MFC_CHAOS_SEED=<n>.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -17,14 +18,14 @@ cmake --preset release
 cmake --build --preset release -j"$(nproc)"
 ctest --preset ft
 
-# Cross-process leg, standalone and verbose: proc-kill storms on both
-# wires plus the repeated re-kill of a respawned process. Run with a
+# Cross-process leg, standalone and verbose: the proc-kill storm plus the
+# repeated re-kill of a respawned process. Run with a
 # flight-recorder base name so the detection leaves per-process dumps,
 # then validate them: a process-tier detection must have dumped at least
 # process 0's box with reason "ft-proc-down".
 rm -f build-release/ftx_flight.proc*.json
 (cd build-release && MFC_FLIGHT_FILE=ftx_flight ./tests/ftx_test \
-  --gtest_filter='Ftx.ShmProcKillStormDigestMatchesCalm:Ftx.SocketProcKillStormDigestMatchesCalm:Ftx.RespawnedProcessSurvivesRepeatedKills')
+  --gtest_filter='Ftx.ShmProcKillStormDigestMatchesCalm:Ftx.RespawnedProcessSurvivesRepeatedKills')
 test -s build-release/ftx_flight.proc0.json || {
   echo "FAIL: proc-kill storm left no flight dump for process 0"; exit 1; }
 grep -q '"reason":"ft-proc-down"' build-release/ftx_flight.proc0.json || {
@@ -52,8 +53,8 @@ ctest --preset tsan-ft
 (cd build-tsan && ./tests/ft_storm_test \
   --gtest_filter='FtStorm.SameSeedKillRunsAreBitIdentical:FtStorm.KillRunMatchesFailureFreeRun')
 
-# The loopback wire leg once more under tsan: PE-tier kills with every
-# cross-PE message — span-shipped buddy stores included — on the socket
-# codec, under the race detector.
+# The loopback wire legs once more under tsan: PE-tier kills and a calm
+# checkpointing storm with every cross-PE message — span-shipped buddy
+# stores included — on the shm rings, under the race detector.
 (cd build-tsan && ./tests/ftx_test \
   --gtest_filter='Ftx.Loopback*')

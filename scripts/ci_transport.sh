@@ -1,14 +1,14 @@
 #!/bin/sh
-# CI job: multi-process machine layer — transport conformance, wire-codec
-# torture, cross-backend bench gate.
+# CI job: multi-process machine layer — transport conformance, ring codec
+# tests, shm-vs-in-process bench gate.
 #
 # Phase 1 runs the tests carrying the `transport` CTest label under the
-# release preset: the wire codec short-read/short-write torture (1-byte
-# reads, partial writev mid-iovec, seeded fuzz over split points) and the
-# conformance battery that drives an identical checklist against all three
-# backends — in-process queues, shm SPSC rings, AF_UNIX sockets — in both
+# release preset: the shm ring codec tests (frames straddling the wrap at
+# every offset, multi-span pushes, delayed publish, all-or-nothing pushes)
+# and the conformance battery that drives an identical checklist against
+# both backends — in-process queues and shm SPSC rings — the rings in both
 # loopback and true multi-process (forked) mode: per-pair ordering,
-# exactly-once under seeded chaos, 1 MiB chunk/eager round trips,
+# exactly-once under seeded chaos, 1 MiB chunked round trips,
 # migration mini-storms with all three techniques and bit-identical
 # same-seed replay (including the 64-PE / 4-process acceptance shape), an
 # FT kill storm over the shm wire, and the liveness legs of the PE-drained
@@ -17,8 +17,8 @@
 # whose dead PEs must drain their own revive frames.
 #
 # Phase 2 reruns the transport bench suite (64-byte flood per backend,
-# 64-byte ping-pong in-process and across two processes per wire backend,
-# eager scatter-gather image ships over sockets at 64 KiB–1 MiB) and gates
+# 64-byte ping-pong in-process and across two processes over shm, chunked
+# scatter-gather image ships over shm at 64 KiB–1 MiB) and gates
 # with bench_compare.py: the fresh stream64 and pingpong64 rows must be
 # within tolerance of the checked-in BENCH_transport.json, and two
 # absolute bars hold. The shm ring must cost no more than 3x the
@@ -33,7 +33,7 @@
 #
 # Phase 3 repeats the conformance label under ThreadSanitizer: the
 # fork-based legs are compiled out (tsan does not follow children), but
-# loopback mode keeps the full ring/socket codec under the race detector.
+# loopback mode keeps the full ring path under the race detector.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -377,9 +377,8 @@ ProcStormReport run_proc_storm(const ProcStormOptions& options) {
   MFC_CHECK_MSG(g_ps == nullptr, "run_proc_storm is not reentrant");
   MFC_CHECK(options.npes >= 2 && options.rounds >= 1 &&
             options.workers_per_pe >= 1 && options.values_per_worker >= 1);
-  MFC_CHECK_MSG(options.transport == 1 || options.transport == 2,
-                "procstorm: a wire transport (1 = shm, 2 = socket) is "
-                "required");
+  MFC_CHECK_MSG(options.transport == 1,
+                "procstorm: transport must be 1 (the shm wire)");
   MFC_CHECK_MSG(options.nprocs == 1 || options.npes % options.nprocs == 0,
                 "procstorm: npes must divide evenly across nprocs");
   MFC_CHECK_MSG(options.kill_every == 0 || options.checkpoint_every > 0,
@@ -421,9 +420,7 @@ ProcStormReport run_proc_storm(const ProcStormOptions& options) {
   converse::Machine::Config mc;
   mc.npes = opt.npes;
   mc.nprocs = opt.nprocs;
-  mc.transport = opt.transport == 1
-                     ? converse::Machine::Config::Transport::kShm
-                     : converse::Machine::Config::Transport::kSocket;
+  mc.transport = converse::Machine::Config::Transport::kShm;
   mc.iso_slot_bytes = opt.iso_slot_bytes;
   mc.iso_slots_per_pe = opt.iso_slots_per_pe;
   mc.chaos = opt.chaos;

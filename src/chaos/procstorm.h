@@ -9,8 +9,8 @@
 // drives rounds, brackets them with quiescence, checkpoints through the ft
 // layer on a fixed cadence, and — on the kill schedule — SIGKILLs an entire
 // seed-chosen process *after* the epoch committed, then parks until the
-// detector-driven recovery (zygote respawn, transport reattach, remote
-// buddy refills, machine-wide rollback) hands control back via
+// detector-driven recovery (zygote respawn, remote buddy refills,
+// machine-wide rollback) hands control back via
 // on_recovered. A clean storm ends with the same digest as a failure-free
 // run: the acceptance probe for "process loss is transparent".
 //
@@ -31,8 +31,10 @@ struct ProcStormOptions {
   std::uint64_t seed = 1;
   int npes = 16;
   int nprocs = 4;
-  /// Machine wire transport: 1 = shm rings, 2 = sockets. A wire transport
-  /// is mandatory (nprocs > 1 requires one; nprocs == 1 runs it loopback).
+  /// Must be 1: the storm always runs on the shm wire (nprocs == 1 runs
+  /// it loopback). The field stays only because the benchmark's workload
+  /// driver (mfcbench/workload.cc) still assigns it. Drop it with the next
+  /// change to the benchmark.
   int transport = 1;
   int rounds = 12;
   /// Workers per PE; worker histories live in one iso slot per PE.

@@ -396,8 +396,8 @@ void handle_dock(converse::Message&& m) {
                                [static_cast<std::size_t>(d.round)];
 
   // Scatter-gather ship: serialize the manifest's span list straight into
-  // the wire (in-process: one gather into the delivery envelope; shm/socket:
-  // ring frames / writev) — no intermediate contiguous image is ever built.
+  // the wire (in-process: one gather into the delivery envelope; shm: ring
+  // frames) — no intermediate contiguous image is ever built.
   // The byte stream is ShipMsg's own encoding, so handle_ship decodes it
   // with ShipMsg::pup. The destructive pack epilogue runs in on_consumed,
   // which the send contract orders strictly before the message can be
@@ -906,6 +906,8 @@ StormReport run_storm(const StormOptions& options) {
                 "storm: buddy checkpointing needs npes >= 2");
   MFC_CHECK_MSG(options.ft_kill_every == 0 || ft_on,
                 "storm: ft_kill_every requires ft_checkpoint_every");
+  MFC_CHECK_MSG(options.transport == 0 || options.transport == 1,
+                "storm: transport must be 0 (in-process) or 1 (shm)");
   register_storm_handlers();
 
   // Kills draw their victims from keyed chaos, so the kill schedule forces
@@ -977,9 +979,9 @@ StormReport run_storm(const StormOptions& options) {
   mc.iso_slot_bytes = opt.iso_slot_bytes;
   mc.iso_slots_per_pe = opt.iso_slots_per_pe;
   mc.chaos = opt.chaos;
-  mc.transport = opt.transport == 1   ? converse::Machine::Config::Transport::kShm
-                 : opt.transport == 2 ? converse::Machine::Config::Transport::kSocket
-                                      : converse::Machine::Config::Transport::kInProc;
+  mc.transport = opt.transport == 1
+                     ? converse::Machine::Config::Transport::kShm
+                     : converse::Machine::Config::Transport::kInProc;
   converse::Machine::run(mc, storm_entry);
 
   StormReport rep = g->report;

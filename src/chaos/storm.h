@@ -4,8 +4,8 @@
 // across all three migration techniques (stack-copy, isomalloc, memalias) —
 // migrates every round along seed-derived itineraries while a chare array
 // delivers ttl-forwarded pings (and storms its own elements between PEs),
-// all optionally under chaos fault injection, on any of the machine's wires
-// (in-process queues, shm rings, sockets).
+// all optionally under chaos fault injection, on in-process queues or on
+// the machine's shm wire.
 //
 // After every round the driver quiesces the machine and runs invariant
 // checkers: stack/heap canaries and stack-address stability (verified by
@@ -45,11 +45,11 @@ struct StormOptions {
   int array_pings = 4;
   int ping_ttl = 3;
   bool element_migration = true;  ///< storm the array elements too
-  /// Machine wire transport for the storm (loopback mode, nprocs == 1):
-  /// 0 = in-process queues, 1 = shm rings, 2 = sockets. With 1/2 every
-  /// cross-PE message — including the scatter-gather thread-image ships —
-  /// runs the full wire codec path. Seed-derived digests are transport-
-  /// independent, so same-seed runs must agree across all three.
+  /// Machine transport for the storm (loopback mode, nprocs == 1):
+  /// 0 = in-process queues, 1 = shm rings. With 1 every cross-PE message —
+  /// including the scatter-gather thread-image ships — runs the full ring
+  /// and chunking path. Seed-derived digests are transport-independent, so
+  /// same-seed runs must agree across both.
   int transport = 0;
   /// Record a trace of the storm and export Chrome trace-event JSON at the
   /// end (MFC_TRACE=1 in the environment has the same effect). The trace is

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -139,17 +140,16 @@ struct MachineState {
   std::atomic<bool> qd_round_active{false};
   // ---- Multi-process topology (defaults describe a 1-process machine) ----
   // Process my_proc hosts PEs [local_first, local_first + ppn); only those
-  // entries of `pes` are populated. `transport` is the wire (owned by
-  // Machine::run); non-null also in loopback mode (nprocs == 1 with a wire
-  // transport selected), where every cross-PE send goes over it.
+  // entries of `pes` are populated. `transport` is the shm wire (owned by
+  // Machine::run; PE loops drain it themselves); non-null also in loopback
+  // mode (nprocs == 1 with the wire selected), where every cross-PE send
+  // goes over it.
   int nprocs = 1;
   int my_proc = 0;
   int ppn = 0;
   int local_first = 0;
   int local_npes = 0;
   transport::Transport* transport = nullptr;
-  /// The wire has no relay thread (shm): PE loops drain it themselves.
-  bool pe_drain = false;
   std::atomic<int> procs_done{0};
   // Mattern double-wave memory for multi-process quiescence (PE 0 only):
   // the last wave's accumulated send/deliver counts, kept across a quiet
@@ -171,8 +171,7 @@ struct MachineState {
   /// 0 for an original process; the respawn generation in a respawned
   /// incarnation (whose local PEs boot dead until recovery revives them).
   int respawn_gen = 0;
-  int ctl_fd = -1;       ///< this process's end of its zygote channel
-  pid_t zygote_pid = 0;  ///< process 0 only
+  int ctl_fd = -1;  ///< process 0 only: its end of the zygote channel
   std::vector<pid_t> kids;  ///< process 0 only: the original children
   /// Parallel to `kids`: the pidfd the comm thread waits on (-1 once that
   /// thread reaped the child and closed it).
@@ -208,18 +207,16 @@ bool g_ft_hooks_set = false;
 
 // ---- Zygote control protocol (process-tier FT) ----
 //
-// Fixed 16-byte records over per-process SOCK_SEQPACKET pairs (record
-// boundaries preserved; SCM_RIGHTS carries a stream fd when one rides
-// along). proc-end[k] lives in machine process k; zyg-end[k] in the zygote.
+// Fixed 16-byte records over one SOCK_SEQPACKET pair (record boundaries
+// preserved) between process 0 and the zygote. No other process holds an
+// end, so the zygote sees a hang-up exactly when process 0 is gone.
 
 enum CtlType : std::uint32_t {
   kCtlReqRespawn = 1,   ///< proc 0 → zygote: respawn proc (arg = generation)
-  kCtlPeerSwap = 2,     ///< zygote → survivor: attach proc's fresh stream
-  kCtlSwapDone = 3,     ///< survivor → zygote: swap ack
-  kCtlRespawnDone = 4,  ///< zygote → proc 0: respawn sequence complete
-  kCtlProcDeath = 5,    ///< zygote → proc 0: a respawned incarnation died
-  kCtlShutdown = 6,     ///< proc 0 → zygote: reap grandchildren and exit
-  kCtlReqKill = 7,      ///< proc 0 → zygote: SIGKILL a respawned incarnation
+  kCtlRespawnDone = 2,  ///< zygote → proc 0: the replacement is forked
+  kCtlProcDeath = 3,    ///< zygote → proc 0: a respawned incarnation died
+  kCtlShutdown = 4,     ///< proc 0 → zygote: reap grandchildren and exit
+  kCtlReqKill = 5,      ///< proc 0 → zygote: SIGKILL a respawned incarnation
 };
 
 struct CtlRec {
@@ -229,24 +226,9 @@ struct CtlRec {
 };
 static_assert(sizeof(CtlRec) == 16, "ctl record layout must be fixed");
 
-void ctl_send(int fd, const CtlRec& rec, int ship_fd = -1) {
-  msghdr mh{};
-  iovec iov{const_cast<CtlRec*>(&rec), sizeof rec};
-  mh.msg_iov = &iov;
-  mh.msg_iovlen = 1;
-  alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int))];
-  if (ship_fd >= 0) {
-    std::memset(cbuf, 0, sizeof cbuf);
-    mh.msg_control = cbuf;
-    mh.msg_controllen = sizeof cbuf;
-    cmsghdr* cm = CMSG_FIRSTHDR(&mh);
-    cm->cmsg_level = SOL_SOCKET;
-    cm->cmsg_type = SCM_RIGHTS;
-    cm->cmsg_len = CMSG_LEN(sizeof(int));
-    std::memcpy(CMSG_DATA(cm), &ship_fd, sizeof(int));
-  }
+void ctl_send(int fd, const CtlRec& rec) {
   for (;;) {
-    const ssize_t w = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
+    const ssize_t w = ::send(fd, &rec, sizeof rec, MSG_NOSIGNAL);
     if (w == static_cast<ssize_t>(sizeof rec)) return;
     if (w < 0 && errno == EINTR) continue;
     MFC_CHECK_MSG(false, "machine ctl channel send failed");
@@ -262,20 +244,11 @@ int open_pidfd(pid_t pid) {
 
 enum class CtlRead { kRecord, kEmpty, kClosed };
 
-/// Nonblocking receive of one ctl record: kRecord fills *rec (and *ship_fd
-/// with the SCM_RIGHTS fd when one rode along), kEmpty means none is ready,
-/// kClosed that the peer end is gone.
-CtlRead ctl_recv(int fd, CtlRec* rec, int* ship_fd) {
-  msghdr mh{};
-  iovec iov{rec, sizeof *rec};
-  mh.msg_iov = &iov;
-  mh.msg_iovlen = 1;
-  alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int))];
-  mh.msg_control = cbuf;
-  mh.msg_controllen = sizeof cbuf;
-  if (ship_fd != nullptr) *ship_fd = -1;
+/// Nonblocking receive of one ctl record: kRecord fills *rec, kEmpty means
+/// none is ready, kClosed that the peer end is gone.
+CtlRead ctl_recv(int fd, CtlRec* rec) {
   for (;;) {
-    const ssize_t r = ::recvmsg(fd, &mh, MSG_DONTWAIT | MSG_CMSG_CLOEXEC);
+    const ssize_t r = ::recv(fd, rec, sizeof *rec, MSG_DONTWAIT);
     if (r < 0 && errno == EINTR) continue;
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       return CtlRead::kEmpty;
@@ -283,20 +256,19 @@ CtlRead ctl_recv(int fd, CtlRec* rec, int* ship_fd) {
     if (r == 0) return CtlRead::kClosed;
     MFC_CHECK_MSG(r == static_cast<ssize_t>(sizeof *rec),
                   "machine ctl channel: short read");
-    break;
+    return CtlRead::kRecord;
   }
-  for (cmsghdr* cm = CMSG_FIRSTHDR(&mh); cm != nullptr;
-       cm = CMSG_NXTHDR(&mh, cm)) {
-    if (cm->cmsg_level != SOL_SOCKET || cm->cmsg_type != SCM_RIGHTS) continue;
-    int got = -1;
-    std::memcpy(&got, CMSG_DATA(cm), sizeof(int));
-    if (ship_fd != nullptr && *ship_fd < 0) {
-      *ship_fd = got;
-    } else {
-      ::close(got);
-    }
-  }
-  return CtlRead::kRecord;
+}
+
+/// Child side of every machine fork: die with the parent. The kernel sends
+/// PR_SET_PDEATHSIG's signal when the *thread* that forked this process
+/// exits, not when its process does. That is the thread we need: Machine::
+/// run forks from the thread that later reaps the kids, and the zygote is
+/// single-threaded. The getppid() re-check covers a parent that died
+/// before prctl() ran. `parent` is the pid saved before the fork.
+void die_with_parent(pid_t parent) {
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) std::_Exit(1);
 }
 
 struct BarrierMsg {
@@ -496,7 +468,7 @@ void enqueue_or_inline(int dest_pe, Message* m) {
 /// The shm rings toward this process as a PE queue feed (util/queue.h
 /// NoFeed): with no relay thread, a waiting PE delivers them itself.
 struct WireFeed {
-  transport::Transport* wire = nullptr;  ///< null: nothing to drain
+  transport::Transport* wire = nullptr;  ///< null: in-process machine
   void poll() {
     if (wire != nullptr) wire->drain();
   }
@@ -542,7 +514,7 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
   const bool ft_on = g_machine->ft_on;
   const std::uint64_t max_ticks =
       delay_on ? chaos::config().max_delay_ticks : 0;
-  WireFeed feed{g_machine->pe_drain ? g_machine->transport : nullptr};
+  WireFeed feed{g_machine->transport};
   while (!g_machine->stop.load(std::memory_order_acquire)) {
     // Every pass delivers what waits in the rings toward this process —
     // dead PEs' passes too: a respawned incarnation boots with every PE
@@ -731,9 +703,8 @@ void register_builtin_handlers() {
       if (g_machine->nprocs > 1 && pe->id % g_machine->ppn == 0) {
         token.acc_sent += app_sent();
         token.acc_delivered += app_delivered();
-        // Drain rounds only: sampling the wire is advisory (and the socket
-        // sample takes a lock), so exact rounds never pay for it — and the
-        // tsan legs, which are loopback and never drain, never race it.
+        // Drain rounds only: sampling the wire is advisory (it reads every
+        // ring's head and tail), so exact rounds never pay for it.
         if (token.drain != 0 && g_machine->transport != nullptr &&
             !g_machine->transport->quiescent()) {
           token.xport_idle = 0;
@@ -797,24 +768,16 @@ bool reap_kid(std::size_t k) {
   return false;
 }
 
-/// Comm thread: the zygote channel is readable. Survivors install
-/// respawned peers' fresh streams here (attach_peer must run on the comm
-/// thread); process 0 also learns of respawns (waking PE 0, where the
-/// recovery ULT waits for them) and of deaths only the zygote can reap.
-/// Returns false (retire the fd) if the zygote is gone.
+/// Process 0, comm thread: the zygote channel is readable. Process 0
+/// learns of respawns here (waking PE 0, where the recovery ULT waits for
+/// them) and of deaths only the zygote can reap. Returns false (retire the
+/// fd) if the zygote is gone.
 bool serve_ctl_channel() {
   MachineState* st = g_machine;
   CtlRec rec;
-  int fd = -1;
   CtlRead r;
-  while ((r = ctl_recv(st->ctl_fd, &rec, &fd)) == CtlRead::kRecord) {
+  while ((r = ctl_recv(st->ctl_fd, &rec)) == CtlRead::kRecord) {
     switch (rec.type) {
-      case kCtlPeerSwap:
-        // A dead peer was respawned: swap to its fresh stream and ack so
-        // the zygote can report the respawn complete.
-        st->transport->attach_peer(rec.proc, fd, rec.arg);
-        ctl_send(st->ctl_fd, CtlRec{kCtlSwapDone, rec.proc, rec.arg});
-        break;
       case kCtlRespawnDone:
         metrics::bump(Counter::kProcRespawns);
         trace::emit_flight(trace::Ev::kFtProcRespawn, rec.arg,
@@ -830,7 +793,6 @@ bool serve_ctl_channel() {
       default:
         MFC_CHECK_MSG(false, "unexpected record on the machine ctl channel");
     }
-    fd = -1;
   }
   return r != CtlRead::kClosed;
 }
@@ -848,8 +810,7 @@ struct ProcRun {
   std::unique_ptr<transport::Transport>* transport = nullptr;
   int my_proc = 0;
   int respawn_gen = 0;  ///< > 0 marks a respawned incarnation
-  int ctl_fd = -1;      ///< this process's zygote channel (-1 = no zygote)
-  pid_t zygote_pid = 0;
+  int ctl_fd = -1;      ///< process 0's zygote channel (-1 = none)
   std::vector<pid_t> kids;  ///< process 0 only
   bool owns_chaos = false;
   bool owns_trace = false;
@@ -878,7 +839,6 @@ void run_machine_process(ProcRun ctx) {
   g_machine->ft_respawn = g_ft_hooks_set && config.nprocs > 1;
   g_machine->respawn_gen = ctx.respawn_gen;
   g_machine->ctl_fd = ctx.ctl_fd;
-  g_machine->zygote_pid = ctx.zygote_pid;
   g_machine->kids = std::move(ctx.kids);
   if (!g_machine->kids.empty()) {
     g_machine->kids_reaped =
@@ -916,14 +876,9 @@ void run_machine_process(ProcRun ctx) {
        i < g_machine->local_first + g_machine->local_npes; ++i) {
     auto pe = std::make_unique<Pe>();
     pe->id = i;
-    // A wire without a relay thread wakes PEs directly: the queue parks on
-    // the PE's word in the wire's shared segment instead of its own.
-    if (transport) {
-      if (std::atomic<std::uint32_t>* w = transport->wake_word(i)) {
-        pe->queue.bind_wake_word(w);
-        g_machine->pe_drain = true;
-      }
-    }
+    // The wire wakes PEs directly: the queue parks on the PE's word in the
+    // wire's shared segment instead of its own.
+    if (transport) pe->queue.bind_wake_word(&transport->wake_word(i));
     g_machine->pes[static_cast<std::size_t>(i)] = std::move(pe);
   }
 
@@ -991,8 +946,8 @@ void run_machine_process(ProcRun ctx) {
       };
     }
     // Comm-thread policing, on events: process 0 waits on a pidfd per
-    // child, and every process on its zygote channel (see reap_kid and
-    // serve_ctl_channel).
+    // child and on the zygote channel (see reap_kid and serve_ctl_channel).
+    // Other processes have no control fd and so no comm thread.
     for (std::size_t k = 0; k < g_machine->kids.size(); ++k) {
       const int fd = open_pidfd(g_machine->kids[k]);
       MFC_CHECK_MSG(fd >= 0, "pidfd_open on a machine child failed");
@@ -1098,33 +1053,24 @@ void run_machine_process(ProcRun ctx) {
 // ---- Respawn zygote ----
 //
 // A process forked from the pristine pre-fork single-threaded image,
-// holding copies of every shared resource (shm segment, socket matrix, iso
-// reservation, handler table, installed FT hooks, armed trace/flight
-// state). A SIGKILLed worker cannot be re-forked from any live process —
-// they all carry PE threads and divergent state — so the zygote parks on
-// the clean image and forks replacements from it on request. It is also
-// the only place that can refresh a dead process's wire resources *before*
-// the replacement exists, and it ships the survivor-side stream ends over
-// SCM_RIGHTS.
+// holding copies of every shared resource (shm segment, iso reservation,
+// handler table, installed FT hooks, armed trace/flight state). A
+// SIGKILLed worker cannot be re-forked from any live process — they all
+// carry PE threads and divergent state — so the zygote parks on the clean
+// image and forks replacements from it on request. The shm rings are
+// crash-consistent, so a replacement inherits them as they are.
 
 void zygote_respawn(const Machine::Config& config,
                     const std::function<void(int)>& entry,
-                    std::unique_ptr<transport::Transport>& transport,
-                    const std::vector<int>& ctl_zyg,
-                    const std::vector<int>& ctl_proc, bool owns_chaos,
-                    bool owns_trace, bool owns_hist, const CtlRec& req,
-                    std::vector<pid_t>& grandkid,
+                    std::unique_ptr<transport::Transport>& transport, int ctl,
+                    bool owns_chaos, bool owns_trace, bool owns_hist,
+                    const CtlRec& req, std::vector<pid_t>& grandkid,
                     std::vector<int>& grandkid_fd) {
-  const int nprocs = config.nprocs;
   const int k = req.proc;
-  MFC_CHECK(k > 0 && k < nprocs);
-  // Fresh wire resources for the dead process, created before the fork so
-  // the replacement inherits them. The survivor-side fds stay owned by the
-  // transport (its matrix rows), not by this call.
-  std::vector<int> peer_fds(static_cast<std::size_t>(nprocs), -1);
-  transport->respawn_refresh(k, peer_fds);
+  MFC_CHECK(k > 0 && k < config.nprocs);
   // Fork the replacement: exponential backoff on transient failure, the
   // waits drawn from keyed chaos when it is installed so they replay.
+  const pid_t zygote = ::getpid();
   pid_t pid = -1;
   for (std::uint64_t tries = 0;; ++tries) {
     pid = fork();
@@ -1141,15 +1087,11 @@ void zygote_respawn(const Machine::Config& config,
   }
   if (pid == 0) {
     // The respawned incarnation: shed every zygote-only fd, then run the
-    // standard per-process machine body as proc k. transport->start()
-    // closes the other processes' socket rows (including the freshly
-    // shipped survivor ends), exactly as an original child's did.
-    for (int q = 0; q < nprocs; ++q) {
-      ::close(ctl_zyg[static_cast<std::size_t>(q)]);
-      if (q != k) ::close(ctl_proc[static_cast<std::size_t>(q)]);
-      if (grandkid_fd[static_cast<std::size_t>(q)] >= 0) {
-        ::close(grandkid_fd[static_cast<std::size_t>(q)]);
-      }
+    // standard per-process machine body as proc k.
+    die_with_parent(zygote);
+    ::close(ctl);
+    for (const int fd : grandkid_fd) {
+      if (fd >= 0) ::close(fd);
     }
     ProcRun ctx;
     ctx.config = &config;
@@ -1157,7 +1099,6 @@ void zygote_respawn(const Machine::Config& config,
     ctx.transport = &transport;
     ctx.my_proc = k;
     ctx.respawn_gen = static_cast<int>(req.arg);
-    ctx.ctl_fd = ctl_proc[static_cast<std::size_t>(k)];
     ctx.owns_chaos = owns_chaos;
     ctx.owns_trace = owns_trace;
     ctx.owns_hist = owns_hist;
@@ -1168,111 +1109,68 @@ void zygote_respawn(const Machine::Config& config,
   grandkid_fd[static_cast<std::size_t>(k)] = open_pidfd(pid);
   MFC_CHECK_MSG(grandkid_fd[static_cast<std::size_t>(k)] >= 0,
                 "pidfd_open on a respawned process failed");
-  // Survivors swap to the fresh streams before process 0 learns the
-  // respawn completed, so recovery's first revive frame already rides the
-  // new wire. Collect every ack before reporting.
-  std::vector<pollfd> pfds;
-  for (int j = 0; j < nprocs; ++j) {
-    if (j == k) continue;
-    ctl_send(ctl_zyg[static_cast<std::size_t>(j)],
-             CtlRec{kCtlPeerSwap, k, req.arg},
-             peer_fds[static_cast<std::size_t>(j)]);
-    pfds.push_back({ctl_zyg[static_cast<std::size_t>(j)], POLLIN, 0});
-  }
-  int acks = 0;
-  while (acks < nprocs - 1) {
-    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
-      continue;
-    }
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) continue;
-      CtlRec ack;
-      int afd = -1;
-      const CtlRead r = ctl_recv(p.fd, &ack, &afd);
-      // Only process 0's channel can hang up (this process holds the
-      // others' peer ends): the run is gone, so is the zygote.
-      if (r == CtlRead::kClosed) std::_Exit(0);
-      if (r != CtlRead::kRecord) continue;
-      if (afd >= 0) ::close(afd);
-      MFC_CHECK_MSG(ack.type == kCtlSwapDone,
-                    "expected a swap ack on the zygote channel");
-      ++acks;
-    }
-  }
-  ctl_send(ctl_zyg[0], CtlRec{kCtlRespawnDone, k, req.arg});
+  ctl_send(ctl, CtlRec{kCtlRespawnDone, k, req.arg});
 }
 
+/// `ctl` is the zygote's end of process 0's channel.
 [[noreturn]] void zygote_main(const Machine::Config& config,
                               const std::function<void(int)>& entry,
                               std::unique_ptr<transport::Transport>& transport,
-                              std::vector<int> ctl_zyg,
-                              std::vector<int> ctl_proc, bool owns_chaos,
-                              bool owns_trace, bool owns_hist) {
-  const int nprocs = config.nprocs;
-  // Process 0 is never respawned, so its channel end is not the zygote's
-  // to keep; without it a hang-up on ctl_zyg[0] means process 0 is gone.
-  ::close(ctl_proc[0]);
-  ctl_proc[0] = -1;
-  std::vector<pid_t> grandkid(static_cast<std::size_t>(nprocs), 0);
+                              int ctl, bool owns_chaos, bool owns_trace,
+                              bool owns_hist) {
+  const std::size_t nprocs = static_cast<std::size_t>(config.nprocs);
+  std::vector<pid_t> grandkid(nprocs, 0);
   /// pidfd per live respawned incarnation (-1 = none).
-  std::vector<int> grandkid_fd(static_cast<std::size_t>(nprocs), -1);
-  // Poll set: every machine process's channel, then the grandkid pidfds.
-  std::vector<pollfd> pfds(2 * static_cast<std::size_t>(nprocs));
+  std::vector<int> grandkid_fd(nprocs, -1);
+  // Poll set: process 0's channel, then the grandkid pidfds.
+  std::vector<pollfd> pfds(1 + nprocs);
   for (;;) {
-    for (std::size_t p = 0; p < static_cast<std::size_t>(nprocs); ++p) {
-      pfds[p] = pollfd{ctl_zyg[p], POLLIN, 0};
-      pfds[nprocs + p] = pollfd{grandkid_fd[p], POLLIN, 0};
+    pfds[0] = pollfd{ctl, POLLIN, 0};
+    for (std::size_t p = 0; p < nprocs; ++p) {
+      pfds[1 + p] = pollfd{grandkid_fd[p], POLLIN, 0};
     }
     if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
       continue;
     }
     // Reap respawned incarnations as they exit; report abnormal deaths to
     // process 0 — only this process, their parent, can waitpid them.
-    for (std::size_t p = 0; p < static_cast<std::size_t>(nprocs); ++p) {
-      if (pfds[nprocs + p].revents == 0) continue;
+    for (std::size_t p = 0; p < nprocs; ++p) {
+      if (pfds[1 + p].revents == 0) continue;
       int status = 0;
       if (waitpid(grandkid[p], &status, WNOHANG) != grandkid[p]) continue;
       ::close(grandkid_fd[p]);
       grandkid_fd[p] = -1;
       grandkid[p] = 0;
       if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-        ctl_send(ctl_zyg[0], CtlRec{kCtlProcDeath, static_cast<int>(p), 0});
+        ctl_send(ctl, CtlRec{kCtlProcDeath, static_cast<int>(p), 0});
       }
     }
-    for (int src = 0; src < nprocs; ++src) {
-      if (pfds[static_cast<std::size_t>(src)].revents == 0) continue;
-      CtlRec rec;
-      int fd = -1;
-      while (ctl_recv(ctl_zyg[static_cast<std::size_t>(src)], &rec, &fd) ==
-             CtlRead::kRecord) {
-        if (fd >= 0) ::close(fd);  // no inbound record ships an fd
-        switch (rec.type) {
-          case kCtlReqRespawn:
-            zygote_respawn(config, entry, transport, ctl_zyg, ctl_proc,
-                           owns_chaos, owns_trace, owns_hist, rec, grandkid,
-                           grandkid_fd);
-            break;
-          case kCtlReqKill:
-            if (grandkid[static_cast<std::size_t>(rec.proc)] > 0) {
-              ::kill(grandkid[static_cast<std::size_t>(rec.proc)], SIGKILL);
-            }
-            break;
-          case kCtlShutdown:
-            for (const pid_t g : grandkid) {
-              if (g > 0) waitpid(g, nullptr, 0);
-            }
-            std::_Exit(0);
-          default:
-            MFC_CHECK_MSG(false, "unexpected record on the zygote channel");
-        }
-        fd = -1;
+    if (pfds[0].revents == 0) continue;
+    CtlRec rec;
+    CtlRead r;
+    while ((r = ctl_recv(ctl, &rec)) == CtlRead::kRecord) {
+      switch (rec.type) {
+        case kCtlReqRespawn:
+          zygote_respawn(config, entry, transport, ctl, owns_chaos,
+                         owns_trace, owns_hist, rec, grandkid, grandkid_fd);
+          break;
+        case kCtlReqKill:
+          if (grandkid[static_cast<std::size_t>(rec.proc)] > 0) {
+            ::kill(grandkid[static_cast<std::size_t>(rec.proc)], SIGKILL);
+          }
+          break;
+        case kCtlShutdown:
+          for (const pid_t g : grandkid) {
+            if (g > 0) waitpid(g, nullptr, 0);
+          }
+          std::_Exit(0);
+        default:
+          MFC_CHECK_MSG(false, "unexpected record on the zygote channel");
       }
     }
-    if ((pfds[0].revents & (POLLERR | POLLHUP)) != 0) {
-      // Process 0 died without a shutdown order: the run is gone; don't
-      // linger as an orphan.
-      std::_Exit(0);
-    }
+    // Process 0 closed its end without a shutdown order: the run is gone;
+    // don't linger as an orphan.
+    if (r == CtlRead::kClosed) std::_Exit(0);
   }
 }
 
@@ -1294,7 +1192,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   MFC_CHECK(config.nprocs >= 1);
   const bool wire_on = config.transport != Config::Transport::kInProc;
   if (config.nprocs > 1) {
-    MFC_CHECK_MSG(wire_on, "nprocs > 1 requires a wire transport");
+    MFC_CHECK_MSG(wire_on, "nprocs > 1 requires the shm wire");
     MFC_CHECK_MSG(config.npes % config.nprocs == 0,
                   "npes must divide evenly across processes");
   }
@@ -1353,46 +1251,37 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
     iso::Region::init(iso_cfg);
   }
 
-  // The wire (shm segment / socketpairs) must exist before the fork so
-  // every process holds the same mappings and descriptors.
+  // The wire's shm segment must exist before the fork so every process
+  // maps the same rings.
   std::unique_ptr<transport::Transport> transport;
   if (wire_on) {
-    transport::Options topt;
-    topt.npes = config.npes;
-    topt.nprocs = config.nprocs;
-    topt.shm_ring_bytes = config.shm_ring_bytes;
-    transport = config.transport == Config::Transport::kShm
-                    ? transport::make_shm_transport(topt)
-                    : transport::make_socket_transport(topt);
+    transport = std::make_unique<transport::Transport>(
+        config.npes, config.nprocs, config.shm_ring_bytes);
   }
 
   // ---- Process-tier FT: fork the respawn zygote. ----
   // It must come from this pristine pre-fork image — after the kids fork
   // below, every live process carries threads and divergent state a
-  // replacement must not inherit. One SEQPACKET pair per machine process
-  // carries the control protocol.
+  // replacement must not inherit. One SEQPACKET pair between process 0 and
+  // the zygote carries the control protocol.
   const bool ft_respawn = g_ft_hooks_set && config.nprocs > 1;
-  std::vector<int> ctl_proc;
+  const pid_t parent = ::getpid();
+  int ctl_fd = -1;
   pid_t zygote_pid = 0;
   if (ft_respawn) {
-    ctl_proc.assign(static_cast<std::size_t>(config.nprocs), -1);
-    std::vector<int> ctl_zyg(static_cast<std::size_t>(config.nprocs), -1);
-    for (int p = 0; p < config.nprocs; ++p) {
-      int sv[2];
-      MFC_CHECK_MSG(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, sv) == 0,
-                    "machine ctl socketpair failed");
-      ctl_proc[static_cast<std::size_t>(p)] = sv[0];
-      ctl_zyg[static_cast<std::size_t>(p)] = sv[1];
-    }
+    int sv[2];
+    MFC_CHECK_MSG(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, sv) == 0,
+                  "machine ctl socketpair failed");
     zygote_pid = fork();
     MFC_CHECK_MSG(zygote_pid >= 0, "respawn zygote fork failed");
     if (zygote_pid == 0) {
-      // The zygote keeps both fd arrays: its own ends to serve the
-      // protocol, the proc ends so future respawns inherit theirs.
-      zygote_main(config, entry, transport, std::move(ctl_zyg),
-                  std::move(ctl_proc), owns_chaos, owns_trace, owns_hist);
+      die_with_parent(parent);
+      ::close(sv[0]);
+      zygote_main(config, entry, transport, sv[1], owns_chaos, owns_trace,
+                  owns_hist);
     }
-    for (const int fd : ctl_zyg) ::close(fd);
+    ::close(sv[1]);
+    ctl_fd = sv[0];
   }
 
   // ---- Fork: process k hosts PEs [k*ppn, (k+1)*ppn). ----
@@ -1404,6 +1293,10 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
     const pid_t pid = fork();
     MFC_CHECK_MSG(pid >= 0, "fork failed");
     if (pid == 0) {
+      die_with_parent(parent);
+      // Only process 0 talks to the zygote.
+      if (ctl_fd >= 0) ::close(ctl_fd);
+      ctl_fd = -1;
       my_proc = p;
       kids.clear();
     } else {
@@ -1416,22 +1309,11 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   ctx.entry = &entry;
   ctx.transport = &transport;
   ctx.my_proc = my_proc;
-  ctx.zygote_pid = zygote_pid;
+  ctx.ctl_fd = ctl_fd;
   ctx.kids = std::move(kids);
   ctx.owns_chaos = owns_chaos;
   ctx.owns_trace = owns_trace;
   ctx.owns_hist = owns_hist;
-  if (ft_respawn) {
-    // Each machine process keeps only its own ctl end.
-    for (int p = 0; p < config.nprocs; ++p) {
-      if (p == my_proc) {
-        ctx.ctl_fd = ctl_proc[static_cast<std::size_t>(p)];
-      } else {
-        ::close(ctl_proc[static_cast<std::size_t>(p)]);
-      }
-    }
-  }
-  const int my_ctl = ctx.ctl_fd;
   run_machine_process(std::move(ctx));  // children _Exit(0) inside
 
   // Parent (process 0): collect any children the comm thread hadn't
@@ -1454,12 +1336,12 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   if (ft_respawn) {
     // Zygote shutdown handshake: it blocks reaping every respawned
     // incarnation (they exit through the same stop broadcast), then exits.
-    ctl_send(my_ctl, CtlRec{kCtlShutdown, 0, 0});
+    ctl_send(ctl_fd, CtlRec{kCtlShutdown, 0, 0});
     int zstatus = 0;
     waitpid(zygote_pid, &zstatus, 0);
     MFC_CHECK_MSG(WIFEXITED(zstatus) && WEXITSTATUS(zstatus) == 0,
                   "respawn zygote exited abnormally");
-    ::close(my_ctl);
+    ::close(ctl_fd);
   }
   transport.reset();
 
@@ -1740,7 +1622,7 @@ void revive_pe(int pe) {
   MFC_CHECK(g_machine != nullptr && g_machine->ft_on);
   MFC_CHECK(pe > 0 && pe < g_machine->npes);
   if (!pe_local(pe)) {
-    // Rides the same ordered stream as ordinary sends from this PE, so the
+    // Rides the same ordered ring as ordinary sends from this PE, so the
     // revive (and its wipe) lands before any refill sent afterwards.
     send_ft_ctl(pe, 1);
     return;

@@ -5,8 +5,8 @@
 // scheduler loop plus a user-level-thread scheduler. PEs communicate only
 // through active messages — byte payloads dispatched to registered handlers
 // — never by touching each other's state, so the same code paths work when
-// PEs live in different address spaces (see the fork transport in
-// proc_machine.h).
+// PEs live in different address spaces (Config::nprocs forks the machine,
+// and the shm wire of converse/transport.h carries cross-process sends).
 //
 // Each PE's entry function runs inside a user-level "main" thread, so it can
 // block (barrier(), AMPI receives, …) while the PE keeps processing
@@ -144,7 +144,7 @@ using HandlerFn = std::function<void(Message&&)>;
 
 /// Registers a handler. All PEs share the registry; handlers must be
 /// registered before Machine::run (or identically on every address space
-/// before the transport forks) so ids agree machine-wide. Registration
+/// before Machine::run forks) so ids agree machine-wide. Registration
 /// while the machine runs is tolerated (the charm array layer registers
 /// lazily from entry functions): the table is append-only and dispatch
 /// reads it lock-free.
@@ -153,22 +153,22 @@ HandlerId register_handler(HandlerFn fn);
 class Machine {
  public:
   struct Config {
-    /// Which wire carries cross-process (or, with nprocs == 1, *all*
-    /// cross-PE — "loopback" mode) messages. kInProc is the classic
+    /// Whether the shm wire carries cross-process (or, with nprocs == 1,
+    /// *all* cross-PE — "loopback" mode) messages. kInProc is the classic
     /// single-process lock-free-queue machine.
-    enum class Transport { kInProc, kShm, kSocket };
+    enum class Transport { kInProc, kShm };
 
     int npes = 2;
-    /// Processes the machine runs across. With nprocs > 1 a wire transport
-    /// is required; Machine::run forks nprocs-1 children after the shared
-    /// resources (chaos, trace rings, iso region, transport segments) are
+    /// Processes the machine runs across. With nprocs > 1 the shm wire is
+    /// required; Machine::run forks nprocs-1 children after the shared
+    /// resources (chaos, trace rings, iso region, the wire's segment) are
     /// created, so every address space inherits them. npes must divide
     /// evenly; process k hosts PEs [k*ppn, (k+1)*ppn). FT hooks installed
     /// on a multi-process machine additionally arm whole-process fault
     /// tolerance: a respawn zygote is forked from the pristine pre-fork
     /// image, process 0 polices child liveness, and a SIGKILLed process
-    /// can be respawned and rewired mid-run (see the process-tier API at
-    /// the bottom of this header).
+    /// can be respawned mid-run (see the process-tier API at the bottom of
+    /// this header). Every forked process dies with process 0.
     int nprocs = 1;
     Transport transport = Transport::kInProc;
     /// Per-(dest-process, source-PE) SPSC ring capacity for the shm
@@ -234,8 +234,7 @@ using SendSpan = wire::Span;
 /// Scatter-gather send: ships the concatenation of `spans` as one message
 /// without requiring the caller to gather them first. On the in-process
 /// path the spans are copied once, directly into the pooled delivery
-/// envelope; on a wire transport they go to the ring copy loop (shm) or to
-/// writev (sockets, which first stage one copy when `on_consumed` is set).
+/// envelope; over the wire they go straight to the ring copy loop.
 ///
 /// `on_consumed` (optional) runs exactly once, after the span bytes have
 /// been consumed and strictly before the message can be delivered anywhere.
@@ -334,11 +333,11 @@ bool pe_dead(int pe);
 // Detection: process 0's comm thread reaps dead children (waitpid) and
 // parks the observation in a mailbox the FT tick drains via
 // take_dead_proc(). Recovery: request_respawn(proc) asks the zygote for a
-// fresh incarnation; the zygote refreshes the dead process's wire
-// resources, forks the replacement from the pristine pre-fork image
-// (seeded exponential backoff), ships survivors the new stream ends over
-// SCM_RIGHTS, and reports completion — observable via
-// take_respawn_complete(). The respawned incarnation boots with all its
+// fresh incarnation; the zygote forks the replacement from the pristine
+// pre-fork image (seeded exponential backoff) and reports completion —
+// observable via take_respawn_complete(). The shm rings are crash-
+// consistent, so the replacement inherits them as they are and no
+// survivor rewires anything. The respawned incarnation boots with all its
 // PEs dead; the FT layer revives and refills them through the ordinary
 // two-phase rollback.
 
@@ -358,8 +357,8 @@ int take_dead_proc();
 /// Asks the zygote to respawn dead process `proc` (PE 0's thread).
 void request_respawn(int proc);
 
-/// True once `proc`'s respawn completed (survivors rewired, replacement
-/// running); consumes the completion event. The event wakes PE 0, so a
+/// True once `proc`'s respawn completed (the replacement is forked);
+/// consumes the completion event. The event wakes PE 0, so a
 /// check from its scheduler loop (the FT tick) sees it without polling.
 bool take_respawn_complete(int proc);
 
@@ -370,7 +369,7 @@ void kill_proc(int proc);
 
 /// Quiescence drain mode, bracketing recovery's settle wave: messages died
 /// with the killed process, so send/deliver balance is unreachable. In
-/// drain mode the detector instead requires every PE idle, every transport
+/// drain mode the detector instead requires every PE idle, the wire
 /// quiescent, and counts frozen across two waves — and records the settled
 /// deficit as the baseline later exact rounds compare against. PE 0 only.
 void begin_qd_drain();

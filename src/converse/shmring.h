@@ -1,4 +1,5 @@
-// SPSC byte rings in a shared-memory segment — the shm transport's wire.
+// SPSC byte rings in a shared-memory segment — the machine's wire
+// (converse/transport.h).
 //
 // The segment holds a grid of single-producer single-consumer rings:
 // rings[dest_proc][producer], where `producer` is either a PE id (that PE's
@@ -66,14 +67,6 @@ class RingView {
         data_(data),
         pending_tail_(ctrl->tail.load(std::memory_order_relaxed)) {}
 
-  bool valid() const { return ctrl_ != nullptr; }
-  std::uint64_t capacity() const { return ctrl_->capacity; }
-
-  /// Largest frame payload this ring can carry in one piece.
-  std::uint64_t max_payload() const {
-    return ctrl_->capacity - sizeof(wire::Header);
-  }
-
   /// Producer side. Copies header + spans into the ring; returns false if
   /// the frame does not fit right now. With publish=false the tail store is
   /// deferred to publish() — at most one unpublished frame may be pending.
@@ -103,9 +96,19 @@ class RingView {
     ctrl_->tail.store(pending_tail_, std::memory_order_seq_cst);
   }
 
-  /// Consumer side: pops one frame if available. Sink protocol matches
-  /// wire::Reader (on_header returns the payload destination or nullptr
-  /// for none-needed; on_frame sees the filled buffer).
+  /// Consumer side: pops one frame if available. The sink is asked where
+  /// the payload should land before it is copied out:
+  ///
+  ///   struct Sink {
+  ///     // The destination for h.payload_len bytes, or nullptr to skip
+  ///     // them (the ring stays framed: head advances past the payload).
+  ///     char* on_header(const wire::Header& h);
+  ///     // Runs after head moved past the frame; `payload` is what
+  ///     // on_header returned.
+  ///     void on_frame(const wire::Header& h, char* payload);
+  ///   };
+  ///
+  /// so every frame lands directly in the receiver's envelope.
   template <typename Sink>
   bool try_pop(Sink& sink) {
     const std::uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
@@ -195,7 +198,6 @@ class Segment {
   void create(int nprocs, int npes, std::size_t ring_bytes) {
     MFC_CHECK_MSG((ring_bytes & (ring_bytes - 1)) == 0,
                   "shm_ring_bytes must be a power of two");
-    nprocs_ = nprocs;
     npes_ = npes;
     ring_bytes_ = ring_bytes;
     bytes_ = static_cast<std::size_t>(npes) * sizeof(WakeCtrl) +
@@ -237,9 +239,6 @@ class Segment {
     return RingView(reinterpret_cast<RingCtrl*>(at), at + sizeof(RingCtrl));
   }
 
-  int nprocs() const { return nprocs_; }
-  int npes() const { return npes_; }
-
   void unmap() {
     if (base_ != nullptr && base_ != MAP_FAILED) ::munmap(base_, bytes_);
     base_ = nullptr;
@@ -249,7 +248,6 @@ class Segment {
   char* base_ = nullptr;
   std::size_t bytes_ = 0;
   std::size_t ring_bytes_ = 0;
-  int nprocs_ = 0;
   int npes_ = 0;
 };
 

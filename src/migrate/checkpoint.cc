@@ -90,8 +90,8 @@ std::vector<MigratableThread*> Checkpoint::restore_all(int dest_pe) {
 
 namespace {
 
-void write_frame_header(char* frame, std::uint64_t payload_len,
-                        std::uint32_t crc) {
+void put_frame_header(char* frame, std::uint64_t payload_len,
+                      std::uint32_t crc) {
   std::memcpy(frame, &kMagic, 4);
   std::memcpy(frame + 4, &kVersion, 4);
   std::memcpy(frame + 8, &payload_len, 8);
@@ -128,7 +128,7 @@ std::vector<char> Checkpoint::encode() const {
   }
   p | self.user_data_;
   MFC_CHECK(p.written(frame.data() + kHeaderBytes) == payload_len);
-  write_frame_header(frame.data(), payload_len, p.crc());
+  put_frame_header(frame.data(), payload_len, p.crc());
   return frame;
 }
 

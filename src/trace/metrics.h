@@ -52,10 +52,11 @@ enum class Counter : int {
   /// (mfcbench/run.py) still reads "ft-async-chunks" from every stats dump.
   /// Drop it together with the runner's `ft.async_chunks`.
   kFtAsyncChunks,
-  // Cross-process wire transports (converse/transport). Sent-side counters
-  // land in the sending PE's slot; delivered lands in the comm thread's
-  // shared slot (it never binds a PE).
-  kWireSentFrames,  ///< frames pushed onto a ring / written to a socket
+  // The cross-process shm wire (converse/transport). Sent-side counters
+  // land in the sending PE's slot; delivered lands in the slot of the PE
+  // that drained the ring (the shared slot for the joining thread's last
+  // sweep).
+  kWireSentFrames,  ///< frames pushed onto a ring
   kWireSentBytes,   ///< payload bytes shipped over the wire
   kWireDelivered,   ///< messages enqueued from the wire to a local PE
   kWireChunks,      ///< kChunk frames (messages split to fit the shm ring)
@@ -64,7 +65,10 @@ enum class Counter : int {
   /// stats dump. Drop it together with the runner's `wire.rendezvous`.
   kWireRendezvous,
   kSpanSends,       ///< send_spans() calls (scatter-gather message sends)
-  kWireRetries,     ///< transient socket errors retried (EAGAIN/EPIPE/ECONNRESET)
+  /// Always 0: the socket wire whose send retries it counted is gone, but
+  /// the benchmark runner (mfcbench/run.py) still reads "wire-retries" from
+  /// every stats dump. Drop it together with the runner's `wire.retries`.
+  kWireRetries,
   // Process-tier fault tolerance (cross-process FT).
   kProcKills,       ///< whole processes SIGKILLed / declared dead
   kProcRespawns,    ///< dead processes respawned by the zygote

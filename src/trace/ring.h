@@ -44,7 +44,7 @@ enum class Ev : std::uint8_t {
   kFtRecoveryEnd,       ///< rollback complete, machine resumed (arg=epoch)
   kWireSendBegin,       ///< transport send entered (arg=flow, a=kind, b=dest pe)
   kWireSendEnd,         ///< transport send returned (size=wire bytes)
-  kWireDeliver,         ///< comm thread enqueued an arrival (arg=flow, b=src pe)
+  kWireDeliver,         ///< ring drain enqueued an arrival (arg=flow, b=src pe)
   kWireAsmBegin,  ///< chunk reassembly started (arg=flow, size=total, b=src PE)
   kWireAsmEnd,    ///< last chunk landed; deliverable (size=total, b=src PE)
   kFtProcDown,          ///< whole process declared dead (a=proc, b=first pe)

@@ -1,25 +1,35 @@
 // Cross-process fault-tolerance tests (labeled `ft`): whole-process kill +
-// zygote respawn + transport reattach storms over the procstorm driver
-// (src/chaos/procstorm.h).
+// zygote respawn storms over the procstorm driver (src/chaos/procstorm.h),
+// and the rule that no forked process outlives process 0.
 //
 // The headline probe is digest transparency: a storm whose coordinator
 // SIGKILLs entire seed-chosen processes after checkpoint commits must end
 // with a workload digest bit-identical to a failure-free run of the same
-// options — process loss, respawn, stream swap, buddy refill and rollback
-// all invisible to the workload. Kills always fire right after a commit, so
+// options — process loss, respawn, buddy refill and rollback all invisible
+// to the workload. Kills always fire right after a commit, so
 // recovery rolls back to exactly the committed state and no round replays;
 // epoch/kill/detection/recovery/respawn counters are therefore exact, not
 // bounds.
 //
 // Fork-based multi-process legs are compiled out under ThreadSanitizer
-// (MFC_TSAN) — tsan does not follow forked children. The loopback leg at
-// the bottom (nprocs == 1, socket wire, PE-tier kills) keeps the whole FT
-// wire path — span-shipped buddy stores included — under the race detector.
+// (MFC_TSAN) — tsan does not follow forked children. The loopback legs at
+// the bottom (nprocs == 1, shm wire, PE-tier kills) keep the whole FT wire
+// path — span-shipped buddy stores included — under the race detector.
 #include "chaos/procstorm.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <thread>
 
 #include "chaos/chaos.h"
+#include "converse/machine.h"
 
 namespace {
 
@@ -85,27 +95,6 @@ TEST(Ftx, ShmProcKillStormDigestMatchesCalm) {
   EXPECT_EQ(r.workload_digest, base.workload_digest);
 }
 
-/// Same storm over the socket transport: SCM_RIGHTS reattach instead of
-/// crash-consistent shm rings.
-TEST(Ftx, SocketProcKillStormDigestMatchesCalm) {
-  ProcStormOptions calm;
-  calm.seed = 77;
-  calm.npes = 16;
-  calm.nprocs = 4;
-  calm.transport = 2;
-  calm.rounds = 10;
-  const ProcStormReport base = run_proc_storm(calm);
-  ASSERT_TRUE(base.clean(calm.npes));
-
-  ProcStormOptions storm = calm;
-  storm.checkpoint_every = 2;
-  storm.kill_every = 2;
-  const ProcStormReport r = run_proc_storm(storm);
-  expect_exact_ft_books(r, storm);
-  EXPECT_EQ(r.proc_respawns, expected_kills(storm));
-  EXPECT_EQ(r.workload_digest, base.workload_digest);
-}
-
 /// Same seed, same options → bit-identical digests: the kill schedule, the
 /// victim draws and the recovery are all deterministic.
 TEST(Ftx, SameSeedProcKillRunsAreBitIdentical) {
@@ -149,35 +138,128 @@ TEST(Ftx, RespawnedProcessSurvivesRepeatedKills) {
   EXPECT_EQ(r.workload_digest, base.workload_digest);
 }
 
+// ---- No process outlives process 0 ------------------------------------------
+
+/// Exit codes of the helper process below.
+enum HelperExit : int {
+  kAllReaped = 0,
+  kMachineNotUp = 10,    ///< the machine never signalled it was up
+  kOrphanSurvived = 11,  ///< a forked process outlived process 0 by 5 s
+  kWrongKidCount = 12,   ///< process 0 forked other than kMachineKids
+};
+
+/// The machine process 0 forks: 3 workers and the respawn zygote.
+constexpr int kMachineKids = 4;
+
+/// Runs in a forked helper that is the subreaper of a 4-process FT-armed
+/// machine: once every process is up it SIGKILLs process 0, and then every
+/// process the machine forked must be reaped here within 5 s. Reaping is
+/// the proof — a zombie still answers kill(pid, 0).
+[[noreturn]] void orphan_helper() {
+  namespace cv = mfc::converse;
+  ::prctl(PR_SET_CHILD_SUBREAPER, 1);
+  int up[2];
+  if (::pipe(up) != 0) std::_Exit(kMachineNotUp);
+  const pid_t p0 = ::fork();
+  if (p0 < 0) std::_Exit(kMachineNotUp);
+  if (p0 == 0) {
+    // Process 0, in a process group of its own so the helper can clean up
+    // whatever survives it.
+    ::setpgid(0, 0);
+    ::close(up[0]);
+    cv::FtMachineHooks hooks;
+    hooks.pe0_tick = [] {};
+    hooks.on_revive = [](int) {};
+    cv::set_ft_machine_hooks(std::move(hooks));
+    cv::Machine::Config mc;
+    mc.npes = 8;
+    mc.nprocs = 4;
+    mc.transport = cv::Machine::Config::Transport::kShm;
+    mc.iso_slots_per_pe = 0;
+    const int up_fd = up[1];
+    cv::Machine::run(mc, [up_fd](int pe) {
+      cv::barrier();  // every process's PEs are running
+      if (pe != 0) return;
+      const char byte = 1;
+      if (::write(up_fd, &byte, 1) != 1) std::_Exit(1);
+      mfc::ult::suspend();  // never resumed: the machine never stops
+    });
+    std::_Exit(0);
+  }
+  ::setpgid(p0, p0);
+  ::close(up[1]);
+  pollfd pfd{up[0], POLLIN, 0};
+  char byte = 0;
+  const bool machine_up =
+      ::poll(&pfd, 1, 60000) == 1 && ::read(up[0], &byte, 1) == 1;
+  ::kill(p0, SIGKILL);
+  ::waitpid(p0, nullptr, 0);
+  int reaped = 0;
+  int verdict = machine_up ? kAllReaped : kMachineNotUp;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const pid_t r = ::waitpid(-1, nullptr, WNOHANG);
+    if (r > 0) {
+      ++reaped;
+      continue;
+    }
+    if (r < 0 && errno == ECHILD) break;
+    const bool late = std::chrono::steady_clock::now() >= deadline;
+    if (verdict == kAllReaped && late) verdict = kOrphanSurvived;
+    if (verdict != kAllReaped) {
+      ::kill(-p0, SIGKILL);  // clean up, then reap the rest
+      while (::waitpid(-1, nullptr, 0) > 0) {
+      }
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (verdict == kAllReaped && reaped != kMachineKids) verdict = kWrongKidCount;
+  std::_Exit(verdict);
+}
+
+TEST(Ftx, KillingProcessZeroLeavesNoOrphans) {
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) orphan_helper();
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kAllReaped) << "see HelperExit";
+}
+
 #endif  // !MFC_TSAN
 
-/// Checkpoints ship whole blobs only: any other ft_mode aborts before the
-/// machine boots.
+/// Checkpoints ship whole blobs over the shm wire only: any other ft_mode
+/// or transport aborts before the machine boots.
 TEST(FtxDeath, RunProcStormRejectsNonzeroFtMode) {
   // Threadsafe style re-runs this body in a fresh process, clear of the
   // threads earlier machine runs left behind.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ProcStormOptions opt;
+  opt.npes = 4;
+  opt.nprocs = 1;
+  opt.rounds = 2;
+  opt.checkpoint_every = 1;
   for (int mode : {1, 2}) {
-    ProcStormOptions opt;
-    opt.npes = 4;
-    opt.nprocs = 1;
-    opt.transport = 2;
-    opt.rounds = 2;
-    opt.checkpoint_every = 1;
     opt.ft_mode = mode;
     EXPECT_DEATH(run_proc_storm(opt), "ft_mode must be 0") << "mode " << mode;
   }
+  opt.ft_mode = 0;
+  opt.transport = 2;  // only 1, the shm wire, is accepted
+  EXPECT_DEATH(run_proc_storm(opt), "transport must be 1");
 }
 
 /// Loopback leg (always compiled, tsan-clean): single process, all cross-PE
-/// traffic over the socket wire, PE-tier kills. Keeps span-shipped buddy
+/// traffic over the shm wire, PE-tier kills. Keeps span-shipped buddy
 /// stores, the detector and the rollback protocol under ThreadSanitizer.
-TEST(Ftx, LoopbackSocketWirePeKillStorm) {
+TEST(Ftx, LoopbackShmWirePeKillStorm) {
   ProcStormOptions calm;
   calm.seed = 555;
   calm.npes = 4;
   calm.nprocs = 1;
-  calm.transport = 2;
+  calm.transport = 1;
   calm.rounds = 8;
   const ProcStormReport base = run_proc_storm(calm);
   ASSERT_TRUE(base.clean(calm.npes));
@@ -192,9 +274,8 @@ TEST(Ftx, LoopbackSocketWirePeKillStorm) {
   EXPECT_EQ(r.workload_digest, base.workload_digest);
 }
 
-/// Calm loopback shm variant: the wire path without failures, digest
-/// stability against the socket loopback above is NOT expected (different
-/// npes would change it) — this probes books only.
+/// Calm loopback variant: the wire path without failures, on another seed
+/// than the kill storm above — this probes books only.
 TEST(Ftx, LoopbackShmCheckpointOnlyStorm) {
   ProcStormOptions opt;
   opt.seed = 31337;

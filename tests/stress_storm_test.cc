@@ -27,15 +27,16 @@ StormOptions quiet_options(std::uint64_t seed) {
 }
 
 /// Full-adversary options: every fault point live and deterministic
-/// scheduler picks, on a seed-chosen machine wire (seed % 3: in-process
-/// queues, shm rings, sockets), so thread images ship over real wires.
+/// scheduler picks, on a seed-chosen transport (seed % 3 == 0: in-process
+/// queues; otherwise the shm rings), so thread images ship over a real
+/// wire.
 StormOptions hostile_options(std::uint64_t seed) {
   StormOptions opt;
   opt.seed = seed;
   opt.npes = 4;
   opt.workers = 9;  // 3 per migration technique
   opt.rounds = 12;
-  opt.transport = static_cast<int>(seed % 3);
+  opt.transport = seed % 3 == 0 ? 0 : 1;
   opt.chaos.enabled = true;
   opt.chaos.seed = seed;
   opt.chaos.deterministic_sched = true;
@@ -155,27 +156,23 @@ TEST(Storm, HundredRoundAcceptanceUnderFullChaos) {
 }
 
 TEST(Storm, WorkloadDigestIsTransportIndependent) {
-  // The same seed on all three machine wires (in-process queues, shm rings,
-  // sockets — loopback mode, every cross-PE message including the
-  // scatter-gather thread-image ships riding the codec) must produce one
-  // workload digest: itineraries and histories are functions of the seed,
-  // never of which transport carried them. Chaos stays off so the only
-  // variable is the wire.
+  // The same seed on in-process queues and on the shm wire (loopback mode,
+  // every cross-PE message including the scatter-gather thread-image ships
+  // riding the rings) must produce one workload digest: itineraries and
+  // histories are functions of the seed, never of which transport carried
+  // them. Chaos stays off so the only variable is the wire.
   StormOptions opt = quiet_options(9001);
-  StormReport reports[3];
-  for (int t = 0; t < 3; ++t) {
+  StormReport reports[2];
+  for (int t = 0; t < 2; ++t) {
     opt.transport = t;
     reports[t] = chaos::run_storm(opt);
     expect_clean(reports[t], opt);
   }
   EXPECT_EQ(reports[0].workload_digest, reports[1].workload_digest)
       << "shm wire changed the workload";
-  EXPECT_EQ(reports[0].workload_digest, reports[2].workload_digest)
-      << "socket wire changed the workload";
   // The wire moves the same logical bytes too: serialized thread-image
   // volume is transport-invariant.
   EXPECT_EQ(reports[0].wire_bytes, reports[1].wire_bytes);
-  EXPECT_EQ(reports[0].wire_bytes, reports[2].wire_bytes);
 }
 
 /// Fixed three-seed matrix run by the tsan CI preset (-L stress).

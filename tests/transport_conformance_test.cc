@@ -1,14 +1,13 @@
 // Transport conformance battery (labeled transport).
 //
-// One battery, three backends: the in-process lock-free queues, the shm
-// SPSC rings, and the AF_UNIX socket stream — each behind Machine::Config's
-// transport knob, in loopback mode (nprocs == 1, every cross-PE send over
-// the wire inside one process: the tsan-visible leg) and in true
-// multi-process mode (Machine::run forks; only cross-process sends hit the
-// wire). The battery checks what a machine layer must never get wrong:
+// One battery, two backends: the in-process lock-free queues and the shm
+// SPSC rings — each behind Machine::Config's transport knob, the rings in
+// loopback mode (nprocs == 1, every cross-PE send over the wire inside one
+// process: the tsan-visible leg) and in true multi-process mode
+// (Machine::run forks; only cross-process sends hit the wire). The battery checks what a machine layer must never get wrong:
 // per-pair ordering, exactly-once delivery under seeded chaos
-// delay/reorder, big-payload integrity through the chunk and eager
-// paths, full migration storms (all three techniques, canary + address
+// delay/reorder, big-payload integrity through the chunk path, full
+// migration storms (all three techniques, canary + address
 // stability + bit-identical same-seed replay), and balanced quiescence /
 // envelope books at shutdown (Machine::run itself asserts the latter).
 //
@@ -46,15 +45,9 @@ using mfc::kFnvOffset;
 using mfc::SplitMix64;
 using Transport = cv::Machine::Config::Transport;
 
-constexpr Transport kBackends[] = {Transport::kInProc, Transport::kShm,
-                                   Transport::kSocket};
+constexpr Transport kBackends[] = {Transport::kInProc, Transport::kShm};
 const char* backend_name(Transport t) {
-  switch (t) {
-    case Transport::kInProc: return "inproc";
-    case Transport::kShm: return "shm";
-    case Transport::kSocket: return "socket";
-  }
-  return "?";
+  return t == Transport::kShm ? "shm" : "inproc";
 }
 
 cv::Machine::Config base_config(Transport t, int npes, int nprocs) {
@@ -228,7 +221,6 @@ TEST(TransportConformance, ExactlyOnceUnderSeededChaosLoopback) {
 #ifndef MFC_TSAN
 TEST(TransportConformance, OrderingPerPairMultiProcess) {
   run_seq_battery(Transport::kShm, 2, /*chaos_delay=*/false, 1);
-  run_seq_battery(Transport::kSocket, 2, /*chaos_delay=*/false, 1);
 }
 #endif
 
@@ -236,8 +228,8 @@ TEST(TransportConformance, OrderingPerPairMultiProcess) {
 //
 // PE 0 ships a 1 MiB patterned payload as a multi-span message to the last
 // PE, which echoes its FNV digest (and length) back. Exercises the shm
-// chunk reassembly (1 MiB through 64 KiB rings) and the socket's one
-// staged eager frame (on_consumed is set, so the spans are gathered first).
+// chunk reassembly (1 MiB through 64 KiB rings) with on_consumed set, so
+// the last chunk's publish waits for the callback.
 
 struct BigState {
   std::size_t len = 0;
@@ -325,7 +317,6 @@ TEST(TransportConformance, BigPayloadLoopback) {
 #ifndef MFC_TSAN
 TEST(TransportConformance, BigPayloadMultiProcess) {
   run_big_battery(Transport::kShm, 2);
-  run_big_battery(Transport::kSocket, 2);
 }
 #endif
 
@@ -333,8 +324,8 @@ TEST(TransportConformance, BigPayloadMultiProcess) {
 //
 // PE 0 and PE 1 bounce one 64-byte message back and forth. Only one message
 // is ever in flight, so a hop often lands on a receiver that has just gone
-// to sleep: a PE parked on its shm wake word (or the socket comm thread in
-// poll(), then the PE on its queue). Nothing sleeps with a timeout, so a
+// to sleep: a PE parked on its shm wake word. Nothing sleeps with a
+// timeout, so a
 // lost wake-up shows up as a hang at the test deadline rather than as
 // added latency.
 
@@ -410,41 +401,29 @@ void run_pingpong(Transport t, int nprocs, int trips = kPingPongTrips,
 }
 
 TEST(TransportConformance, PingPongLosesNoWakeUpLoopback) {
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    run_pingpong(t, 1);
-  }
+  run_pingpong(Transport::kShm, 1);
 }
 
 #ifndef MFC_TSAN
 TEST(TransportConformance, PingPongLosesNoWakeUpMultiProcess) {
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    run_pingpong(t, 2);
-  }
+  run_pingpong(Transport::kShm, 2);
 }
 #endif
 
 // The same ping-pong with every reply held back past the receiver's
 // pre-park spin, so each hop lands on a parked PE and needs its futex
-// wake: 2 × 6144 parked hops per backend. A wake path that loses one wake
-// in 4096 hangs these tests in all but a few runs in a thousand.
+// wake: 2 × 6144 parked hops. A wake path that loses one wake in 4096
+// hangs these tests in all but a few runs in a thousand.
 constexpr int kParkedTrips = 6144;
 constexpr int kParkedPauseUs = 60;
 
 TEST(TransportConformance, ParkedPingPongLosesNoWakeUpLoopback) {
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    run_pingpong(t, 1, kParkedTrips, kParkedPauseUs);
-  }
+  run_pingpong(Transport::kShm, 1, kParkedTrips, kParkedPauseUs);
 }
 
 #ifndef MFC_TSAN
 TEST(TransportConformance, ParkedPingPongLosesNoWakeUpMultiProcess) {
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    run_pingpong(t, 2, kParkedTrips, kParkedPauseUs);
-  }
+  run_pingpong(Transport::kShm, 2, kParkedTrips, kParkedPauseUs);
 }
 #endif
 
@@ -593,21 +572,18 @@ void rebirth_entry(int pe) {
 }
 
 TEST(TransportConformance, RespawnedAllDeadProcessReceivesItsRevives) {
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    ensure_rebirth_handlers();
-    auto s = std::make_unique<RebirthState>();
-    g_rb = s.get();
-    cv::FtMachineHooks hooks;
-    hooks.pe0_tick = [] {};
-    hooks.on_revive = [](int) {};
-    cv::set_ft_machine_hooks(std::move(hooks));
-    cv::Machine::run(base_config(t, 4, 2), rebirth_entry);
-    cv::clear_ft_machine_hooks();
-    EXPECT_EQ(s->answers.load(), 2);
-    EXPECT_EQ(s->reborn.load(), 2);
-    g_rb = nullptr;
-  }
+  ensure_rebirth_handlers();
+  auto s = std::make_unique<RebirthState>();
+  g_rb = s.get();
+  cv::FtMachineHooks hooks;
+  hooks.pe0_tick = [] {};
+  hooks.on_revive = [](int) {};
+  cv::set_ft_machine_hooks(std::move(hooks));
+  cv::Machine::run(base_config(Transport::kShm, 4, 2), rebirth_entry);
+  cv::clear_ft_machine_hooks();
+  EXPECT_EQ(s->answers.load(), 2);
+  EXPECT_EQ(s->reborn.load(), 2);
+  g_rb = nullptr;
 }
 #endif
 
@@ -941,7 +917,7 @@ MsResult run_mini_storm(Transport t, int npes, int nprocs, int workers,
 }
 
 TEST(TransportConformance, MiniStormAllBackendsLoopbackReplayIdentical) {
-  // Same seed, three backends, two runs each: zero failures and one digest.
+  // Same seed, both backends, two runs each: zero failures and one digest.
   std::uint64_t expect = 0;
   for (Transport t : kBackends) {
     SCOPED_TRACE(backend_name(t));
@@ -959,16 +935,13 @@ TEST(TransportConformance, MiniStormAllBackendsLoopbackReplayIdentical) {
 TEST(TransportConformance, MiniStormMultiProcessBothWires) {
   // Cross-process migration with all three techniques: the isomalloc lease,
   // the inherited common arena, and the rebuilt memalias backing all in
-  // play. Digest must match the loopback/in-process value for the same
-  // (seed, shape).
+  // play. Digest must match the in-process value for the same (seed,
+  // shape).
   const MsResult ref = run_mini_storm(Transport::kInProc, 4, 1, 6, 3, 0xAB1E);
   EXPECT_EQ(ref.failures, 0u);
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    const MsResult r = run_mini_storm(t, 4, 2, 6, 3, 0xAB1E);
-    EXPECT_EQ(r.failures, 0u);
-    EXPECT_EQ(r.digest, ref.digest);
-  }
+  const MsResult r = run_mini_storm(Transport::kShm, 4, 2, 6, 3, 0xAB1E);
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_EQ(r.digest, ref.digest);
 }
 
 TEST(TransportConformance, Acceptance64Pe4ProcStormReplays) {
@@ -976,14 +949,11 @@ TEST(TransportConformance, Acceptance64Pe4ProcStormReplays) {
   // run twice — bit-identical digests. Kept to few rounds/workers because
   // CI hosts may have a single core; the topology, not the volume, is the
   // point.
-  for (Transport t : {Transport::kShm, Transport::kSocket}) {
-    SCOPED_TRACE(backend_name(t));
-    const MsResult a = run_mini_storm(t, 64, 4, 24, 3, 0xACC3);
-    const MsResult b = run_mini_storm(t, 64, 4, 24, 3, 0xACC3);
-    EXPECT_EQ(a.failures, 0u);
-    EXPECT_EQ(b.failures, 0u);
-    EXPECT_EQ(a.digest, b.digest);
-  }
+  const MsResult a = run_mini_storm(Transport::kShm, 64, 4, 24, 3, 0xACC3);
+  const MsResult b = run_mini_storm(Transport::kShm, 64, 4, 24, 3, 0xACC3);
+  EXPECT_EQ(a.failures, 0u);
+  EXPECT_EQ(b.failures, 0u);
+  EXPECT_EQ(a.digest, b.digest);
 }
 #endif
 
@@ -991,23 +961,20 @@ TEST(TransportConformance, Acceptance64Pe4ProcStormReplays) {
 //
 // The legacy storm driver (chare-array traffic, invariant checkers, FT
 // kill/recover) in loopback wire mode: every cross-PE message of the whole
-// stack rides the ring/socket codec. The FT leg keeps chaos kill storms in
-// the battery — PE death, heartbeat detection, rollback — on a wire.
+// stack rides the rings. The FT leg keeps chaos kill storms in the battery
+// — PE death, heartbeat detection, rollback — on the wire.
 
 TEST(TransportConformance, StormDriverLoopbackWires) {
-  for (int transport : {1, 2}) {
-    SCOPED_TRACE(transport == 1 ? "shm" : "socket");
-    mfc::chaos::StormOptions opt;
-    opt.seed = 77;
-    opt.npes = 4;
-    opt.workers = 6;
-    opt.rounds = 3;
-    opt.transport = transport;
-    const mfc::chaos::StormReport rep = mfc::chaos::run_storm(opt);
-    EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.thread_migrations,
-              static_cast<std::uint64_t>(opt.workers * opt.rounds));
-  }
+  mfc::chaos::StormOptions opt;
+  opt.seed = 77;
+  opt.npes = 4;
+  opt.workers = 6;
+  opt.rounds = 3;
+  opt.transport = 1;
+  const mfc::chaos::StormReport rep = mfc::chaos::run_storm(opt);
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.thread_migrations,
+            static_cast<std::uint64_t>(opt.workers * opt.rounds));
 }
 
 #ifndef MFC_TSAN

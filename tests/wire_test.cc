@@ -1,97 +1,30 @@
-// Wire codec short-read / short-write torture (labeled transport).
+// Wire codec tests (labeled transport): the shm ring frame codec.
 //
-// The socket transport's framing must survive whatever the kernel does to
-// its reads and writes: sendmsg taking one byte of a 40-entry iovec,
-// recv returning single bytes across a header boundary, EAGAIN landing
-// mid-payload. These tests drive write_frame/Reader through a deterministic
-// in-memory pipe that slices every transfer at seeded points — including the
-// 1-byte worst case — and assert the frames reassemble byte-identically,
-// with the reader's resumable state machine never losing its place.
+// Every cross-process message travels as frames in a shm::RingView: a
+// 56-byte header and its payload copied in from a span list, possibly
+// split by the ring's wrap point, and made visible by one tail store.
+// These tests drive RingView directly, over a ring in ordinary memory whose
+// head and tail start at any chosen byte offset, and assert that frames
+// come out byte-identical wherever the wrap cuts them, that a skipped or
+// empty payload keeps the framing, that a drained ring stops cleanly at a
+// frame boundary, that a frame is visible only once published, and that a
+// push is all-or-nothing.
+#include "converse/shmring.h"
 #include "converse/wire.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <deque>
-#include <string>
 #include <vector>
 
-#include "migrate/checkpoint.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace mfc::converse::wire;
 using mfc::SplitMix64;
-
-/// In-memory pipe that injects short transfers. Writes append at most
-/// `write_cap` bytes per call (walking the iovec list exactly as a kernel
-/// partial sendmsg would); reads pop at most `read_cap` bytes. A drained
-/// pipe reads as would-block (-1) until `eof` is set, then as EOF (0).
-struct ChoppyPipe {
-  std::deque<char> bytes;
-  std::size_t write_cap = SIZE_MAX;
-  std::size_t read_cap = SIZE_MAX;
-  bool eof = false;
-  /// Optional per-call cap rng: caps drawn in [1, cap_max] when set.
-  SplitMix64* cap_rng = nullptr;
-  std::size_t cap_max = 0;
-
-  std::size_t next_cap(std::size_t fixed) {
-    if (cap_rng == nullptr) return fixed;
-    return 1 + static_cast<std::size_t>(cap_rng->next_below(cap_max));
-  }
-
-  std::ptrdiff_t write_some(const iovec* iov, int iovcnt) {
-    std::size_t budget = next_cap(write_cap);
-    std::size_t wrote = 0;
-    for (int i = 0; i < iovcnt && budget != 0; ++i) {
-      const char* p = static_cast<const char*>(iov[i].iov_base);
-      const std::size_t take =
-          iov[i].iov_len < budget ? iov[i].iov_len : budget;
-      bytes.insert(bytes.end(), p, p + take);
-      wrote += take;
-      budget -= take;
-    }
-    return static_cast<std::ptrdiff_t>(wrote);
-  }
-
-  std::ptrdiff_t read_some(void* dst, std::size_t n) {
-    if (bytes.empty()) return eof ? 0 : -1;
-    std::size_t take = next_cap(read_cap);
-    if (take > n) take = n;
-    if (take > bytes.size()) take = bytes.size();
-    for (std::size_t i = 0; i < take; ++i) {
-      static_cast<char*>(dst)[i] = bytes.front();
-      bytes.pop_front();
-    }
-    return static_cast<std::ptrdiff_t>(take);
-  }
-};
-
-/// Collects every completed frame. With `use_scratch` the sink returns
-/// nullptr from on_header, exercising the reader's internal scratch path.
-struct CollectSink {
-  struct Frame {
-    Header h;
-    std::vector<char> payload;
-  };
-  std::vector<Frame> frames;
-  bool use_scratch = false;
-  std::vector<char> landing;
-
-  char* on_header(const Header& h) {
-    if (use_scratch) return nullptr;
-    landing.assign(h.payload_len, '\0');
-    return landing.data();
-  }
-  void on_frame(const Header& h, char* payload) {
-    Frame f;
-    f.h = h;
-    if (h.payload_len != 0) f.payload.assign(payload, payload + h.payload_len);
-    frames.push_back(std::move(f));
-  }
-};
+using mfc::converse::shm::RingCtrl;
+using mfc::converse::shm::RingView;
 
 std::vector<char> patterned(std::size_t n, std::uint64_t salt) {
   std::vector<char> v(n);
@@ -113,6 +46,56 @@ Header make_header(std::uint64_t payload_len, std::uint32_t seq) {
   return h;
 }
 
+bool same_header(const Header& a, const Header& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;  // fixed layout, no padding
+}
+
+/// A ring in ordinary memory whose head and tail both start at byte
+/// position `start`, with separate producer and consumer views over it
+/// (as the transport has: the views live in different processes).
+struct TestRing {
+  RingCtrl ctrl;
+  std::vector<char> data;
+  RingView prod;
+  RingView cons;
+
+  TestRing(std::uint64_t capacity, std::uint64_t start) : data(capacity) {
+    RingView(&ctrl, data.data()).init(capacity);
+    ctrl.head.store(start);
+    ctrl.tail.store(start);
+    prod = RingView(&ctrl, data.data());
+    cons = RingView(&ctrl, data.data());
+  }
+};
+
+/// Collects every popped frame. With `skip` set, on_header returns nullptr
+/// and the ring must step over the payload without copying it.
+struct CollectSink {
+  struct Frame {
+    Header h;
+    std::vector<char> payload;
+    bool skipped = false;
+  };
+  std::vector<Frame> frames;
+  bool skip = false;
+  std::vector<char> landing;
+
+  char* on_header(const Header& h) {
+    if (skip) return nullptr;
+    landing.assign(h.payload_len, '\0');
+    return landing.data();
+  }
+  void on_frame(const Header& h, char* payload) {
+    Frame f;
+    f.h = h;
+    f.skipped = payload == nullptr;
+    if (payload != nullptr && h.payload_len != 0) {
+      f.payload.assign(payload, payload + h.payload_len);
+    }
+    frames.push_back(std::move(f));
+  }
+};
+
 TEST(Wire, SpansGatherMatchesConcatenation) {
   const std::vector<char> a = patterned(13, 1), b = patterned(0, 2),
                           c = patterned(77, 3);
@@ -126,271 +109,215 @@ TEST(Wire, SpansGatherMatchesConcatenation) {
   EXPECT_EQ(out, expect);
 }
 
-TEST(Wire, OneByteReadsReassembleMultiSpanFrames) {
-  // The brutal case: the reader sees the stream one byte at a time, across
-  // header boundaries and multi-span payload boundaries alike.
-  ChoppyPipe pipe;
-  pipe.read_cap = 1;
-
-  const std::vector<char> part1 = patterned(100, 11);
-  const std::vector<char> part2 = patterned(1, 12);
-  const std::vector<char> part3 = patterned(301, 13);
-  const Span spans[] = {{part1.data(), part1.size()},
-                        {part2.data(), part2.size()},
-                        {part3.data(), part3.size()}};
-  const std::size_t total = spans_total(spans, 3);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(write_frame(pipe, make_header(total, i), spans, 3));
-  }
-
-  Reader reader;
-  CollectSink sink;
-  EXPECT_EQ(reader.pump(pipe, sink), PumpResult::kWouldBlock);
-  EXPECT_TRUE(reader.idle());
-  ASSERT_EQ(sink.frames.size(), 5u);
-
-  std::vector<char> expect = part1;
-  expect.insert(expect.end(), part2.begin(), part2.end());
-  expect.insert(expect.end(), part3.begin(), part3.end());
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(sink.frames[i].h.handler, i);
-    EXPECT_EQ(sink.frames[i].h.payload_len, total);
-    EXPECT_EQ(sink.frames[i].payload, expect) << "frame " << i;
-  }
-}
-
-TEST(Wire, PartialWritevReturnsAdvanceMidIovec) {
-  // write_cap = 1 forces write_frame to re-enter once per byte, walking the
-  // iovec list through every possible partial position (including inside
-  // the header).
-  ChoppyPipe pipe;
-  pipe.write_cap = 1;
-
-  const std::vector<char> payload = patterned(257, 21);
-  const Span spans[] = {{payload.data(), 64}, {payload.data() + 64, 0},
-                        {payload.data() + 64, payload.size() - 64}};
-  Header h = make_header(payload.size(), 99);
-  ASSERT_TRUE(write_frame(pipe, h, spans, 3));
-  ASSERT_EQ(pipe.bytes.size(), sizeof(Header) + payload.size());
-
-  // The stream is the header bytes followed by the exact payload.
-  std::vector<char> stream(pipe.bytes.begin(), pipe.bytes.end());
-  Header echoed;
-  std::memcpy(&echoed, stream.data(), sizeof echoed);
-  EXPECT_EQ(echoed.handler, 99u);
-  EXPECT_EQ(echoed.payload_len, payload.size());
-  EXPECT_TRUE(std::memcmp(stream.data() + sizeof(Header), payload.data(),
-                          payload.size()) == 0);
-}
-
-TEST(Wire, ReaderResumesAcrossIncrementalDelivery) {
-  // Bytes arrive in dribs between pump calls; the reader must hold partial
-  // header/payload state across kWouldBlock returns without corruption.
-  ChoppyPipe staging;  // holds the full stream
-  const std::vector<char> payload = patterned(500, 31);
-  const Span span{payload.data(), payload.size()};
-  ASSERT_TRUE(write_frame(staging, make_header(payload.size(), 7), &span, 1));
-
-  ChoppyPipe pipe;
-  Reader reader;
-  CollectSink sink;
-  SplitMix64 rng(404);
-  while (!staging.bytes.empty()) {
-    // Move a random dribble into the live pipe, then pump.
-    const std::size_t n =
-        1 + static_cast<std::size_t>(rng.next_below(
-                std::min<std::uint64_t>(staging.bytes.size(), 17)));
-    for (std::size_t i = 0; i < n; ++i) {
-      pipe.bytes.push_back(staging.bytes.front());
-      staging.bytes.pop_front();
+TEST(Wire, RingFramesStraddlingTheWrapReassembleAtEveryOffset) {
+  // A 256-byte ring started at every byte offset: depending on the offset
+  // the wrap falls before the frame, inside its header or inside its
+  // payload. The largest payload fills the ring exactly.
+  constexpr std::uint64_t kCap = 256;
+  const std::uint64_t lens[] = {0, 1, 55, 56, 57, 100, kCap - sizeof(Header)};
+  for (std::uint64_t start = 0; start < kCap; ++start) {
+    for (const std::uint64_t len : lens) {
+      TestRing ring(kCap, start);
+      // Three spans, the middle one empty, cut at an offset-dependent point.
+      const std::vector<char> payload = patterned(len, start * 31 + len);
+      const std::size_t cut = len == 0 ? 0 : start % len;
+      const Span spans[] = {{payload.data(), cut},
+                            {payload.data() + cut, 0},
+                            {payload.data() + cut, len - cut}};
+      const Header h = make_header(len, static_cast<std::uint32_t>(start));
+      ASSERT_TRUE(ring.prod.try_push(h, spans, 3));
+      CollectSink sink;
+      ASSERT_TRUE(ring.cons.try_pop(sink));
+      ASSERT_EQ(sink.frames.size(), 1u);
+      ASSERT_TRUE(same_header(sink.frames[0].h, h))
+          << "start " << start << " len " << len;
+      ASSERT_EQ(sink.frames[0].payload, payload)
+          << "start " << start << " len " << len;
+      EXPECT_TRUE(ring.cons.empty());
+      EXPECT_FALSE(ring.cons.try_pop(sink));
+      EXPECT_EQ(ring.ctrl.head.load(), start + sizeof(Header) + len);
     }
-    EXPECT_EQ(reader.pump(pipe, sink), PumpResult::kWouldBlock);
   }
-  ASSERT_EQ(sink.frames.size(), 1u);
-  EXPECT_EQ(sink.frames[0].payload, payload);
-  EXPECT_TRUE(reader.idle());
 }
 
 TEST(Wire, EofAtFrameBoundaryIsCleanAndScratchPathWorks) {
-  ChoppyPipe pipe;
+  // A consumer whose on_header returns nullptr (no destination: the
+  // transport's path for an orphan chunk tail) gets the header and a null
+  // payload, and the ring steps over the payload even where the wrap cuts
+  // it. The drained ring then stops cleanly at the frame boundary: pop
+  // finds nothing and consumes nothing, and the next frame pops intact.
+  constexpr std::uint64_t kCap = 256;
   const std::vector<char> payload = patterned(64, 41);
   const Span span{payload.data(), payload.size()};
-  ASSERT_TRUE(write_frame(pipe, make_header(payload.size(), 1), &span, 1));
-  pipe.eof = true;
+  // Wrap before the frame, inside its header, inside its payload, after it.
+  const std::uint64_t starts[] = {0, 230, kCap - sizeof(Header) - 10,
+                                  kCap - sizeof(Header) - 64};
+  for (const std::uint64_t start : starts) {
+    TestRing ring(kCap, start);
+    const Header h = make_header(payload.size(), 1);
+    ASSERT_TRUE(ring.prod.try_push(h, &span, 1));
+    CollectSink sink;
+    sink.skip = true;
+    ASSERT_TRUE(ring.cons.try_pop(sink)) << "start " << start;
+    ASSERT_EQ(sink.frames.size(), 1u);
+    EXPECT_TRUE(same_header(sink.frames[0].h, h)) << "start " << start;
+    EXPECT_TRUE(sink.frames[0].skipped) << "start " << start;
+    const std::uint64_t boundary = start + sizeof(Header) + payload.size();
+    EXPECT_EQ(ring.ctrl.head.load(), boundary) << "start " << start;
 
-  Reader reader;
-  CollectSink sink;
-  sink.use_scratch = true;  // on_header returns nullptr → internal scratch
-  EXPECT_EQ(reader.pump(pipe, sink), PumpResult::kEof);
-  ASSERT_EQ(sink.frames.size(), 1u);
-  EXPECT_EQ(sink.frames[0].payload, payload);
-  EXPECT_TRUE(reader.idle());
+    EXPECT_TRUE(ring.cons.empty());
+    EXPECT_FALSE(ring.cons.try_pop(sink));
+    EXPECT_EQ(ring.ctrl.head.load(), boundary) << "an empty pop moved head";
+    ASSERT_EQ(sink.frames.size(), 1u);
+
+    const Header h2 = make_header(payload.size(), 2);
+    ASSERT_TRUE(ring.prod.try_push(h2, &span, 1));
+    sink.skip = false;
+    ASSERT_TRUE(ring.cons.try_pop(sink)) << "start " << start;
+    ASSERT_EQ(sink.frames.size(), 2u);
+    EXPECT_TRUE(same_header(sink.frames[1].h, h2)) << "start " << start;
+    EXPECT_EQ(sink.frames[1].payload, payload) << "start " << start;
+    EXPECT_TRUE(ring.cons.empty());
+  }
 }
 
 TEST(Wire, EmptyPayloadFrames) {
-  ChoppyPipe pipe;
-  pipe.read_cap = 1;
-  ASSERT_TRUE(write_frame(pipe, make_header(0, 3), nullptr, 0));
-  ASSERT_TRUE(write_frame(pipe, make_header(0, 4), nullptr, 0));
-  Reader reader;
-  CollectSink sink;
-  EXPECT_EQ(reader.pump(pipe, sink), PumpResult::kWouldBlock);
-  ASSERT_EQ(sink.frames.size(), 2u);
-  EXPECT_EQ(sink.frames[0].h.handler, 3u);
-  EXPECT_EQ(sink.frames[1].h.handler, 4u);
-  EXPECT_TRUE(sink.frames[0].payload.empty());
+  // Header-only frames (no spans at all) take exactly one header's room and
+  // pop in order with an empty payload, across the wrap too.
+  constexpr std::uint64_t kCap = 256;
+  const std::uint64_t starts[] = {0, kCap - 20};
+  for (const std::uint64_t start : starts) {
+    TestRing ring(kCap, start);
+    const Header h3 = make_header(0, 3), h4 = make_header(0, 4);
+    ASSERT_TRUE(ring.prod.try_push(h3, nullptr, 0));
+    ASSERT_TRUE(ring.prod.try_push(h4, nullptr, 0));
+    EXPECT_EQ(ring.ctrl.tail.load(), start + 2 * sizeof(Header));
+    CollectSink sink;
+    while (ring.cons.try_pop(sink)) {
+    }
+    ASSERT_EQ(sink.frames.size(), 2u) << "start " << start;
+    EXPECT_TRUE(same_header(sink.frames[0].h, h3)) << "start " << start;
+    EXPECT_TRUE(same_header(sink.frames[1].h, h4)) << "start " << start;
+    EXPECT_TRUE(sink.frames[0].payload.empty());
+    EXPECT_TRUE(sink.frames[1].payload.empty());
+    EXPECT_TRUE(ring.cons.empty());
+  }
 }
 
 TEST(Wire, FuzzSeededSplitPoints) {
-  // 32 seeded trials: random span lists (zero-length spans included),
-  // random per-call read/write caps, several frames per trial. Every trial
-  // must reassemble every frame byte-identically with the reader idle at
-  // the end — whatever the slicing.
+  // 32 seeded trials on a 2 KiB ring at a seeded start offset, so the wrap
+  // splits frames at seeded points: each trial queues frames built from
+  // random span lists (empty spans and empty payloads included) until the
+  // ring refuses one, then pops them all. Every other pop skips its payload
+  // (on_header returns nullptr, as for an orphan chunk tail): the frames
+  // after it must still decode.
+  constexpr std::uint64_t kCap = 2048;
   for (std::uint64_t trial = 0; trial < 32; ++trial) {
     SplitMix64 rng(0xA11CE + trial * 0x9e3779b97f4a7c15ULL);
-    SplitMix64 caps(trial * 77 + 5);
-    ChoppyPipe pipe;
-    pipe.cap_rng = &caps;
-    pipe.cap_max = 1 + static_cast<std::size_t>(rng.next_below(97));
-
-    const int nframes = 1 + static_cast<int>(rng.next_below(6));
+    TestRing ring(kCap, rng.next_below(4 * kCap));
+    std::vector<Header> headers;
     std::vector<std::vector<char>> expected;
-    for (int f = 0; f < nframes; ++f) {
-      const std::size_t nspans = 1 + rng.next_below(8);
+    for (std::uint32_t f = 0;; ++f) {
+      const std::size_t nspans = rng.next_below(5);  // 0..4 spans
       std::vector<std::vector<char>> parts;
-      std::vector<Span> spans;
       std::vector<char> concat;
       for (std::size_t s = 0; s < nspans; ++s) {
-        const std::size_t len = static_cast<std::size_t>(rng.next_below(700));
+        const std::size_t len =
+            rng.next_below(4) == 0 ? 0 : rng.next_below(100);
         parts.push_back(patterned(len, rng.next()));
         concat.insert(concat.end(), parts.back().begin(), parts.back().end());
       }
+      std::vector<Span> spans;
       for (const auto& p : parts) spans.push_back({p.data(), p.size()});
-      ASSERT_TRUE(write_frame(pipe,
-                              make_header(concat.size(),
-                                          static_cast<std::uint32_t>(f)),
-                              spans.data(), spans.size()));
+      const Header h = make_header(concat.size(), f);
+      if (!ring.prod.try_push(h, spans.data(), spans.size())) break;
+      headers.push_back(h);
       expected.push_back(std::move(concat));
     }
-
-    Reader reader;
+    ASSERT_GE(headers.size(), 3u) << "trial " << trial;
     CollectSink sink;
-    // Pump until drained; each call may stop at any would-block point.
-    while (reader.pump(pipe, sink) == PumpResult::kWouldBlock &&
-           !pipe.bytes.empty()) {
+    for (std::size_t f = 0; f < headers.size(); ++f) {
+      sink.skip = f % 2 == 1;
+      ASSERT_TRUE(ring.cons.try_pop(sink)) << "trial " << trial;
     }
-    ASSERT_EQ(sink.frames.size(), expected.size()) << "trial " << trial;
-    for (std::size_t f = 0; f < expected.size(); ++f) {
-      ASSERT_EQ(sink.frames[f].payload, expected[f])
+    EXPECT_TRUE(ring.cons.empty()) << "trial " << trial;
+    ASSERT_EQ(sink.frames.size(), headers.size());
+    for (std::size_t f = 0; f < headers.size(); ++f) {
+      ASSERT_TRUE(same_header(sink.frames[f].h, headers[f]))
           << "trial " << trial << " frame " << f;
+      if (f % 2 == 1) {
+        EXPECT_TRUE(sink.frames[f].skipped);
+      } else {
+        ASSERT_EQ(sink.frames[f].payload, expected[f])
+            << "trial " << trial << " frame " << f;
+      }
     }
-    EXPECT_TRUE(reader.idle()) << "trial " << trial;
   }
 }
 
-// ---- Wire-framed checkpoint shipments ---------------------------------------
-//
-// The cross-process ft layer ships buddy checkpoint blobs as multi-span
-// wire frames (a pup'd header span plus the borrowed blob span, exactly
-// how converse::send_spans hands them to writev). These fuzz trials push
-// real Checkpoint::encode() images through the choppy pipe — partial
-// writev splits landing anywhere, including inside the checkpoint frame's
-// own magic/CRC header — and assert (a) an intact shipment reassembles to
-// a decodable checkpoint, and (b) truncations and byte flips of the
-// reassembled bytes fail Checkpoint::decode with the right typed error,
-// never garbage-in-the-PUP-layer.
-
-using mfc::migrate::Checkpoint;
-using mfc::migrate::CodecError;
-
-TEST(Wire, FuzzCheckpointShipmentSplitAcrossWritevBoundaries) {
-  for (std::uint64_t trial = 0; trial < 16; ++trial) {
-    SplitMix64 rng(0xC4EC + trial * 0x9e3779b97f4a7c15ULL);
-    SplitMix64 caps(trial * 131 + 7);
-    ChoppyPipe pipe;
-    pipe.cap_rng = &caps;
-    pipe.cap_max = 1 + static_cast<std::size_t>(rng.next_below(61));
-
-    // A shipment per trial: user-data sized to span several write calls.
-    Checkpoint ckpt;
-    const std::vector<char> user =
-        patterned(64 + static_cast<std::size_t>(rng.next_below(4000)),
-                  rng.next());
-    ckpt.set_user_data(user);
-    const std::vector<char> image = ckpt.encode();
-
-    // Ship it the way ft_send_store does: a small header span, then the
-    // checkpoint image split into 1..4 borrowed spans.
-    const std::vector<char> head = patterned(48, rng.next());
-    std::vector<Span> spans{{head.data(), head.size()}};
-    const std::size_t nparts = 1 + rng.next_below(4);
-    std::size_t off = 0;
-    for (std::size_t s = 0; s < nparts; ++s) {
-      const std::size_t remain = image.size() - off;
-      const std::size_t len =
-          s + 1 == nparts ? remain
-                          : static_cast<std::size_t>(rng.next_below(remain));
-      spans.push_back({image.data() + off, len});
-      off += len;
-    }
-    ASSERT_TRUE(write_frame(pipe,
-                            make_header(head.size() + image.size(),
-                                        static_cast<std::uint32_t>(trial)),
-                            spans.data(), spans.size()));
-
-    Reader reader;
+TEST(Wire, RingUnpublishedFrameStaysInvisibleUntilPublish) {
+  // The transport pushes a frame with publish=false, runs the sender's
+  // on_consumed callback, then publishes. Until then the consumer must see
+  // nothing — at any ring position, wrapped or not.
+  constexpr std::uint64_t kCap = 256;
+  for (const std::uint64_t start : {0ull, 100ull, 230ull, 255ull}) {
+    TestRing ring(kCap, start);
+    const std::vector<char> payload = patterned(120, start);
+    const Span span{payload.data(), payload.size()};
+    const Header h = make_header(payload.size(), 9);
+    ASSERT_TRUE(ring.prod.try_push(h, &span, 1, /*publish=*/false));
     CollectSink sink;
-    while (reader.pump(pipe, sink) == PumpResult::kWouldBlock &&
-           !pipe.bytes.empty()) {
-    }
-    ASSERT_EQ(sink.frames.size(), 1u) << "trial " << trial;
-    EXPECT_TRUE(reader.idle()) << "trial " << trial;
-    const std::vector<char>& payload = sink.frames[0].payload;
-    ASSERT_EQ(payload.size(), head.size() + image.size());
+    EXPECT_TRUE(ring.cons.empty()) << "start " << start;
+    EXPECT_FALSE(ring.cons.try_pop(sink)) << "start " << start;
+    EXPECT_EQ(ring.ctrl.tail.load(), start);
+    // The producer's own shadow already counts the frame: a second frame
+    // that would fit an empty ring does not fit behind it.
+    const std::vector<char> big = patterned(kCap - sizeof(Header), 1);
+    const Span big_span{big.data(), big.size()};
+    EXPECT_FALSE(ring.prod.try_push(make_header(big.size(), 10), &big_span, 1));
 
-    // Intact shipment: the checkpoint bytes after the header span decode.
-    Checkpoint back;
-    ASSERT_EQ(Checkpoint::decode(payload.data() + head.size(),
-                                 payload.size() - head.size(), &back),
-              CodecError::kOk)
-        << "trial " << trial;
-    EXPECT_EQ(back.user_data(), user);
-
-    // Hostile shipments: seeded truncation points and byte flips within
-    // the checkpoint image must produce typed errors, never kOk.
-    for (int probe = 0; probe < 16; ++probe) {
-      const std::size_t len = static_cast<std::size_t>(
-          rng.next_below(image.size()));
-      Checkpoint out;
-      ASSERT_NE(Checkpoint::decode(payload.data() + head.size(), len, &out),
-                CodecError::kOk)
-          << "trial " << trial << " truncated to " << len;
-    }
-    for (int probe = 0; probe < 16; ++probe) {
-      std::vector<char> bad(payload.begin() +
-                                static_cast<std::ptrdiff_t>(head.size()),
-                            payload.end());
-      const std::size_t at =
-          static_cast<std::size_t>(rng.next_below(bad.size()));
-      bad[at] = static_cast<char>(bad[at] ^ (1 + rng.next_below(255)));
-      Checkpoint out;
-      const CodecError err = Checkpoint::decode(bad, &out);
-      ASSERT_NE(err, CodecError::kOk)
-          << "trial " << trial << " flip at " << at;
-      // Frame layout: [magic 4][version 4][payload_len 8][crc 4][payload].
-      CodecError want;
-      if (at < 4) {
-        want = CodecError::kBadMagic;
-      } else if (at < 8) {
-        want = CodecError::kBadVersion;
-      } else if (at < 16) {
-        want = CodecError::kTruncated;
-      } else {
-        want = CodecError::kBadCrc;
-      }
-      ASSERT_EQ(err, want) << "trial " << trial << " flip at " << at;
-    }
+    ring.prod.publish();
+    EXPECT_FALSE(ring.cons.empty());
+    ASSERT_TRUE(ring.cons.try_pop(sink));
+    ASSERT_EQ(sink.frames.size(), 1u);
+    EXPECT_TRUE(same_header(sink.frames[0].h, h));
+    EXPECT_EQ(sink.frames[0].payload, payload);
+    EXPECT_TRUE(ring.cons.empty());
   }
+}
+
+TEST(Wire, RingTryPushRefusesAFrameThatDoesNotFitUntilAPop) {
+  // Fill a 512-byte ring with 100-byte frames (56 + 44) until one is
+  // refused. A refusal writes nothing: the frames already queued still
+  // pop intact. One pop frees exactly one frame's room.
+  constexpr std::uint64_t kCap = 512;
+  TestRing ring(kCap, 300);
+  const std::vector<char> payload = patterned(44, 5);
+  const Span span{payload.data(), payload.size()};
+  std::uint32_t pushed = 0;
+  while (ring.prod.try_push(make_header(payload.size(), pushed), &span, 1)) {
+    ++pushed;
+  }
+  ASSERT_EQ(pushed, kCap / 100);
+  const std::uint64_t tail = ring.ctrl.tail.load();
+  EXPECT_FALSE(
+      ring.prod.try_push(make_header(payload.size(), pushed), &span, 1));
+  EXPECT_EQ(ring.ctrl.tail.load(), tail) << "a refused push moved the tail";
+
+  CollectSink sink;
+  ASSERT_TRUE(ring.cons.try_pop(sink));
+  ASSERT_TRUE(
+      ring.prod.try_push(make_header(payload.size(), pushed), &span, 1));
+  EXPECT_FALSE(ring.prod.try_push(make_header(payload.size(), pushed + 1),
+                                  &span, 1));
+  while (ring.cons.try_pop(sink)) {
+  }
+  ASSERT_EQ(sink.frames.size(), static_cast<std::size_t>(pushed) + 1);
+  for (std::uint32_t f = 0; f <= pushed; ++f) {
+    EXPECT_EQ(sink.frames[f].h.handler, f) << "frame " << f;
+    EXPECT_EQ(sink.frames[f].payload, payload) << "frame " << f;
+  }
+  EXPECT_TRUE(ring.cons.empty());
 }
 
 }  // namespace
