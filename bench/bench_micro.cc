@@ -252,8 +252,9 @@ cv::Machine::Config bench_config(int npes) {
   cfg.npes = npes;
   cfg.iso_slots_per_pe = 0;  // no migratable heaps needed; boot faster
   // On one timesliced CPU a PE can burst thousands of sends before another
-  // thread runs; size the freelist to the storm's in-flight peak so the
-  // steady state stays allocation-free.
+  // thread runs; size the envelope freelist to the storm's in-flight peak
+  // so the steady state allocates no envelopes (payloads over
+  // Payload::kInline bytes still allocate per message).
   cfg.pool_cap = 1 << 16;
   return cfg;
 }
@@ -1066,6 +1067,8 @@ cv::Machine::Config wire_config(cv::Machine::Config::Transport t,
   cfg.nprocs = nprocs;
   cfg.transport = t;
   cfg.iso_slots_per_pe = 0;
+  // Envelope freelist sized to a flood's in-flight peak, as bench_config
+  // does; the image rows' payloads are still allocated per message.
   cfg.pool_cap = 1 << 16;
   return cfg;
 }

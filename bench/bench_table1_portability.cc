@@ -35,9 +35,12 @@ bool technique_works(MakeThread make) {
   if (t->state() != mfc::ult::State::kSuspended) return false;
   auto wire = t->pack();
   delete t;
-  mfc::migrate::ThreadImage arrived;
-  mfc::pup::from_bytes(wire, arrived);
-  auto* t2 = mfc::migrate::MigratableThread::unpack(std::move(arrived), 0);
+  mfc::migrate::ImageManifest arrived;
+  if (mfc::migrate::ImageManifest::decode(wire, &arrived) !=
+      mfc::migrate::CodecError::kOk) {
+    return false;
+  }
+  auto* t2 = mfc::migrate::MigratableThread::unpack(arrived, 0);
   sched.ready(t2);
   sched.run_until_idle();
   const bool done = t2->state() == mfc::ult::State::kDone && after;

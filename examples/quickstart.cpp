@@ -78,9 +78,15 @@ int main() {
   std::printf("  [main] thread packed into %zu bytes, shipping to PE1\n",
               wire.size());
 
-  migrate::ThreadImage arrived;
-  mfc::pup::from_bytes(wire, arrived);
-  auto* resumed = migrate::MigratableThread::unpack(std::move(arrived), 1);
+  // Arrival: decode the bytes in place (a typed error, never a crash, on
+  // damaged input), then install the thread at its original addresses.
+  migrate::ImageManifest arrived;
+  if (migrate::ImageManifest::decode(wire, &arrived) !=
+      migrate::CodecError::kOk) {
+    std::printf("  [main] corrupt image\n");
+    return 1;
+  }
+  auto* resumed = migrate::MigratableThread::unpack(arrived, 1);
   pe1.ready(resumed);
   pe1.run_until_idle();
   delete resumed;

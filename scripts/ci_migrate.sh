@@ -3,9 +3,10 @@
 # bench, regression diff.
 #
 # Phase 1 runs the tests carrying the `migrate-perf` CTest label: the
-# golden wire vectors (image wire, decoded re-encode, checkpoint frame),
-# the pack()/gather/span-list byte-for-byte equivalence suite (all three
-# techniques, NaN/inf payloads, zero-heap-run images), the CRC-32C
+# golden wire vectors (image wire, re-gather of its in-place decode,
+# checkpoint frame), the pack()/gather/span-list byte-for-byte equivalence
+# suite (all three techniques, NaN/inf payloads, zero-heap-run images), the
+# image decoder fuzz (every truncation and single-byte flip), the CRC-32C
 # implementation agreement corpus (reference vs slice-by-8 vs hardware over
 # every truncation and single-byte flip).
 #

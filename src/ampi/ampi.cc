@@ -33,16 +33,16 @@ struct MoveMsg {
   void pup(pup::Er& p) { p | rank; }
 };
 
-/// Everything a rank is: its thread image (stack + heap slots) plus the
-/// runtime bookkeeping that must follow it (buffered unexpected messages and
-/// the rank→PE directory for the destination).
-struct RankImage {
+/// The runtime bookkeeping that must follow a rank (buffered unexpected
+/// messages and the rank→PE directory for the destination). A rank
+/// migration ships this header followed by the rank thread's image wire
+/// bytes, which the destination decodes in place.
+struct RankHeader {
   std::int32_t rank = -1;
   std::uint64_t coll_seq = 0;  ///< collective tag counter must keep counting
   std::vector<int> mapping;
   std::vector<Unexpected> unexpected;
-  std::vector<char> thread;  ///< MigratableThread::pack() bytes
-  void pup(pup::Er& p) { p | rank | coll_seq | mapping | unexpected | thread; }
+  void pup(pup::Er& p) { p | rank | coll_seq | mapping | unexpected; }
 };
 
 // ---- Runtime state ----------------------------------------------------------
@@ -170,44 +170,64 @@ void handle_move(converse::Message&& m) {
   const int dest = rs.pending_dest;
   MFC_CHECK(dest >= 0);
 
-  RankImage image;
-  image.rank = rs.rank;
-  image.coll_seq = rs.coll_seq;
-  image.mapping = ps.rank_to_pe;
-  image.unexpected.assign(rs.unexpected.begin(), rs.unexpected.end());
-  image.thread = rs.thread->pack();
+  RankHeader head;
+  head.rank = rs.rank;
+  head.coll_seq = rs.coll_seq;
+  head.mapping = ps.rank_to_pe;
+  head.unexpected.assign(rs.unexpected.begin(), rs.unexpected.end());
+  const std::vector<char> head_bytes = pup::to_bytes(head);
 
-  ps.by_thread.erase(rs.thread);
-  delete rs.thread;
+  // Scatter-gather ship, as the storm does: the header, then the thread's
+  // manifest spans read straight from its slots. The destructive pack
+  // epilogue runs once the bytes are consumed, before any delivery.
+  migrate::IsoThread* thread = rs.thread;
+  const migrate::ImageManifest man = thread->pack_manifest(/*count=*/true);
+  std::vector<char> scratch;
+  std::vector<converse::SendSpan> spans{{head_bytes.data(), head_bytes.size()}};
+  for (const migrate::IoRun& r : man.wire_spans(&scratch)) {
+    spans.push_back({r.data, r.len});
+  }
+
+  ps.by_thread.erase(thread);
   ps.ranks.erase(it);
 
-  converse::send_value(dest, h_rank_arrive, image);
+  converse::send_spans(dest, h_rank_arrive, spans.data(), spans.size(),
+                       [thread] {
+                         thread->complete_pack();
+                         delete thread;
+                       });
 }
 
 void handle_rank_arrive(converse::Message&& m) {
   PeState& ps = *t_state;
-  auto image = m.as<RankImage>();
+  RankHeader head;
+  pup::MemUnpacker u(m.payload.data(), m.payload.size());
+  u | head;
+  const std::size_t off = u.consumed(m.payload.data());
 
-  migrate::ThreadImage thread_image;
-  pup::from_bytes(image.thread, thread_image);
+  migrate::ImageManifest image;
+  MFC_CHECK_MSG(migrate::ImageManifest::decode(m.payload.data() + off,
+                                               m.payload.size() - off,
+                                               &image) ==
+                    migrate::CodecError::kOk,
+                "ampi: undecodable rank image");
   auto* thread = static_cast<migrate::IsoThread*>(
-      migrate::MigratableThread::unpack(std::move(thread_image),
-                                        converse::my_pe()));
+      migrate::MigratableThread::unpack(image, converse::my_pe()));
   auto rs = std::make_unique<RankState>();
-  rs->rank = image.rank;
-  rs->coll_seq = image.coll_seq;
+  rs->rank = head.rank;
+  rs->coll_seq = head.coll_seq;
   rs->thread = thread;
-  rs->unexpected.assign(image.unexpected.begin(), image.unexpected.end());
+  rs->unexpected.assign(head.unexpected.begin(), head.unexpected.end());
   // Adopt the (newer) directory that traveled with the rank — this is how a
   // previously rank-less PE learns the mapping.
-  ps.rank_to_pe = image.mapping;
+  ps.rank_to_pe = std::move(head.mapping);
 
   RankState* raw = rs.get();
   ps.by_thread[thread] = raw;
-  ps.ranks[image.rank] = std::move(rs);
+  ps.ranks[head.rank] = std::move(rs);
 
   // Deliver anything that arrived ahead of the rank.
-  if (auto held = ps.held.find(image.rank); held != ps.held.end()) {
+  if (auto held = ps.held.find(head.rank); held != ps.held.end()) {
     for (auto& msg : held->second) deliver_local(*raw, std::move(msg));
     ps.held.erase(held);
   }

@@ -85,17 +85,19 @@ struct DockMsg {
   void pup(pup::Er& p) { p | wid | round; }
 };
 
-struct ShipMsg {
+/// Head of a thread shipment. The message is this head, the image's
+/// length word, then the image's wire bytes (the encoding of a trailing
+/// std::vector<char>); handle_ship reads all of it in place.
+struct ShipHead {
   std::int32_t wid = 0;
   std::int32_t round = 0;
-  std::uint64_t crc = 0;  ///< CRC-32C of `wire` at pack time, zero-extended
+  std::uint64_t crc = 0;  ///< CRC-32C of the image at pack time, zero-extended
   /// Pack-start rdtsc for the end-to-end migration latency histogram
   /// (0 = histograms off; forked processes share the tsc domain, so the
   /// receiver may subtract it directly). Constant-size, so same-seed
   /// replays stay byte-count identical.
   std::uint64_t stamp = 0;
-  std::vector<char> wire;    ///< the thread image's wire bytes
-  void pup(pup::Er& p) { p | wid | round | crc | stamp | wire; }
+  void pup(pup::Er& p) { p | wid | round | crc | stamp; }
 };
 
 struct WorkerSlot {
@@ -397,12 +399,12 @@ void handle_dock(converse::Message&& m) {
 
   // Scatter-gather ship: serialize the manifest's span list straight into
   // the wire (in-process: one gather into the delivery envelope; shm: ring
-  // frames) — no intermediate contiguous image is ever built.
-  // The byte stream is ShipMsg's own encoding, so handle_ship decodes it
-  // with ShipMsg::pup. The destructive pack epilogue runs in on_consumed,
-  // which the send contract orders strictly before the message can be
-  // delivered — even a same-process unpack at the same isomalloc addresses
-  // cannot race the evacuation.
+  // frames) — no intermediate contiguous image is ever built. The byte
+  // stream is the ShipHead, the image length word and the image, which
+  // handle_ship reads in place. The destructive pack epilogue runs in
+  // on_consumed, which the send contract orders strictly before the message
+  // can be delivered — even a same-process unpack at the same isomalloc
+  // addresses cannot race the evacuation.
   const std::uint64_t e2e0 = hist::on() ? rdtsc() : 0;
   migrate::ImageManifest man = t->pack_manifest(/*count=*/true);
   std::vector<char> scratch;
@@ -415,17 +417,11 @@ void handle_dock(converse::Message&& m) {
   }
   g->wire_bytes.fetch_add(wire_len, std::memory_order_relaxed);
 
-  // ShipMsg prefix {wid, round, crc, stamp, wire length}, encoded with the
-  // same pup operators ShipMsg::pup uses.
-  std::int32_t wid = d.wid;
-  std::int32_t round = d.round;
-  std::uint64_t crc = wire_crc;
-  std::uint64_t stamp = e2e0;
-  pup::Sizer sz;
-  sz | wid | round | crc | stamp;
-  std::vector<char> prefix(sz.size() + sizeof(std::size_t));
+  // Prefix: the ShipHead and the image's length word.
+  ShipHead head{d.wid, d.round, wire_crc, e2e0};
+  std::vector<char> prefix(pup::packed_size(head) + sizeof(std::size_t));
   pup::MemPacker p(prefix.data(), prefix.size());
-  p | wid | round | crc | stamp;
+  p | head;
   std::size_t len_word = wire_len;
   p.bytes(&len_word, sizeof len_word);
   MFC_CHECK(p.written(prefix.data()) == prefix.size());
@@ -442,29 +438,62 @@ void handle_dock(converse::Message&& m) {
   });
 }
 
+/// The arrival round trip: true when `t`, just installed, repacks to
+/// exactly the `len` arrived bytes at `wire` (size, then memcmp span by
+/// span). It covers the decode and the install together: a byte the
+/// install dropped or misplaced repacks differently.
+bool repacks_to(migrate::MigratableThread* t, const char* wire,
+                std::size_t len) {
+  const migrate::ImageManifest again = t->pack_manifest(/*count=*/false);
+  if (again.wire_size() != len) return false;
+  std::vector<char> scratch;
+  for (const migrate::IoRun& r : again.wire_spans(&scratch)) {
+    if (std::memcmp(wire, r.data, r.len) != 0) return false;
+    wire += r.len;
+  }
+  return true;
+}
+
 void handle_ship(converse::Message&& m) {
   StormGlobal* g = g_storm;
-  auto ship = m.as<ShipMsg>();
+  // Everything is read in place from the delivered payload: the head, the
+  // image length word, then the image, decoded without a copy.
+  ShipHead ship;
+  std::size_t len = 0;
+  pup::MemUnpacker u(m.payload.data(), m.payload.size());
+  u | ship;
+  u.bytes(&len, sizeof len);
+  const char* wire = m.payload.data() + u.consumed(m.payload.data());
+  MFC_CHECK_MSG(len == static_cast<std::size_t>(
+                           m.payload.data() + m.payload.size() - wire),
+                "storm: shipment length word disagrees with its payload");
+  std::vector<char> tampered;
   if (ShipTamper tamper = g_ship_tamper.load(std::memory_order_relaxed)) {
-    tamper(ship.wire, ship.crc);
+    tampered.assign(wire, wire + len);
+    tamper(tampered, ship.crc);
+    wire = tampered.data();
+    len = tampered.size();
   }
   // Transit integrity: the bytes that left the source arrived unchanged.
-  if (crc32(ship.wire.data(), ship.wire.size()) != ship.crc) {
+  if (crc32(wire, len) != ship.crc) {
     g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
     trace::flight::dump("storm-transit-crc-mismatch");
   }
-  migrate::ThreadImage image;
-  pup::from_bytes(ship.wire, image);
-  // PUP round-trip bit-identity: unpack → repack reproduces the wire. Both
-  // buffers are in hand, so compare them exactly (size, then memcmp).
-  const std::vector<char> rewire = pup::to_bytes(image);
-  if (rewire != ship.wire) {
+  // Bytes after the image are left to the round trip below, so a damaged
+  // shipment still installs and is counted rather than lost.
+  migrate::ImageManifest image;
+  std::size_t used = 0;
+  const migrate::CodecError err =
+      migrate::ImageManifest::decode(wire, len, &image, &used);
+  if (err != migrate::CodecError::kOk) {
+    trace::flight::dump("storm-image-undecodable");
+    MFC_CHECK_MSG(false, "storm: undecodable thread image");
+  }
+  auto* t = migrate::MigratableThread::unpack(image, converse::my_pe());
+  if (!repacks_to(t, wire, len)) {
     g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
     trace::flight::dump("storm-pup-roundtrip-mismatch");
   }
-
-  auto* t = migrate::MigratableThread::unpack(std::move(image),
-                                              converse::my_pe());
   if (ship.stamp != 0 && hist::on()) {
     const std::uint64_t now = rdtsc();
     if (now > ship.stamp) {

@@ -12,8 +12,9 @@
 // each worker on arrival), ping send/deliver counter balance under
 // quiescence, and isomalloc slot-count stability. Every shipped thread
 // image is checked twice on arrival: its CRC-32C must equal the one the
-// sender folded over the gather spans (transit), and unpack → repack must
-// reproduce the arrived bytes exactly (PUP round trip, size + memcmp). The
+// sender folded over the gather spans (transit), and the thread installed
+// from the in-place decode must repack to exactly the arrived bytes (round
+// trip through decode and install, size + memcmp). The
 // workload digest folds only seed-derived values, so two runs with the same
 // StormOptions are bit-identical — the replay contract behind
 // MFC_CHAOS_SEED.
@@ -99,8 +100,8 @@ struct StormReport {
 
   // Invariant-checker verdicts (all must be zero / true for a clean storm).
   std::uint64_t canary_failures = 0;   ///< stack/heap canary or address drift
-  /// Shipped images that failed a check: transit CRC-32C or the exact PUP
-  /// round-trip compare.
+  /// Shipped images that failed a check: transit CRC-32C or the exact
+  /// compare of the installed thread's repack with the arrived bytes.
   std::uint64_t digest_mismatches = 0;
   std::uint64_t misroutes = 0;         ///< worker woke on the wrong PE
   std::uint64_t counter_failures = 0;  ///< ping counters unbalanced under QD
@@ -145,11 +146,12 @@ struct StormReport {
 /// Boots a machine and runs the storm to completion. Not reentrant.
 StormReport run_storm(const StormOptions& options);
 
-/// Test seam: when set, every arriving thread image's wire bytes and
-/// transit CRC pass through `tamper` before the arrival checks run, so a
-/// test can damage shipments in flight and watch digest_mismatches count
-/// them. Null (the default) leaves shipments untouched. Set it before
-/// run_storm and clear it after.
+/// Test seam: when set, a copy of every arriving thread image's wire bytes
+/// and its transit CRC pass through `tamper`, and the arrival checks and
+/// the install run on the copy, so a test can damage shipments in flight
+/// and watch digest_mismatches count them. Null (the default) leaves
+/// shipments untouched and uncopied. Set it before run_storm and clear it
+/// after.
 using ShipTamper = void (*)(std::vector<char>& wire, std::uint64_t& crc);
 void set_ship_tamper_for_testing(ShipTamper tamper);
 

@@ -64,13 +64,18 @@ using metrics::Counter;
 /// A consumed message is adopted into the *consuming* PE's pool rather than
 /// returned to its allocator, so recycling costs one vector push and no
 /// cross-thread traffic; pools stay balanced because symmetric traffic
-/// returns as many messages as it takes. The cap bounds memory under
-/// one-way floods (excess messages are simply freed; the cap is
-/// Config::pool_cap). Recycled messages keep their payload capacity, so
-/// steady-state sends allocate nothing.
+/// returns as many messages as it takes. Pools recycle envelopes, not
+/// payload buffers: a payload's heap part is freed before its envelope
+/// enters a pool, so a pool's memory is at most Config::pool_cap envelopes
+/// (excess messages are simply freed) whatever sizes its traffic carried.
+/// Sends of payloads up to Payload::kInline bytes allocate nothing.
 struct MsgPool {
   std::vector<Message*> cache;
 };
+
+/// PoolStats::pooled_payload_bytes: summed by ~Pe as it frees the pools,
+/// reset at the start of each run.
+std::atomic<std::uint64_t> g_pooled_payload_bytes{0};
 
 /// Envelope lifecycle audit (PoolStats): every `new Message` / `delete` in
 /// this file goes through create_message/destroy_message so Machine::run
@@ -120,7 +125,11 @@ struct Pe {
   ~Pe() {
     while (Message* m = queue.try_pop()) drain_message(m);
     for (const Delayed& d : delayed) drain_message(d.m);
-    for (Message* m : pool.cache) destroy_message(m);
+    for (Message* m : pool.cache) {
+      g_pooled_payload_bytes.fetch_add(m->payload.heap_bytes(),
+                                       std::memory_order_relaxed);
+      destroy_message(m);
+    }
   }
 };
 
@@ -383,6 +392,7 @@ void release_message(Message* m) {
     return;
   }
   m->pool_pe = t_pe->id;
+  m->payload.release_heap();
   t_pe->pool.cache.push_back(m);
 }
 
@@ -741,12 +751,15 @@ void register_builtin_handlers() {
 // ---- Comm-thread control fds ----
 
 /// Records process `proc` as dead for the FT tick on PE 0 (process 0's own
-/// PE) and wakes PE 0 in case it is parked between ticks.
+/// PE) and wakes PE 0 in case it is parked between ticks. The wire learns
+/// of the death first: a PE 0 send waiting on a full ring toward the dead
+/// process must give up, or the tick that takes this event never runs.
 void post_dead_proc(MachineState* st, int proc) {
   metrics::bump(Counter::kProcKills);
   trace::emit_flight(trace::Ev::kFtProcDown, 0,
                      static_cast<std::uint32_t>(proc), 0,
                      static_cast<std::int16_t>(proc * st->ppn));
+  st->transport->set_proc_dead(proc, true);
   st->dead_proc_event.store(proc, std::memory_order_release);
   st->pes[0]->queue.wake();
 }
@@ -782,6 +795,8 @@ bool serve_ctl_channel() {
         metrics::bump(Counter::kProcRespawns);
         trace::emit_flight(trace::Ev::kFtProcRespawn, rec.arg,
                            static_cast<std::uint32_t>(rec.proc));
+        // The replacement drains its rings: senders may wait on them again.
+        st->transport->set_proc_dead(rec.proc, false);
         st->respawn_done_event.store(rec.proc, std::memory_order_release);
         st->pes[0]->queue.wake();  // recovery waits parked for this
         break;
@@ -1209,6 +1224,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   // after the machine returns. Multi-process: each process's copy-on-write
   // registry holds its local PEs' counts (QD accumulates them via token).
   metrics::reset(config.npes);
+  g_pooled_payload_bytes.store(0, std::memory_order_relaxed);
 
   // Env-gated tracing (MFC_TRACE=1): if no explicit session is active, the
   // machine records this run and exports at shutdown, so any test or bench
@@ -1561,6 +1577,8 @@ PoolStats pool_stats() {
   s.freed = metrics::total(metrics::Counter::kMsgsFreed);
   s.recycled = metrics::total(metrics::Counter::kMsgsRecycled);
   s.drained_at_shutdown = metrics::total(metrics::Counter::kMsgsDrained);
+  s.pooled_payload_bytes =
+      g_pooled_payload_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -39,9 +39,11 @@ using HandlerId = std::uint32_t;
 /// Message payload with a small-buffer fast path: payloads up to kInline
 /// bytes live inside the Message itself — envelope and data on adjacent
 /// cache lines, no separate heap allocation per message. Larger payloads
-/// spill to a heap vector whose capacity is recycled along with the pooled
-/// message. The wire format (size + raw bytes) matches the old
-/// std::vector<char> pup, so serialized messages are unchanged.
+/// spill to a heap vector that lives exactly as long as the message: a
+/// pooled envelope gives it back (release_heap) before it enters a pool,
+/// so a pool never hoards the largest payload it ever carried. The wire
+/// format (size + raw bytes) matches the old std::vector<char> pup, so
+/// serialized messages are unchanged.
 class Payload {
  public:
   static constexpr std::size_t kInline = 64;
@@ -53,11 +55,21 @@ class Payload {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Contents are unspecified after growth; heap capacity is kept so a
-  /// recycled message's buffer is reused.
+  /// Contents are unspecified after growth. Sizes over kInline allocate
+  /// the heap buffer (an envelope fresh from a pool has none).
   void resize(std::size_t n) {
     if (n > kInline) heap_.resize(n);
     size_ = n;
+  }
+
+  /// Bytes of heap buffer this payload owns (0 for inline payloads).
+  std::size_t heap_bytes() const { return heap_.capacity(); }
+
+  /// Empties the payload and frees its heap buffer: what an envelope does
+  /// before it enters a pool.
+  void release_heap() {
+    std::vector<char>().swap(heap_);
+    size_ = 0;
   }
 
   void assign(const void* src, std::size_t n) {
@@ -178,10 +190,12 @@ class Machine {
     /// (skipped if the region already exists or iso_slots_per_pe == 0).
     std::uint32_t iso_slots_per_pe = 2048;
     std::size_t iso_slot_bytes = 256 * 1024;
-    /// Per-PE message freelist capacity (messages kept for recycling;
-    /// excess frees on release). Raise it for workloads whose in-flight
-    /// message count exceeds the default, so steady-state sends stay
-    /// allocation-free.
+    /// Per-PE envelope freelist capacity (envelopes kept for recycling;
+    /// excess frees on release). Pooled envelopes hold no payload buffer,
+    /// so a pool costs at most pool_cap × sizeof(Message) whatever the
+    /// traffic. Raise it for workloads whose in-flight message count
+    /// exceeds the default, so steady-state sends of payloads up to
+    /// Payload::kInline bytes stay allocation-free.
     std::size_t pool_cap = 4096;
     /// Fault injection / deterministic scheduling (chaos.enabled = true
     /// installs the chaos engine for the duration of the run; the seed is
@@ -211,9 +225,9 @@ int my_proc();
 void send(int dest_pe, HandlerId handler, std::vector<char> payload);
 
 namespace detail {
-/// Pooled-message internals backing send_value/broadcast: acquires a
-/// message whose payload buffer is recycled from the calling PE's pool
-/// (sized to `payload_bytes`), and hands a filled message to the router.
+/// Pooled-message internals backing send_value/broadcast: acquires an
+/// envelope recycled from the calling PE's pool with its payload sized to
+/// `payload_bytes`, and hands a filled message to the router.
 Message* acquire_message(std::size_t payload_bytes);
 void send_message(int dest_pe, HandlerId handler, Message* m);
 }  // namespace detail
@@ -279,6 +293,9 @@ struct PoolStats {
   /// Envelopes still in flight (peer inboxes, delay stashes) when the
   /// machine stopped, reclaimed by the teardown drain.
   std::uint64_t drained_at_shutdown = 0;
+  /// Teardown audit: payload heap bytes still owned by pooled envelopes
+  /// when the pools were freed. Pools hold bare envelopes, so this reads 0.
+  std::uint64_t pooled_payload_bytes = 0;
 };
 PoolStats pool_stats();
 

@@ -145,6 +145,8 @@ Transport::Transport(int npes, int nprocs, std::size_t ring_bytes)
       max_chunk_(ring_bytes / 2 - sizeof(wire::Header)) {
   MFC_CHECK(npes >= 1 && nprocs >= 1 && npes % nprocs == 0);
   seg_.create(nprocs, npes, ring_bytes);
+  proc_dead_ = std::make_unique<std::atomic<bool>[]>(
+      static_cast<std::size_t>(nprocs));
 }
 
 Transport::~Transport() {
@@ -194,7 +196,7 @@ void Transport::send(const wire::Header& hdr, const wire::Span* spans,
                    /*publish=*/on_consumed == nullptr)) {
       if (on_consumed) on_consumed();
       trace::emit(trace::Ev::kWireSendEnd);
-      return;  // dropped post-stop
+      return;  // dropped: post-stop, or toward a dead process
     }
     if (on_consumed) {
       on_consumed();
@@ -228,7 +230,8 @@ void Transport::send(const wire::Header& hdr, const wire::Span* spans,
                    /*publish=*/!(last && on_consumed != nullptr))) {
       if (on_consumed) on_consumed();
       trace::emit(trace::Ev::kWireSendEnd);
-      return;  // dropped post-stop; partial assembly freed at teardown
+      return;  // dropped (see push_wait); the consumer frees or replaces
+               // the partial assembly
     }
     if (last && on_consumed) {
       on_consumed();
@@ -313,6 +316,11 @@ bool Transport::pending() {
   return false;
 }
 
+void Transport::set_proc_dead(int proc, bool dead) {
+  proc_dead_[static_cast<std::size_t>(proc)].store(dead,
+                                                   std::memory_order_release);
+}
+
 bool Transport::quiescent() {
   // The rings live in shared memory, so one process can observe the whole
   // machine's in-flight bytes. A frame popped but not yet enqueued is
@@ -337,16 +345,21 @@ void Transport::wake_pe(int pe) {
 }
 
 /// Pushes one frame, waiting out a full ring, and wakes the destination PE
-/// once the frame is published.
+/// once the frame is published. Returns false when it dropped the frame
+/// instead: after stop, or when the destination process is marked dead.
 bool Transport::push_wait(shm::RingView& rv, int dest_pe,
                           const wire::Header& h, const wire::Span* s,
                           std::size_t n, bool publish) {
+  std::atomic<bool>& dest_dead = proc_dead_[dest_pe / ppn_];
   int waits = 0;
   while (!rv.try_push(h, s, n, publish)) {
     // The destination's PEs drain the full ring. Ours must keep draining
     // the rings toward this process meanwhile: two processes flooding each
-    // other would otherwise each wait on the other. After stop the
-    // consumer may be gone — give up (the drop is benign post-stop).
+    // other would otherwise each wait on the other. A dead destination
+    // drains nothing until its respawn, and after stop the consumer may be
+    // gone — give up on both (the drop is benign: recovery's drain-mode
+    // quiescence settles the lost sends, and post-stop nothing waits).
+    if (dest_dead.load(std::memory_order_acquire)) return false;
     drain();
     ++waits;
     if (stop_.load(std::memory_order_relaxed) && waits > 2500) return false;

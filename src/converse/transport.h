@@ -146,6 +146,15 @@ class Transport {
   /// the QD drain wave ANDs one sample per process into its token.
   bool quiescent();
 
+  /// Marks process `proc` dead (or alive again) for this process's
+  /// senders. A send that finds its ring toward a marked process full
+  /// stops waiting and drops the frame, running on_consumed as a post-stop
+  /// drop does: the frames would have died with the process, and nothing
+  /// drains that ring until the respawn. Process 0 sets the mark when it
+  /// posts a death and clears it when the respawn completes, so the FT
+  /// tick on PE 0 never waits on a dead process. Any thread.
+  void set_proc_dead(int proc, bool dead);
+
  private:
   /// One in-progress chunked (or about-to-be-enqueued eager) message per
   /// SPSC ring: the producer finishes one message before starting the
@@ -178,6 +187,8 @@ class Transport {
   shm::Segment seg_;
   Hooks hooks_;
   std::atomic<bool> stop_{false};
+  /// Per process: set_proc_dead's mark (process-local, not in the segment).
+  std::unique_ptr<std::atomic<bool>[]> proc_dead_;
   int stop_fd_ = -1;  ///< wakes the comm thread on stop
   std::thread comm_;
   /// Persistent producer views for this process's PEs (the view carries

@@ -26,17 +26,6 @@ constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;
 
 }  // namespace
 
-const char* to_string(CodecError e) {
-  switch (e) {
-    case CodecError::kOk: return "ok";
-    case CodecError::kTruncated: return "truncated";
-    case CodecError::kBadMagic: return "bad-magic";
-    case CodecError::kBadVersion: return "bad-version";
-    case CodecError::kBadCrc: return "bad-crc";
-  }
-  return "?";
-}
-
 Checkpoint::RegionStamp Checkpoint::current_stamp() {
   RegionStamp stamp;
   if (iso::Region::initialized()) {
@@ -81,10 +70,11 @@ std::vector<MigratableThread*> Checkpoint::restore_all(int dest_pe) {
   }
   std::vector<MigratableThread*> threads;
   threads.reserve(images_.size());
-  for (ThreadImage& image : images_) {
-    threads.push_back(MigratableThread::unpack(std::move(image), dest_pe));
+  for (const ImageManifest& image : images_) {
+    threads.push_back(MigratableThread::unpack(image, dest_pe));
   }
   images_.clear();
+  std::vector<char>().swap(frame_);
   return threads;
 }
 
@@ -146,9 +136,43 @@ CodecError Checkpoint::decode(const char* data, std::size_t size,
   if (h.payload_len != size - kHeaderBytes) return CodecError::kTruncated;
   const char* payload = data + kHeaderBytes;
   if (crc32(payload, h.payload_len) != h.crc) return CodecError::kBadCrc;
-  pup::MemUnpacker p(payload, h.payload_len);
-  p | out->stamped_ | out->stamp_ | out->images_ | out->user_data_;
-  return CodecError::kOk;
+
+  // The payload as encode() writes it: stamped, region stamp, image count,
+  // the images back to back, user data. Every read is bounds-checked.
+  out->frame_.assign(payload, payload + h.payload_len);
+  const char* p = out->frame_.data();
+  const char* const end = p + out->frame_.size();
+  auto take = [&p, end](void* dst, std::size_t n) {
+    if (static_cast<std::size_t>(end - p) < n) return false;
+    std::memcpy(dst, p, n);
+    p += n;
+    return true;
+  };
+  std::uint8_t stamped = 0;
+  RegionStamp& st = out->stamp_;
+  std::size_t count = 0;
+  if (!take(&stamped, 1) || !take(&st.base, 8) || !take(&st.slot_bytes, 8) ||
+      !take(&st.slots_per_pe, 4) || !take(&st.npes, 4) ||
+      !take(&count, sizeof count)) {
+    return CodecError::kTruncated;
+  }
+  out->stamped_ = stamped != 0;
+  out->images_.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    ImageManifest image;
+    std::size_t used = 0;
+    const CodecError err = ImageManifest::decode(
+        p, static_cast<std::size_t>(end - p), &image, &used);
+    if (err != CodecError::kOk) return err;
+    p += used;
+    out->images_.push_back(std::move(image));
+  }
+  std::size_t user_len = 0;
+  if (!take(&user_len, sizeof user_len)) return CodecError::kTruncated;
+  if (user_len > static_cast<std::size_t>(end - p)) return CodecError::kOverrun;
+  out->user_data_.assign(p, p + user_len);
+  p += user_len;
+  return p == end ? CodecError::kOk : CodecError::kTrailingBytes;
 }
 
 CodecError Checkpoint::decode(const std::vector<char>& bytes,

@@ -7,9 +7,12 @@
 // A Checkpoint frames thread images plus an application-defined PUP-able
 // header into one byte buffer or file. The images are gathered from the
 // same ImageManifests migration ships, so a checkpoint frame holds exactly
-// the wire bytes a migration would have carried. Restoring unpacks every
-// thread at its original (machine-wide-unique) addresses — so a restart is
-// a migration whose "destination processor" is a future run of the program.
+// the wire bytes a migration would have carried. Decoding copies the frame
+// payload into a buffer the Checkpoint owns and decodes every image in
+// place within it, so the decoded manifests outlive the caller's bytes
+// (read_file's buffer, a buddy store). Restoring unpacks every thread at
+// its original (machine-wide-unique) addresses — so a restart is a
+// migration whose "destination processor" is a future run of the program.
 //
 // Requirement inherited from isomalloc: the restoring process must hold the
 // same iso::Region reservation (same base address and geometry). Region
@@ -25,21 +28,16 @@
 
 namespace mfc::migrate {
 
-/// Typed decode failures for framed checkpoint images. Every corruption
-/// mode a storage or transfer layer can hand us maps to one of these —
-/// decode() never crashes on hostile bytes (the corruption fuzz test walks
-/// every truncation length and single-byte flip).
-enum class CodecError {
-  kOk = 0,
-  kTruncated,   ///< buffer shorter than header or declared payload
-  kBadMagic,    ///< not a checkpoint frame at all
-  kBadVersion,  ///< framed by an incompatible codec revision
-  kBadCrc,      ///< payload bytes fail the stored CRC-32
-};
-const char* to_string(CodecError e);
-
 class Checkpoint {
  public:
+  Checkpoint() = default;
+  // Decoded manifests point into frame_, whose buffer a move keeps and a
+  // copy would not.
+  Checkpoint(Checkpoint&&) = default;
+  Checkpoint& operator=(Checkpoint&&) = default;
+  Checkpoint(const Checkpoint&) = delete;
+  Checkpoint& operator=(const Checkpoint&) = delete;
+
   /// Captures a suspended thread by migrating it into the checkpoint
   /// ("migration to disk"): the thread is packed, which consumes its local
   /// memory. Delete the husk afterwards; decode() + restore_all() of the
@@ -65,10 +63,14 @@ class Checkpoint {
 
   /// Framed serialization: a versioned header plus a CRC-32C of the PUP
   /// payload, so a restore from storage or a buddy PE can reject truncated
-  /// or bit-flipped images with a typed error instead of feeding garbage to
-  /// the PUP layer. One pass gathers every captured image into the frame
-  /// and folds the CRC as it copies. Frame layout (little-endian):
+  /// or bit-flipped images with a typed error. One pass gathers every
+  /// captured image into the frame and folds the CRC as it copies. Frame
+  /// layout (little-endian):
   ///   [magic u32][version u32][payload_len u64][crc32 u32][payload bytes]
+  /// decode() returns a typed error and never crashes: the payload is
+  /// walked with bounds checks (ImageManifest::decode for each image) even
+  /// when its CRC matches. The corruption fuzz test walks every truncation
+  /// length and single-byte flip.
   std::vector<char> encode() const;
   static CodecError decode(const char* data, std::size_t size,
                            Checkpoint* out);
@@ -98,8 +100,11 @@ class Checkpoint {
 
   RegionStamp stamp_;
   bool stamped_ = false;
-  std::vector<Source> sources_;      ///< capture side (add*, encode)
-  std::vector<ThreadImage> images_;  ///< decode side (decode, restore_all)
+  std::vector<Source> sources_;  ///< capture side (add*, encode)
+  /// Decode side (decode, restore_all): the frame payload, and the images
+  /// decoded in place within it.
+  std::vector<char> frame_;
+  std::vector<ImageManifest> images_;
   std::vector<char> user_data_;
 };
 

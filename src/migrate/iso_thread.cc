@@ -20,7 +20,7 @@ IsoThread::IsoThread(Fn fn, int birth_pe, std::size_t stack_bytes)
   init_context(region.slot_base(stack_slot_), region.slot_span(stack_slot_));
 }
 
-IsoThread::IsoThread(int dest_pe, const ThreadImage& image)
+IsoThread::IsoThread(int dest_pe, const ImageManifest& image)
     : MigratableThread(Fn{}), birth_pe_(dest_pe), stack_slot_(image.stack_slot) {}
 
 IsoThread::~IsoThread() {
@@ -87,7 +87,9 @@ void IsoThread::complete_pack() {
   migrated_away_ = true;
 }
 
-IsoThread* IsoThread::from_image(ThreadImage image, int dest_pe) {
+IsoThread* IsoThread::from_image(const ImageManifest& image, int dest_pe) {
+  MFC_CHECK_MSG(image.runs.size() == 1 + image.heap_slots.size(),
+                "corrupt thread image: isomalloc run count");
   iso::Region& region = iso::Region::instance();
   auto* t = new IsoThread(dest_pe, image);
 
@@ -95,19 +97,20 @@ IsoThread* IsoThread::from_image(ThreadImage image, int dest_pe) {
   region.install(image.stack_slot);
   auto* base = static_cast<char*>(region.slot_base(image.stack_slot));
   char* top = base + region.slot_span(image.stack_slot);
-  const std::vector<char>& stack_run = image.slot_data.at(0);
+  const IoRun& stack_run = image.runs[0];
   auto* sp = reinterpret_cast<char*>(image.saved_sp);
-  MFC_CHECK_MSG(top - sp == static_cast<std::ptrdiff_t>(stack_run.size()),
+  MFC_CHECK_MSG(sp >= base && top - sp == static_cast<std::ptrdiff_t>(
+                                              stack_run.len),
                 "corrupt thread image: stack run size mismatch");
-  std::memcpy(sp, stack_run.data(), stack_run.size());
+  std::memcpy(sp, stack_run.data, stack_run.len);
 
   // Re-establish the heap runs, then reattach the allocator around them.
   for (std::size_t i = 0; i < image.heap_slots.size(); ++i) {
     const iso::SlotId& id = image.heap_slots[i];
     region.install(id);
-    const std::vector<char>& run = image.slot_data.at(1 + i);
-    MFC_CHECK(run.size() == region.slot_span(id));
-    std::memcpy(region.slot_base(id), run.data(), run.size());
+    const IoRun& run = image.runs[1 + i];
+    MFC_CHECK(run.len == region.slot_span(id));
+    std::memcpy(region.slot_base(id), run.data, run.len);
   }
   t->heap_ = iso::ThreadHeap::reattach(dest_pe, image.heap_slots);
 

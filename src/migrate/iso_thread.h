@@ -29,7 +29,7 @@ class IsoThread final : public MigratableThread {
   void complete_pack() override;
 
   /// Destination-side rebuild (called via MigratableThread::unpack).
-  static IsoThread* from_image(ThreadImage image, int dest_pe);
+  static IsoThread* from_image(const ImageManifest& image, int dest_pe);
 
   void on_switch_in() override;
   void on_switch_out() override;
@@ -37,7 +37,7 @@ class IsoThread final : public MigratableThread {
   iso::ThreadHeap& heap() { return *heap_; }
 
  private:
-  IsoThread(int dest_pe, const ThreadImage& image);  // unpack path
+  IsoThread(int dest_pe, const ImageManifest& image);  // unpack path
 
   int birth_pe_;
   iso::SlotId stack_slot_;

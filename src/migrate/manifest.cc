@@ -7,13 +7,127 @@
 
 namespace mfc::migrate {
 
+const char* to_string(CodecError e) {
+  switch (e) {
+    case CodecError::kOk: return "ok";
+    case CodecError::kTruncated: return "truncated";
+    case CodecError::kBadMagic: return "bad-magic";
+    case CodecError::kBadVersion: return "bad-version";
+    case CodecError::kBadCrc: return "bad-crc";
+    case CodecError::kOverrun: return "overrun";
+    case CodecError::kTrailingBytes: return "trailing-bytes";
+    case CodecError::kBadTechnique: return "bad-technique";
+    case CodecError::kBadShape: return "bad-shape";
+  }
+  return "?";
+}
+
+namespace {
+
+/// Bounds-checked reads over the bytes being decoded.
+struct Cursor {
+  const char* p;
+  const char* end;
+
+  std::size_t left() const { return static_cast<std::size_t>(end - p); }
+
+  template <typename T>
+  bool read(T* out) {
+    if (left() < sizeof(T)) return false;
+    std::memcpy(out, p, sizeof(T));
+    p += sizeof(T);
+    return true;
+  }
+
+  /// A SlotId as its pup writes it: pe, index, count.
+  bool read(iso::SlotId* id) {
+    return read(&id->pe) && read(&id->index) && read(&id->count);
+  }
+
+  /// A length word and that many bytes, referenced in place.
+  CodecError read_run(IoRun* run) {
+    std::size_t len = 0;
+    if (!read(&len)) return CodecError::kTruncated;
+    if (len > left()) return CodecError::kOverrun;
+    *run = {p, len};
+    p += len;
+    return CodecError::kOk;
+  }
+};
+
+constexpr std::size_t kSlotIdBytes = 12;  // pe, index, count
+
+}  // namespace
+
+CodecError ImageManifest::decode(const char* data, std::size_t size,
+                                 ImageManifest* out, std::size_t* consumed) {
+  MFC_CHECK(out != nullptr);
+  *out = ImageManifest{};
+  Cursor c{data, data + size};
+  std::uint8_t technique = 0;
+  if (!c.read(&technique)) return CodecError::kTruncated;
+  switch (static_cast<Technique>(technique)) {
+    case Technique::kStackCopy:
+    case Technique::kIsomalloc:
+    case Technique::kMemAlias:
+      out->technique = static_cast<Technique>(technique);
+      break;
+    default:
+      return CodecError::kBadTechnique;
+  }
+  std::size_t n = 0;
+  if (!c.read(&out->thread_id) || !c.read(&out->accumulated_load) ||
+      !c.read(&out->saved_sp) || !c.read(&out->stack_slot) || !c.read(&n)) {
+    return CodecError::kTruncated;
+  }
+  if (n > c.left() / kSlotIdBytes) return CodecError::kOverrun;
+  for (std::size_t i = 0; i < n; ++i) {
+    iso::SlotId id;
+    c.read(&id);
+    out->heap_slots.push_back(id);
+  }
+  if (!c.read(&n)) return CodecError::kTruncated;
+  if (n > c.left() / sizeof(std::size_t)) return CodecError::kOverrun;
+  for (std::size_t i = 0; i < n; ++i) {
+    IoRun run;
+    if (const CodecError e = c.read_run(&run); e != CodecError::kOk) return e;
+    out->runs.push_back(run);
+  }
+  if (const CodecError e = c.read_run(&out->stack_run);
+      e != CodecError::kOk) {
+    return e;
+  }
+  if (!c.read(&out->stack_capacity) || !c.read(&out->arena_base)) {
+    return CodecError::kTruncated;
+  }
+  // Isomalloc images carry one stack run plus one run per heap slot; the
+  // others carry their stack bytes alone.
+  const bool iso = out->technique == Technique::kIsomalloc;
+  if (iso ? out->runs.size() != 1 + out->heap_slots.size() ||
+                out->stack_run.len != 0
+          : !out->runs.empty() || !out->heap_slots.empty()) {
+    return CodecError::kBadShape;
+  }
+  if (consumed != nullptr) {
+    *consumed = static_cast<std::size_t>(c.p - data);
+  } else if (c.left() != 0) {
+    return CodecError::kTrailingBytes;
+  }
+  return CodecError::kOk;
+}
+
+CodecError ImageManifest::decode(const std::vector<char>& bytes,
+                                 ImageManifest* out) {
+  return decode(bytes.data(), bytes.size(), out);
+}
+
 void ImageManifest::pup_into(pup::Er& p) const {
-  MFC_CHECK(!p.unpacking());  // gather-only codec; unpack goes via ThreadImage
+  MFC_CHECK(!p.unpacking());  // gather-only; decode() reads the bytes
   auto& self = const_cast<ImageManifest&>(*this);
   p | self.technique | self.thread_id | self.accumulated_load |
       self.saved_sp | self.stack_slot | self.heap_slots;
-  // slot_data: identical encoding to vector<vector<char>> — count, then
-  // each run as length + raw bytes, but sourced from the iovec list.
+  // Runs: the encoding of a vector<vector<char>> — count, then each run
+  // as length + raw bytes, sourced from the iovec list.
   std::size_t n = runs.size();
   p.bytes(&n, sizeof n);
   for (const IoRun& run : runs) {
@@ -21,7 +135,7 @@ void ImageManifest::pup_into(pup::Er& p) const {
     p.bytes(&len, sizeof len);
     if (len) p.bytes(const_cast<char*>(run.data), len);
   }
-  // stack_bytes: vector<char> encoding from the stack run.
+  // Stack bytes: a vector<char> encoding of the stack run.
   std::size_t stack_len = stack_run.len;
   p.bytes(&stack_len, sizeof stack_len);
   if (stack_len) p.bytes(const_cast<char*>(stack_run.data), stack_len);

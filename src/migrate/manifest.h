@@ -1,15 +1,21 @@
-// Scatter-gather image manifests — the one way a thread image is produced.
+// Thread image manifests — the one image type, for shipping and arrival.
 //
-// An ImageManifest describes a suspended thread's image: the metadata fields
-// by value plus a list of {pointer, length} runs referencing the thread's
-// live memory. Isomalloc runs already sit in page-aligned, self-describing
-// slots at machine-wide-unique addresses, so they are referenced in place.
-// Gathering a manifest into a wire buffer produces the stream that
-// ThreadImage::pup decodes (ThreadImage is the owning type unpack() takes),
-// folds a streaming CRC-32C per run as it copies, and touches the source
+// An ImageManifest describes a thread image: the metadata fields by value
+// plus a list of {pointer, length} runs. On the sending side the runs
+// reference the suspended thread's live memory: isomalloc runs already sit
+// in page-aligned, self-describing slots at machine-wide-unique addresses,
+// so they are referenced in place. Gathering a manifest into a wire buffer
+// folds a streaming CRC-32C per run as it copies and touches the source
 // memory exactly once. MigratableThread::pack(), the checkpoint encoder and
-// the storm's zero-copy ship all gather manifests; the golden-vector test in
-// tests/migrate_property_test.cc freezes the bytes.
+// the storm's zero-copy ship all gather manifests; the golden-vector test
+// in tests/migrate_property_test.cc freezes the bytes.
+//
+// On the receiving side decode() parses those wire bytes in place: the
+// decoded manifest's runs point into the caller's buffer, and
+// MigratableThread::unpack() installs straight from them, so an arrived
+// image is copied once, into the thread. decode() is bounds-checked: it
+// returns a typed error and never crashes on bad bytes, and it allocates
+// nothing a length word asks for (only entries whose bytes are present).
 //
 // Memory-alias threads have no stable source to reference (their memfd
 // pages are only mapped while running), so their manifests stage the stack
@@ -28,7 +34,24 @@ namespace mfc::migrate {
 
 enum class Technique : std::uint8_t;
 
-/// One gather run: `len` bytes read from `data` when shipping.
+/// Typed decode failures, shared by the image decoder and the checkpoint
+/// frame codec. Every corruption a wire, a buddy store or a file can hand
+/// over maps to one of these; neither decoder crashes on hostile bytes.
+enum class CodecError {
+  kOk = 0,
+  kTruncated,      ///< the bytes end inside a field or the frame header
+  kBadMagic,       ///< not a checkpoint frame at all
+  kBadVersion,     ///< framed by an incompatible codec revision
+  kBadCrc,         ///< payload bytes fail the stored CRC-32
+  kOverrun,        ///< a count or length word claims more bytes than remain
+  kTrailingBytes,  ///< bytes left over after the last field
+  kBadTechnique,   ///< technique byte names no migration technique
+  kBadShape,       ///< the runs do not fit the technique's image layout
+};
+const char* to_string(CodecError e);
+
+/// One run: `len` bytes at `data` (the thread's memory when shipping, the
+/// arrived bytes after decode()).
 struct IoRun {
   const char* data = nullptr;
   std::size_t len = 0;
@@ -36,34 +59,50 @@ struct IoRun {
 
 class ImageManifest {
  public:
-  // Image metadata, field-for-field the same as ThreadImage (and emitted in
-  // the order ThreadImage::pup reads it).
+  // Image metadata, in wire order.
   Technique technique{};
   std::uint64_t thread_id = 0;
   double accumulated_load = 0.0;
-  std::uint64_t saved_sp = 0;
+  std::uint64_t saved_sp = 0;  ///< virtual address; valid on the destination
+                               ///< because the stack address is preserved
 
+  // Isomalloc payload: slot ids plus each slot run's bytes.
   iso::SlotId stack_slot;
   std::vector<iso::SlotId> heap_slots;
-  std::vector<IoRun> runs;  ///< stands in for ThreadImage::slot_data
-                            ///< (stack run first, heap runs after)
-  IoRun stack_run;          ///< stands in for ThreadImage::stack_bytes
+  std::vector<IoRun> runs;  ///< isomalloc: stack run first, heap runs after
 
+  // Stack-copy / memory-alias payload.
+  IoRun stack_run;  ///< live stack contents (top-anchored)
   std::uint64_t stack_capacity = 0;
-  std::uint64_t arena_base = 0;
+  std::uint64_t arena_base = 0;  ///< common execution address; must match on
+                                 ///< the destination address space
 
   /// Owned staging for techniques without a stable source (memory-alias
   /// preads its backing file here; runs/stack_run may point into it).
   std::vector<char> staged;
 
-  /// Serialized size (identical to pup::packed_size of the equivalent
-  /// ThreadImage). O(#fields + #runs) — no data is touched.
+  /// Parses an image's wire bytes in place into `*out`, whose runs then
+  /// point into [data, data + size) and stay valid while those bytes do.
+  /// Returns a typed error and never crashes: every count and length word
+  /// is checked against the bytes that remain before anything is read or
+  /// sized by it. With `consumed` null the image must fill the buffer
+  /// exactly (else kTrailingBytes); otherwise the image may be followed by
+  /// other bytes and *consumed receives its length — how a stream of
+  /// images, like a checkpoint frame, is walked.
+  static CodecError decode(const char* data, std::size_t size,
+                           ImageManifest* out,
+                           std::size_t* consumed = nullptr);
+  static CodecError decode(const std::vector<char>& bytes,
+                           ImageManifest* out);
+
+  /// Serialized size. O(#fields + #runs) — no data is touched.
   std::size_t wire_size() const;
 
   /// Sum of run payload bytes (the figure the pack trace span reports).
   std::size_t payload_bytes() const;
 
-  /// Drives `p` exactly as ThreadImage::pup would for the decoded image.
+  /// Drives a sizing or packing `p` over the wire encoding (decode() is
+  /// its one reader).
   void pup_into(pup::Er& p) const;
 
   /// One-call gather into a fresh vector; `crc_out` receives the CRC-32C of

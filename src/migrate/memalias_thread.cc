@@ -21,15 +21,16 @@ MemAliasThread::MemAliasThread(Fn fn, std::size_t stack_bytes)
   create_backing();
 }
 
-MemAliasThread::MemAliasThread(const ThreadImage& image)
+MemAliasThread::MemAliasThread(const ImageManifest& image)
     : MigratableThread(Fn{}),
       stack_bytes_(image.stack_capacity),
       started_(true) {
-  create_backing();
   // Write the shipped stack contents into the backing pages.
-  const std::size_t n = image.stack_bytes.size();
-  MFC_CHECK(n == stack_bytes_);
-  ssize_t w = pwrite(backing_fd_, image.stack_bytes.data(), n, 0);
+  const std::size_t n = image.stack_run.len;
+  MFC_CHECK_MSG(n == stack_bytes_ && n <= CommonStackArena::kCapacity,
+                "corrupt thread image: memory-alias stack size");
+  create_backing();
+  ssize_t w = pwrite(backing_fd_, image.stack_run.data, n, 0);
   MFC_CHECK(w == static_cast<ssize_t>(n));
 }
 
@@ -110,7 +111,7 @@ void MemAliasThread::complete_pack() {
   backing_fd_ = -1;
 }
 
-MemAliasThread* MemAliasThread::from_image(ThreadImage image) {
+MemAliasThread* MemAliasThread::from_image(const ImageManifest& image) {
   MFC_CHECK_MSG(image.arena_base == reinterpret_cast<std::uint64_t>(
                                         CommonStackArena::mem_alias().base()),
                 "memory-alias migration requires the same common stack "

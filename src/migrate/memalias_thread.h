@@ -26,13 +26,13 @@ class MemAliasThread final : public MigratableThread {
   Technique technique() const override { return Technique::kMemAlias; }
   ImageManifest pack_manifest(bool count = false) override;
   void complete_pack() override;
-  static MemAliasThread* from_image(ThreadImage image);
+  static MemAliasThread* from_image(const ImageManifest& image);
 
   void on_switch_in() override;
   void on_switch_out() override;
 
  private:
-  explicit MemAliasThread(const ThreadImage& image);  // unpack path
+  explicit MemAliasThread(const ImageManifest& image);  // unpack path
   void create_backing();
 
   std::size_t stack_bytes_;

@@ -25,11 +25,11 @@ std::vector<char> MigratableThread::pack() {
   return wire;
 }
 
-MigratableThread* MigratableThread::unpack(ThreadImage image, int dest_pe) {
+MigratableThread* MigratableThread::unpack(const ImageManifest& image,
+                                           int dest_pe) {
   const Technique technique = image.technique;
   const std::uint64_t thread_id = image.thread_id;
-  std::size_t wire = image.stack_bytes.size();
-  for (const std::vector<char>& run : image.slot_data) wire += run.size();
+  const std::size_t wire = image.payload_bytes();
   // The unpack span closes the migration flow arrow the pack span opened
   // (the exporter keys it on the thread id, which survives the trip).
   trace::emit_flight(trace::Ev::kMigrateUnpackBegin, thread_id, 0, 0, -1,
@@ -40,13 +40,13 @@ MigratableThread* MigratableThread::unpack(ThreadImage image, int dest_pe) {
   MigratableThread* t = nullptr;
   switch (technique) {
     case Technique::kIsomalloc:
-      t = IsoThread::from_image(std::move(image), dest_pe);
+      t = IsoThread::from_image(image, dest_pe);
       break;
     case Technique::kStackCopy:
-      t = StackCopyThread::from_image(std::move(image));
+      t = StackCopyThread::from_image(image);
       break;
     case Technique::kMemAlias:
-      t = MemAliasThread::from_image(std::move(image));
+      t = MemAliasThread::from_image(image);
       break;
   }
   MFC_CHECK_MSG(t != nullptr, "corrupt thread image: unknown technique");

@@ -45,40 +45,14 @@ inline metrics::Counter unpack_counter(Technique t) {
       static_cast<int>(t));
 }
 
-/// Decoded form of a suspended migratable thread: what unpack() takes. The
-/// wire bytes come from an ImageManifest (pack() and every other ship path
-/// gather one); pup::from_bytes turns them into this owning image.
-struct ThreadImage {
-  Technique technique = Technique::kIsomalloc;
-  std::uint64_t thread_id = 0;
-  double accumulated_load = 0.0;
-  std::uint64_t saved_sp = 0;  ///< virtual address; valid on the destination
-                               ///< because the stack address is preserved
-
-  // Isomalloc payload: slot ids plus each slot run's raw bytes.
-  iso::SlotId stack_slot;
-  std::vector<iso::SlotId> heap_slots;
-  std::vector<std::vector<char>> slot_data;  ///< stack run first, heap runs after
-
-  // Stack-copy / memory-alias payload.
-  std::vector<char> stack_bytes;  ///< live stack contents (top-anchored)
-  std::uint64_t stack_capacity = 0;
-  std::uint64_t arena_base = 0;  ///< common execution address; must match on
-                                 ///< the destination address space
-
-  void pup(pup::Er& p) {
-    p | technique | thread_id | accumulated_load | saved_sp | stack_slot |
-        heap_slots | slot_data | stack_bytes | stack_capacity | arena_base;
-  }
-};
-
 class MigratableThread : public ult::Thread {
  public:
   virtual Technique technique() const = 0;
 
-  /// Packs the thread for shipment and returns its wire bytes:
-  /// pack_manifest(/*count=*/true).to_wire(), then complete_pack(). Requires
-  /// state() == kSuspended (a thread cannot pack itself while running).
+  /// Packs the thread for shipment and returns its wire bytes (the format
+  /// ImageManifest::decode reads): pack_manifest(/*count=*/true).to_wire(),
+  /// then complete_pack(). Requires state() == kSuspended (a thread cannot
+  /// pack itself while running).
   /// Consumes the thread's local memory: after pack() the object is a husk
   /// that must be deleted, not resumed.
   std::vector<char> pack();
@@ -98,9 +72,13 @@ class MigratableThread : public ult::Thread {
   /// that must be deleted. Not called for checkpoint-style captures.
   virtual void complete_pack() = 0;
 
-  /// Rebuilds a thread from an image on the destination. `dest_pe` is the
-  /// arriving PE (used only for bookkeeping; addresses come from the image).
-  static MigratableThread* unpack(ThreadImage image, int dest_pe);
+  /// Rebuilds a thread on the destination from an image, typically one
+  /// ImageManifest::decode() parsed in place: the technique copies each
+  /// run straight to its home (isomalloc slots, the saved-stack buffer, the
+  /// memory-alias backing file), the only copy arrival makes. The runs
+  /// must stay valid for the call. `dest_pe` is the arriving PE (used only
+  /// for bookkeeping; addresses come from the image).
+  static MigratableThread* unpack(const ImageManifest& image, int dest_pe);
 
  protected:
   using ult::Thread::Thread;

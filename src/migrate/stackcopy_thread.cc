@@ -14,11 +14,15 @@ StackCopyThread::StackCopyThread(Fn fn, std::size_t stack_bytes)
   MFC_CHECK(stack_bytes_ <= CommonStackArena::kCapacity);
 }
 
-StackCopyThread::StackCopyThread(const ThreadImage& image)
+StackCopyThread::StackCopyThread(const ImageManifest& image)
     : MigratableThread(Fn{}),
       stack_bytes_(image.stack_capacity),
       started_(true),
-      saved_(image.stack_bytes) {}
+      saved_(image.stack_run.data, image.stack_run.data + image.stack_run.len) {
+  MFC_CHECK_MSG(saved_.size() <= stack_bytes_ &&
+                    stack_bytes_ <= CommonStackArena::kCapacity,
+                "corrupt thread image: stack-copy stack size");
+}
 
 void StackCopyThread::on_switch_in() {
   CommonStackArena& arena = CommonStackArena::stack_copy();
@@ -73,7 +77,7 @@ ImageManifest StackCopyThread::pack_manifest(bool count) {
   return m;
 }
 
-StackCopyThread* StackCopyThread::from_image(ThreadImage image) {
+StackCopyThread* StackCopyThread::from_image(const ImageManifest& image) {
   MFC_CHECK_MSG(image.arena_base == reinterpret_cast<std::uint64_t>(
                                         CommonStackArena::stack_copy().base()),
                 "stack-copy migration requires the same system-wide stack "

@@ -27,7 +27,7 @@ class StackCopyThread final : public MigratableThread {
   ImageManifest pack_manifest(bool count = false) override;
   void complete_pack() override {}  // nothing local to drop
 
-  static StackCopyThread* from_image(ThreadImage image);
+  static StackCopyThread* from_image(const ImageManifest& image);
 
   void on_switch_in() override;
   void on_switch_out() override;
@@ -36,7 +36,7 @@ class StackCopyThread final : public MigratableThread {
   std::size_t saved_bytes() const { return saved_.size(); }
 
  private:
-  explicit StackCopyThread(const ThreadImage& image);  // unpack path
+  explicit StackCopyThread(const ImageManifest& image);  // unpack path
 
   std::size_t stack_bytes_;
   bool started_ = false;

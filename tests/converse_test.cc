@@ -142,6 +142,35 @@ TEST(Converse, LargePayloadsSurviveTransit) {
   EXPECT_TRUE(ok.load());
 }
 
+/// Pools recycle envelopes, not payload buffers: one PE floods another with
+/// 1,000 messages of 16 KiB, and at teardown the pool that adopted those
+/// envelopes owns no payload bytes — none of the flood's 16 MB stays
+/// behind in it.
+TEST(Converse, PooledEnvelopesOwnNoPayloadBytes) {
+  static constexpr int kFlood = 1000;
+  static constexpr std::size_t kBytes = 16 * 1024;
+  static std::atomic<int> got{0};
+  static cv::HandlerId h = cv::register_handler([](cv::Message&& m) {
+    EXPECT_EQ(m.payload.size(), kBytes);
+    got.fetch_add(1);
+  });
+  got = 0;
+  cv::Machine::Config cfg;
+  cfg.npes = 2;
+  cv::Machine::run(cfg, [&](int pe) {
+    if (pe == 0) {
+      for (int i = 0; i < kFlood; ++i) {
+        cv::send(1, h, std::vector<char>(kBytes, static_cast<char>(i)));
+      }
+    }
+    cv::wait_quiescence();
+  });
+  EXPECT_EQ(got.load(), kFlood);
+  const cv::PoolStats ps = cv::pool_stats();
+  EXPECT_EQ(ps.allocated, ps.freed);
+  EXPECT_EQ(ps.pooled_payload_bytes, 0u);
+}
+
 TEST(Converse, SinglePeMachineWorks) {
   int ran = 0;
   cv::Machine::Config cfg;

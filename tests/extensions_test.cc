@@ -175,9 +175,12 @@ TEST_F(IsoEnv, MigrationCrossesAddressSpaces) {
       if (r <= 0) _exit(3);
       got += static_cast<std::size_t>(r);
     }
-    mfc::migrate::ThreadImage arrived;
-    mfc::pup::from_bytes(buf, arrived);
-    auto* t2 = MigratableThread::unpack(std::move(arrived), 1);
+    mfc::migrate::ImageManifest arrived;
+    if (mfc::migrate::ImageManifest::decode(buf, &arrived) !=
+        mfc::migrate::CodecError::kOk) {
+      _exit(5);
+    }
+    auto* t2 = MigratableThread::unpack(arrived, 1);
     Scheduler child_sched;
     child_sched.ready(t2);
     child_sched.run_until_idle();  // thread _exit()s with its verdict

@@ -30,6 +30,8 @@
 
 #include "chaos/chaos.h"
 #include "converse/machine.h"
+#include "ft/ft.h"
+#include "ult/scheduler.h"
 
 namespace {
 
@@ -227,6 +229,114 @@ TEST(Ftx, KillingProcessZeroLeavesNoOrphans) {
   ASSERT_EQ(::waitpid(helper, &status, 0), helper);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), kAllReaped) << "see HelperExit";
+}
+
+// ---- No sender waits on a dead process --------------------------------------
+
+/// State of the flood machine below. Every process has its own copy, and a
+/// respawned process starts from the pre-run values.
+namespace flood {
+constexpr int kFrames = 256;                // 256 KiB: four 64 KiB rings
+constexpr std::size_t kFrameBytes = 1024;
+mfc::converse::HandlerId h_sink = 0;  ///< process 1's PE drops the bytes
+mfc::converse::HandlerId h_done = 0;  ///< wakes PE 1's parked main
+bool done = false;                    ///< PE 1: h_done arrived
+bool recovered = false;               ///< PE 0: the rollback completed
+mfc::ult::Thread* parked = nullptr;   ///< this PE's parked main
+}  // namespace flood
+
+/// Parks the calling main until `flag` is set by a handler or hook that
+/// readies flood::parked.
+void park_until(const bool& flag) {
+  while (!flag) {
+    flood::parked = mfc::converse::pe_scheduler().running();
+    mfc::ult::suspend();
+  }
+}
+
+void wake_parked() {
+  if (mfc::ult::Thread* t = flood::parked) {
+    flood::parked = nullptr;
+    mfc::converse::ready_thread(t);
+  }
+}
+
+/// Process 0 of a 2-process FT-armed machine SIGKILLs process 1, then —
+/// from its main thread, never returning to its scheduler loop, where the
+/// FT tick runs — floods process 1's PE with four rings' worth of frames.
+/// Nothing drains that ring until the respawn the tick starts, so a send
+/// that waited out the full ring would wait forever. The run must detect
+/// the death, respawn, recover and finish. Exits 0 on exactly one
+/// detection and recovery.
+[[noreturn]] void flood_dead_process() {
+  namespace cv = mfc::converse;
+  ::setpgid(0, 0);
+  flood::h_sink = cv::register_handler([](cv::Message&&) {});
+  flood::h_done = cv::register_handler([](cv::Message&&) {
+    flood::done = true;
+    wake_parked();
+  });
+  mfc::ft::Hooks hooks;
+  hooks.capture = [](std::uint64_t) { return std::vector<char>(1, 'f'); };
+  hooks.wipe = [](int) {};
+  hooks.discard = [] {};
+  hooks.restore = [](std::uint64_t, const std::vector<char>&) {};
+  hooks.on_recovered = [](std::uint64_t) {
+    flood::recovered = true;
+    wake_parked();
+  };
+  // Detection must come from the reaped process, not the heartbeat.
+  hooks.timeout_us = 30'000'000;
+  mfc::ft::install(2, std::move(hooks));
+  cv::Machine::Config mc;
+  mc.npes = 2;
+  mc.nprocs = 2;
+  mc.transport = cv::Machine::Config::Transport::kShm;
+  mc.iso_slots_per_pe = 0;
+  cv::Machine::run(mc, [](int pe) {
+    if (cv::respawn_generation() > 0) {
+      park_until(flood::done);
+      return;
+    }
+    cv::barrier();
+    if (pe != 0) {
+      park_until(flood::done);
+      return;
+    }
+    mfc::ft::checkpoint_now();  // the epoch recovery rolls back to
+    cv::kill_proc(1);
+    for (int i = 0; i < flood::kFrames; ++i) {
+      cv::send(1, flood::h_sink, std::vector<char>(flood::kFrameBytes, 'x'));
+    }
+    park_until(flood::recovered);
+    cv::send(1, flood::h_done, {});
+  });
+  const bool books = mfc::ft::detections() == 1 && mfc::ft::recoveries() == 1;
+  mfc::ft::uninstall();
+  std::_Exit(books ? 0 : 1);
+}
+
+TEST(Ftx, SendsToADeadProcessNeverStallTheDetector) {
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) flood_dead_process();
+  // Our own deadline: a stalled sender must fail this test, not hang CI.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  pid_t r = 0;
+  while ((r = ::waitpid(helper, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (r == 0) {
+    ::kill(-helper, SIGKILL);  // the helper's process group: the machine
+    ::waitpid(helper, &status, 0);
+    FAIL() << "the machine hung: a send waited on the dead process";
+  }
+  ASSERT_EQ(r, helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "not exactly one detection/recovery";
 }
 
 #endif  // !MFC_TSAN

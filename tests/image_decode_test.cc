@@ -1,0 +1,172 @@
+// Fuzz of the thread-image decoder (labeled migrate-perf): the bytes it
+// reads come from other PEs, other processes and buddy stores, so it must
+// return a typed error and never crash. Modeled on the checkpoint frame
+// fuzz (checkpoint_ft_test.cc): every truncation of the golden 145-byte
+// wire and of a real image of each technique is an error, and every
+// single-byte flip is either an error or an image whose runs all lie
+// inside the buffer — with no container sized by a flipped length.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "iso/heap.h"
+#include "migrate/iso_thread.h"
+#include "migrate/manifest.h"
+#include "migrate/memalias_thread.h"
+#include "migrate/migratable.h"
+#include "migrate/stackcopy_thread.h"
+#include "ult/scheduler.h"
+
+namespace {
+
+using mfc::migrate::CodecError;
+using mfc::migrate::ImageManifest;
+using mfc::migrate::IoRun;
+using mfc::migrate::MigratableThread;
+using mfc::ult::Scheduler;
+
+/// Decodes `size` bytes at `data`. Whatever the verdict, the manifest's
+/// containers (the only memory decode() allocates) hold no more entries
+/// than the bytes could: a heap slot takes 12 bytes and a run at least its
+/// 8-byte length word, and push_back at most doubles. A container sized by
+/// a length word would blow through that. On success every run must also
+/// lie inside the buffer.
+CodecError decode_checked(const char* data, std::size_t size,
+                          const std::string& what) {
+  ImageManifest m;
+  const CodecError err = ImageManifest::decode(data, size, &m);
+  EXPECT_LE(m.heap_slots.capacity(), 2 * (size / 12) + 1) << what;
+  EXPECT_LE(m.runs.capacity(), 2 * (size / 8) + 1) << what;
+  EXPECT_EQ(m.staged.capacity(), 0u) << what;
+  if (err != CodecError::kOk) return err;
+  auto inside = [&](const IoRun& r) {
+    return r.data >= data && r.len <= size &&
+           r.data + r.len <= data + size;
+  };
+  EXPECT_TRUE(inside(m.stack_run)) << what << ": stack run out of bounds";
+  for (const IoRun& r : m.runs) {
+    EXPECT_TRUE(inside(r)) << what << ": run out of bounds";
+  }
+  return err;
+}
+
+/// The golden wire of migrate_property_test.cc's GoldenWire test.
+std::vector<char> golden_wire() {
+  static const char kStackRun[] = "stack run: 24 live bytes";
+  static const char kHeapRun[] = "heap slot, 16 B!";
+  ImageManifest m;
+  m.technique = mfc::migrate::Technique::kIsomalloc;
+  m.thread_id = 0x0123456789abcdefULL;
+  m.accumulated_load = 2.5;
+  m.saved_sp = 0x00007f0012345678ULL;
+  m.stack_slot = {1, 7, 1};
+  m.heap_slots = {{1, 42, 2}};
+  m.runs = {{kStackRun, sizeof kStackRun - 1}, {kHeapRun, sizeof kHeapRun - 1}};
+  return m.to_wire();
+}
+
+class ImageDecode : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    mfc::iso::Region::Config cfg;
+    cfg.npes = 2;
+    cfg.slot_bytes = 16 * 1024;
+    cfg.slots_per_pe = 256;
+    mfc::iso::Region::init(cfg);
+  }
+  void TearDown() override { mfc::iso::Region::shutdown(); }
+
+  /// The golden wire plus a packed, suspended thread of each technique
+  /// (the isomalloc one with a live heap slot), with their names.
+  std::vector<std::pair<std::string, std::vector<char>>> corpus() {
+    std::vector<std::pair<std::string, std::vector<char>>> out;
+    out.emplace_back("golden", golden_wire());
+    Scheduler sched;
+    auto body = [&sched](bool heap) {
+      void* p = heap ? mfc::iso::routed_malloc(1000) : nullptr;
+      sched.suspend();
+      if (p != nullptr) mfc::iso::routed_free(p);
+    };
+    MigratableThread* threads[] = {
+        new mfc::migrate::IsoThread([&] { body(true); }, 0, 16 * 1024),
+        new mfc::migrate::StackCopyThread([&] { body(false); }, 16 * 1024),
+        new mfc::migrate::MemAliasThread([&] { body(false); }, 16 * 1024)};
+    for (MigratableThread* t : threads) sched.ready(t);
+    sched.run_until_idle();
+    for (MigratableThread* t : threads) {
+      out.emplace_back(to_string(t->technique()), t->pack());
+      delete t;
+    }
+    return out;
+  }
+};
+
+TEST_F(ImageDecode, RealImagesDecodeInPlace) {
+  for (const auto& [name, wire] : corpus()) {
+    ImageManifest m;
+    ASSERT_EQ(ImageManifest::decode(wire, &m), CodecError::kOk) << name;
+    EXPECT_EQ(m.to_wire(), wire) << name << ": decode/re-gather diverged";
+    EXPECT_EQ(decode_checked(wire.data(), wire.size(), name), CodecError::kOk);
+  }
+}
+
+TEST_F(ImageDecode, RejectsEveryTruncation) {
+  for (const auto& [name, wire] : corpus()) {
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      // An exact-size copy, so nothing past the cut is readable in bounds.
+      const std::vector<char> cut(wire.begin(),
+                                  wire.begin() + static_cast<long>(len));
+      const CodecError err = decode_checked(cut.data(), cut.size(), name);
+      ASSERT_TRUE(err == CodecError::kTruncated || err == CodecError::kOverrun)
+          << name << " truncated to " << len << " bytes: " << to_string(err);
+    }
+  }
+}
+
+TEST_F(ImageDecode, EverySingleByteFlipIsTypedOrInBounds) {
+  for (auto& [name, wire] : corpus()) {
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      wire[i] = static_cast<char>(wire[i] ^ 0xFF);
+      decode_checked(wire.data(), wire.size(),
+                     name + " flip at " + std::to_string(i));
+      wire[i] = static_cast<char>(wire[i] ^ 0xFF);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+/// Each malformation has its own error, at a known offset of the golden
+/// wire (see its field-by-field hex in migrate_property_test.cc).
+TEST_F(ImageDecode, NamesEachMalformation) {
+  const std::vector<char> wire = golden_wire();
+  ImageManifest m;
+  std::vector<char> bad = wire;
+  bad.push_back('\0');
+  EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kTrailingBytes);
+  std::size_t used = 0;
+  EXPECT_EQ(ImageManifest::decode(bad.data(), bad.size(), &m, &used),
+            CodecError::kOk);
+  EXPECT_EQ(used, wire.size()) << "a prefix decode reports the image length";
+
+  bad = wire;
+  bad[0] = 3;  // technique
+  EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kBadTechnique);
+
+  bad = wire;
+  bad[37 + 7] = 0x40;  // heap slot count's top byte
+  EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kOverrun);
+
+  bad = wire;
+  bad[65] = 25;  // run 0 length: one byte more than the run holds
+  EXPECT_NE(ImageManifest::decode(bad, &m), CodecError::kOk);
+  bad[65 + 7] = 0x7f;  // run 0 length's top byte
+  EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kOverrun);
+
+  bad = wire;
+  bad[0] = 0;  // stack-copy: isomalloc runs do not fit its layout
+  EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kBadShape);
+}
+
+}  // namespace

@@ -186,13 +186,15 @@ TEST(SwapGlobalMigration, PrivatizedGlobalsTravelViaPup) {
     sched.run_until_idle();
 
     // Migrate thread and its global-set together.
-    mfc::migrate::ThreadImage timage;
-    mfc::pup::from_bytes(t->pack(), timage);
+    const std::vector<char> wire = t->pack();
+    mfc::migrate::ImageManifest timage;
+    ASSERT_EQ(mfc::migrate::ImageManifest::decode(wire, &timage),
+              mfc::migrate::CodecError::kOk);
     auto set_bytes = mfc::pup::to_bytes(*set);
     delete t;
     set.reset();
 
-    auto* t2 = mfc::migrate::MigratableThread::unpack(std::move(timage), 1);
+    auto* t2 = mfc::migrate::MigratableThread::unpack(timage, 1);
     auto set2 = std::make_unique<mfc::swapglobal::GlobalSet>();
     mfc::pup::from_bytes(set_bytes, *set2);
     mfc::swapglobal::attach(t2, set2.get());

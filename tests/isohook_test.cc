@@ -20,7 +20,8 @@ namespace {
 using mfc::iso::Region;
 using mfc::migrate::IsoThread;
 using mfc::migrate::MigratableThread;
-using mfc::migrate::ThreadImage;
+using mfc::migrate::CodecError;
+using mfc::migrate::ImageManifest;
 using mfc::ult::Scheduler;
 
 class HookFixture : public ::testing::Test {
@@ -102,9 +103,9 @@ TEST_F(HookFixture, UnmodifiedCodeMigratesItsHeap) {
   auto wire = t->pack();
   delete t;
 
-  ThreadImage arrived;
-  mfc::pup::from_bytes(wire, arrived);
-  auto* t2 = MigratableThread::unpack(std::move(arrived), 1);
+  ImageManifest arrived;
+  ASSERT_EQ(ImageManifest::decode(wire, &arrived), CodecError::kOk);
+  auto* t2 = MigratableThread::unpack(arrived, 1);
   sched.ready(t2);
   sched.run_until_idle();
   EXPECT_TRUE(after_ok);

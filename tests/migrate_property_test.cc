@@ -26,6 +26,8 @@
 
 namespace {
 
+using mfc::migrate::CodecError;
+using mfc::migrate::ImageManifest;
 using mfc::migrate::IsoThread;
 using mfc::migrate::MemAliasThread;
 using mfc::migrate::MigratableThread;
@@ -118,9 +120,9 @@ TEST_P(MigrateFuzz, RandomDepthsAndPackPoints) {
       if (rng.next_below(2) == 0) {
         auto wire = t->pack();
         delete t;
-        mfc::migrate::ThreadImage arrived;
-        mfc::pup::from_bytes(wire, arrived);
-        t = MigratableThread::unpack(std::move(arrived),
+        ImageManifest arrived;
+        ASSERT_EQ(ImageManifest::decode(wire, &arrived), CodecError::kOk);
+        t = MigratableThread::unpack(arrived,
                                      static_cast<int>(rng.next_below(2)));
       }
       sched.ready(t);
@@ -196,8 +198,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InterleaveFuzz, ::testing::Range(1, 9));
 // Every ship path must put the same bytes on the wire: pack(), the
 // manifest's to_wire() and its zero-copy span list, for every technique,
 // including payloads full of NaN/inf bit patterns and images with zero heap
-// runs. Decoding those bytes into a ThreadImage and re-encoding it must
-// reproduce them exactly.
+// runs. Decoding those bytes in place and re-gathering the decoded manifest
+// must reproduce them exactly.
 
 class ManifestEquiv : public ::testing::TestWithParam<int> {
  protected:
@@ -339,14 +341,15 @@ TEST_P(ManifestEquiv, IovecWireMatchesBlobWireExactly) {
   EXPECT_EQ(span_crc, wire_crc);
   expect_corruptions_move_crc(packed);
 
-  // The packed bytes are the shipping format: arrive, decode (re-encoding
-  // the decoded image reproduces them exactly), unpack, resume.
+  // The packed bytes are the shipping format: arrive, decode in place
+  // (re-gathering the decoded manifest reproduces them exactly), unpack,
+  // resume.
   delete t;
-  mfc::migrate::ThreadImage arrived;
-  mfc::pup::from_bytes(packed, arrived);
-  EXPECT_TRUE(mfc::pup::to_bytes(arrived) == packed)
-      << "technique " << technique << " decode/re-encode changed the bytes";
-  t = MigratableThread::unpack(std::move(arrived), /*dest_pe=*/1);
+  ImageManifest arrived;
+  ASSERT_EQ(ImageManifest::decode(packed, &arrived), CodecError::kOk);
+  EXPECT_TRUE(arrived.to_wire() == packed)
+      << "technique " << technique << " decode/re-gather changed the bytes";
+  t = MigratableThread::unpack(arrived, /*dest_pe=*/1);
   sched.ready(t);
   sched.run_until_idle();
   EXPECT_EQ(t->state(), State::kDone);
@@ -364,9 +367,10 @@ INSTANTIATE_TEST_SUITE_P(Techniques, ManifestEquiv, ::testing::Range(0, 4));
 // A thread image's wire bytes and a checkpoint's frame bytes are formats:
 // other processes, buddy memory and files hold them. They are frozen here
 // as hex, taken from the two-encoder code that preceded the single pack
-// path (ThreadImage copies through pup::to_bytes, and a Checkpoint of
-// ThreadImages). The manifest is built by hand over two static runs, with
-// no thread and no isomalloc region, so the frame's region stamp is zero.
+// path (an owning image type copied through pup::to_bytes, and a
+// Checkpoint of such images). The manifest is built by hand over two
+// static runs, with no thread and no isomalloc region, so the frame's
+// region stamp is zero.
 
 // The image wire, field by field (x86-64, little-endian).
 constexpr char kGoldenWire[] =
@@ -426,10 +430,14 @@ TEST(GoldenWire, ManifestImageAndCheckpointBytesAreFrozen) {
   EXPECT_EQ(wire.size(), 145u);
   EXPECT_EQ(hex(wire), kGoldenWire);
 
-  // The decode type re-encodes to the same bytes.
-  mfc::migrate::ThreadImage image;
-  mfc::pup::from_bytes(wire, image);
-  EXPECT_EQ(hex(mfc::pup::to_bytes(image)), kGoldenWire);
+  // Decoding in place and re-gathering reproduces the same bytes, and the
+  // decoded runs point into the wire buffer itself.
+  ImageManifest image;
+  ASSERT_EQ(ImageManifest::decode(wire, &image), CodecError::kOk);
+  EXPECT_EQ(hex(image.to_wire()), kGoldenWire);
+  ASSERT_EQ(image.runs.size(), 2u);
+  EXPECT_EQ(image.runs[0].data, wire.data() + 73);
+  EXPECT_EQ(image.runs[1].data, wire.data() + 105);
 
   mfc::migrate::Checkpoint ckpt;
   ckpt.add_manifest(m);

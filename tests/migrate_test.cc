@@ -30,7 +30,8 @@ using mfc::migrate::MemAliasThread;
 using mfc::migrate::MigratableThread;
 using mfc::migrate::StackCopyThread;
 using mfc::migrate::Technique;
-using mfc::migrate::ThreadImage;
+using mfc::migrate::CodecError;
+using mfc::migrate::ImageManifest;
 using mfc::ult::Scheduler;
 using mfc::ult::State;
 
@@ -94,9 +95,9 @@ void run_migration_roundtrip(Scheduler& sched, ProbeState& probe,
   std::vector<char> wire = t->pack();
   delete t;
 
-  ThreadImage arrived;
-  mfc::pup::from_bytes(wire, arrived);
-  MigratableThread* t2 = MigratableThread::unpack(std::move(arrived), 1);
+  ImageManifest arrived;
+  ASSERT_EQ(ImageManifest::decode(wire, &arrived), CodecError::kOk);
+  MigratableThread* t2 = MigratableThread::unpack(arrived, 1);
   ASSERT_NE(t2, nullptr);
 
   sched.ready(t2);
@@ -139,10 +140,11 @@ TEST_F(MigrateFixture, IsoThreadIdentityAndLoadSurviveMigration) {
   sched.ready(t);
   sched.run_until_idle();
   const auto id = t->id();
-  ThreadImage image;
-  mfc::pup::from_bytes(t->pack(), image);
+  const std::vector<char> wire = t->pack();
+  ImageManifest image;
+  ASSERT_EQ(ImageManifest::decode(wire, &image), CodecError::kOk);
   delete t;
-  auto* t2 = MigratableThread::unpack(std::move(image), 2);
+  auto* t2 = MigratableThread::unpack(image, 2);
   EXPECT_EQ(t2->id(), id);
   EXPECT_GE(t2->accumulated_load(), 0.0);
   sched.ready(t2);
@@ -166,10 +168,11 @@ TEST_F(MigrateFixture, StackAddressesIdenticalBeforeAndAfter) {
       0);
   sched.ready(t);
   sched.run_until_idle();
-  ThreadImage image;
-  mfc::pup::from_bytes(t->pack(), image);
+  const std::vector<char> wire = t->pack();
+  ImageManifest image;
+  ASSERT_EQ(ImageManifest::decode(wire, &image), CodecError::kOk);
   delete t;
-  auto* t2 = MigratableThread::unpack(std::move(image), 3);
+  auto* t2 = MigratableThread::unpack(image, 3);
   sched.ready(t2);
   sched.run_until_idle();
   EXPECT_EQ(addr_before, addr_after);
@@ -324,27 +327,29 @@ TEST_F(MigrateFixture, ImagesCarryTheirOwnTechniquesArenaBase) {
       reinterpret_cast<std::uint64_t>(CommonStackArena::mem_alias().base());
   EXPECT_NE(sc_base, ma_base);
 
-  ThreadImage sc_image;
-  ThreadImage ma_image;
-  mfc::pup::from_bytes(sc->pack(), sc_image);
-  mfc::pup::from_bytes(ma->pack(), ma_image);
+  const std::vector<char> sc_wire = sc->pack();
+  const std::vector<char> ma_wire = ma->pack();
+  ImageManifest sc_image;
+  ImageManifest ma_image;
+  ASSERT_EQ(ImageManifest::decode(sc_wire, &sc_image), CodecError::kOk);
+  ASSERT_EQ(ImageManifest::decode(ma_wire, &ma_image), CodecError::kOk);
   delete sc;
   delete ma;
   EXPECT_EQ(sc_image.arena_base, sc_base);
   EXPECT_EQ(ma_image.arena_base, ma_base);
 
   // An image naming the other technique's arena is refused.
-  ThreadImage wrong = sc_image;
+  ImageManifest wrong = sc_image;
   wrong.arena_base = ma_base;
-  EXPECT_DEATH(MigratableThread::unpack(std::move(wrong), 0),
+  EXPECT_DEATH(MigratableThread::unpack(wrong, 0),
                "same system-wide stack address");
   wrong = ma_image;
   wrong.arena_base = sc_base;
-  EXPECT_DEATH(MigratableThread::unpack(std::move(wrong), 0),
+  EXPECT_DEATH(MigratableThread::unpack(wrong, 0),
                "same common stack address");
 
-  for (ThreadImage* image : {&sc_image, &ma_image}) {
-    MigratableThread* t = MigratableThread::unpack(std::move(*image), 1);
+  for (const ImageManifest* image : {&sc_image, &ma_image}) {
+    MigratableThread* t = MigratableThread::unpack(*image, 1);
     sched.ready(t);
     sched.run_until_idle();
     EXPECT_EQ(t->state(), State::kDone);
@@ -432,12 +437,13 @@ TEST_F(MigrateFixture, IsoSlotsTravelWithMigration) {
   EXPECT_GT(used_running, used_before);
   sched.ready(t);
   sched.run_until_idle();
-  ThreadImage image;
-  mfc::pup::from_bytes(t->pack(), image);
+  const std::vector<char> wire = t->pack();
+  ImageManifest image;
+  ASSERT_EQ(ImageManifest::decode(wire, &image), CodecError::kOk);
   delete t;
   // Slots still reserved (they belong to the in-flight image), pages dropped.
   EXPECT_EQ(region.used_slots(0), used_running);
-  auto* t2 = MigratableThread::unpack(std::move(image), 1);
+  auto* t2 = MigratableThread::unpack(image, 1);
   sched.ready(t2);
   sched.run_until_idle();
   delete t2;

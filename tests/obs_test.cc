@@ -625,10 +625,10 @@ void ensure_ob_handlers() {
     h_ob_ship = cv::register_handler([](cv::Message&& m) {
       ObState* s = g_ob;
       auto ship = m.as<ObShip>();
-      mfc::migrate::ThreadImage image;
-      mfc::pup::from_bytes(ship.wire, image);
-      auto* t = mfc::migrate::MigratableThread::unpack(std::move(image),
-                                                      cv::my_pe());
+      mfc::migrate::ImageManifest image;
+      MFC_CHECK(mfc::migrate::ImageManifest::decode(ship.wire, &image) ==
+                mfc::migrate::CodecError::kOk);
+      auto* t = mfc::migrate::MigratableThread::unpack(image, cv::my_pe());
       t->set_delete_on_exit(true);
       {
         std::lock_guard<std::mutex> lock(s->mu);

@@ -72,10 +72,11 @@ TEST(Storm, CleanRunWithoutChaos) {
 }
 
 /// The arrival checks must count damage, not only stay quiet without it.
-/// One appended byte leaves the thread intact (unpack ignores trailing
-/// bytes) but fails both checks: the transit CRC no longer matches, and the
-/// repacked image is a byte shorter than the arrived one. One flipped bit
-/// in the sent CRC fails the transit check alone.
+/// One appended byte leaves the thread intact (the receiver decodes the
+/// image as a prefix of what arrived) but fails both checks: the transit
+/// CRC no longer matches, and the installed thread's repack is a byte
+/// shorter than the arrived bytes. One flipped bit in the sent CRC fails
+/// the transit check alone.
 TEST(Storm, ArrivalChecksCountDamagedShipments) {
   const StormOptions opt = quiet_options(3);
   const std::uint64_t migrations = static_cast<std::uint64_t>(opt.workers) *

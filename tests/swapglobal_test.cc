@@ -127,9 +127,10 @@ TEST(SwapGlobalMigrate, MemAliasThreadCarriesPrivateGlobalsAcrossMigration) {
 
   // Destination PE: rebuild image + set, re-attach, resume on a new
   // scheduler (a different kernel-thread context in the real machine).
-  mfc::migrate::ThreadImage arrived;
-  mfc::pup::from_bytes(wire, arrived);
-  auto* t2 = mfc::migrate::MigratableThread::unpack(std::move(arrived), 1);
+  mfc::migrate::ImageManifest arrived;
+  ASSERT_EQ(mfc::migrate::ImageManifest::decode(wire, &arrived),
+            mfc::migrate::CodecError::kOk);
+  auto* t2 = mfc::migrate::MigratableThread::unpack(arrived, 1);
   GlobalSet dst;
   mfc::pup::from_bytes(set_bytes, dst);
   attach(t2, &dst);

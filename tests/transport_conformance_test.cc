@@ -783,10 +783,10 @@ void ensure_ms_handlers() {
     h_ms_ship = cv::register_handler([](cv::Message&& m) {
       MsState* s = g_ms;
       auto ship = m.as<MsShip>();
-      mfc::migrate::ThreadImage image;
-      mfc::pup::from_bytes(ship.wire, image);
-      auto* t = mfc::migrate::MigratableThread::unpack(std::move(image),
-                                                      cv::my_pe());
+      mfc::migrate::ImageManifest image;
+      MFC_CHECK(mfc::migrate::ImageManifest::decode(ship.wire, &image) ==
+                mfc::migrate::CodecError::kOk);
+      auto* t = mfc::migrate::MigratableThread::unpack(image, cv::my_pe());
       t->set_delete_on_exit(true);
       {
         std::lock_guard<std::mutex> lock(s->mu);
