@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -204,7 +205,7 @@ namespace conv_bench {
 
 namespace cv = mfc::converse;
 
-cv::HandlerId h_ping, h_bcast, h_self;
+cv::HandlerId h_ball, h_bcast, h_self;
 mfc::ult::Thread* g_waiter[64];
 std::atomic<int> g_balls_left[64];
 double g_t0 = 0.0, g_t1 = 0.0;
@@ -215,10 +216,10 @@ void ensure_handlers() {
     // Pingpong: the payload counts remaining messages for one ball; bounce
     // until the ball is spent, then (once every ball of this pair is done)
     // resume the originating (even) PE's main thread.
-    h_ping = cv::register_handler([](cv::Message&& m) {
+    h_ball = cv::register_handler([](cv::Message&& m) {
       const int remaining = m.as<int>();
       if (remaining > 1) {
-        cv::send_value(static_cast<int>(m.src_pe), h_ping, remaining - 1);
+        cv::send_value(static_cast<int>(m.src_pe), h_ball, remaining - 1);
       } else if (g_balls_left[cv::my_pe()].fetch_sub(1) == 1) {
         cv::ready_thread(g_waiter[cv::my_pe()]);
       }
@@ -273,7 +274,7 @@ mfc::bench::MsgBenchRow run_pingpong(const char* name, int npes, int window,
       g_waiter[pe] = cv::pe_scheduler().running();
       g_balls_left[pe].store(window);
       for (int w = 0; w < window; ++w) {
-        cv::send_value(pe + 1, h_ping, msgs_per_ball);
+        cv::send_value(pe + 1, h_ball, msgs_per_ball);
       }
       cv::pe_scheduler().suspend();
     }
@@ -624,9 +625,9 @@ mfc::bench::MsgBenchRow run_ft_storm(const char* name, int technique,
   opt.single_technique = technique;
   opt.ft_checkpoint_every = checkpoint_every;
   opt.work_spin = 400000;  // ~0.5 ms of compute per worker per round
-  // No kills here. run_storm installs FT, and with it the heartbeat
-  // detector, only when it checkpoints, so only the checkpointing arm pays
-  // the detector's pings. With the default 250 ms timeout a PE starved by
+  // No kills here. run_storm installs FT, and with it the detector, only
+  // when it checkpoints, so only the checkpointing arm pays for PE 0's
+  // detector ticks. With the default 250 ms timeout a PE starved by
   // the rest of the bench process (more PE threads than CPUs) can be
   // declared dead mid-measurement; recovery noise would pollute the row,
   // so make detection unreachable.
@@ -726,7 +727,7 @@ mfc::bench::MsgBenchRow run_ftx_storm(const char* name, int checkpoint_every) {
   opt.values_per_worker = 512;  // 8 KiB of history per PE -> real blobs
   opt.checkpoint_every = checkpoint_every;
   // No kills. run_proc_storm installs FT (the zygote, the control
-  // channel and the heartbeat detector) only when it checkpoints, so only
+  // channel and the detector) only when it checkpoints, so only
   // the checkpointing arm pays for them. A bench-starved PE must never be
   // declared dead mid-measurement.
   opt.timeout_us = 10'000'000;
@@ -1012,6 +1013,13 @@ void run_migrate_suite() {
 //                an uneven span list) at 64 KiB / 256 KiB / 1 MiB over the
 //                shm wire across 2 processes: each image goes as kChunk
 //                frames of up to half a ring, spans copied straight in.
+//   qd_idle      median ns per wait_quiescence() on PE 0 over 200
+//                back-to-back waits (after 20 warm-up waits) while every
+//                other main is parked, one row per PEs x processes shape
+//                (inproc_4x1, shm_4x2, shm_16x4, shm_64x4). A wait reads
+//                every PE's control line twice and wakes no other PE, so
+//                the row should stay near flat in the PE count (gated by
+//                ci_transport.sh).
 //
 // Rows land in BENCH_transport.json.
 
@@ -1019,12 +1027,25 @@ namespace transport_bench {
 
 namespace cv = mfc::converse;
 
-cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack, h_ping64,
-    h_pong64;
+cv::HandlerId h_stream, h_stream_done, h_image, h_image_ack, h_serve64,
+    h_return64, h_idle_finish;
 mfc::ult::Thread* g_sender = nullptr;
 int g_expect = 0;
 int g_timed = 0;  ///< ping-pong: round trips left when the clock starts
 double g_t0 = 0.0, g_t1 = 0.0;
+
+/// qd_idle: the parked mains of PEs 1.. (per process: each forked process
+/// has its own copy) and PE 0's per-wait times.
+constexpr int kQdMaxPes = 64;
+mfc::ult::Thread* g_qd_parked[kQdMaxPes];
+bool g_qd_done[kQdMaxPes];
+std::vector<double> g_qd_ns;
+
+void qd_finish() {
+  const int pe = cv::my_pe();
+  g_qd_done[pe] = true;
+  if (g_qd_parked[pe] != nullptr) cv::ready_thread(g_qd_parked[pe]);
+}
 
 struct Cell64 {
   char bytes[64] = {};  // exactly 64 payload bytes on the wire
@@ -1047,16 +1068,17 @@ void ensure_handlers() {
     h_image_ack = cv::register_handler(
         [](cv::Message&&) { cv::ready_thread(g_sender); });
     // Ping-pong: PE 1 echoes, PE 0 serves the next ping until done.
-    h_ping64 = cv::register_handler(
-        [](cv::Message&&) { cv::send_value(0, h_pong64, Cell64{}); });
-    h_pong64 = cv::register_handler([](cv::Message&&) {
+    h_serve64 = cv::register_handler(
+        [](cv::Message&&) { cv::send_value(0, h_return64, Cell64{}); });
+    h_return64 = cv::register_handler([](cv::Message&&) {
       if (--g_expect == 0) {
         cv::ready_thread(g_sender);
         return;
       }
       if (g_expect == g_timed) g_t0 = mfc::wall_time();  // warm-up over
-      cv::send_value(1, h_ping64, Cell64{});
+      cv::send_value(1, h_serve64, Cell64{});
     });
+    h_idle_finish = cv::register_handler([](cv::Message&&) { qd_finish(); });
   });
 }
 
@@ -1136,7 +1158,7 @@ mfc::bench::MsgBenchRow run_pingpong64(cv::Machine::Config::Transport t,
       g_sender = cv::pe_scheduler().running();
       g_timed = trips;
       g_expect = trips + kWarmupTrips;
-      cv::send_value(1, h_ping64, Cell64{});
+      cv::send_value(1, h_serve64, Cell64{});
       cv::pe_scheduler().suspend();
       g_t1 = mfc::wall_time();
     }
@@ -1144,6 +1166,42 @@ mfc::bench::MsgBenchRow run_pingpong64(cv::Machine::Config::Transport t,
   });
   return {"pingpong64", backend_mode(t), 2,
           2 * static_cast<std::uint64_t>(trips), g_t1 - g_t0};
+}
+
+mfc::bench::MsgBenchRow run_qd_idle(const char* mode,
+                                    cv::Machine::Config::Transport t,
+                                    int npes, int nprocs) {
+  constexpr int kWarmupWaits = 20;
+  constexpr int kWaits = 200;
+  ensure_handlers();
+  cv::Machine::Config cfg = wire_config(t, nprocs);
+  cfg.npes = npes;
+  g_qd_ns.clear();
+  cv::Machine::run(cfg, [&](int pe) {
+    g_qd_parked[pe] = nullptr;
+    g_qd_done[pe] = false;
+    cv::barrier();
+    if (pe != 0) {
+      while (!g_qd_done[pe]) {
+        g_qd_parked[pe] = cv::pe_scheduler().running();
+        cv::pe_scheduler().suspend();
+      }
+      return;
+    }
+    for (int i = 0; i < kWarmupWaits; ++i) cv::wait_quiescence();
+    for (int i = 0; i < kWaits; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      cv::wait_quiescence();
+      g_qd_ns.push_back(std::chrono::duration<double, std::nano>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    }
+    for (int p = 1; p < npes; ++p) cv::send_value(p, h_idle_finish, 0);
+  });
+  std::sort(g_qd_ns.begin(), g_qd_ns.end());
+  const double median_ns = g_qd_ns[g_qd_ns.size() / 2];
+  return {"qd_idle", mode, npes, static_cast<std::uint64_t>(kWaits),
+          median_ns * kWaits * 1e-9};
 }
 
 mfc::bench::MsgBenchRow run_image_ships(const char* name,
@@ -1235,6 +1293,23 @@ void run_transport_suite() {
   for (const auto& s : sizes) {
     rows.push_back(conv_bench::median_of(kReps, [&] {
       return run_image_ships(s.name, s.bytes, kImageReps);
+    }));
+    conv_bench::print_row(rows.back());
+  }
+
+  struct {
+    const char* mode;
+    cv::Machine::Config::Transport t;
+    int npes, nprocs;
+  } qd_shapes[] = {
+      {"inproc_4x1", cv::Machine::Config::Transport::kInProc, 4, 1},
+      {"shm_4x2", cv::Machine::Config::Transport::kShm, 4, 2},
+      {"shm_16x4", cv::Machine::Config::Transport::kShm, 16, 4},
+      {"shm_64x4", cv::Machine::Config::Transport::kShm, 64, 4},
+  };
+  for (const auto& q : qd_shapes) {
+    rows.push_back(conv_bench::median_of(kReps, [&] {
+      return run_qd_idle(q.mode, q.t, q.npes, q.nprocs);
     }));
     conv_bench::print_row(rows.back());
   }

@@ -3,7 +3,7 @@
 #
 # Runs only the tests carrying the `ft` CTest label: the checkpoint codec
 # fuzz (every truncation length, every single-byte flip), the seeded
-# PE-kill storms over src/ft (heartbeat detection, buddy rollback, replay
+# PE-kill storms over src/ft (detection from control lines, buddy rollback, replay
 # to a digest bit-identical with a failure-free run), and the cross-process
 # storms of tests/ftx_test.cc (whole-process SIGKILL, zygote respawn,
 # remote-buddy refill over the shm wire, and no process outliving a

@@ -18,9 +18,10 @@
 #
 # Phase 2 reruns the transport bench suite (64-byte flood per backend,
 # 64-byte ping-pong in-process and across two processes over shm, chunked
-# scatter-gather image ships over shm at 64 KiB–1 MiB) and gates
-# with bench_compare.py: the fresh stream64 and pingpong64 rows must be
-# within tolerance of the checked-in BENCH_transport.json, and two
+# scatter-gather image ships over shm at 64 KiB–1 MiB, and an idle
+# wait_quiescence() at 4/1, 4/2, 16/4 and 64/4 PEs/processes) and gates
+# with bench_compare.py: the fresh stream64, pingpong64 and qd_idle rows
+# must be within tolerance of the checked-in BENCH_transport.json, and two
 # absolute bars hold. The shm ring must cost no more than 3x the
 # in-process path per streamed 64-byte message (stream64 keeps the
 # receiving PE awake). And a shm ping-pong hop across two processes must
@@ -53,6 +54,10 @@ python3 scripts/bench_compare.py \
   build-release/BENCH_transport.baseline.json \
   build-release/BENCH_transport.json \
   --metric ns_per_msg --tolerance 50 --filter pingpong64
+python3 scripts/bench_compare.py \
+  build-release/BENCH_transport.baseline.json \
+  build-release/BENCH_transport.json \
+  --metric ns_per_msg --tolerance 50 --filter qd_idle
 # Absolute gate: shm ring <= 3x in-process ns/msg at 64 bytes.
 python3 scripts/bench_compare.py \
   build-release/BENCH_transport.baseline.json \

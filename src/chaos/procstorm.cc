@@ -303,8 +303,8 @@ void coordinator() {
     }
     // Park until the detector noticed and the rollback completed. The
     // detection itself is never driven from here: proc 0's comm thread
-    // reaps the corpse (or the heartbeat expires) and the ft tick does
-    // the rest.
+    // reaps the corpse (or, single-process, the killed PE's line stands
+    // still) and the ft tick does the rest.
     coord_park_while(ProcStormGlobal::Phase::kRun);
     coord_park_while(ProcStormGlobal::Phase::kKilled);
     MFC_CHECK(g->phase == ProcStormGlobal::Phase::kRecovered);
@@ -412,7 +412,6 @@ ProcStormReport run_proc_storm(const ProcStormOptions& options) {
     hooks.restore = ps_restore;
     hooks.on_detect = ps_on_detect;
     hooks.on_recovered = ps_on_recovered;
-    hooks.ping_interval_us = opt.ping_interval_us;
     hooks.timeout_us = opt.timeout_us;
     ft::install(opt.npes, std::move(hooks));
   }

@@ -55,8 +55,7 @@ struct ProcStormOptions {
   /// recovery rolls back to the state the coordinator just observed and no
   /// round replays.
   int kill_every = 0;
-  /// Detector tuning, microseconds (see ft::Hooks).
-  std::uint64_t ping_interval_us = 1000;
+  /// Detector timeout, microseconds (see ft::Hooks).
   std::uint64_t timeout_us = 250000;
   std::size_t iso_slot_bytes = 16 * 1024;
   std::uint32_t iso_slots_per_pe = 64;

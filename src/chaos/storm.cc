@@ -872,7 +872,7 @@ void checker_main(charm::ArrayBase* array) {
                 "storm: failure interrupted the final done-wait");
   // Workers have sent their done messages; quiescence additionally implies
   // each has finished exiting (an exiting worker still in a ready queue
-  // keeps the token ring spinning), so their slots are released.
+  // keeps its PE busy), so their slots are released.
   converse::wait_quiescence();
 
   StormReport& rep = g->report;
@@ -998,7 +998,6 @@ StormReport run_storm(const StormOptions& options) {
     hooks.restore = ft_restore;
     hooks.on_detect = ft_on_detect;
     hooks.on_recovered = ft_on_recovered;
-    hooks.ping_interval_us = opt.ft_ping_interval_us;
     hooks.timeout_us = opt.ft_timeout_us;
     ft::install(opt.npes, std::move(hooks));
   }

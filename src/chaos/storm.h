@@ -71,12 +71,12 @@ struct StormOptions {
   int ft_checkpoint_every = 0;
   /// Kill a seed-chosen PE at every Nth checkpoint round (0 = no kills;
   /// requires ft_checkpoint_every > 0). The victim dies *at* the kill
-  /// round's release — after the checkpoint committed — and the heartbeat
-  /// detector (not the test) notices and triggers rollback + resume.
+  /// round's release — after the checkpoint committed — and the detector
+  /// (not the test) notices and triggers rollback + resume.
   int ft_kill_every = 0;
-  /// Detector tuning (microseconds). The defaults are deliberately slack;
-  /// tests that kill PEs pass tighter values to keep detection latency low.
-  std::uint64_t ft_ping_interval_us = 2000;
+  /// Detector timeout (microseconds, see ft::Hooks). The default is
+  /// deliberately slack; tests that kill PEs pass tighter values to keep
+  /// detection latency low.
   std::uint64_t ft_timeout_us = 250000;
   /// Restrict all workers to one technique (0=stackcopy, 1=iso, 2=memalias;
   /// -1 = the default w % 3 mix). The FT bench uses this to price
@@ -128,7 +128,7 @@ struct StormReport {
   /// Fault-tolerance protocol counts (zero when FT is off).
   std::uint64_t ft_epochs = 0;            ///< committed checkpoints
   std::uint64_t ft_kills = 0;             ///< injected PE failures
-  std::uint64_t ft_detections = 0;        ///< heartbeat-timeout detections
+  std::uint64_t ft_detections = 0;        ///< detector firings
   std::uint64_t ft_recoveries = 0;        ///< completed rollbacks
   std::uint64_t ft_checkpoint_bytes = 0;  ///< local-copy bytes, all epochs
   /// Count digest over {round markers, checkpoint begin/end}: the FT-mode

@@ -20,6 +20,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "converse/quiescence.h"
 #include "converse/transport.h"
 #include "trace/flight.h"
 #include "trace/hist.h"
@@ -114,7 +115,8 @@ struct Pe {
   ult::Scheduler sched;
   ult::Thread* barrier_waiter = nullptr;
   std::uint64_t barrier_gen = 0;
-  std::vector<ult::Thread*> quiescence_waiters;
+  qd::LineWriter line;  ///< this PE's control line (converse/quiescence.h)
+  qd::Waits waits;      ///< quiescence waits registered on this PE
   MsgPool pool;
   int inline_depth = 0;
   std::vector<Delayed> delayed;  // chaos delivery-delay stash
@@ -146,7 +148,12 @@ struct MachineState {
   std::vector<std::unique_ptr<Pe>> pes;
   std::atomic<int> mains_finished{0};
   std::atomic<bool> stop{false};
-  std::atomic<bool> qd_round_active{false};
+  /// The control plane (converse/quiescence.h): in the wire's segment, or
+  /// in the `own_*` storage below on an in-process machine.
+  qd::Plane plane;
+  std::unique_ptr<shm::WakeCtrl[]> own_words;
+  std::unique_ptr<shm::PeLine[]> own_lines;
+  std::unique_ptr<shm::MachineLine> own_machine_line;
   // ---- Multi-process topology (defaults describe a 1-process machine) ----
   // Process my_proc hosts PEs [local_first, local_first + ppn); only those
   // entries of `pes` are populated. `transport` is the shm wire (owned by
@@ -160,11 +167,6 @@ struct MachineState {
   int local_npes = 0;
   transport::Transport* transport = nullptr;
   std::atomic<int> procs_done{0};
-  // Mattern double-wave memory for multi-process quiescence (PE 0 only):
-  // the last wave's accumulated send/deliver counts, kept across a quiet
-  // verdict (qd_forget_prev clears them). ~0 = no wave to compare with.
-  std::uint64_t qd_prev_sent = ~0ull;
-  std::uint64_t qd_prev_delivered = ~0ull;
   // Per-PE FT flags (allocated only when ft_on). `dead`: the PE's loop
   // stops dispatching and parks until revived; messages queue up for the
   // revival drain. `wipe_pending`: revive_pe was called — run the
@@ -197,14 +199,6 @@ struct MachineState {
   /// Detection mailboxes, comm thread → FT tick on PE 0 (-1 = empty).
   std::atomic<int> dead_proc_event{-1};
   std::atomic<int> respawn_done_event{-1};
-  /// Quiescence drain mode (recovery): see h_qd_token.
-  std::atomic<bool> qd_drain{false};
-  /// Settled send-deliver deficit recorded by the last drain wave —
-  /// messages lost with dead processes. Signed: a respawned process's
-  /// counters restart at zero, so accumulated sends can trail deliveries.
-  /// Exact-mode quiescence compares against this baseline (starts 0, the
-  /// failure-free rule). PE-0-thread only.
-  std::int64_t qd_comp = 0;
 };
 
 MachineState* g_machine = nullptr;
@@ -287,95 +281,16 @@ struct BarrierMsg {
 
 HandlerId h_barrier_arrive = 0;
 HandlerId h_barrier_release = 0;
-HandlerId h_qd_start = 0;
-HandlerId h_qd_token = 0;
-HandlerId h_qd_release = 0;
 HandlerId h_iso_release = 0;
 HandlerId h_iso_claim = 0;
-
-struct QdToken {
-  std::uint64_t app_sent_at_start = 0;
-  /// Multi-process: per-process app counts accumulated as the token passes
-  /// each process's first PE (counts are process-local metrics, so the
-  /// token has to collect them in place of PE 0 reading globals).
-  std::uint64_t acc_sent = 0;
-  std::uint64_t acc_delivered = 0;
-  /// Single-process: the sum of each PE's own app-delivered count, read at
-  /// its visit. Equal to the total at the verdict only if nothing was
-  /// delivered behind the token (see h_qd_token).
-  std::uint64_t visit_delivered = 0;
-  std::int32_t hops = 0;
-  std::uint8_t all_idle = 1;
-  /// Drain mode only: ANDs one transport->quiescent() sample per process —
-  /// wire bytes in flight forbid a quiet verdict even though the lossy
-  /// counts can no longer prove their absence.
-  std::uint8_t xport_idle = 1;
-  /// Round mode, stamped at qd_start_round: 1 = drain (recovery settle
-  /// wave), 0 = exact. Travels in the token because the drain flag lives
-  /// in PE 0's process only.
-  std::uint8_t drain = 0;
-  void pup(pup::Er& p) {
-    p | app_sent_at_start | acc_sent | acc_delivered | visit_delivered |
-        hops | all_idle | xport_idle | drain;
-  }
-};
 
 /// True when `pe` lives in this process (always true on 1-process machines).
 bool pe_local(int pe) { return pe / g_machine->ppn == g_machine->my_proc; }
 
-// Registry reads: per-PE slots plus the shared slot (sends from non-PE
-// threads land there, which is what keeps the PE slots single-writer).
+// Registry reads: per-PE slots plus the shared slot.
 std::uint64_t total_sent() { return metrics::total(Counter::kMsgsSent); }
 std::uint64_t total_delivered() {
   return metrics::total(Counter::kMsgsDelivered);
-}
-std::uint64_t total_qd_sent() { return metrics::total(Counter::kQdSent); }
-std::uint64_t total_qd_delivered() {
-  return metrics::total(Counter::kQdDelivered);
-}
-
-// "Application" traffic excludes both QD tokens and FT protocol messages
-// (heartbeats, checkpoint shipments, recovery control): each is counted
-// sent/delivered in its own pair so quiescence judges only the workload.
-std::uint64_t app_sent() {
-  return total_sent() - total_qd_sent() -
-         metrics::total(Counter::kFtSent);
-}
-std::uint64_t app_delivered() {
-  return total_delivered() - total_qd_delivered() -
-         metrics::total(Counter::kFtDelivered);
-}
-
-/// One PE's own app deliveries (dispatch runs on PE threads only, so the
-/// per-PE slots hold every delivery).
-std::uint64_t pe_app_delivered(int pe) {
-  return metrics::pe_value(Counter::kMsgsDelivered, pe) -
-         metrics::pe_value(Counter::kQdDelivered, pe) -
-         metrics::pe_value(Counter::kFtDelivered, pe);
-}
-
-/// Forgets the last quiet wave's per-process sums (PE 0 thread). Counts
-/// stop being comparable across a process respawn (its counters restart)
-/// and across a drain-mode toggle (the verdict rule changes), so the next
-/// round must take two waves again.
-void qd_forget_prev() {
-  g_machine->qd_prev_sent = ~0ull;
-  g_machine->qd_prev_delivered = ~0ull;
-}
-
-/// QD system send: counted separately so tokens don't disturb the counts
-/// they are observing.
-void qd_send(int pe, HandlerId handler, const std::vector<char>& payload) {
-  MFC_CHECK_MSG(t_pe != nullptr, "QD traffic originates on PEs");
-  metrics::bump(Counter::kQdSent);
-  send(pe, handler, payload);
-}
-
-void qd_start_round() {
-  QdToken token;
-  token.app_sent_at_start = app_sent();
-  token.drain = g_machine->qd_drain.load(std::memory_order_acquire) ? 1 : 0;
-  qd_send(0, h_qd_token, pup::to_bytes(token));
 }
 
 HandlerFn* handler_lookup(HandlerId id) {
@@ -422,6 +337,8 @@ Message* pool_acquire(Pe* pe) {
 /// off-by-default branch the trace gate uses.
 void dispatch(Message* m) {
   HandlerFn* fn = handler_lookup(m->handler);
+  t_pe->line.leave_idle();
+  t_pe->line.count_delivered();
   metrics::bump(Counter::kMsgsDelivered);
   const HandlerId h = m->handler;
   trace::emit(trace::Ev::kHandlerBegin, m->trace_flow, h,
@@ -475,14 +392,18 @@ void enqueue_or_inline(int dest_pe, Message* m) {
   dest.queue.push(m);
 }
 
-/// The shm rings toward this process as a PE queue feed (util/queue.h
-/// NoFeed): with no relay thread, a waiting PE delivers them itself.
-struct WireFeed {
+/// A PE queue's feed (util/queue.h NoFeed): the shm rings toward this
+/// process, which a waiting PE delivers itself (no relay thread), and the
+/// control plane's hook for a PE that goes to sleep.
+struct PeFeed {
   transport::Transport* wire = nullptr;  ///< null: in-process machine
+  const qd::Plane* plane = nullptr;
+  int self = 0;
   void poll() {
     if (wire != nullptr) wire->drain();
   }
   bool ready() { return wire != nullptr && wire->pending(); }
+  void on_sleep() { qd::on_sleep(*plane, self); }
 };
 
 void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
@@ -524,33 +445,43 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
   const bool ft_on = g_machine->ft_on;
   const std::uint64_t max_ticks =
       delay_on ? chaos::config().max_delay_ticks : 0;
-  WireFeed feed{g_machine->transport};
+  const qd::Plane& plane = g_machine->plane;
+  PeFeed feed{g_machine->transport, &plane, pe->id};
+  std::vector<ult::Thread*> released;  // quiescence waits a verdict ended
   while (!g_machine->stop.load(std::memory_order_acquire)) {
     // Every pass delivers what waits in the rings toward this process —
     // dead PEs' passes too: a respawned incarnation boots with every PE
     // dead, and only they can receive its revive frames.
     feed.poll();
-    if (ft_on) {
-      // Dead PE: stop dispatching and running threads; messages keep
-      // queueing and drain after revival. Park until the revive wakes
-      // the queue (an arrival for the dead PE only re-parks it) or a
-      // frame waits in the rings.
+    // Dead PE: stop dispatching and running threads; messages keep
+    // queueing and drain after revival. Park until the revive wakes the
+    // queue (an arrival for the dead PE only re-parks it) or a frame waits
+    // in the rings. Its line stays busy and its progress stands still, so
+    // the detector finds it.
+    if (ft_on && g_machine->dead[pe->id].load(std::memory_order_acquire)) {
       std::atomic<bool>& dead = g_machine->dead[pe->id];
-      if (dead.load(std::memory_order_acquire)) {
-        pe->queue.park_until([&dead, &feed] {
-          return !dead.load(std::memory_order_seq_cst) || feed.ready();
-        });
-        trace::clock_stale();
-        continue;
-      }
+      pe->line.pause_idle();
+      pe->queue.park_until([&dead, &feed] {
+        return !dead.load(std::memory_order_seq_cst) || feed.ready();
+      });
+      trace::clock_stale();
+      continue;
+    }
+    pe->line.pass();
+    if (ft_on) {
       // Just revived: wipe stale state on this PE's own thread BEFORE
       // the death-window backlog dispatches into it.
       if (g_machine->wipe_pending[pe->id].exchange(
               false, std::memory_order_acq_rel)) {
         if (g_ft_hooks.on_revive) g_ft_hooks.on_revive(pe->id);
       }
-      // PE 0 is the failure detector: heartbeats + timeout checks.
-      if (pe->id == 0 && g_ft_hooks.pe0_tick) g_ft_hooks.pe0_tick();
+      // PE 0 is the failure detector. A tick that finds no work does not
+      // count as leaving idle.
+      if (pe->id == 0 && g_ft_hooks.pe0_tick) {
+        pe->line.pause_idle();
+        g_ft_hooks.pe0_tick();
+        if (pe->sched.ready_count() == 0) pe->line.resume_idle(plane, 0);
+      }
     }
     bool progress = false;
     if (delay_on) {
@@ -581,28 +512,33 @@ void pe_loop(Pe* pe, const std::function<void(int)>& entry) {
         g_machine->dead[pe->id].load(std::memory_order_relaxed)) {
       continue;  // no run_one/park for the freshly dead
     }
-    if (pe->sched.run_one()) progress = true;
-    if (!progress) {
-      // A non-empty stash forbids parking — only loop ticks age it out.
-      if (!pe->delayed.empty()) continue;
-      // With FT on, PE 0 parks with a deadline so detector ticks keep
-      // firing on an otherwise idle machine.
-      if (ft_on && pe->id == 0) {
-        Message* m = pe->queue.pop_wait_for(200, feed);
-        trace::clock_stale();
-        if (m != nullptr) dispatch(m);
-        continue;
-      }
-      // Idle: bounded spin then park until a message arrives or shutdown
-      // wakes us. On delivery, re-enter the drain loop immediately — the
-      // batch behind this message is typically non-empty.
-      Message* m = pe->queue.pop_wait(feed);
-      trace::clock_stale();
-      if (m != nullptr) {
-        dispatch(m);
-        continue;
-      }
+    if (pe->sched.ready_count() > 0) {
+      pe->line.leave_idle();
+      pe->sched.run_one();
+      progress = true;
     }
+    if (progress) continue;
+    // Nothing to do: flag idle (waking the PEs that wait for quiescence),
+    // then serve this PE's own waits before waiting.
+    if (!pe->line.idle()) pe->line.enter_idle(plane, pe->id);
+    if (!pe->waits.empty() &&
+        pe->waits.serve(plane, pe->id, pe->line, pe->queue, released)) {
+      for (ult::Thread* t : released) pe->sched.ready(t);
+      released.clear();
+      continue;
+    }
+    // A non-empty stash forbids parking — only loop ticks age it out.
+    if (!pe->delayed.empty()) continue;
+    // Idle: bounded spin then park until a message arrives or a wake
+    // lands; with FT on, PE 0 parks for one detector period at most, so
+    // its ticks keep firing on an otherwise idle machine. On delivery,
+    // re-enter the drain loop immediately — the batch behind this message
+    // is typically non-empty.
+    Message* m = ft_on && pe->id == 0
+                     ? pe->queue.pop_wait_for(g_ft_hooks.tick_period_us, feed)
+                     : pe->queue.pop_wait(feed);
+    trace::clock_stale();
+    if (m != nullptr) dispatch(m);
   }
 
   pe->sched.set_choice_rng(nullptr);
@@ -637,99 +573,6 @@ void register_builtin_handlers() {
       pe->barrier_waiter = nullptr;
       pe->sched.ready(waiter);
     });
-    // Quiescence detection: Mattern-style counting token ring. A token
-    // visits every PE in order; if every PE was locally idle during its
-    // visit AND the application send/deliver counts were equal and
-    // unchanged across the whole round, the machine is quiet.
-    h_qd_start = register_handler([](Message&&) {
-      metrics::bump(Counter::kQdDelivered);
-      MFC_CHECK(t_pe->id == 0);
-      if (!g_machine->qd_round_active.exchange(true)) qd_start_round();
-    });
-    h_qd_token = register_handler([](Message&& m) {
-      metrics::bump(Counter::kQdDelivered);
-      auto token = m.as<QdToken>();
-      Pe* pe = t_pe;
-      if (token.hops == g_machine->npes) {
-        // The token visited every PE and came back to PE 0: decide.
-        MFC_CHECK(pe->id == 0);
-        bool quiet;
-        if (g_machine->nprocs > 1) {
-          // Counts are process-local, so PE 0 cannot read machine totals;
-          // the token accumulated one reading per process instead. Quiet
-          // needs balance AND two consecutive identical rounds (Mattern's
-          // double wave) — a single balanced reading can be stale.
-          const bool stable =
-              token.acc_sent == g_machine->qd_prev_sent &&
-              token.acc_delivered == g_machine->qd_prev_delivered;
-          const std::int64_t diff =
-              static_cast<std::int64_t>(token.acc_sent) -
-              static_cast<std::int64_t>(token.acc_delivered);
-          if (token.drain != 0) {
-            // Drain mode (process recovery): messages died with the killed
-            // process, so balance is unreachable. Quiet = every PE idle,
-            // every transport drained, counts frozen across two waves; the
-            // settled deficit becomes the baseline exact rounds compare
-            // against from now on.
-            quiet = token.all_idle != 0 && token.xport_idle != 0 && stable;
-            if (quiet) g_machine->qd_comp = diff;
-          } else {
-            // Exact mode: balance up to the recorded loss baseline
-            // (qd_comp starts 0, i.e. the failure-free rule).
-            quiet =
-                token.all_idle != 0 && diff == g_machine->qd_comp && stable;
-          }
-          g_machine->qd_prev_sent = token.acc_sent;
-          g_machine->qd_prev_delivered = token.acc_delivered;
-        } else {
-          // Balance is not enough: a message counted at the start can be
-          // delivered behind the token (from a chaos delay stash or a
-          // loopback ring) and ready a thread on a PE already visited. The
-          // per-PE readings taken at each visit only sum to the total if
-          // no PE delivered anything after its visit.
-          const std::uint64_t delivered = app_delivered();
-          quiet = token.all_idle != 0 &&
-                  app_sent() == token.app_sent_at_start &&
-                  delivered == token.app_sent_at_start &&
-                  token.visit_delivered == delivered;
-        }
-        if (quiet) {
-          // Multi-process: the quiet wave's sums stay in qd_prev_*, so a
-          // back-to-back round that finds them unchanged is quiet after one
-          // wave — Mattern's second wave is the one that just ended.
-          g_machine->qd_round_active.store(false);
-          for (int p = 0; p < g_machine->npes; ++p) {
-            qd_send(p, h_qd_release, {});
-          }
-        } else {
-          qd_start_round();  // something moved: try again
-        }
-        return;
-      }
-      if (pe->sched.ready_count() > 0) token.all_idle = 0;
-      if (g_machine->nprocs == 1) {
-        token.visit_delivered += pe_app_delivered(pe->id);
-      }
-      if (g_machine->nprocs > 1 && pe->id % g_machine->ppn == 0) {
-        token.acc_sent += app_sent();
-        token.acc_delivered += app_delivered();
-        // Drain rounds only: sampling the wire is advisory (it reads every
-        // ring's head and tail), so exact rounds never pay for it.
-        if (token.drain != 0 && g_machine->transport != nullptr &&
-            !g_machine->transport->quiescent()) {
-          token.xport_idle = 0;
-        }
-      }
-      token.hops += 1;
-      qd_send((pe->id + 1) % g_machine->npes, h_qd_token,
-              pup::to_bytes(token));
-    });
-    h_qd_release = register_handler([](Message&&) {
-      metrics::bump(Counter::kQdDelivered);
-      Pe* pe = t_pe;
-      for (ult::Thread* t : pe->quiescence_waiters) pe->sched.ready(t);
-      pe->quiescence_waiters.clear();
-    });
     // Cross-process isomalloc lease: a slot freed away from its birth
     // process ships its identity home; the birth PE clears the `used` bit
     // (the releasing process already evacuated the pages on its side).
@@ -739,13 +582,20 @@ void register_builtin_handlers() {
     });
     // Lease reassertion after a process respawn: restored threads replay
     // their slot ids to the birth process so its fresh (zygote boot-time)
-    // bitmap copy re-learns the allocations. FT-counted: recovery traffic
-    // must not disturb the quiescence the recovery itself waits for.
+    // bitmap copy re-learns the allocations.
     h_iso_claim = register_handler([](Message&& m) {
-      metrics::bump(Counter::kFtDelivered);
       iso::Region::instance().reassert(m.as<iso::SlotId>());
     });
   });
+}
+
+/// Revives local PE `pe`. Order matters: the wipe flag must be visible
+/// before the loop leaves its dead park, so the on_revive hook always
+/// precedes the backlog drain.
+void revive_local(int pe) {
+  g_machine->wipe_pending[pe].store(true, std::memory_order_release);
+  g_machine->dead[pe].store(false, std::memory_order_release);
+  g_machine->pes[static_cast<std::size_t>(pe)]->queue.wake();
 }
 
 // ---- Comm-thread control fds ----
@@ -870,6 +720,21 @@ void run_machine_process(ProcRun ctx) {
     trace::set_proc(my_proc, config.nprocs, g_machine->local_first,
                     g_machine->local_npes);
   }
+  // The control plane: at the head of the wire's segment, so every
+  // process reads every PE's line; in process memory otherwise.
+  qd::Plane& plane = g_machine->plane;
+  if (transport) {
+    shm::Segment& seg = transport->segment();
+    plane = {seg.words(), seg.lines(), seg.machine_line(), config.npes, true};
+  } else {
+    const auto n = static_cast<std::size_t>(config.npes);
+    g_machine->own_words = std::make_unique<shm::WakeCtrl[]>(n);
+    g_machine->own_lines = std::make_unique<shm::PeLine[]>(n);
+    g_machine->own_machine_line = std::make_unique<shm::MachineLine>();
+    plane = {g_machine->own_words.get(), g_machine->own_lines.get(),
+             g_machine->own_machine_line.get(), config.npes, false};
+  }
+  qd::boot(plane, transport.get(), ppn);
   if (g_machine->ft_on) {
     g_machine->dead =
         std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(config.npes));
@@ -878,10 +743,16 @@ void run_machine_process(ProcRun ctx) {
     if (g_machine->respawn_gen > 0) {
       // A respawned incarnation boots with every local PE dead: the mains
       // park (the application's rebirth branch) and so do the loops, until
-      // recovery revives and refills them from the remote buddies.
+      // recovery revives and refills them from the remote buddies. Its
+      // lines outlived the dead incarnation (counts and progress carry
+      // on): mark them busy, awake and waitless before anything drains.
       for (int i = g_machine->local_first; i < g_machine->local_first + ppn;
            ++i) {
         g_machine->dead[i].store(true, std::memory_order_relaxed);
+        plane.lines[i].idle.store(0, std::memory_order_seq_cst);
+        plane.lines[i].waiting.store(0, std::memory_order_seq_cst);
+        plane.words[i].word.store(mfc::detail::kWordIdle,
+                                  std::memory_order_seq_cst);
       }
     }
   }
@@ -891,9 +762,10 @@ void run_machine_process(ProcRun ctx) {
        i < g_machine->local_first + g_machine->local_npes; ++i) {
     auto pe = std::make_unique<Pe>();
     pe->id = i;
-    // The wire wakes PEs directly: the queue parks on the PE's word in the
-    // wire's shared segment instead of its own.
-    if (transport) pe->queue.bind_wake_word(&transport->wake_word(i));
+    // The queue parks on the PE's word in the plane, through which
+    // producers in any process wake it.
+    pe->queue.bind_wake_word(&plane.words[i].word, plane.shared);
+    pe->line.bind(&plane.lines[i]);
     g_machine->pes[static_cast<std::size_t>(i)] = std::move(pe);
   }
 
@@ -944,20 +816,12 @@ void run_machine_process(ProcRun ctx) {
     };
     hooks.tolerate_peer_loss = g_machine->ft_respawn;
     if (g_machine->ft_on) {
-      // Machine-level FT control frames (kill/revive for a local PE): the
-      // delivering thread flips the same flags kill_pe/revive_pe flip
-      // locally.
+      // Machine-level FT control frames (revive a local PE): the
+      // delivering thread flips the same flags revive_pe flips locally.
       hooks.ft_ctl = [](const wire::Header& h) {
         const int pe = h.dest_pe;
         MFC_CHECK(pe >= 0 && pe < g_machine->npes && pe_local(pe));
-        if (h.msg_id == 0) {
-          g_machine->dead[pe].store(true, std::memory_order_release);
-          g_machine->pes[static_cast<std::size_t>(pe)]->queue.wake();
-        } else {
-          g_machine->wipe_pending[pe].store(true, std::memory_order_release);
-          g_machine->dead[pe].store(false, std::memory_order_release);
-          g_machine->pes[static_cast<std::size_t>(pe)]->queue.wake();
-        }
+        revive_local(pe);
       };
     }
     // Comm-thread policing, on events: process 0 waits on a pidfd per
@@ -1038,6 +902,7 @@ void run_machine_process(ProcRun ctx) {
   }
   if (config.nprocs > 1) iso::Region::clear_lease();
 
+  qd::boot(qd::Plane{}, nullptr, 1);
   if (my_proc != 0) {
     // Child teardown mirrors the parent's but ends in _Exit: the child must
     // not run atexit handlers or static destructors for state the parent
@@ -1222,7 +1087,8 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
 
   // Fresh books for this run; pool_stats()/metrics::snapshot() read them
   // after the machine returns. Multi-process: each process's copy-on-write
-  // registry holds its local PEs' counts (QD accumulates them via token).
+  // registry holds its local PEs' counts (quiescence reads the control
+  // lines instead, which every process shares).
   metrics::reset(config.npes);
   g_pooled_payload_bytes.store(0, std::memory_order_relaxed);
 
@@ -1232,17 +1098,6 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   // caller (storm driver, trace tests) is left for its owner to export.
   const bool owns_trace = trace::env_enabled() && !trace::active();
   if (owns_trace) trace::start(config.npes);
-  if (trace::active()) {
-    // The built-in protocols' handler ids, so trace analysis
-    // (scripts/trace_hops.py) can tell their hops from application traffic.
-    trace::set_meta("qd_handlers", std::to_string(h_qd_start) + "," +
-                                       std::to_string(h_qd_token) + "," +
-                                       std::to_string(h_qd_release));
-    trace::set_meta("barrier_handlers",
-                    std::to_string(h_barrier_arrive) + "," +
-                        std::to_string(h_barrier_release));
-  }
-
   // Env-gated latency histograms (MFC_STATS=1): armed for the run, dumped
   // as JSON at shutdown. Same ownership rule as tracing so benches can arm
   // them explicitly.
@@ -1427,19 +1282,22 @@ Message* acquire_message(std::size_t payload_bytes) {
 void send_message(int dest_pe, HandlerId handler, Message* m) {
   MFC_CHECK(g_machine != nullptr);
   MFC_CHECK(dest_pe >= 0 && dest_pe < g_machine->npes);
+  // Only PEs have control lines, and quiescence counts every message.
+  MFC_CHECK_MSG(t_pe != nullptr, "sends must originate on a PE thread");
   // A ULT can lose the processor right at a send boundary — the classic
   // window where a racing handler observes half-updated thread state.
   chaos::preempt_point("converse.send");
   m->handler = handler;
-  m->src_pe = t_pe != nullptr ? t_pe->id : -1;
+  m->src_pe = t_pe->id;
   m->dest_pe = dest_pe;
+  t_pe->line.count_sent();  // before the message can become visible
   metrics::bump(Counter::kMsgsSent);
   // Cross-PE sends get a flow id so the exporter can draw an arrow from
   // this send to the remote dispatch; assigned per send (recycled
   // envelopes carry stale ids otherwise). The inline enabled() test keeps
   // the tracing-off cost to the same predictable branch emit() pays.
   m->trace_flow = 0;
-  if (trace::enabled() && m->src_pe >= 0 && m->src_pe != dest_pe) {
+  if (trace::enabled() && m->src_pe != dest_pe) {
     m->trace_flow = trace::next_flow_id();
   }
   // Queue-wait stamp, same per-send-assignment discipline as trace_flow
@@ -1454,8 +1312,7 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
   // ships only cross-process destinations (same-process PEs keep the
   // direct lock-free queues). The transport copies/writes the payload
   // before returning, so the envelope is released immediately.
-  if (g_machine->transport != nullptr && m->src_pe >= 0 &&
-      dest_pe != m->src_pe &&
+  if (g_machine->transport != nullptr && dest_pe != m->src_pe &&
       (g_machine->nprocs == 1 || !pe_local(dest_pe))) {
     wire::Header h;
     h.kind = static_cast<std::uint32_t>(wire::Kind::kEager);
@@ -1470,8 +1327,6 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
     release_message(m);
     return;
   }
-  MFC_CHECK_MSG(pe_local(dest_pe),
-                "sends from non-PE threads must target local PEs");
   enqueue_or_inline(dest_pe, m);
 }
 
@@ -1479,7 +1334,7 @@ void send_message(int dest_pe, HandlerId handler, Message* m) {
 
 void send(int dest_pe, HandlerId handler, std::vector<char> payload) {
   Message* m = detail::acquire_message(0);
-  m->payload.adopt(std::move(payload));
+  m->payload.adopt(payload);
   detail::send_message(dest_pe, handler, m);
 }
 
@@ -1487,19 +1342,21 @@ void send_spans(int dest_pe, HandlerId handler, const SendSpan* spans,
                 std::size_t nspans, std::function<void()> on_consumed) {
   MFC_CHECK(g_machine != nullptr);
   MFC_CHECK(dest_pe >= 0 && dest_pe < g_machine->npes);
+  MFC_CHECK_MSG(t_pe != nullptr, "sends must originate on a PE thread");
   chaos::preempt_point("converse.send");
-  const int src = t_pe != nullptr ? t_pe->id : -1;
+  const int src = t_pe->id;
   const std::size_t total = wire::spans_total(spans, nspans);
+  t_pe->line.count_sent();  // before the message can become visible
   metrics::bump(Counter::kMsgsSent);
   metrics::bump(Counter::kSpanSends);
   std::uint64_t flow = 0;
-  if (trace::enabled() && src >= 0 && src != dest_pe) {
+  if (trace::enabled() && src != dest_pe) {
     flow = trace::next_flow_id();
   }
   trace::emit(trace::Ev::kMsgSend, flow, handler,
               static_cast<std::uint32_t>(total),
               static_cast<std::int16_t>(dest_pe));
-  if (g_machine->transport != nullptr && src >= 0 && dest_pe != src &&
+  if (g_machine->transport != nullptr && dest_pe != src &&
       (g_machine->nprocs == 1 || !pe_local(dest_pe))) {
     wire::Header h;
     h.kind = static_cast<std::uint32_t>(wire::Kind::kEager);
@@ -1512,8 +1369,6 @@ void send_spans(int dest_pe, HandlerId handler, const SendSpan* spans,
     g_machine->transport->send(h, spans, nspans, std::move(on_consumed));
     return;
   }
-  MFC_CHECK_MSG(pe_local(dest_pe),
-                "sends from non-PE threads must target local PEs");
   // In-process: the spans gather once, directly into the pooled delivery
   // envelope — the buffer the destination handler will read, not an
   // intermediate wire blob. on_consumed runs before the envelope becomes
@@ -1586,8 +1441,9 @@ void wait_quiescence() {
   Pe* pe = t_pe;
   MFC_CHECK_MSG(pe != nullptr && pe->sched.in_thread(),
                 "wait_quiescence() must run inside a ULT on a PE");
-  pe->quiescence_waiters.push_back(pe->sched.running());
-  qd_send(0, h_qd_start, {});
+  // The PE's loop sweeps the control lines once it has nothing else to
+  // run (converse/quiescence.h).
+  pe->waits.add(g_machine->plane, pe->id, pe->sched.running());
   pe->sched.suspend();
 }
 
@@ -1605,31 +1461,13 @@ void clear_ft_machine_hooks() {
   g_ft_hooks_set = false;
 }
 
-namespace {
-
-/// Remote-PE tail shared by kill_pe/revive_pe: ships a kFtCtl frame to the
-/// process hosting `pe`; the thread that delivers it there flips the flags
-/// (hooks.ft_ctl).
-void send_ft_ctl(int pe, std::uint64_t op) {
-  MFC_CHECK_MSG(t_pe != nullptr && g_machine->transport != nullptr,
-                "cross-process kill/revive requires a PE thread and a wire");
-  wire::Header h;
-  h.src_pe = t_pe->id;
-  h.dest_pe = pe;
-  h.msg_id = op;
-  g_machine->transport->send_ctl(h);
-}
-
-}  // namespace
-
 void kill_pe(int pe) {
   MFC_CHECK(g_machine != nullptr && g_machine->ft_on);
+  MFC_CHECK_MSG(g_machine->nprocs == 1,
+                "kill_pe needs a single-process machine: across processes "
+                "the failure unit is a process (kill_proc)");
   MFC_CHECK_MSG(pe > 0 && pe < g_machine->npes,
                 "PE 0 is the FT coordinator and cannot be killed");
-  if (!pe_local(pe)) {
-    send_ft_ctl(pe, 0);
-    return;
-  }
   g_machine->dead[pe].store(true, std::memory_order_release);
   // If the victim was parked idle, wake it so its loop observes the flag
   // (a wake with no data pops nullptr and re-enters the loop top).
@@ -1639,17 +1477,20 @@ void kill_pe(int pe) {
 void revive_pe(int pe) {
   MFC_CHECK(g_machine != nullptr && g_machine->ft_on);
   MFC_CHECK(pe > 0 && pe < g_machine->npes);
-  if (!pe_local(pe)) {
-    // Rides the same ordered ring as ordinary sends from this PE, so the
-    // revive (and its wipe) lands before any refill sent afterwards.
-    send_ft_ctl(pe, 1);
+  if (pe_local(pe)) {
+    revive_local(pe);
     return;
   }
-  // Order matters: the wipe flag must be visible before the loop leaves
-  // its dead park, so the on_revive hook always precedes the backlog drain.
-  g_machine->wipe_pending[pe].store(true, std::memory_order_release);
-  g_machine->dead[pe].store(false, std::memory_order_release);
-  g_machine->pes[static_cast<std::size_t>(pe)]->queue.wake();
+  // A machine-level control frame to the process hosting `pe`; the thread
+  // that delivers it there flips the flags (hooks.ft_ctl). It rides the
+  // same ordered ring as ordinary sends from this PE, so the revive (and
+  // its wipe) lands before any refill sent afterwards.
+  MFC_CHECK_MSG(t_pe != nullptr,
+                "cross-process revive requires a PE thread");
+  wire::Header h;
+  h.src_pe = t_pe->id;
+  h.dest_pe = pe;
+  g_machine->transport->send_ctl(h);
 }
 
 bool pe_dead(int pe) {
@@ -1676,7 +1517,6 @@ void request_respawn(int proc) {
   MFC_CHECK(st != nullptr && st->ft_respawn && my_pe() == 0);
   MFC_CHECK(proc > 0 && proc < st->nprocs);
   st->proc_respawned[static_cast<std::size_t>(proc)] = true;
-  qd_forget_prev();
   ctl_send(st->ctl_fd, CtlRec{kCtlReqRespawn, proc, ++st->next_respawn_gen});
 }
 
@@ -1693,6 +1533,9 @@ void kill_proc(int proc) {
   MFC_CHECK(st != nullptr && st->ft_respawn && st->my_proc == 0);
   MFC_CHECK_MSG(proc > 0 && proc < st->nprocs,
                 "process 0 hosts the FT coordinator and cannot be killed");
+  // Dead for the wire from the signal on, not only from the reap: a send
+  // toward it that finds its ring full must not wait on the corpse.
+  st->transport->set_proc_dead(proc, true);
   if (st->proc_respawned[static_cast<std::size_t>(proc)]) {
     // The current incarnation is a zygote grandchild; only the zygote
     // holds its pid.
@@ -1707,14 +1550,12 @@ void kill_proc(int proc) {
 
 void begin_qd_drain() {
   MFC_CHECK(g_machine != nullptr && my_pe() == 0);
-  qd_forget_prev();
-  g_machine->qd_drain.store(true, std::memory_order_release);
+  qd::set_drain(true);
 }
 
 void end_qd_drain() {
   MFC_CHECK(g_machine != nullptr && my_pe() == 0);
-  qd_forget_prev();
-  g_machine->qd_drain.store(false, std::memory_order_release);
+  qd::set_drain(false);
 }
 
 void iso_claim(const iso::SlotId& id) {
@@ -1723,7 +1564,6 @@ void iso_claim(const iso::SlotId& id) {
     iso::Region::instance().reassert(id);
     return;
   }
-  metrics::bump(Counter::kFtSent);
   send_value(id.pe, h_iso_claim, id);
 }
 

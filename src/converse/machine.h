@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -39,36 +40,43 @@ using HandlerId = std::uint32_t;
 /// Message payload with a small-buffer fast path: payloads up to kInline
 /// bytes live inside the Message itself — envelope and data on adjacent
 /// cache lines, no separate heap allocation per message. Larger payloads
-/// spill to a heap vector that lives exactly as long as the message: a
+/// spill to a heap buffer that lives exactly as long as the message: a
 /// pooled envelope gives it back (release_heap) before it enters a pool,
-/// so a pool never hoards the largest payload it ever carried. The wire
+/// so a pool never hoards the largest payload it ever carried. The buffer
+/// is allocated uninitialized: the pack or the ring copy that follows
+/// every resize overwrites it in full, so it is written once. The wire
 /// format (size + raw bytes) matches the old std::vector<char> pup, so
 /// serialized messages are unchanged.
 class Payload {
  public:
   static constexpr std::size_t kInline = 64;
 
-  char* data() { return size_ <= kInline ? inline_ : heap_.data(); }
+  char* data() { return size_ <= kInline ? inline_ : heap_.get(); }
   const char* data() const {
-    return size_ <= kInline ? inline_ : heap_.data();
+    return size_ <= kInline ? inline_ : heap_.get();
   }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
   /// Contents are unspecified after growth. Sizes over kInline allocate
-  /// the heap buffer (an envelope fresh from a pool has none).
+  /// the heap buffer (an envelope fresh from a pool has none), without
+  /// zero-filling it.
   void resize(std::size_t n) {
-    if (n > kInline) heap_.resize(n);
+    if (n > kInline && n > cap_) {
+      heap_ = std::make_unique_for_overwrite<char[]>(n);
+      cap_ = n;
+    }
     size_ = n;
   }
 
   /// Bytes of heap buffer this payload owns (0 for inline payloads).
-  std::size_t heap_bytes() const { return heap_.capacity(); }
+  std::size_t heap_bytes() const { return cap_; }
 
   /// Empties the payload and frees its heap buffer: what an envelope does
   /// before it enters a pool.
   void release_heap() {
-    std::vector<char>().swap(heap_);
+    heap_.reset();
+    cap_ = 0;
     size_ = 0;
   }
 
@@ -77,25 +85,12 @@ class Payload {
     if (n != 0) std::memcpy(data(), src, n);
   }
 
-  /// Takes ownership of a byte vector (large payloads move, no copy).
-  void adopt(std::vector<char> v) {
-    if (v.size() > kInline) {
-      size_ = v.size();
-      heap_ = std::move(v);
-    } else {
-      assign(v.data(), v.size());
-    }
-  }
+  /// Copies a byte vector in (the stale-route forwards and send(vector)).
+  void adopt(const std::vector<char>& v) { assign(v.data(), v.size()); }
 
-  /// Moves the bytes out as a vector (forwarding paths); empties this.
+  /// Copies the bytes out as a vector (forwarding paths); empties this.
   std::vector<char> take() {
-    std::vector<char> out;
-    if (size_ > kInline) {
-      heap_.resize(size_);
-      out = std::move(heap_);
-    } else {
-      out.assign(inline_, inline_ + size_);
-    }
+    std::vector<char> out(data(), data() + size_);
     size_ = 0;
     return out;
   }
@@ -109,7 +104,8 @@ class Payload {
 
  private:
   std::size_t size_ = 0;
-  std::vector<char> heap_;
+  std::size_t cap_ = 0;  ///< bytes allocated at heap_
+  std::unique_ptr<char[]> heap_;
   char inline_[kInline];
 };
 
@@ -303,25 +299,34 @@ PoolStats pool_stats();
 /// message sent anywhere in the machine has been delivered and no PE has
 /// runnable work other than threads parked in wait_quiescence() itself.
 /// Multiple PEs may wait concurrently (typically all of them, making it a
-/// "whole computation finished" detector for message-driven phases).
+/// "whole computation finished" detector for message-driven phases). No
+/// message is sent: the waiting PE reads every PE's control line twice
+/// once it has nothing else to run (converse/quiescence.h), and a wait on
+/// an idle machine wakes no other PE.
 void wait_quiescence();
 
 // ---- Fault-tolerance machine hooks (ft layer) ----
 //
 // The ft layer plugs into the machine at exactly two seams: a periodic tick
-// on PE 0's scheduler loop (heartbeat pings + failure-timeout checks — PE 0
-// is the detector/coordinator and is never killed), and a revival callback
-// that runs on a dead PE's kernel thread after revive_pe(), BEFORE the
-// backlog that queued up during death is drained (so the ft layer can wipe
-// the PE's stale application state first). Hooks must be installed before
-// Machine::run and removed after it returns; the machine captures them once
-// at boot, so the FT-off hot path costs one plain-bool test per loop.
+// on PE 0's scheduler loop (the failure detector, which reads every PE's
+// control line — PE 0 is the detector/coordinator and is never killed),
+// and a revival callback that runs on a dead PE's kernel thread after
+// revive_pe(), BEFORE the backlog that queued up during death is drained
+// (so the ft layer can wipe the PE's stale application state first). Hooks
+// must be installed before Machine::run and removed after it returns; the
+// machine captures them once at boot, so the FT-off hot path costs one
+// plain-bool test per loop.
 struct FtMachineHooks {
-  /// Called every iteration of PE 0's scheduler loop (PE 0 context).
+  /// Called every iteration of PE 0's scheduler loop (PE 0 context). It
+  /// may ready threads but must not send messages: on an idle PE 0 it runs
+  /// without counting as leaving idle.
   std::function<void()> pe0_tick;
   /// Called on PE `pe`'s kernel thread right after revival, before any
   /// queued message dispatches.
   std::function<void(int pe)> on_revive;
+  /// How long an idle PE 0 parks between ticks (the ft layer passes its
+  /// detector period). Deaths and respawn completions wake it earlier.
+  std::uint64_t tick_period_us = 200;
 };
 void set_ft_machine_hooks(FtMachineHooks hooks);
 void clear_ft_machine_hooks();
@@ -329,15 +334,17 @@ void clear_ft_machine_hooks();
 /// Marks PE `pe` failed: its loop stops dispatching messages and running
 /// threads (they stay queued/parked — this emulation models the *machine's*
 /// recovery protocol, not OS-level process death; see DESIGN.md "Fault
-/// tolerance"). Requires FT hooks installed and pe != 0. Callable from any
-/// PE thread, including the victim itself. A non-local `pe` is reached via
-/// a machine-level control frame (kFtCtl); the thread that delivers it in
-/// the PE's process flips the flags.
+/// tolerance"), and its control line stands still until the detector
+/// notices. Requires FT hooks installed, a single-process machine (across
+/// processes the failure unit is a process: kill_proc) and pe != 0.
+/// Callable from any PE thread, including the victim itself.
 void kill_pe(int pe);
 
 /// Clears the dead flag and schedules the on_revive hook; the PE's loop
-/// resumes, wipes via the hook, then drains its backlog. Works across
-/// processes like kill_pe.
+/// resumes, wipes via the hook, then drains its backlog. A non-local `pe`
+/// (a respawned process's) is reached via a machine-level control frame
+/// (kFtCtl); the thread that delivers it in the PE's process flips the
+/// flags.
 void revive_pe(int pe);
 
 /// Local-process view only: a remote PE's death flag is not observable
@@ -379,16 +386,19 @@ void request_respawn(int proc);
 /// check from its scheduler loop (the FT tick) sees it without polling.
 bool take_respawn_complete(int proc);
 
-/// SIGKILLs process `proc` (whole-process chaos; process 0 only, proc != 0).
-/// Original children die by direct signal; respawned incarnations are
-/// killed through the zygote, which holds their pids.
+/// SIGKILLs process `proc` (whole-process chaos, and the detector's
+/// escalation of a wedged process; process 0 only, proc != 0). The process
+/// is dead for the wire from the signal on. Original children die by
+/// direct signal; respawned incarnations are killed through the zygote,
+/// which holds their pids.
 void kill_proc(int proc);
 
-/// Quiescence drain mode, bracketing recovery's settle wave: messages died
+/// Quiescence drain mode, bracketing recovery's settle wait: messages died
 /// with the killed process, so send/deliver balance is unreachable. In
-/// drain mode the detector instead requires every PE idle, the wire
-/// quiescent, and counts frozen across two waves — and records the settled
-/// deficit as the baseline later exact rounds compare against. PE 0 only.
+/// drain mode a verdict instead requires every PE idle and asleep, the
+/// wire empty, and counts unchanged across the two sweeps — and records
+/// the settled deficit as the baseline later exact verdicts compare
+/// against (converse/quiescence.h). PE 0 only.
 void begin_qd_drain();
 void end_qd_drain();
 

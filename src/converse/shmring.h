@@ -21,11 +21,15 @@
 // destructive migration-pack epilogue) after the bytes are copied out but
 // before the frame becomes visible to the consumer.
 //
-// Each PE also has a wake word in the segment: the futex word its queue
-// parks on (util/queue.h Parker, bound there at start). A producer that
-// publishes a frame wakes the frame's destination PE through that word —
-// one load and no syscall while the PE is awake — and the woken PE drains
-// the rings itself, so a cross-process hop costs one wake-up.
+// The segment starts with the machine's control plane (converse/
+// quiescence.h): one wake word per PE — the futex word its queue parks on
+// (util/queue.h Parker, bound there at start) — then one control line per
+// PE and one machine-wide line. A producer that publishes a frame wakes
+// the frame's destination PE through its word — one load and no syscall
+// while the PE is awake — and the woken PE drains the rings itself, so a
+// cross-process hop costs one wake-up. The lines carry each PE's message
+// counts, progress count and idle flag, so any process can decide
+// quiescence and liveness by reading them, with no message sent.
 //
 // The segment is created with shm_open + ftruncate + mmap(MAP_SHARED) before
 // the machine forks, and shm_unlink'd immediately — children inherit the
@@ -178,9 +182,36 @@ struct WakeCtrl {
 };
 static_assert(sizeof(WakeCtrl) == 64);
 
-/// The whole segment: npes wake words, then nprocs × (npes + 1) rings.
-/// Ring (dest_proc, producer) carries frames from `producer` (a PE, or the
-/// control slot producer == npes) to dest_proc's PEs.
+/// One PE's control line, written only by that PE's thread and read by
+/// quiescence sweeps and the FT detector in any process (the write and read
+/// rules are in converse/quiescence.h). Zero is the boot state.
+struct PeLine {
+  alignas(64) std::atomic<std::uint64_t> sent;  ///< messages this PE sent
+  std::atomic<std::uint64_t> delivered;  ///< messages this PE dispatched
+  std::atomic<std::uint64_t> progress;   ///< loop passes and idle exits
+  /// The smallest ticket among the quiescence waits this PE holds (0:
+  /// none). A wait whose ticket the machine line released is work to run.
+  std::atomic<std::uint64_t> waiting;
+  std::atomic<std::uint32_t> idle;  ///< 1 while the PE waits for work
+};
+static_assert(sizeof(PeLine) == 64);
+
+/// The machine-wide control line: quiescence wait tickets and the loss
+/// baseline recovery records.
+struct MachineLine {
+  alignas(64) std::atomic<std::uint64_t> tickets;  ///< waits registered
+  std::atomic<std::uint64_t> released;  ///< waits with tickets <= this end
+  /// Σsent − Σdelivered that a drain verdict recorded: messages lost with
+  /// dead processes. Signed: sends can trail deliveries after a loss.
+  std::atomic<std::int64_t> baseline;
+  std::atomic<std::uint32_t> drain;  ///< recovery's drain mode is on
+};
+static_assert(sizeof(MachineLine) == 64);
+
+/// The whole segment: npes wake words, npes control lines, the machine
+/// line, then nprocs × (npes + 1) rings. Ring (dest_proc, producer)
+/// carries frames from `producer` (a PE, or the control slot producer ==
+/// npes) to dest_proc's PEs.
 class Segment {
  public:
   Segment() = default;
@@ -200,9 +231,8 @@ class Segment {
                   "shm_ring_bytes must be a power of two");
     npes_ = npes;
     ring_bytes_ = ring_bytes;
-    bytes_ = static_cast<std::size_t>(npes) * sizeof(WakeCtrl) +
-             static_cast<std::size_t>(nprocs) * (npes + 1) *
-                 ring_footprint(ring_bytes);
+    bytes_ = plane_bytes() + static_cast<std::size_t>(nprocs) * (npes + 1) *
+                                 ring_footprint(ring_bytes);
     char name[64];
     std::snprintf(name, sizeof name, "/mfc-ring-%d-%p", ::getpid(),
                   static_cast<void*>(this));
@@ -216,26 +246,31 @@ class Segment {
                                       fd, 0));
     ::close(fd);
     MFC_CHECK_MSG(base_ != MAP_FAILED, "mmap of shm segment failed");
-    for (int pe = 0; pe < npes; ++pe) {
-      wake_word(pe).store(0, std::memory_order_relaxed);
-    }
+    // The plane boots zeroed: ftruncate's fresh pages are zero-filled.
     for (int d = 0; d < nprocs; ++d) {
       for (int p = 0; p <= npes; ++p) ring(d, p).init(ring_bytes);
     }
   }
 
-  /// PE `pe`'s futex word (its queue's parking word; util/queue.h).
-  std::atomic<std::uint32_t>& wake_word(int pe) {
-    return reinterpret_cast<WakeCtrl*>(base_)[pe].word;
+  /// The control plane at the segment's start (converse/quiescence.h).
+  WakeCtrl* words() { return reinterpret_cast<WakeCtrl*>(base_); }
+  PeLine* lines() {
+    return reinterpret_cast<PeLine*>(base_ + npes() * sizeof(WakeCtrl));
   }
+  MachineLine* machine_line() {
+    return reinterpret_cast<MachineLine*>(
+        base_ + npes() * (sizeof(WakeCtrl) + sizeof(PeLine)));
+  }
+
+  /// PE `pe`'s futex word (its queue's parking word; util/queue.h).
+  std::atomic<std::uint32_t>& wake_word(int pe) { return words()[pe].word; }
 
   /// Ring carrying frames from `producer` to process `dest_proc`.
   /// `producer` in [0, npes); `npes` selects the control slot.
   RingView ring(int dest_proc, int producer) {
     std::size_t idx =
         static_cast<std::size_t>(dest_proc) * (npes_ + 1) + producer;
-    char* at = base_ + static_cast<std::size_t>(npes_) * sizeof(WakeCtrl) +
-               idx * ring_footprint(ring_bytes_);
+    char* at = base_ + plane_bytes() + idx * ring_footprint(ring_bytes_);
     return RingView(reinterpret_cast<RingCtrl*>(at), at + sizeof(RingCtrl));
   }
 
@@ -245,6 +280,11 @@ class Segment {
   }
 
  private:
+  std::size_t npes() const { return static_cast<std::size_t>(npes_); }
+  std::size_t plane_bytes() const {
+    return npes() * (sizeof(WakeCtrl) + sizeof(PeLine)) + sizeof(MachineLine);
+  }
+
   char* base_ = nullptr;
   std::size_t bytes_ = 0;
   std::size_t ring_bytes_ = 0;

@@ -321,14 +321,10 @@ void Transport::set_proc_dead(int proc, bool dead) {
                                                    std::memory_order_release);
 }
 
-bool Transport::quiescent() {
-  // The rings live in shared memory, so one process can observe the whole
-  // machine's in-flight bytes. A frame popped but not yet enqueued is
-  // covered by the QD wave's unchanged-counts rule.
-  for (int d = 0; d < nprocs_; ++d)
-    for (int s = 0; s <= npes_; ++s)
-      if (!seg_.ring(d, s).empty()) return false;
-  return true;
+bool Transport::pending_toward(int proc) {
+  for (int s = 0; s <= npes_; ++s)
+    if (!seg_.ring(proc, s).empty()) return true;
+  return false;
 }
 
 shm::RingView& Transport::producer_view(int src_pe, int dproc) {

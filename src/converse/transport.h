@@ -110,9 +110,10 @@ class Transport {
   /// re-check after it announced its park.
   bool pending();
 
-  /// The futex word through which producers in any process wake PE `pe`
-  /// (a local PE's queue parks on it).
-  std::atomic<std::uint32_t>& wake_word(int pe) { return seg_.wake_word(pe); }
+  /// The shared segment, whose head is the machine's control plane: every
+  /// PE's wake word and control line and the machine line
+  /// (converse/quiescence.h), readable from every process.
+  shm::Segment& segment() { return seg_; }
 
   /// Ships one message; see the send contract above. Messages that fit
   /// half a ring go as one kEager frame, larger ones as kChunk frames;
@@ -141,10 +142,12 @@ class Transport {
   /// name the calling PE (producer discipline, like send()).
   void send_ctl(const wire::Header& h);
 
-  /// True when no ring anywhere in the machine holds a frame. Advisory
-  /// between observations; exact when sampled under a quiescent machine —
-  /// the QD drain wave ANDs one sample per process into its token.
-  bool quiescent();
+  /// True while a frame waits in a ring toward process `proc` (any
+  /// process may ask: the rings are shared). Advisory between
+  /// observations; exact while that process's PEs sleep, as quiescence's
+  /// drain rule samples it between its two sweeps. Also the FT detector's
+  /// test for input published toward a wedged process.
+  bool pending_toward(int proc);
 
   /// Marks process `proc` dead (or alive again) for this process's
   /// senders. A send that finds its ring toward a marked process full

@@ -1,5 +1,6 @@
 #include "ft/ft.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -9,6 +10,7 @@
 #include <utility>
 
 #include "converse/machine.h"
+#include "converse/quiescence.h"
 #include "trace/flight.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -48,6 +50,7 @@ struct PeStore {
 struct FtState {
   int npes = 0;
   Hooks hooks;
+  std::uint64_t period_us = 0;  ///< detector period: timeout / 8
   std::vector<PeStore> store;
 
   // ---- PE0-only protocol state (detector tick, checkpoint driver, and
@@ -60,8 +63,14 @@ struct FtState {
   ult::Thread* ckpt_waiter = nullptr;
 
   bool clock_init = false;
-  Clock::time_point last_ping;
-  std::vector<Clock::time_point> last_pong;
+  /// Detector bookkeeping, one entry per PE: the progress count of the
+  /// last line reading, and since when it has stood still with work (a PE
+  /// without work keeps this at the reading time).
+  Clock::time_point last_sample;
+  std::vector<std::uint64_t> seen_progress;
+  std::vector<Clock::time_point> still_since;
+  /// Per PE: the current suspicion was already recorded (multi-process).
+  std::vector<char> suspect_noted;
   bool recovering = false;
   int victim = -1;
   int rec_acks = 0;
@@ -84,9 +93,9 @@ struct FtState {
 
 FtState* g_state = nullptr;
 
-converse::HandlerId h_ping, h_pong, h_capture, h_store, h_ckpt_ack, h_commit,
-    h_refill_own, h_refill_buddy, h_take_own, h_take_buddy, h_discard,
-    h_restore, h_rec_ack;
+converse::HandlerId h_capture, h_store, h_ckpt_ack, h_commit, h_refill_own,
+    h_refill_buddy, h_take_own, h_take_buddy, h_discard, h_restore,
+    h_rec_ack;
 
 // ---- Wire messages ----------------------------------------------------------
 
@@ -115,17 +124,6 @@ struct AckMsg {
   void pup(pup::Er& p) { p | epoch | phase | bytes; }
 };
 
-/// Every FT protocol send goes through here so the send is counted in the
-/// quiescence-exempt pair (handlers count the matching delivery first
-/// thing); see app_sent()/app_delivered() in machine.cc.
-template <typename T>
-void ft_send(int pe, converse::HandlerId h, const T& value) {
-  metrics::bump(metrics::Counter::kFtSent);
-  converse::send_value(pe, h, value);
-}
-
-void count_delivery() { metrics::bump(metrics::Counter::kFtDelivered); }
-
 /// Buddy stride: PEs-per-process under a multi-process machine, 1 single-
 /// process. Read from the machine each call (install() runs before
 /// Machine::run, when the geometry is not yet known).
@@ -150,7 +148,6 @@ int pred_of(int pe) {
 /// receiver's plain pup unpack sees the identical byte stream either way.
 void ft_send_store(int pe, std::int32_t src, std::uint64_t epoch,
                    const std::vector<char>& blob) {
-  metrics::bump(metrics::Counter::kFtSent);
   metrics::bump(metrics::Counter::kFtShipBytes, blob.size());
   StoreMsg head;
   head.src = src;
@@ -167,7 +164,6 @@ void ft_send_store(int pe, std::int32_t src, std::uint64_t epoch,
 }
 
 void handle_capture(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   const auto epoch = m.as<std::uint64_t>();
   const int me = converse::my_pe();
@@ -175,13 +171,12 @@ void handle_capture(converse::Message&& m) {
   st.pending = s->hooks.capture(epoch);
   st.pending_epoch = epoch;
   ft_send_store(buddy_of(me), me, epoch, st.pending);
-  ft_send(0, h_ckpt_ack, AckMsg{epoch, 0, st.pending.size()});
+  converse::send_value(0, h_ckpt_ack, AckMsg{epoch, 0, st.pending.size()});
 }
 
 /// Stages the predecessor's blob (does NOT touch the committed buddy slot —
 /// that happens at commit).
 void handle_store(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   auto sm = m.as<StoreMsg>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
@@ -191,11 +186,10 @@ void handle_store(converse::Message&& m) {
   st.stage = std::move(sm.blob);
   st.stage_src = sm.src;
   st.stage_epoch = sm.epoch;
-  ft_send(0, h_ckpt_ack, AckMsg{sm.epoch, 1, 0});
+  converse::send_value(0, h_ckpt_ack, AckMsg{sm.epoch, 1, 0});
 }
 
 void handle_commit(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   const auto epoch = m.as<std::uint64_t>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
@@ -221,7 +215,7 @@ void handle_commit(converse::Message&& m) {
 void commit_epoch() {
   FtState* s = g_state;
   const std::uint64_t e = s->pending_epoch;
-  for (int pe = 0; pe < s->npes; ++pe) ft_send(pe, h_commit, e);
+  for (int pe = 0; pe < s->npes; ++pe) converse::send_value(pe, h_commit, e);
   s->epoch = e;
   s->pending_epoch = 0;
   metrics::bump(metrics::Counter::kFtCheckpoints);
@@ -235,7 +229,6 @@ void commit_epoch() {
 /// PE0: counts capture and store acks; wakes checkpoint_now once the full
 /// 2·npes barrier drains.
 void handle_ckpt_ack(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   const auto am = m.as<AckMsg>();
   MFC_CHECK_MSG(am.epoch == s->pending_epoch,
@@ -256,42 +249,41 @@ void handle_ckpt_ack(converse::Message&& m) {
 
 // ---- Detector ---------------------------------------------------------------
 
-void handle_ping(converse::Message&&) {
-  count_delivery();
-  ft_send(0, h_pong, std::int32_t{converse::my_pe()});
-}
-
-void handle_pong(converse::Message&& m) {
-  count_delivery();
-  FtState* s = g_state;
-  const auto pe = m.as<std::int32_t>();
-  if (pe >= 1 && pe < s->npes) {
-    s->last_pong[static_cast<std::size_t>(pe)] = Clock::now();
-  }
-}
-
 void recovery_main();
 void proc_recovery_main();
+
+/// Forgets every PE's stand-still time: at install, and after a recovery,
+/// whose rollback would otherwise accuse a healthy PE at once.
+void reset_detector(Clock::time_point now) {
+  FtState* s = g_state;
+  s->seen_progress.assign(static_cast<std::size_t>(s->npes), ~0ull);
+  s->still_since.assign(static_cast<std::size_t>(s->npes), now);
+  s->suspect_noted.assign(static_cast<std::size_t>(s->npes), 0);
+}
 
 /// PE0 scheduler-loop tick: two failure tiers, process before PE.
 ///
 /// Process tier: proc 0's comm thread reaps dead children (and the zygote
 /// reports grandchild deaths); the reap lands in the machine's dead-proc
-/// mailbox, consumed here. A *wedged* process — alive but every one of its
-/// PEs overdue at once — is escalated to a SIGKILL so the same reap path
-/// fires; per-proc `escalated` keeps the escalation single-shot.
+/// mailbox, consumed here. On a multi-process machine the failure unit is
+/// a process: a *wedged* process — alive, but every one of its PEs suspect
+/// at once — is escalated to a SIGKILL so the same reap path fires
+/// (per-proc `escalated` keeps that single-shot); a suspect PE in a live
+/// process is only recorded.
 ///
-/// PE tier: heartbeat pings out, pong deadlines checked. Deliberately
-/// ignorant of the machine's dead flags — the acceptance bar is that
-/// recovery is *detector*-triggered, so the only death signal used here is
-/// a missed pong (or, process tier, a reaped corpse).
+/// PE tier (single-process machines): once per detector period the tick
+/// reads every PE's control line (converse/quiescence.h). A PE whose
+/// progress stood still for a whole timeout while it had work is suspect
+/// and is recovered. Deliberately ignorant of the machine's dead flags —
+/// recovery is *detector*-triggered: a killed PE stops its loop while its
+/// line stays busy, and that is all the detector sees.
 void tick() {
   FtState* s = g_state;
   const auto now = Clock::now();
   if (!s->clock_init) {
     s->clock_init = true;
-    s->last_ping = now;
-    s->last_pong.assign(static_cast<std::size_t>(s->npes), now);
+    s->last_sample = now;
+    reset_detector(now);
     s->nprocs = converse::num_procs();
     s->ppn = s->npes / (s->nprocs > 0 ? s->nprocs : 1);
     s->escalated.assign(static_cast<std::size_t>(s->nprocs), 0);
@@ -326,42 +318,50 @@ void tick() {
       return;  // single-failure model: one recovery at a time
     }
   }
-  if (now - s->last_ping >=
-      std::chrono::microseconds(s->hooks.ping_interval_us)) {
-    s->last_ping = now;
-    for (int pe = 1; pe < s->npes; ++pe) {
-      ft_send(pe, h_ping, std::int32_t{pe});
+  if (now - s->last_sample < std::chrono::microseconds(s->period_us)) return;
+  s->last_sample = now;
+  for (int pe = 1; pe < s->npes; ++pe) {
+    const converse::qd::Liveness lv = converse::qd::liveness(pe);
+    const auto i = static_cast<std::size_t>(pe);
+    if (lv.progress != s->seen_progress[i] || !lv.had_work) {
+      s->seen_progress[i] = lv.progress;
+      s->still_since[i] = now;
+      s->suspect_noted[i] = 0;
     }
   }
   const auto deadline = std::chrono::microseconds(s->hooks.timeout_us);
-  const auto overdue = [&](int pe) {
-    return pe != 0 &&
-           now - s->last_pong[static_cast<std::size_t>(pe)] > deadline;
+  const auto suspect = [&](int pe) {
+    return now - s->still_since[static_cast<std::size_t>(pe)] > deadline;
   };
   for (int pe = 1; pe < s->npes; ++pe) {
-    if (!overdue(pe)) continue;
+    if (!suspect(pe)) continue;
     if (proc_tier) {
       const int proc = pe / s->ppn;
-      if (proc != 0) {
-        bool whole_proc = true;
-        for (int q = proc * s->ppn; q < (proc + 1) * s->ppn; ++q) {
-          whole_proc = whole_proc && overdue(q);
-        }
-        if (whole_proc) {
-          // Wedged-but-alive process: every PE overdue at once. Escalate
-          // to a whole-process kill; the zygote's reap report then drives
-          // process-tier recovery above. No PE-tier recovery meanwhile.
-          if (!s->escalated[static_cast<std::size_t>(proc)]) {
-            s->escalated[static_cast<std::size_t>(proc)] = 1;
-            metrics::bump(metrics::Counter::kFtDetections);
-            trace::emit_flight(trace::Ev::kFtDetect, 2,
-                               static_cast<std::uint32_t>(proc), 0,
-                               static_cast<std::int16_t>(pe));
-            converse::kill_proc(proc);
-          }
-          continue;
-        }
+      bool whole_proc = proc != 0;
+      for (int q = proc * s->ppn; whole_proc && q < (proc + 1) * s->ppn; ++q) {
+        whole_proc = suspect(q);
       }
+      if (whole_proc) {
+        // Wedged-but-alive process: every PE suspect at once. Escalate to
+        // a whole-process kill; the zygote's reap report then drives
+        // process-tier recovery above.
+        if (!s->escalated[static_cast<std::size_t>(proc)]) {
+          s->escalated[static_cast<std::size_t>(proc)] = 1;
+          metrics::bump(metrics::Counter::kFtDetections);
+          trace::emit_flight(trace::Ev::kFtDetect, 2,
+                             static_cast<std::uint32_t>(proc), 0,
+                             static_cast<std::int16_t>(pe));
+          converse::kill_proc(proc);
+        }
+      } else if (!s->suspect_noted[static_cast<std::size_t>(pe)]) {
+        // A suspect PE in a live process is load, not a failure: record
+        // it once per stand-still, count nothing, roll nothing back.
+        s->suspect_noted[static_cast<std::size_t>(pe)] = 1;
+        trace::emit_flight(trace::Ev::kFtDetect, 3,
+                           static_cast<std::uint32_t>(proc), 0,
+                           static_cast<std::int16_t>(pe));
+      }
+      continue;
     }
     s->recovering = true;
     s->victim = pe;
@@ -379,18 +379,16 @@ void tick() {
 // ---- Recovery ---------------------------------------------------------------
 
 void handle_refill_own(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   const auto victim = m.as<std::int32_t>();
   // This PE is the victim's buddy: the copy it holds IS the victim's blob.
   const PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
   MFC_CHECK_MSG(st.buddy_src == victim && !st.buddy.empty(),
                 "ft: buddy store does not hold the victim's checkpoint");
-  ft_send(victim, h_take_own, BlobMsg{victim, st.buddy_epoch, st.buddy});
+  converse::send_value(victim, h_take_own, BlobMsg{victim, st.buddy_epoch, st.buddy});
 }
 
 void handle_refill_buddy(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   const auto victim = m.as<std::int32_t>();
   // This PE is the victim's predecessor: re-send its own blob so the victim
@@ -398,50 +396,45 @@ void handle_refill_buddy(converse::Message&& m) {
   const int me = converse::my_pe();
   const PeStore& st = s->store[static_cast<std::size_t>(me)];
   MFC_CHECK_MSG(st.own_epoch != 0, "ft: predecessor has no checkpoint");
-  ft_send(victim, h_take_buddy, BlobMsg{me, st.own_epoch, st.own});
+  converse::send_value(victim, h_take_buddy, BlobMsg{me, st.own_epoch, st.own});
 }
 
 void handle_take_own(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   auto bm = m.as<BlobMsg>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
   st.own_epoch = bm.epoch;
   st.own = std::move(bm.blob);
-  ft_send(0, h_rec_ack, AckMsg{});
+  converse::send_value(0, h_rec_ack, AckMsg{});
 }
 
 void handle_take_buddy(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   auto bm = m.as<BlobMsg>();
   PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
   st.buddy_src = bm.src;
   st.buddy_epoch = bm.epoch;
   st.buddy = std::move(bm.blob);
-  ft_send(0, h_rec_ack, AckMsg{});
+  converse::send_value(0, h_rec_ack, AckMsg{});
 }
 
 void handle_discard(converse::Message&&) {
-  count_delivery();
   FtState* s = g_state;
   if (s->hooks.discard) s->hooks.discard();
-  ft_send(0, h_rec_ack, AckMsg{});
+  converse::send_value(0, h_rec_ack, AckMsg{});
 }
 
 void handle_restore(converse::Message&& m) {
-  count_delivery();
   FtState* s = g_state;
   const auto epoch = m.as<std::uint64_t>();
   const PeStore& st = s->store[static_cast<std::size_t>(converse::my_pe())];
   MFC_CHECK_MSG(st.own_epoch == epoch,
                 "ft: restore epoch does not match this PE's checkpoint");
   s->hooks.restore(epoch, st.own);
-  ft_send(0, h_rec_ack, AckMsg{});
+  converse::send_value(0, h_rec_ack, AckMsg{});
 }
 
 void handle_rec_ack(converse::Message&&) {
-  count_delivery();
   FtState* s = g_state;
   if (--s->rec_acks == 0 && s->rec_waiter != nullptr) {
     ult::Thread* t = s->rec_waiter;
@@ -480,27 +473,25 @@ void recovery_main() {
   converse::wait_quiescence();
 
   // Refill the victim's checkpoint store from the two surviving copies.
-  ft_send(buddy_of(v), h_refill_own, std::int32_t{v});
-  ft_send(pred_of(v), h_refill_buddy, std::int32_t{v});
+  converse::send_value(buddy_of(v), h_refill_own, std::int32_t{v});
+  converse::send_value(pred_of(v), h_refill_buddy, std::int32_t{v});
   rec_wait(2);
 
   // Rollback phase A: every PE discards its live application state. The
   // barrier before phase B guarantees no PE restores a checkpoint image
   // while another PE's live copy still occupies the same isomalloc slots.
-  for (int pe = 0; pe < npes; ++pe) ft_send(pe, h_discard, AckMsg{});
+  for (int pe = 0; pe < npes; ++pe) converse::send_value(pe, h_discard, AckMsg{});
   rec_wait(npes);
 
   // Rollback phase B: every PE rebuilds from its local blob.
-  for (int pe = 0; pe < npes; ++pe) ft_send(pe, h_restore, s->epoch);
+  for (int pe = 0; pe < npes; ++pe) converse::send_value(pe, h_restore, s->epoch);
   rec_wait(npes);
 
   if (s->hooks.on_recovered) s->hooks.on_recovered(s->epoch);
 
-  // Re-arm the detector only now: pong deadlines measured across the
+  // Re-arm the detector only now: stand-still times measured across the
   // rollback would instantly re-accuse a healthy PE.
-  const auto now = Clock::now();
-  s->last_pong.assign(static_cast<std::size_t>(npes), now);
-  s->last_ping = now;
+  reset_detector(Clock::now());
   s->victim = -1;
   s->recovering = false;
   trace::emit_flight(trace::Ev::kFtRecoveryEnd, s->epoch);
@@ -528,7 +519,7 @@ void proc_recovery_main() {
   // Respawn: the zygote forks a fresh incarnation of process p from its
   // pristine pre-fork image and swaps fresh wire streams into every
   // survivor. Wait suspended, not polling: PE 0 keeps serving handlers
-  // (pongs, app traffic) or parks, and the tick readies this thread once
+  // (app traffic) or parks, and the tick readies this thread once
   // the completion event lands.
   converse::request_respawn(p);
   s->respawn_waiter = converse::pe_scheduler().running();
@@ -550,22 +541,20 @@ void proc_recovery_main() {
   // Refill every lost PE's store: its own blob from its buddy (process
   // p+1) and the buddy copy it held for its predecessor (process p-1).
   for (int v = lo; v < lo + ppn; ++v) {
-    ft_send(buddy_of(v), h_refill_own, std::int32_t{v});
-    ft_send(pred_of(v), h_refill_buddy, std::int32_t{v});
+    converse::send_value(buddy_of(v), h_refill_own, std::int32_t{v});
+    converse::send_value(pred_of(v), h_refill_buddy, std::int32_t{v});
   }
   rec_wait(2 * ppn);
 
   // Rollback phases A and B, exactly as in the PE tier.
-  for (int pe = 0; pe < npes; ++pe) ft_send(pe, h_discard, AckMsg{});
+  for (int pe = 0; pe < npes; ++pe) converse::send_value(pe, h_discard, AckMsg{});
   rec_wait(npes);
-  for (int pe = 0; pe < npes; ++pe) ft_send(pe, h_restore, s->epoch);
+  for (int pe = 0; pe < npes; ++pe) converse::send_value(pe, h_restore, s->epoch);
   rec_wait(npes);
 
   if (s->hooks.on_recovered) s->hooks.on_recovered(s->epoch);
 
-  const auto now = Clock::now();
-  s->last_pong.assign(static_cast<std::size_t>(npes), now);
-  s->last_ping = now;
+  reset_detector(Clock::now());
   s->escalated[static_cast<std::size_t>(p)] = 0;
   s->victim_proc = -1;
   s->recovering = false;
@@ -584,8 +573,6 @@ void on_revive(int pe) {
 void register_ft_handlers() {
   static std::once_flag once;
   std::call_once(once, [] {
-    h_ping = converse::register_handler(handle_ping);
-    h_pong = converse::register_handler(handle_pong);
     h_capture = converse::register_handler(handle_capture);
     h_store = converse::register_handler(handle_store);
     h_ckpt_ack = converse::register_handler(handle_ckpt_ack);
@@ -624,21 +611,21 @@ void install(int npes, Hooks hooks) {
   MFC_CHECK_MSG(npes >= 2, "buddy checkpointing needs at least 2 PEs");
   MFC_CHECK(hooks.capture && hooks.restore);
   register_ft_handlers();
-  hooks.ping_interval_us =
-      detector_env_us("MFC_FT_PERIOD_MS", hooks.ping_interval_us);
   hooks.timeout_us = detector_env_us("MFC_FT_TIMEOUT_MS", hooks.timeout_us);
-  MFC_CHECK_MSG(hooks.ping_interval_us < hooks.timeout_us,
-                "ft: heartbeat period must be shorter than the timeout");
-  MFC_LOG_INFO("ft: heartbeat period %llu us, timeout %llu us",
-               static_cast<unsigned long long>(hooks.ping_interval_us),
-               static_cast<unsigned long long>(hooks.timeout_us));
   g_state = new FtState;
   g_state->npes = npes;
+  // The detector reads the lines eight times per timeout, so a PE that
+  // stands still is found within 9/8 of it.
+  g_state->period_us = std::max<std::uint64_t>(hooks.timeout_us / 8, 1);
+  MFC_LOG_INFO("ft: detector timeout %llu us, period %llu us",
+               static_cast<unsigned long long>(hooks.timeout_us),
+               static_cast<unsigned long long>(g_state->period_us));
   g_state->hooks = std::move(hooks);
   g_state->store.resize(static_cast<std::size_t>(npes));
   converse::FtMachineHooks mh;
   mh.pe0_tick = [] { tick(); };
   mh.on_revive = [](int pe) { on_revive(pe); };
+  mh.tick_period_us = g_state->period_us;
   converse::set_ft_machine_hooks(std::move(mh));
 }
 
@@ -666,7 +653,7 @@ std::uint64_t checkpoint_now() {
   s->store_acks = s->npes;
   s->ckpt_bytes = 0;
   s->ckpt_waiter = converse::pe_scheduler().running();
-  for (int pe = 0; pe < s->npes; ++pe) ft_send(pe, h_capture, e);
+  for (int pe = 0; pe < s->npes; ++pe) converse::send_value(pe, h_capture, e);
   ult::suspend();
   // All 2·npes acks are in: commit, still inside the exclusive window.
   commit_epoch();

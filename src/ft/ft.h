@@ -11,40 +11,43 @@
 // machine (ppn = PEs per process), (pe + 1) % npes single-process — so the
 // two copies of every blob always live in different OS processes and the
 // loss of a whole process never destroys both. When the failure detector
-// (heartbeat pings from PE 0) declares a PE dead, the recovery coordinator
-// revives it with wiped memory, refills its checkpoint store from the buddy
-// copies that survived, rolls every PE back to the last committed epoch,
-// and resumes. One failure between consecutive checkpoints is survivable by
+// (PE 0 reading every PE's control line, converse/quiescence.h) declares a
+// PE dead, the recovery coordinator revives it with wiped memory, refills
+// its checkpoint store from the buddy copies that survived, rolls every PE
+// back to the last committed epoch, and resumes. One failure between consecutive checkpoints is survivable by
 // construction: the lost PE's blob lives on its buddy, and the lost
 // buddy-copy it held for its predecessor is re-sent from the predecessor's
 // own local blob.
 //
-// Failures come in two tiers:
-//   - PE tier: a kill_pe'd (or wedged) PE misses pongs; the detector
-//     revives it in place and refills its store — the original FTC-Charm++
+// Failures come in two tiers, one per machine shape:
+//   - PE tier (single-process machines): a kill_pe'd (or wedged) PE's
+//     progress count stands still while it has work; the detector revives
+//     it in place and refills its store — the original FTC-Charm++
 //     protocol.
-//   - process tier: a whole OS process dies (SIGKILL, crash) or wedges
-//     (every one of its PEs overdue at once, escalated to a kill). Proc 0
-//     reaps the corpse, the pre-fork zygote forks a replacement from its
-//     pristine image, survivors swap in fresh wire streams, and the
+//   - process tier (multi-process machines, where the failure unit is a
+//     process): a whole OS process dies (SIGKILL, crash) or wedges (every
+//     one of its PEs suspect at once, escalated to a kill). Proc 0 reaps
+//     the corpse, the pre-fork zygote forks a replacement from its
+//     pristine image, which inherits the crash-consistent rings, and the
 //     coordinator revives and refills all ppn lost PEs from their remote
-//     buddies before the usual discard/restore rollback.
+//     buddies before the usual discard/restore rollback. A suspect PE in a
+//     live process is load: it is recorded, never rolled back.
 //
 // Division of labor:
 //   - machine layer (converse): kill/revive flags, the PE0 tick seam, the
-//     pre-drain revival wipe callback — see FtMachineHooks in machine.h.
-//   - this layer: checkpoint epochs, blob stores, heartbeat detector,
-//     recovery coordinator, trace/metrics instrumentation.
+//     pre-drain revival wipe callback — see FtMachineHooks in machine.h —
+//     and the control lines the detector reads.
+//   - this layer: checkpoint epochs, blob stores, the detector, recovery
+//     coordinator, trace/metrics instrumentation.
 //   - application (storm driver): the capture/wipe/discard/restore hooks
 //     that know what the PE's state actually *is*.
 //
 // There is one shipping mode, FTC-Charm++'s: every epoch ships each PE's
 // whole blob to its buddy inside the quiescent window (checkpoint_now).
 //
-// All FT protocol messages are quiescence-exempt: sends and deliveries are
-// counted in a dedicated metrics pair that app_sent()/app_delivered()
-// subtract, so heartbeats and checkpoint traffic never perturb the Mattern
-// token ring the application's own barriers ride on.
+// FT protocol messages are ordinary messages to quiescence: the detector
+// sends none, so no perpetual traffic needs exempting, and a wait for
+// quiescence also waits for checkpoint and recovery traffic in flight.
 #pragma once
 
 #include <cstdint>
@@ -84,16 +87,13 @@ struct Hooks {
   /// every PE; the application may resume driving.
   std::function<void(std::uint64_t epoch)> on_recovered;
 
-  /// Heartbeat period (PE 0 → every other PE) in microseconds. The
-  /// MFC_FT_PERIOD_MS environment variable (milliseconds) overrides this at
-  /// install time.
-  std::uint64_t ping_interval_us = 2000;
-
-  /// Declare a PE dead after this long without a pong. Generous by default:
-  /// a busy-but-alive PE (or a tsan-slowed one) must never be declared dead
-  /// — a false positive rolls back a healthy machine. The MFC_FT_TIMEOUT_MS
-  /// environment variable (milliseconds) overrides this at install time;
-  /// install() validates period < timeout and logs the effective values.
+  /// Declare a PE suspect once its progress count stood still this long
+  /// while it had work; the detector reads every line once per timeout/8.
+  /// Generous by default: a busy-but-alive PE (or a tsan-slowed one) must
+  /// never be declared dead — on a single-process machine a false positive
+  /// rolls back a healthy machine. The MFC_FT_TIMEOUT_MS environment
+  /// variable (milliseconds) overrides this at install time; install()
+  /// logs the effective value.
   std::uint64_t timeout_us = 250000;
 };
 
@@ -119,7 +119,8 @@ std::uint64_t checkpoint_now();
 
 /// Injected failure: traces/counts the kill, then flips the machine-layer
 /// dead flag. The detector — not the caller — notices and recovers.
-/// Callable from any PE context, including the victim's own handlers.
+/// Callable from any PE context, including the victim's own handlers, on a
+/// single-process machine (converse::kill_pe).
 void kill_pe(int pe);
 
 /// The buddy that holds `pe`'s checkpoint blob: (pe + stride) % npes, where

@@ -39,7 +39,6 @@ const char* to_string(Counter c) {
     case Counter::kMsgsSent: return "msgs-sent";
     case Counter::kMsgsDelivered: return "msgs-delivered";
     case Counter::kQdSent: return "qd-sent";
-    case Counter::kQdDelivered: return "qd-delivered";
     case Counter::kMsgsAllocated: return "msgs-allocated";
     case Counter::kMsgsFreed: return "msgs-freed";
     case Counter::kMsgsRecycled: return "msgs-recycled";
@@ -53,8 +52,6 @@ const char* to_string(Counter c) {
     case Counter::kElemMigrations: return "elem-migrations";
     case Counter::kLbMigrations: return "lb-migrations";
     case Counter::kChaosInjections: return "chaos-injections";
-    case Counter::kFtSent: return "ft-sent";
-    case Counter::kFtDelivered: return "ft-delivered";
     case Counter::kFtCheckpoints: return "ft-checkpoints";
     case Counter::kFtCheckpointBytes: return "ft-checkpoint-bytes";
     case Counter::kFtKills: return "ft-kills";

@@ -20,8 +20,11 @@ enum class Counter : int {
   // Messaging (converse layer).
   kMsgsSent = 0,
   kMsgsDelivered,
-  kQdSent,       ///< quiescence-detection system traffic, counted apart
-  kQdDelivered,
+  /// Always 0: quiescence sends no messages (converse/quiescence.h), but
+  /// the benchmark runner (mfcbench/run.py) still reads "qd-sent" from
+  /// every stats dump. Drop it together with the runner's
+  /// `converse.qd_msgs`.
+  kQdSent,
   kMsgsAllocated,  ///< envelope lifecycle books (pool audit)
   kMsgsFreed,
   kMsgsRecycled,
@@ -37,11 +40,7 @@ enum class Counter : int {
   kElemMigrations,  ///< chare-array element departures
   kLbMigrations,    ///< migrations ordered by the LB strategy
   kChaosInjections,
-  // Fault tolerance (ft layer). Sent/delivered mirror the QD pair: FT
-  // protocol traffic is subtracted from the app books so checkpoints and
-  // recovery never perturb quiescence accounting.
-  kFtSent,
-  kFtDelivered,
+  // Fault tolerance (ft layer).
   kFtCheckpoints,      ///< committed checkpoint epochs
   kFtCheckpointBytes,  ///< total bytes captured across epochs (local copies)
   kFtKills,

@@ -65,8 +65,11 @@ bool spin_before_park(Ready&& ready) {
 /// States of a parking word (see Parker).
 enum ParkWord : std::uint32_t {
   kWordIdle = 0,      ///< consumer awake
-  kWordParked = 1,    ///< consumer asleep (or about to re-check and sleep)
+  kWordParked = 1,    ///< consumer announced a park and re-checks its sources
   kWordNotified = 2,  ///< sticky wake() not yet consumed by a park
+  /// Consumer asleep: its re-check found nothing, and nothing has been
+  /// published to it since (a publish flips the word back to kWordIdle).
+  kWordSleeping = 3,
 };
 
 static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
@@ -86,78 +89,104 @@ inline void futex_call(std::atomic<std::uint32_t>* word, int op, bool shared,
 /// Producer side of the parking handshake, called after publishing an
 /// item: one load and no syscall unless the consumer is parked, and the CAS
 /// claims the wake, so a burst of pushes against a parked consumer costs one
-/// futex wake in total. Works on any parking word — a local queue's, or a PE
-/// word in the shm segment that a producer in another process wakes.
+/// futex wake in total. A consumer still re-checking (kWordParked) needs no
+/// syscall: the CAS makes its seal fail, so it never sleeps. Works on any
+/// parking word — a local queue's, or a PE word in the shm segment that a
+/// producer in another process wakes.
 inline void unpark_word(std::atomic<std::uint32_t>& word, bool shared) {
-  if (word.load(std::memory_order_seq_cst) != kWordParked) return;
-  std::uint32_t expect = kWordParked;
-  if (!word.compare_exchange_strong(expect, kWordIdle,
-                                    std::memory_order_seq_cst)) {
-    return;
+  std::uint32_t w = word.load(std::memory_order_seq_cst);
+  while (w == kWordParked || w == kWordSleeping) {
+    if (word.compare_exchange_weak(w, kWordIdle, std::memory_order_seq_cst)) {
+      if (w == kWordSleeping) futex_call(&word, FUTEX_WAKE, shared, 1, nullptr);
+      return;
+    }
   }
-  futex_call(&word, FUTEX_WAKE, shared, 1, nullptr);
 }
+
+/// Forced, sticky wake of a parking word (shutdown, "work appeared
+/// locally", or another PE turning idle under a quiescence wait): the wake
+/// syscall only runs when the consumer sleeps, and a consumer that is awake
+/// or still re-checking finds kWordNotified and does not sleep.
+inline void wake_word(std::atomic<std::uint32_t>& word, bool shared) {
+  if (word.exchange(kWordNotified, std::memory_order_seq_cst) ==
+      kWordSleeping) {
+    futex_call(&word, FUTEX_WAKE, shared, 1, nullptr);
+  }
+}
+
+/// A park's hook for the moment the consumer goes to sleep (Parker::park);
+/// the default does nothing.
+struct NoSleepHook {
+  void operator()() const {}
+};
 
 /// Consumer parking shared by the MPSC queues: one futex word. The
 /// handshake is Dekker-style: the consumer publishes kWordParked (seq_cst
-/// exchange) and then re-checks its sources; a producer publishes its item
-/// (a seq_cst RMW or store) and then reads the word. One of the two must
-/// observe the other, so an item can never slip between the consumer's last
-/// empty-check and its sleep. wake() leaves kWordNotified behind when
-/// nobody is parked, so it still satisfies the next park() immediately
-/// (shutdown safety).
+/// exchange), re-checks its sources, and seals the park with a CAS to
+/// kWordSleeping; a producer publishes its item (a seq_cst RMW or store)
+/// and then reads the word, flipping kWordParked or kWordSleeping back to
+/// kWordIdle. One of the two must observe the other, so an item can never
+/// slip between the consumer's last empty-check and its sleep. wake()
+/// leaves kWordNotified behind when nobody sleeps, so it still satisfies
+/// the next park() immediately (shutdown safety).
+///
+/// kWordSleeping is therefore an exact statement another thread can read:
+/// the consumer found its sources empty and nothing has been published to
+/// it since. Quiescence's drain rule and the FT detector read it
+/// (converse/quiescence.h).
 ///
 /// The word lives in the Parker by default; bind() moves it elsewhere —
-/// the shm wire puts each PE's word in its shared segment, so a producer in
-/// another process wakes the destination PE directly (unpark_word).
+/// the machine puts each PE's word in its control plane (the shm wire's
+/// shared segment, or process memory), so a producer in another process
+/// wakes the destination PE directly (unpark_word).
 class Parker {
  public:
   Parker() = default;
   Parker(const Parker&) = delete;
   Parker& operator=(const Parker&) = delete;
 
-  /// Re-homes the word into shared memory. Call before the consumer first
-  /// parks; the word's current value is kept.
-  void bind(std::atomic<std::uint32_t>* word) {
+  /// Re-homes the word; `shared` when it lives in memory other processes
+  /// wake it through. Call before the consumer first parks; the word's
+  /// current value is kept.
+  void bind(std::atomic<std::uint32_t>* word, bool shared) {
     word_ = word;
-    shared_ = true;
+    shared_ = shared;
   }
 
   /// Producer side, called after publishing an item (see unpark_word).
   void unpark_if_parked() { unpark_word(*word_, shared_); }
 
-  /// Forced wake (shutdown / "work appeared locally"). Sticky; the wake
-  /// syscall only runs when the consumer is parked.
-  void wake() {
-    if (word_->exchange(kWordNotified, std::memory_order_seq_cst) ==
-        kWordParked) {
-      futex_call(word_, FUTEX_WAKE, shared_, 1, nullptr);
-    }
-  }
+  /// Forced wake (shutdown / "work appeared locally"); see wake_word.
+  void wake() { wake_word(*word_, shared_); }
 
   /// Consumer side: blocks until `nonempty()` holds, a producer unparks us,
-  /// or a sticky wake is pending. The caller re-checks its queue afterward.
-  template <typename NonEmpty>
-  void park(NonEmpty&& nonempty) {
-    if (announce() && !nonempty()) {
-      while (word_->load(std::memory_order_acquire) == kWordParked) {
-        futex_call(word_, FUTEX_WAIT, shared_, kWordParked, nullptr);
+  /// or a sticky wake is pending. `on_sleep` runs once the park is sealed,
+  /// right before the consumer sleeps. The caller re-checks its queue
+  /// afterward.
+  template <typename NonEmpty, typename OnSleep = NoSleepHook>
+  void park(NonEmpty&& nonempty, OnSleep&& on_sleep = {}) {
+    if (announce() && !nonempty() && seal()) {
+      on_sleep();
+      while (word_->load(std::memory_order_acquire) == kWordSleeping) {
+        futex_call(word_, FUTEX_WAIT, shared_, kWordSleeping, nullptr);
       }
     }
     settle();
   }
 
   /// park() with a deadline: returns after `micros` even if nothing
-  /// arrived (or earlier, spuriously; callers loop). The failure detector's
-  /// heartbeat loop on PE 0 uses this so an idle machine still ticks
-  /// pings/timeouts; the same handshake keeps pushes from slipping past the
+  /// arrived (or earlier, spuriously; callers loop). PE 0 parks this way
+  /// with FT on, so the failure detector's tick still runs on an otherwise
+  /// idle machine; the same handshake keeps pushes from slipping past the
   /// sleep.
-  template <typename NonEmpty>
-  void park_for(std::uint64_t micros, NonEmpty&& nonempty) {
-    if (announce() && !nonempty()) {
+  template <typename NonEmpty, typename OnSleep = NoSleepHook>
+  void park_for(std::uint64_t micros, NonEmpty&& nonempty,
+                OnSleep&& on_sleep = {}) {
+    if (announce() && !nonempty() && seal()) {
+      on_sleep();
       const timespec ts{static_cast<time_t>(micros / 1000000),
                         static_cast<long>((micros % 1000000) * 1000)};
-      futex_call(word_, FUTEX_WAIT, shared_, kWordParked, &ts);
+      futex_call(word_, FUTEX_WAIT, shared_, kWordSleeping, &ts);
     }
     settle();
   }
@@ -168,6 +197,13 @@ class Parker {
   bool announce() {
     return word_->exchange(kWordParked, std::memory_order_seq_cst) !=
            kWordNotified;
+  }
+  /// kWordParked -> kWordSleeping after an empty re-check; false when a
+  /// producer or a wake() changed the word meanwhile (the park ends).
+  bool seal() {
+    std::uint32_t expect = kWordParked;
+    return word_->compare_exchange_strong(expect, kWordSleeping,
+                                          std::memory_order_seq_cst);
   }
   /// Back to idle. acq_rel: a wake() that lands while the consumer leaves
   /// is consumed here, and the acquire makes the waker's prior stores (the
@@ -182,10 +218,12 @@ class Parker {
 /// A consumer's extra sources beside its queue, polled while it waits: the
 /// shm wire's rings, which PE threads drain themselves. `poll()` moves what
 /// it finds onto the queue; `ready()` is the parking re-check (true while
-/// something is waiting to be polled). The default has none.
+/// something is waiting to be polled); `on_sleep()` runs when a park is
+/// sealed (Parker::park). The default has no sources and no hook.
 struct NoFeed {
   void poll() {}
   bool ready() { return false; }
+  void on_sleep() {}
 };
 
 }  // namespace detail
@@ -352,13 +390,15 @@ class IntrusiveMpscChannel {
       return (item = try_pop()) != nullptr;
     };
     if (got() || detail::spin_before_park(got)) return item;
-    parker_.park([&] { return inbox_nonempty() || feed.ready(); });
+    parker_.park([&] { return inbox_nonempty() || feed.ready(); },
+                 [&] { feed.on_sleep(); });
     return try_pop();
   }
 
   /// pop_wait() with a parking deadline: returns nullptr once `micros`
   /// elapse with no data (or on a wake/spurious unpark). Lets an otherwise
-  /// idle consumer loop run periodic work (heartbeats) without busy-waiting.
+  /// idle consumer loop run periodic work (the FT detector's tick) without
+  /// busy-waiting.
   template <typename Feed = detail::NoFeed>
   T* pop_wait_for(std::uint64_t micros, Feed&& feed = Feed{}) {
     feed.poll();
@@ -369,12 +409,15 @@ class IntrusiveMpscChannel {
       if (T* item = try_pop()) return item;
     }
     parker_.park_for(micros,
-                     [&] { return inbox_nonempty() || feed.ready(); });
+                     [&] { return inbox_nonempty() || feed.ready(); },
+                     [&] { feed.on_sleep(); });
     return try_pop();
   }
 
-  /// Moves the consumer's parking word into shared memory (Parker::bind).
-  void bind_wake_word(std::atomic<std::uint32_t>* word) { parker_.bind(word); }
+  /// Moves the consumer's parking word (Parker::bind).
+  void bind_wake_word(std::atomic<std::uint32_t>* word, bool shared) {
+    parker_.bind(word, shared);
+  }
 
   void wake() { parker_.wake(); }
 

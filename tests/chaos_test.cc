@@ -274,11 +274,11 @@ TEST(ChaosMachine, DelayedDeliveryReordersButLosesNothing) {
 }
 
 // wait_quiescence() promises no runnable work anywhere. With delivery
-// delay a message sent before the detection round can sit in PE 1's stash
-// while the token visits PE 1 and leave the stash behind it: the counts
-// still balance at the verdict, but the message has just readied a worker
-// there. Each round's worker holds PE 1 for a millisecond before it marks
-// its round done, so a verdict that misses it returns too early.
+// delay a message sent before the wait can sit in PE 1's stash, and its
+// delivery readies a worker there. (The name recalls the token ring this
+// once caught leaving the stash behind it.) Each round's worker holds PE 1
+// for a millisecond before it marks its round done, so a verdict that
+// misses it returns too early.
 TEST(ChaosMachine, QuiescenceWaitsForDeliveriesBehindTheToken) {
   constexpr int kRounds = 60;
   static std::atomic<bool> done[kRounds];
@@ -321,11 +321,14 @@ TEST(ChaosMachine, PoolInjectionForcesFreshAllocationsAndStaysBalanced) {
   ScopedChaos c(ccfg);
   cv::Machine::Config cfg;
   cfg.npes = 2;
+  // One send per quiescent round: each round's send finds the envelope the
+  // previous round delivered in this PE's pool, so the injection point is
+  // reached.
   cv::Machine::run(cfg, [](int pe) {
     for (int round = 0; round < 50; ++round) {
       cv::send_value(1 - pe, h, round);
+      cv::wait_quiescence();
     }
-    cv::wait_quiescence();
   });
   EXPECT_EQ(pongs.load(), 100);
   EXPECT_GT(chaos::injections(Point::kPoolAcquire), 0u);

@@ -4,7 +4,8 @@
 // The geometry below (npes=4, 16 rounds, checkpoint every 2, kill every 2nd
 // checkpoint) commits epochs at rounds 1,3,5,7,9,11,13 — seven of them —
 // and kills a seed-chosen victim PE at the release of rounds 3, 7 and 11.
-// Each kill is noticed by the heartbeat detector (never by the test), the
+// Each kill is noticed by the detector (never by the test): PE 0 reads the
+// victim's control line and finds its progress standing still. The
 // survivors roll back to the last committed epoch, the victim's objects are
 // respawned from buddy images, and the storm replays forward. All the usual
 // storm invariants (canaries, digests, routed wakeups, counter balance
@@ -34,8 +35,7 @@ StormOptions ft_options(std::uint64_t seed) {
   opt.ft_checkpoint_every = 2;
   opt.ft_kill_every = 2;
   // Tight detector so the three detections cost well under a second of
-  // wall clock, but slack enough that a tsan-slowed pong never trips it.
-  opt.ft_ping_interval_us = 1000;
+  // wall clock, but slack enough that a tsan-slowed PE never trips it.
   opt.ft_timeout_us = 200000;
   return opt;
 }

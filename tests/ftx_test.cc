@@ -231,10 +231,88 @@ TEST(Ftx, KillingProcessZeroLeavesNoOrphans) {
   EXPECT_EQ(WEXITSTATUS(status), kAllReaped) << "see HelperExit";
 }
 
+// ---- Forked FT machines with a deadline -------------------------------------
+//
+// The tests below run an FT-armed multi-process machine inside a forked
+// helper, so a hang fails the test at its own deadline instead of stalling
+// CI. Each process of the machine has its own copy of these globals.
+
+constexpr int kMaxPes = 4;
+/// Per PE: its main, parked until a handler or hook wakes it.
+mfc::ult::Thread* g_parked[kMaxPes] = {};
+
+/// Parks the calling main until `flag` is set by a handler or hook that
+/// calls wake_parked() on the same PE.
+void park_until(const bool& flag) {
+  namespace cv = mfc::converse;
+  while (!flag) {
+    g_parked[cv::my_pe()] = cv::pe_scheduler().running();
+    mfc::ult::suspend();
+  }
+}
+
+void wake_parked() {
+  namespace cv = mfc::converse;
+  if (mfc::ult::Thread* t = g_parked[cv::my_pe()]) {
+    g_parked[cv::my_pe()] = nullptr;
+    cv::ready_thread(t);
+  }
+}
+
+/// FT hooks for machines whose state is not the point: every blob is one
+/// byte and a rollback restores nothing.
+mfc::ft::Hooks trivial_ft_hooks(std::uint64_t timeout_us,
+                                void (*on_recovered)()) {
+  mfc::ft::Hooks hooks;
+  hooks.capture = [](std::uint64_t) { return std::vector<char>(1, 'f'); };
+  hooks.wipe = [](int) {};
+  hooks.discard = [] {};
+  hooks.restore = [](std::uint64_t, const std::vector<char>&) {};
+  hooks.on_recovered = [on_recovered](std::uint64_t) { on_recovered(); };
+  hooks.timeout_us = timeout_us;
+  return hooks;
+}
+
+mfc::converse::Machine::Config shm_machine(int npes, int nprocs) {
+  mfc::converse::Machine::Config mc;
+  mc.npes = npes;
+  mc.nprocs = nprocs;
+  mc.transport = mfc::converse::Machine::Config::Transport::kShm;
+  mc.iso_slots_per_pe = 0;
+  return mc;
+}
+
+/// Runs `body` (which _Exits 0 on success) in a forked helper with its own
+/// process group and fails the test if it does not exit 0 within 60 s.
+void expect_helper_passes(void (*body)(), const char* hang,
+                          const char* fail) {
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    ::setpgid(0, 0);
+    body();
+    std::_Exit(2);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  pid_t r = 0;
+  while ((r = ::waitpid(helper, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (r == 0) {
+    ::kill(-helper, SIGKILL);  // the helper's process group: the machine
+    ::waitpid(helper, &status, 0);
+    FAIL() << hang;
+  }
+  ASSERT_EQ(r, helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << fail;
+}
+
 // ---- No sender waits on a dead process --------------------------------------
 
-/// State of the flood machine below. Every process has its own copy, and a
-/// respawned process starts from the pre-run values.
 namespace flood {
 constexpr int kFrames = 256;                // 256 KiB: four 64 KiB rings
 constexpr std::size_t kFrameBytes = 1024;
@@ -242,24 +320,7 @@ mfc::converse::HandlerId h_sink = 0;  ///< process 1's PE drops the bytes
 mfc::converse::HandlerId h_done = 0;  ///< wakes PE 1's parked main
 bool done = false;                    ///< PE 1: h_done arrived
 bool recovered = false;               ///< PE 0: the rollback completed
-mfc::ult::Thread* parked = nullptr;   ///< this PE's parked main
 }  // namespace flood
-
-/// Parks the calling main until `flag` is set by a handler or hook that
-/// readies flood::parked.
-void park_until(const bool& flag) {
-  while (!flag) {
-    flood::parked = mfc::converse::pe_scheduler().running();
-    mfc::ult::suspend();
-  }
-}
-
-void wake_parked() {
-  if (mfc::ult::Thread* t = flood::parked) {
-    flood::parked = nullptr;
-    mfc::converse::ready_thread(t);
-  }
-}
 
 /// Process 0 of a 2-process FT-armed machine SIGKILLs process 1, then —
 /// from its main thread, never returning to its scheduler loop, where the
@@ -268,32 +329,20 @@ void wake_parked() {
 /// that waited out the full ring would wait forever. The run must detect
 /// the death, respawn, recover and finish. Exits 0 on exactly one
 /// detection and recovery.
-[[noreturn]] void flood_dead_process() {
+void flood_dead_process() {
   namespace cv = mfc::converse;
-  ::setpgid(0, 0);
   flood::h_sink = cv::register_handler([](cv::Message&&) {});
   flood::h_done = cv::register_handler([](cv::Message&&) {
     flood::done = true;
     wake_parked();
   });
-  mfc::ft::Hooks hooks;
-  hooks.capture = [](std::uint64_t) { return std::vector<char>(1, 'f'); };
-  hooks.wipe = [](int) {};
-  hooks.discard = [] {};
-  hooks.restore = [](std::uint64_t, const std::vector<char>&) {};
-  hooks.on_recovered = [](std::uint64_t) {
-    flood::recovered = true;
-    wake_parked();
-  };
-  // Detection must come from the reaped process, not the heartbeat.
-  hooks.timeout_us = 30'000'000;
-  mfc::ft::install(2, std::move(hooks));
-  cv::Machine::Config mc;
-  mc.npes = 2;
-  mc.nprocs = 2;
-  mc.transport = cv::Machine::Config::Transport::kShm;
-  mc.iso_slots_per_pe = 0;
-  cv::Machine::run(mc, [](int pe) {
+  // Detection must come from the reaped process, not the detector's
+  // timeout.
+  mfc::ft::install(2, trivial_ft_hooks(30'000'000, [] {
+                     flood::recovered = true;
+                     wake_parked();
+                   }));
+  cv::Machine::run(shm_machine(2, 2), [](int pe) {
     if (cv::respawn_generation() > 0) {
       park_until(flood::done);
       return;
@@ -317,26 +366,134 @@ void wake_parked() {
 }
 
 TEST(Ftx, SendsToADeadProcessNeverStallTheDetector) {
-  const pid_t helper = ::fork();
-  ASSERT_GE(helper, 0);
-  if (helper == 0) flood_dead_process();
-  // Our own deadline: a stalled sender must fail this test, not hang CI.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  int status = 0;
-  pid_t r = 0;
-  while ((r = ::waitpid(helper, &status, WNOHANG)) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (r == 0) {
-    ::kill(-helper, SIGKILL);  // the helper's process group: the machine
-    ::waitpid(helper, &status, 0);
-    FAIL() << "the machine hung: a send waited on the dead process";
-  }
-  ASSERT_EQ(r, helper);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0) << "not exactly one detection/recovery";
+  expect_helper_passes(flood_dead_process,
+                       "the machine hung: a send waited on the dead process",
+                       "not exactly one detection/recovery");
+}
+
+// ---- A busy PE in a live process is load, not a failure ---------------------
+
+namespace stall {
+constexpr std::uint64_t kTimeoutUs = 100'000;
+mfc::converse::HandlerId h_stall = 0;     ///< PE 3 holds its thread
+mfc::converse::HandlerId h_stalled = 0;   ///< PE 3 → PE 0: the stall is over
+mfc::converse::HandlerId h_sink = 0;      ///< frames that wait for PE 3
+mfc::converse::HandlerId h_finish = 0;    ///< PE 0 → the rest: return
+bool stalled = false;                     ///< PE 0
+bool finished[kMaxPes] = {};              ///< per PE
+}  // namespace stall
+
+/// A 4-PE/2-process FT-armed machine commits an epoch; then PE 3's handler
+/// holds its thread for twice the detector timeout while PE 2, in the same
+/// process, stays idle, and frames for PE 3 wait in the rings toward the
+/// process meanwhile. PE 3 is suspect, but its process is alive: the
+/// failure unit is the process, so nothing is detected and nothing rolls
+/// back. Exits 0 on 0 detections and 0 recoveries.
+void stall_one_pe() {
+  namespace cv = mfc::converse;
+  stall::h_stall = cv::register_handler([](cv::Message&&) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(2 * stall::kTimeoutUs));
+    cv::send_value(0, stall::h_stalled, 0);
+  });
+  stall::h_stalled = cv::register_handler([](cv::Message&&) {
+    stall::stalled = true;
+    wake_parked();
+  });
+  stall::h_sink = cv::register_handler([](cv::Message&&) {});
+  stall::h_finish = cv::register_handler([](cv::Message&&) {
+    stall::finished[cv::my_pe()] = true;
+    wake_parked();
+  });
+  mfc::ft::install(4, trivial_ft_hooks(stall::kTimeoutUs, [] {}));
+  cv::Machine::run(shm_machine(4, 2), [](int pe) {
+    cv::barrier();
+    if (pe != 0) {
+      park_until(stall::finished[pe]);
+      return;
+    }
+    mfc::ft::checkpoint_now();
+    cv::send_value(3, stall::h_stall, 0);
+    // Once PE 3 is inside the stall, nothing drains these from the rings
+    // but a sibling: the producer wakes only their destination, PE 3.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    for (int i = 0; i < 4; ++i) cv::send_value(3, stall::h_sink, i);
+    park_until(stall::stalled);
+    for (int p = 1; p < 4; ++p) cv::send_value(p, stall::h_finish, 0);
+  });
+  const bool books = mfc::ft::detections() == 0 && mfc::ft::recoveries() == 0;
+  mfc::ft::uninstall();
+  std::_Exit(books ? 0 : 1);
+}
+
+TEST(Ftx, StalledHandlerInALiveProcessIsNotAFailure) {
+  expect_helper_passes(stall_one_pe, "the stalled machine never finished",
+                       "a stalled PE in a live process was rolled back");
+}
+
+// ---- A wedged process with work waiting is found ----------------------------
+
+namespace wedge {
+constexpr std::uint64_t kTimeoutUs = 100'000;
+mfc::converse::HandlerId h_pid = 0;   ///< process 1 → PE 0: its pid
+mfc::converse::HandlerId h_sink = 0;  ///< the frame the stopped process holds
+mfc::converse::HandlerId h_done = 0;  ///< wakes PE 1's parked main
+pid_t proc1 = 0;                      ///< PE 0
+bool got_pid = false;                 ///< PE 0
+bool recovered = false;               ///< PE 0: the rollback completed
+bool done = false;                    ///< PE 1
+}  // namespace wedge
+
+/// A 2-process FT-armed machine learns process 1's pid by message and
+/// commits an epoch. It lets process 1 park, SIGSTOPs it, then sends it one
+/// frame: a parked PE with input waiting whose progress stands still. The
+/// detector must escalate to a SIGKILL of process 1; reap, respawn and
+/// recovery follow. Exits 0 on exactly one recovery.
+void wedge_process_one() {
+  namespace cv = mfc::converse;
+  wedge::h_pid = cv::register_handler([](cv::Message&& m) {
+    wedge::proc1 = static_cast<pid_t>(m.as<std::int32_t>());
+    wedge::got_pid = true;
+    wake_parked();
+  });
+  wedge::h_sink = cv::register_handler([](cv::Message&&) {});
+  wedge::h_done = cv::register_handler([](cv::Message&&) {
+    wedge::done = true;
+    wake_parked();
+  });
+  mfc::ft::install(2, trivial_ft_hooks(wedge::kTimeoutUs, [] {
+                     wedge::recovered = true;
+                     wake_parked();
+                   }));
+  cv::Machine::run(shm_machine(2, 2), [](int pe) {
+    if (cv::respawn_generation() > 0) {
+      park_until(wedge::done);
+      return;
+    }
+    cv::barrier();
+    if (pe != 0) {
+      cv::send_value(0, wedge::h_pid, static_cast<std::int32_t>(::getpid()));
+      park_until(wedge::done);
+      return;
+    }
+    park_until(wedge::got_pid);
+    mfc::ft::checkpoint_now();
+    // A parked PE with nothing waiting is never suspect: stop it there.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ::kill(wedge::proc1, SIGSTOP);
+    cv::send_value(1, wedge::h_sink, 0);
+    park_until(wedge::recovered);
+    cv::send_value(1, wedge::h_done, 0);
+  });
+  const bool books = mfc::ft::recoveries() == 1;
+  mfc::ft::uninstall();
+  std::_Exit(books ? 0 : 1);
+}
+
+TEST(Ftx, WedgedProcessWithInputWaitingIsKilledAndRecovered) {
+  expect_helper_passes(wedge_process_one,
+                       "the wedged process was never found",
+                       "not exactly one recovery");
 }
 
 #endif  // !MFC_TSAN

@@ -805,7 +805,6 @@ TEST(ObsMachine, FtKillStormWithTraceOffStillDumpsFlight) {
   opt.chaos.seed = 17;
   opt.ft_checkpoint_every = 2;
   opt.ft_kill_every = 2;
-  opt.ft_ping_interval_us = 1000;
   opt.ft_timeout_us = 200000;
   const mfc::chaos::StormReport r = mfc::chaos::run_storm(opt);
   unsetenv("MFC_FLIGHT_FILE");

@@ -470,6 +470,11 @@ TEST(TraceExport, EnvGatedMachineRunExportsValidJson) {
     }
     cv::barrier();
     cv::wait_quiescence();
+    // One more h_outer into each now-empty queue: its self-send finds the
+    // queue empty, which the inline bypass requires (in the batch above
+    // every self-send queues behind the previous one's).
+    cv::send_value((pe + 1) % 4, h_outer, 8);
+    cv::wait_quiescence();
   });
 
   ::unsetenv("MFC_TRACE");

@@ -27,6 +27,7 @@
 
 #include "chaos/storm.h"
 #include "converse/machine.h"
+#include "converse/quiescence.h"
 #include "migrate/iso_thread.h"
 #include "migrate/memalias_thread.h"
 #include "migrate/migratable.h"
@@ -351,7 +352,7 @@ struct PingState {
 };
 PingState* g_ping = nullptr;
 
-cv::HandlerId h_ping, h_pong;
+cv::HandlerId h_serve, h_return;
 
 void hold_reply(int pause_us) {
   if (pause_us > 0) {
@@ -362,18 +363,18 @@ void hold_reply(int pause_us) {
 void ensure_ping_handlers() {
   static std::once_flag once;
   std::call_once(once, [] {
-    h_ping = cv::register_handler([](cv::Message&& m) {
+    h_serve = cv::register_handler([](cv::Message&& m) {
       hold_reply(g_ping->pause_us);
-      cv::send_value(0, h_pong, m.as<Ping64>());  // PE 1: echo
+      cv::send_value(0, h_return, m.as<Ping64>());  // PE 1: echo
     });
-    h_pong = cv::register_handler([](cv::Message&& m) {
+    h_return = cv::register_handler([](cv::Message&& m) {
       PingState* s = g_ping;
       if (m.as<Ping64>().seq != s->next) ++s->out_of_order;
       hold_reply(s->pause_us);
       if (++s->next < s->trips) {
         Ping64 ping;
         ping.seq = s->next;
-        cv::send_value(1, h_ping, ping);
+        cv::send_value(1, h_serve, ping);
       } else {
         cv::ready_thread(s->main);
       }
@@ -391,7 +392,7 @@ void run_pingpong(Transport t, int nprocs, int trips = kPingPongTrips,
   cv::Machine::run(base_config(t, 2, nprocs), [](int pe) {
     if (pe != 0) return;
     g_ping->main = cv::pe_scheduler().running();
-    cv::send_value(1, h_ping, Ping64{});
+    cv::send_value(1, h_serve, Ping64{});
     cv::pe_scheduler().suspend();
   });
   EXPECT_EQ(s->next, static_cast<std::uint64_t>(trips))
@@ -587,31 +588,53 @@ TEST(TransportConformance, RespawnedAllDeadProcessReceivesItsRevives) {
 }
 #endif
 
-// ---- Back-to-back quiescence ---------------------------------------------------
+// ---- Quiescence on an idle machine -----------------------------------------
 //
-// Multi-process quiescence needs two identical waves (Mattern). The quiet
-// wave that ended one detection is a valid first wave for the next when
-// nothing moved in between, so a second wait_quiescence() right after the
-// first costs one wave. Process 0's QD sends per detection: the start
-// request, two per wave (the round start and PE 0's token forward), and one
-// release per PE.
+// A quiescence wait sends no message: the waiting PE reads every PE's
+// control line twice (converse/quiescence.h). On an idle machine that
+// wakes nobody, so a hundred waits on PE 0 leave every other PE's progress
+// count — bumped whenever a PE leaves idle or loops while busy — where it
+// was, in both processes.
 
 #ifndef MFC_TSAN
-TEST(TransportConformance, BackToBackQuiescenceCostsOneWave) {
-  static std::uint64_t qd_sent[3];
-  cv::Machine::run(base_config(Transport::kShm, 2, 2), [](int pe) {
-    if (pe != 0) return;
-    using mfc::metrics::Counter;
-    qd_sent[0] = mfc::metrics::total(Counter::kQdSent);
-    cv::wait_quiescence();
-    qd_sent[1] = mfc::metrics::total(Counter::kQdSent);
-    cv::wait_quiescence();
-    qd_sent[2] = mfc::metrics::total(Counter::kQdSent);
+constexpr int kIdlePes = 8;
+cv::HandlerId h_idle_finish = 0;
+bool g_idle_finished[kIdlePes];                ///< per PE: finish arrived
+mfc::ult::Thread* g_idle_main[kIdlePes];       ///< per PE: its parked main
+
+TEST(TransportConformance, IdleQuiescenceWaitsWakeNoOtherPe) {
+  constexpr int kPes = kIdlePes;
+  static std::uint64_t before[kPes], after[kPes];
+  if (h_idle_finish == 0) {
+    h_idle_finish = cv::register_handler([](cv::Message&&) {
+      const int me = cv::my_pe();
+      g_idle_finished[me] = true;
+      if (g_idle_main[me] != nullptr) cv::ready_thread(g_idle_main[me]);
+    });
+  }
+  cv::Machine::run(base_config(Transport::kShm, kPes, 2), [](int pe) {
+    cv::barrier();
+    if (pe != 0) {
+      while (!g_idle_finished[pe]) {
+        g_idle_main[pe] = cv::pe_scheduler().running();
+        mfc::ult::suspend();
+      }
+      return;
+    }
+    cv::wait_quiescence();  // the barrier's releases are all dispatched
+    for (int p = 0; p < kPes; ++p) {
+      before[p] = mfc::converse::qd::line(p).progress.load();
+    }
+    for (int i = 0; i < 100; ++i) cv::wait_quiescence();
+    for (int p = 0; p < kPes; ++p) {
+      after[p] = mfc::converse::qd::line(p).progress.load();
+    }
+    for (int p = 1; p < kPes; ++p) cv::send_value(p, h_idle_finish, 0);
   });
-  const std::uint64_t first = qd_sent[1] - qd_sent[0];
-  const std::uint64_t second = qd_sent[2] - qd_sent[1];
-  EXPECT_EQ(first, 1u + 2 * 2 + 2) << "a cold detection takes two waves";
-  EXPECT_EQ(second, 1u + 2 + 2) << "a back-to-back detection takes one wave";
+  for (int p = 1; p < kPes; ++p) {
+    EXPECT_EQ(after[p], before[p]) << "a wait on PE 0 woke PE " << p;
+  }
+  EXPECT_GT(after[0], before[0]) << "PE 0 ran its waits";
 }
 #endif
 
@@ -962,7 +985,7 @@ TEST(TransportConformance, Acceptance64Pe4ProcStormReplays) {
 // The legacy storm driver (chare-array traffic, invariant checkers, FT
 // kill/recover) in loopback wire mode: every cross-PE message of the whole
 // stack rides the rings. The FT leg keeps chaos kill storms in the battery
-// — PE death, heartbeat detection, rollback — on the wire.
+// — PE death, detection from its standing line, rollback — on the wire.
 
 TEST(TransportConformance, StormDriverLoopbackWires) {
   mfc::chaos::StormOptions opt;
@@ -987,7 +1010,6 @@ TEST(TransportConformance, FtKillStormOverShmLoopback) {
   opt.transport = 1;
   opt.ft_checkpoint_every = 2;
   opt.ft_kill_every = 2;
-  opt.ft_ping_interval_us = 500;
   opt.ft_timeout_us = 20000;
   const mfc::chaos::StormReport rep = mfc::chaos::run_storm(opt);
   EXPECT_TRUE(rep.clean());
