@@ -149,6 +149,7 @@ struct StormGlobal {
   enum class Waiting { kNone, kArrivals, kDone } waiting = Waiting::kNone;
   ult::Thread* checker = nullptr;
   std::uint64_t slots_prestorm = 0;
+  std::uint32_t stacks_prestorm = 0;  ///< memory-alias pool slots in use
   /// Background array-traffic stream. Lives here (not on the checker's
   /// stack) so ft checkpoints can snapshot and roll back its state.
   SplitMix64 traffic{0};
@@ -877,6 +878,10 @@ void checker_main(charm::ArrayBase* array) {
 
   StormReport& rep = g->report;
   rep.slots_balanced = total_used_slots(opt.npes) == g->slots_prestorm;
+  const migrate::MemAliasPool::Stats stacks =
+      migrate::MemAliasPool::instance().stats();
+  rep.stack_pool_balanced =
+      stacks.in_use == g->stacks_prestorm && stacks.bounded();
   for (int p = 0; p < kPointCount; ++p) {
     rep.injections[p] = injections(static_cast<Point>(p));
   }
@@ -898,6 +903,7 @@ void storm_entry(int pe) {
   converse::barrier();
   if (pe == 0) {
     g->slots_prestorm = total_used_slots(opt.npes);
+    g->stacks_prestorm = migrate::MemAliasPool::instance().stats().in_use;
     set_storm_meta(opt);
   }
   converse::barrier();  // baseline read strictly before any worker spawns

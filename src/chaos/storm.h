@@ -10,7 +10,8 @@
 // After every round the driver quiesces the machine and runs invariant
 // checkers: stack/heap canaries and stack-address stability (verified by
 // each worker on arrival), ping send/deliver counter balance under
-// quiescence, and isomalloc slot-count stability. Every shipped thread
+// quiescence, isomalloc slot-count stability, and at the end the return of
+// every isomalloc slot and memory-alias pool slot. Every shipped thread
 // image is checked twice on arrival: its CRC-32C must equal the one the
 // sender folded over the gather spans (transit), and the thread installed
 // from the in-place decode must repack to exactly the arrived bytes (round
@@ -106,6 +107,9 @@ struct StormReport {
   std::uint64_t misroutes = 0;         ///< worker woke on the wrong PE
   std::uint64_t counter_failures = 0;  ///< ping counters unbalanced under QD
   bool slots_balanced = false;  ///< iso slots returned to pre-storm baseline
+  /// Memory-alias stack pool slots returned to the pre-storm baseline, and
+  /// the pool file within its high-water bound (MemAliasPool).
+  bool stack_pool_balanced = false;
   bool pool_balanced = false;   ///< envelope books balanced at shutdown
 
   /// Folds every worker's seed-derived history; bit-identical across runs
@@ -139,7 +143,8 @@ struct StormReport {
 
   bool clean() const {
     return canary_failures == 0 && digest_mismatches == 0 && misroutes == 0 &&
-           counter_failures == 0 && slots_balanced && pool_balanced;
+           counter_failures == 0 && slots_balanced && stack_pool_balanced &&
+           pool_balanced;
   }
 };
 

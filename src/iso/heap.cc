@@ -48,9 +48,12 @@ struct alignas(16) ThreadHeap::ArenaHeader {
   std::size_t live_count;
 };
 
-ThreadHeap::ThreadHeap(int birth_pe) : birth_pe_(birth_pe) {
+ThreadHeap::ThreadHeap(int birth_pe)
+    : ThreadHeap(birth_pe, Region::instance().acquire(birth_pe, 1)) {}
+
+ThreadHeap::ThreadHeap(int birth_pe, SlotId first) : birth_pe_(birth_pe) {
   static_assert(sizeof(Block) % 16 == 0);
-  add_arena(1);
+  add_arena(first);
 }
 
 ThreadHeap::ThreadHeap(int birth_pe, std::vector<SlotId> slots)
@@ -72,9 +75,8 @@ ThreadHeap::~ThreadHeap() {
   for (const SlotId& id : slots_) region.release(id);
 }
 
-ThreadHeap::ArenaHeader* ThreadHeap::add_arena(std::uint32_t slot_count) {
+ThreadHeap::ArenaHeader* ThreadHeap::add_arena(SlotId id) {
   Region& region = Region::instance();
-  SlotId id = region.acquire(birth_pe_, slot_count);
   auto* arena = static_cast<ArenaHeader*>(region.slot_base(id));
   arena->magic = kArenaMagic;
   arena->arena_bytes = region.slot_span(id);
@@ -133,7 +135,8 @@ void* ThreadHeap::malloc(std::size_t size) {
       size + round_up(sizeof(ArenaHeader), kAlign) + sizeof(Block);
   const auto slot_count =
       static_cast<std::uint32_t>((need + slot_bytes - 1) / slot_bytes);
-  ArenaHeader* arena = add_arena(slot_count);
+  ArenaHeader* arena =
+      add_arena(Region::instance().acquire(birth_pe_, slot_count));
   void* p = malloc_from(arena, size);
   MFC_CHECK_MSG(p != nullptr, "iso heap: fresh arena cannot satisfy request");
   return p;

@@ -22,6 +22,10 @@ class ThreadHeap {
   /// acquiring more slots on demand; big allocations get contiguous
   /// multi-slot blocks.
   explicit ThreadHeap(int birth_pe);
+  /// Starts the heap in `first`, a one-slot run the caller acquired from
+  /// `birth_pe`'s strip (IsoThread acquires it together with its stack, so
+  /// the two migrate as one run).
+  ThreadHeap(int birth_pe, SlotId first);
   ~ThreadHeap();
   ThreadHeap(const ThreadHeap&) = delete;
   ThreadHeap& operator=(const ThreadHeap&) = delete;
@@ -68,7 +72,8 @@ class ThreadHeap {
   struct Block;        // boundary-tag block header (lives in slot memory)
   struct ArenaHeader;  // per-slot-run arena header (lives in slot memory)
 
-  ArenaHeader* add_arena(std::uint32_t slot_count);
+  /// Formats the acquired run `id` as an arena and adds it to the heap.
+  ArenaHeader* add_arena(SlotId id);
   static void* malloc_from(ArenaHeader* arena, std::size_t size);
 
   int birth_pe_;

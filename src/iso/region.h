@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "pup/pup.h"
@@ -74,15 +75,19 @@ class Region {
   void* slot_base(SlotId id) const;
   std::size_t slot_span(SlotId id) const { return id.count * config_.slot_bytes; }
 
-  /// Migration: drop the local pages (after the contents were packed);
-  /// any later touch faults. Aborts on a slot that is not locally resident
-  /// (double evacuate).
-  void evacuate(SlotId id);
+  /// Migration: drop the local pages of a thread's slots (after their
+  /// contents were packed); any later touch faults. Adjacent slots of one
+  /// strip are coalesced into runs, and each run costs one page-table call:
+  /// a guard-marker madvise, or the remap fallback's mmap. Aborts on a slot
+  /// that is not locally resident (double evacuate).
+  void evacuate(std::span<const SlotId> ids);
+  void evacuate(SlotId id) { evacuate({&id, 1}); }
   /// Migration: make the same addresses read/write again, zero-filled
-  /// (before unpacking). Aborts on a slot that is ALREADY resident — the
-  /// guard that catches a checkpoint image restored over a live thread
-  /// occupying the same slots.
-  void install(SlotId id);
+  /// (before unpacking), one page-table call per run as in evacuate().
+  /// Aborts on a slot that is ALREADY resident — the guard that catches a
+  /// checkpoint image restored over a live thread occupying the same slots.
+  void install(std::span<const SlotId> ids);
+  void install(SlotId id) { install({&id, 1}); }
 
   /// True when evacuate()/install() use guard markers, false on the remap
   /// fallback (probed once per region).
@@ -147,9 +152,10 @@ class Region {
     std::uint32_t search_hint = 0;  ///< next-fit start for contiguous scans
   };
 
-  /// Clears residency and drops the pages, keeping the R/W mapping behind
-  /// guard markers or remapping the span PROT_NONE.
-  void drop(SlotId id, bool keep_mapping);
+  /// Clears residency and drops the pages of `ids`, keeping the R/W mapping
+  /// behind guard markers or remapping PROT_NONE, one call per run of
+  /// adjacent slots. Returns the number of calls.
+  std::size_t drop(std::span<const SlotId> ids, bool keep_mapping);
 
   /// Raw page-table operations (no residency bookkeeping): mmap the slot
   /// span R/W or back to PROT_NONE, or madvise a guard-marker edit over it.

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include "trace/metrics.h"
 #include "util/check.h"
 
 namespace mfc::migrate {
@@ -31,12 +32,13 @@ CommonStackArena::CommonStackArena() {
 
 CommonStackArena::~CommonStackArena() { munmap(base_, kCapacity); }
 
-void CommonStackArena::map_fd(int fd, std::size_t bytes) {
+void CommonStackArena::map_fd(int fd, std::size_t offset, std::size_t bytes) {
   MFC_CHECK(bytes <= kCapacity);
   void* addr = top() - bytes;
-  void* r = mmap(addr, bytes, PROT_READ | PROT_WRITE,
-                 MAP_SHARED | MAP_FIXED, fd, 0);
+  void* r = mmap(addr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_FIXED,
+                 fd, static_cast<off_t>(offset));
   MFC_CHECK_MSG(r == addr, "arena map_fd failed");
+  metrics::bump(metrics::Counter::kMemAliasMaps);
 }
 
 }  // namespace mfc::migrate

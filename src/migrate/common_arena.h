@@ -9,7 +9,8 @@
 // enforced with a mutex held from switch-in to switch-out; a stack-copy and
 // a memory-alias thread may therefore run at once on two PEs. A stack-copy
 // arena never holds a memory-alias thread's file pages, so its switch-in is
-// a memcpy and never a remap.
+// a memcpy and never a remap. The memory-alias arena's pages come from the
+// process's stack pool (MemAliasPool, memalias_thread.h).
 #pragma once
 
 #include <atomic>
@@ -53,9 +54,10 @@ class CommonStackArena {
                                       std::memory_order_acq_rel);
   }
 
-  /// Maps `bytes` from `fd` (offset 0) at the arena top — the memory-alias
-  /// switch-in (Figure 3).
-  void map_fd(int fd, std::size_t bytes);
+  /// Maps `bytes` of `fd` from `offset` (a memory-alias thread's stack in
+  /// the stack pool's file) so that they end at the arena top — the
+  /// memory-alias switch-in (Figure 3), one mmap call.
+  void map_fd(int fd, std::size_t offset, std::size_t bytes);
 
  private:
   CommonStackArena();

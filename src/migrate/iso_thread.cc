@@ -15,8 +15,13 @@ IsoThread::IsoThread(Fn fn, int birth_pe, std::size_t stack_bytes)
   const std::size_t slot_bytes = region.config().slot_bytes;
   const auto count =
       static_cast<std::uint32_t>((stack_bytes + slot_bytes - 1) / slot_bytes);
-  stack_slot_ = region.acquire(birth_pe_, count);
-  heap_ = new iso::ThreadHeap(birth_pe_);
+  MFC_CHECK(count >= 1);
+  // The stack and the heap's first slot are one run, so a migration's
+  // evacuate and install each cost one page-table call.
+  const iso::SlotId run = region.acquire(birth_pe_, count + 1);
+  stack_slot_ = {run.pe, run.index, count};
+  heap_ = new iso::ThreadHeap(birth_pe_,
+                              iso::SlotId{run.pe, run.index + count, 1});
   init_context(region.slot_base(stack_slot_), region.slot_span(stack_slot_));
 }
 
@@ -77,10 +82,9 @@ ImageManifest IsoThread::pack_manifest(bool count) {
 
 void IsoThread::complete_pack() {
   // Drop the local pages: from now on the shipped bytes are the only copy.
-  iso::Region& region = iso::Region::instance();
-  const std::vector<iso::SlotId> heap_slots = heap_->slots();
-  region.evacuate(stack_slot_);
-  for (const iso::SlotId& id : heap_slots) region.evacuate(id);
+  std::vector<iso::SlotId> slots = heap_->slots();
+  slots.push_back(stack_slot_);
+  iso::Region::instance().evacuate(slots);
   heap_->abandon();
   delete heap_;
   heap_ = nullptr;
@@ -93,8 +97,11 @@ IsoThread* IsoThread::from_image(const ImageManifest& image, int dest_pe) {
   iso::Region& region = iso::Region::instance();
   auto* t = new IsoThread(dest_pe, image);
 
-  // Re-establish the stack at its original (machine-wide-unique) address.
-  region.install(image.stack_slot);
+  // Re-establish the stack and heap slots at their original
+  // (machine-wide-unique) addresses, then copy their runs in.
+  std::vector<iso::SlotId> slots = image.heap_slots;
+  slots.push_back(image.stack_slot);
+  region.install(slots);
   auto* base = static_cast<char*>(region.slot_base(image.stack_slot));
   char* top = base + region.slot_span(image.stack_slot);
   const IoRun& stack_run = image.runs[0];
@@ -104,10 +111,9 @@ IsoThread* IsoThread::from_image(const ImageManifest& image, int dest_pe) {
                 "corrupt thread image: stack run size mismatch");
   std::memcpy(sp, stack_run.data, stack_run.len);
 
-  // Re-establish the heap runs, then reattach the allocator around them.
+  // Heap runs next, then reattach the allocator around them.
   for (std::size_t i = 0; i < image.heap_slots.size(); ++i) {
     const iso::SlotId& id = image.heap_slots[i];
-    region.install(id);
     const IoRun& run = image.runs[1 + i];
     MFC_CHECK(run.len == region.slot_span(id));
     std::memcpy(region.slot_base(id), run.data, run.len);

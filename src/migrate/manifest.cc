@@ -1,7 +1,10 @@
 #include "migrate/manifest.h"
 
+#include <unistd.h>
+
 #include <cstring>
 
+#include "migrate/common_arena.h"
 #include "migrate/migratable.h"
 #include "util/check.h"
 
@@ -101,11 +104,21 @@ CodecError ImageManifest::decode(const char* data, std::size_t size,
     return CodecError::kTruncated;
   }
   // Isomalloc images carry one stack run plus one run per heap slot; the
-  // others carry their stack bytes alone.
+  // others carry their stack bytes alone, at most a common arena's worth.
+  // A memory-alias stack is exactly its capacity, a whole number of pages,
+  // since the destination maps that many bytes of a pool slot.
   const bool iso = out->technique == Technique::kIsomalloc;
   if (iso ? out->runs.size() != 1 + out->heap_slots.size() ||
                 out->stack_run.len != 0
-          : !out->runs.empty() || !out->heap_slots.empty()) {
+          : !out->runs.empty() || !out->heap_slots.empty() ||
+                out->stack_capacity > CommonStackArena::kCapacity ||
+                out->stack_run.len > out->stack_capacity) {
+    return CodecError::kBadShape;
+  }
+  if (out->technique == Technique::kMemAlias &&
+      (out->stack_run.len != out->stack_capacity ||
+       out->stack_capacity % static_cast<std::uint64_t>(
+                                 sysconf(_SC_PAGESIZE)) != 0)) {
     return CodecError::kBadShape;
   }
   if (consumed != nullptr) {

@@ -17,10 +17,11 @@
 // returns a typed error and never crashes on bad bytes, and it allocates
 // nothing a length word asks for (only entries whose bytes are present).
 //
-// Memory-alias threads have no stable source to reference (their memfd
-// pages are only mapped while running), so their manifests stage the stack
-// bytes in manifest-owned storage; stack-copy manifests borrow the saved-
-// stack buffer, which is valid until the thread next runs.
+// Every technique's manifest borrows in place: stack-copy manifests the
+// saved-stack buffer, memory-alias manifests the thread's slot in the
+// stack pool's window (memalias_thread.h). Both stay valid until the thread
+// next runs, migrates or dies. decode() also checks each stack run against
+// its capacity word, so a hostile capacity never sizes a pool slot.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +47,8 @@ enum class CodecError {
   kOverrun,        ///< a count or length word claims more bytes than remain
   kTrailingBytes,  ///< bytes left over after the last field
   kBadTechnique,   ///< technique byte names no migration technique
-  kBadShape,       ///< the runs do not fit the technique's image layout
+  kBadShape,       ///< the runs do not fit the technique's image layout,
+                   ///< or a stack run does not fit its capacity
 };
 const char* to_string(CodecError e);
 
@@ -76,10 +78,6 @@ class ImageManifest {
   std::uint64_t stack_capacity = 0;
   std::uint64_t arena_base = 0;  ///< common execution address; must match on
                                  ///< the destination address space
-
-  /// Owned staging for techniques without a stable source (memory-alias
-  /// preads its backing file here; runs/stack_run may point into it).
-  std::vector<char> staged;
 
   /// Parses an image's wire bytes in place into `*out`, whose runs then
   /// point into [data, data + size) and stay valid while those bytes do.

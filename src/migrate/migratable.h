@@ -58,26 +58,29 @@ class MigratableThread : public ult::Thread {
   std::vector<char> pack();
 
   /// Zero-copy pack: returns an iovec manifest referencing the thread's
-  /// live memory (isomalloc slots directly; stack-copy/memory-alias stage
-  /// into manifest-owned storage). Non-destructive — the thread stays
-  /// suspended and resumable, which is what checkpoint captures want. The
-  /// manifest is valid only until the thread next runs, migrates, or dies.
+  /// live memory in place (isomalloc slots, the stack-copy saved-stack
+  /// buffer, the memory-alias pool slot); nothing is copied or read through
+  /// a system call. Non-destructive — the thread stays suspended and
+  /// resumable, which is what checkpoint captures want. The manifest is
+  /// valid only until the thread next runs, migrates, or dies.
   /// With `count` true the migration pack trace span, pack histogram and
   /// per-technique pack counter are emitted (a migration, not a capture).
   virtual ImageManifest pack_manifest(bool count = false) = 0;
 
   /// Destructive epilogue of a migration: drops the local memory now that
-  /// the gathered bytes are the only copy (isomalloc evacuates its slots;
-  /// memory-alias closes its backing file). After this the object is a husk
-  /// that must be deleted. Not called for checkpoint-style captures.
+  /// the gathered bytes are the only copy (isomalloc evacuates its slots in
+  /// one call per slot run; memory-alias returns its pool slot). After this
+  /// the object is a husk that must be deleted. Not called for
+  /// checkpoint-style captures.
   virtual void complete_pack() = 0;
 
   /// Rebuilds a thread on the destination from an image, typically one
   /// ImageManifest::decode() parsed in place: the technique copies each
-  /// run straight to its home (isomalloc slots, the saved-stack buffer, the
-  /// memory-alias backing file), the only copy arrival makes. The runs
-  /// must stay valid for the call. `dest_pe` is the arriving PE (used only
-  /// for bookkeeping; addresses come from the image).
+  /// run straight to its home (isomalloc slots, installed in one call per
+  /// slot run; the saved-stack buffer; a free memory-alias pool slot), the
+  /// only copy arrival makes. The runs must stay valid for the call.
+  /// `dest_pe` is the arriving PE (used only for bookkeeping; addresses
+  /// come from the image).
   static MigratableThread* unpack(const ImageManifest& image, int dest_pe);
 
  protected:

@@ -49,6 +49,9 @@ const char* to_string(Counter c) {
     case Counter::kUnpackStackCopy: return "unpack-stackcopy";
     case Counter::kUnpackIso: return "unpack-iso";
     case Counter::kUnpackMemAlias: return "unpack-memalias";
+    case Counter::kIsoMadvise: return "iso-madvise";
+    case Counter::kMemAliasMaps: return "memalias-maps";
+    case Counter::kMemAliasPoolGrows: return "memalias-pool-grows";
     case Counter::kElemMigrations: return "elem-migrations";
     case Counter::kLbMigrations: return "lb-migrations";
     case Counter::kChaosInjections: return "chaos-injections";

@@ -36,6 +36,12 @@ enum class Counter : int {
   kUnpackStackCopy,
   kUnpackIso,
   kUnpackMemAlias,
+  // The page-table calls migration still makes; the rest of its work is
+  // copies. Thread creation and teardown are not counted.
+  kIsoMadvise,  ///< isomalloc evacuate/install calls, one per slot run: a
+                ///< guard-marker madvise, or the remap fallback's mmap
+  kMemAliasMaps,       ///< memory-alias switch-in mmaps (Figure 3)
+  kMemAliasPoolGrows,  ///< memory-alias stack pool growths (set-up)
   // Higher layers.
   kElemMigrations,  ///< chare-array element departures
   kLbMigrations,    ///< migrations ordered by the LB strategy

@@ -2,10 +2,11 @@
 //
 // Every switch bounces through the scheduler's own context (the kernel
 // thread's system stack). This costs one extra minimal swap per reschedule
-// but gives stack-policy hooks a safe vantage point: stack-copy and
-// memory-alias threads stage their stack pages from here, where nothing is
-// executing on the staged address (paper §3.4.1/§3.4.3 — only one such
-// thread may be active per address space).
+// but gives stack-policy hooks a safe vantage point: stack-copy threads
+// copy their stacks in and out, and memory-alias threads map their pool
+// slot, from here, where nothing is executing on the common stack address
+// (paper §3.4.1/§3.4.3 — only one such thread may be active per address
+// space).
 #pragma once
 
 #include <cstddef>

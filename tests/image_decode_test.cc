@@ -6,12 +6,14 @@
 // single-byte flip is either an error or an image whose runs all lie
 // inside the buffer — with no container sized by a flipped length.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "iso/heap.h"
+#include "migrate/common_arena.h"
 #include "migrate/iso_thread.h"
 #include "migrate/manifest.h"
 #include "migrate/memalias_thread.h"
@@ -39,7 +41,6 @@ CodecError decode_checked(const char* data, std::size_t size,
   const CodecError err = ImageManifest::decode(data, size, &m);
   EXPECT_LE(m.heap_slots.capacity(), 2 * (size / 12) + 1) << what;
   EXPECT_LE(m.runs.capacity(), 2 * (size / 8) + 1) << what;
-  EXPECT_EQ(m.staged.capacity(), 0u) << what;
   if (err != CodecError::kOk) return err;
   auto inside = [&](const IoRun& r) {
     return r.data >= data && r.len <= size &&
@@ -167,6 +168,47 @@ TEST_F(ImageDecode, NamesEachMalformation) {
   bad = wire;
   bad[0] = 0;  // stack-copy: isomalloc runs do not fit its layout
   EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kBadShape);
+
+  // A stack run must fit its capacity word before any thread is sized by
+  // it: a memory-alias stack is exactly its capacity, a whole number of
+  // pages no larger than the common arena, and a stack-copy stack is no
+  // larger than its capacity.
+  using mfc::migrate::CommonStackArena;
+  using mfc::migrate::Technique;
+  const auto pg = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::vector<char> stack(3 * pg, 'x');
+  auto image = [&stack](Technique t, std::size_t run, std::uint64_t capacity) {
+    ImageManifest s;
+    s.technique = t;
+    s.stack_run = {stack.data(), run};
+    s.stack_capacity = capacity;
+    return s.to_wire();
+  };
+  for (const Technique t : {Technique::kMemAlias, Technique::kStackCopy}) {
+    EXPECT_EQ(ImageManifest::decode(image(t, 2 * pg, 2 * pg), &m),
+              CodecError::kOk)
+        << to_string(t);
+    EXPECT_EQ(ImageManifest::decode(image(t, 3 * pg, 2 * pg), &m),
+              CodecError::kBadShape)
+        << to_string(t) << ": run longer than its capacity";
+    EXPECT_EQ(ImageManifest::decode(
+                  image(t, 0, CommonStackArena::kCapacity + pg), &m),
+              CodecError::kBadShape)
+        << to_string(t) << ": capacity larger than the arena";
+  }
+  EXPECT_EQ(ImageManifest::decode(image(Technique::kStackCopy, pg, 2 * pg), &m),
+            CodecError::kOk);
+  EXPECT_EQ(ImageManifest::decode(image(Technique::kMemAlias, pg, 2 * pg), &m),
+            CodecError::kBadShape)
+      << "memory-alias run shorter than its capacity";
+  EXPECT_EQ(ImageManifest::decode(image(Technique::kMemAlias, 0, 1ULL << 40),
+                                  &m),
+            CodecError::kBadShape)
+      << "hostile capacity word";
+  EXPECT_EQ(ImageManifest::decode(
+                image(Technique::kMemAlias, pg - 96, pg - 96), &m),
+            CodecError::kBadShape)
+      << "memory-alias capacity not a page multiple";
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/metrics.h"
+
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +56,7 @@ void expect_clean(const StormReport& r, const StormOptions& opt) {
   EXPECT_EQ(r.misroutes, 0u);
   EXPECT_EQ(r.counter_failures, 0u);
   EXPECT_TRUE(r.slots_balanced);
+  EXPECT_TRUE(r.stack_pool_balanced);
   EXPECT_TRUE(r.pool_balanced);
   EXPECT_TRUE(r.clean());
   EXPECT_EQ(r.rounds, static_cast<std::uint64_t>(opt.rounds));
@@ -100,7 +103,36 @@ TEST(Storm, ArrivalChecksCountDamagedShipments) {
     EXPECT_EQ(r->misroutes, 0u);
     EXPECT_EQ(r->counter_failures, 0u);
     EXPECT_TRUE(r->slots_balanced);
+    EXPECT_TRUE(r->stack_pool_balanced);
   }
+}
+
+/// The page-table calls a migration still makes, read from the runtime's
+/// own counters on the benchmark storm's shape (4 PEs, 12 workers, a third
+/// per technique). An isomalloc migration evacuates and installs one slot
+/// run (a call each way, madvise or the remap fallback's mmap), a
+/// memory-alias migration maps its pool slot once at the switch-in, and a
+/// stack-copy migration makes none: 1.0 per migration. Set-up is each
+/// memory-alias worker's first map and at most one pool growth.
+TEST(Storm, MigrationsCostOnePageCallEach) {
+  namespace metrics = mfc::metrics;
+  StormOptions opt;
+  opt.seed = 7;
+  opt.npes = 4;
+  opt.workers = 12;
+  opt.rounds = 50;
+  const StormReport r = chaos::run_storm(opt);
+  expect_clean(r, opt);
+  const std::uint64_t iso_calls = metrics::total(metrics::Counter::kIsoMadvise);
+  const std::uint64_t maps = metrics::total(metrics::Counter::kMemAliasMaps);
+  const std::uint64_t memalias_workers =
+      static_cast<std::uint64_t>(opt.workers / 3);
+  EXPECT_EQ(iso_calls, 2 * metrics::total(metrics::Counter::kPackIso));
+  EXPECT_LE(maps, metrics::total(metrics::Counter::kUnpackMemAlias) +
+                      memalias_workers);
+  EXPECT_LE(metrics::total(metrics::Counter::kMemAliasPoolGrows), 1u);
+  EXPECT_EQ(iso_calls + maps - memalias_workers, r.thread_migrations)
+      << "page-table calls per migration, set-up excluded, are not 1.0";
 }
 
 TEST(Storm, WorkloadDigestReplaysBitIdentically) {
