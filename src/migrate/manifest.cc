@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
+#include "iso/region.h"
 #include "migrate/common_arena.h"
 #include "migrate/migratable.h"
 #include "util/check.h"
@@ -21,6 +23,7 @@ const char* to_string(CodecError e) {
     case CodecError::kTrailingBytes: return "trailing-bytes";
     case CodecError::kBadTechnique: return "bad-technique";
     case CodecError::kBadShape: return "bad-shape";
+    case CodecError::kBadSlot: return "bad-slot";
   }
   return "?";
 }
@@ -59,6 +62,21 @@ struct Cursor {
 };
 
 constexpr std::size_t kSlotIdBytes = 12;  // pe, index, count
+
+/// An isomalloc image's slot ids must name slot runs of the running
+/// region: a PE below npes, at least one slot, and a run that ends inside
+/// the PE's strip. Without a region (a codec-only caller) there is nothing
+/// to check against, and no install to protect either.
+bool slots_fit(const ImageManifest& m) {
+  if (!iso::Region::initialized()) return true;
+  const iso::Region::Config& g = iso::Region::instance().config();
+  const auto fits = [&g](const iso::SlotId& id) {
+    return id.pe >= 0 && id.pe < g.npes && id.count != 0 &&
+           std::uint64_t{id.index} + id.count <= g.slots_per_pe;
+  };
+  return fits(m.stack_slot) &&
+         std::all_of(m.heap_slots.begin(), m.heap_slots.end(), fits);
+}
 
 }  // namespace
 
@@ -115,6 +133,7 @@ CodecError ImageManifest::decode(const char* data, std::size_t size,
                 out->stack_run.len > out->stack_capacity) {
     return CodecError::kBadShape;
   }
+  if (iso && !slots_fit(*out)) return CodecError::kBadSlot;
   if (out->technique == Technique::kMemAlias &&
       (out->stack_run.len != out->stack_capacity ||
        out->stack_capacity % static_cast<std::uint64_t>(

@@ -21,7 +21,9 @@
 // saved-stack buffer, memory-alias manifests the thread's slot in the
 // stack pool's window (memalias_thread.h). Both stay valid until the thread
 // next runs, migrates or dies. decode() also checks each stack run against
-// its capacity word, so a hostile capacity never sizes a pool slot.
+// its capacity word, so a hostile capacity never sizes a pool slot, and
+// each isomalloc slot id against the running region's geometry, so a
+// hostile id never reaches Region::install.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +51,7 @@ enum class CodecError {
   kBadTechnique,   ///< technique byte names no migration technique
   kBadShape,       ///< the runs do not fit the technique's image layout,
                    ///< or a stack run does not fit its capacity
+  kBadSlot,        ///< an isomalloc slot id names no slot run of the region
 };
 const char* to_string(CodecError e);
 

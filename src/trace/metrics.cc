@@ -71,6 +71,8 @@ const char* to_string(Counter c) {
     case Counter::kWireRetries: return "wire-retries";
     case Counter::kProcKills: return "proc-kills";
     case Counter::kProcRespawns: return "proc-respawns";
+    case Counter::kPeSleeps: return "pe-sleeps";
+    case Counter::kPeEmptyWaits: return "pe-empty-waits";
     case Counter::kCount: break;
   }
   return "?";

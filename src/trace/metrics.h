@@ -77,6 +77,9 @@ enum class Counter : int {
   // Process-tier fault tolerance (cross-process FT).
   kProcKills,       ///< whole processes SIGKILLed / declared dead
   kProcRespawns,    ///< dead processes respawned by the zygote
+  // The PE loop's waits (converse/machine.cc pe_loop).
+  kPeSleeps,      ///< parks that slept (sealed, then futex-waited)
+  kPeEmptyWaits,  ///< waits that returned without a message
   kCount,
 };
 constexpr int kCounterCount = static_cast<int>(Counter::kCount);

@@ -211,4 +211,44 @@ TEST_F(ImageDecode, NamesEachMalformation) {
       << "memory-alias capacity not a page multiple";
 }
 
+// An isomalloc image's slot ids are checked against the region (npes 2,
+// 256 slots per PE) before any install could touch it: a PE outside the
+// machine, an empty run, or a run past the end of its strip is kBadSlot.
+// Index 4,000,000,000 used to decode and then crash the install.
+TEST_F(ImageDecode, NamesSlotIdsOutsideTheRegion) {
+  static const char kRun[] = "bytes";
+  auto image = [](mfc::iso::SlotId stack, mfc::iso::SlotId heap) {
+    ImageManifest s;
+    s.technique = mfc::migrate::Technique::kIsomalloc;
+    s.stack_slot = stack;
+    s.heap_slots = {heap};
+    s.runs = {{kRun, 5}, {kRun, 5}};
+    return s.to_wire();
+  };
+  const mfc::iso::SlotId good{1, 7, 1};
+  ImageManifest m;
+  EXPECT_EQ(ImageManifest::decode(image(good, {0, 254, 2}), &m),
+            CodecError::kOk)
+      << "a run that ends at the strip's end fits";
+  const struct {
+    mfc::iso::SlotId id;
+    const char* why;
+  } bad[] = {
+      {{2, 0, 1}, "pe == npes"},
+      {{-1, 0, 1}, "negative pe"},
+      {{0, 0, 0}, "count 0"},
+      {{0, 255, 2}, "run past the strip's end"},
+      {{0, 4000000000u, 1}, "index far outside the strip"},
+      {{0, 1, 0xffffffffu}, "count that wraps a 32-bit sum"},
+  };
+  for (const auto& b : bad) {
+    EXPECT_EQ(ImageManifest::decode(image(b.id, good), &m),
+              CodecError::kBadSlot)
+        << "stack slot: " << b.why;
+    EXPECT_EQ(ImageManifest::decode(image(good, b.id), &m),
+              CodecError::kBadSlot)
+        << "heap slot: " << b.why;
+  }
+}
+
 }  // namespace

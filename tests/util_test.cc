@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <clocale>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -179,81 +181,6 @@ TEST(Timer, MonotoneAndPositive) {
   EXPECT_GE(mfc::thread_cpu_time(), c0);
 }
 
-TEST(Queue, FifoSingleThread) {
-  mfc::MpscQueue<int> q;
-  EXPECT_TRUE(q.empty());
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_EQ(q.try_pop().value(), 2);
-  EXPECT_EQ(q.try_pop().value(), 3);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(Queue, MultiProducerDeliversAll) {
-  mfc::MpscQueue<int> q;
-  constexpr int kProducers = 4;
-  constexpr int kEach = 5000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kEach; ++i) q.push(p * kEach + i);
-    });
-  }
-  std::vector<bool> seen(kProducers * kEach, false);
-  int got = 0;
-  while (got < kProducers * kEach) {
-    auto v = q.pop_wait();
-    if (!v) continue;
-    ASSERT_FALSE(seen[static_cast<std::size_t>(*v)]);
-    seen[static_cast<std::size_t>(*v)] = true;
-    ++got;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(Queue, WakeUnblocksWithoutData) {
-  mfc::MpscQueue<int> q;
-  std::thread waker([&q] { q.wake(); });
-  auto v = q.pop_wait();  // must not hang
-  EXPECT_FALSE(v.has_value());
-  waker.join();
-}
-
-// Every MPSC consumer in the machine layer relies on per-producer FIFO:
-// messages from one PE must arrive in the order that PE sent them, even
-// while other producers interleave. Encode each item as (producer, seq) and
-// assert each producer's sequence numbers arrive strictly ascending.
-TEST(Queue, MultiProducerStressPerProducerFifo) {
-  mfc::MpscQueue<int> q;
-  constexpr int kProducers = 8;
-  constexpr int kEach = 20000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kEach; ++i) q.push(p * kEach + i);
-    });
-  }
-  std::vector<int> next_seq(kProducers, 0);
-  int got = 0;
-  while (got < kProducers * kEach) {
-    auto v = q.pop_wait();
-    if (!v) continue;
-    const int p = *v / kEach;
-    const int seq = *v % kEach;
-    ASSERT_EQ(seq, next_seq[static_cast<std::size_t>(p)])
-        << "producer " << p << " reordered";
-    ++next_seq[static_cast<std::size_t>(p)];
-    ++got;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(q.empty());
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kEach);
-}
-
 namespace {
 struct LinkedItem {
   int producer = 0;
@@ -312,6 +239,80 @@ TEST(IntrusiveChannel, WakeUnblocksWithoutData) {
   LinkedItem* item = q.pop_wait();  // must not hang
   EXPECT_EQ(item, nullptr);
   waker.join();
+}
+
+namespace {
+/// A consumer's feed (util/queue.h NoFeed) that counts its polls and
+/// sleeps, and sticky-wakes the channel at its first poll (`wake_at_poll`)
+/// or at the park's re-check (`wake_at_recheck`): the wake lands during the
+/// spin, or after it.
+struct WakingFeed {
+  mfc::IntrusiveMpscChannel<LinkedItem>* q = nullptr;
+  bool wake_at_poll = false;
+  bool wake_at_recheck = false;
+  int polls = 0;
+  int sleeps = 0;
+  void poll() {
+    if (polls++ == 0 && wake_at_poll) q->wake();
+  }
+  bool ready() {
+    if (wake_at_recheck) q->wake();
+    return false;
+  }
+  void on_sleep() { ++sleeps; }
+};
+
+constexpr std::uint64_t kNoDeadline = 0;
+constexpr std::uint64_t kOneSecond = 1000000;
+}  // namespace
+
+// A sticky wake that lands while the consumer spins (quiescence and FT
+// events reach a waiting PE this way) ends the wait at the spin's next
+// look, not after the spin and the yield rounds, and is consumed: the
+// parking word reads idle again, so the next wait does not end on it.
+TEST(IntrusiveChannel, WakeDuringTheSpinEndsTheWaitAtTheNextLook) {
+  for (const std::uint64_t park_us : {kNoDeadline, kOneSecond}) {
+    mfc::IntrusiveMpscChannel<LinkedItem> q;
+    std::atomic<std::uint32_t> word{mfc::detail::kWordIdle};
+    q.bind_wake_word(&word, /*shared=*/false);
+    WakingFeed feed;
+    feed.q = &q;
+    feed.wake_at_poll = true;
+    EXPECT_EQ(q.pop_wait(feed, park_us), nullptr) << park_us;
+    EXPECT_LE(feed.polls, 2) << park_us;
+    EXPECT_EQ(feed.sleeps, 0) << park_us;
+    EXPECT_EQ(word.load(), mfc::detail::kWordIdle) << park_us;
+  }
+}
+
+// A wake that lands after the spin, while the park re-checks its sources,
+// still keeps the consumer from sleeping, with or without a deadline.
+TEST(IntrusiveChannel, WakeDuringTheParkReCheckPreventsTheSleep) {
+  for (const std::uint64_t park_us : {kNoDeadline, kOneSecond}) {
+    mfc::IntrusiveMpscChannel<LinkedItem> q;
+    std::atomic<std::uint32_t> word{mfc::detail::kWordIdle};
+    q.bind_wake_word(&word, /*shared=*/false);
+    WakingFeed feed;
+    feed.q = &q;
+    feed.wake_at_recheck = true;
+    EXPECT_EQ(q.pop_wait(feed, park_us), nullptr) << park_us;
+    EXPECT_EQ(feed.sleeps, 0) << park_us;
+    EXPECT_EQ(word.load(), mfc::detail::kWordIdle) << park_us;
+  }
+}
+
+// With a deadline and nothing arriving, the wait sleeps once and returns
+// empty; an item pushed afterwards is the next wait's.
+TEST(IntrusiveChannel, ParkDeadlineEndsAnEmptyWait) {
+  mfc::IntrusiveMpscChannel<LinkedItem> q;
+  WakingFeed feed;
+  feed.q = &q;
+  EXPECT_EQ(q.pop_wait(feed, /*park_us=*/2000), nullptr);
+  EXPECT_EQ(feed.sleeps, 1);
+  LinkedItem item{0, 7};
+  q.push(&item);
+  EXPECT_EQ(q.pop_wait(feed, /*park_us=*/2000), &item);
+  EXPECT_EQ(feed.sleeps, 1);
 }
 
 TEST(SysInfo, ReportsSaneValues) {
