@@ -31,6 +31,10 @@ struct MsgBenchRow {
   /// the workload cannot control, so per-message *cost* comparisons (e.g.
   /// the tracing-overhead suite) are made on CPU time.
   double cpu_seconds = 0.0;
+  /// Parks that slept (the runtime's pe-sleeps counter) per message,
+  /// summed over every PE; negative when not measured. Rows priced by
+  /// wake-ups carry it next to their time.
+  double pe_sleeps_per_msg = -1.0;
 
   double msgs_per_sec() const {
     return seconds > 0 ? static_cast<double>(messages) / seconds : 0.0;
@@ -65,10 +69,14 @@ inline bool write_msg_bench_json(const char* path, const char* suite,
     const MsgBenchRow& r = rows[i];
     // Floats go through format_double: printf's %f obeys LC_NUMERIC and a
     // comma decimal separator would make the file unparseable as JSON.
-    std::string cpu;
+    std::string extra;  // optional fields
     if (r.cpu_seconds > 0) {
-      cpu = ", \"cpu_seconds\": " + format_double(r.cpu_seconds, 6) +
-            ", \"cpu_ns_per_msg\": " + format_double(r.cpu_ns_per_msg(), 1);
+      extra = ", \"cpu_seconds\": " + format_double(r.cpu_seconds, 6) +
+              ", \"cpu_ns_per_msg\": " + format_double(r.cpu_ns_per_msg(), 1);
+    }
+    if (r.pe_sleeps_per_msg >= 0) {
+      extra += ", \"pe_sleeps_per_msg\": " +
+               format_double(r.pe_sleeps_per_msg, 2);
     }
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"mode\": \"%s\", \"npes\": %d, "
@@ -78,7 +86,7 @@ inline bool write_msg_bench_json(const char* path, const char* suite,
                  static_cast<unsigned long long>(r.messages),
                  format_double(r.seconds, 6).c_str(),
                  format_double(r.msgs_per_sec(), 0).c_str(),
-                 format_double(r.ns_per_msg(), 1).c_str(), cpu.c_str(),
+                 format_double(r.ns_per_msg(), 1).c_str(), extra.c_str(),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

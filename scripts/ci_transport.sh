@@ -19,14 +19,15 @@
 # Phase 2 reruns the transport bench suite (64-byte flood per backend,
 # 64-byte ping-pong in-process and across two processes over shm, chunked
 # scatter-gather image ships over shm at 64 KiB–1 MiB, and an idle
-# wait_quiescence() at 4/1, 4/2, 16/4 and 64/4 PEs/processes) and gates
-# with bench_compare.py: the fresh stream64, pingpong64 and qd_idle rows
-# must be within tolerance of the checked-in BENCH_transport.json, and two
-# absolute bars hold. The shm ring must cost no more than 3x the
-# in-process path per streamed 64-byte message (stream64 keeps the
-# receiving PE awake). And a shm ping-pong hop across two processes must
-# cost no more than 4x an in-process one: pingpong64 lets the receiver
-# park before every hop, so that row prices the cross-process wake-up.
+# wait_quiescence() and a broadcast-then-wait round at 4/1, 4/2, 16/4 and
+# 64/4 PEs/processes) and gates with bench_compare.py: the fresh stream64,
+# pingpong64, qd_idle and qd_round rows must be within tolerance of the
+# checked-in BENCH_transport.json, and two absolute bars hold. The shm
+# ring must cost no more than 3x the in-process path per streamed 64-byte
+# message (stream64 keeps the receiving PE awake). And a shm ping-pong
+# hop across two processes must cost no more than 4x an in-process one:
+# pingpong64 lets the receiver park before every hop, so that row prices
+# the cross-process wake-up.
 # On the 4-CPU VM the in-process hop reads ~0.5 us and the shm hop
 # ~0.8 us (1.5-2.7x) now that the producer wakes the destination PE
 # directly; with a comm thread relaying every frame the shm hop read
@@ -58,6 +59,10 @@ python3 scripts/bench_compare.py \
   build-release/BENCH_transport.baseline.json \
   build-release/BENCH_transport.json \
   --metric ns_per_msg --tolerance 50 --filter qd_idle
+python3 scripts/bench_compare.py \
+  build-release/BENCH_transport.baseline.json \
+  build-release/BENCH_transport.json \
+  --metric ns_per_msg --tolerance 50 --filter qd_round
 # Absolute gate: shm ring <= 3x in-process ns/msg at 64 bytes.
 python3 scripts/bench_compare.py \
   build-release/BENCH_transport.baseline.json \

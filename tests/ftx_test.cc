@@ -17,6 +17,7 @@
 // path — span-shipped buddy stores included — under the race detector.
 #include "chaos/procstorm.h"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
@@ -26,6 +27,8 @@
 
 #include <cerrno>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "chaos/chaos.h"
@@ -444,11 +447,39 @@ bool recovered = false;               ///< PE 0: the rollback completed
 bool done = false;                    ///< PE 1
 }  // namespace wedge
 
+/// Waits until every thread of process `pid` reads stopped ('T') in
+/// /proc. kill(SIGSTOP) returns once the signal is queued: a thread still
+/// running can then drain a frame sent at once and park, and a stopped
+/// process with nothing waiting is, correctly, not a failure.
+void wait_until_stopped(pid_t pid) {
+  const std::string dir = "/proc/" + std::to_string(pid) + "/task";
+  for (;;) {
+    DIR* d = ::opendir(dir.c_str());
+    if (d == nullptr) return;  // gone: the detector reaps it
+    bool stopped = true;
+    while (const dirent* e = ::readdir(d)) {
+      if (e->d_name[0] == '.') continue;
+      std::string stat;
+      std::getline(std::ifstream(dir + "/" + e->d_name + "/stat"), stat);
+      // The state follows the parenthesized command name.
+      const std::size_t paren = stat.rfind(')');
+      if (paren == std::string::npos || paren + 2 >= stat.size() ||
+          stat[paren + 2] != 'T') {
+        stopped = false;
+      }
+    }
+    ::closedir(d);
+    if (stopped) return;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 /// A 2-process FT-armed machine learns process 1's pid by message and
-/// commits an epoch. It lets process 1 park, SIGSTOPs it, then sends it one
-/// frame: a parked PE with input waiting whose progress stands still. The
-/// detector must escalate to a SIGKILL of process 1; reap, respawn and
-/// recovery follow. Exits 0 on exactly one recovery.
+/// commits an epoch. It lets process 1 park, SIGSTOPs it, waits for the
+/// stop to land, then sends it one frame: a PE with input waiting whose
+/// progress stands still. The detector must escalate to a SIGKILL of
+/// process 1; reap, respawn and recovery follow. Exits 0 on exactly one
+/// recovery.
 void wedge_process_one() {
   namespace cv = mfc::converse;
   wedge::h_pid = cv::register_handler([](cv::Message&& m) {
@@ -481,6 +512,7 @@ void wedge_process_one() {
     // A parked PE with nothing waiting is never suspect: stop it there.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ::kill(wedge::proc1, SIGSTOP);
+    wait_until_stopped(wedge::proc1);
     cv::send_value(1, wedge::h_sink, 0);
     park_until(wedge::recovered);
     cv::send_value(1, wedge::h_done, 0);
