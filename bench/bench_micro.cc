@@ -805,7 +805,8 @@ void run_ftx_suite() {
 //     gathers a parked thread's live runs straight onto the wire, folding
 //     the CRC-32C per run as it copies: one pass over the payload. The
 //     rows measure end-to-end "parked thread -> CRC'd wire bytes"
-//     throughput for isomalloc images of 64 KiB / 256 KiB / 1 MiB.
+//     throughput for isomalloc images of 64 KiB / 256 KiB / 1 MiB; each
+//     row is the median of 9 timed loops.
 //
 //  2. Whole-checkpoint encode: a Checkpoint borrowing the manifests of 8
 //     parked threads (the ft capture path).
@@ -842,11 +843,11 @@ void with_parked_thread(std::size_t heap_bytes, Fn park) {
   delete t;
 }
 
+/// One codec row: the median of kLoops timed loops, each gathering ~128
+/// MiB of CRC'd wire bytes (one loop alone spreads too far for a 10% gate).
 mfc::bench::MsgBenchRow codec_row(const char* name, std::size_t heap_bytes) {
+  constexpr int kLoops = 9;
   mfc::bench::MsgBenchRow row;
-  row.name = name;
-  row.mode = "iovec";
-  row.npes = 1;
   with_parked_thread(heap_bytes, [&](mig::MigratableThread* t) {
     const std::size_t wire = t->pack_manifest().wire_size();
     // Scale reps to ~128 MiB of payload so a measurement spans thousands
@@ -855,18 +856,25 @@ mfc::bench::MsgBenchRow codec_row(const char* name, std::size_t heap_bytes) {
         static_cast<int>(std::max<std::size_t>(8, (128u << 20) / wire));
     // Warm the path once (first-touch, CRC table build).
     (void)t->pack_manifest().to_wire(nullptr);
-    const double cpu0 = mfc::process_cpu_time();
-    const double t0 = mfc::wall_time();
     std::uint32_t sink = 0;
-    for (int i = 0; i < reps; ++i) {
-      std::uint32_t crc = 0;
-      const std::vector<char> bytes = t->pack_manifest().to_wire(&crc);
-      sink ^= crc ^ static_cast<std::uint32_t>(bytes.size());
-    }
-    row.seconds = mfc::wall_time() - t0;
-    row.cpu_seconds = mfc::process_cpu_time() - cpu0;
-    // "Messages" are payload bytes, so msgs_per_sec reads as bytes/s.
-    row.messages = static_cast<std::uint64_t>(reps) * wire;
+    row = conv_bench::median_of(kLoops, [&] {
+      mfc::bench::MsgBenchRow loop;
+      loop.name = name;
+      loop.mode = "iovec";
+      loop.npes = 1;
+      const double cpu0 = mfc::process_cpu_time();
+      const double t0 = mfc::wall_time();
+      for (int i = 0; i < reps; ++i) {
+        std::uint32_t crc = 0;
+        const std::vector<char> bytes = t->pack_manifest().to_wire(&crc);
+        sink ^= crc ^ static_cast<std::uint32_t>(bytes.size());
+      }
+      loop.seconds = mfc::wall_time() - t0;
+      loop.cpu_seconds = mfc::process_cpu_time() - cpu0;
+      // "Messages" are payload bytes, so msgs_per_sec reads as bytes/s.
+      loop.messages = static_cast<std::uint64_t>(reps) * wire;
+      return loop;
+    });
     if (sink == 0xDEADBEEF) std::printf("# (sink)\n");  // keep the loop live
   });
   return row;

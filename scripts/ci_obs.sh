@@ -6,7 +6,8 @@
 # preset: histogram bucket geometry and quantiles, snapshot merge algebra,
 # metrics snapshot provenance, flight recorder note/freeze/dump semantics,
 # trace-part round trips with byte-identical re-merges, the fork-based
-# multi-process merge legs (Machine::run's shutdown must leave one aligned
+# multi-process merge legs (the migration storm, chaos::run_storm, across
+# 2 and 4 processes: Machine::run's shutdown must leave one aligned
 # Perfetto JSON with cross-process flow arrows, including the 64-PE /
 # 4-process migrate pack→unpack arrow), and the black-box contract: an FT
 # kill storm with MFC_TRACE off still dumps the flight recorder.
@@ -14,9 +15,11 @@
 # Phase 2 drives the acceptance paths end to end. MFC_STATS=1 on the
 # 4-process / 64-PE migration storm leaves one stats dump per process,
 # each carrying its own provenance and populated latency histograms with
-# ordered quantiles. A two-process traced storm then leaves the machine's
-# merged timeline plus the surviving .part files, and the offline tool
-# (tools/trace_merge) must reproduce the machine's merge byte for byte.
+# ordered quantiles. A traced run_storm test whose last run spans two
+# processes (its in-process reference run exports to the same file first)
+# then leaves the machine's merged timeline plus the surviving .part
+# files, and the offline tool (tools/trace_merge) must reproduce the
+# machine's merge byte for byte.
 #
 # Phase 3 reruns the histogram-overhead bench suite (paired obs off/on
 # reps, median cpu-time ratio — BENCH_trace.json's methodology) and gates
@@ -62,8 +65,8 @@ print(f"ok: {len(hists)} histograms populated on proc 0")
 EOF
 fi
 
-# Offline merge agreement: a two-process traced storm leaves the machine's
-# merged timeline plus its parts; tools/trace_merge must reproduce the
+# Offline merge agreement: a two-process traced run_storm leaves the
+# machine's merged timeline plus its parts; tools/trace_merge must reproduce the
 # machine's output byte for byte from the parts alone.
 tool_out="ci_tool.json"
 (cd build-release && rm -f "$tool_out" "$tool_out".part* "$tool_out".remerge)

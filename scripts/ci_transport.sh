@@ -8,10 +8,12 @@
 # and the conformance battery that drives an identical checklist against
 # both backends — in-process queues and shm SPSC rings — the rings in both
 # loopback and true multi-process (forked) mode: per-pair ordering,
-# exactly-once under seeded chaos, 1 MiB chunked round trips,
-# migration mini-storms with all three techniques and bit-identical
-# same-seed replay (including the 64-PE / 4-process acceptance shape), an
-# FT kill storm over the shm wire, and the liveness legs of the PE-drained
+# exactly-once under seeded chaos, 1 MiB chunked round trips, the
+# migration storm (chaos::run_storm, all three techniques) across 2 and 4
+# processes with the same report as its in-process run (including the
+# 64-PE / 4-process acceptance shape, run twice), a handler registered
+# after the fork failing its check, an FT kill storm over the shm wire in
+# loopback mode, and the liveness legs of the PE-drained
 # shm wire: parked ping-pongs that hang on a lost wake-up, two processes
 # flooding each other through full 4 KiB rings, and a respawned process
 # whose dead PEs must drain their own revive frames.

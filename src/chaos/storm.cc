@@ -1,12 +1,15 @@
 #include "chaos/storm.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "charm/array.h"
@@ -100,11 +103,59 @@ struct ShipHead {
   void pup(pup::Er& p) { p | wid | round | crc | stamp; }
 };
 
-struct WorkerSlot {
-  /// The worker's current Thread object; owned and touched only by the PE
-  /// it currently resides on (the mutex covers the pointer handoff).
-  migrate::MigratableThread* thread = nullptr;
-  std::uint64_t digest = kFnvOffset;  ///< published by the worker per round
+/// The storm's counts and verdicts. run_storm maps the ledger MAP_SHARED
+/// before Machine::run forks, so a worker, shipment or element bumps the
+/// same count in whichever process it runs; PE 0 reads it after each
+/// round's quiescence, and run_storm after Machine::run has returned.
+struct Ledger {
+  std::atomic<std::uint64_t> array_sent{0};
+  std::atomic<std::uint64_t> array_delivered{0};
+  std::atomic<std::uint64_t> element_migrations{0};
+  std::atomic<std::uint64_t> thread_migrations{0};
+  std::atomic<std::uint64_t> wire_bytes{0};
+  std::atomic<std::uint64_t> canary_failures{0};
+  std::atomic<std::uint64_t> digest_mismatches{0};
+  std::atomic<std::uint64_t> misroutes{0};
+  std::atomic<std::uint64_t> counter_failures{0};
+  std::atomic<std::uint64_t> packs[3] = {};  ///< docked packs by technique
+  /// PEs whose isomalloc strip, and processes whose memory-alias pool, came
+  /// back to the pre-storm count.
+  std::atomic<std::uint32_t> strips_balanced{0};
+  std::atomic<std::uint32_t> pools_balanced{0};
+
+  /// Worker `wid`'s digest, published by the worker every round. The words
+  /// follow the ledger in its mapping, one per worker.
+  std::atomic<std::uint64_t>& digest(int wid) {
+    return reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1)[wid];
+  }
+};
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "the ledger's atomics must work across processes");
+
+/// Owns the ledger's MAP_SHARED mapping for one run_storm call.
+class LedgerMap {
+ public:
+  explicit LedgerMap(int workers)
+      : bytes_(sizeof(Ledger) + static_cast<std::size_t>(workers) *
+                                    sizeof(std::atomic<std::uint64_t>)) {
+    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    MFC_CHECK_MSG(p != MAP_FAILED, "storm: cannot map the shared ledger");
+    ledger_ = new (p) Ledger;
+    for (int w = 0; w < workers; ++w) {
+      new (&ledger_->digest(w)) std::atomic<std::uint64_t>(kFnvOffset);
+    }
+  }
+  ~LedgerMap() { ::munmap(ledger_, bytes_); }
+  LedgerMap(const LedgerMap&) = delete;
+  LedgerMap& operator=(const LedgerMap&) = delete;
+
+  Ledger* get() const { return ledger_; }
+
+ private:
+  std::size_t bytes_;
+  Ledger* ledger_ = nullptr;
 };
 
 /// Per-PE application payload of an ft checkpoint blob: which workers were
@@ -125,31 +176,34 @@ struct StormPeCkpt {
   }
 };
 
+/// The storm's process-local state (each process has its fork's copy). A
+/// PE touches only its own entries and its resident workers', so no lock.
 struct StormGlobal {
   StormOptions opt;
   std::vector<std::vector<int>> itinerary;  // [worker][round] → dest PE
+  Ledger* ledger = nullptr;
 
-  std::mutex mu;  // workers / by_thread_id / arrived handoffs
-  std::vector<WorkerSlot> workers;
-  std::unordered_map<std::uint64_t, int> by_thread_id;  // Thread::id → wid
-  /// Per-PE arrivals parked until that round's release. Tagged with the
-  /// round because a chaos-delayed release broadcast from round r can land
-  /// on a PE after round r+1 workers already arrived there — an untagged
-  /// release would ready them a round early and wreck the arrival counts.
+  /// Each worker's current Thread object, on the PE it resides on.
+  std::vector<migrate::MigratableThread*> workers;
+  /// Per-PE arrivals parked until that round's release, with the wid their
+  /// shipment named. Tagged with the round because a chaos-delayed release
+  /// broadcast from round r can land on a PE after round r+1 workers
+  /// already arrived there — an untagged release would ready them a round
+  /// early and wreck the arrival counts.
   struct Arrival {
     ult::Thread* thread;
     std::int32_t round;
+    std::int32_t wid;
   };
-  std::unordered_map<int, std::vector<Arrival>> arrived;  // per PE
-  std::vector<ult::Thread*> mains;  // non-PE0 mains parked until alldone
+  std::vector<std::vector<Arrival>> arrived;  // per PE
+  /// Per PE: its isomalloc strip's slot count at round 0's release.
+  std::vector<std::uint32_t> strip_in_flight;
 
   // PE0-only protocol state (PE0 kernel thread: its handlers + main ULT).
   int arrivals = 0;
   int done_workers = 0;
   enum class Waiting { kNone, kArrivals, kDone } waiting = Waiting::kNone;
   ult::Thread* checker = nullptr;
-  std::uint64_t slots_prestorm = 0;
-  std::uint32_t stacks_prestorm = 0;  ///< memory-alias pool slots in use
   /// Background array-traffic stream. Lives here (not on the checker's
   /// stack) so ft checkpoints can snapshot and roll back its state.
   SplitMix64 traffic{0};
@@ -172,32 +226,13 @@ struct StormGlobal {
   /// or -1 (empty when FT kills are off).
   std::vector<int> kill_ordinal;
 
-  std::atomic<std::uint64_t> array_sent{0};
-  std::atomic<std::uint64_t> array_delivered{0};
-  std::atomic<std::uint64_t> element_migrations{0};
-  std::atomic<std::uint64_t> thread_migrations{0};
-  std::atomic<std::uint64_t> wire_bytes{0};
-  std::atomic<std::uint64_t> canary_failures{0};
-  std::atomic<std::uint64_t> digest_mismatches{0};
-  std::atomic<std::uint64_t> misroutes{0};
-  std::atomic<std::uint64_t> counter_failures{0};
-
-  StormReport report;  // finalized by PE0's checker, returned by run_storm
+  StormReport report;  // injections, filled in by PE0's checker
 };
 
 StormGlobal* g_storm = nullptr;
 std::atomic<ShipTamper> g_ship_tamper{nullptr};
 
-converse::HandlerId h_dock, h_ship, h_arrived, h_release, h_worker_done,
-    h_alldone;
-
-std::uint64_t total_used_slots(int npes) {
-  std::uint64_t used = 0;
-  for (int pe = 0; pe < npes; ++pe) {
-    used += iso::Region::instance().used_slots(pe);
-  }
-  return used;
-}
+converse::HandlerId h_dock, h_ship, h_arrived, h_release, h_worker_done;
 
 int technique_of(int wid, const StormOptions& opt) {
   return opt.single_technique >= 0 ? opt.single_technique : wid % 3;
@@ -221,17 +256,15 @@ bool is_ckpt_round(int r, const StormOptions& opt) {
 // ---- Worker -----------------------------------------------------------------
 
 /// Worker body. Runs as a migratable thread, so: no reliance on the Thread
-/// object it started on (packing deletes it), identity via Thread::id()
-/// (preserved across unpack), and all cross-round state in stack locals —
-/// which is exactly what the migration techniques promise to carry.
-void worker_body() {
+/// object it started on (packing deletes it), and all cross-round state in
+/// stack locals — which is exactly what the migration techniques promise
+/// to carry. Its wid too arrives at birth and lives in this frame: thread
+/// ids come from a counter every forked process inherits, so two processes
+/// can hand out the same id.
+void worker_body(int wid) {
   StormGlobal* g = g_storm;
   const StormOptions& opt = g->opt;
-  int wid;
-  {
-    std::lock_guard<std::mutex> lock(g->mu);
-    wid = g->by_thread_id.at(converse::pe_scheduler().running()->id());
-  }
+  Ledger& ledger = *g->ledger;
   const bool is_iso = technique_of(wid, opt) == 1;
 
   // Stack canary: a keyed byte pattern rewritten before every hop and
@@ -258,10 +291,7 @@ void worker_body() {
     digest = fnv1a_mix(digest, static_cast<std::uint64_t>(wid));
     digest = fnv1a_mix(digest, static_cast<std::uint64_t>(r));
     digest = fnv1a_mix(digest, static_cast<std::uint64_t>(dest));
-    {
-      std::lock_guard<std::mutex> lock(g->mu);
-      g->workers[static_cast<std::size_t>(wid)].digest = digest;
-    }
+    ledger.digest(wid).store(digest, std::memory_order_relaxed);
 
     // Dock: the handler runs on this PE only after we suspend, so it packs
     // a thread that is guaranteed to be in kSuspended state.
@@ -278,17 +308,17 @@ void worker_body() {
       }
     }
     if (converse::my_pe() != dest) {
-      g->misroutes.fetch_add(1, std::memory_order_relaxed);
+      ledger.misroutes.fetch_add(1, std::memory_order_relaxed);
     }
     if (reinterpret_cast<std::uintptr_t>(&canary[0]) != canary_addr ||
         !check_pattern(canary, sizeof canary,
                        pat_key(opt.seed, wid, r, kStackSalt))) {
-      g->canary_failures.fetch_add(1, std::memory_order_relaxed);
+      ledger.canary_failures.fetch_add(1, std::memory_order_relaxed);
     }
     if (heap_canary != nullptr &&
         !check_pattern(heap_canary, kCanaryBytes,
                        pat_key(opt.seed, wid, r, kHeapSalt))) {
-      g->canary_failures.fetch_add(1, std::memory_order_relaxed);
+      ledger.canary_failures.fetch_add(1, std::memory_order_relaxed);
     }
     fill_pattern(canary, sizeof canary,
                  pat_key(opt.seed, wid, r + 1, kStackSalt));
@@ -304,13 +334,14 @@ void worker_body() {
 
 migrate::MigratableThread* make_worker(int wid, int pe,
                                        const StormOptions& opt) {
+  const auto body = [wid] { worker_body(wid); };
   switch (technique_of(wid, opt)) {
     case 0:
-      return new migrate::StackCopyThread(worker_body, opt.stack_bytes);
+      return new migrate::StackCopyThread(body, opt.stack_bytes);
     case 1:
-      return new migrate::IsoThread(worker_body, pe, opt.stack_bytes);
+      return new migrate::IsoThread(body, pe, opt.stack_bytes);
     default:
-      return new migrate::MemAliasThread(worker_body, opt.stack_bytes);
+      return new migrate::MemAliasThread(body, opt.stack_bytes);
   }
 }
 
@@ -321,8 +352,8 @@ struct StormElement final : charm::Element {
   std::uint64_t hits = 0;
 
   void on_message(int tag, std::vector<char> payload) override {
-    StormGlobal* g = g_storm;
-    g->array_delivered.fetch_add(1, std::memory_order_relaxed);
+    Ledger& ledger = *g_storm->ledger;
+    ledger.array_delivered.fetch_add(1, std::memory_order_relaxed);
     charm::ArrayBase* a = charm::find_array(array_id());
     if (tag == kTagPing) {
       Ping p;
@@ -331,13 +362,13 @@ struct StormElement final : charm::Element {
       ++hits;
       if (p.ttl > 0) {
         Ping next{p.ttl - 1, p.value * 0x9e3779b97f4a7c15ULL + 1};
-        g->array_sent.fetch_add(1, std::memory_order_relaxed);
+        ledger.array_sent.fetch_add(1, std::memory_order_relaxed);
         a->send((index() + 1) % a->count(), kTagPing, pup::to_bytes(next));
       }
     } else if (tag == kTagHop) {
       std::int32_t dest = 0;
       pup::from_bytes(payload, dest);
-      g->element_migrations.fetch_add(1, std::memory_order_relaxed);
+      ledger.element_migrations.fetch_add(1, std::memory_order_relaxed);
       a->migrate(index(), dest);  // self-migration mid-storm
     }
   }
@@ -385,13 +416,8 @@ void pe0_wait(StormGlobal::Waiting kind) {
 void handle_dock(converse::Message&& m) {
   StormGlobal* g = g_storm;
   const auto d = m.as<DockMsg>();
-  migrate::MigratableThread* t;
-  {
-    std::lock_guard<std::mutex> lock(g->mu);
-    WorkerSlot& slot = g->workers[static_cast<std::size_t>(d.wid)];
-    t = slot.thread;
-    slot.thread = nullptr;
-  }
+  migrate::MigratableThread* t =
+      std::exchange(g->workers[static_cast<std::size_t>(d.wid)], nullptr);
   MFC_CHECK_MSG(t != nullptr && t->state() == ult::State::kSuspended,
                 "storm: dock for a worker that is not suspended here");
 
@@ -416,7 +442,8 @@ void handle_dock(converse::Message&& m) {
     wire_crc = crc32(r.data, r.len, wire_crc);
     wire_len += r.len;
   }
-  g->wire_bytes.fetch_add(wire_len, std::memory_order_relaxed);
+  Ledger& ledger = *g->ledger;
+  ledger.wire_bytes.fetch_add(wire_len, std::memory_order_relaxed);
 
   // Prefix: the ShipHead and the image's length word.
   ShipHead head{d.wid, d.round, wire_crc, e2e0};
@@ -432,7 +459,9 @@ void handle_dock(converse::Message&& m) {
   spans.push_back({prefix.data(), prefix.size()});
   for (const migrate::IoRun& r : img_spans) spans.push_back({r.data, r.len});
 
-  g->thread_migrations.fetch_add(1, std::memory_order_relaxed);
+  ledger.thread_migrations.fetch_add(1, std::memory_order_relaxed);
+  ledger.packs[technique_of(d.wid, g->opt)].fetch_add(
+      1, std::memory_order_relaxed);
   converse::send_spans(dest, h_ship, spans.data(), spans.size(), [t] {
     t->complete_pack();
     delete t;
@@ -477,7 +506,7 @@ void handle_ship(converse::Message&& m) {
   }
   // Transit integrity: the bytes that left the source arrived unchanged.
   if (crc32(wire, len) != ship.crc) {
-    g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
+    g->ledger->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
     trace::flight::dump("storm-transit-crc-mismatch");
   }
   // Bytes after the image are left to the round trip below, so a damaged
@@ -492,7 +521,7 @@ void handle_ship(converse::Message&& m) {
   }
   auto* t = migrate::MigratableThread::unpack(image, converse::my_pe());
   if (!repacks_to(t, wire, len)) {
-    g->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
+    g->ledger->digest_mismatches.fetch_add(1, std::memory_order_relaxed);
     trace::flight::dump("storm-pup-roundtrip-mismatch");
   }
   if (ship.stamp != 0 && hist::on()) {
@@ -502,11 +531,9 @@ void handle_ship(converse::Message&& m) {
     }
   }
   t->set_delete_on_exit(true);
-  {
-    std::lock_guard<std::mutex> lock(g->mu);
-    g->workers[static_cast<std::size_t>(ship.wid)].thread = t;
-    g->arrived[converse::my_pe()].push_back({t, ship.round});
-  }
+  g->workers[static_cast<std::size_t>(ship.wid)] = t;
+  g->arrived[static_cast<std::size_t>(converse::my_pe())].push_back(
+      {t, ship.round, ship.wid});
   // Not readied yet: the round barrier (h_release) wakes all arrivals at
   // once, after the PE0 checker has run the invariant sweep.
   converse::send_value(0, h_arrived, std::int32_t{ship.wid});
@@ -538,19 +565,32 @@ void handle_release(converse::Message&& m) {
       }
     }
   }
+  // Per-round slot invariant, checked by the PE that owns the strip:
+  // isomalloc slot usage is stable across rounds — workers keep their
+  // slots for life; migration moves bytes, never identity. Round 0's
+  // release sets the baseline. The last round's release reads nothing:
+  // the workers it readies on other PEs exit and free their slots
+  // meanwhile.
+  const int me = converse::my_pe();
+  if (round < g->opt.rounds - 1) {
+    const std::uint32_t used = iso::Region::instance().used_slots(me);
+    std::uint32_t& in_flight = g->strip_in_flight[static_cast<std::size_t>(me)];
+    if (round == 0) {
+      in_flight = used;
+    } else if (used != in_flight) {
+      g->ledger->counter_failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   // Ready only this round's arrivals: later-round workers may already be
   // parked here while this (delay-stashed) release was in flight.
   std::vector<ult::Thread*> batch;
-  {
-    std::lock_guard<std::mutex> lock(g->mu);
-    auto& parked = g->arrived[converse::my_pe()];
-    for (std::size_t i = 0; i < parked.size();) {
-      if (parked[i].round == round) {
-        batch.push_back(parked[i].thread);
-        parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
+  auto& parked = g->arrived[static_cast<std::size_t>(me)];
+  for (std::size_t i = 0; i < parked.size();) {
+    if (parked[i].round == round) {
+      batch.push_back(parked[i].thread);
+      parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ++i;
     }
   }
   for (ult::Thread* t : batch) converse::ready_thread(t);
@@ -561,15 +601,6 @@ void handle_worker_done(converse::Message&&) {
   pe0_maybe_wake();
 }
 
-void handle_alldone(converse::Message&&) {
-  StormGlobal* g = g_storm;
-  ult::Thread* main = g->mains[static_cast<std::size_t>(converse::my_pe())];
-  if (main != nullptr) {
-    g->mains[static_cast<std::size_t>(converse::my_pe())] = nullptr;
-    converse::ready_thread(main);
-  }
-}
-
 void register_storm_handlers() {
   static std::once_flag once;
   std::call_once(once, [] {
@@ -578,7 +609,6 @@ void register_storm_handlers() {
     h_arrived = converse::register_handler(handle_arrived);
     h_release = converse::register_handler(handle_release);
     h_worker_done = converse::register_handler(handle_worker_done);
-    h_alldone = converse::register_handler(handle_alldone);
   });
 }
 
@@ -611,9 +641,7 @@ void set_storm_meta(const StormOptions& opt) {
 /// workers[]: during a rollback the restore hook is the sole writer of the
 /// thread pointers, so each worker is re-installed exactly once.
 void discard_parked(int pe) {
-  StormGlobal* g = g_storm;
-  std::lock_guard<std::mutex> lock(g->mu);
-  auto& parked = g->arrived[pe];
+  auto& parked = g_storm->arrived[static_cast<std::size_t>(pe)];
   for (auto& a : parked) {
     auto* t = static_cast<migrate::MigratableThread*>(a.thread);
     t->complete_pack();  // evacuates slots / closes the backing file
@@ -631,8 +659,9 @@ void capture_meta(int pe, StormPeCkpt* meta) {
   }
   if (pe == 0) {
     meta->traffic_state = g->traffic.state();
-    meta->array_sent = g->array_sent.load(std::memory_order_relaxed);
-    meta->array_delivered = g->array_delivered.load(std::memory_order_relaxed);
+    meta->array_sent = g->ledger->array_sent.load(std::memory_order_relaxed);
+    meta->array_delivered =
+        g->ledger->array_delivered.load(std::memory_order_relaxed);
   }
 }
 
@@ -655,12 +684,10 @@ std::vector<char> ft_capture(std::uint64_t epoch) {
 
   migrate::Checkpoint ckpt;
   std::vector<migrate::ImageManifest> manifests;
-  std::lock_guard<std::mutex> lock(g->mu);
-  auto& parked = g->arrived[pe];
+  auto& parked = g->arrived[static_cast<std::size_t>(pe)];
   std::sort(parked.begin(), parked.end(),
-            [g](const StormGlobal::Arrival& x, const StormGlobal::Arrival& y) {
-              return g->by_thread_id.at(x.thread->id()) <
-                     g->by_thread_id.at(y.thread->id());
+            [](const StormGlobal::Arrival& x, const StormGlobal::Arrival& y) {
+              return x.wid < y.wid;
             });
   manifests.reserve(parked.size());
   for (auto& a : parked) {
@@ -669,7 +696,7 @@ std::vector<char> ft_capture(std::uint64_t epoch) {
                   "storm: checkpoint found a worker parked at the wrong "
                   "round (quiescence hole?)");
     manifests.push_back(t->pack_manifest(false));
-    meta.wids.push_back(g->by_thread_id.at(t->id()));
+    meta.wids.push_back(a.wid);
   }
   for (const migrate::ImageManifest& m : manifests) ckpt.add_manifest(m);
   capture_meta(pe, &meta);
@@ -707,24 +734,21 @@ void ft_restore(std::uint64_t epoch, const std::vector<char>& blob) {
   pup::from_bytes(ckpt.user_data(), meta);
   std::vector<migrate::MigratableThread*> threads = ckpt.restore_all(pe);
   MFC_CHECK(threads.size() == meta.wids.size());
-  {
-    std::lock_guard<std::mutex> lock(g->mu);
-    for (std::size_t i = 0; i < threads.size(); ++i) {
-      migrate::MigratableThread* t = threads[i];
-      const int wid = meta.wids[i];
-      t->set_delete_on_exit(true);
-      g->by_thread_id[t->id()] = wid;  // ids survive restore; refresh anyway
-      g->workers[static_cast<std::size_t>(wid)].thread = t;
-      g->arrived[pe].push_back({t, meta.round});
-    }
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    migrate::MigratableThread* t = threads[i];
+    const int wid = meta.wids[i];
+    t->set_delete_on_exit(true);
+    g->workers[static_cast<std::size_t>(wid)] = t;
+    g->arrived[static_cast<std::size_t>(pe)].push_back({t, meta.round, wid});
   }
   if (charm::ArrayBase* arr = charm::find_array(kArrayId)) {
     arr->restore_local(meta.array_blob);
   }
   if (pe == 0) {
     g->traffic.set_state(meta.traffic_state);
-    g->array_sent.store(meta.array_sent, std::memory_order_relaxed);
-    g->array_delivered.store(meta.array_delivered, std::memory_order_relaxed);
+    g->ledger->array_sent.store(meta.array_sent, std::memory_order_relaxed);
+    g->ledger->array_delivered.store(meta.array_delivered,
+                                     std::memory_order_relaxed);
     g->arrivals = 0;  // the re-released round re-docks every worker
     g->done_workers = 0;
     g->ft_resume_round = meta.round;
@@ -805,23 +829,14 @@ bool ft_check(int* r) {
 void checker_main(charm::ArrayBase* array) {
   StormGlobal* g = g_storm;
   const StormOptions& opt = g->opt;
+  Ledger& ledger = *g->ledger;
   SplitMix64& traffic = g->traffic;
-  std::uint64_t slots_in_flight = 0;  // stable-slot baseline, set at round 0
 
   for (int r = 0; r < opt.rounds; ++r) {
     pe0_wait(StormGlobal::Waiting::kArrivals);
     if (ft_check(&r)) continue;
     converse::wait_quiescence();
     if (ft_check(&r)) continue;
-
-    // Invariant: isomalloc slot usage is stable across rounds — workers
-    // keep their slots for life; migration moves bytes, never identity.
-    const std::uint64_t used = total_used_slots(opt.npes);
-    if (r == 0) {
-      slots_in_flight = used;
-    } else if (used != slots_in_flight) {
-      g->counter_failures.fetch_add(1, std::memory_order_relaxed);
-    }
 
     // Background chare-array traffic: ttl-forwarded pings plus (optionally)
     // element self-migration, all drawn from the storm's own seeded stream.
@@ -830,7 +845,7 @@ void checker_main(charm::ArrayBase* array) {
           static_cast<int>(traffic.next_below(
               static_cast<std::uint64_t>(opt.array_elements)));
       Ping p{opt.ping_ttl, traffic.next()};
-      g->array_sent.fetch_add(1, std::memory_order_relaxed);
+      ledger.array_sent.fetch_add(1, std::memory_order_relaxed);
       array->send(target, kTagPing, pup::to_bytes(p));
     }
     if (opt.element_migration && opt.array_elements > 0) {
@@ -839,16 +854,17 @@ void checker_main(charm::ArrayBase* array) {
               static_cast<std::uint64_t>(opt.array_elements)));
       const auto dest = static_cast<std::int32_t>(
           traffic.next_below(static_cast<std::uint64_t>(opt.npes)));
-      g->array_sent.fetch_add(1, std::memory_order_relaxed);
+      ledger.array_sent.fetch_add(1, std::memory_order_relaxed);
       array->send(victim, kTagHop, pup::to_bytes(dest));
     }
     converse::wait_quiescence();
     if (ft_check(&r)) continue;
 
-    // Invariant: under quiescence every array message sent was delivered.
-    if (g->array_sent.load(std::memory_order_relaxed) !=
-        g->array_delivered.load(std::memory_order_relaxed)) {
-      g->counter_failures.fetch_add(1, std::memory_order_relaxed);
+    // Invariant: under quiescence every array message sent was delivered,
+    // in whichever process its element lives.
+    if (ledger.array_sent.load(std::memory_order_relaxed) !=
+        ledger.array_delivered.load(std::memory_order_relaxed)) {
+      ledger.counter_failures.fetch_add(1, std::memory_order_relaxed);
     }
 
     // Synchronized checkpoint: the machine is quiescent (QD2) and every
@@ -876,58 +892,52 @@ void checker_main(charm::ArrayBase* array) {
   // keeps its PE busy), so their slots are released.
   converse::wait_quiescence();
 
-  StormReport& rep = g->report;
-  rep.slots_balanced = total_used_slots(opt.npes) == g->slots_prestorm;
-  const migrate::MemAliasPool::Stats stacks =
-      migrate::MemAliasPool::instance().stats();
-  rep.stack_pool_balanced =
-      stacks.in_use == g->stacks_prestorm && stacks.bounded();
+  // Chaos runs on one process (run_storm checks), so these counts are whole.
   for (int p = 0; p < kPointCount; ++p) {
-    rep.injections[p] = injections(static_cast<Point>(p));
+    g->report.injections[p] = injections(static_cast<Point>(p));
   }
-  std::uint64_t wd = kFnvOffset;
-  {
-    std::lock_guard<std::mutex> lock(g->mu);
-    for (const WorkerSlot& w : g->workers) wd = fnv1a_mix(wd, w.digest);
-  }
-  rep.workload_digest = wd;
-
-  converse::broadcast(h_alldone, {});
 }
 
 void storm_entry(int pe) {
   StormGlobal* g = g_storm;
   const StormOptions& opt = g->opt;
+  Ledger& ledger = *g->ledger;
+  // The first PE of each process checks that process's memory-alias pool.
+  const bool pool_checker = pe % (opt.npes / opt.nprocs) == 0;
+  migrate::MemAliasPool& pool = migrate::MemAliasPool::instance();
+  iso::Region& region = iso::Region::instance();
 
   charm::Array<StormElement> array(kArrayId, opt.array_elements);
   converse::barrier();
-  if (pe == 0) {
-    g->slots_prestorm = total_used_slots(opt.npes);
-    g->stacks_prestorm = migrate::MemAliasPool::instance().stats().in_use;
-    set_storm_meta(opt);
-  }
-  converse::barrier();  // baseline read strictly before any worker spawns
+  // Baselines: this PE's isomalloc strip and this process's pool.
+  const std::uint32_t strip_prestorm = region.used_slots(pe);
+  const std::uint32_t stacks_prestorm = pool.stats().in_use;
+  if (pe == 0) set_storm_meta(opt);
+  converse::barrier();  // baselines read strictly before any worker spawns
 
   for (int w = 0; w < opt.workers; ++w) {
     if (w % opt.npes != pe) continue;
     migrate::MigratableThread* t = make_worker(w, pe, opt);
     t->set_delete_on_exit(true);
-    {
-      std::lock_guard<std::mutex> lock(g->mu);
-      g->by_thread_id[t->id()] = w;
-      g->workers[static_cast<std::size_t>(w)].thread = t;
-    }
+    g->workers[static_cast<std::size_t>(w)] = t;
     converse::ready_thread(t);
   }
 
-  if (pe == 0) {
-    checker_main(&array);
-  } else {
-    g->mains[static_cast<std::size_t>(pe)] =
-        converse::pe_scheduler().running();
-    ult::suspend();  // until h_alldone
+  if (pe == 0) checker_main(&array);
+  // Every PE waits here for PE 0's checker, which arrives after the final
+  // quiescence: every worker has exited and no array message is in flight.
+  // Each strip and each pool is back to its pre-storm count, each checked
+  // where it lives.
+  converse::barrier();
+  if (region.used_slots(pe) == strip_prestorm) {
+    ledger.strips_balanced.fetch_add(1, std::memory_order_relaxed);
   }
-  converse::barrier();  // keep every PE's array instance alive until quiet
+  if (pool_checker) {
+    const migrate::MemAliasPool::Stats stacks = pool.stats();
+    if (stacks.in_use == stacks_prestorm && stacks.bounded()) {
+      ledger.pools_balanced.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 }
 
 }  // namespace
@@ -943,7 +953,27 @@ StormReport run_storm(const StormOptions& options) {
                 "storm: ft_kill_every requires ft_checkpoint_every");
   MFC_CHECK_MSG(options.transport == 0 || options.transport == 1,
                 "storm: transport must be 0 (in-process) or 1 (shm)");
+  MFC_CHECK_MSG(options.nprocs >= 1 && options.npes % options.nprocs == 0,
+                "storm: npes must divide evenly across nprocs processes");
+  MFC_CHECK_MSG(options.nprocs == 1 || options.transport == 1,
+                "storm: nprocs > 1 needs the shm wire (transport = 1)");
+  // What stays on one process for now (ROADMAP item 4).
+  MFC_CHECK_MSG(options.nprocs == 1 || !ft_on,
+                "storm: FT runs on one process for now: the checkpoint "
+                "round, the kill schedule and PE 0's traffic snapshot are "
+                "process-0 state and ft::kill_pe kills a PE in-process "
+                "(ROADMAP item 4: process kills while threads migrate)");
+  MFC_CHECK_MSG(options.nprocs == 1 || !options.chaos.enabled,
+                "storm: chaos runs on one process for now: injection counts "
+                "are kept per process (ROADMAP item 4)");
+  MFC_CHECK_MSG(options.nprocs == 1 || !options.trace,
+                "storm: StormOptions::trace records one process; with "
+                "nprocs > 1 set MFC_TRACE=1 and Machine::run writes and "
+                "merges one part per process");
+  // Every handler the storm's processes dispatch is registered before the
+  // fork, so its id is the same in every process.
   register_storm_handlers();
+  charm::register_handlers();
 
   // Kills draw their victims from keyed chaos, so the kill schedule forces
   // the chaos engine on (pe_kill only ever fires through the keyed ordinal
@@ -954,10 +984,13 @@ StormReport run_storm(const StormOptions& options) {
     opt.chaos.pe_kill = 1.0;
   }
 
+  const LedgerMap ledger(opt.workers);
   auto g = std::make_unique<StormGlobal>();
   g->opt = opt;
-  g->workers.resize(static_cast<std::size_t>(opt.workers));
-  g->mains.assign(static_cast<std::size_t>(opt.npes), nullptr);
+  g->ledger = ledger.get();
+  g->workers.assign(static_cast<std::size_t>(opt.workers), nullptr);
+  g->arrived.resize(static_cast<std::size_t>(opt.npes));
+  g->strip_in_flight.assign(static_cast<std::size_t>(opt.npes), 0);
   g->traffic = SplitMix64(mix2(opt.seed, kTrafficSalt));
   g->itinerary.resize(static_cast<std::size_t>(opt.workers));
   for (int w = 0; w < opt.workers; ++w) {
@@ -989,9 +1022,11 @@ StormReport run_storm(const StormOptions& options) {
 
   // Own a trace session unless the caller already holds one. Starting it
   // here (not leaving it to Machine::run's env auto-start) lets the storm
-  // export to its own path and fold the summary into the report.
-  const bool own_trace =
-      (options.trace || trace::env_enabled()) && !trace::active();
+  // export to its own path and fold the summary into the report. Across
+  // processes MFC_TRACE stays with Machine::run, which writes one part per
+  // process and merges them.
+  const bool own_trace = (options.trace || trace::env_enabled()) &&
+                         !trace::active() && options.nprocs == 1;
   if (own_trace) trace::start(options.npes);
 
   // Install the ft layer around the machine run (its machine hooks must be
@@ -1010,6 +1045,7 @@ StormReport run_storm(const StormOptions& options) {
 
   converse::Machine::Config mc;
   mc.npes = opt.npes;
+  mc.nprocs = opt.nprocs;
   mc.iso_slot_bytes = opt.iso_slot_bytes;
   mc.iso_slots_per_pe = opt.iso_slots_per_pe;
   mc.chaos = opt.chaos;
@@ -1018,22 +1054,30 @@ StormReport run_storm(const StormOptions& options) {
                      : converse::Machine::Config::Transport::kInProc;
   converse::Machine::run(mc, storm_entry);
 
+  // Every PE of every process has written the ledger by now.
+  Ledger& l = *g->ledger;
   StormReport rep = g->report;
   rep.rounds = static_cast<std::uint64_t>(options.rounds);
-  rep.thread_migrations = g->thread_migrations.load();
-  rep.element_migrations = g->element_migrations.load();
-  rep.pings_delivered = g->array_delivered.load();
-  rep.wire_bytes = g->wire_bytes.load();
-  rep.canary_failures = g->canary_failures.load();
-  rep.digest_mismatches = g->digest_mismatches.load();
-  rep.misroutes = g->misroutes.load();
-  rep.counter_failures = g->counter_failures.load();
+  rep.thread_migrations = l.thread_migrations.load();
+  rep.element_migrations = l.element_migrations.load();
+  rep.pings_delivered = l.array_delivered.load();
+  rep.wire_bytes = l.wire_bytes.load();
+  rep.canary_failures = l.canary_failures.load();
+  rep.digest_mismatches = l.digest_mismatches.load();
+  rep.misroutes = l.misroutes.load();
+  rep.counter_failures = l.counter_failures.load();
+  rep.slots_balanced =
+      l.strips_balanced.load() == static_cast<std::uint32_t>(opt.npes);
+  rep.stack_pool_balanced =
+      l.pools_balanced.load() == static_cast<std::uint32_t>(opt.nprocs);
+  // Process 0's envelope books; every other process checks its own when its
+  // machine shuts down, and an imbalance there aborts the run.
   const converse::PoolStats ps = converse::pool_stats();
   rep.pool_balanced = ps.allocated == ps.freed;
-  for (int t = 0; t < 3; ++t) {
-    rep.packs_by_technique[t] = metrics::total(static_cast<metrics::Counter>(
-        static_cast<int>(metrics::Counter::kPackStackCopy) + t));
-  }
+  for (int t = 0; t < 3; ++t) rep.packs_by_technique[t] = l.packs[t].load();
+  std::uint64_t wd = kFnvOffset;
+  for (int w = 0; w < opt.workers; ++w) wd = fnv1a_mix(wd, l.digest(w).load());
+  rep.workload_digest = wd;
   if (own_trace) {
     const std::string path = options.trace_file != nullptr
                                  ? std::string(options.trace_file)

@@ -4,21 +4,26 @@
 // across all three migration techniques (stack-copy, isomalloc, memalias) —
 // migrates every round along seed-derived itineraries while a chare array
 // delivers ttl-forwarded pings (and storms its own elements between PEs),
-// all optionally under chaos fault injection, on in-process queues or on
-// the machine's shm wire.
+// all optionally under chaos fault injection. One driver for every machine
+// shape: in-process queues, the shm wire inside one process, or the shm
+// wire across 2 or more processes (StormOptions::nprocs), where a thread
+// resumes at the same addresses in another address space.
 //
 // After every round the driver quiesces the machine and runs invariant
 // checkers: stack/heap canaries and stack-address stability (verified by
 // each worker on arrival), ping send/deliver counter balance under
-// quiescence, isomalloc slot-count stability, and at the end the return of
-// every isomalloc slot and memory-alias pool slot. Every shipped thread
-// image is checked twice on arrival: its CRC-32C must equal the one the
-// sender folded over the gather spans (transit), and the thread installed
-// from the in-place decode must repack to exactly the arrived bytes (round
-// trip through decode and install, size + memcmp). The
-// workload digest folds only seed-derived values, so two runs with the same
-// StormOptions are bit-identical — the replay contract behind
-// MFC_CHAOS_SEED.
+// quiescence, isomalloc slot-count stability (each PE its own strip, at
+// every release), and at the end the return of every isomalloc slot (each
+// PE its strip) and memory-alias pool slot (each process its pool). Every
+// shipped thread image is checked twice on arrival: its CRC-32C must equal
+// the one the sender folded over the gather spans (transit), and the
+// thread installed from the in-place decode must repack to exactly the
+// arrived bytes (round trip through decode and install, size + memcmp).
+// The workload digest folds only seed-derived values, so two runs with the
+// same StormOptions are bit-identical — the replay contract behind
+// MFC_CHAOS_SEED — and so are runs that differ only in transport or
+// nprocs. Counts and verdicts live in a ledger mapped MAP_SHARED before the
+// fork, so no round sends a message to gather them.
 #pragma once
 
 #include <cstddef>
@@ -47,16 +52,23 @@ struct StormOptions {
   int array_pings = 4;
   int ping_ttl = 3;
   bool element_migration = true;  ///< storm the array elements too
-  /// Machine transport for the storm (loopback mode, nprocs == 1):
-  /// 0 = in-process queues, 1 = shm rings. With 1 every cross-PE message —
-  /// including the scatter-gather thread-image ships — runs the full ring
-  /// and chunking path. Seed-derived digests are transport-independent, so
-  /// same-seed runs must agree across both.
+  /// Machine transport for the storm: 0 = in-process queues, 1 = shm
+  /// rings. With 1 every cross-PE message — including the scatter-gather
+  /// thread-image ships — runs the full ring and chunking path. Seed-derived
+  /// digests are transport-independent, so same-seed runs must agree across
+  /// both.
   int transport = 0;
+  /// Processes the machine runs across (Machine::Config::nprocs): npes must
+  /// divide evenly, and nprocs > 1 needs transport 1. Every StormReport
+  /// count is the same for any nprocs. FT, chaos and `trace` stay on one
+  /// process for now; run_storm fails a check naming the reason.
+  int nprocs = 1;
   /// Record a trace of the storm and export Chrome trace-event JSON at the
   /// end (MFC_TRACE=1 in the environment has the same effect). The trace is
   /// labelled with the chaos seed / technique mix / round count, so two
-  /// same-seed runs yield directly diffable timelines.
+  /// same-seed runs yield directly diffable timelines. One process only:
+  /// across processes MFC_TRACE=1 has Machine::run write one part per
+  /// process and merge them.
   bool trace = false;
   /// Export path when tracing; nullptr falls back to MFC_TRACE_FILE, then
   /// "storm_trace.json".
@@ -91,13 +103,14 @@ struct StormOptions {
   int work_spin = 0;
 };
 
+/// Every count and verdict covers every process of the machine.
 struct StormReport {
   std::uint64_t rounds = 0;
   std::uint64_t thread_migrations = 0;
   std::uint64_t element_migrations = 0;
   std::uint64_t pings_delivered = 0;
   std::uint64_t wire_bytes = 0;  ///< serialized thread-image bytes shipped
-  std::uint64_t injections[kPointCount] = {};
+  std::uint64_t injections[kPointCount] = {};  ///< chaos: one process only
 
   // Invariant-checker verdicts (all must be zero / true for a clean storm).
   std::uint64_t canary_failures = 0;   ///< stack/heap canary or address drift
@@ -106,17 +119,20 @@ struct StormReport {
   std::uint64_t digest_mismatches = 0;
   std::uint64_t misroutes = 0;         ///< worker woke on the wrong PE
   std::uint64_t counter_failures = 0;  ///< ping counters unbalanced under QD
-  bool slots_balanced = false;  ///< iso slots returned to pre-storm baseline
-  /// Memory-alias stack pool slots returned to the pre-storm baseline, and
-  /// the pool file within its high-water bound (MemAliasPool).
+  bool slots_balanced = false;  ///< every PE's iso strip back to pre-storm
+  /// Every process's memory-alias stack pool back to its pre-storm slot
+  /// count, and its file within its high-water bound (MemAliasPool).
   bool stack_pool_balanced = false;
-  bool pool_balanced = false;   ///< envelope books balanced at shutdown
+  /// Envelope books balanced at shutdown (process 0's; any other process's
+  /// imbalance aborts the run as its machine shuts down).
+  bool pool_balanced = false;
 
   /// Folds every worker's seed-derived history; bit-identical across runs
   /// with equal options (the determinism probe tests compare this).
   std::uint64_t workload_digest = 0;
 
-  /// Tracing results (zero unless the storm owned a trace session).
+  /// Tracing results (zero unless the storm owned a trace session; never
+  /// across processes).
   bool traced = false;
   std::uint64_t trace_events = 0;   ///< total events emitted
   std::uint64_t trace_dropped = 0;  ///< overwritten by ring drop-oldest
@@ -125,11 +141,12 @@ struct StormReport {
   /// equal across two same-seed runs; message/handler counts are excluded
   /// because stale-routing bounces make them timing-dependent.
   std::uint64_t trace_digest = 0;
-  /// Thread packs by technique (stack-copy, isomalloc, memalias), read
-  /// from the metrics registry; filled whether or not tracing is on.
+  /// Thread packs by technique (stack-copy, isomalloc, memalias), counted
+  /// at the dock; filled whether or not tracing is on.
   std::uint64_t packs_by_technique[3] = {};
 
-  /// Fault-tolerance protocol counts (zero when FT is off).
+  /// Fault-tolerance protocol counts (zero when FT is off; FT runs on one
+  /// process).
   std::uint64_t ft_epochs = 0;            ///< committed checkpoints
   std::uint64_t ft_kills = 0;             ///< injected PE failures
   std::uint64_t ft_detections = 0;        ///< detector firings

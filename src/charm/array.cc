@@ -72,7 +72,9 @@ ArrayBase& array_for(int id) {
   return *it->second;
 }
 
-void register_array_handlers() {
+}  // namespace
+
+void register_handlers() {
   static std::once_flag once;
   std::call_once(once, [] {
     h_route = converse::register_handler([](converse::Message&& m) {
@@ -102,6 +104,8 @@ void register_array_handlers() {
   });
 }
 
+namespace {
+
 /// Flow id tying an element's departure to its arrival: both PEs derive
 /// the same id from (array, index, hop epoch). The high bit-62 namespace
 /// keeps element flows disjoint from message and thread-migration flows.
@@ -128,7 +132,7 @@ ArrayBase* find_array(int id) {
 
 ArrayBase::ArrayBase(int id, int count, ElementFactory factory)
     : id_(id), count_(count), factory_(std::move(factory)) {
-  register_array_handlers();
+  register_handlers();
   MFC_CHECK_MSG(!t_arrays.contains(id_), "array id already in use on this PE");
   t_arrays[id_] = this;
 

@@ -184,4 +184,10 @@ class Array : public ArrayBase {
 /// peers). Null when the PE has not created the array.
 ArrayBase* find_array(int id);
 
+/// Registers the array layer's message handlers (once per program). On a
+/// multi-process machine call it before Machine::run, so the ids agree in
+/// every process; the first Array built registers them otherwise, which
+/// only a single-process machine allows.
+void register_handlers();
+
 }  // namespace mfc::charm

@@ -49,6 +49,10 @@ constexpr std::size_t kMaxHandlers = 1024;
 std::mutex g_register_mutex;
 std::atomic<HandlerFn*> g_handler_slots[kMaxHandlers];
 std::atomic<std::uint32_t> g_handler_count{0};
+/// Set from a multi-process machine's first fork until process 0 has
+/// reaped its children: an id registered then would exist in one process
+/// only.
+std::atomic<bool> g_forked{false};
 
 /// Self-sends from handler context deliver inline (no enqueue); the depth
 /// cap bounds stack growth and guarantees handler chains that never go
@@ -1065,6 +1069,10 @@ void zygote_respawn(const Machine::Config& config,
 }  // namespace
 
 HandlerId register_handler(HandlerFn fn) {
+  MFC_CHECK_MSG(!g_forked.load(std::memory_order_relaxed),
+                "register_handler after a multi-process machine forked: "
+                "register before Machine::run so the id is the same in "
+                "every process");
   std::lock_guard<std::mutex> lock(g_register_mutex);
   const std::uint32_t id = g_handler_count.load(std::memory_order_relaxed);
   MFC_CHECK_MSG(id < kMaxHandlers, "handler table full");
@@ -1144,6 +1152,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   // replacement must not inherit. One SEQPACKET pair between process 0 and
   // the zygote carries the control protocol.
   const bool ft_respawn = g_ft_hooks_set && config.nprocs > 1;
+  if (config.nprocs > 1) g_forked.store(true, std::memory_order_relaxed);
   const pid_t parent = ::getpid();
   int ctl_fd = -1;
   pid_t zygote_pid = 0;
@@ -1222,6 +1231,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
                   "respawn zygote exited abnormally");
     ::close(ctl_fd);
   }
+  g_forked.store(false, std::memory_order_relaxed);
   transport.reset();
 
   delete g_machine;  // ~Pe drains inboxes/stashes/pools via the counted path

@@ -151,11 +151,11 @@ struct Message {
 using HandlerFn = std::function<void(Message&&)>;
 
 /// Registers a handler. All PEs share the registry; handlers must be
-/// registered before Machine::run (or identically on every address space
-/// before Machine::run forks) so ids agree machine-wide. Registration
-/// while the machine runs is tolerated (the charm array layer registers
-/// lazily from entry functions): the table is append-only and dispatch
-/// reads it lock-free.
+/// registered before Machine::run so ids agree machine-wide. A
+/// registration after a multi-process machine has forked fails a check
+/// (the id would exist in one process only). A single-process machine
+/// tolerates registration while it runs: the table is append-only and
+/// dispatch reads it lock-free.
 HandlerId register_handler(HandlerFn fn);
 
 class Machine {

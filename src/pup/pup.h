@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -46,6 +47,11 @@ class Er {
   /// Processes `n` raw bytes at `data` (measured, copied out, or copied in
   /// depending on mode).
   virtual void bytes(void* data, std::size_t n) = 0;
+
+  /// Bytes an unpacker has left to read; unbounded in the other modes. A
+  /// container checks its length word against it before it allocates, so
+  /// a damaged word cannot size an allocation.
+  virtual std::size_t remaining() const { return SIZE_MAX; }
 
  protected:
   explicit Er(Mode mode) : mode_(mode) {}
@@ -93,9 +99,13 @@ class MemUnpacker final : public Er {
         end_(cur_ + size) {}
 
   void bytes(void* data, std::size_t n) override {
-    MFC_CHECK_MSG(cur_ + n <= end_, "pup unpack underflow");
+    MFC_CHECK_MSG(n <= remaining(), "pup unpack underflow");
     std::memcpy(data, cur_, n);
     cur_ += n;
+  }
+
+  std::size_t remaining() const override {
+    return static_cast<std::size_t>(end_ - cur_);
   }
 
   std::size_t consumed(const void* buf) const {
@@ -180,9 +190,32 @@ void pup(Er& p, T& value) {
   value.pup(p);
 }
 
-inline void pup(Er& p, std::string& s) {
-  std::size_t n = s.size();
+namespace detail {
+/// Reads or writes a container's length word. Unpacking, a word that
+/// counts more `elem_bytes`-byte elements than are left to read fails
+/// before anything is allocated (0: elements of no fixed size).
+inline std::size_t pup_length(Er& p, std::size_t n, std::size_t elem_bytes) {
   p.bytes(&n, sizeof n);
+  MFC_CHECK_MSG(!p.unpacking() || elem_bytes == 0 ||
+                    n <= p.remaining() / elem_bytes,
+                "pup unpack underflow");
+  return n;
+}
+
+/// Unpacks `n` elements into a vector or deque, growing it one element at
+/// a time as each is read; packs or sizes them in place otherwise.
+template <typename Seq>
+void pup_elements(Er& p, Seq& c, std::size_t n) {
+  if (p.unpacking() && c.size() > n) c.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == c.size()) c.emplace_back();
+    pup(p, c[i]);
+  }
+}
+}  // namespace detail
+
+inline void pup(Er& p, std::string& s) {
+  const std::size_t n = detail::pup_length(p, s.size(), 1);
   if (p.unpacking()) s.resize(n);
   if (n) p.bytes(s.data(), n);
 }
@@ -198,22 +231,18 @@ inline void pup_bytes(Er& p, void* data, std::size_t n) { p.bytes(data, n); }
 
 template <typename T>
 void pup(Er& p, std::vector<T>& v) {
-  std::size_t n = v.size();
-  p.bytes(&n, sizeof n);
-  if (p.unpacking()) v.resize(n);
   if constexpr (std::is_trivially_copyable_v<T> && !HasMemberPup<T>) {
+    const std::size_t n = detail::pup_length(p, v.size(), sizeof(T));
+    if (p.unpacking()) v.resize(n);
     if (n) p.bytes(v.data(), n * sizeof(T));
   } else {
-    for (auto& e : v) pup(p, e);
+    detail::pup_elements(p, v, detail::pup_length(p, v.size(), 0));
   }
 }
 
 template <typename T>
 void pup(Er& p, std::deque<T>& d) {
-  std::size_t n = d.size();
-  p.bytes(&n, sizeof n);
-  if (p.unpacking()) d.resize(n);
-  for (auto& e : d) pup(p, e);
+  detail::pup_elements(p, d, detail::pup_length(p, d.size(), 0));
 }
 
 template <typename T, std::size_t N>

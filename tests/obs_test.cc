@@ -8,12 +8,12 @@
 //    snapshot merge associativity, metrics snapshot provenance, flight
 //    recorder note/freeze/dump semantics, part write→read→merge round
 //    trips with byte-identical re-merges;
-//  - machine-integrated: a compact cross-process migration driver run with
-//    MFC_TRACE=1 — Machine::run's own shutdown path must leave behind one
-//    merged Perfetto JSON whose per-track timestamps are monotonic and
-//    which contains at least one flow arrow spanning two process track
-//    groups (including the migrate pack→unpack arrow on the acceptance
-//    64-PE/4-process shape);
+//  - machine-integrated: the migration storm (chaos::run_storm) across
+//    processes with MFC_TRACE=1 — Machine::run's own shutdown path must
+//    leave behind one merged Perfetto JSON whose per-track timestamps are
+//    monotonic and which contains at least one flow arrow spanning two
+//    process track groups (including the migrate pack→unpack arrow on the
+//    acceptance 64-PE/4-process shape);
 //  - failure path: an FT kill storm with tracing OFF must still produce a
 //    flight-recorder dump naming "ft-kill".
 //
@@ -27,23 +27,13 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chaos/storm.h"
-#include "converse/machine.h"
-#include "migrate/iso_thread.h"
-#include "migrate/memalias_thread.h"
-#include "migrate/migratable.h"
-#include "migrate/stackcopy_thread.h"
-#include "pup/pup.h"
 #include "trace/flight.h"
 #include "trace/hist.h"
 #include "trace/metrics.h"
@@ -52,7 +42,6 @@
 
 namespace {
 
-namespace cv = mfc::converse;
 namespace hist = mfc::hist;
 namespace trace = mfc::trace;
 namespace flight = mfc::trace::flight;
@@ -500,221 +489,28 @@ TEST(TraceParts, RejectsCorruptAndMissingParts) {
 
 // ---- Machine-integrated legs -----------------------------------------------
 //
-// A compact cross-process migration driver (a trimmed cousin of the
-// transport battery's mini-storm): workers on all three techniques hop
-// along seed-derived itineraries, shipping as scatter-gather manifests;
-// verdicts funnel to PE 0. Run with MFC_TRACE=1, the machine's own
-// shutdown path must merge the per-process parts into one timeline.
+// The migration storm across processes: workers on all three techniques hop
+// along seed-derived itineraries next to the chare array's traffic. Run
+// with MFC_TRACE=1, the machine's own shutdown path must merge the
+// per-process parts into one timeline.
 
-struct ObDock {
-  std::int32_t wid = 0;
-  std::int32_t hop = 0;
-  void pup(mfc::pup::Er& p) { p | wid | hop; }
-};
-
-struct ObShip {
-  std::int32_t wid = 0;
-  std::int32_t hop = 0;
-  std::vector<char> wire;
-  void pup(mfc::pup::Er& p) { p | wid | hop | wire; }
-};
-
-struct ObDone {
-  std::int32_t wid = 0;
-  std::uint64_t failures = 0;
-  void pup(mfc::pup::Er& p) { p | wid | failures; }
-};
-
-struct ObState {
-  std::uint64_t seed = 1;
-  int npes = 4;
-  int workers = 6;
-  int hops = 2;
-  std::size_t stack_bytes = 16 * 1024;
-
-  std::mutex mu;
-  std::unordered_map<int, mfc::migrate::MigratableThread*> threads;
-  std::unordered_map<int, mfc::ult::Thread*> parked_mains;
-  /// PEs whose h_ob_finish arrived before their main parked: a PE thread that
-  /// starts late can dispatch it before its main first runs.
-  std::unordered_set<int> finished;
-
-  // PE 0 (parent process) coordinator state.
-  int dones = 0;
-  std::uint64_t failures = 0;
-  mfc::ult::Thread* coordinator = nullptr;
-  bool waiting_dones = false;
-};
-ObState* g_ob = nullptr;
-
-int ob_dest(const ObState& s, int wid, int hop) {
-  SplitMix64 r(s.seed ^ (static_cast<std::uint64_t>(wid) * 1000003ULL +
-                         static_cast<std::uint64_t>(hop)));
-  return static_cast<int>(r.next() % static_cast<std::uint64_t>(s.npes));
-}
-
-cv::HandlerId h_ob_dock, h_ob_ship, h_ob_done, h_ob_finish;
-
-// wid arrives as a lambda capture and from then on lives in this frame —
-// i.e. on the migrating stack. Keying identity off ult thread ids would be
-// wrong here: the id counter is forked, so workers born in different
-// processes can collide.
-void ob_worker_body(int wid) {
-  ObState* s = g_ob;
-  std::uint64_t failures = 0;
-  for (int hop = 0; hop < s->hops; ++hop) {
-    const int dest = ob_dest(*s, wid, hop);
-    cv::send_value(cv::my_pe(), h_ob_dock, ObDock{wid, hop});
-    mfc::ult::suspend();
-    if (cv::my_pe() != dest) ++failures;  // woke on the wrong PE
-  }
-  cv::send_value(0, h_ob_done, ObDone{wid, failures});
-}
-
-mfc::migrate::MigratableThread* ob_make_worker(const ObState& s, int wid,
-                                               int pe) {
-  const auto body = [wid] { ob_worker_body(wid); };
-  switch (wid % 3) {
-    case 0:
-      return new mfc::migrate::StackCopyThread(body, s.stack_bytes);
-    case 1:
-      return new mfc::migrate::IsoThread(body, pe, s.stack_bytes);
-    default:
-      return new mfc::migrate::MemAliasThread(body, s.stack_bytes);
-  }
-}
-
-void ensure_ob_handlers() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    h_ob_dock = cv::register_handler([](cv::Message&& m) {
-      ObState* s = g_ob;
-      const auto d = m.as<ObDock>();
-      mfc::migrate::MigratableThread* t;
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        t = s->threads.at(d.wid);
-        s->threads.erase(d.wid);
-      }
-      mfc::migrate::ImageManifest man = t->pack_manifest(true);
-      std::vector<char> scratch;
-      const auto img_spans = man.wire_spans(&scratch);
-      std::size_t wire_len = 0;
-      for (const auto& r : img_spans) wire_len += r.len;
-
-      std::int32_t wid = d.wid, hop = d.hop;
-      mfc::pup::Sizer sz;
-      sz | wid | hop;
-      std::vector<char> prefix(sz.size() + sizeof(std::size_t));
-      mfc::pup::MemPacker p(prefix.data(), prefix.size());
-      p | wid | hop;
-      std::size_t len_word = wire_len;
-      p.bytes(&len_word, sizeof len_word);
-
-      std::vector<cv::SendSpan> spans;
-      spans.reserve(img_spans.size() + 1);
-      spans.push_back({prefix.data(), prefix.size()});
-      for (const auto& r : img_spans) spans.push_back({r.data, r.len});
-
-      cv::send_spans(ob_dest(*s, d.wid, d.hop), h_ob_ship, spans.data(),
-                     spans.size(), [t] {
-                       t->complete_pack();
-                       delete t;
-                     });
-    });
-    h_ob_ship = cv::register_handler([](cv::Message&& m) {
-      ObState* s = g_ob;
-      auto ship = m.as<ObShip>();
-      mfc::migrate::ImageManifest image;
-      MFC_CHECK(mfc::migrate::ImageManifest::decode(ship.wire, &image) ==
-                mfc::migrate::CodecError::kOk);
-      auto* t = mfc::migrate::MigratableThread::unpack(image, cv::my_pe());
-      t->set_delete_on_exit(true);
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->threads[ship.wid] = t;
-      }
-      cv::ready_thread(t);
-    });
-    h_ob_done = cv::register_handler([](cv::Message&& m) {
-      ObState* s = g_ob;
-      const auto done = m.as<ObDone>();
-      s->failures += done.failures;
-      if (++s->dones == s->workers && s->waiting_dones) {
-        s->waiting_dones = false;
-        cv::ready_thread(s->coordinator);
-      }
-    });
-    h_ob_finish = cv::register_handler([](cv::Message&&) {
-      ObState* s = g_ob;
-      mfc::ult::Thread* main = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        auto it = s->parked_mains.find(cv::my_pe());
-        if (it != s->parked_mains.end()) {
-          main = it->second;
-          s->parked_mains.erase(it);
-        } else {
-          s->finished.insert(cv::my_pe());
-        }
-      }
-      if (main != nullptr) cv::ready_thread(main);
-    });
-  });
-}
-
-void ob_entry(int pe) {
-  ObState* s = g_ob;
-  for (int w = 0; w < s->workers; ++w) {
-    if (w % s->npes != pe) continue;
-    auto* t = ob_make_worker(*s, w, pe);
-    t->set_delete_on_exit(true);
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->threads[w] = t;
-    }
-    cv::ready_thread(t);
-  }
-  if (pe != 0) {
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (s->finished.count(pe) != 0) return;
-      s->parked_mains[pe] = cv::pe_scheduler().running();
-    }
-    mfc::ult::suspend();  // until h_ob_finish
-    return;
-  }
-  s->coordinator = cv::pe_scheduler().running();
-  if (s->dones < s->workers) {
-    s->waiting_dones = true;
-    mfc::ult::suspend();
-  }
-  cv::broadcast(h_ob_finish, {});
-  cv::wait_quiescence();
-}
-
-[[maybe_unused]] std::uint64_t run_ob_storm(int npes, int nprocs, int workers,
-                                            int hops, std::uint64_t seed) {
-  ensure_ob_handlers();
-  auto s = std::make_unique<ObState>();
-  s->seed = seed;
-  s->npes = npes;
-  s->workers = workers;
-  s->hops = hops;
-  g_ob = s.get();
-
-  cv::Machine::Config mc;
-  mc.npes = npes;
-  mc.nprocs = nprocs;
-  mc.transport = cv::Machine::Config::Transport::kShm;
-  mc.iso_slot_bytes = 16 * 1024;
-  mc.iso_slots_per_pe = 64;
-  cv::Machine::run(mc, ob_entry);
-
-  EXPECT_EQ(s->dones, workers);
-  const std::uint64_t failures = s->failures;
-  g_ob = nullptr;
-  return failures;
+[[maybe_unused]] mfc::chaos::StormReport run_storm_across(int npes,
+                                                          int nprocs,
+                                                          int workers,
+                                                          int rounds,
+                                                          std::uint64_t seed) {
+  mfc::chaos::StormOptions opt;
+  opt.seed = seed;
+  opt.npes = npes;
+  opt.nprocs = nprocs;
+  opt.transport = 1;
+  opt.workers = workers;
+  opt.rounds = rounds;
+  opt.iso_slots_per_pe = 64;
+  const mfc::chaos::StormReport r = mfc::chaos::run_storm(opt);
+  EXPECT_EQ(r.thread_migrations,
+            static_cast<std::uint64_t>(workers * rounds));
+  return r;
 }
 
 #ifndef MFC_TSAN
@@ -727,10 +523,10 @@ TEST(ObsMachine, TwoProcTraceMergesToOneAlignedTimeline) {
   }
   setenv("MFC_TRACE", "1", 1);
   setenv("MFC_TRACE_FILE", base.c_str(), 1);
-  const std::uint64_t failures = run_ob_storm(4, 2, 6, 2, 0x0B51);
+  const mfc::chaos::StormReport r = run_storm_across(4, 2, 6, 2, 0x0B51);
   unsetenv("MFC_TRACE");
   unsetenv("MFC_TRACE_FILE");
-  EXPECT_EQ(failures, 0u);
+  EXPECT_TRUE(r.clean());
 
   // The parent's shutdown path merged both parts into the base file.
   const std::string json = read_file(base);
@@ -766,10 +562,10 @@ TEST(ObsMachine, Acceptance64Pe4ProcStormHasCrossProcessMigrateFlow) {
   std::remove(base.c_str());
   setenv("MFC_TRACE", "1", 1);
   setenv("MFC_TRACE_FILE", base.c_str(), 1);
-  const std::uint64_t failures = run_ob_storm(64, 4, 12, 2, 0xACC3);
+  const mfc::chaos::StormReport r = run_storm_across(64, 4, 12, 2, 0xACC3);
   unsetenv("MFC_TRACE");
   unsetenv("MFC_TRACE_FILE");
-  EXPECT_EQ(failures, 0u);
+  EXPECT_TRUE(r.clean());
 
   const std::string json = read_file(base);
   ASSERT_FALSE(json.empty());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <map>
 #include <string>
@@ -114,6 +115,53 @@ TEST(PupDeath, UnpackerRefusesUnderflow) {
   pup::MemUnpacker u(buf.data(), buf.size());
   double big = 0;
   EXPECT_DEATH(pup::pup(u, big), "underflow");
+}
+
+/// A container's length word, damaged in transit, must fail as an
+/// underflow before it sizes an allocation. The counts are beyond any
+/// container's max_size(), so sizing by them throws at once.
+std::vector<char> damaged_length(std::vector<char> bytes) {
+  std::size_t n = 0;
+  std::memcpy(&n, bytes.data(), sizeof n);
+  n ^= std::size_t{1} << 63;
+  std::memcpy(bytes.data(), &n, sizeof n);
+  return bytes;
+}
+
+TEST(PupDeath, VectorLengthWordCannotSizeAnAllocation) {
+  const std::vector<char> bytes =
+      damaged_length(pup::to_bytes(std::vector<int>{1, 2, 3}));
+  std::vector<int> v;
+  EXPECT_DEATH(pup::from_bytes(bytes, v), "pup unpack underflow");
+  const std::vector<char> strings = damaged_length(
+      pup::to_bytes(std::vector<std::string>{"a", "bc"}));
+  std::vector<std::string> vs;
+  EXPECT_DEATH(pup::from_bytes(strings, vs), "pup unpack underflow");
+}
+
+TEST(PupDeath, StringLengthWordCannotSizeAnAllocation) {
+  const std::vector<char> bytes =
+      damaged_length(pup::to_bytes(std::string("hello")));
+  std::string s;
+  EXPECT_DEATH(pup::from_bytes(bytes, s), "pup unpack underflow");
+}
+
+TEST(PupDeath, DequeLengthWordCannotSizeAnAllocation) {
+  const std::vector<char> bytes =
+      damaged_length(pup::to_bytes(std::deque<int>{4, 5, 6}));
+  std::deque<int> d;
+  EXPECT_DEATH(pup::from_bytes(bytes, d), "pup unpack underflow");
+}
+
+TEST(Pup, UnpackReusesAndTrimsExistingElements) {
+  const std::vector<std::string> two = {"x", "yz"};
+  std::vector<std::string> longer = {"stale", "stale", "stale"};
+  pup::from_bytes(pup::to_bytes(two), longer);
+  EXPECT_EQ(longer, two);
+  const std::deque<std::string> three = {"a", "b", "c"};
+  std::deque<std::string> shorter = {"stale"};
+  pup::from_bytes(pup::to_bytes(three), shorter);
+  EXPECT_EQ(shorter, three);
 }
 
 TEST(PupDeath, PackerRefusesOverflow) {

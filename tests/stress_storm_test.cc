@@ -1,5 +1,6 @@
 // Migration-storm stress tests (labeled `stress`; the tsan CI preset runs
-// these under ThreadSanitizer with a fixed seed matrix).
+// these under ThreadSanitizer with a fixed seed matrix). Multi-process legs
+// are compiled out under tsan (MFC_TSAN): tsan does not follow fork.
 //
 // Reproducing a failed seed: the storm prints `MFC_CHAOS_SEED=<n>` at
 // install time; rerun that exact interleaving pressure with
@@ -11,6 +12,7 @@
 #include "trace/metrics.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace {
@@ -79,31 +81,41 @@ TEST(Storm, CleanRunWithoutChaos) {
 /// image as a prefix of what arrived) but fails both checks: the transit
 /// CRC no longer matches, and the installed thread's repack is a byte
 /// shorter than the arrived bytes. One flipped bit in the sent CRC fails
-/// the transit check alone.
+/// the transit check alone. Across two processes every arrival is counted,
+/// whichever process it lands in.
 TEST(Storm, ArrivalChecksCountDamagedShipments) {
-  const StormOptions opt = quiet_options(3);
-  const std::uint64_t migrations = static_cast<std::uint64_t>(opt.workers) *
-                                   static_cast<std::uint64_t>(opt.rounds);
+  std::vector<int> nprocs = {1};
+#ifndef MFC_TSAN
+  nprocs.push_back(2);
+#endif
+  for (const int n : nprocs) {
+    SCOPED_TRACE("nprocs=" + std::to_string(n));
+    StormOptions opt = quiet_options(3);
+    opt.nprocs = n;
+    opt.transport = n > 1 ? 1 : 0;
+    const std::uint64_t migrations = static_cast<std::uint64_t>(opt.workers) *
+                                     static_cast<std::uint64_t>(opt.rounds);
 
-  chaos::set_ship_tamper_for_testing(
-      [](std::vector<char>& wire, std::uint64_t&) { wire.push_back('\0'); });
-  const StormReport grown = chaos::run_storm(opt);
-  chaos::set_ship_tamper_for_testing(
-      [](std::vector<char>&, std::uint64_t& crc) { crc ^= 1; });
-  const StormReport flipped = chaos::run_storm(opt);
-  chaos::set_ship_tamper_for_testing(nullptr);
+    chaos::set_ship_tamper_for_testing(
+        [](std::vector<char>& wire, std::uint64_t&) { wire.push_back('\0'); });
+    const StormReport grown = chaos::run_storm(opt);
+    chaos::set_ship_tamper_for_testing(
+        [](std::vector<char>&, std::uint64_t& crc) { crc ^= 1; });
+    const StormReport flipped = chaos::run_storm(opt);
+    chaos::set_ship_tamper_for_testing(nullptr);
 
-  EXPECT_EQ(grown.thread_migrations, migrations);
-  EXPECT_EQ(grown.digest_mismatches, 2 * migrations);
-  EXPECT_EQ(flipped.thread_migrations, migrations);
-  EXPECT_EQ(flipped.digest_mismatches, migrations);
-  for (const StormReport* r : {&grown, &flipped}) {
-    EXPECT_FALSE(r->clean());
-    EXPECT_EQ(r->canary_failures, 0u);
-    EXPECT_EQ(r->misroutes, 0u);
-    EXPECT_EQ(r->counter_failures, 0u);
-    EXPECT_TRUE(r->slots_balanced);
-    EXPECT_TRUE(r->stack_pool_balanced);
+    EXPECT_EQ(grown.thread_migrations, migrations);
+    EXPECT_EQ(grown.digest_mismatches, 2 * migrations);
+    EXPECT_EQ(flipped.thread_migrations, migrations);
+    EXPECT_EQ(flipped.digest_mismatches, migrations);
+    for (const StormReport* r : {&grown, &flipped}) {
+      EXPECT_FALSE(r->clean());
+      EXPECT_EQ(r->canary_failures, 0u);
+      EXPECT_EQ(r->misroutes, 0u);
+      EXPECT_EQ(r->counter_failures, 0u);
+      EXPECT_TRUE(r->slots_balanced);
+      EXPECT_TRUE(r->stack_pool_balanced);
+    }
   }
 }
 
@@ -189,24 +201,67 @@ TEST(Storm, HundredRoundAcceptanceUnderFullChaos) {
 }
 
 TEST(Storm, WorkloadDigestIsTransportIndependent) {
-  // The same seed on in-process queues and on the shm wire (loopback mode,
-  // every cross-PE message including the scatter-gather thread-image ships
-  // riding the rings) must produce one workload digest: itineraries and
-  // histories are functions of the seed, never of which transport carried
-  // them. Chaos stays off so the only variable is the wire.
-  StormOptions opt = quiet_options(9001);
-  StormReport reports[2];
-  for (int t = 0; t < 2; ++t) {
-    opt.transport = t;
-    reports[t] = chaos::run_storm(opt);
-    expect_clean(reports[t], opt);
+  // The same seed in every machine shape: in-process queues, the shm wire
+  // in loopback mode (every cross-PE message including the scatter-gather
+  // thread-image ships riding the rings), and the shm wire across 2 and 4
+  // processes. Itineraries and histories are functions of the seed, never
+  // of the shape that carried them, and so is every count of the report,
+  // whichever process made it. Chaos stays off so the only variable is the
+  // machine.
+  struct Shape {
+    int transport;
+    int nprocs;
+  };
+  std::vector<Shape> shapes = {{0, 1}, {1, 1}};
+#ifndef MFC_TSAN
+  shapes.push_back({1, 2});
+  shapes.push_back({1, 4});
+#endif
+  StormReport ref;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("transport=" + std::to_string(shape.transport) +
+                 " nprocs=" + std::to_string(shape.nprocs));
+    StormOptions opt = quiet_options(9001);
+    opt.transport = shape.transport;
+    opt.nprocs = shape.nprocs;
+    const StormReport r = chaos::run_storm(opt);
+    expect_clean(r, opt);
+    if (&shape == &shapes.front()) {
+      ref = r;
+      continue;
+    }
+    EXPECT_EQ(r.workload_digest, ref.workload_digest)
+        << "the machine's shape changed the workload";
+    // The wire moves the same logical bytes too: serialized thread-image
+    // volume is shape-invariant.
+    EXPECT_EQ(r.wire_bytes, ref.wire_bytes);
+    EXPECT_EQ(r.thread_migrations, ref.thread_migrations);
+    EXPECT_EQ(r.pings_delivered, ref.pings_delivered);
+    EXPECT_EQ(r.element_migrations, ref.element_migrations);
+    for (int t = 0; t < 3; ++t) {
+      EXPECT_EQ(r.packs_by_technique[t], ref.packs_by_technique[t]);
+    }
   }
-  EXPECT_EQ(reports[0].workload_digest, reports[1].workload_digest)
-      << "shm wire changed the workload";
-  // The wire moves the same logical bytes too: serialized thread-image
-  // volume is transport-invariant.
-  EXPECT_EQ(reports[0].wire_bytes, reports[1].wire_bytes);
 }
+
+#ifndef MFC_TSAN
+/// What the storm does not run across processes yet fails a check that
+/// names the reason.
+TEST(StormDeathTest, UnsupportedMultiProcessOptionsNameTheReason) {
+  const auto dies = [](void (*set)(StormOptions&), const char* reason) {
+    StormOptions opt = quiet_options(5);
+    opt.nprocs = 2;
+    opt.transport = 1;
+    set(opt);
+    EXPECT_DEATH(chaos::run_storm(opt), reason);
+  };
+  dies([](StormOptions& o) { o.transport = 0; }, "needs the shm wire");
+  dies([](StormOptions& o) { o.nprocs = 3; }, "divide evenly");
+  dies([](StormOptions& o) { o.ft_checkpoint_every = 2; }, "FT runs on one");
+  dies([](StormOptions& o) { o.chaos.enabled = true; }, "chaos runs on one");
+  dies([](StormOptions& o) { o.trace = true; }, "trace records one");
+}
+#endif
 
 /// Fixed three-seed matrix run by the tsan CI preset (-L stress).
 class StormSeedMatrix : public ::testing::TestWithParam<std::uint64_t> {};

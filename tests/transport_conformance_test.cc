@@ -4,12 +4,14 @@
 // SPSC rings — each behind Machine::Config's transport knob, the rings in
 // loopback mode (nprocs == 1, every cross-PE send over the wire inside one
 // process: the tsan-visible leg) and in true multi-process mode
-// (Machine::run forks; only cross-process sends hit the wire). The battery checks what a machine layer must never get wrong:
-// per-pair ordering, exactly-once delivery under seeded chaos
-// delay/reorder, big-payload integrity through the chunk path, full
-// migration storms (all three techniques, canary + address
-// stability + bit-identical same-seed replay), and balanced quiescence /
-// envelope books at shutdown (Machine::run itself asserts the latter).
+// (Machine::run forks; only cross-process sends hit the wire). The battery
+// checks what a machine layer must never get wrong: per-pair ordering,
+// exactly-once delivery under seeded chaos delay/reorder, big-payload
+// integrity through the chunk path, the migration storm (chaos::run_storm,
+// all three techniques) across 2 and 4 processes with the report of its
+// in-process run, handler ids that agree in every process, and balanced
+// quiescence / envelope books at shutdown (Machine::run itself asserts the
+// latter).
 //
 // Fork-based legs are compiled out under ThreadSanitizer (MFC_TSAN): tsan
 // does not follow forked children. Loopback legs keep the full wire path
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,10 +31,6 @@
 #include "chaos/storm.h"
 #include "converse/machine.h"
 #include "converse/quiescence.h"
-#include "migrate/iso_thread.h"
-#include "migrate/memalias_thread.h"
-#include "migrate/migratable.h"
-#include "migrate/stackcopy_thread.h"
 #include "pup/pup.h"
 #include "trace/metrics.h"
 #include "util/digest.h"
@@ -42,7 +41,6 @@ namespace {
 namespace cv = mfc::converse;
 using mfc::fnv1a;
 using mfc::fnv1a_mix;
-using mfc::kFnvOffset;
 using mfc::SplitMix64;
 using Transport = cv::Machine::Config::Transport;
 
@@ -61,24 +59,11 @@ cv::Machine::Config base_config(Transport t, int npes, int nprocs) {
   return mc;
 }
 
-std::uint64_t mix2(std::uint64_t a, std::uint64_t b) {
-  SplitMix64 r(a ^ (b + 0x9e3779b97f4a7c15ULL));
-  return r.next();
-}
-
 void fill_pattern(unsigned char* p, std::size_t n, std::uint64_t key) {
   SplitMix64 r(key);
   for (std::size_t i = 0; i < n; ++i) {
     p[i] = static_cast<unsigned char>(r.next());
   }
-}
-
-bool check_pattern(const unsigned char* p, std::size_t n, std::uint64_t key) {
-  SplitMix64 r(key);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (p[i] != static_cast<unsigned char>(r.next())) return false;
-  }
-  return true;
 }
 
 // ---- Ordering / exactly-once battery ---------------------------------------
@@ -638,351 +623,81 @@ TEST(TransportConformance, IdleQuiescenceWaitsWakeNoOtherPe) {
 }
 #endif
 
-// ---- Migration mini-storm ---------------------------------------------------
+// ---- The storm across processes --------------------------------------------
 //
-// A compact cross-process migration storm: workers on all three techniques
-// migrate along seed-derived itineraries; every hop ships the thread as a
-// scatter-gather manifest (send_spans with the destructive pack epilogue in
-// on_consumed). Workers verify stack canaries and address stability after
-// every hop and carry a running digest on their own migrating stacks; all
-// verdicts funnel to PE 0 as messages. The final digest is a pure function
-// of (seed, workers, rounds, npes) — bit-identical across runs and
-// backends.
+// chaos::run_storm on the multi-process machine: workers on all three
+// techniques migrate between processes (the isomalloc lease, the inherited
+// common arena and each process's memory-alias pool all in play) next to
+// the chare array's pings and element migrations, and every count and
+// verdict of the report covers every process. The machine's shape never
+// changes the result, so each run must match the in-process one.
 
-struct MsDock {
-  std::int32_t wid = 0;
-  std::int32_t round = 0;
-  void pup(mfc::pup::Er& p) { p | wid | round; }
-};
-
-struct MsShip {
-  std::int32_t wid = 0;
-  std::int32_t round = 0;
-  std::vector<char> wire;
-  void pup(mfc::pup::Er& p) { p | wid | round | wire; }
-};
-
-struct MsDone {
-  std::int32_t wid = 0;
-  std::uint64_t digest = 0;
-  std::uint64_t failures = 0;
-  void pup(mfc::pup::Er& p) { p | wid | digest | failures; }
-};
-
-struct MsState {
-  std::uint64_t seed = 1;
-  int npes = 4;
-  int workers = 6;
-  int rounds = 3;
-  std::size_t stack_bytes = 16 * 1024;
-
-  // Per-process registries (mirrors of the full storm driver's).
-  std::mutex mu;
-  std::unordered_map<int, mfc::migrate::MigratableThread*> threads;
-  struct Arrival {
-    mfc::ult::Thread* t;
-    std::int32_t round;
-  };
-  std::unordered_map<int, std::vector<Arrival>> arrived;  // per local PE
-  std::unordered_map<int, mfc::ult::Thread*> parked_mains;
-  /// PEs whose h_ms_finish arrived before their main parked: a PE thread that
-  /// starts late can dispatch it before its main first runs.
-  std::unordered_set<int> finished;
-
-  // PE 0 (parent) coordinator state.
-  int arrivals = 0;
-  int dones = 0;
-  mfc::ult::Thread* coordinator = nullptr;
-  bool waiting_arrivals = false;
-  bool waiting_dones = false;
-  std::uint64_t done_digest = kFnvOffset;
-  std::uint64_t failures = 0;
-};
-MsState* g_ms = nullptr;
-
-int ms_dest(const MsState& s, int wid, int round) {
-  return static_cast<int>(
-      mix2(s.seed ^ 0xD857,
-           static_cast<std::uint64_t>(wid) * 1000003ULL +
-               static_cast<std::uint64_t>(round)) %
-      static_cast<std::uint64_t>(s.npes));
+mfc::chaos::StormOptions storm_shape(std::uint64_t seed, int npes,
+                                     int workers, int nprocs) {
+  mfc::chaos::StormOptions opt;
+  opt.seed = seed;
+  opt.npes = npes;
+  opt.workers = workers;
+  opt.rounds = 3;
+  opt.nprocs = nprocs;
+  opt.transport = nprocs > 1 ? 1 : 0;
+  opt.iso_slots_per_pe = 64;
+  return opt;
 }
 
-std::uint64_t ms_pat_key(const MsState& s, int wid, int r) {
-  return mix2(s.seed ^ 0x57AC4, static_cast<std::uint64_t>(wid) * 7919ULL +
-                                    static_cast<std::uint64_t>(r));
-}
-
-cv::HandlerId h_ms_dock, h_ms_ship, h_ms_arrived, h_ms_release, h_ms_done,
-    h_ms_finish;
-
-// wid arrives as a lambda capture and from then on lives in this frame —
-// i.e. on the migrating stack. Keying identity off ult thread ids would be
-// wrong here: the id counter is forked, so workers born in different
-// processes can collide.
-void ms_worker_body(int wid) {
-  MsState* s = g_ms;
-  unsigned char canary[192];
-  const auto canary_addr = reinterpret_cast<std::uintptr_t>(&canary[0]);
-  fill_pattern(canary, sizeof canary, ms_pat_key(*s, wid, 0));
-
-  std::uint64_t digest = kFnvOffset;
-  std::uint64_t failures = 0;
-  for (int r = 0; r < s->rounds; ++r) {
-    const int dest = ms_dest(*s, wid, r);
-    digest = fnv1a_mix(digest, static_cast<std::uint64_t>(wid));
-    digest = fnv1a_mix(digest, static_cast<std::uint64_t>(r));
-    digest = fnv1a_mix(digest, static_cast<std::uint64_t>(dest));
-
-    cv::send_value(cv::my_pe(), h_ms_dock, MsDock{wid, r});
-    mfc::ult::suspend();
-
-    // Awake on the destination — possibly in a different process.
-    if (cv::my_pe() != dest) ++failures;
-    if (reinterpret_cast<std::uintptr_t>(&canary[0]) != canary_addr) {
-      ++failures;  // the paper's core guarantee: same address everywhere
-    }
-    if (!check_pattern(canary, sizeof canary, ms_pat_key(*s, wid, r))) {
-      ++failures;
-    }
-    fill_pattern(canary, sizeof canary, ms_pat_key(*s, wid, r + 1));
-  }
-  cv::send_value(0, h_ms_done, MsDone{wid, digest, failures});
-}
-
-mfc::migrate::MigratableThread* ms_make_worker(const MsState& s, int wid,
-                                               int pe) {
-  const auto body = [wid] { ms_worker_body(wid); };
-  switch (wid % 3) {
-    case 0:
-      return new mfc::migrate::StackCopyThread(body, s.stack_bytes);
-    case 1:
-      return new mfc::migrate::IsoThread(body, pe, s.stack_bytes);
-    default:
-      return new mfc::migrate::MemAliasThread(body, s.stack_bytes);
-  }
-}
-
-void ensure_ms_handlers() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    h_ms_dock = cv::register_handler([](cv::Message&& m) {
-      MsState* s = g_ms;
-      const auto d = m.as<MsDock>();
-      mfc::migrate::MigratableThread* t;
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        t = s->threads.at(d.wid);
-        s->threads.erase(d.wid);
-      }
-      // Scatter-gather ship, exactly the storm driver's path: ShipMsg-shaped
-      // prefix + manifest spans, destructive epilogue in on_consumed.
-      mfc::migrate::ImageManifest man = t->pack_manifest(true);
-      std::vector<char> scratch;
-      const auto img_spans = man.wire_spans(&scratch);
-      std::size_t wire_len = 0;
-      for (const auto& r : img_spans) wire_len += r.len;
-
-      std::int32_t wid = d.wid, round = d.round;
-      mfc::pup::Sizer sz;
-      sz | wid | round;
-      std::vector<char> prefix(sz.size() + sizeof(std::size_t));
-      mfc::pup::MemPacker p(prefix.data(), prefix.size());
-      p | wid | round;
-      std::size_t len_word = wire_len;
-      p.bytes(&len_word, sizeof len_word);
-
-      std::vector<cv::SendSpan> spans;
-      spans.reserve(img_spans.size() + 1);
-      spans.push_back({prefix.data(), prefix.size()});
-      for (const auto& r : img_spans) spans.push_back({r.data, r.len});
-
-      cv::send_spans(ms_dest(*s, d.wid, d.round), h_ms_ship, spans.data(),
-                     spans.size(), [t] {
-                       t->complete_pack();
-                       delete t;
-                     });
-    });
-    h_ms_ship = cv::register_handler([](cv::Message&& m) {
-      MsState* s = g_ms;
-      auto ship = m.as<MsShip>();
-      mfc::migrate::ImageManifest image;
-      MFC_CHECK(mfc::migrate::ImageManifest::decode(ship.wire, &image) ==
-                mfc::migrate::CodecError::kOk);
-      auto* t = mfc::migrate::MigratableThread::unpack(image, cv::my_pe());
-      t->set_delete_on_exit(true);
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->threads[ship.wid] = t;
-        s->arrived[cv::my_pe()].push_back({t, ship.round});
-      }
-      cv::send_value(0, h_ms_arrived, std::int32_t{ship.round});
-    });
-    h_ms_arrived = cv::register_handler([](cv::Message&&) {
-      MsState* s = g_ms;
-      if (++s->arrivals == s->workers && s->waiting_arrivals) {
-        s->waiting_arrivals = false;
-        cv::ready_thread(s->coordinator);
-      }
-    });
-    h_ms_release = cv::register_handler([](cv::Message&& m) {
-      MsState* s = g_ms;
-      const auto round = m.as<std::int32_t>();
-      std::vector<mfc::ult::Thread*> batch;
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        auto& list = s->arrived[cv::my_pe()];
-        for (auto it = list.begin(); it != list.end();) {
-          if (it->round == round) {
-            batch.push_back(it->t);
-            it = list.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      for (auto* t : batch) cv::ready_thread(t);
-    });
-    h_ms_done = cv::register_handler([](cv::Message&& m) {
-      MsState* s = g_ms;
-      const auto done = m.as<MsDone>();
-      // Order-independent fold: arrival order of done messages varies.
-      s->done_digest += mix2(static_cast<std::uint64_t>(done.wid) + 1,
-                             done.digest);
-      s->failures += done.failures;
-      if (++s->dones == s->workers && s->waiting_dones) {
-        s->waiting_dones = false;
-        cv::ready_thread(s->coordinator);
-      }
-    });
-    h_ms_finish = cv::register_handler([](cv::Message&&) {
-      MsState* s = g_ms;
-      mfc::ult::Thread* main = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(s->mu);
-        auto it = s->parked_mains.find(cv::my_pe());
-        if (it != s->parked_mains.end()) {
-          main = it->second;
-          s->parked_mains.erase(it);
-        } else {
-          s->finished.insert(cv::my_pe());
-        }
-      }
-      if (main != nullptr) cv::ready_thread(main);
-    });
-  });
-}
-
-void ms_entry(int pe) {
-  MsState* s = g_ms;
-  for (int w = 0; w < s->workers; ++w) {
-    if (w % s->npes != pe) continue;
-    auto* t = ms_make_worker(*s, w, pe);
-    t->set_delete_on_exit(true);
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->threads[w] = t;
-    }
-    cv::ready_thread(t);
-  }
-  if (pe != 0) {
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (s->finished.count(pe) != 0) return;
-      s->parked_mains[pe] = cv::pe_scheduler().running();
-    }
-    mfc::ult::suspend();  // until h_ms_finish
-    return;
-  }
-
-  // PE 0 coordinates the rounds: wait all arrivals, release the batch.
-  s->coordinator = cv::pe_scheduler().running();
-  for (int r = 0; r < s->rounds; ++r) {
-    if (s->arrivals < s->workers) {
-      s->waiting_arrivals = true;
-      mfc::ult::suspend();
-    }
-    s->arrivals = 0;
-    cv::broadcast(h_ms_release, mfc::pup::to_bytes(std::int32_t{r}));
-  }
-  if (s->dones < s->workers) {
-    s->waiting_dones = true;
-    mfc::ult::suspend();
-  }
-  cv::broadcast(h_ms_finish, {});
-  cv::wait_quiescence();
-}
-
-struct MsResult {
-  std::uint64_t digest = 0;
-  std::uint64_t failures = 0;
-};
-
-MsResult run_mini_storm(Transport t, int npes, int nprocs, int workers,
-                        int rounds, std::uint64_t seed) {
-  ensure_ms_handlers();
-  auto s = std::make_unique<MsState>();
-  s->seed = seed;
-  s->npes = npes;
-  s->workers = workers;
-  s->rounds = rounds;
-  g_ms = s.get();
-
-  cv::Machine::Config mc = base_config(t, npes, nprocs);
-  cv::Machine::run(mc, ms_entry);
-
-  MsResult out{s->done_digest, s->failures};
-  EXPECT_EQ(s->dones, workers);
-  const cv::PoolStats ps = cv::pool_stats();
-  EXPECT_EQ(ps.allocated, ps.freed);
-  g_ms = nullptr;
-  return out;
-}
-
-TEST(TransportConformance, MiniStormAllBackendsLoopbackReplayIdentical) {
-  // Same seed, both backends, two runs each: zero failures and one digest.
-  std::uint64_t expect = 0;
-  for (Transport t : kBackends) {
-    SCOPED_TRACE(backend_name(t));
-    const MsResult a = run_mini_storm(t, 4, 1, 6, 3, 0x5EED1);
-    const MsResult b = run_mini_storm(t, 4, 1, 6, 3, 0x5EED1);
-    EXPECT_EQ(a.failures, 0u);
-    EXPECT_EQ(b.failures, 0u);
-    EXPECT_EQ(a.digest, b.digest) << "same-seed replay diverged";
-    if (expect == 0) expect = a.digest;
-    EXPECT_EQ(a.digest, expect) << "digest differs across backends";
+/// Runs `opt` and checks it clean and equal to the in-process `ref`.
+void expect_storm_matches(const mfc::chaos::StormOptions& opt,
+                          const mfc::chaos::StormReport& ref) {
+  SCOPED_TRACE("nprocs=" + std::to_string(opt.nprocs));
+  const mfc::chaos::StormReport r = mfc::chaos::run_storm(opt);
+  EXPECT_TRUE(r.clean());
+  EXPECT_EQ(r.thread_migrations,
+            static_cast<std::uint64_t>(opt.workers * opt.rounds));
+  EXPECT_EQ(r.workload_digest, ref.workload_digest);
+  EXPECT_EQ(r.thread_migrations, ref.thread_migrations);
+  EXPECT_EQ(r.wire_bytes, ref.wire_bytes);
+  EXPECT_EQ(r.pings_delivered, ref.pings_delivered);
+  EXPECT_EQ(r.element_migrations, ref.element_migrations);
+  for (int t = 0; t < 3; ++t) {
+    EXPECT_EQ(r.packs_by_technique[t], ref.packs_by_technique[t]);
   }
 }
 
 #ifndef MFC_TSAN
 TEST(TransportConformance, MiniStormMultiProcessBothWires) {
-  // Cross-process migration with all three techniques: the isomalloc lease,
-  // the inherited common arena, and the rebuilt memalias backing all in
-  // play. Digest must match the in-process value for the same (seed,
-  // shape).
-  const MsResult ref = run_mini_storm(Transport::kInProc, 4, 1, 6, 3, 0xAB1E);
-  EXPECT_EQ(ref.failures, 0u);
-  const MsResult r = run_mini_storm(Transport::kShm, 4, 2, 6, 3, 0xAB1E);
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(r.digest, ref.digest);
+  const mfc::chaos::StormReport ref =
+      mfc::chaos::run_storm(storm_shape(0xAB1E, 4, 6, 1));
+  ASSERT_TRUE(ref.clean());
+  expect_storm_matches(storm_shape(0xAB1E, 4, 6, 2), ref);
 }
 
 TEST(TransportConformance, Acceptance64Pe4ProcStormReplays) {
   // The acceptance shape: 64 PEs across 4 processes, all three techniques,
-  // run twice — bit-identical digests. Kept to few rounds/workers because
-  // CI hosts may have a single core; the topology, not the volume, is the
-  // point.
-  const MsResult a = run_mini_storm(Transport::kShm, 64, 4, 24, 3, 0xACC3);
-  const MsResult b = run_mini_storm(Transport::kShm, 64, 4, 24, 3, 0xACC3);
-  EXPECT_EQ(a.failures, 0u);
-  EXPECT_EQ(b.failures, 0u);
-  EXPECT_EQ(a.digest, b.digest);
+  // run twice; both runs equal the 64-PE in-process run. Kept to few
+  // rounds and workers because CI hosts may have a single core; the
+  // topology, not the volume, is the point.
+  const mfc::chaos::StormReport ref =
+      mfc::chaos::run_storm(storm_shape(0xACC3, 64, 24, 1));
+  ASSERT_TRUE(ref.clean());
+  for (int run = 0; run < 2; ++run) {
+    expect_storm_matches(storm_shape(0xACC3, 64, 24, 4), ref);
+  }
+}
+
+/// Handler ids must agree in every process: a registration after a
+/// multi-process machine has forked fails rather than hand out an id that
+/// exists in one process only.
+TEST(TransportConformanceDeathTest, RegistrationAfterTheForkFails) {
+  EXPECT_DEATH(
+      cv::Machine::run(base_config(Transport::kShm, 2, 2),
+                       [](int) { cv::register_handler([](cv::Message&&) {}); }),
+      "register_handler after a multi-process machine forked");
 }
 #endif
 
-// ---- Full storm driver over the wire ---------------------------------------
+// ---- The storm in loopback mode ---------------------------------------------
 //
-// The legacy storm driver (chare-array traffic, invariant checkers, FT
+// The storm driver (chare-array traffic, invariant checkers, FT
 // kill/recover) in loopback wire mode: every cross-PE message of the whole
 // stack rides the rings. The FT leg keeps chaos kill storms in the battery
 // — PE death, detection from its standing line, rollback — on the wire.
