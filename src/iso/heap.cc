@@ -205,6 +205,17 @@ bool ThreadHeap::owns(const void* p) const {
   return false;
 }
 
+std::size_t ThreadHeap::extent(std::size_t i) const {
+  MFC_CHECK(i < arenas_.size());
+  const ArenaHeader* arena = arenas_[i];
+  const Block* tail = arena->first;
+  while (tail->next != nullptr) tail = tail->next;
+  if (!tail->free_flag) return arena->arena_bytes;
+  return static_cast<std::size_t>(reinterpret_cast<const char*>(tail) +
+                                  sizeof(Block) -
+                                  reinterpret_cast<const char*>(arena));
+}
+
 std::size_t ThreadHeap::footprint() const {
   std::size_t total = 0;
   for (const ArenaHeader* arena : arenas_) total += arena->arena_bytes;

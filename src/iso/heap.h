@@ -7,6 +7,13 @@
 // the runtime "override the system malloc/free routines to use isomalloc
 // when called within a thread" (paper §3.4.2) and still migrate unmodified
 // code.
+//
+// Migration copies each arena's extent, not its whole slot run: the bytes
+// from the slot base through the header of the arena's tail block when that
+// block is free. Past it lies only the free tail's payload, which the
+// allocator never reads and the application may not read before it writes
+// (a new block's bytes are unspecified; calloc clears them), so the
+// destination's zero-fill pages stand in for it.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +53,14 @@ class ThreadHeap {
   std::size_t allocation_count() const;
 
   /// The slot runs backing this heap (one entry per arena), in acquisition
-  /// order. Migration packs their raw contents.
+  /// order. Migration packs the extent of each.
   const std::vector<SlotId>& slots() const { return slots_; }
+
+  /// Bytes of arena `i` (the run slots()[i]) that hold heap state, counted
+  /// from the slot base: through the header of the arena's tail block when
+  /// that block is free, else the whole run. Walks the arena's block list,
+  /// so it costs no more than reading the bytes it names.
+  std::size_t extent(std::size_t i) const;
 
   /// Reconstructs a heap handle around already-installed slots (the
   /// destination side of a migration). All allocator state is read back out

@@ -62,10 +62,12 @@ ImageManifest IsoThread::pack_manifest(bool count) {
     MFC_CHECK(sp > base && sp <= top);
     m.runs.push_back({sp, static_cast<std::size_t>(top - sp)});
   }
-  // Heap runs: whole spans (allocator metadata is distributed through them).
-  for (const iso::SlotId& id : m.heap_slots) {
-    auto* base = static_cast<char*>(region.slot_base(id));
-    m.runs.push_back({base, region.slot_span(id)});
+  // Heap runs: each arena's extent, from its slot base through the header
+  // of its free tail block (iso/heap.h). Every block header and the arena's
+  // accounting lie inside it; past it is dead payload.
+  for (std::size_t i = 0; i < m.heap_slots.size(); ++i) {
+    m.runs.push_back({static_cast<char*>(region.slot_base(m.heap_slots[i])),
+                      heap_->extent(i)});
   }
 
   if (count) {
@@ -98,7 +100,9 @@ IsoThread* IsoThread::from_image(const ImageManifest& image, int dest_pe) {
   auto* t = new IsoThread(dest_pe, image);
 
   // Re-establish the stack and heap slots at their original
-  // (machine-wide-unique) addresses, then copy their runs in.
+  // (machine-wide-unique) addresses, then copy their runs in. The install
+  // leaves zero-fill pages, which stand in for the bytes no run carries:
+  // below the saved stack pointer and past each heap arena's extent.
   std::vector<iso::SlotId> slots = image.heap_slots;
   slots.push_back(image.stack_slot);
   region.install(slots);
@@ -111,11 +115,14 @@ IsoThread* IsoThread::from_image(const ImageManifest& image, int dest_pe) {
                 "corrupt thread image: stack run size mismatch");
   std::memcpy(sp, stack_run.data, stack_run.len);
 
-  // Heap runs next, then reattach the allocator around them.
+  // Heap runs next, each at its slot base, then reattach the allocator
+  // around them. ImageManifest::decode has checked that each run fits its
+  // slot run for images from the wire.
   for (std::size_t i = 0; i < image.heap_slots.size(); ++i) {
     const iso::SlotId& id = image.heap_slots[i];
     const IoRun& run = image.runs[1 + i];
-    MFC_CHECK(run.len == region.slot_span(id));
+    MFC_CHECK_MSG(run.len <= region.slot_span(id),
+                  "corrupt thread image: heap run longer than its slots");
     std::memcpy(region.slot_base(id), run.data, run.len);
   }
   t->heap_ = iso::ThreadHeap::reattach(dest_pe, image.heap_slots);

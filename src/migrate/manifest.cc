@@ -78,6 +78,36 @@ bool slots_fit(const ImageManifest& m) {
          std::all_of(m.heap_slots.begin(), m.heap_slots.end(), fits);
 }
 
+/// Each isomalloc run must fit the slot run it lands in: the stack run its
+/// stack slots, each heap run its arena's slots. Called once slots_fit()
+/// holds, so every count is bounded by the strip.
+bool runs_fit(const ImageManifest& m) {
+  if (!iso::Region::initialized()) return true;
+  const iso::Region& region = iso::Region::instance();
+  if (m.runs[0].len > region.slot_span(m.stack_slot)) return false;
+  for (std::size_t i = 0; i < m.heap_slots.size(); ++i) {
+    if (m.runs[1 + i].len > region.slot_span(m.heap_slots[i])) return false;
+  }
+  return true;
+}
+
+/// A stack-copy or memory-alias stack run is the live stack of its
+/// technique's common arena in this process: it ends at the arena top and
+/// begins at the saved stack pointer. A memory-alias capacity is also a
+/// whole number of pages, since the destination maps that many bytes of a
+/// pool slot.
+bool stack_fits(const ImageManifest& m) {
+  const bool memalias = m.technique == Technique::kMemAlias;
+  const CommonStackArena& arena = memalias ? CommonStackArena::mem_alias()
+                                           : CommonStackArena::stack_copy();
+  const auto top = reinterpret_cast<std::uint64_t>(arena.top());
+  return m.arena_base == reinterpret_cast<std::uint64_t>(arena.base()) &&
+         m.saved_sp == top - m.stack_run.len &&
+         (!memalias || m.stack_capacity % static_cast<std::uint64_t>(
+                                              sysconf(_SC_PAGESIZE)) ==
+                           0);
+}
+
 }  // namespace
 
 CodecError ImageManifest::decode(const char* data, std::size_t size,
@@ -123,8 +153,6 @@ CodecError ImageManifest::decode(const char* data, std::size_t size,
   }
   // Isomalloc images carry one stack run plus one run per heap slot; the
   // others carry their stack bytes alone, at most a common arena's worth.
-  // A memory-alias stack is exactly its capacity, a whole number of pages,
-  // since the destination maps that many bytes of a pool slot.
   const bool iso = out->technique == Technique::kIsomalloc;
   if (iso ? out->runs.size() != 1 + out->heap_slots.size() ||
                 out->stack_run.len != 0
@@ -134,12 +162,7 @@ CodecError ImageManifest::decode(const char* data, std::size_t size,
     return CodecError::kBadShape;
   }
   if (iso && !slots_fit(*out)) return CodecError::kBadSlot;
-  if (out->technique == Technique::kMemAlias &&
-      (out->stack_run.len != out->stack_capacity ||
-       out->stack_capacity % static_cast<std::uint64_t>(
-                                 sysconf(_SC_PAGESIZE)) != 0)) {
-    return CodecError::kBadShape;
-  }
+  if (iso ? !runs_fit(*out) : !stack_fits(*out)) return CodecError::kBadShape;
   if (consumed != nullptr) {
     *consumed = static_cast<std::size_t>(c.p - data);
   } else if (c.left() != 0) {

@@ -17,13 +17,32 @@
 // returns a typed error and never crashes on bad bytes, and it allocates
 // nothing a length word asks for (only entries whose bytes are present).
 //
-// Every technique's manifest borrows in place: stack-copy manifests the
-// saved-stack buffer, memory-alias manifests the thread's slot in the
-// stack pool's window (memalias_thread.h). Both stay valid until the thread
-// next runs, migrates or dies. decode() also checks each stack run against
-// its capacity word, so a hostile capacity never sizes a pool slot, and
-// each isomalloc slot id against the running region's geometry, so a
-// hostile id never reaches Region::install.
+// An image carries only live bytes, and every technique's manifest
+// borrows them in place:
+//   - stack-copy: the saved-stack buffer, the bytes from the saved stack
+//     pointer to the arena top;
+//   - memory-alias: the same span of the thread's slot in the stack pool's
+//     window (memalias_thread.h);
+//   - isomalloc: the stack slot run from the saved stack pointer to its top,
+//     then each heap arena from its slot base through its extent
+//     (iso/heap.h).
+// The stack-copy and memory-alias borrows stay valid until the thread next
+// runs, migrates or dies. The destination stands in for the bytes no run
+// carries with dead ones: an isomalloc install's zero-fill pages, or a
+// pool slot's bytes below the stack pointer.
+//
+// decode() checks what unpack relies on, and returns kBadShape or kBadSlot
+// where unpack would abort or resume a thread outside its bytes:
+//   - a stack-copy or memory-alias stack run fits its capacity word, no
+//     more than a common arena (so a hostile capacity never sizes a pool
+//     slot); its arena base is this process's arena for the technique, and
+//     its saved stack pointer is the run's first byte there; a
+//     memory-alias capacity is a whole number of pages;
+//   - an isomalloc image's slot ids lie in the running region's geometry
+//     (so a hostile id never reaches Region::install), and each run fits
+//     the slot run it lands in. Its saved stack pointer, and each heap
+//     run's arena header, are checked only at unpack (an MFC_CHECK there),
+//     against the installed slots.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +68,9 @@ enum class CodecError {
   kOverrun,        ///< a count or length word claims more bytes than remain
   kTrailingBytes,  ///< bytes left over after the last field
   kBadTechnique,   ///< technique byte names no migration technique
-  kBadShape,       ///< the runs do not fit the technique's image layout,
-                   ///< or a stack run does not fit its capacity
+  kBadShape,       ///< the runs do not fit the technique's image layout:
+                   ///< a run longer than its capacity or slot run, or a
+                   ///< stack that is not this process's live arena stack
   kBadSlot,        ///< an isomalloc slot id names no slot run of the region
 };
 const char* to_string(CodecError e);
@@ -71,13 +91,15 @@ class ImageManifest {
   std::uint64_t saved_sp = 0;  ///< virtual address; valid on the destination
                                ///< because the stack address is preserved
 
-  // Isomalloc payload: slot ids plus each slot run's bytes.
+  // Isomalloc payload: slot ids plus each slot run's live bytes.
   iso::SlotId stack_slot;
   std::vector<iso::SlotId> heap_slots;
-  std::vector<IoRun> runs;  ///< isomalloc: stack run first, heap runs after
+  /// isomalloc: the stack run first (top-anchored in its slot run), then
+  /// one run per heap slot run (base-anchored: the arena's extent)
+  std::vector<IoRun> runs;
 
   // Stack-copy / memory-alias payload.
-  IoRun stack_run;  ///< live stack contents (top-anchored)
+  IoRun stack_run;  ///< live stack contents, saved_sp up to the arena top
   std::uint64_t stack_capacity = 0;
   std::uint64_t arena_base = 0;  ///< common execution address; must match on
                                  ///< the destination address space

@@ -39,27 +39,17 @@ MemAliasPool::MemAliasPool() {
                  });
 }
 
-MemAliasPool::Slot MemAliasPool::acquire(std::size_t stack_bytes, bool zero) {
+MemAliasPool::Slot MemAliasPool::acquire(std::size_t stack_bytes) {
   MFC_CHECK(stack_bytes <= kSlotBytes);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (inherited_) restart_locked();
+  if (free_.empty()) grow_locked();
   Slot slot;
-  std::size_t dirty = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (inherited_) restart_locked();
-    if (free_.empty()) grow_locked();
-    slot.index = free_.back();
-    free_.pop_back();
-    slot.generation = generation_;
-    SlotState& s = slots_[slot.index];
-    s.used = true;
-    dirty = std::min(s.touched, stack_bytes);
-    s.touched = std::max(s.touched, stack_bytes);
-    high_water_ = std::max(high_water_, ++in_use_);
-  }
-  // Only bytes an earlier tenant wrote can be non-zero: every tenant's
-  // stack is the top of the slot, and the file below the deepest one has
-  // never been written.
-  if (zero && dirty > 0) std::memset(top(slot) - dirty, 0, dirty);
+  slot.index = free_.back();
+  free_.pop_back();
+  slot.generation = generation_;
+  used_[slot.index] = true;
+  high_water_ = std::max(high_water_, ++in_use_);
   return slot;
 }
 
@@ -68,9 +58,9 @@ void MemAliasPool::release(Slot slot) {
   // A slot of the parent's pool, inherited through fork, is not this
   // process's to free.
   if (inherited_ || slot.generation != generation_) return;
-  MFC_CHECK_MSG(slot.index < file_slots_ && slots_[slot.index].used,
+  MFC_CHECK_MSG(slot.index < file_slots_ && used_[slot.index],
                 "double release of a memory-alias stack slot");
-  slots_[slot.index].used = false;
+  used_[slot.index] = false;
   free_.push_back(slot.index);
   --in_use_;
 }
@@ -120,7 +110,7 @@ void MemAliasPool::grow_locked() {
   MFC_CHECK_MSG(r == at, "memory-alias window map failed");
   const std::uint32_t first = file_slots_;
   file_slots_ += kGrowSlots;
-  slots_.resize(file_slots_);
+  used_.resize(file_slots_);
   for (std::uint32_t i = file_slots_; i-- > first;) free_.push_back(i);
   metrics::bump(metrics::Counter::kMemAliasPoolGrows);
 }
@@ -136,7 +126,7 @@ void MemAliasPool::restart_locked() {
   MFC_CHECK_MSG(r == window_, "memory-alias window reset failed");
   file_slots_ = in_use_ = high_water_ = 0;
   free_.clear();
-  slots_.clear();
+  used_.clear();
   ++generation_;
   inherited_ = false;
 }
@@ -148,7 +138,7 @@ MemAliasThread::MemAliasThread(Fn fn, std::size_t stack_bytes)
   MFC_CHECK(stack_bytes_ <= CommonStackArena::kCapacity);
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   stack_bytes_ = (stack_bytes_ + page - 1) & ~(page - 1);
-  slot_ = MemAliasPool::instance().acquire(stack_bytes_, /*zero=*/true);
+  slot_ = MemAliasPool::instance().acquire(stack_bytes_);
 }
 
 MemAliasThread::MemAliasThread(const ImageManifest& image)
@@ -156,13 +146,16 @@ MemAliasThread::MemAliasThread(const ImageManifest& image)
       stack_bytes_(image.stack_capacity),
       started_(true) {
   // ImageManifest::decode has checked this shape for images from the wire.
+  // The slot holds the whole capacity, so the thread can grow its stack;
+  // the live run lands at its top, and the bytes below are dead.
   const std::size_t n = image.stack_run.len;
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  MFC_CHECK_MSG(n == stack_bytes_ && n <= CommonStackArena::kCapacity &&
-                    n % page == 0,
+  MFC_CHECK_MSG(n <= stack_bytes_ &&
+                    stack_bytes_ <= CommonStackArena::kCapacity &&
+                    stack_bytes_ % page == 0,
                 "corrupt thread image: memory-alias stack size");
   MemAliasPool& pool = MemAliasPool::instance();
-  slot_ = pool.acquire(n, /*zero=*/false);
+  slot_ = pool.acquire(stack_bytes_);
   std::memcpy(pool.top(*slot_) - n, image.stack_run.data, n);
 }
 
@@ -210,11 +203,15 @@ ImageManifest MemAliasThread::pack_manifest(bool count) {
   m.stack_capacity = stack_bytes_;
   m.arena_base =
       reinterpret_cast<std::uint64_t>(CommonStackArena::mem_alias().base());
-  // The pool's window shows the slot's pages for as long as the thread
-  // holds it, so the manifest borrows them in place; the thread stays
-  // resumable, which checkpoint captures need.
-  m.stack_run = {MemAliasPool::instance().top(*slot_) - stack_bytes_,
-                 stack_bytes_};
+  // The live stack runs from the saved stack pointer to the arena top. The
+  // pool's window shows the same bytes at the top of the thread's slot for
+  // as long as the thread holds it, so the manifest borrows them in place;
+  // the thread stays resumable, which checkpoint captures need.
+  char* const arena_top = CommonStackArena::mem_alias().top();
+  auto* sp = static_cast<char*>(saved_sp());
+  MFC_CHECK(sp > arena_top - stack_bytes_ && sp <= arena_top);
+  const auto live = static_cast<std::size_t>(arena_top - sp);
+  m.stack_run = {MemAliasPool::instance().top(*slot_) - live, live};
   if (count) {
     trace::emit_flight(trace::Ev::kMigratePackBegin, m.thread_id, 0, 0, -1,
                        trace_tag(Technique::kMemAlias));
@@ -240,6 +237,11 @@ MemAliasThread* MemAliasThread::from_image(const ImageManifest& image) {
                                         CommonStackArena::mem_alias().base()),
                 "memory-alias migration requires the same common stack "
                 "address on both processors");
+  MFC_CHECK_MSG(image.saved_sp == reinterpret_cast<std::uint64_t>(
+                                      CommonStackArena::mem_alias().top()) -
+                                      image.stack_run.len,
+                "corrupt thread image: saved stack pointer outside the "
+                "shipped stack");
   auto* t = new MemAliasThread(image);
   t->set_saved_sp(reinterpret_cast<void*>(image.saved_sp));
   t->restore_identity(image.thread_id, image.accumulated_load);

@@ -11,9 +11,13 @@
 // The pages come from the process's stack pool (MemAliasPool below): one
 // memfd cut into slots that threads reuse, plus a window that keeps the
 // whole file mapped read/write. A thread's stack is the top `stack_bytes`
-// of its slot. Through the window, an arrival is one memcpy into a free
-// slot and a pack borrows the slot's bytes in place; the switch-in maps the
-// slot's file range. No migration creates, sizes, reads or writes a file.
+// of its slot. Through the window, a pack borrows the live stack in place:
+// the bytes from the saved stack pointer to the top, as stack-copy and
+// isomalloc stacks ship. An arrival takes a slot for the whole capacity
+// and is one memcpy of that run to the slot's top; the dead bytes below it
+// are whatever the slot's earlier tenants left, which the thread writes
+// before it reads. The switch-in maps the slot's file range. No migration
+// creates, sizes, reads or writes a file.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +36,8 @@ namespace mfc::migrate {
 /// Slots sit kSlotBytes apart in the file and in the window, so a stack of
 /// any size up to CommonStackArena::kCapacity fits any slot. The file is
 /// sparse: a slot holds pages only for the deepest stack any of its tenants
-/// had.
+/// had. A slot is handed out as its last tenant left it: no byte below a
+/// thread's saved stack pointer leaves the process, so nothing is zeroed.
 ///
 /// Bound (no hoarding): the file holds at most the high-water count of
 /// memory-alias stacks resident at once in this process, rounded up to
@@ -73,11 +78,8 @@ class MemAliasPool {
   static MemAliasPool& instance();
 
   /// Takes a slot for a stack of `stack_bytes` (a page multiple), growing
-  /// the file by kGrowSlots when none is free. With `zero` the stack reads
-  /// as zeros, as a new file does: a fresh thread ships its whole stack,
-  /// bytes below its deepest use included. An arrival overwrites the whole
-  /// stack and passes false.
-  Slot acquire(std::size_t stack_bytes, bool zero);
+  /// the file by kGrowSlots when none is free.
+  Slot acquire(std::size_t stack_bytes);
   void release(Slot slot);
 
   /// The top of the slot's stack in the window; the stack is the bytes
@@ -105,11 +107,7 @@ class MemAliasPool {
   std::uint32_t in_use_ = 0;
   std::uint32_t high_water_ = 0;
   std::vector<std::uint32_t> free_;  ///< LIFO: the warmest slot first
-  struct SlotState {
-    bool used = false;
-    std::size_t touched = 0;  ///< deepest stack any tenant had
-  };
-  std::vector<SlotState> slots_;
+  std::vector<bool> used_;           ///< per file slot
 };
 
 class MemAliasThread final : public MigratableThread {

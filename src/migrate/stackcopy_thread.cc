@@ -82,6 +82,11 @@ StackCopyThread* StackCopyThread::from_image(const ImageManifest& image) {
                                         CommonStackArena::stack_copy().base()),
                 "stack-copy migration requires the same system-wide stack "
                 "address on both processors (paper §3.4.1)");
+  MFC_CHECK_MSG(image.saved_sp == reinterpret_cast<std::uint64_t>(
+                                      CommonStackArena::stack_copy().top()) -
+                                      image.stack_run.len,
+                "corrupt thread image: saved stack pointer outside the "
+                "shipped stack");
   auto* t = new StackCopyThread(image);
   t->set_saved_sp(reinterpret_cast<void*>(image.saved_sp));
   t->restore_identity(image.thread_id, image.accumulated_load);

@@ -169,46 +169,106 @@ TEST_F(ImageDecode, NamesEachMalformation) {
   bad[0] = 0;  // stack-copy: isomalloc runs do not fit its layout
   EXPECT_EQ(ImageManifest::decode(bad, &m), CodecError::kBadShape);
 
-  // A stack run must fit its capacity word before any thread is sized by
-  // it: a memory-alias stack is exactly its capacity, a whole number of
-  // pages no larger than the common arena, and a stack-copy stack is no
-  // larger than its capacity.
+  // A stack-copy or memory-alias image is its technique's live arena stack
+  // in this process: the run fits its capacity word (no larger than the
+  // common arena, a whole number of pages for memory-alias, since the
+  // destination takes a pool slot that big), its arena base is this
+  // process's arena, and its saved stack pointer is the run's first byte
+  // there. Each is checked before any thread is sized or resumed by it.
   using mfc::migrate::CommonStackArena;
   using mfc::migrate::Technique;
   const auto pg = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const std::vector<char> stack(3 * pg, 'x');
-  auto image = [&stack](Technique t, std::size_t run, std::uint64_t capacity) {
+  const auto arena = [](Technique t) -> const CommonStackArena& {
+    return t == Technique::kMemAlias ? CommonStackArena::mem_alias()
+                                     : CommonStackArena::stack_copy();
+  };
+  auto image = [&](Technique t, std::size_t run, std::uint64_t capacity) {
     ImageManifest s;
     s.technique = t;
     s.stack_run = {stack.data(), run};
     s.stack_capacity = capacity;
-    return s.to_wire();
+    s.arena_base = reinterpret_cast<std::uint64_t>(arena(t).base());
+    s.saved_sp = reinterpret_cast<std::uint64_t>(arena(t).top()) - run;
+    return s;
   };
   for (const Technique t : {Technique::kMemAlias, Technique::kStackCopy}) {
-    EXPECT_EQ(ImageManifest::decode(image(t, 2 * pg, 2 * pg), &m),
+    SCOPED_TRACE(to_string(t));
+    EXPECT_EQ(ImageManifest::decode(image(t, 2 * pg, 2 * pg).to_wire(), &m),
+              CodecError::kOk);
+    EXPECT_EQ(ImageManifest::decode(image(t, 200, 2 * pg).to_wire(), &m),
               CodecError::kOk)
-        << to_string(t);
-    EXPECT_EQ(ImageManifest::decode(image(t, 3 * pg, 2 * pg), &m),
+        << "a live run shorter than its capacity";
+    EXPECT_EQ(ImageManifest::decode(image(t, 3 * pg, 2 * pg).to_wire(), &m),
               CodecError::kBadShape)
-        << to_string(t) << ": run longer than its capacity";
+        << "run longer than its capacity";
     EXPECT_EQ(ImageManifest::decode(
-                  image(t, 0, CommonStackArena::kCapacity + pg), &m),
+                  image(t, 0, CommonStackArena::kCapacity + pg).to_wire(), &m),
               CodecError::kBadShape)
-        << to_string(t) << ": capacity larger than the arena";
+        << "capacity larger than the arena";
+
+    ImageManifest bad_sp = image(t, 200, 2 * pg);
+    bad_sp.saved_sp += 8;
+    EXPECT_EQ(ImageManifest::decode(bad_sp.to_wire(), &m),
+              CodecError::kBadShape)
+        << "saved stack pointer above the run";
+    bad_sp.saved_sp -= 16;
+    EXPECT_EQ(ImageManifest::decode(bad_sp.to_wire(), &m),
+              CodecError::kBadShape)
+        << "saved stack pointer below the run";
+    bad_sp.saved_sp = 0;
+    EXPECT_EQ(ImageManifest::decode(bad_sp.to_wire(), &m),
+              CodecError::kBadShape)
+        << "saved stack pointer outside the arena";
+
+    const Technique other = t == Technique::kMemAlias ? Technique::kStackCopy
+                                                      : Technique::kMemAlias;
+    ImageManifest bad_base = image(t, 200, 2 * pg);
+    const ImageManifest there = image(other, 200, 2 * pg);
+    bad_base.arena_base = there.arena_base;
+    bad_base.saved_sp = there.saved_sp;  // consistent with that arena
+    EXPECT_EQ(ImageManifest::decode(bad_base.to_wire(), &m),
+              CodecError::kBadShape)
+        << "the other technique's arena";
+    bad_base.arena_base = 0;
+    bad_base.saved_sp = CommonStackArena::kCapacity - 200;
+    EXPECT_EQ(ImageManifest::decode(bad_base.to_wire(), &m),
+              CodecError::kBadShape)
+        << "an arena this process does not have";
   }
-  EXPECT_EQ(ImageManifest::decode(image(Technique::kStackCopy, pg, 2 * pg), &m),
-            CodecError::kOk);
-  EXPECT_EQ(ImageManifest::decode(image(Technique::kMemAlias, pg, 2 * pg), &m),
-            CodecError::kBadShape)
-      << "memory-alias run shorter than its capacity";
-  EXPECT_EQ(ImageManifest::decode(image(Technique::kMemAlias, 0, 1ULL << 40),
-                                  &m),
+  EXPECT_EQ(ImageManifest::decode(
+                image(Technique::kMemAlias, 0, 1ULL << 40).to_wire(), &m),
             CodecError::kBadShape)
       << "hostile capacity word";
   EXPECT_EQ(ImageManifest::decode(
-                image(Technique::kMemAlias, pg - 96, pg - 96), &m),
+                image(Technique::kMemAlias, pg - 96, pg - 96).to_wire(), &m),
             CodecError::kBadShape)
       << "memory-alias capacity not a page multiple";
+  EXPECT_EQ(ImageManifest::decode(
+                image(Technique::kStackCopy, pg - 96, pg - 96).to_wire(), &m),
+            CodecError::kOk)
+      << "a stack-copy capacity needs no page rounding";
+
+  // Each isomalloc run fits the slot run it lands in (16 KiB slots here):
+  // the stack run its stack slot, each heap run its heap slots.
+  const std::vector<char> big(3 * 16 * 1024, 'y');
+  auto iso = [&big](std::size_t stack_len, std::size_t heap_len) {
+    ImageManifest s;
+    s.technique = Technique::kIsomalloc;
+    s.stack_slot = {1, 7, 1};
+    s.heap_slots = {{1, 42, 2}};
+    s.runs = {{big.data(), stack_len}, {big.data(), heap_len}};
+    return s.to_wire();
+  };
+  EXPECT_EQ(ImageManifest::decode(iso(16 * 1024, 32 * 1024), &m),
+            CodecError::kOk)
+      << "runs that fill their slot runs";
+  EXPECT_EQ(ImageManifest::decode(iso(16 * 1024 + 1, 16), &m),
+            CodecError::kBadShape)
+      << "stack run longer than its stack slot";
+  EXPECT_EQ(ImageManifest::decode(iso(24, 32 * 1024 + 1), &m),
+            CodecError::kBadShape)
+      << "heap run longer than its heap slots";
 }
 
 // An isomalloc image's slot ids are checked against the region (npes 2,

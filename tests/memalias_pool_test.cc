@@ -1,8 +1,8 @@
 // The memory-alias stack pool (labeled migrate-perf, so scripts/ci_migrate.sh
 // runs it under the release and tsan presets): a fork child never writes
 // through its parent's pool file, a fresh thread in a recycled slot ships
-// zeros below its stack, and slots return to the pool with the file held to
-// its high-water bound.
+// its live stack and none of the bytes an earlier tenant left below it, and
+// slots return to the pool with the file held to its high-water bound.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -28,36 +28,43 @@ using mfc::ult::Scheduler;
 
 constexpr std::size_t kStack = 16 * 1024;
 constexpr unsigned char kScribble = 0xA5;
+constexpr unsigned char kChildScribble = 0x3C;  ///< a fork child's own mark
 constexpr std::size_t kScribbleBytes = 8 * 1024;
 
-/// A thread body that writes kScribble over 8 KiB of its stack, below
+/// A thread body that writes `mark` over 8 KiB of its stack, below
 /// anything a plain suspend reaches, and then suspends with it live.
-void scribble_and_suspend(Scheduler& sched) {
+void scribble_and_suspend(Scheduler& sched, unsigned char mark = kScribble) {
   volatile unsigned char junk[kScribbleBytes];
-  for (std::size_t i = 0; i < kScribbleBytes; ++i) junk[i] = kScribble;
+  for (std::size_t i = 0; i < kScribbleBytes; ++i) junk[i] = mark;
   sched.suspend();
-  EXPECT_EQ(junk[kScribbleBytes / 2], kScribble);
+  EXPECT_EQ(junk[kScribbleBytes / 2], mark);
 }
 
-/// The first `n` bytes of a memory-alias image's stack (all of it by
-/// default).
-std::vector<unsigned char> stack_bytes(const ImageManifest& m,
-                                       std::size_t n = SIZE_MAX) {
+/// The bytes a memory-alias image ships: its live stack.
+std::vector<unsigned char> stack_bytes(const ImageManifest& m) {
   const auto* p = reinterpret_cast<const unsigned char*>(m.stack_run.data);
-  return {p, p + std::min(n, m.stack_run.len)};
+  return {p, p + m.stack_run.len};
 }
 
-/// The bytes of a memory-alias image's stack below its saved stack pointer
-/// (the run spans the whole stack and ends at the arena top).
+/// The live length of a parked memory-alias thread's stack: from its saved
+/// stack pointer to the arena top.
+std::size_t live_len(const ImageManifest& m) {
+  return static_cast<std::size_t>(m.arena_base + CommonStackArena::kCapacity -
+                                  m.saved_sp);
+}
+
+/// The bytes of a thread's kStack stack below its saved stack pointer, read
+/// in place through the pool's window (the shipped run ends at the slot's
+/// top there). They stay in the process.
 std::vector<unsigned char> below_sp(const ImageManifest& m) {
-  const std::uint64_t top = m.arena_base + CommonStackArena::kCapacity;
-  const std::uint64_t run_base = top - m.stack_run.len;
-  EXPECT_GT(m.saved_sp, run_base);
-  return stack_bytes(m, static_cast<std::size_t>(m.saved_sp - run_base));
+  const auto* run = reinterpret_cast<const unsigned char*>(m.stack_run.data);
+  EXPECT_LE(m.stack_run.len, kStack);
+  return {run + m.stack_run.len - kStack, run};
 }
 
-bool has_scribble(const std::vector<unsigned char>& bytes) {
-  const std::vector<unsigned char> run(64, kScribble);
+bool has_scribble(const std::vector<unsigned char>& bytes,
+                  unsigned char mark = kScribble) {
+  const std::vector<unsigned char> run(64, mark);
   return std::search(bytes.begin(), bytes.end(), run.begin(), run.end()) !=
          bytes.end();
 }
@@ -69,29 +76,30 @@ void park(Scheduler& sched, MemAliasThread* t) {
   ASSERT_EQ(t->state(), mfc::ult::State::kSuspended);
 }
 
-TEST(MemAliasPool, FreshThreadInRecycledSlotShipsZerosBelowItsStack) {
+TEST(MemAliasPool, FreshThreadInRecycledSlotShipsOnlyItsLiveStack) {
   Scheduler sched;
   auto* first = new MemAliasThread([&] { scribble_and_suspend(sched); }, kStack);
   park(sched, first);
   const ImageManifest m1 = first->pack_manifest();
   ASSERT_TRUE(has_scribble(stack_bytes(m1)));
-  const char* slot_bytes = m1.stack_run.data;
+  const char* slot_top = m1.stack_run.data + m1.stack_run.len;
   const MemAliasPool::Stats before = MemAliasPool::instance().stats();
   delete first;  // returns the slot, scribble and all
 
   auto* fresh = new MemAliasThread([&] { sched.suspend(); }, kStack);
   park(sched, fresh);
   const ImageManifest m2 = fresh->pack_manifest();
-  EXPECT_EQ(m2.stack_run.data, slot_bytes) << "the slot was not recycled";
+  EXPECT_EQ(m2.stack_run.data + m2.stack_run.len, slot_top)
+      << "the slot was not recycled";
   EXPECT_EQ(MemAliasPool::instance().stats().file_slots, before.file_slots);
-  const std::vector<unsigned char> below = below_sp(m2);
-  EXPECT_FALSE(has_scribble(below))
+  // The slot still holds the earlier tenant's scribble below the fresh
+  // thread's stack pointer (the pool zeroes nothing), and none of it ships:
+  // the run is exactly the live stack.
+  EXPECT_TRUE(has_scribble(below_sp(m2)));
+  EXPECT_EQ(m2.stack_run.len, live_len(m2))
+      << "bytes from below the saved stack pointer ship";
+  EXPECT_FALSE(has_scribble(stack_bytes(m2)))
       << "the previous tenant's bytes ship with a fresh thread";
-  // The deepest half of the stack is below anything the fresh thread ever
-  // touched: it reads as zeros, as a new file does.
-  ASSERT_GT(below.size(), kStack / 2);
-  EXPECT_TRUE(std::all_of(below.begin(), below.begin() + kStack / 2,
-                          [](unsigned char b) { return b == 0; }));
   sched.ready(fresh);
   sched.run_until_idle();
   delete fresh;
@@ -120,14 +128,15 @@ TEST(MemAliasPool, ForkChildNeverWritesThroughTheParentsFile) {
     // The child creates, runs and packs a thread of its own. Its pool is a
     // new file: the inherited thread is not among its slots.
     Scheduler child;
-    auto* t = new MemAliasThread([&] { scribble_and_suspend(child); }, kStack);
+    auto* t = new MemAliasThread(
+        [&] { scribble_and_suspend(child, kChildScribble); }, kStack);
     EXPECT_EQ(MemAliasPool::instance().stats().in_use, 1u);
     park(child, t);
     const std::vector<char> wire = t->pack();
     delete t;
     ImageManifest m;
     EXPECT_EQ(ImageManifest::decode(wire, &m), CodecError::kOk);
-    EXPECT_EQ(m.stack_run.len, kStack);
+    EXPECT_EQ(m.stack_run.len, live_len(m));
     EXPECT_EQ(MemAliasPool::instance().stats().in_use, 0u);
     _exit(::testing::Test::HasFailure() ? 1 : 0);
   }
@@ -143,13 +152,15 @@ TEST(MemAliasPool, ForkChildNeverWritesThroughTheParentsFile) {
   EXPECT_TRUE(intact) << "the child wrote over the parent's live stack";
   delete live;
 
-  // The slots the child could have taken from the parent's books are still
-  // clean here: fresh threads in them ship no scribble.
+  // The slots the child could have taken from the parent's books hold none
+  // of the child's bytes: fresh threads in them find no child scribble
+  // below their stacks (an earlier test's scribble may be there).
   std::vector<MemAliasThread*> fresh;
   for (int i = 0; i < 2; ++i) {
     fresh.push_back(new MemAliasThread([&] { sched.suspend(); }, kStack));
     park(sched, fresh.back());
-    EXPECT_FALSE(has_scribble(below_sp(fresh.back()->pack_manifest())))
+    EXPECT_FALSE(has_scribble(below_sp(fresh.back()->pack_manifest()),
+                              kChildScribble))
         << "the child wrote through the parent's pool file";
   }
   for (MemAliasThread* t : fresh) {

@@ -147,6 +147,24 @@ TEST(Storm, MigrationsCostOnePageCallEach) {
       << "page-table calls per migration, set-up excluded, are not 1.0";
 }
 
+/// Every image carries only live bytes: each stack from its saved stack
+/// pointer up, each isomalloc heap arena through its free tail's header. On
+/// the benchmark storm's shape a shipment then averages well under 1 KiB;
+/// a memory-alias image with its whole 16 KiB stack, or an isomalloc image
+/// with its whole 16 KiB heap slot, would lift the mean above 5 KiB.
+TEST(Storm, ImagesShipOnlyLiveBytes) {
+  StormOptions opt;
+  opt.seed = 7;
+  opt.npes = 4;
+  opt.workers = 12;
+  opt.rounds = 50;
+  const StormReport r = chaos::run_storm(opt);
+  expect_clean(r, opt);
+  EXPECT_LE(r.wire_bytes / r.thread_migrations, 1024u)
+      << r.wire_bytes << " image bytes over " << r.thread_migrations
+      << " migrations";
+}
+
 TEST(Storm, WorkloadDigestReplaysBitIdentically) {
   StormOptions opt = hostile_options(40);
   opt.trace = true;
