@@ -379,6 +379,47 @@ mfc::bench::MsgBenchRow median_of(int reps, Fn&& fn) {
   return runs[runs.size() / 2];
 }
 
+/// The clock a paired overhead is read on.
+enum class PairClock { kCpu, kWall };
+
+/// Measures an overhead with PAIRED reps: each rep runs `run(false)` (off)
+/// then `run(true)` (on) back-to-back, so slow drift on a shared/virtualized
+/// host (frequency steps, co-tenant load) lands on both sides instead of
+/// entirely on whichever phase ran last. Each rep's on/off ratio is compared
+/// only against itself, and the median ratio rejects the reps a preemption
+/// landed in. Appends and prints the rows of the pair whose ratio is the
+/// median, and returns that median as an overhead in percent. `cpu_pct`,
+/// when given, receives the median of the per-rep CPU-time ratios too.
+template <typename Run>
+double paired_overhead_pct(int reps, PairClock clock, Run&& run,
+                           std::vector<mfc::bench::MsgBenchRow>& rows,
+                           double* cpu_pct = nullptr) {
+  std::vector<mfc::bench::MsgBenchRow> offs, ons;
+  std::vector<std::pair<double, int>> ratios;
+  std::vector<double> cpu_ratios;
+  for (int i = 0; i < reps; ++i) {
+    offs.push_back(run(false));
+    ons.push_back(run(true));
+    const mfc::bench::MsgBenchRow& off = offs.back();
+    const mfc::bench::MsgBenchRow& on = ons.back();
+    cpu_ratios.push_back(on.cpu_seconds / off.cpu_seconds);
+    ratios.emplace_back(clock == PairClock::kCpu ? cpu_ratios.back()
+                                                 : on.seconds / off.seconds,
+                        i);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  std::sort(cpu_ratios.begin(), cpu_ratios.end());
+  const int mid = ratios[ratios.size() / 2].second;
+  rows.push_back(offs[static_cast<std::size_t>(mid)]);
+  print_row(rows.back());
+  rows.push_back(ons[static_cast<std::size_t>(mid)]);
+  print_row(rows.back());
+  if (cpu_pct != nullptr) {
+    *cpu_pct = (cpu_ratios[cpu_ratios.size() / 2] - 1.0) * 100.0;
+  }
+  return (ratios[ratios.size() / 2].first - 1.0) * 100.0;
+}
+
 void run_converse_suite() {
   constexpr int kNpes = 4;
   constexpr int kStormNpes = 8;  // deeper oversubscription; criterion is >=4
@@ -441,41 +482,15 @@ mfc::bench::MsgBenchRow traced_run(bool traced, int npes, Fn&& fn) {
   return row;
 }
 
-/// Measures tracing overhead for one workload with PAIRED reps: each rep
-/// runs trace-off then trace-on back-to-back, so slow drift on a
-/// shared/virtualized host (frequency steps, co-tenant load) lands on
-/// both sides instead of entirely on whichever phase ran last.
-///
-/// The overhead ratio is computed on process CPU TIME, as the median of
-/// the per-rep paired ratios. On a small shared host (1–4 CPUs) the PE
-/// threads are oversubscribed, so the wall clock of a latency workload
-/// mostly measures kernel scheduling (futex wakes, preemption quanta)
-/// the tracing layer never touches. CPU time counts only work our
-/// process did, but its cost-per-op still drifts minute to minute
-/// (frequency scaling, co-tenant cache contention) — so each rep's
-/// off/on pair runs back-to-back within a few milliseconds and is
-/// compared only against itself; the median ratio then rejects the reps
-/// a preemption landed in. The rows recorded in BENCH_trace.json are
-/// the pair whose ratio is the median.
-template <typename Fn>
-double paired_overhead_pct(int reps, int npes, Fn&& fn,
-                           std::vector<mfc::bench::MsgBenchRow>& rows) {
-  std::vector<mfc::bench::MsgBenchRow> offs, ons;
-  std::vector<std::pair<double, int>> ratios;
-  for (int i = 0; i < reps; ++i) {
-    offs.push_back(traced_run(false, npes, fn));
-    ons.push_back(traced_run(true, npes, fn));
-    ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const int mid = ratios[ratios.size() / 2].second;
-  rows.push_back(offs[static_cast<std::size_t>(mid)]);
-  print_row(rows.back());
-  rows.push_back(ons[static_cast<std::size_t>(mid)]);
-  print_row(rows.back());
-  return (ratios[ratios.size() / 2].first - 1.0) * 100.0;
-}
-
+/// Tracing overhead is read on process CPU TIME, paired (see
+/// paired_overhead_pct). On a small shared host (1–4 CPUs) the PE threads
+/// are oversubscribed, so the wall clock of a latency workload mostly
+/// measures kernel scheduling (futex wakes, preemption quanta) the tracing
+/// layer never touches. CPU time counts only work our process did, but its
+/// cost-per-op still drifts minute to minute (frequency scaling, co-tenant
+/// cache contention) — hence the back-to-back pairs, each compared only
+/// against itself. The rows recorded in BENCH_trace.json are the pair
+/// whose ratio is the median.
 void run_trace_suite() {
   constexpr int kNpes = 4;
   // Short reps, many of them: on an oversubscribed host the kernel's
@@ -494,21 +509,26 @@ void run_trace_suite() {
       "of %d (npes=%d)\n",
       kReps, kNpes);
   std::vector<mfc::bench::MsgBenchRow> rows;
+  const auto paired = [&](int npes, auto fn) {
+    return paired_overhead_pct(
+        kReps, PairClock::kCpu,
+        [&](bool on) { return traced_run(on, npes, fn); }, rows);
+  };
   // The acceptance row: classic 1-deep latency pingpong, where each
   // message pays a real cross-PE round trip. Two PEs (one ball): on a
   // host with few cores, every extra PE thread multiplies kernel-scheduler
   // churn that swamps the ~35 ns/leg under test. The windowed variant
   // below is the worst case — the ~70 ns/msg inline fast path where three
   // timestamped events cost a visible fraction by construction.
-  const double pingpong_pct = paired_overhead_pct(kReps, 2, [&] {
+  const double pingpong_pct = paired(2, [&] {
     return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
-  }, rows);
-  const double windowed_pct = paired_overhead_pct(kReps, kNpes, [&] {
+  });
+  const double windowed_pct = paired(kNpes, [&] {
     return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
-  }, rows);
-  const double bcast_pct = paired_overhead_pct(kReps, kNpes, [&] {
+  });
+  const double bcast_pct = paired(kNpes, [&] {
     return run_broadcast_storm(kNpes, kBcastPerPe);
-  }, rows);
+  });
   std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "pingpong",
               mfc::format_double(pingpong_pct, 1).c_str());
   std::printf("# %-16s tracing-on overhead (cpu): %s%%\n", "pingpong_windowed",
@@ -549,27 +569,6 @@ mfc::bench::MsgBenchRow hist_run(bool armed, int npes, Fn&& fn) {
   return row;
 }
 
-/// Paired off/on reps with the median-ratio methodology of
-/// paired_overhead_pct above (same small-host rationale).
-template <typename Fn>
-double paired_hist_overhead_pct(int reps, int npes, Fn&& fn,
-                                std::vector<mfc::bench::MsgBenchRow>& rows) {
-  std::vector<mfc::bench::MsgBenchRow> offs, ons;
-  std::vector<std::pair<double, int>> ratios;
-  for (int i = 0; i < reps; ++i) {
-    offs.push_back(hist_run(false, npes, fn));
-    ons.push_back(hist_run(true, npes, fn));
-    ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const int mid = ratios[ratios.size() / 2].second;
-  rows.push_back(offs[static_cast<std::size_t>(mid)]);
-  print_row(rows.back());
-  rows.push_back(ons[static_cast<std::size_t>(mid)]);
-  print_row(rows.back());
-  return (ratios[ratios.size() / 2].first - 1.0) * 100.0;
-}
-
 void run_obs_suite() {
   constexpr int kNpes = 4;
   constexpr int kReps = 21;
@@ -583,15 +582,21 @@ void run_obs_suite() {
       "of %d (npes=%d)\n",
       kReps, kNpes);
   std::vector<mfc::bench::MsgBenchRow> rows;
-  const double pingpong_pct = paired_hist_overhead_pct(kReps, 2, [&] {
+  // CPU-time pairs, as in the tracing suite (same small-host rationale).
+  const auto paired = [&](int npes, auto fn) {
+    return paired_overhead_pct(
+        kReps, PairClock::kCpu,
+        [&](bool on) { return hist_run(on, npes, fn); }, rows);
+  };
+  const double pingpong_pct = paired(2, [&] {
     return run_pingpong("pingpong", 2, 1, kOneDeepMsgs);
-  }, rows);
-  const double windowed_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
+  });
+  const double windowed_pct = paired(kNpes, [&] {
     return run_pingpong("pingpong_windowed", kNpes, kWindow, kMsgsPerBall);
-  }, rows);
-  const double bcast_pct = paired_hist_overhead_pct(kReps, kNpes, [&] {
+  });
+  const double bcast_pct = paired(kNpes, [&] {
     return run_broadcast_storm(kNpes, kBcastPerPe);
-  }, rows);
+  });
   std::printf("# %-16s histograms-on overhead (cpu): %s%%\n", "pingpong",
               mfc::format_double(pingpong_pct, 1).c_str());
   std::printf("# %-16s histograms-on overhead (cpu): %s%%\n",
@@ -618,8 +623,8 @@ void run_obs_suite() {
 // machine's cross-PE wakeup latency against nothing, which is not the
 // ratio an application sees. The acceptance bar is <= 15% CPU-time cost
 // versus the no-checkpoint run, measured exactly like the tracing suite:
-// paired off/on reps, median of the per-rep CPU ratios (see
-// paired_overhead_pct's host-drift rationale above). A mixed-technique
+// paired off/on reps, median of the per-rep CPU ratios
+// (paired_overhead_pct). A mixed-technique
 // workload plus one row per technique prices stack-copy / isomalloc /
 // memalias checkpointing separately. Rows land in BENCH_ft.json.
 namespace ft_bench {
@@ -673,20 +678,12 @@ void run_ft_suite() {
               kReps, kEvery);
   std::vector<mfc::bench::MsgBenchRow> rows;
   for (const Workload& w : workloads) {
-    std::vector<mfc::bench::MsgBenchRow> offs, ons;
-    std::vector<std::pair<double, int>> ratios;
-    for (int i = 0; i < kReps; ++i) {
-      offs.push_back(run_ft_storm(w.name, w.technique, 0));
-      ons.push_back(run_ft_storm(w.name, w.technique, kEvery));
-      ratios.emplace_back(ons.back().cpu_seconds / offs.back().cpu_seconds, i);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const int mid = ratios[ratios.size() / 2].second;
-    rows.push_back(offs[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    rows.push_back(ons[static_cast<std::size_t>(mid)]);
-    conv_bench::print_row(rows.back());
-    const double pct = (ratios[ratios.size() / 2].first - 1.0) * 100.0;
+    const double pct = conv_bench::paired_overhead_pct(
+        kReps, conv_bench::PairClock::kCpu,
+        [&](bool on) {
+          return run_ft_storm(w.name, w.technique, on ? kEvery : 0);
+        },
+        rows);
     std::printf("# %-20s checkpoint overhead (cpu): %s%% (bar: <= 15%%)\n",
                 w.name, mfc::format_double(pct, 1).c_str());
   }
@@ -700,7 +697,7 @@ void run_ft_suite() {
 }  // namespace ft_bench
 
 // ---- cross-process checkpoint overhead ------------------------------------
-// The process-tier FT bar: a 16-PE / 4-process shm machine running the
+// The process-unit FT bar: a 16-PE / 4-process shm machine running the
 // procstorm workload with checkpoint-every-10 must cost <= 15% more than
 // the same storm with FT off. Buddy placement is process-disjoint, so
 // every blob shipment crosses a process boundary on the scatter-gather
@@ -766,25 +763,12 @@ void run_ftx_suite() {
               "4-proc shm storms, median wall-time ratio of %d reps "
               "(checkpoint every %d rounds)\n",
               kReps, kEvery);
-  std::vector<mfc::bench::MsgBenchRow> offs, ons;
-  std::vector<std::pair<double, int>> ratios;
-  std::vector<double> cpu_ratios;
-  for (int i = 0; i < kReps; ++i) {
-    offs.push_back(run_ftx_storm("ftx_storm", 0));
-    ons.push_back(run_ftx_storm("ftx_storm", kEvery));
-    ratios.emplace_back(ons.back().seconds / offs.back().seconds, i);
-    cpu_ratios.push_back(ons.back().cpu_seconds / offs.back().cpu_seconds);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  std::sort(cpu_ratios.begin(), cpu_ratios.end());
-  const int mid = ratios[ratios.size() / 2].second;
   std::vector<mfc::bench::MsgBenchRow> rows;
-  rows.push_back(offs[static_cast<std::size_t>(mid)]);
-  conv_bench::print_row(rows.back());
-  rows.push_back(ons[static_cast<std::size_t>(mid)]);
-  conv_bench::print_row(rows.back());
-  const double pct = (ratios[ratios.size() / 2].first - 1.0) * 100.0;
-  const double cpu_pct = (cpu_ratios[cpu_ratios.size() / 2] - 1.0) * 100.0;
+  double cpu_pct = 0;
+  const double pct = conv_bench::paired_overhead_pct(
+      kReps, conv_bench::PairClock::kWall,
+      [&](bool on) { return run_ftx_storm("ftx_storm", on ? kEvery : 0); },
+      rows, &cpu_pct);
   std::printf("# ftx_storm cross-process checkpoint overhead (wall): %s%% "
               "(bar: <= 15%%); (cpu, all processes): %s%%\n",
               mfc::format_double(pct, 1).c_str(),

@@ -9,7 +9,7 @@
 # remote-buddy refill over the shm wire, and no process outliving a
 # SIGKILLed process 0). The release pass includes the fork-based legs;
 # under tsan those are compiled out and the same drivers run wire-loopback
-# with PE-tier kills under full race checking. To replay a failing seed,
+# with PE-unit kills under full race checking. To replay a failing seed,
 # prefix with MFC_CHAOS_SEED=<n>.
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,7 +21,7 @@ ctest --preset ft
 # Cross-process leg, standalone and verbose: the proc-kill storm plus the
 # repeated re-kill of a respawned process. Run with a
 # flight-recorder base name so the detection leaves per-process dumps,
-# then validate them: a process-tier detection must have dumped at least
+# then validate them: a process-unit detection must have dumped at least
 # process 0's box with reason "ft-proc-down".
 rm -f build-release/ftx_flight.proc*.json
 (cd build-release && MFC_FLIGHT_FILE=ftx_flight ./tests/ftx_test \
@@ -53,7 +53,7 @@ ctest --preset tsan-ft
 (cd build-tsan && ./tests/ft_storm_test \
   --gtest_filter='FtStorm.SameSeedKillRunsAreBitIdentical:FtStorm.KillRunMatchesFailureFreeRun')
 
-# The loopback wire legs once more under tsan: PE-tier kills and a calm
+# The loopback wire legs once more under tsan: PE-unit kills and a calm
 # checkpointing storm with every cross-PE message — span-shipped buddy
 # stores included — on the shm rings, under the race detector.
 (cd build-tsan && ./tests/ftx_test \

@@ -241,10 +241,7 @@ void ps_restore(std::uint64_t epoch, const std::vector<char>& blob) {
   ps.round = ck.round;
 }
 
-void ps_on_detect(int victim) {
-  (void)victim;
-  g_ps->phase = ProcStormGlobal::Phase::kKilled;
-}
+void ps_on_detect() { g_ps->phase = ProcStormGlobal::Phase::kKilled; }
 
 void ps_on_recovered(std::uint64_t epoch) {
   (void)epoch;
@@ -387,7 +384,7 @@ ProcStormReport run_proc_storm(const ProcStormOptions& options) {
                 "procstorm: ft_mode must be 0 (checkpoints ship whole blobs)");
   MFC_CHECK_MSG(options.kill_every == 0 || options.nprocs > 1 ||
                     options.npes >= 2,
-                "procstorm: PE-tier kills need a PE to spare");
+                "procstorm: PE-unit kills need a PE to spare");
   register_ps_handlers();
 
   ProcStormOptions opt = options;

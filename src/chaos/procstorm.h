@@ -15,7 +15,7 @@
 // run: the acceptance probe for "process loss is transparent".
 //
 // Single-process (nprocs == 1) the same driver runs in wire-loopback mode
-// with PE-tier kills instead, which keeps the whole FT wire path — span-
+// with PE-unit kills instead, which keeps the whole FT wire path — span-
 // shipped buddy stores included — under ThreadSanitizer, where fork-based
 // legs cannot go.
 #pragma once
@@ -71,7 +71,7 @@ struct ProcStormReport {
   std::uint64_t digest_reports = 0;  ///< PEs that reported (must equal npes)
 
   std::uint64_t ft_epochs = 0;
-  std::uint64_t kills = 0;        ///< injected failures (either tier)
+  std::uint64_t kills = 0;        ///< injected failures (either unit kind)
   std::uint64_t detections = 0;   ///< detector firings
   std::uint64_t recoveries = 0;   ///< completed rollbacks
   std::uint64_t proc_respawns = 0;  ///< zygote respawns observed by proc 0

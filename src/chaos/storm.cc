@@ -215,7 +215,6 @@ struct StormGlobal {
   enum class FtPhase { kNone, kInterrupted, kResumePending };
   FtPhase ft_phase = FtPhase::kNone;
   int ft_resume_round = 0;   ///< round the rollback restored (set by restore)
-  int ft_victim_pe = -1;
   int ft_ckpt_round = -1;    ///< round being checkpointed (capture asserts)
   ult::Thread* ft_parked_checker = nullptr;
   /// Kill ordinal fencing: ordinal k fires only when kills_fired == k, so
@@ -758,10 +757,8 @@ void ft_restore(std::uint64_t epoch, const std::vector<char>& blob) {
 /// ft detection hook (PE0 detector context): flag the interruption so the
 /// checker parks instead of resuming a torn round when a recovery-era QD
 /// completion or arrival count happens to wake it.
-void ft_on_detect(int victim) {
-  StormGlobal* g = g_storm;
-  g->ft_phase = StormGlobal::FtPhase::kInterrupted;
-  g->ft_victim_pe = victim;
+void ft_on_detect() {
+  g_storm->ft_phase = StormGlobal::FtPhase::kInterrupted;
 }
 
 /// ft recovery-complete hook (PE0 recovery thread): run the post-recovery
@@ -786,7 +783,6 @@ void ft_on_recovered(std::uint64_t epoch) {
       static_cast<std::uint32_t>(lb::migration_count(current, next)));
 
   g->ft_phase = StormGlobal::FtPhase::kResumePending;
-  g->ft_victim_pe = -1;
   if (g->ft_parked_checker != nullptr) {
     ult::Thread* t = g->ft_parked_checker;
     g->ft_parked_checker = nullptr;

@@ -179,7 +179,7 @@ struct MachineState {
   std::unique_ptr<std::atomic<bool>[]> wipe_pending;
   // PE0-only barrier bookkeeping (touched exclusively from PE0's loop).
   std::unordered_map<std::uint64_t, int> barrier_counts;
-  // ---- Process-tier fault tolerance (see DESIGN.md "Fault tolerance").
+  // ---- Process-unit fault tolerance (see DESIGN.md "Fault tolerance").
   // Armed (ft_respawn) when FT hooks are installed on a multi-process
   // machine; everything below is inert otherwise. ----
   bool ft_respawn = false;
@@ -212,7 +212,7 @@ thread_local Pe* t_pe = nullptr;
 FtMachineHooks g_ft_hooks;
 bool g_ft_hooks_set = false;
 
-// ---- Zygote control protocol (process-tier FT) ----
+// ---- Zygote control protocol (process-unit FT) ----
 //
 // Fixed 16-byte records over one SOCK_SEQPACKET pair (record boundaries
 // preserved) between process 0 and the zygote. No other process holds an
@@ -626,7 +626,7 @@ void post_dead_proc(MachineState* st, int proc) {
   st->pes[0]->queue.wake();
 }
 
-/// Process 0, comm thread: child k's pidfd fired. Without the process tier
+/// Process 0, comm thread: child k's pidfd fired. Without process units
 /// a dead child is an immediate crash (it would hang the stop protocol);
 /// with it the death becomes a detection event for the FT tick. Returns
 /// false (retire the fd) once the child is reaped.
@@ -1146,7 +1146,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
         config.npes, config.nprocs, config.shm_ring_bytes);
   }
 
-  // ---- Process-tier FT: fork the respawn zygote. ----
+  // ---- Process-unit FT: fork the respawn zygote. ----
   // It must come from this pristine pre-fork image — after the kids fork
   // below, every live process carries threads and divergent state a
   // replacement must not inherit. One SEQPACKET pair between process 0 and
@@ -1205,7 +1205,7 @@ void Machine::run(const Config& config, std::function<void(int)> entry) {
   run_machine_process(std::move(ctx));  // children _Exit(0) inside
 
   // Parent (process 0): collect any children the comm thread hadn't
-  // reaped yet. With the process tier armed an abnormal exit was a
+  // reaped yet. With process units armed an abnormal exit was a
   // recovered (or being-recovered) failure, not a protocol violation.
   for (std::size_t k = 0; k < g_machine->kids.size(); ++k) {
     if (g_machine->kids_reaped != nullptr &&
@@ -1511,18 +1511,8 @@ void revive_pe(int pe) {
   g_machine->transport->send_ctl(h);
 }
 
-bool pe_dead(int pe) {
-  return g_machine != nullptr && g_machine->ft_on && pe >= 0 &&
-         pe < g_machine->npes && pe_local(pe) &&
-         g_machine->dead[pe].load(std::memory_order_acquire);
-}
-
 int respawn_generation() {
   return g_machine != nullptr ? g_machine->respawn_gen : 0;
-}
-
-bool ft_proc_respawn_enabled() {
-  return g_machine != nullptr && g_machine->ft_respawn;
 }
 
 int take_dead_proc() {

@@ -175,7 +175,7 @@ class Machine {
     /// on a multi-process machine additionally arm whole-process fault
     /// tolerance: a respawn zygote is forked from the pristine pre-fork
     /// image, process 0 polices child liveness, and a SIGKILLed process
-    /// can be respawned mid-run (see the process-tier API at the bottom of
+    /// can be respawned mid-run (see the process-unit API at the bottom of
     /// this header). Every forked process dies with process 0.
     int nprocs = 1;
     Transport transport = Transport::kInProc;
@@ -309,13 +309,16 @@ void wait_quiescence();
 //
 // The ft layer plugs into the machine at exactly two seams: a periodic tick
 // on PE 0's scheduler loop (the failure detector, which reads every PE's
-// control line — PE 0 is the detector/coordinator and is never killed),
-// and a revival callback that runs on a dead PE's kernel thread after
+// control line and drains the dead-process mailbox — PE 0 is the
+// detector/coordinator and its failure unit is never killed), and a
+// revival callback that runs on a dead PE's kernel thread after
 // revive_pe(), BEFORE the backlog that queued up during death is drained
 // (so the ft layer can wipe the PE's stale application state first). Hooks
 // must be installed before Machine::run and removed after it returns; the
 // machine captures them once at boot, so the FT-off hot path costs one
-// plain-bool test per loop.
+// plain-bool test per loop. The failure unit is one PE on a single-process
+// machine (kill_pe) and one process on a multi-process machine (kill_proc,
+// reaping and respawn below).
 struct FtMachineHooks {
   /// Called every iteration of PE 0's scheduler loop (PE 0 context). It
   /// may ready threads but must not send messages: on an idle PE 0 it runs
@@ -347,12 +350,8 @@ void kill_pe(int pe);
 /// flags.
 void revive_pe(int pe);
 
-/// Local-process view only: a remote PE's death flag is not observable
-/// here.
-bool pe_dead(int pe);
-
-// ---- Process-tier fault tolerance (armed when FT hooks are installed on
-// a multi-process machine) ----
+// ---- Process units (armed when FT hooks are installed on a multi-process
+// machine) ----
 //
 // Detection: process 0's comm thread reaps dead children (waitpid) and
 // parks the observation in a mailbox the FT tick drains via
@@ -370,12 +369,9 @@ bool pe_dead(int pe);
 /// park reborn mains until recovery completes.
 int respawn_generation();
 
-/// True when whole-process kill + respawn is armed (FT hooks + nprocs > 1).
-bool ft_proc_respawn_enabled();
-
 /// Drains the dead-process mailbox: returns a process id whose death was
-/// detected (comm-thread waitpid or zygote report), -1 if none. PE 0's FT
-/// tick polls this.
+/// detected (comm-thread waitpid or zygote report), -1 if none or when
+/// process units are not armed. PE 0's FT tick polls this.
 int take_dead_proc();
 
 /// Asks the zygote to respawn dead process `proc` (PE 0's thread).

@@ -22,8 +22,8 @@ enum class Kind : std::uint32_t {
   kChunk = 2,
   kProcDone = 6,
   kStop = 7,
-  /// FT control plane: src_pe = requesting PE, dest_pe = target PE,
-  /// msg_id = op (0 kill, 1 revive). No payload. Machine-level — the
+  /// FT control plane, a revive: src_pe = requesting PE, dest_pe = the PE
+  /// to revive; msg_id is unused. No payload. Machine-level — the
   /// delivering thread flips the target's dead/wipe flags, no handler.
   kFtCtl = 8,
 };
@@ -38,7 +38,7 @@ struct Header {
   std::uint64_t payload_len = 0;  ///< bytes following this header
   std::uint64_t total_len = 0;    ///< whole-message bytes (kChunk)
   std::uint64_t offset = 0;       ///< this piece's offset (kChunk)
-  std::uint64_t msg_id = 0;       ///< control op (kFtCtl)
+  std::uint64_t msg_id = 0;       ///< unused; keeps the 56-byte layout
   std::uint64_t trace_flow = 0;   ///< cross-process send→dispatch arrow
 };
 static_assert(sizeof(Header) == 56, "wire header layout must be fixed");

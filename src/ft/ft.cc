@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <utility>
@@ -69,22 +67,16 @@ struct FtState {
   Clock::time_point last_sample;
   std::vector<std::uint64_t> seen_progress;
   std::vector<Clock::time_point> still_since;
-  /// Per PE: the current suspicion was already recorded (multi-process).
+  /// Per PE: the current suspicion was already recorded.
   std::vector<char> suspect_noted;
-  bool recovering = false;
-  int victim = -1;
+  /// Per unit: a wedged process unit was already escalated to a SIGKILL.
+  std::vector<char> escalated;
+  int victim = -1;  ///< the unit in recovery, -1 when none
   int rec_acks = 0;
   ult::Thread* rec_waiter = nullptr;
-
-  // ---- Process tier (populated at the first tick, when the machine's
-  // process geometry is known) ----
-  int nprocs = 1;
-  int ppn = 0;             ///< PEs per process
-  int victim_proc = -1;    ///< process-tier recovery in flight
-  /// The process-tier recovery ULT, suspended until the zygote reports the
-  /// respawn complete (the tick readies it).
+  /// The coordinator of a process unit, suspended until the zygote reports
+  /// the respawn complete (the tick readies it).
   ult::Thread* respawn_waiter = nullptr;
-  std::vector<char> escalated;  ///< per-proc: wedge already escalated to kill
 
   std::atomic<std::uint64_t> kills{0};
   std::atomic<std::uint64_t> detections{0};
@@ -124,10 +116,12 @@ struct AckMsg {
   void pup(pup::Er& p) { p | epoch | phase | bytes; }
 };
 
-/// Buddy stride: PEs-per-process under a multi-process machine, 1 single-
-/// process. Read from the machine each call (install() runs before
-/// Machine::run, when the geometry is not yet known).
-int buddy_stride() {
+/// The failure unit: the PEs that fail together, one process's PEs under a
+/// multi-process machine and one PE otherwise. Unit u is PEs
+/// [u·unit_pes(), (u+1)·unit_pes()); its size is also the buddy stride.
+/// Read from the machine each call (install() runs before Machine::run,
+/// when the geometry is not yet known).
+int unit_pes() {
   const int np = converse::num_procs();
   return np > 1 ? g_state->npes / np : 1;
 }
@@ -135,7 +129,7 @@ int buddy_stride() {
 /// The PE whose buddy copy `pe` holds: the inverse of buddy_of.
 int pred_of(int pe) {
   const int npes = g_state->npes;
-  return (pe - buddy_stride() + npes) % npes;
+  return (pe - unit_pes() + npes) % npes;
 }
 
 // ---- Checkpoint -------------------------------------------------------------
@@ -250,7 +244,6 @@ void handle_ckpt_ack(converse::Message&& m) {
 // ---- Detector ---------------------------------------------------------------
 
 void recovery_main();
-void proc_recovery_main();
 
 /// Forgets every PE's stand-still time: at install, and after a recovery,
 /// whose rollback would otherwise accuse a healthy PE at once.
@@ -261,22 +254,42 @@ void reset_detector(Clock::time_point now) {
   s->suspect_noted.assign(static_cast<std::size_t>(s->npes), 0);
 }
 
-/// PE0 scheduler-loop tick: two failure tiers, process before PE.
+/// Unit `u` is lost: count and record the detection, then start its
+/// recovery.
+void lose_unit(int u) {
+  FtState* s = g_state;
+  const bool proc = converse::num_procs() > 1;
+  s->victim = u;
+  s->detections.fetch_add(1, std::memory_order_relaxed);
+  metrics::bump(metrics::Counter::kFtDetections);
+  trace::emit_flight(trace::Ev::kFtDetect, proc ? 1 : 0,
+                     static_cast<std::uint32_t>(proc ? u : 0), 0,
+                     static_cast<std::int16_t>(u * unit_pes()));
+  trace::flight::dump(proc ? "ft-proc-down" : "ft-detect");
+  if (s->hooks.on_detect) s->hooks.on_detect();
+  ult::spawn([] { recovery_main(); });
+}
+
+/// PE0 scheduler-loop tick: one detection rule over failure units.
 ///
-/// Process tier: proc 0's comm thread reaps dead children (and the zygote
-/// reports grandchild deaths); the reap lands in the machine's dead-proc
-/// mailbox, consumed here. On a multi-process machine the failure unit is
-/// a process: a *wedged* process — alive, but every one of its PEs suspect
-/// at once — is escalated to a SIGKILL so the same reap path fires
-/// (per-proc `escalated` keeps that single-shot); a suspect PE in a live
-/// process is only recorded.
+///   1. A reaped process is a lost unit: proc 0's comm thread reaps dead
+///      children (and the zygote reports grandchild deaths) into the
+///      machine's dead-proc mailbox, drained here.
+///   2. Once per detector period the tick reads every PE's control line
+///      (converse/quiescence.h); a PE whose progress stood still for a
+///      whole timeout while it had work is suspect. A unit whose every PE
+///      is suspect is lost: a PE unit at once, a process unit — wedged,
+///      but alive — through one SIGKILL per stand-still (the per-unit
+///      `escalated` latch), whose reap then reports the loss by rule 1.
+///   3. A suspect PE in a unit that is not wholly suspect is load, not a
+///      failure: it is recorded once per stand-still, counted nowhere and
+///      rolled back never.
+///   4. Unit 0 hosts the coordinator and is never lost; its other PEs are
+///      recorded like any other suspect PE.
 ///
-/// PE tier (single-process machines): once per detector period the tick
-/// reads every PE's control line (converse/quiescence.h). A PE whose
-/// progress stood still for a whole timeout while it had work is suspect
-/// and is recovered. Deliberately ignorant of the machine's dead flags —
-/// recovery is *detector*-triggered: a killed PE stops its loop while its
-/// line stays busy, and that is all the detector sees.
+/// Deliberately ignorant of the machine's dead flags — recovery is
+/// *detector*-triggered: a killed PE stops its loop while its line stays
+/// busy, and that is all the detector sees.
 void tick() {
   FtState* s = g_state;
   const auto now = Clock::now();
@@ -284,39 +297,21 @@ void tick() {
     s->clock_init = true;
     s->last_sample = now;
     reset_detector(now);
-    s->nprocs = converse::num_procs();
-    s->ppn = s->npes / (s->nprocs > 0 ? s->nprocs : 1);
-    s->escalated.assign(static_cast<std::size_t>(s->nprocs), 0);
+    s->escalated.assign(static_cast<std::size_t>(s->npes / unit_pes()), 0);
     return;
   }
   // The machine wakes PE 0 when a respawn completes, so this runs at once.
   if (s->respawn_waiter != nullptr &&
-      converse::take_respawn_complete(s->victim_proc)) {
+      converse::take_respawn_complete(s->victim)) {
     ult::Thread* t = s->respawn_waiter;
     s->respawn_waiter = nullptr;
     converse::ready_thread(t);
   }
-  if (s->recovering) return;
-  const bool proc_tier = s->nprocs > 1 && converse::ft_proc_respawn_enabled();
-  if (proc_tier) {
-    const int dp = converse::take_dead_proc();
-    if (dp > 0) {
-      s->recovering = true;
-      s->victim_proc = dp;
-      s->detections.fetch_add(1, std::memory_order_relaxed);
-      metrics::bump(metrics::Counter::kFtDetections);
-      trace::emit_flight(trace::Ev::kFtDetect, 1,
-                         static_cast<std::uint32_t>(dp), 0,
-                         static_cast<std::int16_t>(dp * s->ppn));
-      trace::flight::dump("ft-proc-down");
-      if (s->hooks.on_detect) {
-        for (int v = dp * s->ppn; v < (dp + 1) * s->ppn; ++v) {
-          s->hooks.on_detect(v);
-        }
-      }
-      ult::spawn([] { proc_recovery_main(); });
-      return;  // single-failure model: one recovery at a time
-    }
+  if (s->victim >= 0) return;  // single-failure model: one recovery at a time
+  const int dp = converse::take_dead_proc();
+  if (dp > 0) {
+    lose_unit(dp);
+    return;
   }
   if (now - s->last_sample < std::chrono::microseconds(s->period_us)) return;
   s->last_sample = now;
@@ -333,46 +328,31 @@ void tick() {
   const auto suspect = [&](int pe) {
     return now - s->still_since[static_cast<std::size_t>(pe)] > deadline;
   };
-  for (int pe = 1; pe < s->npes; ++pe) {
-    if (!suspect(pe)) continue;
-    if (proc_tier) {
-      const int proc = pe / s->ppn;
-      bool whole_proc = proc != 0;
-      for (int q = proc * s->ppn; whole_proc && q < (proc + 1) * s->ppn; ++q) {
-        whole_proc = suspect(q);
-      }
-      if (whole_proc) {
-        // Wedged-but-alive process: every PE suspect at once. Escalate to
-        // a whole-process kill; the zygote's reap report then drives
-        // process-tier recovery above.
-        if (!s->escalated[static_cast<std::size_t>(proc)]) {
-          s->escalated[static_cast<std::size_t>(proc)] = 1;
-          metrics::bump(metrics::Counter::kFtDetections);
-          trace::emit_flight(trace::Ev::kFtDetect, 2,
-                             static_cast<std::uint32_t>(proc), 0,
-                             static_cast<std::int16_t>(pe));
-          converse::kill_proc(proc);
-        }
-      } else if (!s->suspect_noted[static_cast<std::size_t>(pe)]) {
-        // A suspect PE in a live process is load, not a failure: record
-        // it once per stand-still, count nothing, roll nothing back.
-        s->suspect_noted[static_cast<std::size_t>(pe)] = 1;
+  const int k = unit_pes();
+  for (int u = 0; u < s->npes / k; ++u) {
+    const int lo = u * k;
+    bool whole = u != 0;
+    for (int pe = lo; whole && pe < lo + k; ++pe) whole = suspect(pe);
+    if (!whole) {
+      for (int pe = std::max(lo, 1); pe < lo + k; ++pe) {
+        char& noted = s->suspect_noted[static_cast<std::size_t>(pe)];
+        if (noted || !suspect(pe)) continue;
+        noted = 1;
         trace::emit_flight(trace::Ev::kFtDetect, 3,
-                           static_cast<std::uint32_t>(proc), 0,
+                           static_cast<std::uint32_t>(u), 0,
                            static_cast<std::int16_t>(pe));
       }
-      continue;
+    } else if (converse::num_procs() == 1) {
+      lose_unit(u);
+      return;
+    } else if (!s->escalated[static_cast<std::size_t>(u)]) {
+      s->escalated[static_cast<std::size_t>(u)] = 1;
+      metrics::bump(metrics::Counter::kFtDetections);
+      trace::emit_flight(trace::Ev::kFtDetect, 2,
+                         static_cast<std::uint32_t>(u), 0,
+                         static_cast<std::int16_t>(lo));
+      converse::kill_proc(u);
     }
-    s->recovering = true;
-    s->victim = pe;
-    s->detections.fetch_add(1, std::memory_order_relaxed);
-    metrics::bump(metrics::Counter::kFtDetections);
-    trace::emit_flight(trace::Ev::kFtDetect, 0, 0, 0,
-                       static_cast<std::int16_t>(pe));
-    trace::flight::dump("ft-detect");
-    if (s->hooks.on_detect) s->hooks.on_detect(pe);
-    ult::spawn([] { recovery_main(); });
-    break;  // single-failure model: one recovery at a time
   }
 }
 
@@ -451,31 +431,60 @@ void rec_wait(int n) {
   ult::suspend();
 }
 
-/// Recovery coordinator: runs as a ULT on PE0, spawned by the detector.
+/// Recovery coordinator: runs as a ULT on PE 0, spawned by the detector for
+/// the lost unit `victim`. Only a process unit respawns and settles in drain
+/// mode; every unit refills all its PEs at once — legal because the buddy
+/// stride is the unit, so every lost PE's blob lives in unit u+1 and every
+/// buddy copy it held in unit u-1, both survivors.
 void recovery_main() {
   FtState* s = g_state;
-  const int v = s->victim;
+  const int u = s->victim;
   const int npes = s->npes;
+  const int k = unit_pes();
+  const int lo = u * k;
+  const bool proc = converse::num_procs() > 1;
   trace::emit_flight(trace::Ev::kFtRecoveryBegin, 0, 0, 0,
-                     static_cast<std::int16_t>(v));
+                     static_cast<std::int16_t>(lo));
   s->recoveries.fetch_add(1, std::memory_order_relaxed);
   metrics::bump(metrics::Counter::kFtRecoveries);
 
-  // Revive: the machine clears the dead flag; the on_revive hook wipes the
-  // victim's application state and checkpoint store (emulated memory loss)
-  // on its own thread before the death backlog drains.
-  converse::revive_pe(v);
+  // Respawn (process unit): the zygote forks a fresh incarnation of the
+  // process from its pristine pre-fork image, which inherits the crash-
+  // consistent rings. Wait suspended, not polling: PE 0 keeps serving
+  // handlers (app traffic) or parks, and the tick readies this thread once
+  // the completion event lands.
+  if (proc) {
+    converse::request_respawn(u);
+    s->respawn_waiter = converse::pe_scheduler().running();
+    ult::suspend();
+  }
+
+  // Revive: the machine clears the dead flags; the on_revive hook wipes
+  // each lost PE's application state and checkpoint store (emulated memory
+  // loss) on its own thread before its death backlog drains. A respawned
+  // incarnation boots with all its PEs dead; each revive rides the ordered
+  // stream, so the wipe runs there before any refill below can land.
+  for (int v = lo; v < lo + k; ++v) converse::revive_pe(v);
 
   // Let the backlog (and anything the survivors still had in flight toward
-  // the victim) drain to a consistent wedged state. Thread images shipped
+  // the unit) drain to a consistent wedged state. Thread images shipped
   // into the dead window unpack and park here; the rollback below discards
-  // them along with everything else.
+  // them along with everything else. For a process unit the wave runs in
+  // drain mode: messages the dead incarnation had sent or absorbed are
+  // lost, so exact send==delivered can never balance again, and the drain
+  // wave instead waits for transport-idle plus stable counters and rebases
+  // the ledger's loss baseline for future exact waves.
+  if (proc) converse::begin_qd_drain();
   converse::wait_quiescence();
+  if (proc) converse::end_qd_drain();
 
-  // Refill the victim's checkpoint store from the two surviving copies.
-  converse::send_value(buddy_of(v), h_refill_own, std::int32_t{v});
-  converse::send_value(pred_of(v), h_refill_buddy, std::int32_t{v});
-  rec_wait(2);
+  // Refill every lost PE's store from the two surviving copies: its own
+  // blob from its buddy, the buddy copy it held from its predecessor.
+  for (int v = lo; v < lo + k; ++v) {
+    converse::send_value(buddy_of(v), h_refill_own, std::int32_t{v});
+    converse::send_value(pred_of(v), h_refill_buddy, std::int32_t{v});
+  }
+  rec_wait(2 * k);
 
   // Rollback phase A: every PE discards its live application state. The
   // barrier before phase B guarantees no PE restores a checkpoint image
@@ -492,72 +501,8 @@ void recovery_main() {
   // Re-arm the detector only now: stand-still times measured across the
   // rollback would instantly re-accuse a healthy PE.
   reset_detector(Clock::now());
+  s->escalated[static_cast<std::size_t>(u)] = 0;
   s->victim = -1;
-  s->recovering = false;
-  trace::emit_flight(trace::Ev::kFtRecoveryEnd, s->epoch);
-}
-
-/// Process-tier recovery coordinator: runs as a ULT on PE 0, spawned by the
-/// detector when a whole process is reaped. The shape mirrors recovery_main
-/// with three differences: the corpse is respawned (not just revived), the
-/// quiescence wave runs in drain mode (messages the dead incarnation held
-/// are gone forever, so the exact send==delivered ledger is rebased instead
-/// of awaited), and all ppn lost PEs refill at once — legal because the
-/// process-disjoint buddy stride puts every victim's blob in process p+1
-/// and every buddy copy it held in process p-1, both survivors.
-void proc_recovery_main() {
-  FtState* s = g_state;
-  const int p = s->victim_proc;
-  const int npes = s->npes;
-  const int ppn = s->ppn;
-  const int lo = p * ppn;
-  trace::emit_flight(trace::Ev::kFtRecoveryBegin, static_cast<std::uint64_t>(p),
-                     1, 0, static_cast<std::int16_t>(lo));
-  s->recoveries.fetch_add(1, std::memory_order_relaxed);
-  metrics::bump(metrics::Counter::kFtRecoveries);
-
-  // Respawn: the zygote forks a fresh incarnation of process p from its
-  // pristine pre-fork image and swaps fresh wire streams into every
-  // survivor. Wait suspended, not polling: PE 0 keeps serving handlers
-  // (app traffic) or parks, and the tick readies this thread once
-  // the completion event lands.
-  converse::request_respawn(p);
-  s->respawn_waiter = converse::pe_scheduler().running();
-  ult::suspend();
-
-  // The respawned incarnation boots with all its PEs dead. Revive them:
-  // each revive rides the fresh ordered stream, so the machine's wipe runs
-  // on the new incarnation before any refill below can land there.
-  for (int v = lo; v < lo + ppn; ++v) converse::revive_pe(v);
-
-  // Drain-mode quiescence: messages the dead incarnation had sent or
-  // absorbed are lost, so exact send==delivered can never balance again.
-  // The drain wave instead waits for transport-idle plus stable counters
-  // and rebases the ledger's compensation term for future exact waves.
-  converse::begin_qd_drain();
-  converse::wait_quiescence();
-  converse::end_qd_drain();
-
-  // Refill every lost PE's store: its own blob from its buddy (process
-  // p+1) and the buddy copy it held for its predecessor (process p-1).
-  for (int v = lo; v < lo + ppn; ++v) {
-    converse::send_value(buddy_of(v), h_refill_own, std::int32_t{v});
-    converse::send_value(pred_of(v), h_refill_buddy, std::int32_t{v});
-  }
-  rec_wait(2 * ppn);
-
-  // Rollback phases A and B, exactly as in the PE tier.
-  for (int pe = 0; pe < npes; ++pe) converse::send_value(pe, h_discard, AckMsg{});
-  rec_wait(npes);
-  for (int pe = 0; pe < npes; ++pe) converse::send_value(pe, h_restore, s->epoch);
-  rec_wait(npes);
-
-  if (s->hooks.on_recovered) s->hooks.on_recovered(s->epoch);
-
-  reset_detector(Clock::now());
-  s->escalated[static_cast<std::size_t>(p)] = 0;
-  s->victim_proc = -1;
-  s->recovering = false;
   trace::emit_flight(trace::Ev::kFtRecoveryEnd, s->epoch);
 }
 
@@ -587,23 +532,6 @@ void register_ft_handlers() {
   });
 }
 
-/// Reads a millisecond-valued detector override from the environment.
-/// Returns `fallback_us` when the variable is unset; otherwise the value in
-/// microseconds. Rejects garbage and out-of-range settings outright — a
-/// silently-misparsed timeout would turn into false-positive rollbacks.
-std::uint64_t detector_env_us(const char* name, std::uint64_t fallback_us) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback_us;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long ms = std::strtoull(v, &end, 10);
-  MFC_CHECK_MSG(errno == 0 && end != v && *end == '\0',
-                "ft: detector override is not a plain integer (milliseconds)");
-  MFC_CHECK_MSG(ms >= 1 && ms <= 600000,
-                "ft: detector override out of range [1, 600000] ms");
-  return ms * 1000;
-}
-
 }  // namespace
 
 void install(int npes, Hooks hooks) {
@@ -611,7 +539,6 @@ void install(int npes, Hooks hooks) {
   MFC_CHECK_MSG(npes >= 2, "buddy checkpointing needs at least 2 PEs");
   MFC_CHECK(hooks.capture && hooks.restore);
   register_ft_handlers();
-  hooks.timeout_us = detector_env_us("MFC_FT_TIMEOUT_MS", hooks.timeout_us);
   g_state = new FtState;
   g_state->npes = npes;
   // The detector reads the lines eight times per timeout, so a PE that
@@ -644,7 +571,7 @@ std::uint64_t checkpoint_now() {
   MFC_CHECK_MSG(converse::my_pe() == 0 &&
                     converse::pe_scheduler().in_thread(),
                 "ft: checkpoint_now must run in a ULT on PE 0");
-  MFC_CHECK_MSG(!s->recovering, "ft: checkpoint during recovery");
+  MFC_CHECK_MSG(s->victim < 0, "ft: checkpoint during recovery");
   converse::wait_quiescence();
   trace::emit_flight(trace::Ev::kFtCheckpointBegin, s->epoch + 1);
   const std::uint64_t e = s->epoch + 1;
@@ -674,11 +601,11 @@ void kill_pe(int pe) {
 
 int buddy_of(int pe) {
   MFC_CHECK(g_state != nullptr);
-  // Process-disjoint placement: a stride of PEs-per-process lands every
-  // buddy in the next process over, so losing one whole process never
-  // destroys both copies of any blob. Single-process keeps the classic
-  // ring neighbor.
-  return (pe + buddy_stride()) % g_state->npes;
+  // A stride of one failure unit lands every buddy in the next unit over
+  // (the next process on a multi-process machine, the ring neighbor
+  // otherwise), so losing one whole unit never destroys both copies of any
+  // blob.
+  return (pe + unit_pes()) % g_state->npes;
 }
 
 std::uint64_t epochs() { return g_state != nullptr ? g_state->epoch : 0; }

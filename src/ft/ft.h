@@ -7,38 +7,44 @@
 // PE packs its migratable threads and chare-array slice into one checkpoint
 // blob — "checkpointing is simply migration to the local memory of a remote
 // processor" — and stores it twice: locally and on its *buddy* PE. The
-// buddy stride is process-disjoint: (pe + ppn) % npes under a multi-process
+// buddy stride is one failure unit (below), so it is process-disjoint:
+// (pe + ppn) % npes under a multi-process
 // machine (ppn = PEs per process), (pe + 1) % npes single-process — so the
 // two copies of every blob always live in different OS processes and the
 // loss of a whole process never destroys both. When the failure detector
 // (PE 0 reading every PE's control line, converse/quiescence.h) declares a
-// PE dead, the recovery coordinator revives it with wiped memory, refills
-// its checkpoint store from the buddy copies that survived, rolls every PE
-// back to the last committed epoch, and resumes. One failure between consecutive checkpoints is survivable by
-// construction: the lost PE's blob lives on its buddy, and the lost
+// failure unit lost, the recovery coordinator revives its PEs with wiped
+// memory, refills their checkpoint stores from the buddy copies that
+// survived, rolls every PE back to the last committed epoch, and resumes.
+// One failure between consecutive checkpoints is survivable by
+// construction: a lost PE's blob lives on its buddy, and the lost
 // buddy-copy it held for its predecessor is re-sent from the predecessor's
 // own local blob.
 //
-// Failures come in two tiers, one per machine shape:
-//   - PE tier (single-process machines): a kill_pe'd (or wedged) PE's
-//     progress count stands still while it has work; the detector revives
-//     it in place and refills its store — the original FTC-Charm++
-//     protocol.
-//   - process tier (multi-process machines, where the failure unit is a
-//     process): a whole OS process dies (SIGKILL, crash) or wedges (every
-//     one of its PEs suspect at once, escalated to a kill). Proc 0 reaps
-//     the corpse, the pre-fork zygote forks a replacement from its
-//     pristine image, which inherits the crash-consistent rings, and the
-//     coordinator revives and refills all ppn lost PEs from their remote
-//     buddies before the usual discard/restore rollback. A suspect PE in a
-//     live process is load: it is recorded, never rolled back.
+// Recovery works on a *failure unit*: the PEs that fail together. On a
+// single-process machine a unit is one PE (kill_pe parks it); on a
+// multi-process machine it is one process's PEs, since a PE cannot die
+// without its process. The unit is also the buddy stride, so one number
+// says where a blob's second copy lives, what the detector declares lost
+// and what the coordinator rebuilds. The detector's rule: a reaped process
+// is a lost unit; a unit whose every PE stood still with work for a whole
+// timeout is lost — a PE unit at once, a wedged process unit through a
+// SIGKILL whose reap reports it; a suspect PE in a unit that is not wholly
+// suspect is load, recorded but never rolled back; unit 0 hosts the
+// coordinator and is never lost. The one coordinator then respawns a
+// process unit (the pre-fork zygote forks a replacement from its pristine
+// image, which inherits the crash-consistent rings), revives the unit's
+// PEs, waits for quiescence (in drain mode for a process unit), refills
+// every lost PE's store from buddies that by placement live in other units,
+// and runs the discard/restore rollback.
 //
 // Division of labor:
-//   - machine layer (converse): kill/revive flags, the PE0 tick seam, the
-//     pre-drain revival wipe callback — see FtMachineHooks in machine.h —
-//     and the control lines the detector reads.
-//   - this layer: checkpoint epochs, blob stores, the detector, recovery
-//     coordinator, trace/metrics instrumentation.
+//   - machine layer (converse): kill/revive flags, process reaping and
+//     respawn, the PE0 tick seam, the pre-drain revival wipe callback —
+//     see FtMachineHooks in machine.h — and the control lines the
+//     detector reads.
+//   - this layer: checkpoint epochs, blob stores, the detector, the
+//     recovery coordinator, trace/metrics instrumentation.
 //   - application (storm driver): the capture/wipe/discard/restore hooks
 //     that know what the PE's state actually *is*.
 //
@@ -80,20 +86,20 @@ struct Hooks {
   std::function<void(std::uint64_t epoch, const std::vector<char>& blob)>
       restore;
 
-  /// PE 0, detector context: a failure was detected (before recovery runs).
-  std::function<void(int victim)> on_detect;
+  /// PE 0, detector context: a failure unit was lost (before its recovery
+  /// runs). Fires once per lost unit.
+  std::function<void()> on_detect;
 
   /// PE 0, recovery-thread context: rollback to `epoch` is complete on
   /// every PE; the application may resume driving.
   std::function<void(std::uint64_t epoch)> on_recovered;
 
   /// Declare a PE suspect once its progress count stood still this long
-  /// while it had work; the detector reads every line once per timeout/8.
-  /// Generous by default: a busy-but-alive PE (or a tsan-slowed one) must
-  /// never be declared dead — on a single-process machine a false positive
-  /// rolls back a healthy machine. The MFC_FT_TIMEOUT_MS environment
-  /// variable (milliseconds) overrides this at install time; install()
-  /// logs the effective value.
+  /// while it had work; the detector reads every line once per timeout/8,
+  /// and install() logs the value. Generous by default: a busy-but-alive
+  /// PE (or a tsan-slowed one) must never be declared dead — on a single-
+  /// process machine a suspect PE is a lost unit, and a false positive
+  /// rolls back a healthy machine.
   std::uint64_t timeout_us = 250000;
 };
 
@@ -124,8 +130,8 @@ std::uint64_t checkpoint_now();
 void kill_pe(int pe);
 
 /// The buddy that holds `pe`'s checkpoint blob: (pe + stride) % npes, where
-/// the stride is the machine's PEs-per-process under a multi-process run
-/// (process-disjoint placement) and 1 otherwise.
+/// the stride is the failure unit: the machine's PEs-per-process under a
+/// multi-process run (process-disjoint placement) and 1 otherwise.
 int buddy_of(int pe);
 
 /// Protocol counters (valid during and after a run).

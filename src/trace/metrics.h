@@ -74,7 +74,7 @@ enum class Counter : int {
   /// the benchmark runner (mfcbench/run.py) still reads "wire-retries" from
   /// every stats dump. Drop it together with the runner's `wire.retries`.
   kWireRetries,
-  // Process-tier fault tolerance (cross-process FT).
+  // Process-unit fault tolerance (cross-process FT).
   kProcKills,       ///< whole processes SIGKILLed / declared dead
   kProcRespawns,    ///< dead processes respawned by the zygote
   // The PE loop's waits (converse/machine.cc pe_loop).

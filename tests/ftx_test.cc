@@ -13,7 +13,7 @@
 //
 // Fork-based multi-process legs are compiled out under ThreadSanitizer
 // (MFC_TSAN) — tsan does not follow forked children. The loopback legs at
-// the bottom (nprocs == 1, shm wire, PE-tier kills) keep the whole FT wire
+// the bottom (nprocs == 1, shm wire, PE-unit kills) keep the whole FT wire
 // path — span-shipped buddy stores included — under the race detector.
 #include "chaos/procstorm.h"
 
@@ -374,24 +374,32 @@ TEST(Ftx, SendsToADeadProcessNeverStallTheDetector) {
                        "not exactly one detection/recovery");
 }
 
-// ---- A busy PE in a live process is load, not a failure ---------------------
+// ---- A stalled PE is lost only when its whole failure unit is ---------------
 
 namespace stall {
 constexpr std::uint64_t kTimeoutUs = 100'000;
-mfc::converse::HandlerId h_stall = 0;     ///< PE 3 holds its thread
-mfc::converse::HandlerId h_stalled = 0;   ///< PE 3 → PE 0: the stall is over
-mfc::converse::HandlerId h_sink = 0;      ///< frames that wait for PE 3
+// The machine's shape and victim, set before the helper forks.
+int nprocs = 2;
+int victim = 3;
+bool lost = false;  ///< the victim is a whole failure unit
+mfc::converse::HandlerId h_stall = 0;     ///< the victim holds its thread
+mfc::converse::HandlerId h_stalled = 0;   ///< victim → PE 0: the stall is over
+mfc::converse::HandlerId h_sink = 0;      ///< frames that wait for the victim
 mfc::converse::HandlerId h_finish = 0;    ///< PE 0 → the rest: return
 bool stalled = false;                     ///< PE 0
+bool recovered = false;                   ///< PE 0: the rollback completed
 bool finished[kMaxPes] = {};              ///< per PE
 }  // namespace stall
 
-/// A 4-PE/2-process FT-armed machine commits an epoch; then PE 3's handler
-/// holds its thread for twice the detector timeout while PE 2, in the same
-/// process, stays idle, and frames for PE 3 wait in the rings toward the
-/// process meanwhile. PE 3 is suspect, but its process is alive: the
-/// failure unit is the process, so nothing is detected and nothing rolls
-/// back. Exits 0 on 0 detections and 0 recoveries.
+/// A 4-PE FT-armed machine of `stall::nprocs` processes commits an epoch;
+/// then the victim's handler holds its thread for twice the detector
+/// timeout while its siblings stay idle, and frames for the victim wait
+/// meanwhile (across processes, in the rings toward its process). The
+/// victim is suspect. On two processes its unit is a process whose other
+/// PE is idle, so nothing is detected and nothing rolls back; on one
+/// process its unit is the PE alone, so it is lost: exactly one detection
+/// and one recovery, after which the machine finishes. Exits 0 on the books
+/// `stall::lost` calls for.
 void stall_one_pe() {
   namespace cv = mfc::converse;
   stall::h_stall = cv::register_handler([](cv::Message&&) {
@@ -408,30 +416,54 @@ void stall_one_pe() {
     stall::finished[cv::my_pe()] = true;
     wake_parked();
   });
-  mfc::ft::install(4, trivial_ft_hooks(stall::kTimeoutUs, [] {}));
-  cv::Machine::run(shm_machine(4, 2), [](int pe) {
+  mfc::ft::install(4, trivial_ft_hooks(stall::kTimeoutUs, [] {
+                     stall::recovered = true;
+                     wake_parked();
+                   }));
+  cv::Machine::run(shm_machine(4, stall::nprocs), [](int pe) {
     cv::barrier();
     if (pe != 0) {
       park_until(stall::finished[pe]);
       return;
     }
     mfc::ft::checkpoint_now();
-    cv::send_value(3, stall::h_stall, 0);
-    // Once PE 3 is inside the stall, nothing drains these from the rings
-    // but a sibling: the producer wakes only their destination, PE 3.
+    cv::send_value(stall::victim, stall::h_stall, 0);
+    // Once the victim is inside the stall, nothing drains these from the
+    // rings but a sibling: the producer wakes only their destination.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    for (int i = 0; i < 4; ++i) cv::send_value(3, stall::h_sink, i);
+    for (int i = 0; i < 4; ++i) cv::send_value(stall::victim, stall::h_sink, i);
     park_until(stall::stalled);
+    if (stall::lost) park_until(stall::recovered);
     for (int p = 1; p < 4; ++p) cv::send_value(p, stall::h_finish, 0);
   });
-  const bool books = mfc::ft::detections() == 0 && mfc::ft::recoveries() == 0;
+  const std::uint64_t want = stall::lost ? 1 : 0;
+  const bool books = mfc::ft::detections() == want &&
+                     mfc::ft::recoveries() == want;
   mfc::ft::uninstall();
   std::_Exit(books ? 0 : 1);
 }
 
-TEST(Ftx, StalledHandlerInALiveProcessIsNotAFailure) {
+void expect_stall(int nprocs, int victim, bool lost, const char* fail) {
+  stall::nprocs = nprocs;
+  stall::victim = victim;
+  stall::lost = lost;
   expect_helper_passes(stall_one_pe, "the stalled machine never finished",
-                       "a stalled PE in a live process was rolled back");
+                       fail);
+}
+
+/// PE 3 is in process 1, whose PE 2 stays idle.
+TEST(Ftx, StalledHandlerInALiveProcessIsNotAFailure) {
+  expect_stall(2, 3, false, "a stalled PE in a live process was rolled back");
+}
+
+/// PE 1 is in process 0, the unit that hosts the coordinator.
+TEST(Ftx, StalledHandlerInProcessZeroIsNotAFailure) {
+  expect_stall(2, 1, false, "a stalled PE in process 0 was rolled back");
+}
+
+/// One process: PE 3 is a failure unit of its own.
+TEST(Ftx, StalledPeOnASingleProcessMachineIsALostUnit) {
+  expect_stall(1, 3, true, "not exactly one detection and one recovery");
 }
 
 // ---- A wedged process with work waiting is found ----------------------------
@@ -551,7 +583,7 @@ TEST(FtxDeath, RunProcStormRejectsNonzeroFtMode) {
 }
 
 /// Loopback leg (always compiled, tsan-clean): single process, all cross-PE
-/// traffic over the shm wire, PE-tier kills. Keeps span-shipped buddy
+/// traffic over the shm wire, PE-unit kills. Keeps span-shipped buddy
 /// stores, the detector and the rollback protocol under ThreadSanitizer.
 TEST(Ftx, LoopbackShmWirePeKillStorm) {
   ProcStormOptions calm;
@@ -569,7 +601,7 @@ TEST(Ftx, LoopbackShmWirePeKillStorm) {
   const ProcStormReport r = run_proc_storm(storm);
   expect_exact_ft_books(r, storm);
   EXPECT_EQ(r.kills, 1u);
-  EXPECT_EQ(r.proc_respawns, 0u);  // PE tier: revive in place, no fork
+  EXPECT_EQ(r.proc_respawns, 0u);  // PE unit: revive in place, no fork
   EXPECT_EQ(r.workload_digest, base.workload_digest);
 }
 

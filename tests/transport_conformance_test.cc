@@ -485,7 +485,7 @@ TEST(TransportConformance, TwoWayFullRingsDrainEachOtherMultiProcess) {
 // ---- A respawned incarnation boots dead and still hears its revives ---------
 //
 // Process 1 (PEs 2 and 3) is SIGKILLed and respawned through the machine's
-// process tier. The respawn boots with both PEs dead, so nothing there runs
+// respawn path. The respawn boots with both PEs dead, so nothing there runs
 // a handler until a revive frame lands — and on the shm wire no relay thread
 // exists to receive it: the dead PEs' own loops must drain it. PE 0 then
 // pings both and expects the answers to come from generation 1.
